@@ -8,13 +8,14 @@ Frechet distance on reconstructed images.
 
 from .errors import DataError, NumericError, RydganError, ValidationError
 from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec, QuantumState,
-                  build_hamiltonian, evolve, ground_state,
+                  build_hamiltonian, evolve, evolve_batch, ground_state,
                   interaction_strength, probabilities, sample_shots)
 from .pulses import (DEFAULT_LIMITS, PulseLimits, PulseProgram, SHAPES,
                      discretize, evaluate, seed_range, validate)
 from .generator import (ErrorModel, EXACT, ExactMode, GeneratorParams,
                         NoisyMode, ShotsMode, build_spec, draw_seeds,
-                        generate_features, modulo_encode, perturb_params)
+                        generate_batch, generate_features, modulo_encode,
+                        perturb_params)
 from .data import (ImageSet, PcaModel, fit_pca, inverse_transform, load_idx,
                    load_pca, save_pca, scale_features, split_train_val,
                    transform, unscale_features, write_image, write_montage)

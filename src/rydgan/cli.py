@@ -21,8 +21,8 @@ import numpy as np
 from . import data as dp
 from .config import MODES, RunConfig, load_config, render_config
 from .errors import DataError, NumericError, RydganError, ValidationError
-from .generator import ErrorModel, EXACT, NoisyMode, ShotsMode, draw_seeds, \
-    generate_features
+from .generator import (ErrorModel, EXACT, NoisyMode, ShotsMode, draw_seeds,
+                        generate_batch)
 from .metrics import fid_images, greedy_select, variation_scores
 from .training import layered_train, load_learner, save_learner
 
@@ -190,12 +190,19 @@ def _load_ensemble_members(config: RunConfig, cls: int):
     try:
         with open(path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: not a valid manifest: {exc}") from exc
-    if manifest.get("format") != ENSEMBLE_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != ENSEMBLE_FORMAT:
         raise DataError(f"{path}: not a {ENSEMBLE_FORMAT} document")
+    if manifest.get("version") != ENSEMBLE_VERSION:
+        raise DataError(f"{path}: unsupported version {manifest.get('version')!r}")
+    names = manifest.get("member_files")
+    if (not isinstance(names, list) or not names
+            or not all(isinstance(name, str) and name for name in names)):
+        raise DataError(f"{path}: field member_files must be a nonempty list "
+                        f"of learner file names, got {names!r}")
     members = [load_learner(os.path.join(_learners_dir(config, cls), name)).learner
-               for name in manifest["member_files"]]
+               for name in names]
     return manifest, members
 
 
@@ -217,20 +224,19 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
 
 def _generate_images(config: RunConfig, members, model: dp.PcaModel,
                      mode_name: str, count: int) -> np.ndarray:
-    """(count, 28, 28) ensemble images; every run a fresh perturbation."""
+    """(count, 28, 28) ensemble images; every run a fresh perturbation.
+
+    All count x members runs are generated as one batch; each image
+    averages its members' features.
+    """
     seeds = draw_seeds(np.random.default_rng(config.master_seed), count)
-    limits = config.limits()
-    steps = config.train_config().steps
-    images = []
-    for i, seed in enumerate(seeds):
-        outputs = [generate_features(m.params, float(seed),
-                                     _member_mode(config, mode_name, i, j),
-                                     limits, config.c6, steps)
-                   for j, m in enumerate(members)]
-        features = np.mean(outputs, axis=0)
-        weights = dp.unscale_features(model, features)
-        images.append(dp.inverse_transform(model, weights).reshape(28, 28))
-    return np.array(images)
+    runs = [(m.params, seed, _member_mode(config, mode_name, i, j))
+            for i, seed in enumerate(seeds) for j, m in enumerate(members)]
+    features = generate_batch(runs, config.limits(), config.c6,
+                              config.train_config().steps)
+    features = features.reshape(count, len(members), -1).mean(axis=1)
+    weights = dp.unscale_features(model, features)
+    return dp.inverse_transform(model, weights).reshape(count, 28, 28)
 
 
 def _metric_rows(images: np.ndarray, val: dp.ImageSet):

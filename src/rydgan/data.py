@@ -250,17 +250,30 @@ def load_pca(path: str) -> PcaModel:
 
 
 def atomic_write_text(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str, payload: bytes):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(payload)
-    os.replace(tmp, path)
+    """Replace path with payload so that readers see the old or the new file.
+
+    The bytes go to a fresh, uniquely named file in the same directory and
+    reach the disk before the rename; on failure the temporary file is
+    removed and any old file is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def pgm_bytes(pixels) -> bytes:

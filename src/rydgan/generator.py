@@ -5,7 +5,8 @@ injected into both (a single scalar in [0.1, 1] shared by the pair, scaled
 to each drive's full range), evolves the ground state under the resulting
 Hamiltonian, and maps the outcome probabilities to features with a modulo
 operation so each feature can take any value in (0, 1/2^n] independently
-of the others.
+of the others. `generate_batch` runs many (params, seed, mode) triples as
+one batched evolution; `generate_features` is its one-run form.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits, PulseProgram
-from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec, evolve,
-                  ground_state, probabilities, sample_shots)
+from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec, QuantumState,
+                  evolve, evolve_batch, ground_state, probabilities,
+                  sample_shots)
 
 SEED_LO, SEED_HI = 0.1, 1.0
 
@@ -184,6 +186,28 @@ def perturb_params(params: GeneratorParams, model: ErrorModel) -> GeneratorParam
                    rabi_gain=params.rabi_gain * gain)
 
 
+def _plan(params: GeneratorParams, seed: float, mode, limits: PulseLimits,
+          c6: float):
+    """(spec, readout mode) of one run: the seed checked, noise drawn."""
+    if not SEED_LO - 1e-12 <= seed <= SEED_HI + 1e-12:
+        raise ValidationError(
+            f"seed {seed} outside legal range [{SEED_LO}, {SEED_HI}]")
+    while isinstance(mode, NoisyMode):
+        params = perturb_params(params, mode.model)
+        mode = mode.submode
+    if not isinstance(mode, (ExactMode, ShotsMode)):
+        raise ValidationError(f"unknown generation mode {mode!r}")
+    return build_spec(params, seed, limits, c6), mode
+
+
+def _readout(state: QuantumState, mode) -> np.ndarray:
+    if isinstance(mode, ShotsMode):
+        p = sample_shots(state, mode.shots, mode.rng_seed) / mode.shots
+    else:
+        p = probabilities(state)
+    return modulo_encode(p)
+
+
 def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
                       limits: PulseLimits = DEFAULT_LIMITS,
                       c6: float = C6_DEFAULT,
@@ -191,25 +215,31 @@ def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
     """Run the analog computation for one seed and encode its features.
 
     Deterministic for fixed (params, seed, mode); the stored params are
-    never mutated, noisy runs perturb a per-invocation copy.
+    never mutated, noisy runs perturb a per-invocation copy. Same path as
+    a one-run `generate_batch`.
     """
-    if not SEED_LO - 1e-12 <= seed <= SEED_HI + 1e-12:
-        raise ValidationError(
-            f"seed {seed} outside legal range [{SEED_LO}, {SEED_HI}]")
-    if isinstance(mode, NoisyMode):
-        perturbed = perturb_params(params, mode.model)
-        return generate_features(perturbed, seed, mode.submode, limits, c6, steps)
-    spec = build_spec(params, seed, limits, c6)
-    state = evolve(ground_state(params.n_qubits), spec,
-                   duration=params.duration, steps=steps)
-    if isinstance(mode, ShotsMode):
-        counts = sample_shots(state, mode.shots, mode.rng_seed)
-        p = counts / mode.shots
-    elif isinstance(mode, ExactMode):
-        p = probabilities(state)
-    else:
-        raise ValidationError(f"unknown generation mode {mode!r}")
-    return modulo_encode(p)
+    spec, readout = _plan(params, seed, mode, limits, c6)
+    return _readout(evolve(ground_state(params.n_qubits), spec, steps=steps),
+                    readout)
+
+
+def generate_batch(runs, limits: PulseLimits = DEFAULT_LIMITS,
+                   c6: float = C6_DEFAULT,
+                   steps: int | None = None) -> np.ndarray:
+    """Features (B, 2^n) of many (params, seed, mode) runs, evolved as one batch.
+
+    Row b equals generate_features(*runs[b], limits, c6, steps) up to
+    rounding. Every run must have the same qubit count; batching is what
+    makes generation cheap, so callers pass all the runs they need at once.
+    """
+    plans = [_plan(params, float(seed), mode, limits, c6)
+             for params, seed, mode in runs]
+    if not plans:
+        raise ValidationError("generate_batch needs at least one run")
+    amps = evolve_batch([spec for spec, _ in plans], steps)
+    n = plans[0][0].n_qubits
+    return np.stack([_readout(QuantumState(n, a), readout)
+                     for a, (_, readout) in zip(amps, plans)])
 
 
 def draw_seeds(rng: np.random.Generator, count: int) -> np.ndarray:

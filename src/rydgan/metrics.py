@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import ImageSet, PcaModel, inverse_transform, unscale_features
 from .errors import DataError, ValidationError
-from .generator import EXACT, generate_features
+from .generator import EXACT, generate_batch, generate_features
 from .pulses import DEFAULT_LIMITS, PulseLimits
 from .sim import C6_DEFAULT
 from .training import Learner
@@ -189,8 +189,8 @@ def batch_features(learner: Learner, seeds, mode=EXACT,
                    limits: PulseLimits = DEFAULT_LIMITS,
                    c6: float = C6_DEFAULT, steps: int | None = None) -> np.ndarray:
     """(len(seeds), 2^n) feature outputs of one learner."""
-    return np.stack([generate_features(learner.params, float(s), mode,
-                                       limits, c6, steps) for s in seeds])
+    return generate_batch([(learner.params, s, mode) for s in seeds],
+                          limits, c6, steps)
 
 
 def _batch_to_images(feature_batch: np.ndarray, pca: PcaModel) -> np.ndarray:

@@ -20,7 +20,7 @@ from .data import atomic_write_text
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .errors import DataError, ValidationError
-from .generator import EXACT, GeneratorParams, draw_seeds, generate_features
+from .generator import EXACT, GeneratorParams, draw_seeds, generate_batch
 from .neldermead import nelder_mead
 from .pulses import DEFAULT_LIMITS, PulseLimits
 from .sim import AtomArrangement, C6_DEFAULT
@@ -115,11 +115,8 @@ def generator_loss(params: GeneratorParams, net: DiscriminatorNet, seeds,
     seeds = np.asarray(seeds, dtype=float)
     if seeds.size == 0:
         raise ValidationError("seed batch must be nonempty")
-    total = 0.0
-    for s in seeds:
-        feats = generate_features(params, float(s), EXACT, limits, c6, steps)
-        total += -np.log(discriminator_forward(net, feats))
-    return float(total / seeds.size)
+    feats = generate_batch([(params, s, EXACT) for s in seeds], limits, c6, steps)
+    return float(np.mean(-np.log(discriminator_forward(net, feats))))
 
 
 def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorParams:
@@ -190,9 +187,8 @@ def _min_pair_distance(params: GeneratorParams) -> float:
 
 
 def _fake_batch(params: GeneratorParams, seeds, config: TrainConfig) -> np.ndarray:
-    return np.stack([generate_features(params, float(s), EXACT, config.limits,
-                                       config.c6, config.steps)
-                     for s in seeds])
+    return generate_batch([(params, s, EXACT) for s in seeds], config.limits,
+                          config.c6, config.steps)
 
 
 def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
@@ -229,13 +225,18 @@ def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
     disc_loss = float("nan")
     for cycle in range(config.cycles):
         for stage in config.stage_order:
-            # (a) discriminator block: real vs freshly generated batches
-            for _ in range(config.disc_steps):
-                rows = rng.integers(0, data.shape[0], size=config.disc_batch)
-                fake_seeds = draw_seeds(rng, config.disc_batch)
-                fakes = _fake_batch(params, fake_seeds, config)
+            # (a) discriminator block: real vs freshly generated batches;
+            # the generator is fixed during the block, so every step's fakes
+            # are generated in one batch (same draws, same order)
+            draws = [(rng.integers(0, data.shape[0], size=config.disc_batch),
+                      draw_seeds(rng, config.disc_batch))
+                     for _ in range(config.disc_steps)]
+            fakes = _fake_batch(params, np.concatenate([s for _, s in draws]),
+                                config).reshape(config.disc_steps,
+                                                config.disc_batch, k)
+            for (rows, _), step_fakes in zip(draws, fakes):
                 net, adam, disc_loss = discriminator_step(
-                    net, data[rows], fakes, adam, config.adam_lr,
+                    net, data[rows], step_fakes, adam, config.adam_lr,
                     config.adam_beta1, config.adam_beta2, config.adam_eps)
 
             # (b) generator block: Nelder-Mead on this stage's parameters

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -213,6 +214,50 @@ class TestGenerate:
         code = main(["generate", "--config", smoke_ini, "--out", out])
         assert code == 3
         assert "select" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.pop("member_files"), "member_files"),
+        (lambda doc: doc.update(member_files=7), "member_files"),
+        (lambda doc: doc.update(member_files=[]), "member_files"),
+        (lambda doc: doc.update(version=99), "version"),
+    ], ids=["missing", "not-a-list", "empty", "wrong-version"])
+    def test_malformed_manifest_is_data_error(self, smoke_ini, pipeline_out,
+                                              tmp_path, capsys, edit, field):
+        out = str(tmp_path / "copy")
+        shutil.copytree(pipeline_out, out)
+        path = os.path.join(out, "ensemble_class0.json")
+        with open(path) as f:
+            doc = json.load(f)
+        edit(doc)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        code = main(["generate", "--config", smoke_ini, "--out", out,
+                     "--count", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert path in err and field in err
+
+
+class TestReproducible:
+    def test_pipeline_artefacts_are_byte_identical(self, smoke_ini, tmp_path):
+        trees = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            for argv in (["fit-pca"], ["train"], ["select"],
+                         ["generate", "--mode", "noisy", "--count", "3"]):
+                assert main(argv + ["--config", smoke_ini, "--out", out]) == 0
+            tree = {}
+            for base, _, files in os.walk(out):
+                for file in files:
+                    full = os.path.join(base, file)
+                    with open(full, "rb") as f:
+                        tree[os.path.relpath(full, out)] = f.read()
+            # the echoed config names its own output directory
+            del tree["effective-config.ini"]
+            trees.append(tree)
+        assert len(trees[0]) > 10
+        assert trees[0] == trees[1]
 
 
 class TestEvaluate:

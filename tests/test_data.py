@@ -1,9 +1,11 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from rydgan.data import (ImageSet, fit_pca, inverse_transform, load_idx,
+from rydgan.data import (ImageSet, atomic_write_text, fit_pca,
+                         inverse_transform, load_idx,
                          load_pca, pgm_bytes, save_pca, scale_features,
                          split_train_val, transform, unscale_features,
                          write_image, write_montage)
@@ -243,3 +245,24 @@ class TestPgm:
         write_montage([np.zeros((28, 28))] * 4, str(path), cols=2)
         header = path.read_bytes().split(b"\n")[1]
         assert header == b"58 58"  # 2*28 + 2 padding
+
+
+class TestAtomicWrite:
+    def test_stale_tmp_directory_does_not_break_the_write(self, tmp_path):
+        path = tmp_path / "out.csv"
+        (tmp_path / "out.csv.tmp").mkdir()
+        atomic_write_text(str(path), "a,b\n")
+        assert path.read_text() == "a,b\n"
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(str(path), "new\n")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]

@@ -4,7 +4,8 @@ import pytest
 from rydgan.errors import ValidationError
 from rydgan.generator import (ErrorModel, EXACT, GeneratorParams,
                               NoisyMode, ShotsMode, build_spec, draw_seeds,
-                              generate_features, modulo_encode, perturb_params)
+                              generate_batch, generate_features, modulo_encode,
+                              perturb_params)
 from rydgan.sim import AtomArrangement
 
 
@@ -128,6 +129,32 @@ class TestGenerateFeatures:
         spec = build_spec(params, 0.5)
         assert spec.rabi.seed_noise == pytest.approx(0.5 * 15.8)
         assert spec.local_detuning.seed_noise == pytest.approx(0.5 * -125.0)
+
+
+class TestGenerateBatch:
+    @pytest.mark.parametrize("mode", [
+        EXACT, ShotsMode(shots=500, rng_seed=4),
+        NoisyMode(ErrorModel(rng_seed=2)),
+        NoisyMode(ErrorModel(rng_seed=3), ShotsMode(shots=500, rng_seed=5)),
+    ], ids=["exact", "shots", "noisy", "noisy-shots"])
+    def test_rows_equal_lone_runs(self, mode):
+        # two learners with different pulse shapes share the batch
+        runs = [(square_params(), 0.3, mode),
+                (square_params(rabi_shape="sine_bump", local_shape="gaussian",
+                               rabi_param=9.0, local_param=-40.0), 0.8, mode),
+                (square_params(), 0.95, EXACT)]
+        batch = generate_batch(runs, steps=120)
+        for row, (params, seed, run_mode) in zip(batch, runs):
+            lone = generate_features(params, seed, run_mode, steps=120)
+            assert np.abs(row - lone).max() <= 1e-12
+
+    def test_rejects_empty_and_mixed_qubit_counts(self):
+        with pytest.raises(ValidationError):
+            generate_batch([])
+        two = square_params(arrangement=AtomArrangement(
+            ((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5)))
+        with pytest.raises(ValidationError):
+            generate_batch([(square_params(), 0.5, EXACT), (two, 0.5, EXACT)])
 
 
 class TestPerturbParams:

@@ -1,11 +1,31 @@
 import numpy as np
 import pytest
 
-from rydgan.errors import ValidationError
+from rydgan.errors import NumericError, ValidationError
 from rydgan.pulses import PulseProgram
 from rydgan.sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
-                        QuantumState, build_hamiltonian, evolve, ground_state,
-                        interaction_strength, probabilities, sample_shots)
+                        QuantumState, _step_grid, build_hamiltonian, evolve,
+                        evolve_batch, ground_state, interaction_strength,
+                        probabilities, sample_shots)
+
+
+def evolve_eigh(amplitudes, spec, steps, duration=None):
+    """Reference propagator: the step grid and Magnus factors of `evolve`,
+    each factor exponentiated through a dense Hermitian eigendecomposition.
+    """
+    duration = spec.duration if duration is None else duration
+    starts, dts = _step_grid(spec, duration, steps)
+    lo, hi = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
+    w1, w2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
+    psi = np.array(amplitudes, dtype=complex)
+    for start, dt in zip(starts, dts):
+        h1 = build_hamiltonian(spec, start + lo * dt)
+        h2 = build_hamiltonian(spec, start + hi * dt)
+        # the first factor weights the earlier node more, the second the later
+        for h in (w1 * h1 + w2 * h2, w2 * h1 + w1 * h2):
+            vals, vecs = np.linalg.eigh(h)
+            psi = vecs @ (np.exp(-1j * vals * dt) * (vecs.conj().T @ psi))
+    return psi
 
 
 def constant_spec(positions, couplings, omega, dlocal, dglobal, duration=1.0):
@@ -216,6 +236,79 @@ class TestEvolve:
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0, duration=1.0)
         with pytest.raises(ValidationError):
             evolve(ground_state(1), spec, duration=2.0)
+
+
+def full_range_spec(rng, n):
+    """Strongest legal drives on atoms at the minimum 4 um spacing."""
+    side = int(np.ceil(np.sqrt(n)))
+    pos = [(4.0 * (i % side), 4.0 * (i // side)) for i in range(n)]
+    return HamiltonianSpec(
+        arrangement=AtomArrangement(tuple(pos), tuple(rng.uniform(0, 1, n))),
+        rabi=PulseProgram(shape="trapezoid", kind="rabi", param=15.8,
+                          seed_noise=15.8),
+        local_detuning=PulseProgram(shape="sine_bump", kind="local_detuning",
+                                    param=-125.0, seed_noise=-125.0),
+        global_detuning_offset=125.0)
+
+
+class TestEvolveBatch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_eigh_oracle(self, n):
+        # shaped pulses with different breakpoint sets, a shorter pulse
+        # (its grid is padded) and a zero-drive column share one batch
+        rng = np.random.default_rng(40 + n)
+        specs = [random_spec(rng, n), random_spec(rng, n),
+                 random_spec(rng, n, duration=0.6),
+                 constant_spec([(6.0 * i, 0.0) for i in range(n)], [0.5] * n,
+                               omega=0.0, dlocal=0.0, dglobal=0.0)]
+        initial = rng.normal(size=(4, 1 << n)) + 1j * rng.normal(size=(4, 1 << n))
+        initial /= np.linalg.norm(initial, axis=1, keepdims=True)
+        out = evolve_batch(specs, steps=150, initial=initial)
+        for spec, start, row in zip(specs, initial, out):
+            assert np.abs(row - evolve_eigh(start, spec, 150)).max() <= 1e-9
+
+    def test_stops_at_a_common_duration(self):
+        rng = np.random.default_rng(30)
+        specs = [random_spec(rng, 3), random_spec(rng, 3, duration=0.6)]
+        out = evolve_batch(specs, steps=150, duration=0.55)
+        for spec, row in zip(specs, out):
+            ref = evolve_eigh(ground_state(3).amplitudes, spec, 150, 0.55)
+            assert np.abs(row - ref).max() <= 1e-9
+
+    def test_unitarity_full_range_eight_qubits(self):
+        spec = full_range_spec(np.random.default_rng(8), 8)
+        for steps in (20, 250):
+            out = evolve(ground_state(8), spec, steps=steps)
+            assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-9
+
+    def test_rows_agree_with_lone_runs(self):
+        # twelve runs take the state-block path, a lone run the
+        # factor-matrix path
+        rng = np.random.default_rng(9)
+        specs = [random_spec(rng, 4) for _ in range(12)]
+        out = evolve_batch(specs, steps=100)
+        for spec, row in zip(specs, out):
+            lone = evolve(ground_state(4), spec, steps=100).amplitudes
+            assert np.abs(row - lone).max() <= 1e-12
+
+    def test_rejects_mixed_qubit_counts(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValidationError):
+            evolve_batch([random_spec(rng, 2), random_spec(rng, 3)])
+        with pytest.raises(ValidationError):
+            evolve_batch([])
+
+    def test_near_coincident_atoms_are_a_numeric_error(self):
+        # C6 / (0.01 um)^6 ~ 5e18 rad/us: no step budget resolves it
+        spec = constant_spec([(0.0, 0.0), (0.01, 0.0)], [0.5, 0.5],
+                             omega=2.0, dlocal=0.0, dglobal=0.0)
+        with pytest.raises(NumericError):
+            evolve(ground_state(2), spec, steps=100)
+
+    def test_rejects_misshapen_initial_states(self):
+        spec = random_spec(np.random.default_rng(2), 2)
+        with pytest.raises(ValidationError):
+            evolve_batch([spec], steps=10, initial=np.ones((1, 8)))
 
 
 class TestBlockade:
