@@ -11,7 +11,7 @@ from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec, QuantumState,
                   build_hamiltonian, evolve, evolve_batch, ground_state,
                   interaction_strength, probabilities, sample_shots)
 from .pulses import (DEFAULT_LIMITS, PulseLimits, PulseProgram, SHAPES,
-                     discretize, evaluate, seed_range, validate)
+                     discretize, evaluate, validate)
 from .generator import (ErrorModel, EXACT, ExactMode, GeneratorParams,
                         NoisyMode, ShotsMode, build_spec, draw_seeds,
                         generate_batch, generate_features, modulo_encode,
@@ -26,8 +26,7 @@ from .neldermead import NMResult, nelder_mead
 from .training import (Learner, TrainConfig, TrainingResult, generator_loss,
                        layered_train, load_learner, save_learner)
 from .metrics import (Ensemble, GaussianSummary, SelectionResult,
-                      batch_features, ensemble_generate, fid, fid_images,
-                      greedy_select, summarize, variation_cdf,
-                      variation_scores)
+                      batch_features, fid, fid_images, greedy_select,
+                      summarize, variation_cdf, variation_scores)
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ import numpy as np
 from . import data as dp
 from .config import MODES, RunConfig, load_config, render_config
 from .errors import DataError, NumericError, RydganError, ValidationError
-from .generator import (ErrorModel, EXACT, NoisyMode, ShotsMode, draw_seeds,
-                        generate_batch)
+from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
 from .metrics import fid_images, greedy_select, variation_scores
 from .training import layered_train, load_learner, save_learner
 
@@ -187,15 +186,7 @@ def _load_ensemble_members(config: RunConfig, cls: int):
     path = _ensemble_path(config, cls)
     if not os.path.exists(path):
         raise DataError(f"missing ensemble manifest {path}; run select first")
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except ValueError as exc:
-        raise DataError(f"{path}: not a valid manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != ENSEMBLE_FORMAT:
-        raise DataError(f"{path}: not a {ENSEMBLE_FORMAT} document")
-    if manifest.get("version") != ENSEMBLE_VERSION:
-        raise DataError(f"{path}: unsupported version {manifest.get('version')!r}")
+    manifest = dp._load_doc(path, ENSEMBLE_FORMAT, ENSEMBLE_VERSION)
     names = manifest.get("member_files")
     if (not isinstance(names, list) or not names
             or not all(isinstance(name, str) and name for name in names)):
@@ -216,9 +207,7 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
     if mode_name == "shots":
         return ShotsMode(config.shots, derived)
     if mode_name == "noisy":
-        model = ErrorModel(config.detuning_sigma, config.rabi_rel_sigma,
-                           config.position_sigma, derived)
-        return NoisyMode(model)
+        return NoisyMode(config.error_model(derived))
     raise ValidationError(f"unknown mode {mode_name!r}")
 
 
@@ -373,18 +362,12 @@ def main(argv=None) -> int:
                                 classes if classes is not None
                                 else [config.digit_class])
         raise ValidationError(f"unknown command {args.command!r}")
-    except ValidationError as exc:
+    except (ValidationError, DataError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

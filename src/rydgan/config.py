@@ -1,85 +1,85 @@
 """Run configuration: INI-style `key = value` files with per-module sections.
 
-Every hyperparameter of the pipeline lives here with its default; a config
-file overrides any subset, CLI flags override the file, and the effective
-configuration is echoed into the output directory of every command so runs
-stay auditable and reproducible.
+Each INI key is one `RunConfig` field, declared once with its section in
+the field metadata; parsing (by field type), rendering and the
+unknown-section/unknown-key errors are all derived from those fields. A
+key whose value belongs to `TrainConfig`, `PulseLimits` or `ErrorModel`
+takes its default from that class, and that class checks its range. A
+config file overrides any subset of the defaults, CLI flags override the
+file, and the effective configuration is echoed into the output
+directory of every command so runs stay auditable and reproducible.
 """
-
-from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ValidationError
+from .generator import ErrorModel
 from .pulses import SHAPES, PulseLimits
-from .sim import C6_DEFAULT, MAX_QUBITS
-from .training import STAGES, TrainConfig
+from .training import TrainConfig
 
 MODES = ("ideal", "noisy", "shots")
 
 
+def _key(section: str, default):
+    """One INI key: a RunConfig field that knows its section."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class RunConfig:
-    # [data]
-    images: str = ""
-    labels: str = ""
-    digit_class: int = 0
-    val_fraction: float = 0.1
-    split_seed: int = 20240
-    # [quantum]
-    n_qubits: int = 4
-    c6: float = C6_DEFAULT
-    steps_per_us: int = 1000
-    min_spacing_um: float = 4.0
-    field_size_um: float = 75.0
-    # [pulses]
-    omega_max: float = 15.8
-    local_detuning_min: float = -125.0
-    global_detuning_abs: float = 125.0
-    rabi_shapes: tuple = ("linear", "triangle")
-    local_shapes: tuple = ("triangle", "gaussian")
-    # [training]
-    duration_us: float = 1.0
-    cycles: int = 3
-    nm_iters: int = 60
-    nm_tol: float = 1e-6
-    disc_steps: int = 30
-    disc_batch: int = 32
-    seed_batch: int = 16
-    adam_lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    hidden: int = 64
-    stage_order: tuple = STAGES
-    # [error_model]
-    detuning_sigma: float = 0.1
-    rabi_rel_sigma: float = 0.01
-    position_sigma: float = 0.1
-    # [sampling]
-    shots: int = 1000
-    # [ensemble]
-    fid_batch: int = 100
-    # [run]
-    master_seed: int = 0
-    out_dir: str = "out"
-    jobs: int = 1
-    count: int = 16
-    mode: str = "ideal"
+    images: str = _key("data", "")
+    labels: str = _key("data", "")
+    digit_class: int = _key("data", 0)
+    val_fraction: float = _key("data", 0.1)
+    split_seed: int = _key("data", 20240)
+    n_qubits: int = _key("quantum", TrainConfig.n_qubits)
+    c6: float = _key("quantum", TrainConfig.c6)
+    steps_per_us: int = _key("quantum", TrainConfig.steps_per_us)
+    min_spacing_um: float = _key("quantum", TrainConfig.min_spacing)
+    field_size_um: float = _key("quantum", TrainConfig.field_size)
+    omega_max: float = _key("pulses", PulseLimits.omega_max)
+    local_detuning_min: float = _key("pulses", PulseLimits.local_detuning_min)
+    global_detuning_abs: float = _key("pulses", PulseLimits.global_detuning_abs)
+    rabi_shapes: tuple = _key("pulses", ("linear", "triangle"))
+    local_shapes: tuple = _key("pulses", ("triangle", "gaussian"))
+    duration_us: float = _key("training", TrainConfig.duration)
+    cycles: int = _key("training", TrainConfig.cycles)
+    nm_iters: int = _key("training", TrainConfig.nm_iters)
+    nm_tol: float = _key("training", TrainConfig.nm_tol)
+    disc_steps: int = _key("training", TrainConfig.disc_steps)
+    disc_batch: int = _key("training", TrainConfig.disc_batch)
+    seed_batch: int = _key("training", TrainConfig.seed_batch)
+    adam_lr: float = _key("training", TrainConfig.adam_lr)
+    adam_beta1: float = _key("training", TrainConfig.adam_beta1)
+    adam_beta2: float = _key("training", TrainConfig.adam_beta2)
+    adam_eps: float = _key("training", TrainConfig.adam_eps)
+    hidden: int = _key("training", TrainConfig.hidden)
+    stage_order: tuple = _key("training", TrainConfig.stage_order)
+    detuning_sigma: float = _key("error_model", ErrorModel.detuning_sigma)
+    rabi_rel_sigma: float = _key("error_model", ErrorModel.rabi_rel_sigma)
+    position_sigma: float = _key("error_model", ErrorModel.position_sigma)
+    shots: int = _key("sampling", 1000)
+    fid_batch: int = _key("ensemble", 100)
+    master_seed: int = _key("run", TrainConfig.master_seed)
+    out_dir: str = _key("run", "out")
+    jobs: int = _key("run", 1)
+    count: int = _key("run", 16)
+    mode: str = _key("run", "ideal")
 
     def validate(self):
-        """Raise ValidationError on the first invalid field; runs before any work."""
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValidationError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        """Raise ValidationError on the first invalid field; runs before any work.
+
+        Settings owned by PulseLimits, ErrorModel or TrainConfig are checked
+        by constructing those objects; the checks here are the run-level ones.
+        """
+        self.error_model()
+        self.train_config()
         if (1 << self.n_qubits) > 784:
             raise ValidationError(
                 f"2^n_qubits = {1 << self.n_qubits} PCA components exceed "
                 "the 784 pixels per image")
-        if not self.c6 > 0:
-            raise ValidationError(f"c6 must be positive, got {self.c6}")
         if not 0 <= self.digit_class <= 9:
             raise ValidationError(f"class must be in [0, 9], got {self.digit_class}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -97,81 +97,51 @@ class RunConfig:
                     valid = ", ".join(x for x in SHAPES if x != "constant")
                     raise ValidationError(
                         f"{group}: unknown or illegal shape {s!r}; valid: {valid}")
-        if not self.omega_max > 0:
-            raise ValidationError("omega_max must be positive")
-        if not self.local_detuning_min < 0:
-            raise ValidationError("local_detuning_min must be negative")
-        if not self.global_detuning_abs > 0:
-            raise ValidationError("global_detuning_abs must be positive")
-        for name in ("steps_per_us", "cycles", "nm_iters", "disc_steps",
-                     "disc_batch", "seed_batch", "hidden", "shots",
-                     "fid_batch", "jobs", "count"):
+        for name in ("shots", "fid_batch", "jobs", "count"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("detuning_sigma", "rabi_rel_sigma", "position_sigma"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if sorted(self.stage_order) != sorted(STAGES):
-            raise ValidationError(
-                f"stage_order must be a permutation of {STAGES}")
-        # construct the derived objects so their own validation runs too
-        self.limits()
-        self.train_config()
+
+    def _shared(self, owner) -> dict:
+        """Values of the fields this config shares by name with owner."""
+        names = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(owner)
+                if f.name in names}
 
     def limits(self) -> PulseLimits:
-        return PulseLimits(self.omega_max, self.local_detuning_min,
-                           self.global_detuning_abs)
+        return PulseLimits(**self._shared(PulseLimits))
+
+    def error_model(self, rng_seed: int = 0) -> ErrorModel:
+        return ErrorModel(**self._shared(ErrorModel), rng_seed=rng_seed)
 
     def train_config(self, master_seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            n_qubits=self.n_qubits, duration=self.duration_us,
-            steps_per_us=self.steps_per_us, cycles=self.cycles,
-            nm_iters=self.nm_iters, nm_tol=self.nm_tol,
-            disc_steps=self.disc_steps, disc_batch=self.disc_batch,
-            seed_batch=self.seed_batch, adam_lr=self.adam_lr,
-            adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps, hidden=self.hidden,
-            stage_order=self.stage_order,
-            master_seed=self.master_seed if master_seed is None else master_seed,
-            limits=self.limits(), c6=self.c6,
-            min_spacing=self.min_spacing_um, field_size=self.field_size_um)
+        values = self._shared(TrainConfig)
+        if master_seed is not None:
+            values["master_seed"] = master_seed
+        return TrainConfig(**values, duration=self.duration_us,
+                           min_spacing=self.min_spacing_um,
+                           field_size=self.field_size_um, limits=self.limits())
 
     @property
     def k(self) -> int:
         return 1 << self.n_qubits
 
 
-_SECTIONS = {
-    "data": ("images", "labels", "digit_class", "val_fraction", "split_seed"),
-    "quantum": ("n_qubits", "c6", "steps_per_us", "min_spacing_um",
-                "field_size_um"),
-    "pulses": ("omega_max", "local_detuning_min", "global_detuning_abs",
-               "rabi_shapes", "local_shapes"),
-    "training": ("duration_us", "cycles", "nm_iters", "nm_tol", "disc_steps",
-                 "disc_batch", "seed_batch", "adam_lr", "adam_beta1",
-                 "adam_beta2", "adam_eps", "hidden", "stage_order"),
-    "error_model": ("detuning_sigma", "rabi_rel_sigma", "position_sigma"),
-    "sampling": ("shots",),
-    "ensemble": ("fid_batch",),
-    "run": ("master_seed", "out_dir", "jobs", "count", "mode"),
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def _sections() -> dict:
+    """{section: {key: field}} in declaration order."""
+    sections = {}
+    for f in fields(RunConfig):
+        sections.setdefault(f.metadata["section"], {})[f.name] = f
+    return sections
 
 
-def _parse_value(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
+def _parse_value(f, raw: str):
     raw = raw.strip()
+    if f.type is tuple:
+        return tuple(x.strip() for x in raw.split(",") if x.strip())
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "tuple":
-            return tuple(x.strip() for x in raw.split(",") if x.strip())
-        return raw
+        return f.type(raw)
     except ValueError as exc:
-        raise ValidationError(f"config key {name}: {exc}") from exc
+        raise ValidationError(f"config key {f.name}: {exc}") from exc
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -179,20 +149,26 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     config = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            given = {section: parser.items(section) for section in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValidationError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ValidationError(f"config file not found or unreadable: {path}")
-        for section in parser.sections():
-            if section not in _SECTIONS:
+        sections = _sections()
+        for section, items in given.items():
+            if section not in sections:
                 raise ValidationError(
                     f"unknown config section [{section}]; valid sections: "
-                    f"{', '.join(sorted(_SECTIONS))}")
-            for key, raw in parser.items(section):
-                if key not in _SECTIONS[section]:
+                    f"{', '.join(sorted(sections))}")
+            keys = sections[section]
+            for key, raw in items:
+                if key not in keys:
                     raise ValidationError(
                         f"unknown key {key!r} in section [{section}]; valid keys: "
-                        f"{', '.join(_SECTIONS[section])}")
-                setattr(config, key, _parse_value(key, raw))
+                        f"{', '.join(keys)}")
+                setattr(config, key, _parse_value(keys[key], raw))
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(config, key, value)
@@ -202,7 +178,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 def render_config(config: RunConfig) -> str:
     """Effective configuration as deterministic INI text."""
     out = io.StringIO()
-    for section, keys in _SECTIONS.items():
+    for section, keys in _sections().items():
         out.write(f"[{section}]\n")
         for key in keys:
             value = getattr(config, key)

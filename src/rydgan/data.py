@@ -14,15 +14,17 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, NumericError, ValidationError
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 IMAGE_SIDE = 28
+PIXELS = IMAGE_SIDE * IMAGE_SIDE
 SCALE_FLOOR = 1e-6
 
 
@@ -136,8 +138,16 @@ class PcaModel:
     def __post_init__(self):
         for name in ("mean", "components", "eigenvalues", "scale_lo", "scale_hi"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.components.ndim != 2 or self.components.shape[1] != self.mean.shape[0]:
-            raise ValidationError("component rows must match the mean length")
+        if self.components.ndim != 2 or not len(self.components):
+            raise ValidationError("components must be a nonempty (k, pixels) "
+                                  f"matrix, got shape {self.components.shape}")
+        k = self.k
+        for name, shape in (("mean", (PIXELS,)), ("components", (k, PIXELS)),
+                            ("eigenvalues", (k,)), ("scale_lo", (k,)),
+                            ("scale_hi", (k,))):
+            if getattr(self, name).shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}, "
+                                      f"got {getattr(self, name).shape}")
         if np.any(np.diff(self.eigenvalues) > 1e-9):
             raise ValidationError("eigenvalues must be nonincreasing")
         if np.any(self.scale_lo >= self.scale_hi):
@@ -156,8 +166,8 @@ class PcaModel:
 def fit_pca(train: ImageSet, k: int) -> PcaModel:
     """Eigendecompose the pixel covariance and keep the top-k components."""
     n = len(train)
-    if k < 1 or k > IMAGE_SIDE * IMAGE_SIDE:
-        raise ValidationError(f"k must be in [1, {IMAGE_SIDE**2}], got {k}")
+    if k < 1 or k > PIXELS:
+        raise ValidationError(f"k must be in [1, {PIXELS}], got {k}")
     if n < k + 1:
         raise DataError(f"need at least {k + 1} images to fit {k} components, got {n}")
     x = train.flat()
@@ -206,6 +216,8 @@ def scale_features(model: PcaModel, weights) -> np.ndarray:
 def unscale_features(model: PcaModel, scaled) -> np.ndarray:
     """Exact inverse of scale_features on each feature axis."""
     s = np.asarray(scaled, dtype=float)
+    if s.shape[-1:] != (model.k,):
+        raise ValidationError(f"expected trailing dimension {model.k}, got {s.shape}")
     top = model.feature_window_top
     span = model.scale_hi - model.scale_lo
     return model.scale_lo + (s - SCALE_FLOOR) * span / (top - SCALE_FLOOR)
@@ -232,21 +244,49 @@ def save_pca(model: PcaModel, path: str):
 
 
 def load_pca(path: str) -> PcaModel:
+    doc = _load_doc(path, PCA_FORMAT, PCA_VERSION)
+    arrays = {}
+    for name in ("mean", "components", "eigenvalues", "scale_lo", "scale_hi"):
+        with _doc_field(path, name):
+            arrays[name] = np.array(doc[name], dtype=float)
+    if list(arrays["components"].shape) != doc.get("components_shape"):
+        raise DataError(f"{path}: field components_shape does not match "
+                        f"the components, shape {arrays['components'].shape}")
+    with _doc_field(path):
+        return PcaModel(**arrays)
+
+
+def _load_doc(path: str, format: str, version: int) -> dict:
+    """A versioned JSON artefact as a dict; any defect is a DataError naming path."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not a valid model file: {exc}") from exc
-    if doc.get("format") != PCA_FORMAT:
-        raise DataError(f"{path}: not a {PCA_FORMAT} document")
-    if doc.get("version") != PCA_VERSION:
-        raise DataError(f"{path}: unsupported version {doc.get('version')}")
-    components = np.array(doc["components"], dtype=float)
-    if list(components.shape) != doc["components_shape"]:
-        raise DataError(f"{path}: component shape header does not match data")
-    return PcaModel(np.array(doc["mean"]), components,
-                    np.array(doc["eigenvalues"]),
-                    np.array(doc["scale_lo"]), np.array(doc["scale_hi"]))
+        with open(path, "rb") as f:
+            doc = json.loads(f.read().decode("utf-8"))
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:    # invalid UTF-8 or invalid JSON
+        raise DataError(f"{path}: not a valid {format} file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a {format} document: the top level is "
+                        f"a JSON {type(doc).__name__}, not an object")
+    if doc.get("format") != format:
+        raise DataError(f"{path}: field format: not a {format} document")
+    if doc.get("version") != version:
+        raise DataError(
+            f"{path}: field version: unsupported version {doc.get('version')!r}")
+    return doc
+
+
+@contextmanager
+def _doc_field(path: str, name: str = ""):
+    """Turn a missing key, a wrong type or a failed check into a DataError."""
+    where = f"{path}: field {name}" if name else path
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, ValidationError,
+            NumericError) as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def atomic_write_text(path: str, text: str):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import ImageSet, PcaModel, inverse_transform, unscale_features
 from .errors import DataError, ValidationError
-from .generator import EXACT, generate_batch, generate_features
+from .generator import EXACT, generate_batch
 from .pulses import DEFAULT_LIMITS, PulseLimits
 from .sim import C6_DEFAULT
 from .training import Learner
@@ -165,16 +165,6 @@ class Ensemble:
                 if members[i] == members[j]:
                     raise ValidationError("ensemble members must be distinct")
         object.__setattr__(self, "members", members)
-
-
-def ensemble_generate(ensemble: Ensemble, seed: float, mode=EXACT,
-                      limits: PulseLimits = DEFAULT_LIMITS,
-                      c6: float = C6_DEFAULT,
-                      steps: int | None = None) -> np.ndarray:
-    """Elementwise mean of every member's feature output for one seed."""
-    outputs = [generate_features(m.params, seed, mode, limits, c6, steps)
-               for m in ensemble.members]
-    return np.mean(outputs, axis=0)
 
 
 @dataclass(frozen=True)

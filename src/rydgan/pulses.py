@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 
 SHAPES = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump", "constant")
-KINDS = ("rabi", "local_detuning", "global_detuning")
+KINDS = ("rabi", "local_detuning")
 
 # Shapes that are exactly piecewise linear (discretization is lossless).
 PIECEWISE_LINEAR_SHAPES = frozenset({"linear", "triangle", "trapezoid", "constant"})
@@ -36,7 +36,15 @@ class PulseLimits:
 
     omega_max: float = 15.8               # Rabi drive, rad/us, >= 0
     local_detuning_min: float = -125.0    # local detuning, rad/us, <= 0
-    global_detuning_abs: float = 125.0    # |global detuning| bound, rad/us
+    global_detuning_abs: float = 125.0    # |trainable global offset| bound, rad/us
+
+    def __post_init__(self):
+        if not self.omega_max > 0:
+            raise ValidationError("omega_max must be positive")
+        if not self.local_detuning_min < 0:
+            raise ValidationError("local_detuning_min must be negative")
+        if not self.global_detuning_abs > 0:
+            raise ValidationError("global_detuning_abs must be positive")
 
     def amplitude_scale(self, kind: str) -> float:
         """Signed full-scale amplitude for a pulse kind (seed units)."""
@@ -44,8 +52,6 @@ class PulseLimits:
             return self.omega_max
         if kind == "local_detuning":
             return self.local_detuning_min
-        if kind == "global_detuning":
-            return self.global_detuning_abs
         raise ValidationError(f"unknown pulse kind {kind!r}")
 
 
@@ -211,7 +217,7 @@ def validate(pulse: PulseProgram, limits: PulseLimits = DEFAULT_LIMITS,
         if vals.max() > limits.omega_max + tol:
             violations.append(
                 f"Rabi amplitude {vals.max():.6g} exceeds bound {limits.omega_max} rad/us")
-    elif pulse.kind == "local_detuning":
+    else:
         if vals.max() > tol:
             violations.append(
                 f"positive local detuning (max {vals.max():.6g} rad/us)")
@@ -219,16 +225,10 @@ def validate(pulse: PulseProgram, limits: PulseLimits = DEFAULT_LIMITS,
             violations.append(
                 f"local detuning {vals.min():.6g} below bound "
                 f"{limits.local_detuning_min} rad/us")
-    elif pulse.kind == "global_detuning":
-        if np.abs(vals).max() > limits.global_detuning_abs + tol:
-            violations.append(
-                f"global detuning magnitude {np.abs(vals).max():.6g} exceeds "
-                f"bound {limits.global_detuning_abs} rad/us")
-    if pulse.kind in ("rabi", "local_detuning"):
-        if abs(vals[0]) > tol:
-            violations.append(f"waveform must start at 0 (got {vals[0]:.6g})")
-        if abs(vals[-1]) > tol:
-            violations.append(f"waveform must end at 0 (got {vals[-1]:.6g})")
+    if abs(vals[0]) > tol:
+        violations.append(f"waveform must start at 0 (got {vals[0]:.6g})")
+    if abs(vals[-1]) > tol:
+        violations.append(f"waveform must end at 0 (got {vals[-1]:.6g})")
     return ValidationReport(tuple(violations))
 
 
@@ -279,10 +279,3 @@ def waveform_csv_lines(disc: DiscretizedPulse):
     for t, v in zip(disc.times, disc.values):
         lines.append(f"{float(t)!r},{float(v)!r}")
     return lines
-
-
-def seed_range(kind: str, limits: PulseLimits = DEFAULT_LIMITS):
-    """Legal seed-noise interval for a pulse kind: [0.1, 1.0] x full scale."""
-    scale = limits.amplitude_scale(kind)
-    lo, hi = 0.1 * scale, 1.0 * scale
-    return (min(lo, hi), max(lo, hi))

@@ -230,6 +230,7 @@ def build_hamiltonian(spec: HamiltonianSpec, t: float) -> np.ndarray:
 
 
 def default_steps(duration: float, steps_per_us: int = 1000) -> int:
+    """Step budget of a run; also `TrainConfig.steps`, so there is one rule."""
     return max(1, int(round(steps_per_us * duration)))
 
 

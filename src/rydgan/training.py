@@ -12,18 +12,19 @@ probabilities (no shot noise). Fully deterministic for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import atomic_write_text
+from .data import _doc_field, _load_doc, atomic_write_text
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .errors import DataError, ValidationError
 from .generator import EXACT, GeneratorParams, draw_seeds, generate_batch
 from .neldermead import nelder_mead
-from .pulses import DEFAULT_LIMITS, PulseLimits
-from .sim import AtomArrangement, C6_DEFAULT
+from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits
+from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, default_steps
 
 STAGES = ("positions", "rabi", "local", "global")
 
@@ -56,12 +57,26 @@ class TrainConfig:
     field_size: float = 75.0
 
     def __post_init__(self):
-        for name in ("n_qubits", "steps_per_us", "cycles", "nm_iters",
-                     "disc_steps", "disc_batch", "seed_batch", "hidden"):
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValidationError(
+                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        for name in ("steps_per_us", "cycles", "nm_iters", "disc_steps",
+                     "disc_batch", "seed_batch", "hidden"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.duration > 0:
-            raise ValidationError("duration must be positive")
+        for name in ("duration", "c6", "adam_eps", "min_spacing", "field_size"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if not (math.isfinite(self.adam_lr) and self.adam_lr > 0):
+            raise ValidationError(
+                f"adam_lr must be finite and positive, got {self.adam_lr}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValidationError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.nm_tol >= 0:
+            raise ValidationError(f"nm_tol must be >= 0, got {self.nm_tol}")
         if sorted(self.stage_order) != sorted(STAGES):
             raise ValidationError(
                 f"stage_order must be a permutation of {STAGES}, "
@@ -70,7 +85,7 @@ class TrainConfig:
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.steps_per_us * self.duration)))
+        return default_steps(self.duration, self.steps_per_us)
 
 
 @dataclass(frozen=True)
@@ -318,36 +333,35 @@ def save_learner(result: TrainingResult, path: str):
 
 
 def load_learner(path: str) -> TrainingResult:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not a valid learner file: {exc}") from exc
-    if doc.get("format") != LEARNER_FORMAT:
-        raise DataError(f"{path}: not a {LEARNER_FORMAT} document")
-    if doc.get("version") != LEARNER_VERSION:
-        raise DataError(f"{path}: unsupported version {doc.get('version')}")
-    try:
+    doc = _load_doc(path, LEARNER_FORMAT, LEARNER_VERSION)
+    for key in ("rabi_shape", "local_shape"):
+        if doc.get(key) not in SHAPES:
+            raise DataError(
+                f"{path}: field {key}: unknown pulse shape {doc.get(key)!r}")
+    with _doc_field(path, "params"):
         p = doc["params"]
         params = GeneratorParams(
             arrangement=AtomArrangement(
                 tuple(tuple(q) for q in p["positions_um"]),
                 tuple(p["couplings"])),
-            rabi_shape=doc["rabi_shape"], rabi_param=p["rabi_param_rad_per_us"],
+            rabi_shape=doc["rabi_shape"],
+            rabi_param=float(p["rabi_param_rad_per_us"]),
             local_shape=doc["local_shape"],
-            local_param=p["local_param_rad_per_us"],
-            global_detuning_offset=p["global_detuning_rad_per_us"],
-            duration=p["duration_us"], rabi_gain=p["rabi_gain"],
-            local_shift=p["local_shift_rad_per_us"])
+            local_param=float(p["local_param_rad_per_us"]),
+            global_detuning_offset=float(p["global_detuning_rad_per_us"]),
+            duration=float(p["duration_us"]), rabi_gain=float(p["rabi_gain"]),
+            local_shift=float(p["local_shift_rad_per_us"]))
+    with _doc_field(path, "config"):
         cfg = dict(doc["config"])
         cfg["limits"] = PulseLimits(**cfg["limits"])
         cfg["stage_order"] = tuple(cfg["stage_order"])
         config = TrainConfig(**cfg)
-        net = DiscriminatorNet(**{name: np.array(arr) for name, arr in
-                                  doc["discriminator"].items()})
+    with _doc_field(path, "discriminator"):
+        net = DiscriminatorNet(**{name: np.array(arr, dtype=float) for name, arr
+                                  in doc["discriminator"].items()})
+    with _doc_field(path, "final_loss"):
         learner = Learner(doc["rabi_shape"], doc["local_shape"], params,
-                          doc["final_loss"], doc.get("validation_fid"))
+                          float(doc["final_loss"]), doc.get("validation_fid"))
+    with _doc_field(path, "log"):
         log = tuple(StageLog(**row) for row in doc.get("log", []))
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: malformed learner document: {exc}") from exc
     return TrainingResult(learner, net, log, config, doc.get("initial_loss"))

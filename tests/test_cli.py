@@ -1,11 +1,22 @@
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from rydgan import cli
 from rydgan.cli import main
+from rydgan.config import RunConfig, load_config, render_config
+from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
+from rydgan.errors import DataError
+from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_batch
+from rydgan.sim import AtomArrangement
+from rydgan.training import Learner, load_learner
+from tests.test_data import synthetic_digits
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +328,262 @@ class TestConfigPlumbing:
         text = open(os.path.join(pipeline_out, "effective-config.ini")).read()
         assert "[quantum]" in text and "n_qubits = 2" in text
         assert f"out_dir = {pipeline_out}" in text
+
+    @pytest.mark.parametrize("text", [
+        "n_qubits = 4\n",
+        "[quantum]\nn_qubits = 2\n[quantum]\nn_qubits = 3\n",
+        "[data]\nimages = 100%.idx\n",
+    ], ids=["no-section-header", "duplicate-section", "bad-interpolation"])
+    def test_malformed_file_is_a_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "broken.ini"
+        cfg.write_text(text)
+        assert main(["fit-pca", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("adam_beta1", "1.0"), ("adam_beta2", "-0.1"), ("adam_eps", "0"),
+        ("adam_lr", "nan"), ("nm_tol", "-1"), ("min_spacing_um", "0"),
+        ("field_size_um", "-5")])
+    def test_out_of_range_setting_fails_before_work(self, smoke_ini, tmp_path,
+                                                    capsys, key, value):
+        section = "quantum" if key.endswith("_um") else "training"
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(open(smoke_ini).read().replace(
+            f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        out = tmp_path / "o"
+        assert main(["fit-pca", "--config", str(cfg), "--out", str(out)]) == 2
+        # the TrainConfig field is the key without its unit suffix
+        assert key.removesuffix("_um") in capsys.readouterr().err
+        assert not out.exists()
+
+
+# render_config(RunConfig()): every key, its section and its default
+DEFAULT_INI = "\n".join([
+    "[data]", "images = ", "labels = ", "digit_class = 0",
+    "val_fraction = 0.1", "split_seed = 20240", "",
+    "[quantum]", "n_qubits = 4", "c6 = 5420503.0", "steps_per_us = 1000",
+    "min_spacing_um = 4.0", "field_size_um = 75.0", "",
+    "[pulses]", "omega_max = 15.8", "local_detuning_min = -125.0",
+    "global_detuning_abs = 125.0", "rabi_shapes = linear,triangle",
+    "local_shapes = triangle,gaussian", "",
+    "[training]", "duration_us = 1.0", "cycles = 3", "nm_iters = 60",
+    "nm_tol = 1e-06", "disc_steps = 30", "disc_batch = 32", "seed_batch = 16",
+    "adam_lr = 0.001", "adam_beta1 = 0.9", "adam_beta2 = 0.999",
+    "adam_eps = 1e-08", "hidden = 64",
+    "stage_order = positions,rabi,local,global", "",
+    "[error_model]", "detuning_sigma = 0.1", "rabi_rel_sigma = 0.01",
+    "position_sigma = 0.1", "",
+    "[sampling]", "shots = 1000", "",
+    "[ensemble]", "fid_batch = 100", "",
+    "[run]", "master_seed = 0", "out_dir = out", "jobs = 1", "count = 16",
+    "mode = ideal", "", ""])
+
+
+class TestConfigSchema:
+    def test_default_rendering_is_pinned(self):
+        assert render_config(RunConfig()) == DEFAULT_INI
+
+    def test_every_key_round_trips(self, tmp_path):
+        config = RunConfig(
+            images="a.idx", labels="b.idx", digit_class=3, val_fraction=0.25,
+            split_seed=7, n_qubits=3, c6=1234.5, steps_per_us=77,
+            min_spacing_um=5.5, field_size_um=60.0, omega_max=10.5,
+            local_detuning_min=-50.0, global_detuning_abs=30.0,
+            rabi_shapes=("gaussian",), local_shapes=("sine_bump", "trapezoid"),
+            duration_us=0.75, cycles=2, nm_iters=9, nm_tol=1e-4, disc_steps=5,
+            disc_batch=7, seed_batch=4, adam_lr=0.01, adam_beta1=0.5,
+            adam_beta2=0.9, adam_eps=1e-6, hidden=8,
+            stage_order=("global", "local", "rabi", "positions"),
+            detuning_sigma=0.2, rabi_rel_sigma=0.02, position_sigma=0.3,
+            shots=50, fid_batch=12, master_seed=9, out_dir="elsewhere", jobs=2,
+            count=5, mode="noisy")
+        config.validate()
+        defaults = RunConfig()
+        unchanged = [f.name for f in fields(RunConfig)
+                     if getattr(config, f.name) == getattr(defaults, f.name)]
+        assert unchanged == []
+        path = tmp_path / "all.ini"
+        path.write_text(render_config(config))
+        assert load_config(str(path)) == config
+
+
+def stub_member(rabi_param):
+    """A learner told apart from the others by its Rabi scalar."""
+    arrangement = AtomArrangement(((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5))
+    params = GeneratorParams(arrangement, "linear", rabi_param, "triangle",
+                             -1.0, 0.0)
+    return Learner("linear", "triangle", params, 0.0)
+
+
+class TestGenerateImages:
+    """Each ensemble image decodes the mean of its members' features."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return fit_pca(synthetic_digits(np.random.default_rng(21), 40), 4)
+
+    @staticmethod
+    def stub_generation(monkeypatch, outputs):
+        monkeypatch.setattr(
+            cli, "generate_batch", lambda runs, limits, c6, steps: np.stack(
+                [outputs[params.rabi_param] for params, _, _ in runs]))
+
+    def test_images_decode_the_member_average(self, monkeypatch, model):
+        outputs = {1.0: np.linspace(0.01, 0.2, 4), 2.0: np.full(4, 0.15)}
+        self.stub_generation(monkeypatch, outputs)
+        images = cli._generate_images(RunConfig(n_qubits=2),
+                                      [stub_member(1.0), stub_member(2.0)],
+                                      model, "ideal", 3)
+        mean = (outputs[1.0] + outputs[2.0]) / 2
+        expected = inverse_transform(model, unscale_features(model, mean))
+        assert images.shape == (3, 28, 28)
+        assert np.abs(images - expected.reshape(28, 28)).max() < 1e-12
+
+    def test_member_order_does_not_matter(self, monkeypatch, model):
+        rng = np.random.default_rng(30)
+        outputs = {float(i): rng.uniform(0, 0.25, 4) for i in range(1, 4)}
+        self.stub_generation(monkeypatch, outputs)
+        members = [stub_member(p) for p in (1.0, 2.0, 3.0)]
+        config = RunConfig(n_qubits=2)
+        fwd = cli._generate_images(config, members, model, "ideal", 2)
+        rev = cli._generate_images(config, members[::-1], model, "ideal", 2)
+        assert np.abs(fwd - rev).max() < 1e-12
+
+    def test_single_member_decodes_its_generate_batch_output(self, model):
+        config = RunConfig(n_qubits=2, steps_per_us=50)
+        member = stub_member(2.0)
+        images = cli._generate_images(config, [member], model, "ideal", 3)
+        seeds = draw_seeds(np.random.default_rng(config.master_seed), 3)
+        features = generate_batch([(member.params, s, EXACT) for s in seeds],
+                                  config.limits(), config.c6,
+                                  config.train_config().steps)
+        expected = inverse_transform(model, unscale_features(model, features))
+        assert np.array_equal(images, expected.reshape(3, 28, 28))
+
+
+def _artefact_paths(out):
+    """{name: path} of the three files `generate` loads from a pipeline run."""
+    manifest = os.path.join(out, "ensemble_class0.json")
+    with open(manifest) as f:
+        member = json.load(f)["member_files"][0]
+    return {"pca": os.path.join(out, "pca_class0.json"),
+            "learner": os.path.join(out, "learners", "class0", member),
+            "manifest": manifest}
+
+
+def _key_paths(node, prefix=()):
+    """Paths to every object key at any depth of a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _key_paths(value, prefix + (index,))
+
+
+class TestMalformedArtefacts:
+    @pytest.fixture()
+    def copy(self, pipeline_out, tmp_path):
+        out = str(tmp_path / "copy")
+        shutil.copytree(pipeline_out, out)
+        return out
+
+    @pytest.mark.parametrize("artefact, payload, field", [
+        ("pca", b'{"format": "rydgan-pca", "version": 1}', "mean"),
+        ("pca", b"[]", "top level"),
+        ("learner", b"[]", "top level"),
+        ("pca", b"\xff\xfe{", "utf-8"),
+        ("learner", b"\xff\xfe{", "utf-8"),
+    ], ids=["pca-missing-keys", "pca-array", "learner-array", "pca-not-utf8",
+            "learner-not-utf8"])
+    def test_generate_exits_3_naming_path(self, smoke_ini, copy, capsys,
+                                          artefact, payload, field):
+        path = _artefact_paths(copy)[artefact]
+        with open(path, "wb") as f:
+            f.write(payload)
+        code = main(["generate", "--config", smoke_ini, "--out", copy,
+                     "--count", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert path in err and field in err
+
+    def test_short_scale_bounds_exit_3(self, smoke_ini, copy, capsys):
+        path = _artefact_paths(copy)["pca"]
+        with open(path) as f:
+            doc = json.load(f)
+        doc["scale_lo"] = doc["scale_lo"][:1]
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        code = main(["generate", "--config", smoke_ini, "--out", copy,
+                     "--count", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert path in err and "scale_lo" in err
+
+
+@pytest.fixture(scope="module")
+def mutable_out(pipeline_out, tmp_path_factory):
+    """A private copy of the pipeline output plus its pristine artefacts."""
+    out = str(tmp_path_factory.mktemp("mutable") / "out")
+    shutil.copytree(pipeline_out, out)
+    paths = _artefact_paths(out)
+    originals = {}
+    for name, path in paths.items():
+        with open(path, "rb") as f:
+            raw = f.read()
+        originals[name] = (raw, list(_key_paths(json.loads(raw))))
+    return out, paths, originals
+
+
+_REPLACEMENTS = (None, "x", [], {}, -1)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
+    """Truncate an artefact or break one key: generate exits 0, 2, 3 or 4,
+    and 3 whenever the document no longer loads."""
+    out, paths, originals = mutable_out
+    name = data.draw(st.sampled_from(sorted(paths)), label="artefact")
+    raw, key_paths = originals[name]
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="offset")]
+    else:
+        doc = json.loads(raw)
+        *parents, key = data.draw(st.sampled_from(key_paths), label="key")
+        node = doc
+        for step in parents:
+            node = node[step]
+        choice = data.draw(st.integers(-1, len(_REPLACEMENTS) - 1),
+                           label="replacement (-1: remove)")
+        if choice < 0:
+            del node[key]
+        else:
+            node[key] = _REPLACEMENTS[choice]
+        mutated = json.dumps(doc).encode()
+    with open(paths[name], "wb") as f:
+        f.write(mutated)
+    try:
+        config = load_config(smoke_ini, {"out_dir": out})
+        try:
+            if name == "pca":
+                load_pca(paths[name])
+            elif name == "learner":
+                load_learner(paths[name])
+            else:
+                cli._load_ensemble_members(config, 0)
+            loads = True
+        except DataError:
+            loads = False
+        code = main(["generate", "--config", smoke_ini, "--out", out,
+                     "--mode", "ideal", "--count", "2"])
+    finally:
+        with open(paths[name], "wb") as f:
+            f.write(raw)
+    event(f"{name}: exit {code}")
+    assert code in (0, 2, 3, 4)
+    if not loads:
+        assert code == 3

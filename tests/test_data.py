@@ -1,10 +1,11 @@
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from rydgan.data import (ImageSet, atomic_write_text, fit_pca,
+from rydgan.data import (ImageSet, PcaModel, atomic_write_text, fit_pca,
                          inverse_transform, load_idx,
                          load_pca, pgm_bytes, save_pca, scale_features,
                          split_train_val, transform, unscale_features,
@@ -183,6 +184,42 @@ class TestPca:
         with pytest.raises(DataError):
             load_pca(str(path))
 
+    @pytest.mark.parametrize("payload, field", [
+        (b'{"format": "rydgan-pca", "version": 1}', "mean"),
+        (b"[]", "top level"),
+        (b"\xff\xfe{", "rydgan-pca"),
+        (b'{"format": "rydgan-pca", "version": 2}', "version"),
+    ], ids=["missing-keys", "not-an-object", "not-utf8", "wrong-version"])
+    def test_load_names_path_and_field(self, tmp_path, payload, field):
+        path = tmp_path / "model.json"
+        path.write_bytes(payload)
+        with pytest.raises(DataError, match=field) as info:
+            load_pca(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("field", ["eigenvalues", "scale_lo", "scale_hi"])
+    def test_per_feature_arrays_must_have_k_entries(self, field):
+        model = fit_pca(synthetic_digits(np.random.default_rng(14), 20), 2)
+        arrays = {name: getattr(model, name) for name in
+                  ("mean", "components", "eigenvalues", "scale_lo", "scale_hi")}
+        arrays[field] = arrays[field][:1]
+        with pytest.raises(ValidationError, match=field):
+            PcaModel(**arrays)
+
+    def test_mean_must_cover_every_pixel(self):
+        with pytest.raises(ValidationError, match="784"):
+            PcaModel(np.zeros(10), np.zeros((1, 10)), [1.0], [0.0], [1.0])
+
+    def test_short_scale_bounds_in_a_file_are_a_data_error(self, tmp_path):
+        model = fit_pca(synthetic_digits(np.random.default_rng(15), 20), 2)
+        path = str(tmp_path / "model.json")
+        save_pca(model, path)
+        doc = json.loads(open(path).read())
+        doc["scale_lo"] = doc["scale_lo"][:1]
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(DataError, match="scale_lo"):
+            load_pca(path)
+
 
 class TestScaling:
     @pytest.fixture()
@@ -201,6 +238,11 @@ class TestScaling:
             w = rng.uniform(model.scale_lo, model.scale_hi)
             back = unscale_features(model, scale_features(model, w))
             assert np.abs(back - w).max() < 1e-10
+
+    def test_unscale_rejects_another_feature_count(self, model):
+        # features of a generator with another qubit count than the model's k
+        with pytest.raises(ValidationError, match="16"):
+            unscale_features(model, np.full((3, 4), 0.01))
 
     def test_out_of_range_is_affine_not_clipped(self, model):
         beyond = model.scale_hi * 2 - model.scale_lo

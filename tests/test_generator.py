@@ -230,6 +230,11 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             square_params(rabi_shape="constant").validate()
 
+    def test_global_offset_bound(self):
+        with pytest.raises(ValidationError, match="global detuning"):
+            square_params(global_detuning_offset=130.0).validate()
+        square_params(global_detuning_offset=-120.0).validate()
+
     def test_spacing_violation(self):
         params = square_params(arrangement=AtomArrangement(
             ((6.0, 6.0), (7.0, 6.0), (6.0, 12.0), (12.0, 12.0)),

@@ -3,9 +3,9 @@ import pytest
 
 from rydgan.data import fit_pca, scale_features, transform
 from rydgan.errors import ValidationError
-from rydgan.metrics import (Ensemble, GaussianSummary, ensemble_generate, fid,
-                            fid_images, greedy_select, summarize,
-                            variation_cdf, variation_scores)
+from rydgan.metrics import (Ensemble, GaussianSummary, fid, fid_images,
+                            greedy_select, summarize, variation_cdf,
+                            variation_scores)
 from rydgan.training import Learner
 from tests.test_data import synthetic_digits
 
@@ -200,51 +200,6 @@ def fake_learner(tag):
 
 
 class TestEnsembleGenerate:
-    def test_two_member_average(self, monkeypatch):
-        # stub generation: member identified by its rabi_param
-        import rydgan.metrics as metrics_mod
-        outputs = {1.0: np.arange(4.0), 2.0: np.arange(4.0) * 3}
-        monkeypatch.setattr(
-            metrics_mod, "generate_features",
-            lambda params, seed, mode, limits, c6, steps:
-                outputs[params.rabi_param])
-        from rydgan.generator import GeneratorParams
-        from rydgan.sim import AtomArrangement
-        def mk(p):
-            arr = AtomArrangement(((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5))
-            gp = GeneratorParams(arr, "linear", p, "triangle", -1.0, 0.0)
-            return Learner("linear", "triangle", gp, 0.0)
-        ens = Ensemble((mk(1.0), mk(2.0)), validation_fid=0.0)
-        out = ensemble_generate(ens, 0.5)
-        assert np.allclose(out, (np.arange(4.0) + np.arange(4.0) * 3) / 2)
-
-    def test_average_order_independent(self, monkeypatch):
-        import rydgan.metrics as metrics_mod
-        rng = np.random.default_rng(30)
-        outputs = {float(i): rng.uniform(0, 0.25, 4) for i in range(1, 4)}
-        monkeypatch.setattr(
-            metrics_mod, "generate_features",
-            lambda params, seed, mode, limits, c6, steps:
-                outputs[params.rabi_param])
-        from rydgan.generator import GeneratorParams
-        from rydgan.sim import AtomArrangement
-        def mk(p):
-            arr = AtomArrangement(((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5))
-            gp = GeneratorParams(arr, "linear", p, "triangle", -1.0, 0.0)
-            return Learner("linear", "triangle", gp, 0.0)
-        members = [mk(1.0), mk(2.0), mk(3.0)]
-        fwd = ensemble_generate(Ensemble(tuple(members), 0.0), 0.5)
-        rev = ensemble_generate(Ensemble(tuple(reversed(members)), 0.0), 0.5)
-        assert np.abs(fwd - rev).max() < 1e-12
-
-    def test_single_member_identity(self):
-        learner = fake_learner(6)
-        ens = Ensemble((learner,), validation_fid=0.0)
-        from rydgan.metrics import batch_features
-        direct = batch_features(learner, [0.5], steps=50)[0]
-        via_ensemble = ensemble_generate(ens, 0.5, steps=50)
-        assert np.array_equal(direct, via_ensemble)
-
     def test_duplicate_members_rejected(self):
         learner = fake_learner(5)
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ import pytest
 from rydgan.errors import ValidationError
 from rydgan.pulses import (DEFAULT_LIMITS, PIECEWISE_LINEAR_SHAPES,
                            PulseLimits, PulseProgram, SHAPES, discretize,
-                           evaluate, seed_range, validate)
+                           evaluate, validate)
 
 RABI_LOCAL_SHAPES = [s for s in SHAPES if s != "constant"]
 
@@ -27,10 +27,10 @@ class TestEvaluate:
         mid = evaluate(pulse, 0.5)
         assert mid == pytest.approx(3.0, abs=1e-12)
 
-    def test_constant_global_detuning(self):
-        pulse = make_pulse("constant", "global_detuning", -2.0)
+    def test_constant_pulse_holds_param(self):
+        pulse = make_pulse("constant", "rabi", 2.0)
         for t in np.linspace(0, 1, 17):
-            assert evaluate(pulse, float(t)) == -2.0
+            assert evaluate(pulse, float(t)) == 2.0
 
     def test_triangle_zero_peak_is_identically_zero(self):
         pulse = make_pulse("triangle", "rabi", 0.0, seed=5.0)
@@ -65,8 +65,8 @@ class TestShapeInvariants:
     @pytest.mark.parametrize("kind", ["rabi", "local_detuning"])
     def test_endpoints_zero_and_sign(self, shape, kind):
         rng = np.random.default_rng(hash((shape, kind)) % 2**32)
-        lo, hi = seed_range(kind)
         scale = DEFAULT_LIMITS.amplitude_scale(kind)
+        lo, hi = sorted((0.1 * scale, scale))
         ts = np.linspace(0.0, 1.0, 10_000)
         for _ in range(25):
             seed = rng.uniform(lo, hi)
@@ -109,11 +109,6 @@ class TestValidate:
         report = validate(make_pulse("triangle", "local_detuning", -200.0))
         assert any("below bound" in v for v in report.violations)
 
-    def test_global_detuning_bound(self):
-        report = validate(make_pulse("constant", "global_detuning", 130.0))
-        assert any("exceeds bound" in v for v in report.violations)
-        assert validate(make_pulse("constant", "global_detuning", -120.0)).ok
-
     def test_custom_limits(self):
         limits = PulseLimits(omega_max=2.0)
         report = validate(make_pulse("linear", "rabi", 3.0, seed=0.2), limits)
@@ -131,7 +126,7 @@ class TestDiscretize:
         assert disc.max_error == 0.0
 
     def test_constant_two_segments_exact(self):
-        pulse = make_pulse("constant", "global_detuning", -3.0)
+        pulse = make_pulse("constant", "rabi", 3.0)
         disc = discretize(pulse, 2)
         assert disc.max_error == 0.0
         assert len(disc.times) == 2
@@ -139,8 +134,7 @@ class TestDiscretize:
     def test_piecewise_linear_shapes_reproduce_evaluate(self):
         ts = np.linspace(0, 1, 1501)
         for shape in sorted(PIECEWISE_LINEAR_SHAPES):
-            kind = "global_detuning" if shape == "constant" else "rabi"
-            pulse = make_pulse(shape, kind, 4.0, seed=1.5)
+            pulse = make_pulse(shape, "rabi", 4.0, seed=1.5)
             disc = discretize(pulse, 16)
             assert disc.max_error == 0.0
             assert np.array_equal(disc.interpolate(ts), evaluate(pulse, ts))
@@ -157,8 +151,7 @@ class TestDiscretize:
         dense = np.linspace(0, 1, 2001)
         rng = np.random.default_rng(7)
         for shape in SHAPES:
-            kind = "global_detuning" if shape == "constant" else "rabi"
-            pulse = make_pulse(shape, kind, rng.uniform(1, 10),
+            pulse = make_pulse(shape, "rabi", rng.uniform(1, 10),
                                seed=rng.uniform(1.58, 15.8))
             disc = discretize(pulse, 12)
             measured = np.abs(disc.interpolate(dense) - evaluate(pulse, dense)).max()
@@ -184,8 +177,15 @@ def test_waveform_csv_export():
     assert float(t) == disc.times[0] and float(v) == disc.values[0]
 
 
-def test_seed_range_scales_with_kind():
-    lo, hi = seed_range("rabi")
-    assert lo == pytest.approx(1.58) and hi == pytest.approx(15.8)
-    lo, hi = seed_range("local_detuning")
-    assert lo == pytest.approx(-125.0) and hi == pytest.approx(-12.5)
+
+@pytest.mark.parametrize("field, value", [
+    ("omega_max", 0.0), ("local_detuning_min", 1.0),
+    ("global_detuning_abs", -1.0)])
+def test_limits_reject_out_of_range_bounds(field, value):
+    with pytest.raises(ValidationError, match=field):
+        PulseLimits(**{field: value})
+
+
+def test_global_detuning_is_not_a_pulse_kind():
+    with pytest.raises(ValidationError, match="kind"):
+        make_pulse("constant", "global_detuning", 1.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,16 @@ class TestDiscriminatorWarmup:
         assert discriminator_accuracy(net, real, fakes) > 0.9
 
 
+@pytest.fixture(scope="module")
+def learner_text(class_data, tmp_path_factory):
+    """One saved learner document."""
+    result = layered_train(tiny_config(master_seed=12), class_data,
+                           ("linear", "gaussian"))
+    path = tmp_path_factory.mktemp("learner") / "learner.json"
+    save_learner(result, str(path))
+    return path.read_text()
+
+
 class TestPersistence:
     def test_roundtrip(self, class_data, tmp_path):
         result = layered_train(tiny_config(master_seed=11), class_data,
@@ -186,6 +198,35 @@ class TestPersistence:
         with pytest.raises(DataError):
             load_learner(str(path))
 
+    @pytest.mark.parametrize("payload, field", [
+        (b"[]", "top level"),
+        (b"\xff\xfe{", "rydgan-learner"),
+        (b'{"format": "rydgan-learner", "version": 1}', "shape"),
+    ], ids=["not-an-object", "not-utf8", "missing-keys"])
+    def test_malformed_document_names_path_and_field(self, tmp_path, payload,
+                                                     field):
+        path = tmp_path / "learner.json"
+        path.write_bytes(payload)
+        with pytest.raises(DataError, match=field) as info:
+            load_learner(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("params", "couplings", None),
+        ("params", "rabi_param_rad_per_us", "x"),
+        ("config", "adam_lr", -1),
+        ("config", "limits", []),
+        ("discriminator", "w1", {}),
+    ])
+    def test_bad_field_is_a_data_error(self, learner_text, tmp_path, section,
+                                       key, value):
+        path = tmp_path / "learner.json"
+        doc = json.loads(learner_text)
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=section):
+            load_learner(str(path))
+
 
 class TestConfigValidation:
     def test_bad_stage_order(self):
@@ -195,6 +236,15 @@ class TestConfigValidation:
     def test_nonpositive_counts(self):
         with pytest.raises(ValidationError):
             TrainConfig(cycles=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_qubits", 0), ("n_qubits", 11), ("c6", 0.0), ("duration", 0.0),
+        ("adam_lr", float("nan")), ("adam_lr", 0.0), ("adam_beta1", 1.0),
+        ("adam_beta2", -0.1), ("adam_eps", 0.0), ("nm_tol", -1.0),
+        ("min_spacing", 0.0), ("field_size", -1.0)])
+    def test_out_of_range_setting_named(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
 
     def test_learner_dataclass_equality(self):
         a = Learner("linear", "triangle",
