@@ -61,11 +61,6 @@ def _load_class_split(config: RunConfig, cls: int):
     return dp.split_train_val(class_set, config.val_fraction, config.split_seed)
 
 
-def _scaled_class_features(config: RunConfig, model: dp.PcaModel,
-                           train: dp.ImageSet) -> np.ndarray:
-    return dp.scale_features(model, dp.transform(model, train.flat()))
-
-
 def cmd_fit_pca(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
@@ -95,7 +90,7 @@ def cmd_train(config: RunConfig) -> int:
     cls = config.digit_class
     model = _require_pca(config, cls)
     train, _ = _load_class_split(config, cls)
-    features = _scaled_class_features(config, model, train)
+    features = dp.scale_features(model, dp.transform(model, train.flat()))
     pairs = _shape_pairs(config)
     out_dir = _learners_dir(config, cls)
     os.makedirs(out_dir, exist_ok=True)
@@ -199,16 +194,15 @@ def _load_ensemble_members(config: RunConfig, cls: int):
 
 def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
                  member_idx: int):
-    """Per-image, per-member generation mode with derived RNG streams."""
+    """Per-image, per-member generation mode with derived RNG streams;
+    mode_name is one of MODES, which RunConfig.validate has checked."""
     if mode_name == "ideal":
         return EXACT
     derived = int(np.random.SeedSequence(
         [config.master_seed, image_idx, member_idx]).generate_state(1)[0])
     if mode_name == "shots":
         return ShotsMode(config.shots, derived)
-    if mode_name == "noisy":
-        return NoisyMode(config.error_model(derived))
-    raise ValidationError(f"unknown mode {mode_name!r}")
+    return NoisyMode(config.error_model(derived))
 
 
 def _generate_images(config: RunConfig, members, model: dp.PcaModel,
@@ -228,10 +222,11 @@ def _generate_images(config: RunConfig, members, model: dp.PcaModel,
     return dp.inverse_transform(model, weights).reshape(count, 28, 28)
 
 
-def _metric_rows(images: np.ndarray, val: dp.ImageSet):
-    score = fid_images(val.images, images)
-    variation = variation_scores(images)
-    return score, variation
+def _write_variation_csv(variation: np.ndarray, path: str):
+    """Per-image variation scores as `image,variation` rows."""
+    lines = ["image,variation"] + [f"{i},{float(v)!r}"
+                                   for i, v in enumerate(variation)]
+    dp.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -247,15 +242,13 @@ def cmd_generate(config: RunConfig) -> int:
     for i, image in enumerate(images):
         dp.write_image(image, os.path.join(out_dir, f"img_{i:04d}.pgm"))
     dp.write_montage(images, os.path.join(out_dir, "montage.pgm"))
-    score, variation = _metric_rows(images, val)
+    score = fid_images(val.images, images)
+    variation = variation_scores(images)
     lines = ["class,mode,fid,mean_variation",
              f"{cls},{config.mode},{score!r},{float(variation.mean())!r}"]
     dp.atomic_write_text(os.path.join(out_dir, "metrics.csv"),
                          "\n".join(lines) + "\n")
-    var_lines = ["image,variation"] + [f"{i},{float(v)!r}" for i, v in
-                                       enumerate(variation)]
-    dp.atomic_write_text(os.path.join(out_dir, "variation.csv"),
-                         "\n".join(var_lines) + "\n")
+    _write_variation_csv(variation, os.path.join(out_dir, "variation.csv"))
     print(f"wrote {len(images)} images + montage to {out_dir}")
     print(f"FID vs held-out data: {score:.4f}; "
           f"mean variation: {variation.mean():.6f}")
@@ -276,15 +269,12 @@ def cmd_evaluate(config: RunConfig, classes) -> int:
         for mode_name in ("ideal", "noisy"):
             images = _generate_images(config, members, model, mode_name,
                                       config.fid_batch)
-            score, variation = _metric_rows(images, val)
+            score = fid_images(val.images, images)
+            variation = variation_scores(images)
             rows.append(f"{cls},{mode_name},{score!r},"
                         f"{float(variation.mean())!r}")
-            var_lines = ["image,variation"] + [
-                f"{i},{float(v)!r}" for i, v in enumerate(variation)]
-            dp.atomic_write_text(
-                os.path.join(config.out_dir,
-                             f"variation_class{cls}_{mode_name}.csv"),
-                "\n".join(var_lines) + "\n")
+            _write_variation_csv(variation, os.path.join(
+                config.out_dir, f"variation_class{cls}_{mode_name}.csv"))
             per_mode[mode_name] = (score, float(variation.mean()))
         summary.append(
             f"class {cls}: ideal FID {per_mode['ideal'][0]:.4f} "
@@ -357,11 +347,9 @@ def main(argv=None) -> int:
             return cmd_select(config)
         if args.command == "generate":
             return cmd_generate(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config,
-                                classes if classes is not None
-                                else [config.digit_class])
-        raise ValidationError(f"unknown command {args.command!r}")
+        # the subparsers are required, so the one command left is evaluate
+        return cmd_evaluate(config, classes if classes is not None
+                            else [config.digit_class])
     except (ValidationError, DataError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

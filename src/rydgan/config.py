@@ -15,8 +15,8 @@ import io
 from dataclasses import dataclass, field, fields
 
 from .errors import ValidationError
-from .generator import ErrorModel
-from .pulses import SHAPES, PulseLimits
+from .generator import TRAINABLE_SHAPES, ErrorModel
+from .pulses import PulseLimits
 from .training import TrainConfig
 
 MODES = ("ideal", "noisy", "shots")
@@ -93,10 +93,10 @@ class RunConfig:
             if not shapes:
                 raise ValidationError(f"{group} must name at least one shape")
             for s in shapes:
-                if s not in SHAPES or s == "constant":
-                    valid = ", ".join(x for x in SHAPES if x != "constant")
+                if s not in TRAINABLE_SHAPES:
                     raise ValidationError(
-                        f"{group}: unknown or illegal shape {s!r}; valid: {valid}")
+                        f"{group}: unknown or illegal shape {s!r}; valid: "
+                        f"{', '.join(TRAINABLE_SHAPES)}")
         for name in ("shots", "fid_batch", "jobs", "count"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -75,8 +75,20 @@ def _read_be32(f, path: str, what: str) -> int:
     return struct.unpack(">i", _read_exact(f, 4, path, what))[0]
 
 
+def _check_count(f, path: str, what: str, count: int, item_bytes: int):
+    """Reject a header count (byte offset 4) the rest of the file cannot hold."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if not 0 <= count * item_bytes <= left:
+        raise DataError(f"{path}: {what} {count} at byte offset 4 must be in "
+                        f"[0, {left // item_bytes}] to fit the file")
+
+
 def load_idx(images_path: str, labels_path: str) -> ImageSet:
-    """Parse a big-endian IDX image/label file pair into an ImageSet."""
+    """Parse a big-endian IDX image/label file pair into an ImageSet.
+
+    A bad header, a count the file cannot hold or a short payload is a
+    DataError naming the file and the byte offset.
+    """
     with open(images_path, "rb") as f:
         magic = _read_be32(f, images_path, "magic number")
         if magic != IDX_IMAGE_MAGIC:
@@ -90,6 +102,7 @@ def load_idx(images_path: str, labels_path: str) -> ImageSet:
             raise DataError(
                 f"{images_path}: image dimensions {rows}x{cols} at byte "
                 f"offset 8, expected {IMAGE_SIDE}x{IMAGE_SIDE}")
+        _check_count(f, images_path, "image count", count, rows * cols)
         payload = _read_exact(f, count * rows * cols, images_path, "pixel data")
     images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
@@ -100,6 +113,7 @@ def load_idx(images_path: str, labels_path: str) -> ImageSet:
                 f"{labels_path}: bad label magic {magic} at byte offset 0 "
                 f"(expected {IDX_LABEL_MAGIC})")
         label_count = _read_be32(f, labels_path, "label count")
+        _check_count(f, labels_path, "label count", label_count, 1)
         labels = np.frombuffer(
             _read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8)
 

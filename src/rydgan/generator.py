@@ -7,6 +7,8 @@ Hamiltonian, and maps the outcome probabilities to features with a modulo
 operation so each feature can take any value in (0, 1/2^n] independently
 of the others. `generate_batch` runs many (params, seed, mode) triples as
 one batched evolution; `generate_features` is its one-run form.
+`GeneratorParams` declares the hardware envelope once: its trainable groups
+and their boxes serve both `validate` and the Nelder-Mead stages of training.
 """
 
 from __future__ import annotations
@@ -22,11 +24,22 @@ from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec, QuantumState,
                   sample_shots)
 
 SEED_LO, SEED_HI = 0.1, 1.0
+# default geometry in um: minimum atom spacing, side of the square field
+MIN_SPACING_UM = 4.0
+FIELD_SIZE_UM = 75.0
+# Rabi and local-detuning pulses must start and end at 0; constant cannot
+TRAINABLE_SHAPES = tuple(s for s in SHAPES if s != "constant")
+# the trainable parameter groups, each a training stage, and what they hold
+GROUPS = {"positions": "atom coordinate", "rabi": "rabi_param",
+          "local": "local_param or coupling", "global": "global detuning"}
 
 
 @dataclass(frozen=True)
 class GeneratorParams:
     """Trainable state of one learner.
+
+    The trainable values form the GROUPS; `groups` gives each with its
+    hardware box and `with_group` replaces one.
 
     rabi_gain and local_shift are identity by default; the hardware-error
     model writes perturbed copies through them (multiplicative on the Rabi
@@ -48,27 +61,63 @@ class GeneratorParams:
     def n_qubits(self) -> int:
         return self.arrangement.n_atoms
 
+    def groups(self, limits: PulseLimits, field_size: float) -> dict:
+        """{group: (values, bounds)} in GROUPS order, bounds one (lo, hi) per
+        value: the Nelder-Mead box of a training stage and what validate checks.
+        """
+        n = self.n_qubits
+        return {
+            "positions": (self.arrangement.position_array().reshape(-1),
+                          [(0.0, field_size)] * (2 * n)),
+            "rabi": (np.array([self.rabi_param]), [(0.0, limits.omega_max)]),
+            "local": (np.concatenate([[self.local_param],
+                                      self.arrangement.coupling_array()]),
+                      [(limits.local_detuning_min, 0.0)] + [(0.0, 1.0)] * n),
+            "global": (np.array([self.global_detuning_offset]),
+                       [(-limits.global_detuning_abs, limits.global_detuning_abs)]),
+        }
+
+    def with_group(self, group: str, x) -> "GeneratorParams":
+        """Copy with one group's values replaced by x, the inverse of groups()."""
+        x = np.asarray(x, dtype=float)
+        if group == "positions":
+            return replace(self, arrangement=AtomArrangement(
+                tuple(map(tuple, x.reshape(-1, 2))), self.arrangement.couplings))
+        if group == "rabi":
+            return replace(self, rabi_param=float(x[0]))
+        if group == "local":
+            return replace(self, local_param=float(x[0]),
+                           arrangement=AtomArrangement(
+                               self.arrangement.positions, tuple(x[1:])))
+        if group == "global":
+            return replace(self, global_detuning_offset=float(x[0]))
+        raise ValidationError(f"unknown parameter group {group!r}")
+
+    def min_pair_distance(self) -> float:
+        """Smallest distance between two atoms in um; inf for a single atom."""
+        pos = self.arrangement.position_array()
+        dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
+        return float(dists[np.triu_indices(len(pos), 1)].min(initial=np.inf))
+
     def validate(self, limits: PulseLimits = DEFAULT_LIMITS,
-                 min_spacing: float = 4.0, field_size: float = 75.0):
-        """Raise ValidationError unless every parameter is hardware-legal."""
-        self.arrangement.check_geometry(min_spacing, field_size)
-        for shape, what in ((self.rabi_shape, "rabi"), (self.local_shape, "local")):
-            if shape not in SHAPES:
-                raise ValidationError(f"unknown {what} pulse shape {shape!r}")
-            if shape == "constant":
+                 min_spacing: float = MIN_SPACING_UM,
+                 field_size: float = FIELD_SIZE_UM):
+        """Raise ValidationError unless both shapes are trainable, every group
+        lies in its box, atoms are min_spacing apart and the duration is > 0."""
+        for what, shape in (("rabi", self.rabi_shape), ("local", self.local_shape)):
+            if shape not in TRAINABLE_SHAPES:
                 raise ValidationError(
-                    f"{what} pulse cannot be constant: it must start and end at 0")
-        if not 0.0 <= self.rabi_param <= limits.omega_max:
-            raise ValidationError(
-                f"rabi_param {self.rabi_param} outside [0, {limits.omega_max}]")
-        if not limits.local_detuning_min <= self.local_param <= 0.0:
-            raise ValidationError(
-                f"local_param {self.local_param} outside "
-                f"[{limits.local_detuning_min}, 0]")
-        if abs(self.global_detuning_offset) > limits.global_detuning_abs:
-            raise ValidationError(
-                f"global detuning {self.global_detuning_offset} outside "
-                f"+-{limits.global_detuning_abs}")
+                    f"{what} pulse shape {shape!r} is not trainable; valid: "
+                    f"{', '.join(TRAINABLE_SHAPES)}")
+        for group, (values, bounds) in self.groups(limits, field_size).items():
+            for v, (lo, hi) in zip(values, bounds):
+                if not lo <= v <= hi:
+                    raise ValidationError(
+                        f"{GROUPS[group]} {v!r} outside [{lo}, {hi}]")
+        dmin = self.min_pair_distance()
+        if dmin < min_spacing:
+            raise ValidationError(f"atoms {dmin!r} um apart; minimum spacing "
+                                  f"is {min_spacing} um")
         if not self.duration > 0:
             raise ValidationError(f"duration must be positive, got {self.duration}")
 

@@ -72,7 +72,11 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class AtomArrangement:
-    """Atom positions s_i = (x_i, y_i) in um plus local-detuning couplings h_i."""
+    """Atom positions s_i = (x_i, y_i) in um plus local-detuning couplings h_i.
+
+    The hardware geometry is checked by `GeneratorParams.validate`, so the
+    hardware-error model can carry perturbed copies.
+    """
 
     positions: tuple
     couplings: tuple
@@ -102,29 +106,12 @@ class AtomArrangement:
     def coupling_array(self) -> np.ndarray:
         return np.array(self.couplings, dtype=float)
 
-    def check_geometry(self, min_spacing: float = 4.0, field_size: float = 75.0):
-        """Enforce hardware geometry: pairwise spacing and bounded field.
-
-        Raised separately from construction so the hardware-error model can
-        carry physically perturbed (slightly out-of-tolerance) copies.
-        """
-        pos = self.position_array()
-        if pos.min() < 0.0 or pos.max() > field_size:
-            raise ValidationError(
-                f"positions must lie within [0, {field_size}] um per axis")
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                d = float(np.hypot(*(pos[i] - pos[j])))
-                if d < min_spacing:
-                    raise ValidationError(
-                        f"atoms {i} and {j} are {d:.3f} um apart; "
-                        f"minimum spacing is {min_spacing} um")
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Complete description of one analog evolution.
 
+    The drive phase is always zero, so the spec has no phase field.
     rabi_scale and local_detuning_shift default to the identity and exist
     for the hardware-error model, which scales the Rabi waveform
     multiplicatively and shifts the local-detuning waveform additively
@@ -135,14 +122,11 @@ class HamiltonianSpec:
     rabi: PulseProgram
     local_detuning: PulseProgram
     global_detuning_offset: float
-    phase: float = 0.0
     c6: float = C6_DEFAULT
     rabi_scale: float = 1.0
     local_detuning_shift: float = 0.0
 
     def __post_init__(self):
-        if self.phase != 0.0:
-            raise ValidationError("drive phase is fixed to 0")
         if not self.c6 > 0:
             raise ValidationError(f"c6 must be positive, got {self.c6}")
         if self.rabi.kind != "rabi":

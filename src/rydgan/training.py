@@ -1,12 +1,15 @@
 """Adversarial training of one learner under the layered scheme.
 
-Each training cycle walks the parameter groups in a fixed order
-(atom positions, Rabi scalar, local-detuning scalar plus couplings,
-global-detuning offset). Per stage the discriminator first takes a block
-of Adam steps on real-vs-generated batches, then Nelder-Mead minimizes
-the generator's adversarial loss over that stage's parameters only, with
-all other parameters frozen. Generation during training uses exact
-probabilities (no shot noise). Fully deterministic for a fixed seed.
+Each training cycle walks the parameter groups of `GeneratorParams` in a
+fixed order (atom positions, Rabi scalar, local-detuning scalar plus
+couplings, global-detuning offset). Per stage the discriminator first
+takes a block of Adam steps on real-vs-generated batches, then
+Nelder-Mead minimizes the generator's adversarial loss over that group's
+parameters only, inside the group's hardware box from
+`GeneratorParams.groups` (the box `validate` checks), with all other
+parameters frozen and a penalty on atoms closer than the minimum spacing.
+Generation during training uses exact probabilities (no shot noise).
+Fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from .data import _doc_field, _load_doc, atomic_write_text
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .errors import DataError, ValidationError
-from .generator import EXACT, GeneratorParams, draw_seeds, generate_batch
+from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
+                        TRAINABLE_SHAPES, GeneratorParams, draw_seeds,
+                        generate_batch)
 from .neldermead import nelder_mead
-from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits
+from .pulses import DEFAULT_LIMITS, PulseLimits
 from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, default_steps
 
-STAGES = ("positions", "rabi", "local", "global")
+STAGES = tuple(GROUPS)
 
 # penalty returned by the generator objective for geometry violations,
 # large enough to dominate any reachable cross-entropy value
@@ -53,8 +58,8 @@ class TrainConfig:
     master_seed: int = 0
     limits: PulseLimits = field(default_factory=PulseLimits)
     c6: float = C6_DEFAULT
-    min_spacing: float = 4.0
-    field_size: float = 75.0
+    min_spacing: float = MIN_SPACING_UM
+    field_size: float = FIELD_SIZE_UM
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -156,51 +161,6 @@ def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorPa
         duration=config.duration)
 
 
-def _stage_vector(params: GeneratorParams, stage: str, config: TrainConfig):
-    """Current values and bounds box for one parameter group."""
-    lim = config.limits
-    if stage == "positions":
-        x = params.arrangement.position_array().reshape(-1)
-        bounds = [(0.0, config.field_size)] * x.size
-    elif stage == "rabi":
-        x = np.array([params.rabi_param])
-        bounds = [(0.0, lim.omega_max)]
-    elif stage == "local":
-        x = np.concatenate([[params.local_param],
-                            params.arrangement.coupling_array()])
-        bounds = [(lim.local_detuning_min, 0.0)] + [(0.0, 1.0)] * params.n_qubits
-    elif stage == "global":
-        x = np.array([params.global_detuning_offset])
-        bounds = [(-lim.global_detuning_abs, lim.global_detuning_abs)]
-    else:
-        raise ValidationError(f"unknown stage {stage!r}")
-    return x, bounds
-
-
-def _with_stage_vector(params: GeneratorParams, stage: str, x) -> GeneratorParams:
-    x = np.asarray(x, dtype=float)
-    if stage == "positions":
-        positions = tuple(map(tuple, x.reshape(-1, 2)))
-        return replace(params, arrangement=AtomArrangement(
-            positions, params.arrangement.couplings))
-    if stage == "rabi":
-        return replace(params, rabi_param=float(x[0]))
-    if stage == "local":
-        return replace(params,
-                       local_param=float(x[0]),
-                       arrangement=AtomArrangement(
-                           params.arrangement.positions, tuple(x[1:])))
-    if stage == "global":
-        return replace(params, global_detuning_offset=float(x[0]))
-    raise ValidationError(f"unknown stage {stage!r}")
-
-
-def _min_pair_distance(params: GeneratorParams) -> float:
-    pos = params.arrangement.position_array()
-    dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
-    return float(dists[np.triu_indices(len(pos), 1)].min())
-
-
 def _fake_batch(params: GeneratorParams, seeds, config: TrainConfig) -> np.ndarray:
     return generate_batch([(params, s, EXACT) for s in seeds], config.limits,
                           config.c6, config.steps)
@@ -260,15 +220,14 @@ def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
                 initial_loss = generator_loss(params, net, stage_seeds,
                                               config.steps, config.limits,
                                               config.c6)
-            x0, bounds = _stage_vector(params, stage, config)
+            x0, bounds = params.groups(config.limits, config.field_size)[stage]
 
             def objective(x, _stage=stage, _net=net, _seeds=stage_seeds,
                           _params=params):
-                trial = _with_stage_vector(_params, _stage, x)
-                if trial.n_qubits > 1:
-                    dmin = _min_pair_distance(trial)
-                    if dmin < config.min_spacing:
-                        return _GEOMETRY_PENALTY + 100.0 * (config.min_spacing - dmin)
+                trial = _params.with_group(_stage, x)
+                dmin = trial.min_pair_distance()
+                if dmin < config.min_spacing:
+                    return _GEOMETRY_PENALTY + 100.0 * (config.min_spacing - dmin)
                 return generator_loss(trial, _net, _seeds, config.steps,
                                       config.limits, config.c6)
 
@@ -279,7 +238,7 @@ def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
                 result_x, gen_loss = x0, float(objective(x0))
             else:
                 result_x, gen_loss = result.x, result.fun
-            params = _with_stage_vector(params, stage, result_x)
+            params = params.with_group(stage, result_x)
             log.append(StageLog(cycle, stage, result.iterations,
                                 result.evaluations, gen_loss, disc_loss))
 
@@ -333,11 +292,17 @@ def save_learner(result: TrainingResult, path: str):
 
 
 def load_learner(path: str) -> TrainingResult:
+    """A saved training result; its params must lie in its own config's envelope."""
     doc = _load_doc(path, LEARNER_FORMAT, LEARNER_VERSION)
     for key in ("rabi_shape", "local_shape"):
-        if doc.get(key) not in SHAPES:
-            raise DataError(
-                f"{path}: field {key}: unknown pulse shape {doc.get(key)!r}")
+        if doc.get(key) not in TRAINABLE_SHAPES:
+            raise DataError(f"{path}: field {key}: unknown or untrainable "
+                            f"pulse shape {doc.get(key)!r}")
+    with _doc_field(path, "config"):
+        cfg = dict(doc["config"])
+        cfg["limits"] = PulseLimits(**cfg["limits"])
+        cfg["stage_order"] = tuple(cfg["stage_order"])
+        config = TrainConfig(**cfg)
     with _doc_field(path, "params"):
         p = doc["params"]
         params = GeneratorParams(
@@ -351,11 +316,7 @@ def load_learner(path: str) -> TrainingResult:
             global_detuning_offset=float(p["global_detuning_rad_per_us"]),
             duration=float(p["duration_us"]), rabi_gain=float(p["rabi_gain"]),
             local_shift=float(p["local_shift_rad_per_us"]))
-    with _doc_field(path, "config"):
-        cfg = dict(doc["config"])
-        cfg["limits"] = PulseLimits(**cfg["limits"])
-        cfg["stage_order"] = tuple(cfg["stage_order"])
-        config = TrainConfig(**cfg)
+        params.validate(config.limits, config.min_spacing, config.field_size)
     with _doc_field(path, "discriminator"):
         net = DiscriminatorNet(**{name: np.array(arr, dtype=float) for name, arr
                                   in doc["discriminator"].items()})

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tests.test_data import synthetic_digits, write_idx_pair
+
+# every property test: the same examples on every run, no example database
+# written, and no per-example deadline (examples run whole CLI commands)
+settings.register_profile("rydgan", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("rydgan")
 
 
 @pytest.fixture(scope="session")

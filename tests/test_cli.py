@@ -540,8 +540,7 @@ def mutable_out(pipeline_out, tmp_path_factory):
 _REPLACEMENTS = (None, "x", [], {}, -1)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
     """Truncate an artefact or break one key: generate exits 0, 2, 3 or 4,
@@ -587,3 +586,104 @@ def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
     assert code in (0, 2, 3, 4)
     if not loads:
         assert code == 3
+
+
+def _move_first_atom(doc, position):
+    doc["params"]["positions_um"][0] = position
+
+
+def _crowd_second_atom(doc):
+    x, y = doc["params"]["positions_um"][0]
+    doc["params"]["positions_um"][1] = [x + 0.5, y]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc["params"].update(rabi_param_rad_per_us=5000.0), "params"),
+    (lambda doc: _move_first_atom(doc, [200.0, 5.0]), "params"),
+    (lambda doc: doc.update(rabi_shape="constant"), "rabi_shape"),
+    (_crowd_second_atom, "params"),
+], ids=["rabi-5000", "atom-outside-field", "constant-shape",
+        "atoms-0.5um-apart"])
+def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
+                                         capsys, edit, field):
+    """A learner file whose params leave its own config's hardware envelope
+    fails to load, and generate exits 3 before writing any image."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(pipeline_out, out)
+    shutil.rmtree(os.path.join(out, "generated"), ignore_errors=True)
+    path = _artefact_paths(out)["learner"]
+    with open(path) as f:
+        doc = json.load(f)
+    edit(doc)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(DataError, match=field) as info:
+        load_learner(path)
+    assert path in str(info.value)
+    code = main(["generate", "--config", smoke_ini, "--out", out,
+                 "--count", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert path in err and field in err
+    assert not os.path.exists(os.path.join(out, "generated"))
+
+
+@pytest.fixture(scope="module")
+def idx_copy(idx_dataset, tmp_path_factory):
+    """A config reading private copies of the IDX pair, plus their bytes."""
+    root = tmp_path_factory.mktemp("idx")
+    paths, originals = {}, {}
+    for name, source in zip(("images", "labels"), idx_dataset):
+        with open(source, "rb") as f:
+            originals[name] = f.read()
+        paths[name] = str(root / os.path.basename(source))
+        with open(paths[name], "wb") as f:
+            f.write(originals[name])
+    ini = root / "idx.ini"
+    ini.write_text(f"[data]\nimages = {paths['images']}\n"
+                   f"labels = {paths['labels']}\n[quantum]\nn_qubits = 2\n")
+    return str(ini), str(root / "out"), paths, originals
+
+
+@pytest.mark.parametrize("name", ["images", "labels"])
+@pytest.mark.parametrize("count", [-1, 2**31 - 1])
+def test_idx_header_count_that_does_not_fit_exits_3(idx_copy, capsys, name,
+                                                    count):
+    ini, out, paths, originals = idx_copy
+    with open(paths[name], "r+b") as f:
+        f.seek(4)
+        f.write(count.to_bytes(4, "big", signed=True))
+    try:
+        code = main(["fit-pca", "--config", ini, "--out", out])
+    finally:
+        with open(paths[name], "wb") as f:
+            f.write(originals[name])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert paths[name] in err and "byte offset 4" in err
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_idx_never_escapes_main(idx_copy, data):
+    """Truncate an IDX file at any byte or overwrite any header byte:
+    fit-pca exits 0 or 3."""
+    ini, out, paths, originals = idx_copy
+    name = data.draw(st.sampled_from(sorted(paths)), label="file")
+    raw = originals[name]
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="offset")]
+    else:
+        header = 16 if name == "images" else 8
+        mutated = bytearray(raw)
+        mutated[data.draw(st.integers(0, header - 1), label="byte")] = \
+            data.draw(st.integers(0, 255), label="value")
+    with open(paths[name], "wb") as f:
+        f.write(mutated)
+    try:
+        code = main(["fit-pca", "--config", ini, "--out", out])
+    finally:
+        with open(paths[name], "wb") as f:
+            f.write(raw)
+    event(f"{name}: exit {code}")
+    assert code in (0, 3)

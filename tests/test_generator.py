@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from rydgan.errors import ValidationError
-from rydgan.generator import (ErrorModel, EXACT, GeneratorParams,
-                              NoisyMode, ShotsMode, build_spec, draw_seeds,
+from rydgan.generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
+                              ErrorModel, GeneratorParams, NoisyMode,
+                              ShotsMode, build_spec, draw_seeds,
                               generate_batch, generate_features, modulo_encode,
                               perturb_params)
+from rydgan.pulses import DEFAULT_LIMITS
 from rydgan.sim import AtomArrangement
 
 
@@ -241,6 +243,41 @@ class TestParamValidation:
             (0.5, 0.5, 0.5, 0.5)))
         with pytest.raises(ValidationError):
             params.validate()
+
+
+    def test_groups_and_with_group_are_inverse(self):
+        params = square_params()
+        table = params.groups(DEFAULT_LIMITS, FIELD_SIZE_UM)
+        assert list(table) == list(GROUPS)
+        for group, (values, bounds) in table.items():
+            assert len(values) == len(bounds)
+            assert params.with_group(group, values) == params
+
+    @pytest.mark.parametrize("build, edge, outward", [
+        (lambda v: square_params(rabi_param=v), DEFAULT_LIMITS.omega_max,
+         np.inf),
+        (lambda v: square_params(local_param=v),
+         DEFAULT_LIMITS.local_detuning_min, -np.inf),
+        (lambda v: square_params(global_detuning_offset=v),
+         DEFAULT_LIMITS.global_detuning_abs, np.inf),
+        (lambda v: square_params(global_detuning_offset=v),
+         -DEFAULT_LIMITS.global_detuning_abs, -np.inf),
+        (lambda v: atom_pair(v, (12.0, 6.0)), 0.0, -np.inf),
+        (lambda v: atom_pair(v, (12.0, 6.0)), FIELD_SIZE_UM, np.inf),
+        (lambda v: atom_pair(0.0, (v, 6.0)), MIN_SPACING_UM, -np.inf),
+    ], ids=["omega_max", "local_detuning_min", "+global_detuning_abs",
+            "-global_detuning_abs", "coordinate-0", "coordinate-field_size",
+            "min_spacing"])
+    def test_box_edge_accepted_next_float_rejected(self, build, edge, outward):
+        build(edge).validate()
+        with pytest.raises(ValidationError):
+            build(np.nextafter(edge, outward)).validate()
+
+
+def atom_pair(x0, second):
+    """Two atoms, the first at (x0, 6) um."""
+    return square_params(arrangement=AtomArrangement(((x0, 6.0), second),
+                                                     (0.5, 0.5)))
 
 
 def test_draw_seeds_in_legal_range():

@@ -148,15 +148,6 @@ class TestBuildHamiltonian:
         with pytest.raises(ValidationError):
             build_hamiltonian(spec, 1.5)
 
-    def test_nonzero_phase_rejected(self):
-        with pytest.raises(ValidationError):
-            constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0).__class__(
-                arrangement=AtomArrangement(((0.0, 0.0),), (0.0,)),
-                rabi=PulseProgram(shape="constant", kind="rabi", param=1.0),
-                local_detuning=PulseProgram(shape="constant",
-                                            kind="local_detuning", param=0.0),
-                global_detuning_offset=0.0, phase=0.3)
-
     def test_mismatched_durations_rejected(self):
         with pytest.raises(ValidationError):
             HamiltonianSpec(
