@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -168,8 +167,7 @@ def cmd_select(config: RunConfig) -> int:
         "master_seed": config.master_seed,
         "fid_batch": config.fid_batch,
     }
-    dp.atomic_write_text(_ensemble_path(config, cls),
-                         json.dumps(manifest, indent=1))
+    dp.atomic_write_json(_ensemble_path(config, cls), manifest)
     print(f"selected {len(selection.ensemble.members)} member(s) for class "
           f"{cls}: {', '.join(manifest['member_names'])}")
     print("validation FID trail: "
@@ -187,8 +185,16 @@ def _load_ensemble_members(config: RunConfig, cls: int):
             or not all(isinstance(name, str) and name for name in names)):
         raise DataError(f"{path}: field member_files must be a nonempty list "
                         f"of learner file names, got {names!r}")
-    members = [load_learner(os.path.join(_learners_dir(config, cls), name)).learner
-               for name in names]
+    members = []
+    for name in names:
+        member_path = os.path.join(_learners_dir(config, cls), name)
+        result = load_learner(member_path)
+        if result.config.n_qubits != config.n_qubits:
+            raise DataError(
+                f"{member_path}: field config.n_qubits: a "
+                f"{result.config.n_qubits}-qubit learner, but this run has "
+                f"n_qubits = {config.n_qubits}")
+        members.append(result.learner)
     return manifest, members
 
 

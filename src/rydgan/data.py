@@ -254,7 +254,7 @@ def save_pca(model: PcaModel, path: str):
         "scale_lo": model.scale_lo.tolist(),
         "scale_hi": model.scale_hi.tolist(),
     }
-    atomic_write_text(path, json.dumps(doc, indent=1))
+    atomic_write_json(path, doc)
 
 
 def load_pca(path: str) -> PcaModel:
@@ -307,18 +307,33 @@ def atomic_write_text(path: str, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_bytes(path: str, payload: bytes):
-    """Replace path with payload so that readers see the old or the new file.
+def atomic_write_json(path: str, doc):
+    """doc as JSON indented by one space, streamed into the file.
 
-    The bytes go to a fresh, uniquely named file in the same directory and
-    reach the disk before the rename; on failure the temporary file is
-    removed and any old file is left as it was.
+    The text is never held whole: for a k = 256 PCA model, `json.dumps`
+    built ~20 MB of chunks and string, the largest transient of a run.
+    """
+    _atomic_write(path, lambda f: json.dump(doc, f, indent=1),
+                  mode="w", encoding="utf-8", newline="")
+
+
+def atomic_write_bytes(path: str, payload: bytes):
+    _atomic_write(path, lambda f: f.write(payload), mode="wb")
+
+
+def _atomic_write(path: str, write, **open_args):
+    """Replace path with what write(f) writes, so that readers see the old
+    or the new file.
+
+    The content goes to a fresh, uniquely named file in the same directory
+    and reaches the disk before the rename; on failure the temporary file
+    is removed and any old file is left as it was.
     """
     tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
+        with os.fdopen(fd, **open_args) as f:
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

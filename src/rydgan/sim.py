@@ -20,14 +20,18 @@ Time evolution is a fourth-order commutator-free Magnus integrator: two
 exponential factors per step, on a step grid aligned to the pulse
 breakpoints. `evolve_batch` advances many runs at once as the columns of
 one state block; each factor exp(-i dt (a X + diag d)) is a Taylor series
-summed to unit roundoff, applied through a real GEMM with the flip matrix
-X plus elementwise diagonal products (small blocks form the factors as
-matrices instead). No eigendecomposition is taken. `evolve` is the
-one-run form.
+summed to unit roundoff, applied through real GEMMs with the flip operator
+X = 1/2 sum_i sigma^x_i plus elementwise diagonal products: one GEMM with
+the dense 2^n x 2^n flip matrix up to six qubits, and from seven on two
+GEMMs with its Kronecker factors, X = X_hi (x) I + I (x) X_lo, which costs
+O(2^n (2^h + 2^(n-h))) per term instead of O(4^n). Small blocks form the
+factors as matrices instead. No eigendecomposition is taken. `evolve` is
+the one-run form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,13 +178,28 @@ def _occupations(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
 
 
+@functools.lru_cache(maxsize=MAX_QUBITS + 1)
 def _flip_matrix(n: int) -> np.ndarray:
-    """Dense real X = 1/2 sum_i sigma^x_i; its spectral norm is n/2."""
+    """Dense real X = 1/2 sum_i sigma^x_i, read-only; its spectral norm is n/2."""
     idx = np.arange(1 << n)
     x = np.zeros((1 << n, 1 << n))
     for i in range(n):
         x[idx, idx ^ (1 << (n - 1 - i))] = 0.5
+    x.flags.writeable = False
     return x
+
+
+def _flip_factors(n: int) -> tuple:
+    """X as (X, None), or from _SPLIT_QUBITS on as Kronecker factors (X_hi, X_lo).
+
+    With h = ceil(n/2) high qubits, X = X_hi (x) I + I (x) X_lo, where X_hi
+    and X_lo are the flip matrices of h and n - h qubits: two GEMMs of
+    width 2^h and 2^(n-h) replace one of width 2^n.
+    """
+    if n < _SPLIT_QUBITS:
+        return _flip_matrix(n), None
+    high = (n + 1) // 2
+    return _flip_matrix(high), _flip_matrix(n - high)
 
 
 def _diagonals(spec: HamiltonianSpec, occ: np.ndarray):
@@ -253,11 +272,12 @@ _WEIGHTS = np.array([[0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0],
 _TERM_BOUNDS = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1))
                          for m in range(41)])
 # a factor with a larger norm bound is split into equal substeps, which
-# keeps the terms small enough that the sum loses no digits; a factor that
-# would need more substeps than the cap (non-finite or near-coincident
-# atoms) is a numeric failure rather than an endless run
-_MAX_NORM = 3.0
-_MAX_SUBSTEPS = 10_000
+# keeps the terms small enough that the sum loses under two digits (its
+# largest term is at most 6^6/6! ~ 65); a factor whose norm bound x width
+# exceeds _MAX_STIFFNESS (non-finite or near-coincident atoms) is a numeric
+# failure rather than an endless run
+_MAX_NORM = 6.0
+_MAX_STIFFNESS = 30_000.0
 # exp(-iM) v = sum_j (-i)^j M^j v / j! = even - i * odd, with row 0 holding
 # the real weights (even j) and row 1 the imaginary ones (odd j)
 _SERIES = np.array([[(-1.0) ** (j // 2) / math.factorial(j) if j % 2 == parity
@@ -266,32 +286,53 @@ _SERIES = np.array([[(-1.0) ** (j // 2) / math.factorial(j) if j % 2 == parity
 # batch sizes B * 4^n up to this form the factors as matrices (see
 # _apply_matrices); larger ones apply them to the state block
 _MATRIX_WORK = 1024
+# from this qubit count on, X acts on the state block through its Kronecker
+# factors (see _flip_factors)
+_SPLIT_QUBITS = 7
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the Taylor powers
 
 
-def _apply_vectors(psi, flip, coef, diag, terms, subs):
+def _apply_vectors(psi, coef, diag, terms, subs):
     """Apply exp(-i (coef[f] X + diag(diag[f])))^subs[f] to psi, factor by factor.
 
     The Taylor series acts on the real (2^n, 2B) view of the (2^n, B)
-    state block: each power M^j v costs one real GEMM with X plus
+    state block: each power M^j v costs the flip action X v plus
     elementwise products, and one small GEMM with the series coefficients
-    sums the powers, so the loop runs few numpy calls per term.
+    sums the powers, so the loop runs few numpy calls per term. Up to six
+    qubits X v is one real GEMM with the dense flip matrix; from
+    _SPLIT_QUBITS on it is one GEMM with X_hi on the (2^h, 2^(n-h) 2B) view
+    of the block plus one batched GEMM with X_lo on its (2^h, 2^(n-h), 2B)
+    view (see _flip_factors).
     """
     block = psi.view(float)
+    flip, low = _flip_factors(psi.shape[0].bit_length() - 1)
     diags = np.repeat(diag, 2, axis=2)
     # full-shape factors: broadcasting a short row multiplies far slower
     coefs = np.repeat(coef, 2, axis=1)[:, None, :] * np.ones(block.shape)
     powers = np.empty((max(terms) + 1,) + block.shape)
     rows = list(powers)
     product = np.empty_like(block)
+    if low is not None:
+        wide = [row.reshape(len(flip), -1) for row in rows]
+        cubes = [row.reshape(len(flip), len(low), -1) for row in rows]
+        low_part = product.reshape(cubes[0].shape)
     for count, repeat, a, d in zip(terms, subs, coefs, diags):
         for _ in range(repeat):
             rows[0][...] = block
-            for prev, power in zip(rows[:count], rows[1:count + 1]):
-                np.matmul(flip, prev, out=power)
-                power *= a
-                power += np.multiply(d, prev, out=product)
+            if low is None:
+                for prev, power in zip(rows[:count], rows[1:count + 1]):
+                    np.matmul(flip, prev, out=power)
+                    power *= a
+                    power += np.multiply(d, prev, out=product)
+            else:
+                for j in range(count):
+                    np.matmul(flip, wide[j], out=wide[j + 1])
+                    np.matmul(low, cubes[j], out=low_part)
+                    power = rows[j + 1]
+                    power += product
+                    power *= a
+                    power += np.multiply(d, rows[j], out=product)
             even, odd = (_SERIES[:, :count + 1]
                          @ powers[:count + 1].reshape(count + 1, -1))
             cplx = odd.view(complex)
@@ -301,7 +342,7 @@ def _apply_vectors(psi, flip, coef, diag, terms, subs):
     return block.view(complex)
 
 
-def _apply_matrices(psi, flip, coef, diag, terms, subs):
+def _apply_matrices(psi, coef, diag, terms, subs):
     """Same action as _apply_vectors, for small B * 4^n.
 
     The factors' exponentials are formed as matrices by the same Taylor
@@ -311,7 +352,7 @@ def _apply_matrices(psi, flip, coef, diag, terms, subs):
     cost.
     """
     dim = psi.shape[0]
-    gen = coef[:, :, None, None] * flip
+    gen = coef[:, :, None, None] * _flip_matrix(dim.bit_length() - 1)
     i = np.arange(dim)
     gen[:, :, i, i] += diag.transpose(0, 2, 1)
     power = np.broadcast_to(np.eye(dim), gen.shape)
@@ -354,7 +395,6 @@ def _propagate(specs, ends, steps, initial) -> np.ndarray:
     apply = _apply_matrices if matrix else _apply_vectors
     # about six float arrays of one factor's block size are live per row
     chunk = max(1, _CHUNK_BYTES // (48 * batch * dim * (dim if matrix else 1)))
-    flip = _flip_matrix(n)
     psi = initial.T.copy()
     phase = np.zeros(batch)
     for lo in range(0, rows, chunk):
@@ -370,16 +410,16 @@ def _propagate(specs, ends, steps, initial) -> np.ndarray:
         norm = (np.abs(coef[part]) * (n / 2.0)
                 + np.maximum(top - mid, mid - bottom)) * width[part]
         worst = norm.max(axis=1)
-        if not worst.max() <= _MAX_NORM * _MAX_SUBSTEPS:
+        if not worst.max() <= _MAX_STIFFNESS:
             raise NumericError(
-                f"Hamiltonian norm bound x step width {worst.max():.3g} needs "
-                f"more than {_MAX_SUBSTEPS} substeps; raise the step count "
-                "or check the atom spacing")
+                f"Hamiltonian norm bound x step width {worst.max():.3g} "
+                f"exceeds {_MAX_STIFFNESS:.3g}; raise the step count or "
+                "check the atom spacing")
         subs = np.maximum(1, np.ceil(worst / _MAX_NORM)).astype(int)
         terms = np.searchsorted(_TERM_BOUNDS, worst / subs)
         scale = width[part] / subs[:, None]
         diag = (diag - mid[:, None, :]) * scale[:, None, :]
-        psi = apply(psi, flip, coef[part] * scale, diag, terms, subs)
+        psi = apply(psi, coef[part] * scale, diag, terms, subs)
     return (psi * np.exp(-1j * phase)).T
 
 

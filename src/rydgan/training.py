@@ -14,13 +14,12 @@ Fully deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import _doc_field, _load_doc, atomic_write_text
+from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .errors import DataError, ValidationError
@@ -288,7 +287,7 @@ def save_learner(result: TrainingResult, path: str):
         "rng_seed": result.config.master_seed,
         "log": [asdict(row) for row in result.log],
     }
-    atomic_write_text(path, json.dumps(doc, indent=1))
+    atomic_write_json(path, doc)
 
 
 def load_learner(path: str) -> TrainingResult:
@@ -316,6 +315,9 @@ def load_learner(path: str) -> TrainingResult:
             global_detuning_offset=float(p["global_detuning_rad_per_us"]),
             duration=float(p["duration_us"]), rabi_gain=float(p["rabi_gain"]),
             local_shift=float(p["local_shift_rad_per_us"]))
+        if params.n_qubits != config.n_qubits:
+            raise ValidationError(f"{params.n_qubits} atoms, but the file's "
+                                  f"config has n_qubits = {config.n_qubits}")
         params.validate(config.limits, config.min_spacing, config.field_size)
     with _doc_field(path, "discriminator"):
         net = DiscriminatorNet(**{name: np.array(arr, dtype=float) for name, arr

@@ -597,13 +597,23 @@ def _crowd_second_atom(doc):
     doc["params"]["positions_um"][1] = [x + 0.5, y]
 
 
+def _add_atom(doc):
+    """A third atom and coupling, at the grid point farthest from the others."""
+    pos = doc["params"]["positions_um"]
+    pos.append(max(([x, y] for x in (1.0, 37.0, 74.0) for y in (1.0, 37.0, 74.0)),
+                   key=lambda q: min(np.hypot(q[0] - a, q[1] - b)
+                                     for a, b in pos)))
+    doc["params"]["couplings"].append(0.5)
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda doc: doc["params"].update(rabi_param_rad_per_us=5000.0), "params"),
     (lambda doc: _move_first_atom(doc, [200.0, 5.0]), "params"),
     (lambda doc: doc.update(rabi_shape="constant"), "rabi_shape"),
     (_crowd_second_atom, "params"),
+    (_add_atom, "params"),
 ], ids=["rabi-5000", "atom-outside-field", "constant-shape",
-        "atoms-0.5um-apart"])
+        "atoms-0.5um-apart", "three-atoms-in-a-two-qubit-file"])
 def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
                                          capsys, edit, field):
     """A learner file whose params leave its own config's hardware envelope
@@ -625,6 +635,29 @@ def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
     err = capsys.readouterr().err
     assert code == 3
     assert path in err and field in err
+    assert not os.path.exists(os.path.join(out, "generated"))
+
+
+def test_member_of_another_qubit_count_exits_3(smoke_ini, pipeline_out,
+                                               tmp_path, capsys):
+    """A member learner that is whole on its own but has another qubit count
+    than the run exits 3 naming the file and the field, before any image."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(pipeline_out, out)
+    shutil.rmtree(os.path.join(out, "generated"), ignore_errors=True)
+    path = _artefact_paths(out)["learner"]
+    with open(path) as f:
+        doc = json.load(f)
+    _add_atom(doc)
+    doc["config"]["n_qubits"] = 3
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    assert load_learner(path).learner.params.n_qubits == 3
+    code = main(["generate", "--config", smoke_ini, "--out", out,
+                 "--count", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert path in err and "n_qubits" in err
     assert not os.path.exists(os.path.join(out, "generated"))
 
 

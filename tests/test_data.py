@@ -5,11 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from rydgan.data import (ImageSet, PcaModel, atomic_write_text, fit_pca,
-                         inverse_transform, load_idx,
-                         load_pca, pgm_bytes, save_pca, scale_features,
-                         split_train_val, transform, unscale_features,
-                         write_image, write_montage)
+from rydgan.data import (ImageSet, PcaModel, atomic_write_json,
+                         atomic_write_text, fit_pca, inverse_transform,
+                         load_idx, load_pca, pgm_bytes, save_pca,
+                         scale_features, split_train_val, transform,
+                         unscale_features, write_image, write_montage)
 from rydgan.errors import DataError, ValidationError
 
 
@@ -308,3 +308,11 @@ class TestAtomicWrite:
             atomic_write_text(str(path), "new\n")
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_json_is_streamed_to_the_same_bytes(self, tmp_path):
+        doc = {"name": "gr\u00fcn", "rows": [[0.1, -2.5e-300], []],
+               "nested": {"k": None, "t": True}}
+        path = tmp_path / "doc.json"
+        atomic_write_json(str(path), doc)
+        assert path.read_bytes() == json.dumps(doc, indent=1).encode("utf-8")
+        assert os.listdir(tmp_path) == ["doc.json"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rydgan import sim
 from rydgan.errors import NumericError, ValidationError
 from rydgan.pulses import PulseProgram
 from rydgan.sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
@@ -257,6 +258,44 @@ class TestEvolveBatch:
         out = evolve_batch(specs, steps=150, initial=initial)
         for spec, start, row in zip(specs, initial, out):
             assert np.abs(row - evolve_eigh(start, spec, 150)).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_split_flip_path_matches_eigh_oracle(self, n):
+        # from seven qubits X acts through its Kronecker factors; atoms
+        # packed on a 4 um grid make the factors stiff (several substeps)
+        rng = np.random.default_rng(70 + n)
+        specs = [random_spec(rng, n), full_range_spec(rng, n),
+                 random_spec(rng, n, duration=0.6)]
+        out = evolve_batch(specs, steps=12)
+        start = ground_state(n).amplitudes
+        for spec, row in zip(specs, out):
+            assert np.abs(row - evolve_eigh(start, spec, 12)).max() <= 1e-9
+
+    def test_stiff_six_qubit_factors_match_eigh_oracle(self):
+        # 4 um packing at a coarse step: every factor's norm bound is far
+        # above one substep's cap
+        spec = full_range_spec(np.random.default_rng(6), 6)
+        out = evolve(ground_state(6), spec, steps=30)
+        ref = evolve_eigh(ground_state(6).amplitudes, spec, 30)
+        assert np.abs(out.amplitudes - ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_split_flip_action_matches_dense(self, n, monkeypatch):
+        # split at every qubit count; one Taylor term with a = 1 and d = 0
+        # maps v to v - i X v
+        monkeypatch.setattr(sim, "_SPLIT_QUBITS", 1)
+        rng = np.random.default_rng(n)
+        block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+        out = sim._apply_vectors(block, np.ones((1, 3)),
+                                 np.zeros((1, 1 << n, 3)), [1], [1])
+        flipped = 1j * (out - block)
+        assert np.abs(flipped - sim._flip_matrix(n) @ block).max() <= 1e-13
+
+    def test_flip_matrix_is_cached_and_read_only(self):
+        x = sim._flip_matrix(5)
+        assert sim._flip_matrix(5) is x
+        with pytest.raises(ValueError):
+            x[0, 1] = 1.0
 
     def test_stops_at_a_common_duration(self):
         rng = np.random.default_rng(30)
