@@ -22,9 +22,10 @@ from .data import (ImageSet, PcaModel, fit_pca, inverse_transform, load_idx,
 from .discriminator import (AdamState, DiscriminatorNet, adam_update,
                             bce_gradients, bce_loss, discriminator_forward,
                             discriminator_step, init_discriminator)
-from .neldermead import NMResult, nelder_mead
+from .neldermead import NMResult, nelder_mead, nelder_mead_steps
 from .training import (Learner, TrainConfig, TrainingResult, generator_loss,
-                       layered_train, load_learner, save_learner)
+                       layered_train, load_learner, save_learner,
+                       train_learners)
 from .metrics import (Ensemble, GaussianSummary, SelectionResult,
                       batch_features, fid, fid_images, greedy_select,
                       summarize, variation_cdf, variation_scores)

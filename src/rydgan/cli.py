@@ -4,7 +4,8 @@ Every command validates its full configuration before doing any work,
 echoes the effective configuration into the output directory, writes all
 artifacts atomically, and is byte-reproducible for a fixed master seed.
 
-Exit codes: 0 success, 2 config/validation, 3 data/format, 4 numeric.
+Exit codes: 0 success, 1 internal error, 2 config/validation, 3
+data/format, 4 numeric.
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ import argparse
 import glob
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import data as dp
 from .config import MODES, RunConfig, load_config, render_config
-from .errors import DataError, NumericError, RydganError, ValidationError
+from .errors import DataError, RydganError, ValidationError
 from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
 from .metrics import fid_images, greedy_select, variation_scores
-from .training import layered_train, load_learner, save_learner
+from .training import load_learner, save_learner, train_learners
 
 ENSEMBLE_FORMAT = "rydgan-ensemble"
 ENSEMBLE_VERSION = 1
@@ -90,25 +90,13 @@ def cmd_train(config: RunConfig) -> int:
     model = _require_pca(config, cls)
     train, _ = _load_class_split(config, cls)
     features = dp.scale_features(model, dp.transform(model, train.flat()))
-    pairs = _shape_pairs(config)
     out_dir = _learners_dir(config, cls)
     os.makedirs(out_dir, exist_ok=True)
+    results = train_learners(
+        [(config.train_config(_pair_seed(config.master_seed, index)), pair)
+         for index, pair in enumerate(_shape_pairs(config))], features)
 
-    def train_one(indexed_pair):
-        index, pair = indexed_pair
-        train_config = config.train_config(_pair_seed(config.master_seed, index))
-        try:
-            return layered_train(train_config, features, pair)
-        except RydganError as exc:
-            raise type(exc)(f"learner {pair[0]}-{pair[1]}: {exc}") from exc
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(train_one, enumerate(pairs)))
-    else:
-        results = [train_one(item) for item in enumerate(pairs)]
-
-    log_lines = ["learner,cycle,stage,nm_iterations,nm_evaluations,"
+    log_lines = ["learner,cycle,stage,nm_iterations,nm_evaluations,nm_stop,"
                  "gen_loss,disc_loss"]
     for result in results:
         name = result.learner.name
@@ -116,7 +104,8 @@ def cmd_train(config: RunConfig) -> int:
         for row in result.log:
             log_lines.append(
                 f"{name},{row.cycle},{row.stage},{row.nm_iterations},"
-                f"{row.nm_evaluations},{row.gen_loss!r},{row.disc_loss!r}")
+                f"{row.nm_evaluations},{row.nm_stop},{row.gen_loss!r},"
+                f"{row.disc_loss!r}")
         print(f"trained {name}: initial loss {result.initial_loss:.4f}, "
               f"final loss {result.learner.final_loss:.4f}")
     dp.atomic_write_text(os.path.join(out_dir, "training_log.csv"),
@@ -316,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", metavar="DIR",
                        help="output directory")
         p.add_argument("--jobs", type=int, metavar="N",
-                       help="parallel worker bound")
+                       help="accepted for compatibility; learners train in "
+                            "lock step in one thread, so the value does not "
+                            "change speed or output")
         if name == "generate":
             p.add_argument("--count", type=int, metavar="N",
                            help="number of images")
@@ -356,12 +347,15 @@ def main(argv=None) -> int:
         # the subparsers are required, so the one command left is evaluate
         return cmd_evaluate(config, classes if classes is not None
                             else [config.digit_class])
-    except (ValidationError, DataError, NumericError) as exc:
+    except RydganError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

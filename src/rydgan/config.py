@@ -64,6 +64,8 @@ class RunConfig:
     fid_batch: int = _key("ensemble", 100)
     master_seed: int = _key("run", TrainConfig.master_seed)
     out_dir: str = _key("run", "out")
+    # accepted for compatibility; learners train in lock step in one
+    # thread, so the value does not change speed or output
     jobs: int = _key("run", 1)
     count: int = _key("run", 16)
     mode: str = _key("run", "ideal")

@@ -7,6 +7,8 @@ bounds. Terminates when the simplex function-value spread drops below
 tol AND its diameter below sqrt(tol), or after max_iters iterations;
 the diameter condition prevents premature stops when vertices straddle
 a minimum symmetrically (tiny f-spread, wide simplex).
+`nelder_mead_steps` is the ask/tell form (after CMA-ES, Hansen,
+arXiv:1604.00772), so callers can evaluate many minimizations together.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ class NMResult:
     fun: float
     iterations: int
     evaluations: int
+    converged: bool  # stopped on tol, not on max_iters
 
 
 def _as_box(bounds, n):
@@ -40,9 +43,10 @@ def _as_box(bounds, n):
     return lo, hi
 
 
-def nelder_mead(objective, x0, bounds=None, max_iters: int = 200,
-                tol: float = 1e-8, initial_step=None) -> NMResult:
-    """Minimize objective(x) over the bounds box starting from x0."""
+def nelder_mead_steps(x0, bounds=None, max_iters: int = 200,
+                      tol: float = 1e-8, initial_step=None):
+    """Generator: yields lists of points (d + 1 for the initial simplex, d
+    per shrink, else 1), is sent their values, returns the NMResult."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n = x0.size
     if n == 0:
@@ -50,17 +54,6 @@ def nelder_mead(objective, x0, bounds=None, max_iters: int = 200,
     lo, hi = _as_box(bounds, n)
     clamp = lambda x: np.minimum(hi, np.maximum(lo, x))
     x0 = clamp(x0)
-
-    evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return float(objective(x))
-
-    f0 = f(x0)
-    if not np.isfinite(f0):
-        raise NumericError(f"objective is not finite at x0: {f0}")
 
     if initial_step is None:
         span = hi - lo
@@ -76,9 +69,11 @@ def nelder_mead(objective, x0, bounds=None, max_iters: int = 200,
         # step away from the nearer bound so the vertex actually moves
         v[i] = v[i] - step[i] if v[i] + step[i] > hi[i] else v[i] + step[i]
         verts.append(clamp(v))
-    fvals = [f0] + [f(v) for v in verts[1:]]
+    fvals = np.array((yield verts), dtype=float)
+    if not np.isfinite(fvals[0]):
+        raise NumericError(f"objective is not finite at x0: {fvals[0]}")
     verts = np.array(verts)
-    fvals = np.array(fvals)
+    evals = n + 1
 
     x_tol = np.sqrt(tol) if tol > 0 else 0.0
     iterations = 0
@@ -93,10 +88,12 @@ def nelder_mead(objective, x0, bounds=None, max_iters: int = 200,
         worst = verts[-1]
 
         reflected = clamp(centroid + (centroid - worst))
-        fr = f(reflected)
+        (fr,) = yield [reflected]
+        evals += 1
         if fr < fvals[0]:
             expanded = clamp(centroid + 2.0 * (centroid - worst))
-            fe = f(expanded)
+            (fe,) = yield [expanded]
+            evals += 1
             if fe < fr:
                 verts[-1], fvals[-1] = expanded, fe
             else:
@@ -106,19 +103,33 @@ def nelder_mead(objective, x0, bounds=None, max_iters: int = 200,
         else:
             if fr < fvals[-1]:
                 contracted = clamp(centroid + 0.5 * (centroid - worst))
-                fc = f(contracted)
+                (fc,) = yield [contracted]
                 accept = fc <= fr
             else:
                 contracted = clamp(centroid - 0.5 * (centroid - worst))
-                fc = f(contracted)
+                (fc,) = yield [contracted]
                 accept = fc < fvals[-1]
+            evals += 1
             if accept:
                 verts[-1], fvals[-1] = contracted, fc
             else:
-                best = verts[0]
-                for i in range(1, len(verts)):
-                    verts[i] = clamp(best + 0.5 * (verts[i] - best))
-                    fvals[i] = f(verts[i])
+                # the shrunk vertices depend only on the best and the old ones
+                verts[1:] = clamp(verts[0] + 0.5 * (verts[1:] - verts[0]))
+                fvals[1:] = yield list(verts[1:].copy())
+                evals += n
 
     best = int(np.argmin(fvals))
-    return NMResult(verts[best].copy(), float(fvals[best]), iterations, evals)
+    return NMResult(verts[best].copy(), float(fvals[best]), iterations, evals,
+                    iterations < max_iters)
+
+
+def nelder_mead(objective, x0, bounds=None, max_iters: int = 200,
+                tol: float = 1e-8, initial_step=None) -> NMResult:
+    """Minimize objective(x) over the bounds box starting from x0."""
+    steps = nelder_mead_steps(x0, bounds, max_iters, tol, initial_step)
+    try:
+        points = next(steps)
+        while True:
+            points = steps.send([float(objective(x)) for x in points])
+    except StopIteration as stop:
+        return stop.value

@@ -1,4 +1,4 @@
-"""Adversarial training of one learner under the layered scheme.
+"""Adversarial training of learners under the layered scheme.
 
 Each training cycle walks the parameter groups of `GeneratorParams` in a
 fixed order (atom positions, Rabi scalar, local-detuning scalar plus
@@ -10,6 +10,9 @@ parameters only, inside the group's hardware box from
 parameters frozen and a penalty on atoms closer than the minimum spacing.
 Generation during training uses exact probabilities (no shot noise).
 Fully deterministic for a fixed seed.
+`train_learners` runs learners in lock step: one `generate_batch` call
+per round serves every learner's pending runs, because a small batch
+costs per call (numpy overhead), hardly per run.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import numpy as np
 from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
-from .errors import DataError, ValidationError
+from .errors import DataError, RydganError, ValidationError
 from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                         TRAINABLE_SHAPES, GeneratorParams, draw_seeds,
                         generate_batch)
-from .neldermead import nelder_mead
+from .neldermead import nelder_mead_steps
 from .pulses import DEFAULT_LIMITS, PulseLimits
 from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, default_steps
 
@@ -115,6 +118,7 @@ class StageLog:
     nm_evaluations: int
     gen_loss: float
     disc_loss: float
+    nm_stop: str = "unknown"  # "tol" or "max_iters"; "unknown" in older files
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,10 @@ class TrainingResult:
     initial_loss: float
 
 
+def _mean_loss(net: DiscriminatorNet, feats) -> float:
+    return float(np.mean(-np.log(discriminator_forward(net, feats))))
+
+
 def generator_loss(params: GeneratorParams, net: DiscriminatorNet, seeds,
                    steps: int | None = None,
                    limits: PulseLimits = DEFAULT_LIMITS,
@@ -134,8 +142,8 @@ def generator_loss(params: GeneratorParams, net: DiscriminatorNet, seeds,
     seeds = np.asarray(seeds, dtype=float)
     if seeds.size == 0:
         raise ValidationError("seed batch must be nonempty")
-    feats = generate_batch([(params, s, EXACT) for s in seeds], limits, c6, steps)
-    return float(np.mean(-np.log(discriminator_forward(net, feats))))
+    return _mean_loss(net, generate_batch([(params, s, EXACT) for s in seeds],
+                                          limits, c6, steps))
 
 
 def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorParams:
@@ -160,31 +168,10 @@ def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorPa
         duration=config.duration)
 
 
-def _fake_batch(params: GeneratorParams, seeds, config: TrainConfig) -> np.ndarray:
-    return generate_batch([(params, s, EXACT) for s in seeds], config.limits,
-                          config.c6, config.steps)
-
-
-def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
-    """Train one learner (a Rabi/local shape pair) against class features.
-
-    class_data must already be scaled into the generator output window
-    (0, 1/2^n]; handing the discriminator raw PCA features is a wiring
-    bug and rejected here.
-    """
-    data = np.asarray(class_data, dtype=float)
+def _learner(config: TrainConfig, data: np.ndarray, shapes):
+    """One learner's training: yields lists of (params, seed) runs, is sent
+    their exact features, returns its TrainingResult."""
     k = 1 << config.n_qubits
-    if data.ndim != 2 or data.shape[1] != k:
-        raise ValidationError(
-            f"class_data must have shape (N, {k}), got {data.shape}")
-    if data.shape[0] == 0:
-        raise ValidationError("class_data must be nonempty")
-    window_top = 1.0 / k
-    if data.min() < -1e-9 or data.max() > window_top + 1e-9:
-        raise ValidationError(
-            "class_data must be scaled into the generator window "
-            f"[0, {window_top}]; got range [{data.min():.4g}, {data.max():.4g}]")
-
     rabi_shape, local_shape = shapes
     rng = np.random.default_rng(config.master_seed)
     params = replace(initial_params(config, rng),
@@ -201,13 +188,12 @@ def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
         for stage in config.stage_order:
             # (a) discriminator block: real vs freshly generated batches;
             # the generator is fixed during the block, so every step's fakes
-            # are generated in one batch (same draws, same order)
+            # are asked for in one request (same draws, same order)
             draws = [(rng.integers(0, data.shape[0], size=config.disc_batch),
                       draw_seeds(rng, config.disc_batch))
                      for _ in range(config.disc_steps)]
-            fakes = _fake_batch(params, np.concatenate([s for _, s in draws]),
-                                config).reshape(config.disc_steps,
-                                                config.disc_batch, k)
+            fakes = yield [(params, s) for _, seeds in draws for s in seeds]
+            fakes = fakes.reshape(config.disc_steps, config.disc_batch, k)
             for (rows, _), step_fakes in zip(draws, fakes):
                 net, adam, disc_loss = discriminator_step(
                     net, data[rows], step_fakes, adam, config.adam_lr,
@@ -216,34 +202,86 @@ def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
             # (b) generator block: Nelder-Mead on this stage's parameters
             stage_seeds = draw_seeds(rng, config.seed_batch)
             if initial_loss is None:
-                initial_loss = generator_loss(params, net, stage_seeds,
-                                              config.steps, config.limits,
-                                              config.c6)
+                initial_loss = _mean_loss(
+                    net, (yield [(params, s) for s in stage_seeds]))
             x0, bounds = params.groups(config.limits, config.field_size)[stage]
-
-            def objective(x, _stage=stage, _net=net, _seeds=stage_seeds,
-                          _params=params):
-                trial = _params.with_group(_stage, x)
-                dmin = trial.min_pair_distance()
-                if dmin < config.min_spacing:
-                    return _GEOMETRY_PENALTY + 100.0 * (config.min_spacing - dmin)
-                return generator_loss(trial, _net, _seeds, config.steps,
-                                      config.limits, config.c6)
-
-            result = nelder_mead(objective, x0, bounds,
-                                 max_iters=config.nm_iters, tol=config.nm_tol)
-            if result.fun >= _GEOMETRY_PENALTY:
-                # no legal improvement found; keep the previous parameters
-                result_x, gen_loss = x0, float(objective(x0))
-            else:
-                result_x, gen_loss = result.x, result.fun
-            params = params.with_group(stage, result_x)
+            steps = nelder_mead_steps(x0, bounds, config.nm_iters, config.nm_tol)
+            try:
+                points = next(steps)
+                while True:
+                    # atoms closer than min_spacing get a penalty, not a run
+                    trials = [params.with_group(stage, x) for x in points]
+                    gaps = [config.min_spacing - t.min_pair_distance()
+                            for t in trials]
+                    runs = [(t, s) for t, gap in zip(trials, gaps)
+                            if not gap > 0 for s in stage_seeds]
+                    rows = (iter((yield runs).reshape(-1, config.seed_batch, k))
+                            if runs else None)
+                    points = steps.send([
+                        _GEOMETRY_PENALTY + 100.0 * gap if gap > 0
+                        else _mean_loss(net, next(rows)) for gap in gaps])
+            except StopIteration as stop:
+                result = stop.value
+            # the best value never rises above that of x0, which is legal
+            params = params.with_group(stage, result.x)
             log.append(StageLog(cycle, stage, result.iterations,
-                                result.evaluations, gen_loss, disc_loss))
+                                result.evaluations, result.fun, disc_loss,
+                                "tol" if result.converged else "max_iters"))
 
     params.validate(config.limits, config.min_spacing, config.field_size)
     learner = Learner(rabi_shape, local_shape, params, final_loss=log[-1].gen_loss)
     return TrainingResult(learner, net, tuple(log), config, float(initial_loss))
+
+
+def train_learners(jobs, class_data) -> list:
+    """Train learners [(config, (rabi_shape, local_shape)), ...] in lock step.
+
+    One generate_batch call per round serves every learner's pending runs;
+    each learner keeps its own RNG, so its draws do not depend on the
+    group. Raw class_data (outside the window (0, 1/2^n]) is rejected.
+    """
+    if len({(c.n_qubits, c.limits, c.c6, c.steps) for c, _ in jobs}) != 1:
+        raise ValidationError("train_learners needs one or more learners that "
+                              "share n_qubits, limits, c6 and steps")
+    config = jobs[0][0]
+    data = np.asarray(class_data, dtype=float)
+    k = 1 << config.n_qubits
+    if data.ndim != 2 or data.shape[1] != k or data.shape[0] == 0:
+        raise ValidationError(
+            f"class_data must have shape (N >= 1, {k}), got {data.shape}")
+    window_top = 1.0 / k
+    if data.min() < -1e-9 or data.max() > window_top + 1e-9:
+        raise ValidationError(
+            "class_data must be scaled into the generator window "
+            f"[0, {window_top}]; got range [{data.min():.4g}, {data.max():.4g}]")
+
+    names = [f"{rabi}-{local}" for _, (rabi, local) in jobs]
+    learners = [_learner(c, data, shapes) for c, shapes in jobs]
+    results, sent = [None] * len(jobs), dict.fromkeys(range(len(jobs)))
+    while True:
+        requests = {}
+        for i, feats in sent.items():
+            try:
+                requests[i] = learners[i].send(feats)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except RydganError as exc:
+                raise type(exc)(f"learner {names[i]}: {exc}") from exc
+        if not requests:
+            return results
+        runs = [(p, s, EXACT) for request in requests.values() for p, s in request]
+        try:
+            feats = generate_batch(runs, config.limits, config.c6, config.steps)
+        except RydganError as exc:
+            raise type(exc)(f"learners {', '.join(names[i] for i in requests)}: "
+                            f"{exc}") from exc
+        ends = np.cumsum([len(request) for request in requests.values()])
+        sent = dict(zip(requests, np.split(feats, ends[:-1])))
+
+
+def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
+    """Train one learner (a Rabi/local shape pair) against class features."""
+    return train_learners([(config, shapes)], class_data)[0]
 
 
 def discriminator_accuracy(net: DiscriminatorNet, real, fake) -> float:

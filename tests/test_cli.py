@@ -12,7 +12,7 @@ from rydgan import cli
 from rydgan.cli import main
 from rydgan.config import RunConfig, load_config, render_config
 from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
-from rydgan.errors import DataError
+from rydgan.errors import DataError, RydganError
 from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_batch
 from rydgan.sim import AtomArrangement
 from rydgan.training import Learner, load_learner
@@ -104,9 +104,11 @@ class TestTrain:
         assert "linear-triangle.json" in files
         assert "linear-gaussian.json" in files
         assert "training_log.csv" in files
-        log = open(os.path.join(ldir, "training_log.csv")).read()
-        assert log.startswith("learner,cycle,stage,")
-        assert log.count("\n") == 1 + 2 * 4  # header + 2 learners x 4 stages
+        log = open(os.path.join(ldir, "training_log.csv")).read().splitlines()
+        assert log[0] == ("learner,cycle,stage,nm_iterations,nm_evaluations,"
+                          "nm_stop,gen_loss,disc_loss")
+        assert len(log) == 1 + 2 * 4  # header + 2 learners x 4 stages
+        assert {row.split(",")[5] for row in log[1:]} <= {"tol", "max_iters"}
 
     def test_rerun_is_byte_identical(self, smoke_ini, pipeline_out):
         ldir = os.path.join(pipeline_out, "learners", "class0")
@@ -125,6 +127,21 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "sawtooth" in err and "triangle" in err and "gaussian" in err
+
+    def test_batch_error_names_every_learner_and_exits_4(
+            self, smoke_ini, tmp_path, capsys, monkeypatch):
+        from rydgan import training
+        from rydgan.errors import NumericError
+
+        def stiff(runs, *args):
+            raise NumericError("stiff drive")
+
+        out = str(tmp_path / "stiff")
+        assert main(["fit-pca", "--config", smoke_ini, "--out", out]) == 0
+        monkeypatch.setattr(training, "generate_batch", stiff)
+        assert main(["train", "--config", smoke_ini, "--out", out]) == 4
+        assert ("error: learners linear-triangle, linear-gaussian: stiff drive"
+                in capsys.readouterr().err)
 
     def test_jobs_flag_gives_same_artifacts(self, smoke_ini, pipeline_out,
                                             tmp_path):
@@ -313,6 +330,28 @@ class TestEvaluate:
 
 
 class TestConfigPlumbing:
+    def test_unexpected_exception_is_an_internal_error(self, smoke_ini,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        def broken(config):
+            raise ValueError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_train", broken)
+        assert main(["train", "--config", smoke_ini,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert (capsys.readouterr().err
+                == "error: internal: ValueError: unexpected\n")
+
+    def test_base_error_uses_its_exit_code(self, smoke_ini, tmp_path, capsys,
+                                           monkeypatch):
+        def failing(config):
+            raise RydganError("unclassified")
+
+        monkeypatch.setattr(cli, "cmd_train", failing)
+        assert main(["train", "--config", smoke_ini,
+                     "--out", str(tmp_path / "o")]) == RydganError.exit_code
+        assert capsys.readouterr().err == "error: unclassified\n"
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[quantum]\nqubits = 4\n")

@@ -5,12 +5,13 @@ import pytest
 
 from rydgan.data import fit_pca, scale_features, transform
 from rydgan.discriminator import AdamState, discriminator_step, init_discriminator
-from rydgan.errors import DataError, ValidationError
+from rydgan import training
+from rydgan.errors import DataError, NumericError, ValidationError
 from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_features
 from rydgan.sim import AtomArrangement
 from rydgan.training import (Learner, TrainConfig, discriminator_accuracy,
                              generator_loss, initial_params, layered_train,
-                             load_learner, save_learner)
+                             load_learner, save_learner, train_learners)
 from tests.test_data import synthetic_digits
 
 
@@ -252,3 +253,130 @@ class TestConfigValidation:
         b = Learner("linear", "triangle",
                     initial_params(tiny_config(), np.random.default_rng(0)), 1.0)
         assert a == b
+
+
+GROUP = [(tiny_config(master_seed=seed), shapes) for seed, shapes in
+         ((21, ("linear", "triangle")), (22, ("linear", "gaussian")),
+          (23, ("trapezoid", "sine_bump")))]
+
+
+def rowwise_stub(runs, limits, c6, steps):
+    """Deterministic features in the 2-qubit window, row by row."""
+    rows = []
+    for params, seed, _ in runs:
+        phase = (params.rabi_param + 2.0 * params.local_param
+                 + 3.0 * params.global_detuning_offset
+                 + sum(params.arrangement.couplings)
+                 + 0.1 * params.arrangement.position_array().sum())
+        rows.append(0.25 * np.abs(np.sin(phase + seed * np.arange(1, 5))))
+    return np.array(rows)
+
+
+def saved_bytes(result, tmp_path, name):
+    path = tmp_path / name
+    save_learner(result, str(path))
+    return path.read_bytes()
+
+
+class TestLockStep:
+    def test_group_equals_lone_runs_with_a_rowwise_generator(
+            self, class_data, tmp_path, monkeypatch):
+        monkeypatch.setattr(training, "generate_batch", rowwise_stub)
+        together = train_learners(GROUP, class_data)
+        for i, (config, shapes) in enumerate(GROUP):
+            alone = layered_train(config, class_data, shapes)
+            assert (saved_bytes(together[i], tmp_path, f"g{i}.json")
+                    == saved_bytes(alone, tmp_path, f"a{i}.json"))
+            assert together[i].log == alone.log
+
+    def test_group_matches_lone_nelder_mead_counts(self, class_data):
+        together = train_learners(GROUP, class_data)
+        for result, (config, shapes) in zip(together, GROUP):
+            alone = layered_train(config, class_data, shapes)
+            assert ([(r.nm_iterations, r.nm_evaluations, r.nm_stop)
+                     for r in result.log]
+                    == [(r.nm_iterations, r.nm_evaluations, r.nm_stop)
+                        for r in alone.log])
+            assert result.learner.name == "-".join(shapes)
+
+    def test_group_rerun_is_byte_identical(self, class_data, tmp_path):
+        first, second = (train_learners(GROUP, class_data) for _ in range(2))
+        for i, (a, b) in enumerate(zip(first, second)):
+            assert (saved_bytes(a, tmp_path, f"1-{i}.json")
+                    == saved_bytes(b, tmp_path, f"2-{i}.json"))
+
+    def test_one_generator_call_per_round(self, class_data, monkeypatch):
+        sizes = []
+
+        def counting(runs, *args):
+            sizes.append(len(runs))
+            return rowwise_stub(runs, *args)
+
+        monkeypatch.setattr(training, "generate_batch", counting)
+        lone_calls = []
+        for config, shapes in GROUP:
+            sizes.clear()
+            layered_train(config, class_data, shapes)
+            lone_calls.append(len(sizes))
+        sizes.clear()
+        train_learners(GROUP, class_data)
+        # rounds run until the slowest learner is done
+        assert len(sizes) == max(lone_calls)
+
+    def test_learner_error_names_the_learner(self, class_data):
+        jobs = GROUP[:1] + [(tiny_config(), ("constant", "triangle"))]
+        with pytest.raises(ValidationError, match="learner constant-triangle: "):
+            train_learners(jobs, class_data)
+
+    def test_learner_numeric_error_keeps_its_type(self, class_data,
+                                                  monkeypatch):
+        def nan_for_gaussian(runs, *args):
+            feats = rowwise_stub(runs, *args)
+            feats[[p.local_shape == "gaussian" for p, _, _ in runs]] = np.nan
+            return feats
+
+        monkeypatch.setattr(training, "generate_batch", nan_for_gaussian)
+        with pytest.raises(NumericError,
+                           match="^learner linear-gaussian: non-finite"):
+            train_learners(GROUP, class_data)
+
+    def test_batch_error_names_every_learner_of_the_round(self, class_data,
+                                                         monkeypatch):
+        calls = []
+
+        def failing(runs, *args):
+            calls.append(len(runs))
+            if len(calls) == 2:
+                raise NumericError("stiff")
+            return rowwise_stub(runs, *args)
+
+        monkeypatch.setattr(training, "generate_batch", failing)
+        with pytest.raises(NumericError) as info:
+            train_learners(GROUP, class_data)
+        assert str(info.value) == ("learners linear-triangle, linear-gaussian, "
+                                   "trapezoid-sine_bump: stiff")
+
+    def test_mismatched_generation_settings_rejected(self, class_data):
+        jobs = GROUP[:1] + [(tiny_config(steps_per_us=151), ("linear", "gaussian"))]
+        with pytest.raises(ValidationError, match="share"):
+            train_learners(jobs, class_data)
+        with pytest.raises(ValidationError, match="share"):
+            train_learners([], class_data)
+
+
+class TestStopReason:
+    def test_log_records_why_nelder_mead_stopped(self, class_data):
+        result = layered_train(tiny_config(nm_iters=200, nm_tol=1e-1),
+                               class_data, ("linear", "triangle"))
+        assert {row.nm_stop for row in result.log} <= {"tol", "max_iters"}
+        assert "tol" in {row.nm_stop for row in result.log}
+        capped = layered_train(tiny_config(nm_iters=2, nm_tol=0.0), class_data,
+                               ("linear", "triangle"))
+        assert {row.nm_stop for row in capped.log} == {"max_iters"}
+
+    def test_log_without_stop_reason_still_loads(self, learner_text, tmp_path):
+        doc = json.loads(learner_text)
+        assert {row.pop("nm_stop") for row in doc["log"]} <= {"tol", "max_iters"}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert {row.nm_stop for row in load_learner(str(path)).log} == {"unknown"}
