@@ -23,11 +23,10 @@ from .discriminator import (AdamState, DiscriminatorNet, adam_update,
                             bce_gradients, bce_loss, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .neldermead import NMResult, nelder_mead, nelder_mead_steps
-from .training import (Learner, TrainConfig, TrainingResult, generator_loss,
-                       layered_train, load_learner, save_learner,
-                       train_learners)
-from .metrics import (Ensemble, GaussianSummary, SelectionResult,
-                      batch_features, fid, fid_images, greedy_select,
-                      summarize, variation_cdf, variation_scores)
+from .training import (Learner, TrainConfig, TrainingResult, layered_train,
+                       load_learner, save_learner, train_learners)
+from .metrics import (GaussianSummary, SelectionResult, fid, fid_images,
+                      greedy_select, summarize, variation_cdf,
+                      variation_scores)
 
 __version__ = "0.1.0"

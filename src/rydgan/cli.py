@@ -3,6 +3,9 @@
 Every command validates its full configuration before doing any work,
 echoes the effective configuration into the output directory, writes all
 artifacts atomically, and is byte-reproducible for a fixed master seed.
+`select` and `generate` each simulate all their runs (every learner or
+member at every seed) in one `generate_batch` call; `greedy_select` only
+scores the resulting features.
 
 Exit codes: 0 success, 1 internal error, 2 config/validation, 3
 data/format, 4 numeric.
@@ -130,6 +133,12 @@ def _load_learner_files(config: RunConfig, cls: int):
     return paths, [load_learner(p) for p in paths]
 
 
+def _features(config: RunConfig, runs) -> np.ndarray:
+    """Features of (params, seed, mode) runs from one generate_batch call."""
+    return generate_batch(runs, config.limits(), config.c6,
+                          config.train_config().steps)
+
+
 def cmd_select(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
@@ -139,25 +148,26 @@ def cmd_select(config: RunConfig) -> int:
     learners = [r.learner for r in results]
     seeds = draw_seeds(np.random.default_rng(config.master_seed),
                        config.fid_batch)
-    limits = config.limits()
-    selection = greedy_select(learners, val, seeds, model, EXACT,
-                              limits=limits, c6=config.c6,
-                              steps=config.train_config().steps)
+    # every learner at every seed in one batch: (L, fid_batch, 2^n)
+    features = _features(config, [(l.params, s, EXACT)
+                                  for l in learners for s in seeds])
+    selection = greedy_select(
+        features.reshape(len(learners), len(seeds), -1), val, model)
+    members = selection.member_indices
     manifest = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_VERSION,
         "class": cls,
-        "member_files": [os.path.basename(paths[i])
-                         for i in selection.member_indices],
-        "member_names": [m.name for m in selection.ensemble.members],
-        "validation_fid": selection.ensemble.validation_fid,
+        "member_files": [os.path.basename(paths[i]) for i in members],
+        "member_names": [learners[i].name for i in members],
+        "validation_fid": selection.fid_trail[-1],
         "fid_trail": list(selection.fid_trail),
         "singleton_fids": list(selection.singleton_fids),
         "master_seed": config.master_seed,
         "fid_batch": config.fid_batch,
     }
     dp.atomic_write_json(_ensemble_path(config, cls), manifest)
-    print(f"selected {len(selection.ensemble.members)} member(s) for class "
+    print(f"selected {len(members)} member(s) for class "
           f"{cls}: {', '.join(manifest['member_names'])}")
     print("validation FID trail: "
           + " -> ".join(f"{v:.4f}" for v in selection.fid_trail))
@@ -210,10 +220,8 @@ def _generate_images(config: RunConfig, members, model: dp.PcaModel,
     seeds = draw_seeds(np.random.default_rng(config.master_seed), count)
     runs = [(m.params, seed, _member_mode(config, mode_name, i, j))
             for i, seed in enumerate(seeds) for j, m in enumerate(members)]
-    features = generate_batch(runs, config.limits(), config.c6,
-                              config.train_config().steps)
-    features = features.reshape(count, len(members), -1).mean(axis=1)
-    weights = dp.unscale_features(model, features)
+    features = _features(config, runs).reshape(count, len(members), -1)
+    weights = dp.unscale_features(model, features.mean(axis=1))
     return dp.inverse_transform(model, weights).reshape(count, 28, 28)
 
 

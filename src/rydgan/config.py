@@ -99,9 +99,12 @@ class RunConfig:
                     raise ValidationError(
                         f"{group}: unknown or illegal shape {s!r}; valid: "
                         f"{', '.join(TRAINABLE_SHAPES)}")
-        for name in ("shots", "fid_batch", "jobs", "count"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # an image batch needs 2 images for its FID covariance
+        for name, least in (("shots", 1), ("fid_batch", 2), ("jobs", 1),
+                            ("count", 2)):
+            if getattr(self, name) < least:
+                raise ValidationError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def _shared(self, owner) -> dict:
         """Values of the fields this config shares by name with owner."""

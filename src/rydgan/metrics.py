@@ -16,20 +16,19 @@ cancel exactly).
 
 Variation of one image against its batch is the summed squared per-pixel
 deviation from the batch-mean image.
+
+Selection is a pure function of feature batches the caller has already
+generated; the commands generate them, so this module runs no simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ImageSet, PcaModel, inverse_transform, unscale_features
 from .errors import DataError, ValidationError
-from .generator import EXACT, generate_batch
-from .pulses import DEFAULT_LIMITS, PulseLimits
-from .sim import C6_DEFAULT
-from .training import Learner
 
 IMAGE_FID_JITTER = 1e-6
 
@@ -150,86 +149,45 @@ def variation_cdf(scores):
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    """Greedily selected learners; inference averages their feature outputs."""
-
-    members: tuple
-    validation_fid: float
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise ValidationError("ensemble must have at least one member")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if members[i] == members[j]:
-                    raise ValidationError("ensemble members must be distinct")
-        object.__setattr__(self, "members", members)
-
-
-@dataclass(frozen=True)
 class SelectionResult:
-    ensemble: Ensemble
-    member_indices: tuple    # positions in the input learner list, in pick order
+    member_indices: tuple    # learner positions in pick order
     fid_trail: tuple         # validation FID after each accepted member
-    singleton_fids: tuple    # FID of each input learner alone
+    singleton_fids: tuple    # FID of each learner alone
 
 
-def batch_features(learner: Learner, seeds, mode=EXACT,
-                   limits: PulseLimits = DEFAULT_LIMITS,
-                   c6: float = C6_DEFAULT, steps: int | None = None) -> np.ndarray:
-    """(len(seeds), 2^n) feature outputs of one learner."""
-    return generate_batch([(learner.params, s, mode) for s in seeds],
-                          limits, c6, steps)
-
-
-def _batch_to_images(feature_batch: np.ndarray, pca: PcaModel) -> np.ndarray:
-    weights = unscale_features(pca, feature_batch)
-    return inverse_transform(pca, weights)
-
-
-def greedy_select(learners, val_images: ImageSet, batch_seeds, pca: PcaModel,
-                  mode=EXACT, feature_batches=None,
-                  jitter: float = IMAGE_FID_JITTER,
-                  limits: PulseLimits = DEFAULT_LIMITS,
-                  c6: float = C6_DEFAULT,
-                  steps: int | None = None) -> SelectionResult:
+def greedy_select(feature_batches, val_images: ImageSet, pca: PcaModel,
+                  jitter: float = IMAGE_FID_JITTER) -> SelectionResult:
     """Greedy forward selection of an ensemble by validation FID.
 
-    Seeds the ensemble with the single lowest-FID learner, then keeps
-    adding whichever remaining learner most lowers the FID of the
-    averaged output, stopping when no addition strictly improves it.
-    Ties break toward the earlier learner in the input order.
-
-    feature_batches, when given, must hold each learner's precomputed
-    (len(batch_seeds), 2^n) outputs and skips generation.
+    feature_batches is an (L, S, 2^n) array: the features of L learners
+    at the same S seeds. Seeds the ensemble with the single lowest-FID
+    learner, then keeps adding whichever remaining learner most lowers
+    the FID of the averaged output, stopping when no addition strictly
+    improves it. Ties break toward the earlier learner. The ensemble's
+    validation FID is fid_trail[-1].
     """
-    learners = list(learners)
-    if not learners:
-        raise ValidationError("need at least one learner to select from")
+    batches = np.asarray(feature_batches, dtype=float)
+    if batches.ndim != 3 or batches.shape[0] < 1 or batches.shape[1] < 2:
+        raise ValidationError(
+            "feature batches must have shape (L >= 1 learners, S >= 2 seeds, "
+            f"2^n), got {batches.shape}")
     if len(val_images) < 2:
         raise DataError("validation set must hold at least 2 images")
-    if feature_batches is None:
-        feature_batches = [batch_features(l, batch_seeds, mode, limits, c6, steps)
-                           for l in learners]
-    batches = np.stack([np.asarray(b, dtype=float) for b in feature_batches])
-    if batches.shape[0] != len(learners):
-        raise ValidationError(
-            f"{batches.shape[0]} feature batches for {len(learners)} learners")
     val_flat = val_images.flat()
 
     def fid_of(indices) -> float:
         avg = batches[list(indices)].mean(axis=0)
-        return fid_images(val_flat, _batch_to_images(avg, pca), jitter=jitter)
+        images = inverse_transform(pca, unscale_features(pca, avg))
+        return fid_images(val_flat, images, jitter=jitter)
 
-    singles = [fid_of([i]) for i in range(len(learners))]
+    singles = [fid_of([i]) for i in range(len(batches))]
     best = int(np.argmin(singles))
     members = [best]
     val_fid = singles[best]
     trail = [val_fid]
     while True:
         next_learner = None
-        for i in range(len(learners)):
+        for i in range(len(batches)):
             if i in members:
                 continue
             trial_fid = fid_of(members + [i])
@@ -240,8 +198,4 @@ def greedy_select(learners, val_images: ImageSet, batch_seeds, pca: PcaModel,
             break
         members.append(next_learner)
         trail.append(val_fid)
-
-    picked = tuple(replace(learners[i], validation_fid=singles[i])
-                   for i in members)
-    return SelectionResult(Ensemble(picked, val_fid), tuple(members),
-                           tuple(trail), tuple(singles))
+    return SelectionResult(tuple(members), tuple(trail), tuple(singles))

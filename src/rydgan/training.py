@@ -30,7 +30,7 @@ from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                         TRAINABLE_SHAPES, GeneratorParams, draw_seeds,
                         generate_batch)
 from .neldermead import nelder_mead_steps
-from .pulses import DEFAULT_LIMITS, PulseLimits
+from .pulses import PulseLimits
 from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, default_steps
 
 STAGES = tuple(GROUPS)
@@ -134,18 +134,6 @@ def _mean_loss(net: DiscriminatorNet, feats) -> float:
     return float(np.mean(-np.log(discriminator_forward(net, feats))))
 
 
-def generator_loss(params: GeneratorParams, net: DiscriminatorNet, seeds,
-                   steps: int | None = None,
-                   limits: PulseLimits = DEFAULT_LIMITS,
-                   c6: float = C6_DEFAULT) -> float:
-    """Mean over seeds of -log D(G(seed)): low when the net is fooled."""
-    seeds = np.asarray(seeds, dtype=float)
-    if seeds.size == 0:
-        raise ValidationError("seed batch must be nonempty")
-    return _mean_loss(net, generate_batch([(params, s, EXACT) for s in seeds],
-                                          limits, c6, steps))
-
-
 def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorParams:
     """Weakly driven starting point: jittered grid, mid-range couplings.
 
@@ -201,9 +189,6 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
 
             # (b) generator block: Nelder-Mead on this stage's parameters
             stage_seeds = draw_seeds(rng, config.seed_batch)
-            if initial_loss is None:
-                initial_loss = _mean_loss(
-                    net, (yield [(params, s) for s in stage_seeds]))
             x0, bounds = params.groups(config.limits, config.field_size)[stage]
             steps = nelder_mead_steps(x0, bounds, config.nm_iters, config.nm_tol)
             try:
@@ -217,9 +202,12 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
                             if not gap > 0 for s in stage_seeds]
                     rows = (iter((yield runs).reshape(-1, config.seed_batch, k))
                             if runs else None)
-                    points = steps.send([
-                        _GEOMETRY_PENALTY + 100.0 * gap if gap > 0
-                        else _mean_loss(net, next(rows)) for gap in gaps])
+                    values = [_GEOMETRY_PENALTY + 100.0 * gap if gap > 0
+                              else _mean_loss(net, next(rows)) for gap in gaps]
+                    # x0 of the first simplex is the untrained params
+                    if initial_loss is None:
+                        initial_loss = values[0]
+                    points = steps.send(values)
             except StopIteration as stop:
                 result = stop.value
             # the best value never rises above that of x0, which is legal
@@ -282,14 +270,6 @@ def train_learners(jobs, class_data) -> list:
 def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
     """Train one learner (a Rabi/local shape pair) against class features."""
     return train_learners([(config, shapes)], class_data)[0]
-
-
-def discriminator_accuracy(net: DiscriminatorNet, real, fake) -> float:
-    """Fraction of samples classified correctly at the 0.5 threshold."""
-    pr = np.atleast_1d(discriminator_forward(net, real))
-    pf = np.atleast_1d(discriminator_forward(net, fake))
-    correct = (pr > 0.5).sum() + (pf <= 0.5).sum()
-    return float(correct) / (pr.size + pf.size)
 
 
 LEARNER_FORMAT = "rydgan-learner"

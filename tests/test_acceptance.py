@@ -19,8 +19,8 @@ import pytest
 
 from rydgan.data import fit_pca, scale_features, transform, unscale_features
 from rydgan.discriminator import bce_gradients, bce_loss, init_discriminator
-from rydgan.generator import (ErrorModel, GeneratorParams, draw_seeds,
-                              modulo_encode, perturb_params)
+from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, draw_seeds,
+                              generate_batch, modulo_encode, perturb_params)
 from rydgan.metrics import (GaussianSummary, fid, greedy_select,
                             variation_scores)
 from rydgan.sim import (AtomArrangement, evolve, ground_state,
@@ -117,7 +117,7 @@ def test_variation_oracle():
 
 
 def test_greedy_selection_matches_exhaustive_oracle():
-    from tests.test_metrics import TestGreedySelect, fake_learner
+    from tests.test_metrics import TestGreedySelect
     digits = synthetic_digits(np.random.default_rng(6), 60)
     pca = fit_pca(digits, 4)
     val = synthetic_digits(np.random.default_rng(7), 12)
@@ -128,12 +128,10 @@ def test_greedy_selection_matches_exhaustive_oracle():
         pool = int(rng.integers(1, 5))
         batches = np.clip(scaled.mean(axis=0)
                           + rng.normal(0, 0.25 / 4, (pool, 6, 4)), 1e-6, 0.25)
-        learners = [fake_learner(i) for i in range(pool)]
-        result = greedy_select(learners, val, np.full(6, 0.5), pca,
-                               feature_batches=batches)
+        result = greedy_select(batches, val, pca)
         members, best_fid = oracle(batches, val, pca)
         assert list(result.member_indices) == members, f"pool {trial}"
-        assert result.ensemble.validation_fid == pytest.approx(best_fid)
+        assert result.fid_trail[-1] == pytest.approx(best_fid)
     report("greedy selection vs exhaustive forward-selection oracle")
 
 
@@ -224,20 +222,21 @@ def _smoke_seed_run(master_seed: int, features, val, pca) -> tuple:
                          master_seed=master_seed)
     fid_seeds = draw_seeds(np.random.default_rng(master_seed + 1000), 24)
 
-    from rydgan.training import Learner
-    untrained = []
-    for pair in pairs:
-        rng = np.random.default_rng(master_seed)
-        params = replace(initial_params(config, rng),
-                         rabi_shape=pair[0], local_shape=pair[1])
-        untrained.append(Learner(pair[0], pair[1], params, float("nan")))
-    before = greedy_select(untrained, val, fid_seeds, pca,
-                           steps=config.steps).ensemble.validation_fid
+    def ensemble_fid(pool) -> float:
+        """Validation FID of the greedy ensemble over a pool of params."""
+        runs = [(params, s, EXACT) for params in pool for s in fid_seeds]
+        batches = generate_batch(runs, steps=config.steps)
+        return greedy_select(batches.reshape(len(pool), len(fid_seeds), -1),
+                             val, pca).fid_trail[-1]
 
-    trained = [layered_train(config, features, pair).learner for pair in pairs]
-    after = greedy_select(trained, val, fid_seeds, pca,
-                          steps=config.steps).ensemble.validation_fid
-    return before, after
+    untrained = []
+    for rabi_shape, local_shape in pairs:
+        params = initial_params(config, np.random.default_rng(master_seed))
+        untrained.append(replace(params, rabi_shape=rabi_shape,
+                                 local_shape=local_shape))
+    trained = [layered_train(config, features, pair).learner.params
+               for pair in pairs]
+    return ensemble_fid(untrained), ensemble_fid(trained)
 
 
 def test_end_to_end_smoke_training():

@@ -14,6 +14,7 @@ from rydgan.config import RunConfig, load_config, render_config
 from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
 from rydgan.errors import DataError, RydganError
 from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_batch
+from rydgan.metrics import greedy_select
 from rydgan.sim import AtomArrangement
 from rydgan.training import Learner, load_learner
 from tests.test_data import synthetic_digits
@@ -196,6 +197,49 @@ class TestSelect:
         code = main(["select", "--config", smoke_ini, "--out", out])
         assert code == 3
         assert "broken.json" in capsys.readouterr().err
+
+
+    def test_one_generation_call_scores_every_learner(self, smoke_ini,
+                                                      tmp_path, monkeypatch):
+        from tests.test_training import rowwise_stub
+        cfg = tmp_path / "three.ini"
+        cfg.write_text(open(smoke_ini).read().replace(
+            "local_shapes = triangle,gaussian",
+            "local_shapes = triangle,gaussian,sine_bump"))
+        out = str(tmp_path / "out")
+        for cmd in ("fit-pca", "train"):
+            assert main([cmd, "--config", str(cfg), "--out", out]) == 0
+        calls = []
+
+        def counting(runs, limits, c6, steps):
+            calls.append(runs)
+            return rowwise_stub(runs, limits, c6, steps)
+
+        monkeypatch.setattr(cli, "generate_batch", counting)
+        assert main(["select", "--config", str(cfg), "--out", out]) == 0
+        config = load_config(str(cfg), {"out_dir": out})
+        assert [len(runs) for runs in calls] == [3 * config.fid_batch]
+
+        paths, results = cli._load_learner_files(config, 0)
+        seeds = draw_seeds(np.random.default_rng(config.master_seed),
+                           config.fid_batch)
+        runs = [(r.learner.params, s, EXACT) for r in results for s in seeds]
+        batches = rowwise_stub(runs, None, None, None).reshape(3, len(seeds), -1)
+        _, val = cli._load_class_split(config, 0)
+        expected = greedy_select(batches, val, cli._require_pca(config, 0))
+        doc = json.loads(open(os.path.join(out, "ensemble_class0.json")).read())
+        members = expected.member_indices
+        assert doc == {
+            "format": "rydgan-ensemble", "version": 1, "class": 0,
+            "member_files": [os.path.basename(paths[i]) for i in members],
+            "member_names": [results[i].learner.name for i in members],
+            "validation_fid": expected.fid_trail[-1],
+            "fid_trail": list(expected.fid_trail),
+            "singleton_fids": list(expected.singleton_fids),
+            "master_seed": config.master_seed, "fid_batch": config.fid_batch}
+        assert list(doc) == ["format", "version", "class", "member_files",
+                             "member_names", "validation_fid", "fid_trail",
+                             "singleton_fids", "master_seed", "fid_batch"]
 
 
 class TestGenerate:
@@ -394,6 +438,21 @@ class TestConfigPlumbing:
         assert main(["fit-pca", "--config", str(cfg), "--out", str(out)]) == 2
         # the TrainConfig field is the key without its unit suffix
         assert key.removesuffix("_um") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, flags, line", [
+        ("generate", "count", ["--count", "1"], "fid_batch = 8"),
+        ("select", "fid_batch", [], "fid_batch = 1")])
+    def test_one_image_batch_fails_before_work(self, smoke_ini, tmp_path,
+                                               capsys, command, key, flags,
+                                               line):
+        # an FID needs two images per batch
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(open(smoke_ini).read().replace("fid_batch = 8", line))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]
+                    + flags) == 2
+        assert f"{key} must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
 

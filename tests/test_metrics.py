@@ -3,10 +3,8 @@ import pytest
 
 from rydgan.data import fit_pca, scale_features, transform
 from rydgan.errors import ValidationError
-from rydgan.metrics import (Ensemble, GaussianSummary, fid, fid_images,
-                            greedy_select, summarize, variation_cdf,
-                            variation_scores)
-from rydgan.training import Learner
+from rydgan.metrics import (GaussianSummary, fid, fid_images, greedy_select,
+                            summarize, variation_cdf, variation_scores)
 from tests.test_data import synthetic_digits
 
 
@@ -190,26 +188,6 @@ class TestVariationCdf:
             variation_cdf([])
 
 
-def fake_learner(tag):
-    """Distinct Learner stubs; params never used when batches are supplied."""
-    from rydgan.generator import GeneratorParams
-    from rydgan.sim import AtomArrangement
-    arrangement = AtomArrangement(((6.0, 6.0), (6.0 + tag, 6.0)), (0.5, 0.5))
-    params = GeneratorParams(arrangement, "linear", 1.0, "triangle", -1.0, 0.0)
-    return Learner("linear", "triangle", params, final_loss=float(tag))
-
-
-class TestEnsembleGenerate:
-    def test_duplicate_members_rejected(self):
-        learner = fake_learner(5)
-        with pytest.raises(ValidationError):
-            Ensemble((learner, learner), validation_fid=0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            Ensemble((), validation_fid=0.0)
-
-
 @pytest.fixture(scope="module")
 def pca():
     return fit_pca(synthetic_digits(np.random.default_rng(20), 60), 4)
@@ -255,17 +233,14 @@ class TestGreedySelect:
             batches = np.clip(
                 scaled.mean(axis=0) + rng.normal(0, 0.25 / 4, (pool, n_seeds, 4)),
                 1e-6, 0.25)
-            learners = [fake_learner(i) for i in range(pool)]
-            result = greedy_select(learners, val, np.full(n_seeds, 0.5), pca,
-                                   feature_batches=batches)
+            result = greedy_select(batches, val, pca)
             oracle_members, oracle_fid = self._oracle(batches, val, pca)
             assert list(result.member_indices) == oracle_members, f"trial {trial}"
-            assert result.ensemble.validation_fid == pytest.approx(oracle_fid)
+            assert result.fid_trail[-1] == pytest.approx(oracle_fid)
 
     def test_single_learner_pool(self, pca, val):
         batches = np.full((1, 5, 4), 0.1)
-        result = greedy_select([fake_learner(0)], val, np.full(5, 0.5), pca,
-                               feature_batches=batches)
+        result = greedy_select(batches, val, pca)
         assert result.member_indices == (0,)
         assert len(result.fid_trail) == 1
 
@@ -276,9 +251,7 @@ class TestGreedySelect:
                        + np.random.default_rng(23).normal(0, 0.01, (8, 4)),
                        1e-6, 0.25)
         bad = np.full((8, 4), 1e-6)
-        result = greedy_select([fake_learner(0), fake_learner(1)], val,
-                               np.full(8, 0.5), pca,
-                               feature_batches=np.stack([good, bad]))
+        result = greedy_select(np.stack([good, bad]), val, pca)
         assert result.member_indices == (0,)
 
     def test_fid_trail_strictly_decreasing(self, pca, val):
@@ -286,19 +259,40 @@ class TestGreedySelect:
         scaled = scale_features(pca, transform(pca, val.flat()))
         batches = np.clip(scaled.mean(axis=0)
                           + rng.normal(0, 0.06, (4, 6, 4)), 1e-6, 0.25)
-        result = greedy_select([fake_learner(i) for i in range(4)], val,
-                               np.full(6, 0.5), pca, feature_batches=batches)
+        result = greedy_select(batches, val, pca)
         trail = result.fid_trail
         assert all(a > b for a, b in zip(trail, trail[1:]))
 
     def test_members_get_singleton_fids(self, pca, val):
         batches = np.full((2, 5, 4), 0.1)
         batches[1] += 0.01
-        result = greedy_select([fake_learner(0), fake_learner(1)], val,
-                               np.full(5, 0.5), pca, feature_batches=batches)
-        for member in result.ensemble.members:
-            assert member.validation_fid is not None
+        result = greedy_select(batches, val, pca)
+        assert len(result.singleton_fids) == 2
+        assert np.isfinite(result.singleton_fids).all()
+        assert result.fid_trail[0] == min(result.singleton_fids)
 
     def test_empty_pool_rejected(self, pca, val):
         with pytest.raises(ValidationError):
-            greedy_select([], val, np.full(5, 0.5), pca)
+            greedy_select(np.empty((0, 5, 4)), val, pca)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 1, 4), (1, 2, 5, 4)],
+                             ids=["2-d", "one-seed", "4-d"])
+    def test_misshapen_batches_rejected(self, pca, val, shape):
+        with pytest.raises(ValidationError, match="shape"):
+            greedy_select(np.full(shape, 0.1), val, pca)
+
+
+def test_metrics_imports_no_generation_layer():
+    """Selection only scores features: metrics imports data and errors only."""
+    import ast
+    import rydgan.metrics
+    with open(rydgan.metrics.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert local == {"data", "errors"}
+    assert not any(name.startswith("rydgan") for name in absolute)
