@@ -7,9 +7,8 @@ Frechet distance on reconstructed images.
 """
 
 from .errors import DataError, NumericError, RydganError, ValidationError
-from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec, QuantumState,
-                  build_hamiltonian, evolve, evolve_batch, ground_state,
-                  interaction_strength, probabilities, sample_shots)
+from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
+                  build_hamiltonian, evolve, interaction_strength)
 from .pulses import (DEFAULT_LIMITS, PulseLimits, PulseProgram, SHAPES,
                      discretize, evaluate, validate)
 from .generator import (ErrorModel, EXACT, ExactMode, GeneratorParams,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import data as dp
-from .config import MODES, RunConfig, load_config, render_config
+from .config import MODES, RunConfig, check_class, load_config, render_config
 from .errors import DataError, RydganError, ValidationError
 from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
 from .metrics import fid_images, greedy_select, variation_scores
@@ -124,13 +124,23 @@ def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
     return dp.load_pca(path)
 
 
+def _load_run_learner(config: RunConfig, path: str):
+    """A learner file's training result; it must match the run's qubit count."""
+    result = load_learner(path)
+    if result.config.n_qubits != config.n_qubits:
+        raise DataError(
+            f"{path}: field config.n_qubits: a {result.config.n_qubits}-qubit "
+            f"learner, but this run has n_qubits = {config.n_qubits}")
+    return result
+
+
 def _load_learner_files(config: RunConfig, cls: int):
     pattern = os.path.join(_learners_dir(config, cls), "*.json")
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise ValidationError(
             f"no learner files match {pattern}; run train first")
-    return paths, [load_learner(p) for p in paths]
+    return paths, [_load_run_learner(config, p) for p in paths]
 
 
 def _features(config: RunConfig, runs) -> np.ndarray:
@@ -184,17 +194,9 @@ def _load_ensemble_members(config: RunConfig, cls: int):
             or not all(isinstance(name, str) and name for name in names)):
         raise DataError(f"{path}: field member_files must be a nonempty list "
                         f"of learner file names, got {names!r}")
-    members = []
-    for name in names:
-        member_path = os.path.join(_learners_dir(config, cls), name)
-        result = load_learner(member_path)
-        if result.config.n_qubits != config.n_qubits:
-            raise DataError(
-                f"{member_path}: field config.n_qubits: a "
-                f"{result.config.n_qubits}-qubit learner, but this run has "
-                f"n_qubits = {config.n_qubits}")
-        members.append(result.learner)
-    return manifest, members
+    return manifest, [_load_run_learner(
+        config, os.path.join(_learners_dir(config, cls), name)).learner
+        for name in names]
 
 
 def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
@@ -335,6 +337,8 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f"--class must be an integer or comma list, "
                     f"got {args.digit_class!r}")
+            for cls in classes:
+                check_class(cls)
             digit_class = classes[0] if classes else None
         overrides = {"digit_class": digit_class,
                      "master_seed": args.master_seed,

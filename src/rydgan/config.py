@@ -22,6 +22,12 @@ from .training import TrainConfig
 MODES = ("ideal", "noisy", "shots")
 
 
+def check_class(cls: int):
+    """Raise ValidationError unless cls is a digit class, 0 to 9."""
+    if not 0 <= cls <= 9:
+        raise ValidationError(f"class must be in [0, 9], got {cls}")
+
+
 def _key(section: str, default):
     """One INI key: a RunConfig field that knows its section."""
     return field(default=default, metadata={"section": section})
@@ -82,8 +88,7 @@ class RunConfig:
             raise ValidationError(
                 f"2^n_qubits = {1 << self.n_qubits} PCA components exceed "
                 "the 784 pixels per image")
-        if not 0 <= self.digit_class <= 9:
-            raise ValidationError(f"class must be in [0, 9], got {self.digit_class}")
+        check_class(self.digit_class)
         if not 0.0 < self.val_fraction < 1.0:
             raise ValidationError(
                 f"val_fraction must be in (0, 1), got {self.val_fraction}")

@@ -5,8 +5,9 @@ injected into both (a single scalar in [0.1, 1] shared by the pair, scaled
 to each drive's full range), evolves the ground state under the resulting
 Hamiltonian, and maps the outcome probabilities to features with a modulo
 operation so each feature can take any value in (0, 1/2^n] independently
-of the others. `generate_batch` runs many (params, seed, mode) triples as
-one batched evolution; `generate_features` is its one-run form.
+of the others. `generate_batch`, the one generation path, evolves many
+(params, seed, mode) runs in one `sim.evolve` call and reads out the whole
+block; `generate_features` is a one-run `generate_batch`.
 `GeneratorParams` declares the hardware envelope once: its trainable groups
 and their boxes serve both `validate` and the Nelder-Mead stages of training.
 """
@@ -17,11 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError, check_finite
 from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits, PulseProgram
-from .sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec, QuantumState,
-                  evolve, evolve_batch, ground_state, probabilities,
-                  sample_shots)
+from .sim import (AtomArrangement, C6_DEFAULT, NORM_TOL, HamiltonianSpec,
+                  evolve)
 
 SEED_LO, SEED_HI = 0.1, 1.0
 # default geometry in um: minimum atom spacing, side of the square field
@@ -137,6 +137,7 @@ class ErrorModel:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("detuning_sigma", "rabi_rel_sigma", "position_sigma"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -153,6 +154,10 @@ class ShotsMode:
 
     shots: int = 1000
     rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.shots < 1:
+            raise ValidationError(f"shots must be >= 1, got {self.shots}")
 
 
 @dataclass(frozen=True)
@@ -192,21 +197,25 @@ def build_spec(params: GeneratorParams, seed: float,
 
 
 def modulo_encode(probs) -> np.ndarray:
-    """Map probabilities to features f_i = p_i mod 1/2^n, upper-closed.
+    """Map probabilities (..., 2^n) to features f_i = p_i mod 1/2^n, upper-closed.
 
     A remainder of exactly zero with p_i > 0 wraps to the interval top
     1/2^n; p_i = 0 (possible only for degenerate, dynamics-free runs) maps
-    to 0.
+    to 0. Every row must be a probability vector.
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or len(p) < 2 or (len(p) & (len(p) - 1)) != 0:
+    dim = p.shape[-1] if p.ndim else 0
+    if dim < 2 or (dim & (dim - 1)) != 0:
         raise ValidationError(
-            f"expected a 2^n-length probability vector, got shape {p.shape}")
+            f"expected 2^n-length probability vectors, got shape {p.shape}")
     if (p < 0).any():
         raise ValidationError(f"negative probability: min {p.min()!r}")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValidationError(f"probabilities sum to {p.sum()!r}, expected 1")
-    width = 1.0 / len(p)
+    sums = p.reshape(-1, dim).sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    if bad.size:
+        raise ValidationError(f"probabilities of row {bad[0]} sum to "
+                              f"{sums[bad[0]]!r}, expected 1")
+    width = 1.0 / dim
     r = np.mod(p, width)
     return np.where(r > 0.0, r, np.where(p > 0.0, width, 0.0))
 
@@ -249,27 +258,16 @@ def _plan(params: GeneratorParams, seed: float, mode, limits: PulseLimits,
     return build_spec(params, seed, limits, c6), mode
 
 
-def _readout(state: QuantumState, mode) -> np.ndarray:
-    if isinstance(mode, ShotsMode):
-        p = sample_shots(state, mode.shots, mode.rng_seed) / mode.shots
-    else:
-        p = probabilities(state)
-    return modulo_encode(p)
-
-
 def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
                       limits: PulseLimits = DEFAULT_LIMITS,
                       c6: float = C6_DEFAULT,
                       steps: int | None = None) -> np.ndarray:
-    """Run the analog computation for one seed and encode its features.
+    """Features (2^n,) of one seed: a one-run `generate_batch`.
 
     Deterministic for fixed (params, seed, mode); the stored params are
-    never mutated, noisy runs perturb a per-invocation copy. Same path as
-    a one-run `generate_batch`.
+    never mutated, noisy runs perturb a per-invocation copy.
     """
-    spec, readout = _plan(params, seed, mode, limits, c6)
-    return _readout(evolve(ground_state(params.n_qubits), spec, steps=steps),
-                    readout)
+    return generate_batch([(params, seed, mode)], limits, c6, steps)[0]
 
 
 def generate_batch(runs, limits: PulseLimits = DEFAULT_LIMITS,
@@ -277,18 +275,26 @@ def generate_batch(runs, limits: PulseLimits = DEFAULT_LIMITS,
                    steps: int | None = None) -> np.ndarray:
     """Features (B, 2^n) of many (params, seed, mode) runs, evolved as one batch.
 
-    Row b equals generate_features(*runs[b], limits, c6, steps) up to
-    rounding. Every run must have the same qubit count; batching is what
-    makes generation cheap, so callers pass all the runs they need at once.
+    Probabilities are p = |a|^2 of the final amplitudes, or for a ShotsMode
+    run the frequencies of `shots` measurements drawn from its own RNG.
+    All runs share one qubit count; batching is what makes generation
+    cheap, so callers pass all the runs they need at once.
     """
     plans = [_plan(params, float(seed), mode, limits, c6)
              for params, seed, mode in runs]
     if not plans:
         raise ValidationError("generate_batch needs at least one run")
-    amps = evolve_batch([spec for spec, _ in plans], steps)
-    n = plans[0][0].n_qubits
-    return np.stack([_readout(QuantumState(n, a), readout)
-                     for a, (_, readout) in zip(amps, plans)])
+    probs = np.abs(evolve([spec for spec, _ in plans], steps)) ** 2
+    norms = probs.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+    if bad.size:
+        raise NumericError(f"generator run {bad[0]} lost its norm: "
+                           f"sum |a_k|^2 = {norms[bad[0]]!r}")
+    for p, (_, readout) in zip(probs, plans):
+        if isinstance(readout, ShotsMode):
+            rng = np.random.default_rng(readout.rng_seed)
+            p[:] = rng.multinomial(readout.shots, p / p.sum()) / readout.shots
+    return modulo_encode(probs)
 
 
 def draw_seeds(rng: np.random.Generator, count: int) -> np.ndarray:

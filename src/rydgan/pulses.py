@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 
 SHAPES = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump", "constant")
 KINDS = ("rabi", "local_detuning")
@@ -39,6 +39,7 @@ class PulseLimits:
     global_detuning_abs: float = 125.0    # |trainable global offset| bound, rad/us
 
     def __post_init__(self):
+        check_finite(self)
         if not self.omega_max > 0:
             raise ValidationError("omega_max must be positive")
         if not self.local_detuning_min < 0:

@@ -1,4 +1,4 @@
-"""Rydberg-atom state vectors, Hamiltonian assembly, and time evolution.
+"""Rydberg-atom Hamiltonian assembly and batched time evolution.
 
 The system Hamiltonian over n atoms (hbar = 1, angular frequencies in
 rad/us, distances in um) is
@@ -18,15 +18,16 @@ the order is |gg>, |gr>, |rg>, |rr>.
 
 Time evolution is a fourth-order commutator-free Magnus integrator: two
 exponential factors per step, on a step grid aligned to the pulse
-breakpoints. `evolve_batch` advances many runs at once as the columns of
-one state block; each factor exp(-i dt (a X + diag d)) is a Taylor series
-summed to unit roundoff, applied through real GEMMs with the flip operator
-X = 1/2 sum_i sigma^x_i plus elementwise diagonal products: one GEMM with
-the dense 2^n x 2^n flip matrix up to six qubits, and from seven on two
-GEMMs with its Kronecker factors, X = X_hi (x) I + I (x) X_lo, which costs
-O(2^n (2^h + 2^(n-h))) per term instead of O(4^n). Small blocks form the
-factors as matrices instead. No eigendecomposition is taken. `evolve` is
-the one-run form.
+breakpoints. `evolve`, the one evolution function, advances many runs at
+once as the columns of one state block; states are plain (B, 2^n) complex
+arrays, and measurement is the generator's readout. Each factor
+exp(-i dt (a X + diag d)) is a Taylor series summed to unit roundoff,
+applied through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
+plus elementwise diagonal products: one GEMM with the dense 2^n x 2^n flip
+matrix up to six qubits, and from seven on two GEMMs with its Kronecker
+factors, X = X_hi (x) I + I (x) X_lo, which costs O(2^n (2^h + 2^(n-h)))
+per term instead of O(4^n). Small blocks form the factors as matrices
+instead. No eigendecomposition is taken.
 """
 
 from __future__ import annotations
@@ -43,35 +44,8 @@ from .pulses import PulseProgram, breakpoint_times, evaluate
 C6_DEFAULT = 5_420_503.0  # rad/us * um^6
 MAX_QUBITS = 10
 
-_NORM_TOL = 1e-9
+NORM_TOL = 1e-9             # allowed |sum_k |a_k|^2 - 1| of a state
 _SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Normalized vector of 2^n complex amplitudes over the computational basis."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValidationError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValidationError(
-                f"expected {1 << self.n_qubits} amplitudes, got {amps.shape}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise ValidationError(
-                f"state not normalized: sum |a_k|^2 = {norm_sq!r}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
 
 
 @dataclass(frozen=True)
@@ -149,16 +123,6 @@ class HamiltonianSpec:
     @property
     def duration(self) -> float:
         return self.rabi.duration
-
-
-def ground_state(n_qubits: int) -> QuantumState:
-    """All atoms in |g>: amplitude 1 on basis index 0."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValidationError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return QuantumState(n_qubits, amps)
 
 
 def interaction_strength(s_i, s_j, c6: float = C6_DEFAULT) -> float:
@@ -369,7 +333,7 @@ def _apply_matrices(psi, coef, diag, terms, subs):
 
 
 def _propagate(specs, ends, steps, initial) -> np.ndarray:
-    """evolve_batch on one block of at most _MAX_BLOCK amplitudes."""
+    """evolve on one block of at most _MAX_BLOCK amplitudes."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
     occ = _occupations(n)
@@ -423,30 +387,32 @@ def _propagate(specs, ends, steps, initial) -> np.ndarray:
     return (psi * np.exp(-1j * phase)).T
 
 
-def evolve_batch(specs, steps: int | None = None,
-                 duration: float | None = None, initial=None) -> np.ndarray:
-    """Final amplitudes (B, 2^n) of one evolution per spec, all in one block.
+def evolve(specs, steps: int | None = None, duration: float | None = None,
+           initial=None) -> np.ndarray:
+    """Final amplitudes (B, 2^n) of one Schrodinger evolution per spec.
 
     Row b integrates specs[b] from t = 0 to `duration` (default: that
-    spec's own duration), starting from initial[b] (default: the ground
-    state). Every run keeps its own breakpoint-aligned step grid for the
-    `steps` budget (default 1000 per us) and the same fourth-order
-    commutator-free Magnus factors as a lone `evolve`, so a row does not
-    depend on what else is in the batch beyond rounding. All specs must
-    share one qubit count.
+    spec's own duration), starting from the normalized initial[b]
+    (default: the ground state). Every run keeps its own breakpoint-aligned
+    step grid for the `steps` budget (default 1000 per us) and fourth-order
+    commutator-free Magnus factors (Alvermann & Fehske, J. Comput. Phys.
+    230 (2011) 5930), so a row does not depend on the rest of the batch
+    beyond rounding. All specs share one qubit count in [1, MAX_QUBITS].
 
     Each factor exp(-i dt (a X + diag d)) is applied by its Taylor series,
     summed to unit roundoff with a term count fixed in advance from a norm
-    bound (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488); no
-    eigendecomposition is taken. The norm is preserved to rounding, not
-    exactly.
+    bound (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488). The norm
+    is preserved to rounding, and doubling `steps` moves probabilities by
+    well under 1e-6 at 1000 steps/us even for full-scale drives.
     """
     specs = list(specs)
     if not specs:
-        raise ValidationError("evolve_batch needs at least one spec")
+        raise ValidationError("evolve needs at least one spec")
     n = specs[0].n_qubits
     if any(spec.n_qubits != n for spec in specs):
         raise ValidationError("all specs in one batch must share one qubit count")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     if steps is not None and steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     ends = [spec.duration if duration is None else duration for spec in specs]
@@ -464,43 +430,13 @@ def evolve_batch(specs, steps: int | None = None,
         raise ValidationError(
             f"initial states have shape {initial.shape}, "
             f"expected {(len(specs), dim)}")
+    norms = np.sum(np.abs(initial) ** 2, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+    if bad.size:
+        raise ValidationError(f"initial state {bad[0]} not normalized: "
+                              f"sum |a_k|^2 = {norms[bad[0]]!r}")
     block = max(1, _MAX_BLOCK // dim)
     return np.concatenate([
         _propagate(specs[i:i + block], ends[i:i + block], steps,
                    initial[i:i + block])
         for i in range(0, len(specs), block)])
-
-
-def evolve(initial: QuantumState, spec: HamiltonianSpec,
-           duration: float | None = None, steps: int | None = None) -> QuantumState:
-    """Integrate the Schrodinger equation from t = 0 to t = duration.
-
-    A one-run `evolve_batch`: a fourth-order commutator-free Magnus
-    propagator (Alvermann & Fehske, J. Comput. Phys. 230 (2011) 5930) on a
-    step grid aligned to the pulses' breakpoints, two factors per step
-    built from Hamiltonian samples at the Gauss-Legendre nodes, each
-    factor's exponential summed as a Taylor series to unit roundoff. The
-    norm is kept to rounding at any step count, and doubling `steps`
-    changes final probabilities by well under 1e-6 at the default
-    1000 steps/us even for full-scale drives.
-    """
-    if initial.n_qubits != spec.n_qubits:
-        raise ValidationError(
-            f"state has {initial.n_qubits} qubits but spec has {spec.n_qubits}")
-    amps = evolve_batch([spec], steps, duration, initial.amplitudes[None, :])
-    return QuantumState(initial.n_qubits, amps[0])
-
-
-def probabilities(state: QuantumState) -> np.ndarray:
-    """Measurement probabilities p_k = |a_k|^2."""
-    return np.abs(state.amplitudes) ** 2
-
-
-def sample_shots(state: QuantumState, shots: int, rng_seed: int) -> np.ndarray:
-    """Projective-measurement counts over the basis states, one RNG per call."""
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
-    p = probabilities(state)
-    p = p / p.sum()
-    rng = np.random.default_rng(rng_seed)
-    return rng.multinomial(shots, p)

@@ -17,7 +17,6 @@ costs per call (numpy overhead), hardly per run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
-from .errors import DataError, RydganError, ValidationError
+from .errors import DataError, RydganError, ValidationError, check_finite
 from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                         TRAINABLE_SHAPES, GeneratorParams, draw_seeds,
                         generate_batch)
@@ -64,6 +63,7 @@ class TrainConfig:
     field_size: float = FIELD_SIZE_UM
 
     def __post_init__(self):
+        check_finite(self)
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValidationError(
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
@@ -71,13 +71,11 @@ class TrainConfig:
                      "disc_batch", "seed_batch", "hidden"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("duration", "c6", "adam_eps", "min_spacing", "field_size"):
+        for name in ("duration", "c6", "adam_lr", "adam_eps", "min_spacing",
+                     "field_size"):
             if not getattr(self, name) > 0:
                 raise ValidationError(
                     f"{name} must be positive, got {getattr(self, name)}")
-        if not (math.isfinite(self.adam_lr) and self.adam_lr > 0):
-            raise ValidationError(
-                f"adam_lr must be finite and positive, got {self.adam_lr}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValidationError(

@@ -23,8 +23,7 @@ from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, draw_seeds,
                               generate_batch, modulo_encode, perturb_params)
 from rydgan.metrics import (GaussianSummary, fid, greedy_select,
                             variation_scores)
-from rydgan.sim import (AtomArrangement, evolve, ground_state,
-                        interaction_strength, probabilities)
+from rydgan.sim import AtomArrangement, evolve, interaction_strength
 from rydgan.training import TrainConfig, initial_params, layered_train
 from tests.test_data import synthetic_digits
 from tests.test_metrics import naive_fid, random_summary
@@ -39,7 +38,7 @@ def test_rabi_physics_oracle():
     start = time.perf_counter()
     spec = constant_spec([(0.0, 0.0)], [0.0], omega=np.pi, dlocal=0.0,
                          dglobal=0.0)
-    p = probabilities(evolve(ground_state(1), spec, duration=1.0))
+    p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
     assert abs(p[1] - 1.0) < 1e-6
 
     rng = np.random.default_rng(1)
@@ -48,7 +47,7 @@ def test_rabi_physics_oracle():
         t = rng.uniform(0.1, 2.0)
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=omega, dlocal=0.0,
                              dglobal=0.0, duration=t)
-        p = probabilities(evolve(ground_state(1), spec, duration=t))
+        p = np.abs(evolve([spec], duration=t)[0]) ** 2
         assert abs(p[1] - np.sin(omega * t / 2.0) ** 2) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"Rabi oracle took {elapsed:.2f}s"
@@ -61,12 +60,12 @@ def test_blockade_physics_oracle():
                                                                  abs=5e-4)
     close = constant_spec([(0.0, 0.0), (4.0, 0.0)], [0.0, 0.0],
                           omega=2.5, dlocal=0.0, dglobal=0.0)
-    p_close = probabilities(evolve(ground_state(2), close, duration=1.0))
+    p_close = np.abs(evolve([close], duration=1.0)[0]) ** 2
     assert p_close[3] < 0.05
 
     far = constant_spec([(0.0, 0.0), (30.0, 0.0)], [0.0, 0.0],
                         omega=2.5, dlocal=0.0, dglobal=0.0)
-    p_far = probabilities(evolve(ground_state(2), far, duration=1.0))
+    p_far = np.abs(evolve([far], duration=1.0)[0]) ** 2
     independent = np.sin(2.5 * 1.0 / 2.0) ** 2
     assert abs(p_far[3] - independent ** 2) < 1e-3
     elapsed = time.perf_counter() - start
@@ -78,10 +77,9 @@ def test_unitarity_and_convergence():
     rng = np.random.default_rng(2)
     for _ in range(50):
         spec = random_spec(rng, n=4)
-        out = evolve(ground_state(4), spec, steps=1000)
-        assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-9
-        p1 = probabilities(out)
-        p2 = probabilities(evolve(ground_state(4), spec, steps=2000))
+        p1 = np.abs(evolve([spec], steps=1000)[0]) ** 2
+        assert abs(np.sum(p1) - 1.0) < 1e-9
+        p2 = np.abs(evolve([spec], steps=2000)[0]) ** 2
         assert np.abs(p1 - p2).max() < 1e-6
     report("unitarity and step-halving convergence")
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rydgan import cli
 from rydgan.cli import main
-from rydgan.config import RunConfig, load_config, render_config
+from rydgan.config import RunConfig, _sections, load_config, render_config
 from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
 from rydgan.errors import DataError, RydganError
 from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_batch
@@ -199,6 +199,49 @@ class TestSelect:
         assert "broken.json" in capsys.readouterr().err
 
 
+    def test_learners_of_another_qubit_count_exit_3(self, smoke_ini,
+                                                    pipeline_out, tmp_path,
+                                                    capsys):
+        """fit-pca re-run at n_qubits = 3 over the 2-qubit learners: select
+        exits 3 naming a learner file and the field, and writes no manifest."""
+        out = str(tmp_path / "copy")
+        shutil.copytree(pipeline_out, out)
+        manifest = os.path.join(out, "ensemble_class0.json")
+        os.remove(manifest)
+        cfg = tmp_path / "three.ini"
+        cfg.write_text(open(smoke_ini).read().replace("n_qubits = 2",
+                                                      "n_qubits = 3"))
+        assert main(["fit-pca", "--config", str(cfg), "--out", out]) == 0
+        code = main(["select", "--config", str(cfg), "--out", out])
+        err = capsys.readouterr().err
+        assert code == 3
+        path = os.path.join(out, "learners", "class0", "linear-gaussian.json")
+        assert path in err and "config.n_qubits" in err
+        assert "n_qubits = 3" in err
+        assert not os.path.exists(manifest)
+
+    def test_mixed_qubit_counts_exit_3(self, smoke_ini, pipeline_out,
+                                       tmp_path, capsys):
+        """One 3-qubit learner among the 2-qubit ones: select exits 3 naming
+        it, and writes no manifest."""
+        out = str(tmp_path / "copy")
+        shutil.copytree(pipeline_out, out)
+        manifest = os.path.join(out, "ensemble_class0.json")
+        os.remove(manifest)
+        ldir = os.path.join(out, "learners", "class0")
+        with open(os.path.join(ldir, "linear-triangle.json")) as f:
+            doc = json.load(f)
+        _add_atom(doc)
+        doc["config"]["n_qubits"] = 3
+        path = os.path.join(ldir, "three-qubit.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        code = main(["select", "--config", smoke_ini, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert path in err and "config.n_qubits" in err
+        assert not os.path.exists(manifest)
+
     def test_one_generation_call_scores_every_learner(self, smoke_ini,
                                                       tmp_path, monkeypatch):
         from tests.test_training import rowwise_stub
@@ -372,6 +415,17 @@ class TestEvaluate:
                      "--out", str(tmp_path / "o"), "--class", ""])
         assert code == 2
 
+    @pytest.mark.parametrize("classes, bad", [("0,12", "12"), ("0,-1", "-1")])
+    def test_every_listed_class_is_checked_before_work(self, smoke_ini,
+                                                       tmp_path, capsys,
+                                                       classes, bad):
+        out = tmp_path / "o"
+        code = main(["evaluate", "--config", smoke_ini, "--out", str(out),
+                     "--class", classes])
+        assert code == 2
+        assert f"class must be in [0, 9], got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigPlumbing:
     def test_unexpected_exception_is_an_internal_error(self, smoke_ini,
@@ -427,17 +481,24 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("key, value", [
         ("adam_beta1", "1.0"), ("adam_beta2", "-0.1"), ("adam_eps", "0"),
         ("adam_lr", "nan"), ("nm_tol", "-1"), ("min_spacing_um", "0"),
-        ("field_size_um", "-5")])
+        ("field_size_um", "-5"), ("duration_us", "inf"), ("omega_max", "inf"),
+        ("c6", "inf"), ("field_size_um", "inf"), ("detuning_sigma", "nan"),
+        ("rabi_rel_sigma", "nan"), ("position_sigma", "nan")])
     def test_out_of_range_setting_fails_before_work(self, smoke_ini, tmp_path,
                                                     capsys, key, value):
-        section = "quantum" if key.endswith("_um") else "training"
+        section = next(name for name, keys in _sections().items()
+                       if key in keys)
+        text = open(smoke_ini).read()
+        if f"[{section}]\n" not in text:
+            text += f"\n[{section}]\n"
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(open(smoke_ini).read().replace(
-            f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        cfg.write_text(text.replace(f"[{section}]\n",
+                                    f"[{section}]\n{key} = {value}\n"))
         out = tmp_path / "o"
         assert main(["fit-pca", "--config", str(cfg), "--out", str(out)]) == 2
-        # the TrainConfig field is the key without its unit suffix
-        assert key.removesuffix("_um") in capsys.readouterr().err
+        # the owning class's field is the key without its unit suffix
+        field = key.removesuffix("_um").removesuffix("_us")
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, flags, line", [

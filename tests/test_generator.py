@@ -71,6 +71,26 @@ class TestModuloEncode:
         with pytest.raises(ValidationError):
             modulo_encode(np.full(16, 0.1))
 
+    def test_block_equals_its_rows(self):
+        p = np.random.default_rng(2).dirichlet(np.ones(16), size=(3, 5))
+        block = modulo_encode(p)
+        assert block.shape == (3, 5, 16)
+        for rows, encoded in zip(p, block):
+            for row, f in zip(rows, encoded):
+                assert np.array_equal(f, modulo_encode(row))
+
+    def test_block_checks_every_row(self):
+        p = np.full((4, 16), 1.0 / 16.0)
+        p[2] *= 1.1
+        with pytest.raises(ValidationError, match="row 2"):
+            modulo_encode(p)
+        p = np.full((4, 16), 1.0 / 16.0)
+        p[3, 0], p[3, 1] = -0.01, 0.135
+        with pytest.raises(ValidationError, match="negative"):
+            modulo_encode(p)
+        with pytest.raises(ValidationError):
+            modulo_encode(np.full((4, 12), 1.0 / 12.0))
+
 
 class TestGenerateFeatures:
     def test_zero_drive_gives_degenerate_features(self):

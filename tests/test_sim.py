@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from rydgan import sim
+from rydgan import generator, sim
 from rydgan.errors import NumericError, ValidationError
+from rydgan.generator import EXACT, GeneratorParams, ShotsMode
 from rydgan.pulses import PulseProgram
 from rydgan.sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
-                        QuantumState, _step_grid, build_hamiltonian, evolve,
-                        evolve_batch, ground_state, interaction_strength,
-                        probabilities, sample_shots)
+                        _step_grid, build_hamiltonian, evolve,
+                        interaction_strength)
+
+
+def ground(n):
+    """Amplitudes of the ground state: all atoms in |g>."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    return amps
 
 
 def evolve_eigh(amplitudes, spec, steps, duration=None):
@@ -64,25 +71,32 @@ def random_spec(rng, n=4, duration=1.0):
         global_detuning_offset=rng.uniform(-125.0, 125.0))
 
 
+def assert_default_start_is_ground(n):
+    spec = random_spec(np.random.default_rng(n), n)
+    assert np.array_equal(evolve([spec], steps=20),
+                          evolve([spec], steps=20, initial=[ground(n)]))
+
+
 class TestGroundState:
+    """`evolve` starts from the ground state unless given normalized
+    initial states, for 1 to MAX_QUBITS qubits."""
+
     def test_four_qubits(self):
-        state = ground_state(4)
-        expected = np.zeros(16, dtype=complex)
-        expected[0] = 1.0
-        assert np.array_equal(state.amplitudes, expected)
+        assert_default_start_is_ground(4)
 
     def test_one_qubit(self):
-        assert np.array_equal(ground_state(1).amplitudes, [1.0, 0.0])
+        assert_default_start_is_ground(1)
 
     def test_cap(self):
-        with pytest.raises(ValidationError):
-            ground_state(11)
-        with pytest.raises(ValidationError):
-            ground_state(0)
+        spec = constant_spec([(6.0 * i, 0.0) for i in range(11)], [0.5] * 11,
+                             omega=1.0, dlocal=0.0, dglobal=0.0)
+        with pytest.raises(ValidationError, match="n_qubits"):
+            evolve([spec])
 
     def test_non_normalized_state_rejected(self):
-        with pytest.raises(ValidationError):
-            QuantumState(1, np.array([1.0, 1.0]))
+        spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="initial state 1"):
+            evolve([spec, spec], initial=np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 class TestInteractionStrength:
@@ -166,23 +180,21 @@ class TestEvolve:
         spec = constant_spec([(0.0, 0.0), (8.0, 37.0)], [0.5, 0.5],
                              omega=0.0, dlocal=0.0, dglobal=0.0)
         # far-separated atoms, no drive: only a tiny interaction term
-        start = ground_state(2)
-        out = evolve(start, spec, steps=100)
-        assert np.allclose(out.amplitudes, start.amplitudes, atol=1e-12)
+        out = evolve([spec], steps=100)[0]
+        assert np.allclose(out, ground(2), atol=1e-12)
 
     def test_rabi_oscillation_analytic(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=np.pi, dlocal=0.0,
                              dglobal=0.0)
-        out = evolve(ground_state(1), spec, duration=1.0)
-        p = probabilities(out)
+        p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
         assert p[1] == pytest.approx(np.sin(np.pi * 1.0 / 2.0) ** 2, abs=1e-6)
         assert p[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_ground_state_is_detuning_eigenstate(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=0.0, dlocal=0.0,
                              dglobal=5.0)
-        out = evolve(ground_state(1), spec)
-        assert np.allclose(probabilities(out), [1.0, 0.0], atol=1e-12)
+        out = evolve([spec])[0]
+        assert np.allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-12)
 
     def test_matches_direct_diagonalization_oracle(self):
         # constant two-atom Hamiltonian: exp(-iHt) computed independently
@@ -190,31 +202,30 @@ class TestEvolve:
                              omega=2.2, dlocal=-1.7, dglobal=0.9)
         h = build_hamiltonian(spec, 0.0)
         w, v = np.linalg.eigh(h)
-        psi0 = ground_state(2).amplitudes
-        expected = v @ (np.exp(-1j * w * 1.0) * (v.conj().T @ psi0))
-        out = evolve(ground_state(2), spec, duration=1.0)
-        assert np.abs(out.amplitudes - expected).max() < 1e-8
+        expected = v @ (np.exp(-1j * w * 1.0) * (v.conj().T @ ground(2)))
+        out = evolve([spec], duration=1.0)[0]
+        assert np.abs(out - expected).max() < 1e-8
 
     def test_unitarity_random_specs(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             spec = random_spec(rng)
-            out = evolve(ground_state(4), spec, steps=400)
-            assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-9
+            out = evolve([spec], steps=400)[0]
+            assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-9
 
     def test_step_halving_convergence(self):
         rng = np.random.default_rng(17)
         spec = random_spec(rng)
-        p1 = probabilities(evolve(ground_state(4), spec, steps=1000))
-        p2 = probabilities(evolve(ground_state(4), spec, steps=2000))
+        p1 = np.abs(evolve([spec], steps=1000)[0]) ** 2
+        p2 = np.abs(evolve([spec], steps=2000)[0]) ** 2
         assert np.abs(p1 - p2).max() < 1e-6
 
     def test_fourth_order_convergence_rate(self):
         rng = np.random.default_rng(23)
         spec = random_spec(rng)
-        ref = probabilities(evolve(ground_state(4), spec, steps=4000))
-        errs = [np.abs(probabilities(evolve(ground_state(4), spec, steps=s))
-                       - ref).max() for s in (125, 250, 500)]
+        ref = np.abs(evolve([spec], steps=4000)[0]) ** 2
+        errs = [np.abs(np.abs(evolve([spec], steps=s)[0]) ** 2 - ref).max()
+                for s in (125, 250, 500)]
         # halving dt should cut the error by roughly 2^4
         assert errs[0] / errs[1] > 8.0
         assert errs[1] / errs[2] > 8.0
@@ -222,12 +233,12 @@ class TestEvolve:
     def test_qubit_count_mismatch(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
-            evolve(ground_state(2), spec)
+            evolve([spec], initial=[ground(2)])
 
     def test_duration_beyond_pulse_domain(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0, duration=1.0)
         with pytest.raises(ValidationError):
-            evolve(ground_state(1), spec, duration=2.0)
+            evolve([spec], duration=2.0)
 
 
 def full_range_spec(rng, n):
@@ -255,7 +266,7 @@ class TestEvolveBatch:
                                omega=0.0, dlocal=0.0, dglobal=0.0)]
         initial = rng.normal(size=(4, 1 << n)) + 1j * rng.normal(size=(4, 1 << n))
         initial /= np.linalg.norm(initial, axis=1, keepdims=True)
-        out = evolve_batch(specs, steps=150, initial=initial)
+        out = evolve(specs, steps=150, initial=initial)
         for spec, start, row in zip(specs, initial, out):
             assert np.abs(row - evolve_eigh(start, spec, 150)).max() <= 1e-9
 
@@ -266,18 +277,17 @@ class TestEvolveBatch:
         rng = np.random.default_rng(70 + n)
         specs = [random_spec(rng, n), full_range_spec(rng, n),
                  random_spec(rng, n, duration=0.6)]
-        out = evolve_batch(specs, steps=12)
-        start = ground_state(n).amplitudes
+        out = evolve(specs, steps=12)
         for spec, row in zip(specs, out):
-            assert np.abs(row - evolve_eigh(start, spec, 12)).max() <= 1e-9
+            assert np.abs(row - evolve_eigh(ground(n), spec, 12)).max() <= 1e-9
 
     def test_stiff_six_qubit_factors_match_eigh_oracle(self):
         # 4 um packing at a coarse step: every factor's norm bound is far
         # above one substep's cap
         spec = full_range_spec(np.random.default_rng(6), 6)
-        out = evolve(ground_state(6), spec, steps=30)
-        ref = evolve_eigh(ground_state(6).amplitudes, spec, 30)
-        assert np.abs(out.amplitudes - ref).max() <= 1e-9
+        out = evolve([spec], steps=30)[0]
+        ref = evolve_eigh(ground(6), spec, 30)
+        assert np.abs(out - ref).max() <= 1e-9
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_split_flip_action_matches_dense(self, n, monkeypatch):
@@ -300,99 +310,131 @@ class TestEvolveBatch:
     def test_stops_at_a_common_duration(self):
         rng = np.random.default_rng(30)
         specs = [random_spec(rng, 3), random_spec(rng, 3, duration=0.6)]
-        out = evolve_batch(specs, steps=150, duration=0.55)
+        out = evolve(specs, steps=150, duration=0.55)
         for spec, row in zip(specs, out):
-            ref = evolve_eigh(ground_state(3).amplitudes, spec, 150, 0.55)
+            ref = evolve_eigh(ground(3), spec, 150, 0.55)
             assert np.abs(row - ref).max() <= 1e-9
 
     def test_unitarity_full_range_eight_qubits(self):
         spec = full_range_spec(np.random.default_rng(8), 8)
         for steps in (20, 250):
-            out = evolve(ground_state(8), spec, steps=steps)
-            assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-9
+            out = evolve([spec], steps=steps)[0]
+            assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-9
 
     def test_rows_agree_with_lone_runs(self):
         # twelve runs take the state-block path, a lone run the
         # factor-matrix path
         rng = np.random.default_rng(9)
         specs = [random_spec(rng, 4) for _ in range(12)]
-        out = evolve_batch(specs, steps=100)
+        out = evolve(specs, steps=100)
         for spec, row in zip(specs, out):
-            lone = evolve(ground_state(4), spec, steps=100).amplitudes
+            lone = evolve([spec], steps=100)[0]
             assert np.abs(row - lone).max() <= 1e-12
 
     def test_rejects_mixed_qubit_counts(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValidationError):
-            evolve_batch([random_spec(rng, 2), random_spec(rng, 3)])
+            evolve([random_spec(rng, 2), random_spec(rng, 3)])
         with pytest.raises(ValidationError):
-            evolve_batch([])
+            evolve([])
 
     def test_near_coincident_atoms_are_a_numeric_error(self):
         # C6 / (0.01 um)^6 ~ 5e18 rad/us: no step budget resolves it
         spec = constant_spec([(0.0, 0.0), (0.01, 0.0)], [0.5, 0.5],
                              omega=2.0, dlocal=0.0, dglobal=0.0)
         with pytest.raises(NumericError):
-            evolve(ground_state(2), spec, steps=100)
+            evolve([spec], steps=100)
 
     def test_rejects_misshapen_initial_states(self):
         spec = random_spec(np.random.default_rng(2), 2)
         with pytest.raises(ValidationError):
-            evolve_batch([spec], steps=10, initial=np.ones((1, 8)))
+            evolve([spec], steps=10, initial=np.ones((1, 8)))
 
 
 class TestBlockade:
     def test_close_atoms_suppress_double_excitation(self):
         spec = constant_spec([(0.0, 0.0), (4.0, 0.0)], [0.0, 0.0],
                              omega=2.5, dlocal=0.0, dglobal=0.0)
-        p = probabilities(evolve(ground_state(2), spec, duration=1.0))
+        p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
         assert p[3] < 0.05
 
     def test_distant_atoms_factorize(self):
         spec = constant_spec([(0.0, 0.0), (30.0, 0.0)], [0.0, 0.0],
                              omega=2.5, dlocal=0.0, dglobal=0.0)
-        p = probabilities(evolve(ground_state(2), spec, duration=1.0))
+        p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
         single = np.sin(2.5 * 1.0 / 2.0) ** 2
         assert abs(p[3] - single ** 2) < 1e-3
 
 
+def read_out(monkeypatch, amplitudes, modes):
+    """generate_batch's probability rows for chosen final amplitudes: the
+    generator's `evolve` returns the rows, `modulo_encode` is the identity."""
+    amplitudes = np.array(amplitudes, dtype=complex)
+    n = amplitudes.shape[1].bit_length() - 1
+    monkeypatch.setattr(generator, "evolve",
+                        lambda specs, steps=None: amplitudes.copy())
+    monkeypatch.setattr(generator, "modulo_encode", lambda p: p)
+    params = GeneratorParams(
+        AtomArrangement(tuple((6.0 * i, 0.0) for i in range(n)), (0.5,) * n),
+        "linear", 2.0, "triangle", -3.0, 0.5)
+    return generator.generate_batch([(params, 0.5, mode) for mode in modes])
+
+
 class TestProbabilitiesAndShots:
-    def test_basis_state(self):
-        p = probabilities(ground_state(3))
+    """The measurement readout of final amplitudes, which generate_batch owns."""
+
+    def test_basis_state(self, monkeypatch):
+        p = read_out(monkeypatch, [ground(3)], [EXACT])[0]
         assert p[0] == 1.0 and np.all(p[1:] == 0.0)
 
-    def test_phase_is_ignored(self):
-        state = QuantumState(1, np.array([1 / np.sqrt(2), 1j / np.sqrt(2)]))
-        assert np.allclose(probabilities(state), [0.5, 0.5])
+    def test_phase_is_ignored(self, monkeypatch):
+        p = read_out(monkeypatch, [[1 / np.sqrt(2), 1j / np.sqrt(2)]], [EXACT])
+        assert np.allclose(p, [[0.5, 0.5]])
 
-    def test_complex_amplitudes(self):
-        state = QuantumState(1, np.array([(1 + 1j) / 2, (1 - 1j) / 2]))
-        assert np.allclose(probabilities(state), [0.5, 0.5])
+    def test_complex_amplitudes(self, monkeypatch):
+        p = read_out(monkeypatch, [[(1 + 1j) / 2, (1 - 1j) / 2]], [EXACT])
+        assert np.allclose(p, [[0.5, 0.5]])
 
-    def test_probabilities_sum_to_one(self):
+    def test_probabilities_sum_to_one(self, monkeypatch):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-            amps /= np.linalg.norm(amps)
-            p = probabilities(QuantumState(3, amps))
-            assert abs(p.sum() - 1.0) < 1e-9
+        amps = rng.normal(size=(20, 8)) + 1j * rng.normal(size=(20, 8))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        p = read_out(monkeypatch, amps, [EXACT] * 20)
+        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
 
-    def test_deterministic_state_sampling(self):
-        counts = sample_shots(ground_state(4), 1000, rng_seed=1)
+    def test_deterministic_state_sampling(self, monkeypatch):
+        counts = 1000 * read_out(monkeypatch, [ground(4)],
+                                 [ShotsMode(1000, rng_seed=1)])[0]
         assert counts[0] == 1000 and counts.sum() == 1000
 
-    def test_uniform_state_frequencies(self):
-        state = QuantumState(2, np.full(4, 0.5, dtype=complex))
-        counts = sample_shots(state, 1_000_000, rng_seed=42)
-        freqs = counts / 1_000_000
+    def test_uniform_state_frequencies(self, monkeypatch):
+        freqs = read_out(monkeypatch, [np.full(4, 0.5)],
+                         [ShotsMode(1_000_000, rng_seed=42)])[0]
         assert np.all(np.abs(freqs - 0.25) < 0.005)
 
-    def test_seed_determinism(self):
-        state = QuantumState(2, np.full(4, 0.5, dtype=complex))
-        a = sample_shots(state, 1000, rng_seed=9)
-        b = sample_shots(state, 1000, rng_seed=9)
+    def test_seed_determinism(self, monkeypatch):
+        mode = ShotsMode(1000, rng_seed=9)
+        a, b = read_out(monkeypatch, [np.full(4, 0.5)] * 2, [mode, mode])
         assert np.array_equal(a, b)
+
+    def test_each_shots_row_draws_from_its_own_rng(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        amps = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        modes = [ShotsMode(500, rng_seed=7), EXACT, ShotsMode(300, rng_seed=8)]
+        out = read_out(monkeypatch, amps, modes)
+        p = np.abs(amps) ** 2
+        assert np.array_equal(out[1], p[1])
+        for row, prob, mode in zip(out[::2], p[::2], modes[::2]):
+            counts = np.random.default_rng(mode.rng_seed).multinomial(
+                mode.shots, prob / prob.sum())
+            assert np.array_equal(row, counts / mode.shots)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
-            sample_shots(ground_state(1), 0, rng_seed=0)
+            ShotsMode(shots=0, rng_seed=0)
+
+    def test_unnormalized_row_is_a_numeric_error(self, monkeypatch):
+        rows = [ground(2), [0.5, 0.5, 0.5, 0.6]]
+        with pytest.raises(NumericError, match="run 1"):
+            read_out(monkeypatch, rows, [EXACT, EXACT])
