@@ -339,6 +339,10 @@ def main(argv=None) -> int:
                     f"got {args.digit_class!r}")
             for cls in classes:
                 check_class(cls)
+            if len(classes) > 1 and args.command != "evaluate":
+                raise ValidationError(
+                    f"--class takes one class for {args.command} (only "
+                    f"evaluate accepts a comma list), got {args.digit_class!r}")
             digit_class = classes[0] if classes else None
         overrides = {"digit_class": digit_class,
                      "master_seed": args.master_seed,

@@ -5,11 +5,14 @@ The PCA keeps the top-k eigenvectors of the pixel covariance so generated
 feature vectors can be mapped back to images with the inverse transform.
 Feature scaling sends the observed per-feature training range onto the
 generator's output window (0, 1/2^n], and is inverted before the inverse
-PCA when rendering generated images.
+PCA when rendering generated images. A saved PCA model is a JSON document
+whose arrays are base64 of their little-endian float64 bytes (format
+version 2), so it round-trips bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -26,6 +29,7 @@ IDX_LABEL_MAGIC = 2049
 IMAGE_SIDE = 28
 PIXELS = IMAGE_SIDE * IMAGE_SIDE
 SCALE_FLOOR = 1e-6
+_PCA_ARRAYS = ("mean", "components", "eigenvalues", "scale_lo", "scale_hi")
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,11 @@ class PcaModel:
     scale_hi: np.ndarray      # (k,) per-feature training maxima
 
     def __post_init__(self):
-        for name in ("mean", "components", "eigenvalues", "scale_lo", "scale_hi"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in _PCA_ARRAYS:
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                raise ValidationError(f"{name} must hold finite values only")
+            object.__setattr__(self, name, value)
         if self.components.ndim != 2 or not len(self.components):
             raise ValidationError("components must be a nonempty (k, pixels) "
                                   f"matrix, got shape {self.components.shape}")
@@ -238,39 +245,43 @@ def unscale_features(model: PcaModel, scaled) -> np.ndarray:
 
 
 PCA_FORMAT = "rydgan-pca"
-PCA_VERSION = 1
+PCA_VERSION = 2
 
 
 def save_pca(model: PcaModel, path: str):
-    doc = {
-        "format": PCA_FORMAT,
-        "version": PCA_VERSION,
-        "k": model.k,
-        "pixels": int(model.mean.shape[0]),
-        "mean": model.mean.tolist(),
-        "components_shape": list(model.components.shape),
-        "components": model.components.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "scale_lo": model.scale_lo.tolist(),
-        "scale_hi": model.scale_hi.tolist(),
-    }
+    """Write the model as one JSON document in which each array is
+    {"dtype": "<f8", "shape": [...], "base64": ...}: its little-endian
+    float64 bytes, so that it loads back bit for bit."""
+    doc = {"format": PCA_FORMAT, "version": PCA_VERSION, "k": model.k,
+           "pixels": int(model.mean.shape[0])}
+    for name in _PCA_ARRAYS:
+        a = np.ascontiguousarray(getattr(model, name), "<f8")
+        doc[name] = {"dtype": "<f8", "shape": list(a.shape),
+                     "base64": base64.b64encode(a.tobytes()).decode("ascii")}
     atomic_write_json(path, doc)
 
 
 def load_pca(path: str) -> PcaModel:
-    doc = _load_doc(path, PCA_FORMAT, PCA_VERSION)
+    """Read a save_pca file. Bad base64, a byte count that does not fill
+    the shape, another dtype, a non-finite value or a version-1 (float
+    text) file is a DataError naming the path and the field."""
+    doc = _load_doc(path, PCA_FORMAT, PCA_VERSION, "; re-run fit-pca")
     arrays = {}
-    for name in ("mean", "components", "eigenvalues", "scale_lo", "scale_hi"):
+    for name in _PCA_ARRAYS:
         with _doc_field(path, name):
-            arrays[name] = np.array(doc[name], dtype=float)
-    if list(arrays["components"].shape) != doc.get("components_shape"):
-        raise DataError(f"{path}: field components_shape does not match "
-                        f"the components, shape {arrays['components'].shape}")
+            node = doc[name]
+            if node["dtype"] != "<f8":
+                raise ValueError(f"dtype must be '<f8', got {node['dtype']!r}")
+            raw = base64.b64decode(node["base64"], validate=True)
+            if len(raw) != 8 * math.prod(node["shape"]):
+                raise ValueError(f"{len(raw)} bytes do not fill shape "
+                                 f"{node['shape']}")
+            arrays[name] = np.frombuffer(raw, "<f8").reshape(node["shape"])
     with _doc_field(path):
         return PcaModel(**arrays)
 
 
-def _load_doc(path: str, format: str, version: int) -> dict:
+def _load_doc(path: str, format: str, version: int, remedy: str = "") -> dict:
     """A versioned JSON artefact as a dict; any defect is a DataError naming path."""
     try:
         with open(path, "rb") as f:
@@ -286,7 +297,8 @@ def _load_doc(path: str, format: str, version: int) -> dict:
         raise DataError(f"{path}: field format: not a {format} document")
     if doc.get("version") != version:
         raise DataError(
-            f"{path}: field version: unsupported version {doc.get('version')!r}")
+            f"{path}: field version: unsupported version "
+            f"{doc.get('version')!r}{remedy}")
     return doc
 
 
@@ -308,11 +320,7 @@ def atomic_write_text(path: str, text: str):
 
 
 def atomic_write_json(path: str, doc):
-    """doc as JSON indented by one space, streamed into the file.
-
-    The text is never held whole: for a k = 256 PCA model, `json.dumps`
-    built ~20 MB of chunks and string, the largest transient of a run.
-    """
+    """doc as JSON indented by one space, streamed into the file."""
     _atomic_write(path, lambda f: json.dump(doc, f, indent=1),
                   mode="w", encoding="utf-8", newline="")
 

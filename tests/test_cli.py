@@ -1,6 +1,8 @@
+import base64
 import json
 import os
 import shutil
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +19,8 @@ from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_batch
 from rydgan.metrics import greedy_select
 from rydgan.sim import AtomArrangement
 from rydgan.training import Learner, load_learner
-from tests.test_data import synthetic_digits
+from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, f8_field,
+                             synthetic_digits)
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +430,19 @@ class TestEvaluate:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit-pca", "train", "select", "generate"])
+def test_class_list_is_rejected_outside_evaluate(smoke_ini, tmp_path, capsys,
+                                                 command):
+    """Only evaluate takes a comma list; the other commands exit 2 naming
+    --class before any output is written, not silently using class 0."""
+    out = tmp_path / "o"
+    code = main([command, "--config", smoke_ini, "--out", str(out),
+                 "--class", "0,1"])
+    assert code == 2
+    assert "--class" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConfigPlumbing:
     def test_unexpected_exception_is_an_internal_error(self, smoke_ini,
                                                        tmp_path, capsys,
@@ -650,13 +666,14 @@ class TestMalformedArtefacts:
         return out
 
     @pytest.mark.parametrize("artefact, payload, field", [
-        ("pca", b'{"format": "rydgan-pca", "version": 1}', "mean"),
+        ("pca", b'{"format": "rydgan-pca", "version": 2}', "mean"),
         ("pca", b"[]", "top level"),
         ("learner", b"[]", "top level"),
         ("pca", b"\xff\xfe{", "utf-8"),
         ("learner", b"\xff\xfe{", "utf-8"),
+        ("pca", b'{"format": "rydgan-pca", "version": 1}', "fit-pca"),
     ], ids=["pca-missing-keys", "pca-array", "learner-array", "pca-not-utf8",
-            "learner-not-utf8"])
+            "learner-not-utf8", "pca-version-1"])
     def test_generate_exits_3_naming_path(self, smoke_ini, copy, capsys,
                                           artefact, payload, field):
         path = _artefact_paths(copy)[artefact]
@@ -672,7 +689,7 @@ class TestMalformedArtefacts:
         path = _artefact_paths(copy)["pca"]
         with open(path) as f:
             doc = json.load(f)
-        doc["scale_lo"] = doc["scale_lo"][:1]
+        doc["scale_lo"] = f8_field(load_pca(path).scale_lo[:1])
         with open(path, "w") as f:
             json.dump(doc, f)
         code = main(["generate", "--config", smoke_ini, "--out", copy,
@@ -680,6 +697,23 @@ class TestMalformedArtefacts:
         err = capsys.readouterr().err
         assert code == 3
         assert path in err and "scale_lo" in err
+
+    @pytest.mark.parametrize("field, edit", PAYLOAD_DEFECTS)
+    def test_pca_payload_defect_exits_3_before_any_image(
+            self, smoke_ini, copy, capsys, field, edit):
+        shutil.rmtree(os.path.join(copy, "generated"), ignore_errors=True)
+        path = _artefact_paths(copy)["pca"]
+        with open(path) as f:
+            doc = json.load(f)
+        edit(doc)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        code = main(["generate", "--config", smoke_ini, "--out", copy,
+                     "--count", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{path}: field {field}" in err or f"{path}: {field}" in err
+        assert not os.path.exists(os.path.join(copy, "generated"))
 
 
 @pytest.fixture(scope="module")
@@ -702,13 +736,31 @@ _REPLACEMENTS = (None, "x", [], {}, -1)
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
-    """Truncate an artefact or break one key: generate exits 0, 2, 3 or 4,
-    and 3 whenever the document no longer loads."""
+    """Truncate an artefact, break one key or, in the PCA model, overwrite
+    one float64 of an array payload or drop its last bytes: generate exits
+    0, 2, 3 or 4, and 3 whenever the document no longer loads."""
     out, paths, originals = mutable_out
     name = data.draw(st.sampled_from(sorted(paths)), label="artefact")
     raw, key_paths = originals[name]
-    if data.draw(st.booleans(), label="truncate"):
+    how = data.draw(st.sampled_from(
+        ["truncate", "key", "payload"] if name == "pca"
+        else ["truncate", "key"]), label="mutation")
+    if how == "truncate":
         mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="offset")]
+    elif how == "payload":
+        doc = json.loads(raw)
+        node = doc[data.draw(st.sampled_from(PCA_ARRAYS), label="array")]
+        payload = bytearray(base64.b64decode(node["base64"]))
+        if data.draw(st.booleans(), label="drop tail"):
+            del payload[-data.draw(st.integers(1, 8), label="bytes"):]
+        else:
+            at = 8 * data.draw(st.integers(0, len(payload) // 8 - 1),
+                               label="element")
+            payload[at:at + 8] = struct.pack("<d", data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(
+                    allow_nan=False, allow_infinity=False), label="value"))
+        node["base64"] = base64.b64encode(payload).decode("ascii")
+        mutated = json.dumps(doc).encode()
     else:
         doc = json.loads(raw)
         *parents, key = data.draw(st.sampled_from(key_paths), label="key")

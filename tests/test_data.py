@@ -1,9 +1,14 @@
+import base64
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rydgan.data import (ImageSet, PcaModel, atomic_write_json,
                          atomic_write_text, fit_pca, inverse_transform,
@@ -103,6 +108,56 @@ class TestSplit:
                            np.sort(data.images.sum(axis=(1, 2))))
 
 
+PCA_ARRAYS = ("mean", "components", "eigenvalues", "scale_lo", "scale_hi")
+_EDGE_OR_ANY_FLOAT = (st.sampled_from([
+    -0.0, 0.0, 5e-324, -5e-324, np.finfo(float).tiny / 3,
+    np.finfo(float).max, -np.finfo(float).max])
+    | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def f8_field(values) -> dict:
+    """A PCA array field: base64 of little-endian float64, with its shape."""
+    a = np.asarray(values, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def recode(doc, field, edit):
+    """Replace a PCA array field's bytes by edit(bytes), keeping its shape."""
+    node = doc[field]
+    node["base64"] = base64.b64encode(
+        edit(base64.b64decode(node["base64"]))).decode("ascii")
+
+
+def set_element(index, value):
+    """A recode edit that sets one float64 element to value."""
+    def edit(raw):
+        a = np.frombuffer(raw, "<f8").copy()
+        a[index] = value
+        return a.tobytes()
+    return edit
+
+
+# (field named in the error, edit of a saved PCA document)
+PAYLOAD_DEFECTS = [
+    pytest.param("mean", lambda doc: doc["mean"].update(
+        base64="!" + doc["mean"]["base64"]), id="not-base64"),
+    pytest.param("components", lambda doc: recode(
+        doc, "components", lambda raw: raw[:-8]), id="8-bytes-short"),
+    pytest.param("eigenvalues", lambda doc: doc["eigenvalues"].update(
+        shape=[doc["k"] + 1]), id="shape-disagrees"),
+    pytest.param("eigenvalues", lambda doc: doc["eigenvalues"].update(
+        shape=[-1]), id="shape-minus-one"),
+    pytest.param("scale_hi", lambda doc: doc["scale_hi"].update(dtype="<f4"),
+                 id="dtype-f4"),
+    pytest.param("mean", lambda doc: recode(doc, "mean",
+                                            set_element(3, np.nan)), id="nan"),
+    pytest.param("scale_hi", lambda doc: recode(doc, "scale_hi",
+                                                set_element(0, np.inf)),
+                 id="inf"),
+]
+
+
 class TestPca:
     def test_exact_low_rank_roundtrip(self):
         # data confined to a 2-D affine subspace of pixel space
@@ -185,11 +240,13 @@ class TestPca:
             load_pca(str(path))
 
     @pytest.mark.parametrize("payload, field", [
-        (b'{"format": "rydgan-pca", "version": 1}', "mean"),
+        (b'{"format": "rydgan-pca", "version": 2}', "mean"),
         (b"[]", "top level"),
         (b"\xff\xfe{", "rydgan-pca"),
-        (b'{"format": "rydgan-pca", "version": 2}', "version"),
-    ], ids=["missing-keys", "not-an-object", "not-utf8", "wrong-version"])
+        (b'{"format": "rydgan-pca", "version": 3}', "version"),
+        (b'{"format": "rydgan-pca", "version": 1}', "fit-pca"),
+    ], ids=["missing-keys", "not-an-object", "not-utf8", "wrong-version",
+            "version-1"])
     def test_load_names_path_and_field(self, tmp_path, payload, field):
         path = tmp_path / "model.json"
         path.write_bytes(payload)
@@ -215,10 +272,66 @@ class TestPca:
         path = str(tmp_path / "model.json")
         save_pca(model, path)
         doc = json.loads(open(path).read())
-        doc["scale_lo"] = doc["scale_lo"][:1]
+        short = np.frombuffer(base64.b64decode(doc["scale_lo"]["base64"]))[:1]
+        doc["scale_lo"] = f8_field(short)
         open(path, "w").write(json.dumps(doc))
         with pytest.raises(DataError, match="scale_lo"):
             load_pca(path)
+
+    @pytest.mark.parametrize("field", PCA_ARRAYS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        model = fit_pca(synthetic_digits(np.random.default_rng(16), 20), 2)
+        arrays = {name: getattr(model, name).copy() for name in PCA_ARRAYS}
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValidationError, match=f"{field} must hold finite"):
+            PcaModel(**arrays)
+
+    @pytest.mark.parametrize("field, edit", PAYLOAD_DEFECTS)
+    def test_payload_defect_names_path_and_field(self, tmp_path, field, edit):
+        model = fit_pca(synthetic_digits(np.random.default_rng(17), 20), 2)
+        path = str(tmp_path / "model.json")
+        save_pca(model, path)
+        doc = json.loads(open(path).read())
+        edit(doc)
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(DataError) as info:
+            load_pca(path)
+        message = str(info.value)
+        assert message.startswith(path) and field in message[len(path):]
+
+    @given(data=st.data())
+    def test_save_load_is_bit_exact(self, data):
+        k = data.draw(st.integers(1, 3), label="k")
+        mean, components, eigenvalues, a, b = (
+            data.draw(arrays(float, shape, elements=_EDGE_OR_ANY_FLOAT),
+                      label=name)
+            for name, shape in (("mean", 784), ("components", (k, 784)),
+                                ("eigenvalues", k), ("a", k), ("b", k)))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        assume(np.all(lo < hi))
+        with np.errstate(over="ignore"):    # np.diff of +-max overflows
+            model = PcaModel(mean, components, np.sort(eigenvalues)[::-1],
+                             lo, hi)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_pca(model, path)
+            with np.errstate(over="ignore"):
+                loaded = load_pca(path)
+        for name in PCA_ARRAYS:
+            want, got = getattr(model, name), getattr(loaded, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_k256_model_file_is_binary_sized(self, tmp_path):
+        """Base64 float64 keeps a k = 256 model near 2.15 MB; the float
+        text of format version 1 took 5.07 MB."""
+        rng = np.random.default_rng(18)
+        model = PcaModel(rng.uniform(0, 1, 784), rng.normal(size=(256, 784)),
+                         np.sort(rng.uniform(0, 1, 256))[::-1],
+                         -rng.uniform(1, 2, 256), rng.uniform(1, 2, 256))
+        path = tmp_path / "model.json"
+        save_pca(model, str(path))
+        assert path.stat().st_size < 2.3e6
 
 
 class TestScaling:
