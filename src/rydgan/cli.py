@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as dp
 from .config import MODES, RunConfig, check_class, load_config, render_config
-from .errors import DataError, RydganError, ValidationError
+from .errors import DataError, NumericError, RydganError, ValidationError
 from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
 from .metrics import fid_images, greedy_select, variation_scores
 from .training import load_learner, save_learner, train_learners
@@ -185,6 +185,7 @@ def cmd_select(config: RunConfig) -> int:
 
 
 def _load_ensemble_members(config: RunConfig, cls: int):
+    """The member file names of the class's manifest and their learners."""
     path = _ensemble_path(config, cls)
     if not os.path.exists(path):
         raise DataError(f"missing ensemble manifest {path}; run select first")
@@ -194,7 +195,7 @@ def _load_ensemble_members(config: RunConfig, cls: int):
             or not all(isinstance(name, str) and name for name in names)):
         raise DataError(f"{path}: field member_files must be a nonempty list "
                         f"of learner file names, got {names!r}")
-    return manifest, [_load_run_learner(
+    return names, [_load_run_learner(
         config, os.path.join(_learners_dir(config, cls), name)).learner
         for name in names]
 
@@ -213,16 +214,26 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
 
 
 def _generate_images(config: RunConfig, members, model: dp.PcaModel,
-                     mode_name: str, count: int) -> np.ndarray:
+                     mode_name: str, count: int, files=None) -> np.ndarray:
     """(count, 28, 28) ensemble images; every run a fresh perturbation.
 
     All count x members runs are generated as one batch; each image
-    averages its members' features.
+    averages its members' features. A run that fails numerically (a noisy
+    draw that crowds two atoms) raises, naming its image and its member's
+    file from `files` (default: the learner's name).
     """
     seeds = draw_seeds(np.random.default_rng(config.master_seed), count)
     runs = [(m.params, seed, _member_mode(config, mode_name, i, j))
             for i, seed in enumerate(seeds) for j, m in enumerate(members)]
-    features = _features(config, runs).reshape(count, len(members), -1)
+    try:
+        features = _features(config, runs)
+    except NumericError as err:
+        if err.run is None:
+            raise
+        image, member = divmod(err.run, len(members))
+        label = files[member] if files else members[member].name
+        raise NumericError(f"image {image}, member {label}: {err}") from err
+    features = features.reshape(count, len(members), -1)
     weights = dp.unscale_features(model, features.mean(axis=1))
     return dp.inverse_transform(model, weights).reshape(count, 28, 28)
 
@@ -239,16 +250,17 @@ def cmd_generate(config: RunConfig) -> int:
     cls = config.digit_class
     model = _require_pca(config, cls)
     _, val = _load_class_split(config, cls)
-    _, members = _load_ensemble_members(config, cls)
-    images = _generate_images(config, members, model, config.mode, config.count)
+    files, members = _load_ensemble_members(config, cls)
+    images = _generate_images(config, members, model, config.mode,
+                              config.count, files)
+    score = fid_images(val.images, images)
+    variation = variation_scores(images)
     out_dir = os.path.join(config.out_dir, "generated", f"class{cls}",
                            config.mode)
     os.makedirs(out_dir, exist_ok=True)
     for i, image in enumerate(images):
         dp.write_image(image, os.path.join(out_dir, f"img_{i:04d}.pgm"))
     dp.write_montage(images, os.path.join(out_dir, "montage.pgm"))
-    score = fid_images(val.images, images)
-    variation = variation_scores(images)
     lines = ["class,mode,fid,mean_variation",
              f"{cls},{config.mode},{score!r},{float(variation.mean())!r}"]
     dp.atomic_write_text(os.path.join(out_dir, "metrics.csv"),
@@ -269,11 +281,11 @@ def cmd_evaluate(config: RunConfig, classes) -> int:
     for cls in classes:
         model = _require_pca(config, cls)
         _, val = _load_class_split(config, cls)
-        _, members = _load_ensemble_members(config, cls)
+        files, members = _load_ensemble_members(config, cls)
         per_mode = {}
         for mode_name in ("ideal", "noisy"):
             images = _generate_images(config, members, model, mode_name,
-                                      config.fid_batch)
+                                      config.fid_batch, files)
             score = fid_images(val.images, images)
             variation = variation_scores(images)
             rows.append(f"{cls},{mode_name},{score!r},"

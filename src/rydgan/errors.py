@@ -32,6 +32,10 @@ class NumericError(RydganError):
 
     exit_code = 4
 
+    def __init__(self, message, run=None):
+        super().__init__(message)
+        self.run = run      # batch row of the one run that failed, if any
+
 
 def check_finite(owner):
     """Raise ValidationError naming the first non-finite float field of owner,

@@ -289,7 +289,7 @@ def generate_batch(runs, limits: PulseLimits = DEFAULT_LIMITS,
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         raise NumericError(f"generator run {bad[0]} lost its norm: "
-                           f"sum |a_k|^2 = {norms[bad[0]]!r}")
+                           f"sum |a_k|^2 = {norms[bad[0]]!r}", run=int(bad[0]))
     for p, (_, readout) in zip(probs, plans):
         if isinstance(readout, ShotsMode):
             rng = np.random.default_rng(readout.rng_seed)

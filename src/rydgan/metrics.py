@@ -15,7 +15,8 @@ identical epsilon multiples of the identity, whose trace contributions
 cancel exactly).
 
 Variation of one image against its batch is the summed squared per-pixel
-deviation from the batch-mean image.
+deviation from the batch-mean image. A FID or variation that is not
+finite (images that overflow float64) is a NumericError.
 
 Selection is a pure function of feature batches the caller has already
 generated; the commands generate them, so this module runs no simulation.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ImageSet, PcaModel, inverse_transform, unscale_features
-from .errors import DataError, ValidationError
+from .errors import DataError, NumericError, ValidationError
 
 IMAGE_FID_JITTER = 1e-6
 
@@ -120,9 +121,10 @@ def fid_images(real_images, generated_images,
             f"pixel dimensions differ: {r.shape[1]} vs {g.shape[1]}")
     if r.shape[0] < 2 or g.shape[0] < 2:
         raise ValidationError("need at least 2 images per batch for FID")
+    _finite(np.concatenate([r, g]), "FID")
     if r.shape[0] + g.shape[0] + 1 < r.shape[1]:
         r, g = _project_to_joint_span(r, g)
-    return fid(summarize(r), summarize(g), jitter=jitter)
+    return _finite(fid(summarize(r), summarize(g), jitter=jitter), "FID")
 
 
 def variation_scores(batch) -> np.ndarray:
@@ -135,7 +137,15 @@ def variation_scores(batch) -> np.ndarray:
         raise ValidationError("all images in the batch must share one shape")
     stack = np.stack(arrs)
     mu = stack.mean(axis=0)
-    return ((mu[None, ...] - stack) ** 2).sum(axis=tuple(range(1, stack.ndim)))
+    return _finite(((mu[None, ...] - stack) ** 2).sum(
+        axis=tuple(range(1, stack.ndim))), "variation")
+
+
+def _finite(values, quantity: str):
+    """values; NumericError naming quantity if one is nan or infinite."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"{quantity} is not finite: the images overflow")
+    return values
 
 
 def variation_cdf(scores):

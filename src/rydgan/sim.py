@@ -23,11 +23,12 @@ once as the columns of one state block; states are plain (B, 2^n) complex
 arrays, and measurement is the generator's readout. Each factor
 exp(-i dt (a X + diag d)) is a Taylor series summed to unit roundoff,
 applied through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
-plus elementwise diagonal products: one GEMM with the dense 2^n x 2^n flip
-matrix up to six qubits, and from seven on two GEMMs with its Kronecker
-factors, X = X_hi (x) I + I (x) X_lo, which costs O(2^n (2^h + 2^(n-h)))
-per term instead of O(4^n). Small blocks form the factors as matrices
-instead. No eigendecomposition is taken.
+plus elementwise diagonal products, on the block in the real layout
+(2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is a plain GEMM from the
+left and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of
+O(4^n); up to six qubits h = n, and the one GEMM has the dense flip
+matrix. Small blocks form the factors as matrices instead. No
+eigendecomposition is taken.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ def _flip_factors(n: int) -> tuple:
     """X as (X, None), or from _SPLIT_QUBITS on as Kronecker factors (X_hi, X_lo).
 
     With h = ceil(n/2) high qubits, X = X_hi (x) I + I (x) X_lo, where X_hi
-    and X_lo are the flip matrices of h and n - h qubits: two GEMMs of
-    width 2^h and 2^(n-h) replace one of width 2^n.
+    and X_lo are the flip matrices of h and n - h qubits: on a (2^h, ...,
+    2^(n-h)) block, two plain GEMMs of width 2^h (from the left) and
+    2^(n-h) (from the right) replace one of width 2^n.
     """
     if n < _SPLIT_QUBITS:
         return _flip_matrix(n), None
@@ -254,56 +256,57 @@ _MATRIX_WORK = 1024
 # factors (see _flip_factors)
 _SPLIT_QUBITS = 7
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
+_DOT_SIZE = 4096            # floats from which np.dot's zeroed output costs
+                            # more than np.matmul's slower call
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the Taylor powers
 
 
 def _apply_vectors(psi, coef, diag, terms, subs):
     """Apply exp(-i (coef[f] X + diag(diag[f])))^subs[f] to psi, factor by factor.
 
-    The Taylor series acts on the real (2^n, 2B) view of the (2^n, B)
-    state block: each power M^j v costs the flip action X v plus
-    elementwise products, and one small GEMM with the series coefficients
-    sums the powers, so the loop runs few numpy calls per term. Up to six
-    qubits X v is one real GEMM with the dense flip matrix; from
-    _SPLIT_QUBITS on it is one GEMM with X_hi on the (2^h, 2^(n-h) 2B) view
-    of the block plus one batched GEMM with X_lo on its (2^h, 2^(n-h), 2B)
-    view (see _flip_factors).
+    The series acts on the (2^n, B) block in the real layout (2^h, 2B,
+    2^(n-h)): high qubits, the real and imaginary column of every run, low
+    qubits. Each power M^j v costs X_hi (x) I, one GEMM from the left on the
+    (2^h, 2B 2^(n-h)) view, I (x) X_lo, one from the right on the
+    (2^h 2B, 2^(n-h)) view, and elementwise products with full-shape factor
+    data (below _SPLIT_QUBITS, 2^(n-h) = 1 and the first GEMM is all of X).
+    One GEMM with the series coefficients sums the powers into the next
+    factor's first power.
     """
-    block = psi.view(float)
-    flip, low = _flip_factors(psi.shape[0].bit_length() - 1)
-    diags = np.repeat(diag, 2, axis=2)
-    # full-shape factors: broadcasting a short row multiplies far slower
-    coefs = np.repeat(coef, 2, axis=1)[:, None, :] * np.ones(block.shape)
-    powers = np.empty((max(terms) + 1,) + block.shape)
-    rows = list(powers)
-    product = np.empty_like(block)
-    if low is not None:
-        wide = [row.reshape(len(flip), -1) for row in rows]
-        cubes = [row.reshape(len(flip), len(low), -1) for row in rows]
-        low_part = product.reshape(cubes[0].shape)
+    dim, batch = psi.shape
+    flip, low = _flip_factors(dim.bit_length() - 1)
+    high = len(flip)
+    shape = (high, batch, 2, dim // high)
+    powers = np.empty((max(terms) + 1,) + shape)
+    block = psi.view(float).reshape(high, -1, batch, 2)
+    powers[0] = block.transpose(0, 2, 3, 1)
+    coefs = np.repeat(np.repeat(coef, 2 * shape[-1], axis=1)[:, None], high,
+                      axis=1).reshape((len(coef),) + shape)
+    diags = np.repeat(diag.reshape(len(diag), high, -1, batch)
+                      .transpose(0, 1, 3, 2)[:, :, :, None], 2, axis=3)
+    gemm = np.dot if powers[0].size < _DOT_SIZE else np.matmul
+    rows, flat = list(powers), powers.reshape(len(powers), -1)
+    wide = [row.reshape(high, -1) for row in rows]
+    tall = [row.reshape(-1, shape[-1]) for row in rows]
+    product = np.empty(shape)
+    low_part = product.reshape(tall[0].shape)
+    sums = np.empty((2, flat.shape[1]))
+    # exp(-iM) v = even - i odd: re = even_re + odd_im, im = even_im - odd_re
+    even, odd = sums.reshape((2,) + shape)
     for count, repeat, a, d in zip(terms, subs, coefs, diags):
         for _ in range(repeat):
-            rows[0][...] = block
-            if low is None:
-                for prev, power in zip(rows[:count], rows[1:count + 1]):
-                    np.matmul(flip, prev, out=power)
-                    power *= a
-                    power += np.multiply(d, prev, out=product)
-            else:
-                for j in range(count):
-                    np.matmul(flip, wide[j], out=wide[j + 1])
-                    np.matmul(low, cubes[j], out=low_part)
-                    power = rows[j + 1]
+            for j in range(count):
+                power = rows[j + 1]
+                gemm(flip, wide[j], out=wide[j + 1])
+                if low is not None:
+                    gemm(tall[j], low, out=low_part)
                     power += product
-                    power *= a
-                    power += np.multiply(d, rows[j], out=product)
-            even, odd = (_SERIES[:, :count + 1]
-                         @ powers[:count + 1].reshape(count + 1, -1))
-            cplx = odd.view(complex)
-            cplx *= -1j
-            even += odd
-            block = even.reshape(block.shape)
-    return block.view(complex)
+                power *= a
+                power += np.multiply(d, rows[j], out=product)
+            gemm(_SERIES[:, :count + 1], flat[:count + 1], out=sums)
+            np.add(even[:, :, 0], odd[:, :, 1], out=rows[0][:, :, 0])
+            np.subtract(even[:, :, 1], odd[:, :, 0], out=rows[0][:, :, 1])
+    return rows[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
 
 
 def _apply_matrices(psi, coef, diag, terms, subs):
@@ -332,13 +335,16 @@ def _apply_matrices(psi, coef, diag, terms, subs):
     return cols[:, :, 0].T
 
 
-def _propagate(specs, ends, steps, initial) -> np.ndarray:
-    """evolve on one block of at most _MAX_BLOCK amplitudes."""
+def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
+    """evolve on one block of at most _MAX_BLOCK amplitudes, from batch row
+    `first` on."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
     occ = _occupations(n)
-    static, sumh = (np.stack(parts, axis=1) for parts in
-                    zip(*(_diagonals(spec, occ) for spec in specs)))
+    # (run, state) arrays, the longer axis contiguous: the diagonals built
+    # from them keep that layout, so the reductions over states run long loops
+    static, sumh = (np.array(parts, order="F" if batch > dim else "C")
+                    for parts in zip(*(_diagonals(spec, occ) for spec in specs)))
     grids = [_step_grid(spec, end, steps if steps is not None
                         else default_steps(end))
              for spec, end in zip(specs, ends)]
@@ -363,8 +369,8 @@ def _propagate(specs, ends, steps, initial) -> np.ndarray:
     phase = np.zeros(batch)
     for lo in range(0, rows, chunk):
         part = slice(lo, lo + chunk)
-        diag = 0.5 * static - dlocal[part, None, :] * sumh
-        top, bottom = diag.max(axis=1), diag.min(axis=1)
+        diag = 0.5 * static - dlocal[part, :, None] * sumh
+        top, bottom = diag.max(axis=2), diag.min(axis=2)
         # shifting the diagonal by its midpoint c, with the phase
         # exp(-i dt c) applied exactly at the end, halves the norm bound of
         # a stiff (blockaded) diagonal; a purely diagonal factor is not
@@ -373,17 +379,20 @@ def _propagate(specs, ends, steps, initial) -> np.ndarray:
         phase += (mid * width[part]).sum(axis=0)
         norm = (np.abs(coef[part]) * (n / 2.0)
                 + np.maximum(top - mid, mid - bottom)) * width[part]
-        worst = norm.max(axis=1)
-        if not worst.max() <= _MAX_STIFFNESS:
+        stiff = np.flatnonzero(~(norm <= _MAX_STIFFNESS).all(axis=0))
+        if stiff.size:
+            run = first + int(stiff[0])
             raise NumericError(
-                f"Hamiltonian norm bound x step width {worst.max():.3g} "
-                f"exceeds {_MAX_STIFFNESS:.3g}; raise the step count or "
-                "check the atom spacing")
+                f"run {run}: Hamiltonian norm bound x step width "
+                f"{norm[:, stiff[0]].max():.3g} exceeds {_MAX_STIFFNESS:.3g}; "
+                "raise the step count or check the atom spacing", run=run)
+        worst = norm.max(axis=1)
         subs = np.maximum(1, np.ceil(worst / _MAX_NORM)).astype(int)
         terms = np.searchsorted(_TERM_BOUNDS, worst / subs)
         scale = width[part] / subs[:, None]
-        diag = (diag - mid[:, None, :]) * scale[:, None, :]
-        psi = apply(psi, coef[part] * scale, diag, terms, subs)
+        diag = (diag - mid[:, :, None]) * scale[:, :, None]
+        psi = apply(psi, coef[part] * scale, diag.transpose(0, 2, 1), terms,
+                    subs)
     return (psi * np.exp(-1j * phase)).T
 
 
@@ -403,7 +412,9 @@ def evolve(specs, steps: int | None = None, duration: float | None = None,
     summed to unit roundoff with a term count fixed in advance from a norm
     bound (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488). The norm
     is preserved to rounding, and doubling `steps` moves probabilities by
-    well under 1e-6 at 1000 steps/us even for full-scale drives.
+    well under 1e-6 at 1000 steps/us even for full-scale drives. A run no
+    step budget resolves (near-coincident atoms) raises NumericError
+    naming its row, also as the error's `run`.
     """
     specs = list(specs)
     if not specs:
@@ -438,5 +449,5 @@ def evolve(specs, steps: int | None = None, duration: float | None = None,
     block = max(1, _MAX_BLOCK // dim)
     return np.concatenate([
         _propagate(specs[i:i + block], ends[i:i + block], steps,
-                   initial[i:i + block])
+                   initial[i:i + block], i)
         for i in range(0, len(specs), block)])

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import shutil
 import struct
 from dataclasses import fields
@@ -15,7 +16,8 @@ from rydgan.cli import main
 from rydgan.config import RunConfig, _sections, load_config, render_config
 from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
 from rydgan.errors import DataError, RydganError
-from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_batch
+from rydgan.generator import (EXACT, GeneratorParams, draw_seeds, generate_batch,
+                              perturb_params)
 from rydgan.metrics import greedy_select
 from rydgan.sim import AtomArrangement
 from rydgan.training import Learner, load_learner
@@ -325,6 +327,34 @@ class TestGenerate:
         after = {f: open(os.path.join(gdir, f), "rb").read()
                  for f in os.listdir(gdir)}
         assert before == after
+
+    def test_crowded_noisy_draw_exits_4_naming_image_and_member(
+            self, smoke_ini, pipeline_out, tmp_path, capsys):
+        # a 5 um position error brings the atoms of some of 400 draws within
+        # ~1 um, which no step budget resolves; nothing is written
+        out = str(tmp_path / "crowded")
+        shutil.copytree(pipeline_out, out)
+        shutil.rmtree(os.path.join(out, "generated"), ignore_errors=True)
+        cfg = tmp_path / "crowded.ini"
+        cfg.write_text(open(smoke_ini).read()
+                       + "\n[error_model]\nposition_sigma = 5.0\n")
+        code = main(["generate", "--config", str(cfg), "--out", out,
+                     "--mode", "noisy", "--count", "400"])
+        err = capsys.readouterr().err
+        assert code == 4
+        match = re.search(r"error: image (\d+), member ([^:\s]+): run (\d+): "
+                          "Hamiltonian norm bound", err)
+        assert match, err
+        image, name, run = int(match[1]), match[2], int(match[3])
+        files = json.load(open(_artefact_paths(out)["manifest"]))["member_files"]
+        assert run == image * len(files) + files.index(name)
+        config = load_config(str(cfg), {"out_dir": out})
+        mode = cli._member_mode(config, "noisy", image, files.index(name))
+        learner = load_learner(os.path.join(out, "learners", "class0", name))
+        pos = perturb_params(learner.learner.params,
+                             mode.model).arrangement.position_array()
+        assert np.linalg.norm(pos[0] - pos[1]) < 1.0
+        assert not os.path.exists(os.path.join(out, "generated"))
 
     def test_missing_ensemble_is_data_error(self, smoke_ini, tmp_path, capsys):
         out = str(tmp_path / "noens")
@@ -714,6 +744,33 @@ class TestMalformedArtefacts:
         assert code == 3
         assert f"{path}: field {field}" in err or f"{path}: {field}" in err
         assert not os.path.exists(os.path.join(copy, "generated"))
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate", "select"])
+    def test_overflowing_pca_model_exits_4_naming_fid(self, smoke_ini, copy,
+                                                      capsys, command):
+        # one finite but huge component loads, then overflows the images:
+        # no nan or inf FID or variation may reach an output file
+        shutil.rmtree(os.path.join(copy, "generated"), ignore_errors=True)
+        path = _artefact_paths(copy)["pca"]
+        with open(path) as f:
+            doc = json.load(f)
+        components = load_pca(path).components.copy()
+        components[0, 0] = 1e300
+        doc["components"] = f8_field(components)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+
+        def tree():
+            return {os.path.join(root, name): open(os.path.join(root, name),
+                                                   "rb").read()
+                    for root, _, names in os.walk(copy) for name in names
+                    if name != "effective-config.ini"}
+        before = tree()
+        code = main([command, "--config", smoke_ini, "--out", copy]
+                    + (["--class", "0"] if command == "evaluate" else []))
+        assert code == 4
+        assert "error: FID is not finite" in capsys.readouterr().err
+        assert tree() == before
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -241,10 +244,11 @@ class TestEvolve:
             evolve([spec], duration=2.0)
 
 
-def full_range_spec(rng, n):
-    """Strongest legal drives on atoms at the minimum 4 um spacing."""
+def full_range_spec(rng, n, spacing=4.0):
+    """Strongest legal drives on a square grid of atoms, by default at the
+    minimum 4 um spacing."""
     side = int(np.ceil(np.sqrt(n)))
-    pos = [(4.0 * (i % side), 4.0 * (i // side)) for i in range(n)]
+    pos = [(spacing * (i % side), spacing * (i // side)) for i in range(n)]
     return HamiltonianSpec(
         arrangement=AtomArrangement(tuple(pos), tuple(rng.uniform(0, 1, n))),
         rabi=PulseProgram(shape="trapezoid", kind="rabi", param=15.8,
@@ -280,6 +284,26 @@ class TestEvolveBatch:
         out = evolve(specs, steps=12)
         for spec, row in zip(specs, out):
             assert np.abs(row - evolve_eigh(ground(n), spec, 12)).max() <= 1e-9
+
+    def test_nine_qubit_split_path_matches_eigh_oracle(self):
+        spec = random_spec(np.random.default_rng(79), 9)
+        out = evolve([spec], steps=12)[0]
+        assert np.abs(out - evolve_eigh(ground(9), spec, 12)).max() <= 1e-9
+
+    def test_split_and_dense_paths_agree_at_seven_qubits(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        specs = [random_spec(rng, 7), random_spec(rng, 7, duration=0.6)]
+        split = evolve(specs, steps=20)
+        monkeypatch.setattr(sim, "_SPLIT_QUBITS", 8)
+        assert np.abs(evolve(specs, steps=20) - split).max() <= 1e-13
+
+    def test_spread_ten_qubit_run_takes_under_a_second(self):
+        # the README's promise, at the default step budget
+        spec = full_range_spec(np.random.default_rng(10), 10, spacing=25.0)
+        start = time.perf_counter()
+        evolve([spec])
+        elapsed = time.perf_counter() - start
+        assert elapsed <= 1.0, f"one n = 10 run took {elapsed:.2f}s"
 
     def test_stiff_six_qubit_factors_match_eigh_oracle(self):
         # 4 um packing at a coarse step: every factor's norm bound is far
@@ -331,6 +355,14 @@ class TestEvolveBatch:
             lone = evolve([spec], steps=100)[0]
             assert np.abs(row - lone).max() <= 1e-12
 
+    @pytest.mark.parametrize("n, batch", [(8, 3), (10, 2)])
+    def test_split_path_rows_agree_with_lone_runs(self, n, batch):
+        rng = np.random.default_rng(n)
+        specs = [random_spec(rng, n) for _ in range(batch)]
+        out = evolve(specs, steps=40)
+        for spec, row in zip(specs, out):
+            assert np.abs(row - evolve([spec], steps=40)[0]).max() <= 1e-12
+
     def test_rejects_mixed_qubit_counts(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValidationError):
@@ -344,6 +376,22 @@ class TestEvolveBatch:
                              omega=2.0, dlocal=0.0, dglobal=0.0)
         with pytest.raises(NumericError):
             evolve([spec], steps=100)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_stiff_run_is_named(self, n, monkeypatch):
+        # run 1 has a 0.01 um pair; at n = 8 the runs take the split path
+        spread = full_range_spec(np.random.default_rng(n), n, spacing=20.0)
+        pos = list(spread.arrangement.positions)
+        pos[1] = (pos[0][0] + 0.01, pos[0][1])
+        crowded = dataclasses.replace(spread, arrangement=AtomArrangement(
+            tuple(pos), spread.arrangement.couplings))
+        with pytest.raises(NumericError, match="^run 1: ") as err:
+            evolve([spread, crowded, spread], steps=100)
+        assert err.value.run == 1
+        # one run per block: evolve adds the block offset
+        monkeypatch.setattr(sim, "_MAX_BLOCK", 1)
+        with pytest.raises(NumericError, match="^run 1: "):
+            evolve([spread, crowded, spread], steps=100)
 
     def test_rejects_misshapen_initial_states(self):
         spec = random_spec(np.random.default_rng(2), 2)
