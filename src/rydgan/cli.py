@@ -214,25 +214,22 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
 
 
 def _generate_images(config: RunConfig, members, model: dp.PcaModel,
-                     mode_name: str, count: int, files=None) -> np.ndarray:
+                     mode_name: str, count: int, files) -> np.ndarray:
     """(count, 28, 28) ensemble images; every run a fresh perturbation.
 
     All count x members runs are generated as one batch; each image
     averages its members' features. A run that fails numerically (a noisy
-    draw that crowds two atoms) raises, naming its image and its member's
-    file from `files` (default: the learner's name).
+    draw that crowds two atoms) names its image and member file.
     """
     seeds = draw_seeds(np.random.default_rng(config.master_seed), count)
     runs = [(m.params, seed, _member_mode(config, mode_name, i, j))
             for i, seed in enumerate(seeds) for j, m in enumerate(members)]
     try:
         features = _features(config, runs)
-    except NumericError as err:
-        if err.run is None:
-            raise
+    except NumericError as err:     # generate_batch names the failed run
         image, member = divmod(err.run, len(members))
-        label = files[member] if files else members[member].name
-        raise NumericError(f"image {image}, member {label}: {err}") from err
+        raise NumericError(
+            f"image {image}, member {files[member]}: {err}") from err
     features = features.reshape(count, len(members), -1)
     weights = dp.unscale_features(model, features.mean(axis=1))
     return dp.inverse_transform(model, weights).reshape(count, 28, 28)

@@ -121,7 +121,8 @@ def fid_images(real_images, generated_images,
             f"pixel dimensions differ: {r.shape[1]} vs {g.shape[1]}")
     if r.shape[0] < 2 or g.shape[0] < 2:
         raise ValidationError("need at least 2 images per batch for FID")
-    _finite(np.concatenate([r, g]), "FID")
+    for batch in (r, g):
+        _finite(batch, "FID")
     if r.shape[0] + g.shape[0] + 1 < r.shape[1]:
         r, g = _project_to_joint_span(r, g)
     return _finite(fid(summarize(r), summarize(g), jitter=jitter), "FID")

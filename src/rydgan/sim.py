@@ -24,11 +24,10 @@ arrays, and measurement is the generator's readout. Each factor
 exp(-i dt (a X + diag d)) is a Taylor series summed to unit roundoff,
 applied through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
 plus elementwise diagonal products, on the block in the real layout
-(2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is a plain GEMM from the
-left and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of
-O(4^n); up to six qubits h = n, and the one GEMM has the dense flip
-matrix. Small blocks form the factors as matrices instead. No
-eigendecomposition is taken.
+(2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is one GEMM from the left
+and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
+(up to six qubits h = n and X_hi = X). Small blocks form the factors as
+matrices instead. No eigendecomposition is taken.
 """
 
 from __future__ import annotations
@@ -159,8 +158,7 @@ def _flip_factors(n: int) -> tuple:
 
     With h = ceil(n/2) high qubits, X = X_hi (x) I + I (x) X_lo, where X_hi
     and X_lo are the flip matrices of h and n - h qubits: on a (2^h, ...,
-    2^(n-h)) block, two plain GEMMs of width 2^h (from the left) and
-    2^(n-h) (from the right) replace one of width 2^n.
+    2^(n-h)) block, GEMMs of width 2^h and 2^(n-h) replace one of 2^n.
     """
     if n < _SPLIT_QUBITS:
         return _flip_matrix(n), None
@@ -256,8 +254,6 @@ _MATRIX_WORK = 1024
 # factors (see _flip_factors)
 _SPLIT_QUBITS = 7
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
-_DOT_SIZE = 4096            # floats from which np.dot's zeroed output costs
-                            # more than np.matmul's slower call
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the Taylor powers
 
 
@@ -284,7 +280,6 @@ def _apply_vectors(psi, coef, diag, terms, subs):
                       axis=1).reshape((len(coef),) + shape)
     diags = np.repeat(diag.reshape(len(diag), high, -1, batch)
                       .transpose(0, 1, 3, 2)[:, :, :, None], 2, axis=3)
-    gemm = np.dot if powers[0].size < _DOT_SIZE else np.matmul
     rows, flat = list(powers), powers.reshape(len(powers), -1)
     wide = [row.reshape(high, -1) for row in rows]
     tall = [row.reshape(-1, shape[-1]) for row in rows]
@@ -297,13 +292,13 @@ def _apply_vectors(psi, coef, diag, terms, subs):
         for _ in range(repeat):
             for j in range(count):
                 power = rows[j + 1]
-                gemm(flip, wide[j], out=wide[j + 1])
+                np.dot(flip, wide[j], out=wide[j + 1])
                 if low is not None:
-                    gemm(tall[j], low, out=low_part)
+                    np.dot(tall[j], low, out=low_part)
                     power += product
                 power *= a
                 power += np.multiply(d, rows[j], out=product)
-            gemm(_SERIES[:, :count + 1], flat[:count + 1], out=sums)
+            np.dot(_SERIES[:, :count + 1], flat[:count + 1], out=sums)
             np.add(even[:, :, 0], odd[:, :, 1], out=rows[0][:, :, 0])
             np.subtract(even[:, :, 1], odd[:, :, 0], out=rows[0][:, :, 1])
     return rows[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
@@ -336,8 +331,7 @@ def _apply_matrices(psi, coef, diag, terms, subs):
 
 
 def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
-    """evolve on one block of at most _MAX_BLOCK amplitudes, from batch row
-    `first` on."""
+    """evolve on one block of at most _MAX_BLOCK amplitudes from row first."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
     occ = _occupations(n)
@@ -413,8 +407,8 @@ def evolve(specs, steps: int | None = None, duration: float | None = None,
     bound (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488). The norm
     is preserved to rounding, and doubling `steps` moves probabilities by
     well under 1e-6 at 1000 steps/us even for full-scale drives. A run no
-    step budget resolves (near-coincident atoms) raises NumericError
-    naming its row, also as the error's `run`.
+    step budget resolves (near-coincident atoms) is a NumericError whose
+    `run` is its row.
     """
     specs = list(specs)
     if not specs:

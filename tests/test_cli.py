@@ -433,9 +433,9 @@ class TestEvaluate:
         config.validate()
         model = _require_pca(config, 0)
         _, val = _load_class_split(config, 0)
-        _, members = _load_ensemble_members(config, 0)
+        files, members = _load_ensemble_members(config, 0)
         images = _generate_images(config, members, model, "ideal",
-                                  config.fid_batch)
+                                  config.fid_batch, files)
         direct = fid_images(val.images, images)
         rows = open(os.path.join(pipeline_out,
                                  "evaluation.csv")).read().splitlines()
@@ -639,7 +639,7 @@ class TestGenerateImages:
         self.stub_generation(monkeypatch, outputs)
         images = cli._generate_images(RunConfig(n_qubits=2),
                                       [stub_member(1.0), stub_member(2.0)],
-                                      model, "ideal", 3)
+                                      model, "ideal", 3, ["a.json", "b.json"])
         mean = (outputs[1.0] + outputs[2.0]) / 2
         expected = inverse_transform(model, unscale_features(model, mean))
         assert images.shape == (3, 28, 28)
@@ -651,14 +651,17 @@ class TestGenerateImages:
         self.stub_generation(monkeypatch, outputs)
         members = [stub_member(p) for p in (1.0, 2.0, 3.0)]
         config = RunConfig(n_qubits=2)
-        fwd = cli._generate_images(config, members, model, "ideal", 2)
-        rev = cli._generate_images(config, members[::-1], model, "ideal", 2)
+        files = ["a.json", "b.json", "c.json"]
+        fwd = cli._generate_images(config, members, model, "ideal", 2, files)
+        rev = cli._generate_images(config, members[::-1], model, "ideal", 2,
+                                   files[::-1])
         assert np.abs(fwd - rev).max() < 1e-12
 
     def test_single_member_decodes_its_generate_batch_output(self, model):
         config = RunConfig(n_qubits=2, steps_per_us=50)
         member = stub_member(2.0)
-        images = cli._generate_images(config, [member], model, "ideal", 3)
+        images = cli._generate_images(config, [member], model, "ideal", 3,
+                                      ["a.json"])
         seeds = draw_seeds(np.random.default_rng(config.master_seed), 3)
         features = generate_batch([(member.params, s, EXACT) for s in seeds],
                                   config.limits(), config.c6,
