@@ -106,6 +106,7 @@ def _project_to_joint_span(x1: np.ndarray, x2: np.ndarray):
     return (x1 - origin) @ basis.T, (x2 - origin) @ basis.T
 
 
+@np.errstate(over="ignore", invalid="ignore")   # _finite reports overflow
 def fid_images(real_images, generated_images,
                jitter: float = IMAGE_FID_JITTER) -> float:
     """FID between two image batches on flattened pixels.
@@ -128,6 +129,7 @@ def fid_images(real_images, generated_images,
     return _finite(fid(summarize(r), summarize(g), jitter=jitter), "FID")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def variation_scores(batch) -> np.ndarray:
     """Summed squared deviation of each image from the batch-mean image."""
     arrs = [np.asarray(im, dtype=float) for im in batch]

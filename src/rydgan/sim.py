@@ -166,20 +166,20 @@ def _flip_factors(n: int) -> tuple:
     return _flip_matrix(high), _flip_matrix(n - high)
 
 
-def _diagonals(spec: HamiltonianSpec, occ: np.ndarray):
+def _diagonals(occ: np.ndarray, arrangement, offset: float, c6: float):
     """The time-independent diagonal of H and the coupling weights sum_i h_i n_i.
 
     H(t) = omega(t) * X + diag(static - dlocal(t) * sumh).
     """
-    n = spec.n_qubits
-    pos = spec.arrangement.position_array()
+    n = arrangement.n_atoms
+    pos = arrangement.position_array()
     inter = np.zeros(len(occ))
     for i in range(n):
         for j in range(i + 1, n):
-            inter += (interaction_strength(pos[i], pos[j], spec.c6)
+            inter += (interaction_strength(pos[i], pos[j], c6)
                       * occ[:, i] * occ[:, j])
-    static = inter - spec.global_detuning_offset * occ.sum(axis=1)
-    return static, occ @ spec.arrangement.coupling_array()
+    static = inter - offset * occ.sum(axis=1)
+    return static, occ @ arrangement.coupling_array()
 
 
 def _drive_values(spec: HamiltonianSpec, t):
@@ -191,7 +191,8 @@ def _drive_values(spec: HamiltonianSpec, t):
 
 def build_hamiltonian(spec: HamiltonianSpec, t: float) -> np.ndarray:
     """Dense Hermitian H(t) over the 2^n computational basis."""
-    static, sumh = _diagonals(spec, _occupations(spec.n_qubits))
+    static, sumh = _diagonals(_occupations(spec.n_qubits), spec.arrangement,
+                              spec.global_detuning_offset, spec.c6)
     omega, dlocal = _drive_values(spec, float(t))
     return omega * _flip_matrix(spec.n_qubits) + np.diag(static - dlocal * sumh)
 
@@ -201,15 +202,14 @@ def default_steps(duration: float, steps_per_us: int = 1000) -> int:
     return max(1, int(round(steps_per_us * duration)))
 
 
-def _step_grid(spec: HamiltonianSpec, duration: float, steps: int):
-    """(start, dt) per integration step, aligned to pulse breakpoints.
+def _step_grid(cuts: tuple, duration: float, steps: int):
+    """(start, dt) per integration step, aligned to the pulse breakpoints cuts.
 
     The step budget sets a target dt; each smooth segment between pulse
     kinks is covered by uniform steps no wider than the target, so every
     step integrates an analytic drive and the propagator keeps its full
     fourth-order accuracy for every pulse shape.
     """
-    cuts = set(breakpoint_times(spec.rabi)) | set(breakpoint_times(spec.local_detuning))
     bounds = sorted({0.0, duration} | {t for t in cuts if 0.0 < t < duration})
     dt_target = duration / steps
     starts, dts = [np.empty(0)], [np.empty(0)]
@@ -257,8 +257,9 @@ _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the Taylor powers
 
 
-def _apply_vectors(psi, coef, diag, terms, subs):
-    """Apply exp(-i (coef[f] X + diag(diag[f])))^subs[f] to psi, factor by factor.
+def _apply_vectors(psi, chunks):
+    """Apply exp(-i (coef[f] X + diag(diag[f])))^subs[f] to psi, factor by
+    factor, for each (coef, diag, terms, subs) of chunks in turn.
 
     The series acts on the (2^n, B) block in the real layout (2^h, 2B,
     2^(n-h)): high qubits, the real and imaginary column of every run, low
@@ -267,66 +268,81 @@ def _apply_vectors(psi, coef, diag, terms, subs):
     (2^h 2B, 2^(n-h)) view, and elementwise products with full-shape factor
     data (below _SPLIT_QUBITS, 2^(n-h) = 1 and the first GEMM is all of X).
     One GEMM with the series coefficients sums the powers into the next
-    factor's first power.
+    factor's first power. All chunks share the work arrays, grown on demand.
     """
     dim, batch = psi.shape
     flip, low = _flip_factors(dim.bit_length() - 1)
     high = len(flip)
     shape = (high, batch, 2, dim // high)
-    powers = np.empty((max(terms) + 1,) + shape)
-    block = psi.view(float).reshape(high, -1, batch, 2)
-    powers[0] = block.transpose(0, 2, 3, 1)
-    coefs = np.repeat(np.repeat(coef, 2 * shape[-1], axis=1)[:, None], high,
-                      axis=1).reshape((len(coef),) + shape)
-    diags = np.repeat(diag.reshape(len(diag), high, -1, batch)
-                      .transpose(0, 1, 3, 2)[:, :, :, None], 2, axis=3)
-    rows, flat = list(powers), powers.reshape(len(powers), -1)
-    wide = [row.reshape(high, -1) for row in rows]
-    tall = [row.reshape(-1, shape[-1]) for row in rows]
+    powers, views, coefs = np.empty((1,) + shape), None, ()
+    powers[0] = psi.view(float).reshape(high, -1, batch, 2).transpose(0, 2, 3, 1)
     product = np.empty(shape)
-    low_part = product.reshape(tall[0].shape)
-    sums = np.empty((2, flat.shape[1]))
+    low_part = product.reshape(-1, shape[-1])
+    sums = np.empty((2, product.size))
     # exp(-iM) v = even - i odd: re = even_re + odd_im, im = even_im - odd_re
     even, odd = sums.reshape((2,) + shape)
-    for count, repeat, a, d in zip(terms, subs, coefs, diags):
-        for _ in range(repeat):
-            for j in range(count):
-                power = rows[j + 1]
-                np.dot(flip, wide[j], out=wide[j + 1])
-                if low is not None:
-                    np.dot(tall[j], low, out=low_part)
-                    power += product
-                power *= a
-                power += np.multiply(d, rows[j], out=product)
-            np.dot(_SERIES[:, :count + 1], flat[:count + 1], out=sums)
-            np.add(even[:, :, 0], odd[:, :, 1], out=rows[0][:, :, 0])
-            np.subtract(even[:, :, 1], odd[:, :, 0], out=rows[0][:, :, 1])
-    return rows[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
+    parts = even[:, :, 0], odd[:, :, 1], even[:, :, 1], odd[:, :, 0]
+    dot, multiply = np.dot, np.multiply     # bound once: called per term
+    for coef, diag, terms, subs in chunks:
+        if views is None or len(powers) <= max(terms):
+            powers = np.concatenate([powers[:1], np.empty((max(terms),) + shape)])
+            rows, flat = list(powers), powers.reshape(len(powers), -1)
+            wide = [row.reshape(high, -1) for row in rows]
+            # per term j: M^(j+1) v, M^j v, wide M^j v and M^(j+1) v, tall M^j v
+            views = list(zip(rows[1:], rows, wide, wide[1:],
+                             [row.reshape(-1, shape[-1]) for row in rows]))
+            heads = [(_SERIES[:, :count + 1], flat[:count + 1])
+                     for count in range(len(powers))]
+            state = rows[0][:, :, 0], rows[0][:, :, 1]
+        if len(coefs) < len(coef):
+            coefs, diags = np.empty((2, len(coef)) + shape)
+        coefs[:len(coef)] = coef[:, None, :, None, None]
+        diags[:len(coef)] = diag.reshape(len(diag), high, -1, batch).transpose(
+            0, 1, 3, 2)[:, :, :, None]
+        for count, repeat, a, d in zip(terms, subs, coefs, diags):
+            for _ in range(repeat):
+                if low is None:
+                    for power, previous, source, target, _ in views[:count]:
+                        dot(flip, source, out=target)
+                        power *= a
+                        power += multiply(d, previous, out=product)
+                else:
+                    for power, previous, source, target, tall in views[:count]:
+                        dot(flip, source, out=target)
+                        dot(tall, low, out=low_part)
+                        power += product
+                        power *= a
+                        power += multiply(d, previous, out=product)
+                np.dot(*heads[count], out=sums)
+                np.add(parts[0], parts[1], out=state[0])
+                np.subtract(parts[2], parts[3], out=state[1])
+    return powers[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
 
 
-def _apply_matrices(psi, coef, diag, terms, subs):
+def _apply_matrices(psi, chunks):
     """Same action as _apply_vectors, for small B * 4^n.
 
-    The factors' exponentials are formed as matrices by the same Taylor
+    Each chunk's exponentials are formed as matrices by the same Taylor
     series, batched over every factor of the chunk, then applied in turn.
     This costs 2^n times the arithmetic but far fewer numpy calls, so small
     blocks (one run at n <= 5, a few at n = 4) are not bound by per-call
     cost.
     """
     dim = psi.shape[0]
-    gen = coef[:, :, None, None] * _flip_matrix(dim.bit_length() - 1)
     i = np.arange(dim)
-    gen[:, :, i, i] += diag.transpose(0, 2, 1)
-    power = np.broadcast_to(np.eye(dim), gen.shape)
-    even, odd = power.copy(), np.zeros_like(gen)
-    for j in range(1, max(terms) + 1):
-        power = power @ gen
-        acc = odd if j & 1 else even
-        acc += _SERIES[j & 1, j] * power
     cols = psi.T[:, :, None]
-    for prop, repeat in zip(even - 1j * odd, subs):
-        for _ in range(repeat):
-            cols = prop @ cols
+    for coef, diag, terms, subs in chunks:
+        gen = coef[:, :, None, None] * _flip_matrix(dim.bit_length() - 1)
+        gen[:, :, i, i] += diag.transpose(0, 2, 1)
+        power = np.broadcast_to(np.eye(dim), gen.shape)
+        even, odd = power.copy(), np.zeros_like(gen)
+        for j in range(1, max(terms) + 1):
+            power = power @ gen
+            acc = odd if j & 1 else even
+            acc += _SERIES[j & 1, j] * power
+        for prop, repeat in zip(even - 1j * odd, subs):
+            for _ in range(repeat):
+                cols = prop @ cols
     return cols[:, :, 0].T
 
 
@@ -334,14 +350,19 @@ def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
     """evolve on one block of at most _MAX_BLOCK amplitudes from row first."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
-    occ = _occupations(n)
+    # set-up is built once per distinct input: the runs of one learner point
+    # share an arrangement, the runs of one seed a step grid
+    diagonals = functools.cache(functools.partial(_diagonals, _occupations(n)))
+    grid = functools.cache(_step_grid)
     # (run, state) arrays, the longer axis contiguous: the diagonals built
     # from them keep that layout, so the reductions over states run long loops
     static, sumh = (np.array(parts, order="F" if batch > dim else "C")
-                    for parts in zip(*(_diagonals(spec, occ) for spec in specs)))
-    grids = [_step_grid(spec, end, steps if steps is not None
-                        else default_steps(end))
-             for spec, end in zip(specs, ends)]
+                    for parts in zip(*(diagonals(s.arrangement,
+                                                 s.global_detuning_offset, s.c6)
+                                       for s in specs)))
+    grids = [grid(tuple(breakpoint_times(s.rabi)
+                        + breakpoint_times(s.local_detuning)),
+                  end, steps or default_steps(end)) for s, end in zip(specs, ends)]
     # one row per Magnus factor, two per step in application order; columns
     # with fewer steps are padded with zero-width steps, which are identities
     rows = 2 * max(len(starts) for starts, _ in grids)
@@ -356,37 +377,39 @@ def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
 
     # each factor is exp(-i dt (coef X + 0.5 static - dlocal sumh))
     matrix = batch * dim * dim <= _MATRIX_WORK
-    apply = _apply_matrices if matrix else _apply_vectors
     # about six float arrays of one factor's block size are live per row
     chunk = max(1, _CHUNK_BYTES // (48 * batch * dim * (dim if matrix else 1)))
-    psi = initial.T.copy()
     phase = np.zeros(batch)
-    for lo in range(0, rows, chunk):
-        part = slice(lo, lo + chunk)
-        diag = 0.5 * static - dlocal[part, :, None] * sumh
-        top, bottom = diag.max(axis=2), diag.min(axis=2)
-        # shifting the diagonal by its midpoint c, with the phase
-        # exp(-i dt c) applied exactly at the end, halves the norm bound of
-        # a stiff (blockaded) diagonal; a purely diagonal factor is not
-        # shifted, so a run without dynamics keeps its amplitudes exactly
-        mid = np.where(coef[part] != 0.0, 0.5 * (top + bottom), 0.0)
-        phase += (mid * width[part]).sum(axis=0)
-        norm = (np.abs(coef[part]) * (n / 2.0)
-                + np.maximum(top - mid, mid - bottom)) * width[part]
-        stiff = np.flatnonzero(~(norm <= _MAX_STIFFNESS).all(axis=0))
-        if stiff.size:
-            run = first + int(stiff[0])
-            raise NumericError(
-                f"run {run}: Hamiltonian norm bound x step width "
-                f"{norm[:, stiff[0]].max():.3g} exceeds {_MAX_STIFFNESS:.3g}; "
-                "raise the step count or check the atom spacing", run=run)
-        worst = norm.max(axis=1)
-        subs = np.maximum(1, np.ceil(worst / _MAX_NORM)).astype(int)
-        terms = np.searchsorted(_TERM_BOUNDS, worst / subs)
-        scale = width[part] / subs[:, None]
-        diag = (diag - mid[:, :, None]) * scale[:, :, None]
-        psi = apply(psi, coef[part] * scale, diag.transpose(0, 2, 1), terms,
-                    subs)
+
+    def chunks():
+        for lo in range(0, rows, chunk):
+            part = slice(lo, lo + chunk)
+            diag = 0.5 * static - dlocal[part, :, None] * sumh
+            top, bottom = diag.max(axis=2), diag.min(axis=2)
+            # shifting the diagonal by its midpoint c, with the phase
+            # exp(-i dt c) applied exactly at the end, halves the norm bound
+            # of a stiff (blockaded) diagonal; a purely diagonal factor is
+            # not shifted, so a run without dynamics keeps its amplitudes
+            mid = np.where(coef[part] != 0.0, 0.5 * (top + bottom), 0.0)
+            phase[:] += (mid * width[part]).sum(axis=0)
+            norm = (np.abs(coef[part]) * (n / 2.0)
+                    + np.maximum(top - mid, mid - bottom)) * width[part]
+            stiff = np.flatnonzero(~(norm <= _MAX_STIFFNESS).all(axis=0))
+            if stiff.size:
+                run = first + int(stiff[0])
+                raise NumericError(
+                    f"run {run}: Hamiltonian norm bound x step width "
+                    f"{norm[:, stiff[0]].max():.3g} exceeds {_MAX_STIFFNESS:.3g}"
+                    "; raise the step count or check the atom spacing", run=run)
+            worst = norm.max(axis=1)
+            subs = np.maximum(1, np.ceil(worst / _MAX_NORM)).astype(int)
+            terms = np.searchsorted(_TERM_BOUNDS, worst / subs)
+            scale = width[part] / subs[:, None]
+            diag = (diag - mid[:, :, None]) * scale[:, :, None]
+            yield coef[part] * scale, diag.transpose(0, 2, 1), terms, subs
+
+    psi = (_apply_matrices if matrix else _apply_vectors)(initial.T.copy(),
+                                                          chunks())
     return (psi * np.exp(-1j * phase)).T
 
 

@@ -189,19 +189,24 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
             stage_seeds = draw_seeds(rng, config.seed_batch)
             x0, bounds = params.groups(config.limits, config.field_size)[stage]
             steps = nelder_mead_steps(x0, bounds, config.nm_iters, config.nm_tol)
+            scored = {}     # vertex bytes -> loss; a stage's objective is fixed
             try:
                 points = next(steps)
                 while True:
+                    fresh = {x.tobytes(): x for x in points
+                             if x.tobytes() not in scored}
                     # atoms closer than min_spacing get a penalty, not a run
-                    trials = [params.with_group(stage, x) for x in points]
+                    trials = [params.with_group(stage, x) for x in fresh.values()]
                     gaps = [config.min_spacing - t.min_pair_distance()
                             for t in trials]
                     runs = [(t, s) for t, gap in zip(trials, gaps)
                             if not gap > 0 for s in stage_seeds]
                     rows = (iter((yield runs).reshape(-1, config.seed_batch, k))
                             if runs else None)
-                    values = [_GEOMETRY_PENALTY + 100.0 * gap if gap > 0
-                              else _mean_loss(net, next(rows)) for gap in gaps]
+                    scored.update(zip(fresh, [
+                        _GEOMETRY_PENALTY + 100.0 * gap if gap > 0
+                        else _mean_loss(net, next(rows)) for gap in gaps]))
+                    values = [scored[x.tobytes()] for x in points]
                     # x0 of the first simplex is the untrained params
                     if initial_loss is None:
                         initial_loss = values[0]

@@ -1,4 +1,5 @@
 import base64
+import collections
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from rydgan import cli
+from rydgan import cli, training
 from rydgan.cli import main
 from rydgan.config import RunConfig, _sections, load_config, render_config
 from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
@@ -19,6 +20,7 @@ from rydgan.errors import DataError, RydganError
 from rydgan.generator import (EXACT, GeneratorParams, draw_seeds, generate_batch,
                               perturb_params)
 from rydgan.metrics import greedy_select
+from rydgan.neldermead import nelder_mead_steps
 from rydgan.sim import AtomArrangement
 from rydgan.training import Learner, load_learner
 from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, f8_field,
@@ -115,6 +117,40 @@ class TestTrain:
                           "nm_stop,gen_loss,disc_loss")
         assert len(log) == 1 + 2 * 4  # header + 2 learners x 4 stages
         assert {row.split(",")[5] for row in log[1:]} <= {"tol", "max_iters"}
+
+    def test_stage_scores_each_vertex_once(self, smoke_ini, tmp_path,
+                                           monkeypatch):
+        # the bound clamping makes Nelder-Mead revisit vertices; within a
+        # stage the objective is fixed, so no (params, seed) run is generated
+        # twice, while the log keeps Nelder-Mead's own counts
+        requested, results = collections.Counter(), []
+
+        def recording_batch(runs, *args):
+            requested.update((params, float(seed)) for params, seed, _ in runs)
+            return generate_batch(runs, *args)
+
+        def recording_steps(*args):
+            results.append((yield from nelder_mead_steps(*args)))
+            return results[-1]
+
+        monkeypatch.setattr(training, "generate_batch", recording_batch)
+        monkeypatch.setattr(training, "nelder_mead_steps", recording_steps)
+        out = str(tmp_path / "o")
+        assert main(["fit-pca", "--config", smoke_ini, "--out", out]) == 0
+        assert main(["train", "--config", smoke_ini, "--out", out]) == 0
+        assert max(requested.values()) == 1
+        with open(os.path.join(out, "learners", "class0",
+                               "training_log.csv")) as f:
+            log = f.read().splitlines()
+        assert len(results) == len(log) - 1 == 2 * 4
+        assert (sorted(tuple(row.split(",")[3:6]) for row in log[1:])
+                == sorted((str(r.iterations), str(r.evaluations),
+                           "tol" if r.converged else "max_iters")
+                          for r in results))
+        # Nelder-Mead evaluated more vertices than the stages generated
+        disc = 2 * 4 * 3 * 6     # learners x stages x disc_steps x disc_batch
+        scored = (len(requested) - disc) // 3     # seed_batch runs per vertex
+        assert sum(r.evaluations for r in results) > scored
 
     def test_rerun_is_byte_identical(self, smoke_ini, pipeline_out):
         ldir = os.path.join(pipeline_out, "learners", "class0")
@@ -422,14 +458,18 @@ class TestEvaluate:
                                            "variation_class0_ideal.csv"))
 
     def test_report_fid_matches_direct_recomputation(self, smoke_ini,
-                                                     pipeline_out):
+                                                     pipeline_out, tmp_path):
         # same code path, same seeds: regenerating the batch and calling
         # fid_images directly must reproduce the CSV value exactly
         from rydgan.cli import (_generate_images, _load_class_split,
                                 _load_ensemble_members, _require_pca)
         from rydgan.config import load_config
         from rydgan.metrics import fid_images
-        config = load_config(smoke_ini, {"out_dir": pipeline_out})
+        out = str(tmp_path / "out")
+        shutil.copytree(pipeline_out, out)
+        assert main(["evaluate", "--config", smoke_ini, "--out", out,
+                     "--class", "0"]) == 0
+        config = load_config(smoke_ini, {"out_dir": out})
         config.validate()
         model = _require_pca(config, 0)
         _, val = _load_class_split(config, 0)
@@ -437,8 +477,8 @@ class TestEvaluate:
         images = _generate_images(config, members, model, "ideal",
                                   config.fid_batch, files)
         direct = fid_images(val.images, images)
-        rows = open(os.path.join(pipeline_out,
-                                 "evaluation.csv")).read().splitlines()
+        with open(os.path.join(out, "evaluation.csv")) as f:
+            rows = f.read().splitlines()
         reported = float(rows[1].split(",")[2])
         assert abs(reported - direct) <= 1e-9
 
@@ -772,7 +812,9 @@ class TestMalformedArtefacts:
         code = main([command, "--config", smoke_ini, "--out", copy]
                     + (["--class", "0"] if command == "evaluate" else []))
         assert code == 4
-        assert "error: FID is not finite" in capsys.readouterr().err
+        # the error line alone: no numpy warning about the overflow
+        assert (capsys.readouterr().err
+                == "error: FID is not finite: the images overflow\n")
         assert tree() == before
 
 

@@ -3,11 +3,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydgan import generator, sim
 from rydgan.errors import NumericError, ValidationError
 from rydgan.generator import EXACT, GeneratorParams, ShotsMode
-from rydgan.pulses import PulseProgram
+from rydgan.pulses import PulseProgram, breakpoint_times
 from rydgan.sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
                         _step_grid, build_hamiltonian, evolve,
                         interaction_strength)
@@ -25,7 +27,8 @@ def evolve_eigh(amplitudes, spec, steps, duration=None):
     each factor exponentiated through a dense Hermitian eigendecomposition.
     """
     duration = spec.duration if duration is None else duration
-    starts, dts = _step_grid(spec, duration, steps)
+    cuts = breakpoint_times(spec.rabi) + breakpoint_times(spec.local_detuning)
+    starts, dts = _step_grid(tuple(cuts), duration, steps)
     lo, hi = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
     w1, w2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
     psi = np.array(amplitudes, dtype=complex)
@@ -320,10 +323,58 @@ class TestEvolveBatch:
         monkeypatch.setattr(sim, "_SPLIT_QUBITS", 1)
         rng = np.random.default_rng(n)
         block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
-        out = sim._apply_vectors(block, np.ones((1, 3)),
-                                 np.zeros((1, 1 << n, 3)), [1], [1])
+        out = sim._apply_vectors(block, [(np.ones((1, 3)),
+                                          np.zeros((1, 1 << n, 3)), [1], [1])])
         flipped = 1j * (out - block)
         assert np.abs(flipped - sim._flip_matrix(n) @ block).max() <= 1e-13
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 6), batch=st.integers(1, 5),
+           steps=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+           chunk_bytes=st.sampled_from([1, 1 << 12, 1 << 16, 1 << 20]),
+           max_block=st.sampled_from([1, 64, 1 << 14]),
+           matrix_work=st.sampled_from([0, 1024, 1 << 16]),
+           split=st.integers(1, 7))
+    def test_every_tuning_matches_eigh_oracle(self, n, batch, steps, seed,
+                                              chunk_bytes, max_block,
+                                              matrix_work, split):
+        # chunking, blocking, the matrix/vector choice and the Kronecker
+        # split change how the factors are applied, never what they are
+        rng = np.random.default_rng(seed)
+        specs = [random_spec(rng, n, duration=rng.choice([1.0, 0.6]))
+                 for _ in range(batch)]
+        initial = (rng.normal(size=(batch, 1 << n))
+                   + 1j * rng.normal(size=(batch, 1 << n)))
+        initial /= np.linalg.norm(initial, axis=1, keepdims=True)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in (("_CHUNK_BYTES", chunk_bytes),
+                                ("_MAX_BLOCK", max_block),
+                                ("_MATRIX_WORK", matrix_work),
+                                ("_SPLIT_QUBITS", split)):
+                patch.setattr(sim, name, value)
+            out = evolve(specs, steps=steps, initial=initial)
+        for spec, start, row in zip(specs, initial, out):
+            assert np.abs(row - evolve_eigh(start, spec, steps)).max() <= 1e-9
+
+    @pytest.mark.parametrize("n, split", [(4, 7), (5, 1), (8, 7)])
+    def test_chunked_factors_are_bit_identical(self, n, split, monkeypatch):
+        # the work arrays are reused across chunks: term and factor counts
+        # that rise and fall between chunks must not change one bit
+        monkeypatch.setattr(sim, "_SPLIT_QUBITS", split)
+        rng = np.random.default_rng(n)
+        dim, batch = 1 << n, 3
+        terms = np.array([3, 8, 2, 12, 5, 0, 7])
+        subs = np.array([1, 2, 1, 1, 3, 1, 1])
+        coef = rng.uniform(-0.1, 0.1, size=(len(terms), batch))
+        diag = rng.uniform(-0.2, 0.2, size=(len(terms), dim, batch))
+        psi = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
+        whole = sim._apply_vectors(psi, [(coef, diag, terms, subs)])
+        cuts = [0, 1, 3, 4, 7]
+        parts = sim._apply_vectors(psi, [
+            (coef[a:b], diag[a:b], terms[a:b], subs[a:b])
+            for a, b in zip(cuts, cuts[1:])])
+        assert np.array_equal(whole, parts)
+        assert not np.array_equal(whole, psi)
 
     def test_flip_matrix_is_cached_and_read_only(self):
         x = sim._flip_matrix(5)
