@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of `rydgan.evolve` output on fixed batches.
+"""Print SHA-256 digests of `rydgan.sim.evolve` output on fixed batches.
 
     python3 scripts/evolve_digest.py
 
@@ -36,7 +36,8 @@ def training_batch(rng, points, seeds):
     for _ in range(points):
         x, _ = base.groups(LIMITS, config.field_size)["positions"]
         params = base.with_group("positions", x + rng.uniform(-0.5, 0.5, x.size))
-        specs += [rydgan.build_spec(params, float(s), LIMITS) for s in draws]
+        specs += [rydgan.generator.build_spec(params, float(s), LIMITS)
+                  for s in draws]
     return specs, config.steps
 
 
@@ -52,7 +53,7 @@ def full_range_batch(rng, n, count):
                                tuple(rng.uniform(0.0, 1.0, n))),
         "trapezoid", 0.9 * LIMITS.omega_max, "sine_bump",
         0.9 * LIMITS.local_detuning_min, 0.5 * LIMITS.global_detuning_abs)
-    return [rydgan.build_spec(params, float(s), LIMITS)
+    return [rydgan.generator.build_spec(params, float(s), LIMITS)
             for s in rydgan.draw_seeds(rng, count)], 250
 
 
@@ -63,7 +64,7 @@ def main():
     cases["n6-full-B16"] = full_range_batch(rng, 6, 16)
     cases["n8-full-B2"] = full_range_batch(rng, 8, 2)
     for name, (specs, steps) in cases.items():
-        out = rydgan.evolve(specs, steps)
+        out = rydgan.sim.evolve(specs, steps)
         print(f"{name:14s} {hashlib.sha256(out.tobytes()).hexdigest()}")
 
 

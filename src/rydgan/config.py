@@ -99,14 +99,17 @@ class RunConfig:
                               ("local_shapes", self.local_shapes)):
             if not shapes:
                 raise ValidationError(f"{group} must name at least one shape")
-            for s in shapes:
+            for i, s in enumerate(shapes):
                 if s not in TRAINABLE_SHAPES:
                     raise ValidationError(
                         f"{group}: unknown or illegal shape {s!r}; valid: "
                         f"{', '.join(TRAINABLE_SHAPES)}")
+                # each shape pair names one learner file
+                if s in shapes[:i]:
+                    raise ValidationError(f"{group}: shape {s!r} is repeated")
         # an image batch needs 2 images for its FID covariance
         for name, least in (("shots", 1), ("fid_batch", 2), ("jobs", 1),
-                            ("count", 2)):
+                            ("count", 2), ("split_seed", 0)):
             if getattr(self, name) < least:
                 raise ValidationError(
                     f"{name} must be >= {least}, got {getattr(self, name)}")

@@ -369,14 +369,15 @@ def write_image(pixels, path: str):
     atomic_write_bytes(path, pgm_bytes(pixels))
 
 
-def write_montage(images, path: str, cols: int | None = None, pad: int = 2):
-    """Combine a batch of equal-size grids into one PGM contact sheet."""
+def write_montage(images, path: str):
+    """Combine a batch of equal-size grids into one square-ish PGM contact
+    sheet, the grids 2 pixels apart."""
     batch = [np.asarray(im, dtype=float) for im in images]
     if not batch:
         raise ValidationError("montage needs at least one image")
     h, w = batch[0].shape
-    if cols is None:
-        cols = int(math.ceil(math.sqrt(len(batch))))
+    cols = int(math.ceil(math.sqrt(len(batch))))
+    pad = 2
     rows = -(-len(batch) // cols)
     sheet = np.zeros((rows * (h + pad) - pad, cols * (w + pad) - pad))
     for i, im in enumerate(batch):

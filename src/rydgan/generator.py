@@ -173,8 +173,7 @@ EXACT = ExactMode()
 
 def build_spec(params: GeneratorParams, seed: float,
                limits: PulseLimits = DEFAULT_LIMITS,
-               c6: float = C6_DEFAULT,
-               ramp_fraction: float = 0.05) -> HamiltonianSpec:
+               c6: float = C6_DEFAULT) -> HamiltonianSpec:
     """Instantiate the Hamiltonian for one seed value.
 
     The shared scalar seed u is injected into both pulses scaled to each
@@ -184,11 +183,11 @@ def build_spec(params: GeneratorParams, seed: float,
     rabi = PulseProgram(shape=params.rabi_shape, kind="rabi",
                         param=params.rabi_param,
                         seed_noise=seed * limits.omega_max,
-                        duration=params.duration, ramp_fraction=ramp_fraction)
+                        duration=params.duration)
     local = PulseProgram(shape=params.local_shape, kind="local_detuning",
                          param=params.local_param,
                          seed_noise=seed * limits.local_detuning_min,
-                         duration=params.duration, ramp_fraction=ramp_fraction)
+                         duration=params.duration)
     return HamiltonianSpec(arrangement=params.arrangement, rabi=rabi,
                            local_detuning=local,
                            global_detuning_offset=params.global_detuning_offset,

@@ -107,8 +107,7 @@ def _project_to_joint_span(x1: np.ndarray, x2: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # _finite reports overflow
-def fid_images(real_images, generated_images,
-               jitter: float = IMAGE_FID_JITTER) -> float:
+def fid_images(real_images, generated_images) -> float:
     """FID between two image batches on flattened pixels.
 
     Batches are projected onto their joint affine span first, which
@@ -126,7 +125,7 @@ def fid_images(real_images, generated_images,
         _finite(batch, "FID")
     if r.shape[0] + g.shape[0] + 1 < r.shape[1]:
         r, g = _project_to_joint_span(r, g)
-    return _finite(fid(summarize(r), summarize(g), jitter=jitter), "FID")
+    return _finite(fid(summarize(r), summarize(g), IMAGE_FID_JITTER), "FID")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -151,16 +150,6 @@ def _finite(values, quantity: str):
     return values
 
 
-def variation_cdf(scores):
-    """Right-continuous empirical CDF as sorted (value, fraction) pairs."""
-    s = np.asarray(scores, dtype=float).reshape(-1)
-    if s.size == 0:
-        raise ValidationError("cannot build a CDF from zero scores")
-    values, counts = np.unique(s, return_counts=True)
-    fractions = np.cumsum(counts) / s.size
-    return list(zip(values.tolist(), fractions.tolist()))
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     member_indices: tuple    # learner positions in pick order
@@ -168,8 +157,8 @@ class SelectionResult:
     singleton_fids: tuple    # FID of each learner alone
 
 
-def greedy_select(feature_batches, val_images: ImageSet, pca: PcaModel,
-                  jitter: float = IMAGE_FID_JITTER) -> SelectionResult:
+def greedy_select(feature_batches, val_images: ImageSet,
+                  pca: PcaModel) -> SelectionResult:
     """Greedy forward selection of an ensemble by validation FID.
 
     feature_batches is an (L, S, 2^n) array: the features of L learners
@@ -191,7 +180,7 @@ def greedy_select(feature_batches, val_images: ImageSet, pca: PcaModel,
     def fid_of(indices) -> float:
         avg = batches[list(indices)].mean(axis=0)
         images = inverse_transform(pca, unscale_features(pca, avg))
-        return fid_images(val_flat, images, jitter=jitter)
+        return fid_images(val_flat, images)
 
     singles = [fid_of([i]) for i in range(len(batches))]
     best = int(np.argmin(singles))

@@ -44,7 +44,7 @@ def _as_box(bounds, n):
 
 
 def nelder_mead_steps(x0, bounds=None, max_iters: int = 200,
-                      tol: float = 1e-8, initial_step=None):
+                      tol: float = 1e-8):
     """Generator: yields lists of points (d + 1 for the initial simplex, d
     per shrink, else 1), is sent their values, returns the NMResult."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -55,12 +55,9 @@ def nelder_mead_steps(x0, bounds=None, max_iters: int = 200,
     clamp = lambda x: np.minimum(hi, np.maximum(lo, x))
     x0 = clamp(x0)
 
-    if initial_step is None:
-        span = hi - lo
-        step = np.where(np.isfinite(span), 0.05 * span,
-                        0.1 * np.maximum(1.0, np.abs(x0)))
-    else:
-        step = np.broadcast_to(np.asarray(initial_step, dtype=float), (n,)).copy()
+    span = hi - lo
+    step = np.where(np.isfinite(span), 0.05 * span,
+                    0.1 * np.maximum(1.0, np.abs(x0)))
     step = np.where(step == 0.0, 0.1, step)
 
     verts = [x0]
@@ -124,9 +121,9 @@ def nelder_mead_steps(x0, bounds=None, max_iters: int = 200,
 
 
 def nelder_mead(objective, x0, bounds=None, max_iters: int = 200,
-                tol: float = 1e-8, initial_step=None) -> NMResult:
+                tol: float = 1e-8) -> NMResult:
     """Minimize objective(x) over the bounds box starting from x0."""
-    steps = nelder_mead_steps(x0, bounds, max_iters, tol, initial_step)
+    steps = nelder_mead_steps(x0, bounds, max_iters, tol)
     try:
         points = next(steps)
         while True:

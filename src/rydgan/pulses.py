@@ -24,7 +24,7 @@ from .errors import ValidationError, check_finite
 SHAPES = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump", "constant")
 KINDS = ("rabi", "local_detuning")
 
-# Shapes that are exactly piecewise linear (discretization is lossless).
+# Shapes that are exactly piecewise linear (evaluated from their knots).
 PIECEWISE_LINEAR_SHAPES = frozenset({"linear", "triangle", "trapezoid", "constant"})
 
 _DOMAIN_TOL = 1e-12
@@ -188,95 +188,3 @@ def breakpoint_times(pulse: PulseProgram):
                 if 0.0 < tau < 1.0:
                     times.append(r + tau * (d - 2.0 * r))
     return sorted(set(t for t in times if 0.0 <= t <= pulse.duration))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Hardware-constraint check result; empty violations means legal."""
-
-    violations: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(pulse: PulseProgram, limits: PulseLimits = DEFAULT_LIMITS,
-             grid_points: int = 1001) -> ValidationReport:
-    """Check sign, amplitude-bound, and endpoint constraints on a dense grid.
-
-    Violations are returned as data, never raised.
-    """
-    tol = 1e-9
-    ts = np.linspace(0.0, pulse.duration, grid_points)
-    vals = evaluate(pulse, ts)
-    violations = []
-    if pulse.kind == "rabi":
-        if vals.min() < -tol:
-            violations.append(
-                f"negative Rabi amplitude (min {vals.min():.6g} rad/us)")
-        if vals.max() > limits.omega_max + tol:
-            violations.append(
-                f"Rabi amplitude {vals.max():.6g} exceeds bound {limits.omega_max} rad/us")
-    else:
-        if vals.max() > tol:
-            violations.append(
-                f"positive local detuning (max {vals.max():.6g} rad/us)")
-        if vals.min() < limits.local_detuning_min - tol:
-            violations.append(
-                f"local detuning {vals.min():.6g} below bound "
-                f"{limits.local_detuning_min} rad/us")
-    if abs(vals[0]) > tol:
-        violations.append(f"waveform must start at 0 (got {vals[0]:.6g})")
-    if abs(vals[-1]) > tol:
-        violations.append(f"waveform must end at 0 (got {vals[-1]:.6g})")
-    return ValidationReport(tuple(violations))
-
-
-@dataclass(frozen=True)
-class DiscretizedPulse:
-    """Piecewise-linear approximation: knot times/values plus its max error."""
-
-    times: np.ndarray
-    values: np.ndarray
-    max_error: float
-
-    def interpolate(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.times, self.values)
-
-
-def discretize(pulse: PulseProgram, max_segments: int,
-               error_grid_points: int = 4001) -> DiscretizedPulse:
-    """Reduce a pulse to at most max_segments linear segments.
-
-    Shapes that are already piecewise linear are reproduced exactly
-    (max_error 0) whenever their breakpoints fit in the budget; smooth
-    shapes are sampled uniformly and the max deviation is measured on a
-    dense grid and reported.
-    """
-    if max_segments < 2:
-        raise ValidationError(f"max_segments must be >= 2, got {max_segments}")
-    if pulse.shape in PIECEWISE_LINEAR_SHAPES:
-        pts = _breakpoints(pulse)
-        # drop duplicated knot times (zero-width ramps)
-        uniq = [pts[0]]
-        for p in pts[1:]:
-            if p[0] > uniq[-1][0]:
-                uniq.append(p)
-        if len(uniq) - 1 <= max_segments:
-            ts = np.array([p[0] for p in uniq])
-            vs = np.array([p[1] for p in uniq])
-            return DiscretizedPulse(ts, vs, 0.0)
-    ts = np.linspace(0.0, pulse.duration, max_segments + 1)
-    vs = evaluate(pulse, ts)
-    dense = np.linspace(0.0, pulse.duration, error_grid_points)
-    err = float(np.abs(np.interp(dense, ts, vs) - evaluate(pulse, dense)).max())
-    return DiscretizedPulse(ts, np.asarray(vs, dtype=float), err)
-
-
-def waveform_csv_lines(disc: DiscretizedPulse):
-    """CSV rows (t_us, value_rad_per_us) for a discretized waveform."""
-    lines = ["t_us,value_rad_per_us"]
-    for t, v in zip(disc.times, disc.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return lines

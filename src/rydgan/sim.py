@@ -189,14 +189,6 @@ def _drive_values(spec: HamiltonianSpec, t):
     return omega, dlocal
 
 
-def build_hamiltonian(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """Dense Hermitian H(t) over the 2^n computational basis."""
-    static, sumh = _diagonals(_occupations(spec.n_qubits), spec.arrangement,
-                              spec.global_detuning_offset, spec.c6)
-    omega, dlocal = _drive_values(spec, float(t))
-    return omega * _flip_matrix(spec.n_qubits) + np.diag(static - dlocal * sumh)
-
-
 def default_steps(duration: float, steps_per_us: int = 1000) -> int:
     """Step budget of a run; also `TrainConfig.steps`, so there is one rule."""
     return max(1, int(round(steps_per_us * duration)))

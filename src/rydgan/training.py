@@ -80,8 +80,10 @@ class TrainConfig:
             if not 0 <= getattr(self, name) < 1:
                 raise ValidationError(
                     f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.nm_tol >= 0:
-            raise ValidationError(f"nm_tol must be >= 0, got {self.nm_tol}")
+        for name in ("nm_tol", "master_seed"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
         if sorted(self.stage_order) != sorted(STAGES):
             raise ValidationError(
                 f"stage_order must be a permutation of {STAGES}, "
@@ -268,11 +270,6 @@ def train_learners(jobs, class_data) -> list:
                             f"{exc}") from exc
         ends = np.cumsum([len(request) for request in requests.values()])
         sent = dict(zip(requests, np.split(feats, ends[:-1])))
-
-
-def layered_train(config: TrainConfig, class_data, shapes) -> TrainingResult:
-    """Train one learner (a Rabi/local shape pair) against class features."""
-    return train_learners([(config, shapes)], class_data)[0]
 
 
 LEARNER_FORMAT = "rydgan-learner"

@@ -24,7 +24,7 @@ from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, draw_seeds,
 from rydgan.metrics import (GaussianSummary, fid, greedy_select,
                             variation_scores)
 from rydgan.sim import AtomArrangement, evolve, interaction_strength
-from rydgan.training import TrainConfig, initial_params, layered_train
+from rydgan.training import TrainConfig, initial_params, train_learners
 from tests.test_data import synthetic_digits
 from tests.test_metrics import naive_fid, random_summary
 from tests.test_sim import constant_spec, random_spec
@@ -232,7 +232,7 @@ def _smoke_seed_run(master_seed: int, features, val, pca) -> tuple:
         params = initial_params(config, np.random.default_rng(master_seed))
         untrained.append(replace(params, rabi_shape=rabi_shape,
                                  local_shape=local_shape))
-    trained = [layered_train(config, features, pair).learner.params
+    trained = [train_learners([(config, pair)], features)[0].learner.params
                for pair in pairs]
     return ensemble_fid(untrained), ensemble_fid(trained)
 

@@ -170,6 +170,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "sawtooth" in err and "triangle" in err and "gaussian" in err
 
+    @pytest.mark.parametrize("key, old, new", [
+        ("rabi_shapes", "linear\n", "linear,linear\n"),
+        ("local_shapes", "triangle,gaussian\n", "gaussian,gaussian\n"),
+    ])
+    def test_repeated_shape_exits_2(self, smoke_ini, tmp_path, capsys, key,
+                                    old, new):
+        """Each shape pair names one learner file: a repeated shape would train
+        a second learner that overwrites the first one's file."""
+        cfg = tmp_path / "twice.ini"
+        cfg.write_text(open(smoke_ini).read().replace(f"{key} = {old}",
+                                                      f"{key} = {new}"))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "repeated" in err
+        assert ("'linear'" if key == "rabi_shapes" else "'gaussian'") in err
+        assert not out.exists()
+
     def test_batch_error_names_every_learner_and_exits_4(
             self, smoke_ini, tmp_path, capsys, monkeypatch):
         from rydgan import training
@@ -510,6 +529,25 @@ def test_class_list_is_rejected_outside_evaluate(smoke_ini, tmp_path, capsys,
                  "--class", "0,1"])
     assert code == 2
     assert "--class" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, line, key", [
+    ("train", ["--seed", "-1"], "", "master_seed"),
+    ("select", ["--seed", "-3"], "", "master_seed"),
+    ("fit-pca", [], "split_seed = -1\n", "split_seed"),
+], ids=["train-seed", "select-seed", "fit-pca-split-seed"])
+def test_negative_seed_exits_2_naming_the_key(smoke_ini, tmp_path, capsys,
+                                              command, flags, line, key):
+    """A negative seed is a config error found before any work, not an
+    internal error from numpy's seeding."""
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text(open(smoke_ini).read().replace(
+        "digit_class = 0\n", "digit_class = 0\n" + line))
+    out = tmp_path / "o"
+    code = main([command, "--config", str(cfg), "--out", str(out)] + flags)
+    assert code == 2
+    assert f"{key} must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -925,12 +963,15 @@ def _add_atom(doc):
     (lambda doc: doc.update(rabi_shape="constant"), "rabi_shape"),
     (_crowd_second_atom, "params"),
     (_add_atom, "params"),
+    (lambda doc: doc["config"].update(master_seed=-1), "config"),
 ], ids=["rabi-5000", "atom-outside-field", "constant-shape",
-        "atoms-0.5um-apart", "three-atoms-in-a-two-qubit-file"])
+        "atoms-0.5um-apart", "three-atoms-in-a-two-qubit-file",
+        "negative-master-seed"])
 def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
                                          capsys, edit, field):
-    """A learner file whose params leave its own config's hardware envelope
-    fails to load, and generate exits 3 before writing any image."""
+    """A learner file whose params leave its own config's hardware envelope,
+    or whose config is invalid, fails to load, and generate exits 3 before
+    writing any image."""
     out = str(tmp_path / "copy")
     shutil.copytree(pipeline_out, out)
     shutil.rmtree(os.path.join(out, "generated"), ignore_errors=True)

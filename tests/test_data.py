@@ -397,7 +397,7 @@ class TestPgm:
 
     def test_montage_dimensions(self, tmp_path):
         path = tmp_path / "m.pgm"
-        write_montage([np.zeros((28, 28))] * 4, str(path), cols=2)
+        write_montage([np.zeros((28, 28))] * 4, str(path))
         header = path.read_bytes().split(b"\n")[1]
         assert header == b"58 58"  # 2*28 + 2 padding
 

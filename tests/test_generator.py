@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rydgan.errors import ValidationError
 from rydgan.generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
-                              ErrorModel, GeneratorParams, NoisyMode,
-                              ShotsMode, build_spec, draw_seeds,
-                              generate_batch, generate_features, modulo_encode,
-                              perturb_params)
-from rydgan.pulses import DEFAULT_LIMITS
+                              SEED_HI, SEED_LO, TRAINABLE_SHAPES, ErrorModel,
+                              GeneratorParams, NoisyMode, ShotsMode,
+                              build_spec, draw_seeds, generate_batch,
+                              generate_features, modulo_encode, perturb_params)
+from rydgan.pulses import DEFAULT_LIMITS, evaluate
 from rydgan.sim import AtomArrangement
 
 
@@ -292,6 +296,36 @@ class TestParamValidation:
         build(edge).validate()
         with pytest.raises(ValidationError):
             build(np.nextafter(edge, outward)).validate()
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@given(rabi=unit, local=st.lists(unit, min_size=5, max_size=5),
+       seed=st.floats(SEED_LO, SEED_HI))
+def test_hardware_envelope_implies_legal_waveforms(rabi, local, seed):
+    """Every trainable shape pair with its pulse scalars anywhere in the boxes
+    of `GeneratorParams.groups` and any legal seed gives waveforms that start
+    and end at 0 and keep the sign and amplitude bounds of the hardware."""
+    limits, tol = DEFAULT_LIMITS, 1e-9
+    ts = np.linspace(0.0, 1.0, 1001)
+    for rabi_shape, local_shape in itertools.product(TRAINABLE_SHAPES,
+                                                     repeat=2):
+        params = square_params(rabi_shape=rabi_shape, local_shape=local_shape)
+        groups = params.groups(limits, FIELD_SIZE_UM)
+        for group, fractions in (("rabi", [rabi]), ("local", local)):
+            lo, hi = np.array(groups[group][1]).T
+            params = params.with_group(group,
+                                       lo + np.array(fractions) * (hi - lo))
+        params.validate(limits)
+        spec = build_spec(params, seed, limits)
+        omega, dlocal = (evaluate(spec.rabi, ts),
+                         evaluate(spec.local_detuning, ts))
+        for values in (omega, dlocal):
+            assert abs(values[0]) <= tol and abs(values[-1]) <= tol
+        assert -tol <= omega.min() and omega.max() <= limits.omega_max + tol
+        assert limits.local_detuning_min - tol <= dlocal.min()
+        assert dlocal.max() <= tol
 
 
 def atom_pair(x0, second):

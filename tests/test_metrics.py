@@ -4,7 +4,7 @@ import pytest
 from rydgan.data import fit_pca, scale_features, transform
 from rydgan.errors import ValidationError
 from rydgan.metrics import (GaussianSummary, fid, fid_images, greedy_select,
-                            summarize, variation_cdf, variation_scores)
+                            summarize, variation_scores)
 from tests.test_data import synthetic_digits
 
 
@@ -153,39 +153,6 @@ class TestVariation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             variation_scores([np.zeros((2, 2)), np.zeros((3, 3))])
-
-
-class TestVariationCdf:
-    def test_three_distinct_scores(self):
-        cdf = variation_cdf([1.0, 2.0, 3.0])
-        assert cdf == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)),
-                       (3.0, pytest.approx(1.0))]
-
-    def test_constant_scores_single_step(self):
-        cdf = variation_cdf([0.5, 0.5, 0.5])
-        assert cdf == [(0.5, 1.0)]
-
-    def test_stochastic_dominance_detectable(self):
-        rng = np.random.default_rng(11)
-        b = rng.uniform(0, 1, 50)
-        a = b + 1.0  # uniformly larger scores
-        cdf_a = dict(variation_cdf(a))
-        cdf_b = variation_cdf(b)
-        # evaluate both CDFs on the union grid: F_a <= F_b everywhere
-        grid = sorted(set(list(cdf_a) + [v for v, _ in cdf_b]))
-        def ecdf(pairs, x):
-            frac = 0.0
-            for v, f in pairs:
-                if v <= x:
-                    frac = f
-            return frac
-        pairs_a = variation_cdf(a)
-        for x in grid:
-            assert ecdf(pairs_a, x) <= ecdf(cdf_b, x) + 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            variation_cdf([])
 
 
 @pytest.fixture(scope="module")

@@ -82,7 +82,7 @@ class TestContract:
 
 
 def closed_loop_nelder_mead(objective, x0, bounds=None, max_iters=200,
-                            tol=1e-8, initial_step=None):
+                            tol=1e-8):
     """Reference oracle: the closed-loop minimizer the ask/tell form replaced.
 
     Returns (x, fun, iterations, evaluations).
@@ -103,12 +103,9 @@ def closed_loop_nelder_mead(objective, x0, bounds=None, max_iters=200,
     f0 = f(x0)
     if not np.isfinite(f0):
         raise NumericError(f"objective is not finite at x0: {f0}")
-    if initial_step is None:
-        span = hi - lo
-        step = np.where(np.isfinite(span), 0.05 * span,
-                        0.1 * np.maximum(1.0, np.abs(x0)))
-    else:
-        step = np.broadcast_to(np.asarray(initial_step, dtype=float), (n,)).copy()
+    span = hi - lo
+    step = np.where(np.isfinite(span), 0.05 * span,
+                    0.1 * np.maximum(1.0, np.abs(x0)))
     step = np.where(step == 0.0, 0.1, step)
     verts = [x0]
     for i in range(n):

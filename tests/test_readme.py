@@ -1,11 +1,13 @@
 """The README's library example runs against the current API."""
 
+import glob
 import os
 import re
 
 import numpy as np
 
-README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+README = os.path.join(ROOT, "README.md")
 
 
 def library_example() -> str:
@@ -25,3 +27,23 @@ def test_library_example_runs_and_gives_its_shapes():
     # a batch row is its lone run up to rounding
     lone = namespace["generate_features"](namespace["params"], 0.5)
     assert np.abs(namespace["many"][1] - lone).max() <= 1e-12
+
+
+def test_benchmark_names_resolve():
+    """Every `rydgan.<name>...` chain the benchmark harness uses exists, so a
+    deletion cannot break the benchmark commands unnoticed."""
+    import rydgan
+    import rydgan.cli  # noqa: F401 (perfbench imports it: loads rydgan.config)
+    sources = (glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+               + glob.glob(os.path.join(ROOT, "perfbench", "tests", "*.py")))
+    chains = set()
+    for path in sources:
+        with open(path, encoding="utf-8") as f:
+            chains |= set(re.findall(r"\brydgan((?:\.\w+)+)", f.read()))
+    assert {".generate_features", ".nelder_mead", ".cli.ENSEMBLE_FORMAT",
+            ".config.load_config"} <= chains
+    for chain in sorted(chains):
+        obj = rydgan
+        for name in chain.split(".")[1:]:
+            assert hasattr(obj, name), f"rydgan{chain}"
+            obj = getattr(obj, name)

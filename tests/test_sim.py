@@ -11,8 +11,8 @@ from rydgan.errors import NumericError, ValidationError
 from rydgan.generator import EXACT, GeneratorParams, ShotsMode
 from rydgan.pulses import PulseProgram, breakpoint_times
 from rydgan.sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
-                        _step_grid, build_hamiltonian, evolve,
-                        interaction_strength)
+                        _diagonals, _drive_values, _flip_matrix, _occupations,
+                        _step_grid, evolve, interaction_strength)
 
 
 def ground(n):
@@ -20,6 +20,15 @@ def ground(n):
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return amps
+
+
+def build_hamiltonian(spec, t):
+    """Dense Hermitian H(t) over the 2^n computational basis, assembled from
+    the diagonals, drive values and flip matrix that `evolve` uses."""
+    static, sumh = _diagonals(_occupations(spec.n_qubits), spec.arrangement,
+                              spec.global_detuning_offset, spec.c6)
+    omega, dlocal = _drive_values(spec, float(t))
+    return omega * _flip_matrix(spec.n_qubits) + np.diag(static - dlocal * sumh)
 
 
 def evolve_eigh(amplitudes, spec, steps, duration=None):

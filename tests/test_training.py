@@ -11,8 +11,7 @@ from rydgan.errors import DataError, NumericError, ValidationError
 from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_features
 from rydgan.sim import AtomArrangement
 from rydgan.training import (Learner, TrainConfig, initial_params,
-                             layered_train, load_learner, save_learner,
-                             train_learners)
+                             load_learner, save_learner, train_learners)
 from tests.test_data import synthetic_digits
 
 
@@ -41,21 +40,22 @@ def class_data():
 
 class TestLayeredTrain:
     def test_one_cycle_touches_every_stage_once(self, class_data):
-        result = layered_train(tiny_config(), class_data, ("linear", "triangle"))
+        result = train_learners([(tiny_config(), ("linear", "triangle"))],
+                                class_data)[0]
         stages = [row.stage for row in result.log]
         assert stages == list(tiny_config().stage_order)
         assert sorted(stages) == sorted(("positions", "rabi", "local", "global"))
 
     def test_stage_order_configurable(self, class_data):
         config = tiny_config(stage_order=("global", "local", "rabi", "positions"))
-        result = layered_train(config, class_data, ("linear", "triangle"))
+        result = train_learners([(config, ("linear", "triangle"))],
+                                class_data)[0]
         assert [row.stage for row in result.log] == list(config.stage_order)
 
     def test_deterministic_for_fixed_seed(self, class_data):
-        a = layered_train(tiny_config(master_seed=7), class_data,
-                          ("linear", "gaussian"))
-        b = layered_train(tiny_config(master_seed=7), class_data,
-                          ("linear", "gaussian"))
+        a, b = (train_learners([(tiny_config(master_seed=7),
+                                 ("linear", "gaussian"))], class_data)[0]
+                for _ in range(2))
         assert a.learner.params == b.learner.params
         assert a.learner.final_loss == b.learner.final_loss
         assert all(np.array_equal(getattr(a.net, n), getattr(b.net, n))
@@ -68,14 +68,16 @@ class TestLayeredTrain:
         improved = 0
         for seed in range(5):
             config = tiny_config(master_seed=seed, nm_iters=10, cycles=1)
-            result = layered_train(config, class_data, ("linear", "triangle"))
+            result = train_learners([(config, ("linear", "triangle"))],
+                                    class_data)[0]
             if result.learner.final_loss < result.initial_loss:
                 improved += 1
         assert improved >= 4
 
     def test_params_stay_inside_hardware_bounds(self, class_data):
         config = tiny_config(master_seed=3)
-        result = layered_train(config, class_data, ("trapezoid", "sine_bump"))
+        result = train_learners([(config, ("trapezoid", "sine_bump"))],
+                                class_data)[0]
         params = result.learner.params
         params.validate(config.limits, config.min_spacing, config.field_size)
         assert 0.0 <= params.rabi_param <= config.limits.omega_max
@@ -86,14 +88,16 @@ class TestLayeredTrain:
     def test_rejects_unscaled_features(self, class_data):
         raw = class_data * 500.0  # plainly outside the (0, 1/2^n] window
         with pytest.raises(ValidationError, match="scaled"):
-            layered_train(tiny_config(), raw, ("linear", "triangle"))
+            train_learners([(tiny_config(), ("linear", "triangle"))], raw)
 
     def test_rejects_empty_data(self):
         with pytest.raises(ValidationError):
-            layered_train(tiny_config(), np.empty((0, 4)), ("linear", "triangle"))
+            train_learners([(tiny_config(), ("linear", "triangle"))],
+                           np.empty((0, 4)))
 
     def test_learner_records_shape_pair(self, class_data):
-        result = layered_train(tiny_config(), class_data, ("gaussian", "triangle"))
+        result = train_learners([(tiny_config(), ("gaussian", "triangle"))],
+                                class_data)[0]
         assert result.learner.rabi_shape == "gaussian"
         assert result.learner.local_shape == "triangle"
         assert result.learner.name == "gaussian-triangle"
@@ -126,8 +130,8 @@ class TestDiscriminatorWarmup:
 @pytest.fixture(scope="module")
 def learner_text(class_data, tmp_path_factory):
     """One saved learner document."""
-    result = layered_train(tiny_config(master_seed=12), class_data,
-                           ("linear", "gaussian"))
+    result = train_learners([(tiny_config(master_seed=12),
+                              ("linear", "gaussian"))], class_data)[0]
     path = tmp_path_factory.mktemp("learner") / "learner.json"
     save_learner(result, str(path))
     return path.read_text()
@@ -135,8 +139,8 @@ def learner_text(class_data, tmp_path_factory):
 
 class TestPersistence:
     def test_roundtrip(self, class_data, tmp_path):
-        result = layered_train(tiny_config(master_seed=11), class_data,
-                               ("linear", "gaussian"))
+        result = train_learners([(tiny_config(master_seed=11),
+                                  ("linear", "gaussian"))], class_data)[0]
         path = str(tmp_path / "learner.json")
         save_learner(result, path)
         loaded = load_learner(path)
@@ -244,7 +248,7 @@ class TestLockStep:
         monkeypatch.setattr(training, "generate_batch", rowwise_stub)
         together = train_learners(GROUP, class_data)
         for i, (config, shapes) in enumerate(GROUP):
-            alone = layered_train(config, class_data, shapes)
+            alone = train_learners([(config, shapes)], class_data)[0]
             assert (saved_bytes(together[i], tmp_path, f"g{i}.json")
                     == saved_bytes(alone, tmp_path, f"a{i}.json"))
             assert together[i].log == alone.log
@@ -252,7 +256,7 @@ class TestLockStep:
     def test_group_matches_lone_nelder_mead_counts(self, class_data):
         together = train_learners(GROUP, class_data)
         for result, (config, shapes) in zip(together, GROUP):
-            alone = layered_train(config, class_data, shapes)
+            alone = train_learners([(config, shapes)], class_data)[0]
             assert ([(r.nm_iterations, r.nm_evaluations, r.nm_stop)
                      for r in result.log]
                     == [(r.nm_iterations, r.nm_evaluations, r.nm_stop)
@@ -276,7 +280,7 @@ class TestLockStep:
         lone_calls = []
         for config, shapes in GROUP:
             sizes.clear()
-            layered_train(config, class_data, shapes)
+            train_learners([(config, shapes)], class_data)
             lone_calls.append(len(sizes))
         sizes.clear()
         train_learners(GROUP, class_data)
@@ -295,7 +299,8 @@ class TestLockStep:
         # a Rabi simplex keeps the atoms apart, so no vertex is penalized
         config = tiny_config(stage_order=("rabi", "positions", "local",
                                           "global"))
-        result = layered_train(config, class_data, ("linear", "triangle"))
+        result = train_learners([(config, ("linear", "triangle"))],
+                                class_data)[0]
         x0, _ = result.learner.params.groups(config.limits,
                                              config.field_size)["rabi"]
         # disc block, then the (d + 1)-vertex simplex: no separate request
@@ -347,12 +352,12 @@ class TestLockStep:
 
 class TestStopReason:
     def test_log_records_why_nelder_mead_stopped(self, class_data):
-        result = layered_train(tiny_config(nm_iters=200, nm_tol=1e-1),
-                               class_data, ("linear", "triangle"))
+        result = train_learners([(tiny_config(nm_iters=200, nm_tol=1e-1),
+                                  ("linear", "triangle"))], class_data)[0]
         assert {row.nm_stop for row in result.log} <= {"tol", "max_iters"}
         assert "tol" in {row.nm_stop for row in result.log}
-        capped = layered_train(tiny_config(nm_iters=2, nm_tol=0.0), class_data,
-                               ("linear", "triangle"))
+        capped = train_learners([(tiny_config(nm_iters=2, nm_tol=0.0),
+                                  ("linear", "triangle"))], class_data)[0]
         assert {row.nm_stop for row in capped.log} == {"max_iters"}
 
     def test_log_without_stop_reason_still_loads(self, learner_text, tmp_path):
