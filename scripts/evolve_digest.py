@@ -6,9 +6,10 @@ Run it in two checkouts of the repository: equal digests mean that the
 two versions evolve these batches bit for bit alike. The cases are
 n = 4 batches shaped like those of training (B = 12, 102 and 192, at the
 250 steps/us of the reduced-budget pipeline: a few parameter points, each
-at the same seeds), a full-range n = 6 batch (B = 16) and a full-range
-n = 8 batch (B = 2). BLAS runs on one thread so that its GEMMs take one
-code path.
+at the same seeds), a full-range n = 6 batch (B = 16), a full-range n = 8
+batch (B = 2) and an n = 6 batch (B = 4) packed on a 4 um grid, whose stiff
+factors are split into substeps at the top series degree. BLAS runs on one
+thread so that its GEMMs take one code path.
 """
 
 import hashlib
@@ -41,13 +42,18 @@ def training_batch(rng, points, seeds):
     return specs, config.steps
 
 
-def full_range_batch(rng, n, count):
-    """Specs of strong legal drives on atoms anywhere in the field."""
-    while True:
-        pos = rng.uniform(0.0, 75.0, size=(n, 2))
-        d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
-        if d[np.triu_indices(n, 1)].min() >= 4.0:
-            break
+def full_range_batch(rng, n, count, spacing=None):
+    """Specs of strong legal drives on atoms anywhere in the field, or with
+    `spacing`, on a square grid of that pitch in um."""
+    if spacing is None:
+        while True:
+            pos = rng.uniform(0.0, 75.0, size=(n, 2))
+            d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
+            if d[np.triu_indices(n, 1)].min() >= 4.0:
+                break
+    else:
+        side = int(np.ceil(np.sqrt(n)))
+        pos = spacing * np.array([(i % side, i // side) for i in range(n)])
     params = rydgan.GeneratorParams(
         rydgan.AtomArrangement(tuple(map(tuple, pos)),
                                tuple(rng.uniform(0.0, 1.0, n))),
@@ -63,6 +69,7 @@ def main():
              for p, s in ((2, 6), (17, 6), (2, 96))}
     cases["n6-full-B16"] = full_range_batch(rng, 6, 16)
     cases["n8-full-B2"] = full_range_batch(rng, 8, 2)
+    cases["n6-packed-B4"] = full_range_batch(rng, 6, 4, spacing=4.0)
     for name, (specs, steps) in cases.items():
         out = rydgan.sim.evolve(specs, steps)
         print(f"{name:14s} {hashlib.sha256(out.tobytes()).hexdigest()}")

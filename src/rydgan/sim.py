@@ -21,8 +21,9 @@ exponential factors per step, on a step grid aligned to the pulse
 breakpoints. `evolve`, the one evolution function, advances many runs at
 once as the columns of one state block; states are plain (B, 2^n) complex
 arrays, and measurement is the generator's readout. Each factor
-exp(-i dt (a X + diag d)) is a Taylor series summed to unit roundoff,
-applied through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
+exp(-i dt (a X + diag d)) is its Chebyshev expansion truncated at unit
+roundoff, summed in monomial weights like a Taylor series and applied
+through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
 plus elementwise diagonal products, on the block in the real layout
 (2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is one GEMM from the left
 and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
@@ -216,29 +217,52 @@ def _step_grid(cuts: tuple, duration: float, steps: int):
     return np.concatenate(starts), np.concatenate(dts)
 
 
+def _chebyshev_table(top: int):
+    """(theta, rows): theta[m] is the norm at which the Chebyshev expansion
+    of exp(-i lam) on [-theta, theta], J_0 + 2 sum_k (-i)^k J_k(theta)
+    T_k(lam / theta) (Tal-Ezer & Kosloff 1984), cut at degree m, errs by
+    2 J_(m+1)(theta) ~ 2 (theta/2)^(m+1) / (m+1)! = 2^-53; rows[m] holds the
+    cut's monomial weights, (-i)^j / j! less 2 J_k(theta) |[t^j] T_k| /
+    theta^j over the omitted k, which share one sign, so no digit cancels.
+    Row 0 weights the even powers (cos), row 1 the odd ones (sin); the
+    constant is exactly 1, so a zero factor is exactly the identity.
+    """
+    size = top + 21             # omitted terms past k = top + 20 move no weight
+    cheb = np.eye(size)         # |[t^j] T_k|, by T_k = 2t T_(k-1) - T_(k-2)
+    for k in range(2, size):
+        cheb[k] = cheb[k - 2]
+        cheb[k, 1:] += 2.0 * cheb[k - 1, :-1]
+    fact = np.array([math.factorial(i) for i in range(size + 20)], dtype=float)
+    theta = 2.0 * np.array([(2.0 ** -54 * fact[m + 1]) ** (1.0 / (m + 1))
+                            for m in range(top + 1)])
+    s, rows = np.arange(20), []
+    for m, x in enumerate(theta):
+        k, j = np.arange(m + 1, size), np.arange(m + 1)
+        # J_k(x) for k > x by 20 terms of its power series, ample for x < 4
+        bessel = (0.5 * x) ** k * ((-0.25 * x * x) ** s
+                                   / (fact[s] * fact[k[:, None] + s])).sum(axis=1)
+        weights = 1.0 / fact[j] - 2.0 * bessel @ cheb[m + 1:, j] / x ** j
+        weights[0] = 1.0
+        rows.append(np.where(j % 2 == [[0], [1]], (-1.0) ** (j // 2) * weights,
+                             0.0))
+    return theta, rows
+
+
 # Gauss-Legendre nodes of one step, and the weights of the two Magnus
 # factors on the node samples: the first (right) factor weights the
 # earlier node more, the second the later.
 _NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 _WEIGHTS = np.array([[0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0],
                      [0.25 - _SQRT3 / 6.0, 0.25 + _SQRT3 / 6.0]])
-# Taylor terms of exp(-iM): the series stops at the first m whose remainder
-# bound x^(m+1)/(m+1)! is below unit roundoff, x >= ||M||; _TERM_BOUNDS[m]
-# is the largest x that m terms cover.
-_TERM_BOUNDS = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1))
-                         for m in range(41)])
-# a factor with a larger norm bound is split into equal substeps, which
-# keeps the terms small enough that the sum loses under two digits (its
-# largest term is at most 6^6/6! ~ 65); a factor whose norm bound x width
-# exceeds _MAX_STIFFNESS (non-finite or near-coincident atoms) is a numeric
-# failure rather than an endless run
-_MAX_NORM = 6.0
+# exp(-iM) v ~ sum_j w_j M^j v = even - i odd, w the _CHEBYSHEV row of the
+# least degree m with ||M|| <= _THETA[m], at most 22: a larger norm bound is
+# split into equal substeps, so no weighted power tops 9 and the weights
+# stay within 11 unit roundoffs of exp. A factor whose norm bound x width
+# exceeds _MAX_STIFFNESS (non-finite or near-coincident atoms) is a
+# numeric failure rather than an endless run.
+_THETA, _CHEBYSHEV = _chebyshev_table(22)
+_MAX_NORM = _THETA[-1]
 _MAX_STIFFNESS = 30_000.0
-# exp(-iM) v = sum_j (-i)^j M^j v / j! = even - i * odd, with row 0 holding
-# the real weights (even j) and row 1 the imaginary ones (odd j)
-_SERIES = np.array([[(-1.0) ** (j // 2) / math.factorial(j) if j % 2 == parity
-                     else 0.0 for j in range(len(_TERM_BOUNDS))]
-                    for parity in (0, 1)])
 # batch sizes B * 4^n up to this form the factors as matrices (see
 # _apply_matrices); larger ones apply them to the state block
 _MATRIX_WORK = 1024
@@ -246,7 +270,7 @@ _MATRIX_WORK = 1024
 # factors (see _flip_factors)
 _SPLIT_QUBITS = 7
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
-_MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the Taylor powers
+_MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the series powers
 
 
 def _apply_vectors(psi, chunks):
@@ -259,7 +283,7 @@ def _apply_vectors(psi, chunks):
     (2^h, 2B 2^(n-h)) view, I (x) X_lo, one from the right on the
     (2^h 2B, 2^(n-h)) view, and elementwise products with full-shape factor
     data (below _SPLIT_QUBITS, 2^(n-h) = 1 and the first GEMM is all of X).
-    One GEMM with the series coefficients sums the powers into the next
+    One GEMM with the _CHEBYSHEV weights sums the powers into the next
     factor's first power. All chunks share the work arrays, grown on demand.
     """
     dim, batch = psi.shape
@@ -283,7 +307,7 @@ def _apply_vectors(psi, chunks):
             # per term j: M^(j+1) v, M^j v, wide M^j v and M^(j+1) v, tall M^j v
             views = list(zip(rows[1:], rows, wide, wide[1:],
                              [row.reshape(-1, shape[-1]) for row in rows]))
-            heads = [(_SERIES[:, :count + 1], flat[:count + 1])
+            heads = [(_CHEBYSHEV[count], flat[:count + 1])
                      for count in range(len(powers))]
             state = rows[0][:, :, 0], rows[0][:, :, 1]
         if len(coefs) < len(coef):
@@ -314,8 +338,9 @@ def _apply_vectors(psi, chunks):
 def _apply_matrices(psi, chunks):
     """Same action as _apply_vectors, for small B * 4^n.
 
-    Each chunk's exponentials are formed as matrices by the same Taylor
-    series, batched over every factor of the chunk, then applied in turn.
+    Each chunk's exponentials are formed as matrices by the polynomial of
+    its top degree, which holds on every smaller norm, batched over every
+    factor of the chunk, then applied in turn.
     This costs 2^n times the arithmetic but far fewer numpy calls, so small
     blocks (one run at n <= 5, a few at n = 4) are not bound by per-call
     cost.
@@ -328,10 +353,11 @@ def _apply_matrices(psi, chunks):
         gen[:, :, i, i] += diag.transpose(0, 2, 1)
         power = np.broadcast_to(np.eye(dim), gen.shape)
         even, odd = power.copy(), np.zeros_like(gen)
-        for j in range(1, max(terms) + 1):
+        top = max(terms)
+        for j in range(1, top + 1):
             power = power @ gen
             acc = odd if j & 1 else even
-            acc += _SERIES[j & 1, j] * power
+            acc += _CHEBYSHEV[top][j & 1, j] * power
         for prop, repeat in zip(even - 1j * odd, subs):
             for _ in range(repeat):
                 cols = prop @ cols
@@ -395,7 +421,9 @@ def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
                     "; raise the step count or check the atom spacing", run=run)
             worst = norm.max(axis=1)
             subs = np.maximum(1, np.ceil(worst / _MAX_NORM)).astype(int)
-            terms = np.searchsorted(_TERM_BOUNDS, worst / subs)
+            # the top degree takes every norm above the one below it, so a
+            # bound a rounding above _MAX_NORM stays on the table
+            terms = np.searchsorted(_THETA[:-1], worst / subs)
             scale = width[part] / subs[:, None]
             diag = (diag - mid[:, :, None]) * scale[:, :, None]
             yield coef[part] * scale, diag.transpose(0, 2, 1), terms, subs
@@ -417,13 +445,15 @@ def evolve(specs, steps: int | None = None, duration: float | None = None,
     230 (2011) 5930), so a row does not depend on the rest of the batch
     beyond rounding. All specs share one qubit count in [1, MAX_QUBITS].
 
-    Each factor exp(-i dt (a X + diag d)) is applied by its Taylor series,
-    summed to unit roundoff with a term count fixed in advance from a norm
-    bound (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488). The norm
-    is preserved to rounding, and doubling `steps` moves probabilities by
-    well under 1e-6 at 1000 steps/us even for full-scale drives. A run no
-    step budget resolves (near-coincident atoms) is a NumericError whose
-    `run` is its row.
+    Each factor exp(-i dt (a X + diag d)) is applied as its Chebyshev
+    expansion truncated at unit roundoff (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81 (1984) 3967), summed in monomial weights like a Taylor series
+    of degree fixed in advance from a norm bound (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33 (2011) 488), but with ~15% fewer terms. The norm is
+    preserved to rounding, and doubling `steps` moves probabilities by well
+    under 1e-6 at 1000 steps/us even for full-scale drives. A run no step
+    budget resolves (near-coincident atoms) is a NumericError whose `run`
+    is its row.
     """
     specs = list(specs)
     if not specs:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -457,6 +458,109 @@ class TestEvolveBatch:
         spec = random_spec(np.random.default_rng(2), 2)
         with pytest.raises(ValidationError):
             evolve([spec], steps=10, initial=np.ones((1, 8)))
+
+
+def series_error(theta, weights, points=20001):
+    """Largest |p(lam) - exp(-i lam)| over [-theta, theta] in units of
+    2^-53, for p = even - i odd with the float64 weights (2, m + 1),
+    evaluated in long double."""
+    lam = np.linspace(-theta, theta, points).astype(np.longdouble)
+    even = odd = np.zeros_like(lam)
+    for a, b in weights.astype(np.longdouble).T[::-1]:
+        even, odd = even * lam + a, odd * lam + b
+    err = np.hypot(even - np.cos(lam), odd - np.sin(lam))
+    return float(err.max() / np.longdouble(2.0) ** -53)
+
+
+def taylor_terms(norm):
+    """Terms of the Taylor rule: the least m with norm^(m+1)/(m+1)! <= 2^-53."""
+    m = 0
+    while norm ** (m + 1) / math.factorial(m + 1) > 2.0 ** -53:
+        m += 1
+    return m
+
+
+def chebyshev_terms(norm):
+    """Terms `evolve` takes for a factor of this norm bound, as in _propagate."""
+    return int(np.searchsorted(sim._THETA[:-1], norm))
+
+
+def captured_factors(spec, steps, duration=None):
+    """The one chunk (coef, diag, terms, subs) of Magnus factors that
+    `evolve` builds for a lone run, and the phase it applies after the
+    kernel (with the kernel an identity, evolve returns that phase times
+    the ground state)."""
+    seen = []
+
+    def keep(psi, chunks):
+        seen.extend(chunks)
+        return psi
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_CHUNK_BYTES", 1 << 40)
+        patch.setattr(sim, "_apply_matrices", keep)
+        patch.setattr(sim, "_apply_vectors", keep)
+        phase = evolve([spec], steps=steps, duration=duration)[0, 0]
+    (chunk,) = seen
+    return chunk, phase
+
+
+class TestChebyshevTable:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs a long double with a 64-bit mantissa")
+    def test_every_degree_is_within_twenty_unit_roundoffs(self):
+        # the former Taylor weights read 41 at their cap, norm 6
+        for theta, weights in zip(sim._THETA, sim._CHEBYSHEV):
+            assert weights.shape == (2, len(weights[0]))
+            assert series_error(theta, weights) <= 20.0
+
+    def test_constant_weight_is_exactly_one(self):
+        # so a factor that is zero, such as zero-width padding, and a run
+        # without dynamics keep their amplitudes exactly
+        for weights in sim._CHEBYSHEV:
+            assert weights[0, 0] == 1.0 and weights[1, 0] == 0.0
+        zero = np.zeros((1, 1))
+        psi = np.array([[0.6], [0.8j]])
+        for terms in range(len(sim._CHEBYSHEV)):
+            out = sim._apply_vectors(psi, [(zero, np.zeros((1, 2, 1)),
+                                            [terms], [1])])
+            assert np.array_equal(out, psi)
+
+    def test_norms_strictly_increase_to_the_substep_cap(self):
+        assert np.all(np.diff(sim._THETA) > 0.0)
+        assert sim._MAX_NORM == sim._THETA[-1]
+        assert len(sim._THETA) == 23
+
+    def test_never_more_terms_than_the_taylor_rule(self):
+        for norm in np.geomspace(1e-9, sim._MAX_NORM, 400):
+            assert chebyshev_terms(norm) <= taylor_terms(norm)
+        # generate-n6-noisy's median factor norm (0.32) and its upper
+        # decile (0.64)
+        assert (chebyshev_terms(0.32), taylor_terms(0.32)) == (10, 12)
+        assert (chebyshev_terms(0.64), taylor_terms(0.64)) == (13, 15)
+        # a bound a rounding above the cap stays on the table
+        assert chebyshev_terms(np.nextafter(sim._MAX_NORM, 10.0)) == 22
+
+    def test_mixed_degree_chunk_matches_vector_path_and_eigh_oracle(self):
+        # one chunk holds zero-width padding (degree 0), a gentle run's
+        # factors and the first 0.1 us of a 4 um-packed run, whose stiff
+        # factors are substepped; the matrix path sums them all at the
+        # chunk's top degree
+        rng = np.random.default_rng(33)
+        gentle, packed = random_spec(rng, 3), full_range_spec(rng, 3)
+        first, phase1 = captured_factors(gentle, 150)
+        second, phase2 = captured_factors(packed, 3, duration=0.1)
+        pad = (np.zeros((2, 1)), np.zeros((2, 8, 1)),
+               np.zeros(2, dtype=int), np.ones(2, dtype=int))
+        chunk = [np.concatenate(parts) for parts in zip(pad, first, pad, second)]
+        terms = chunk[2]
+        assert terms.min() == 0 and first[2].max() < 22
+        assert second[3].min() > 1 and terms.max() == 22
+        start = ground(3)[:, None]
+        matrices = sim._apply_matrices(start, [chunk])[:, 0] * phase1 * phase2
+        vectors = sim._apply_vectors(start, [chunk])[:, 0] * phase1 * phase2
+        assert np.abs(matrices - vectors).max() <= 1e-13
+        ref = evolve_eigh(evolve_eigh(ground(3), gentle, 150), packed, 3, 0.1)
+        assert np.abs(matrices - ref).max() <= 1e-9
 
 
 class TestBlockade:
