@@ -7,8 +7,9 @@ two versions evolve these batches bit for bit alike. The cases are
 n = 4 batches shaped like those of training (B = 12, 102 and 192, at the
 250 steps/us of the reduced-budget pipeline: a few parameter points, each
 at the same seeds), a full-range n = 6 batch (B = 16), a full-range n = 8
-batch (B = 2) and an n = 6 batch (B = 4) packed on a 4 um grid, whose stiff
-factors are split into substeps at the top series degree. BLAS runs on one
+batch (B = 2), an n = 6 batch (B = 4) packed on a 4 um grid, whose stiff
+factors are split into substeps at the top series degree, and two small
+full-range blocks, n = 2 (B = 4) and n = 4 (B = 1). BLAS runs on one
 thread so that its GEMMs take one code path.
 """
 
@@ -70,6 +71,8 @@ def main():
     cases["n6-full-B16"] = full_range_batch(rng, 6, 16)
     cases["n8-full-B2"] = full_range_batch(rng, 8, 2)
     cases["n6-packed-B4"] = full_range_batch(rng, 6, 4, spacing=4.0)
+    cases["n2-full-B4"] = full_range_batch(rng, 2, 4)
+    cases["n4-full-B1"] = full_range_batch(rng, 4, 1)
     for name, (specs, steps) in cases.items():
         out = rydgan.sim.evolve(specs, steps)
         print(f"{name:14s} {hashlib.sha256(out.tobytes()).hexdigest()}")

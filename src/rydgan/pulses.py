@@ -6,8 +6,8 @@ shape: the seed sets the starting value of the linear ramp, shifts the
 triangle peak, modulates the trapezoid plateau width, the gaussian width,
 and the sine bump phase. Hardware requires Rabi and local-detuning
 waveforms to start and end at zero, so every shape is wrapped in linear
-entry/exit ramps covering ``ramp_fraction`` of the duration; the seeded
-value holds at the interior boundary.
+entry/exit ramps each covering ``RAMP_FRACTION`` of the duration; the
+seeded value holds at the interior boundary.
 
 Units: time in us, amplitudes in rad/us.
 """
@@ -28,6 +28,7 @@ KINDS = ("rabi", "local_detuning")
 PIECEWISE_LINEAR_SHAPES = frozenset({"linear", "triangle", "trapezoid", "constant"})
 
 _DOMAIN_TOL = 1e-12
+RAMP_FRACTION = 0.05   # share of the duration in each entry and exit ramp
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,6 @@ class PulseProgram:
     param: float
     seed_noise: float = 0.0
     duration: float = 1.0
-    ramp_fraction: float = 0.05
 
     def __post_init__(self):
         if self.shape not in SHAPES:
@@ -85,9 +85,6 @@ class PulseProgram:
                 f"unknown pulse kind {self.kind!r}; valid kinds: {', '.join(KINDS)}")
         if not self.duration > 0:
             raise ValidationError(f"pulse duration must be positive, got {self.duration}")
-        if not 0.0 <= self.ramp_fraction <= 0.25:
-            raise ValidationError(
-                f"ramp_fraction must be in [0, 0.25], got {self.ramp_fraction}")
         if not (math.isfinite(self.param) and math.isfinite(self.seed_noise)):
             raise ValidationError("pulse param and seed_noise must be finite")
 
@@ -101,7 +98,7 @@ class PulseProgram:
 def _breakpoints(pulse: PulseProgram):
     """Knot list (t, value) for the piecewise-linear shapes."""
     d = pulse.duration
-    r = pulse.ramp_fraction * d
+    r = RAMP_FRACTION * d
     w = d - 2.0 * r
     u = pulse._seed_unit
     if pulse.shape == "constant":
@@ -152,17 +149,14 @@ def evaluate(pulse: PulseProgram, t):
         out = np.interp(t_arr, ts, vs)
     else:
         d = pulse.duration
-        r = pulse.ramp_fraction * d
-        if r > 0.0:
-            w = d - 2.0 * r
-            tau = np.clip((t_arr - r) / w, 0.0, 1.0)
-            out = _interior(pulse, tau)
-            entry = _interior(pulse, 0.0) * (t_arr / r)
-            exit_ = _interior(pulse, 1.0) * ((d - t_arr) / r)
-            out = np.where(t_arr < r, entry, out)
-            out = np.where(t_arr > d - r, exit_, out)
-        else:
-            out = _interior(pulse, t_arr / d)
+        r = RAMP_FRACTION * d
+        w = d - 2.0 * r
+        tau = np.clip((t_arr - r) / w, 0.0, 1.0)
+        out = _interior(pulse, tau)
+        entry = _interior(pulse, 0.0) * (t_arr / r)
+        exit_ = _interior(pulse, 1.0) * ((d - t_arr) / r)
+        out = np.where(t_arr < r, entry, out)
+        out = np.where(t_arr > d - r, exit_, out)
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -178,7 +172,7 @@ def breakpoint_times(pulse: PulseProgram):
         times = [t for t, _ in _breakpoints(pulse)]
     else:
         d = pulse.duration
-        r = pulse.ramp_fraction * d
+        r = RAMP_FRACTION * d
         times = [0.0, r, d - r, d]
         if pulse.shape == "sine_bump":
             # sin(pi tau + phase) crosses zero at most once inside (0, 1)

@@ -27,8 +27,7 @@ through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
 plus elementwise diagonal products, on the block in the real layout
 (2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is one GEMM from the left
 and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
-(up to six qubits h = n and X_hi = X). Small blocks form the factors as
-matrices instead. No eigendecomposition is taken.
+(up to six qubits h = n and X_hi = X). No eigendecomposition is taken.
 """
 
 from __future__ import annotations
@@ -154,19 +153,6 @@ def _flip_matrix(n: int) -> np.ndarray:
     return x
 
 
-def _flip_factors(n: int) -> tuple:
-    """X as (X, None), or from _SPLIT_QUBITS on as Kronecker factors (X_hi, X_lo).
-
-    With h = ceil(n/2) high qubits, X = X_hi (x) I + I (x) X_lo, where X_hi
-    and X_lo are the flip matrices of h and n - h qubits: on a (2^h, ...,
-    2^(n-h)) block, GEMMs of width 2^h and 2^(n-h) replace one of 2^n.
-    """
-    if n < _SPLIT_QUBITS:
-        return _flip_matrix(n), None
-    high = (n + 1) // 2
-    return _flip_matrix(high), _flip_matrix(n - high)
-
-
 def _diagonals(occ: np.ndarray, arrangement, offset: float, c6: float):
     """The time-independent diagonal of H and the coupling weights sum_i h_i n_i.
 
@@ -263,11 +249,8 @@ _WEIGHTS = np.array([[0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0],
 _THETA, _CHEBYSHEV = _chebyshev_table(22)
 _MAX_NORM = _THETA[-1]
 _MAX_STIFFNESS = 30_000.0
-# batch sizes B * 4^n up to this form the factors as matrices (see
-# _apply_matrices); larger ones apply them to the state block
-_MATRIX_WORK = 1024
 # from this qubit count on, X acts on the state block through its Kronecker
-# factors (see _flip_factors)
+# factors (see _apply_vectors)
 _SPLIT_QUBITS = 7
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the series powers
@@ -282,86 +265,66 @@ def _apply_vectors(psi, chunks):
     qubits. Each power M^j v costs X_hi (x) I, one GEMM from the left on the
     (2^h, 2B 2^(n-h)) view, I (x) X_lo, one from the right on the
     (2^h 2B, 2^(n-h)) view, and elementwise products with full-shape factor
-    data (below _SPLIT_QUBITS, 2^(n-h) = 1 and the first GEMM is all of X).
+    data. From _SPLIT_QUBITS on h = ceil(n/2) and X_hi, X_lo are the flip
+    matrices of h and n - h qubits; below it h = n and the first GEMM is all
+    of X.
     One GEMM with the _CHEBYSHEV weights sums the powers into the next
     factor's first power. All chunks share the work arrays, grown on demand.
     """
     dim, batch = psi.shape
-    flip, low = _flip_factors(dim.bit_length() - 1)
+    n = dim.bit_length() - 1
+    split = n >= _SPLIT_QUBITS
+    h = (n + 1) // 2 if split else n
+    flip, low = _flip_matrix(h), _flip_matrix(n - h) if split else None
     high = len(flip)
     shape = (high, batch, 2, dim // high)
-    powers, views, coefs = np.empty((1,) + shape), None, ()
+    powers, views, pairs = np.empty((1,) + shape), None, ()
     powers[0] = psi.view(float).reshape(high, -1, batch, 2).transpose(0, 2, 3, 1)
-    product = np.empty(shape)
-    low_part = product.reshape(-1, shape[-1])
-    sums = np.empty((2, product.size))
+    # one multiply forms a term's d M^j v and a X M^j v: the factor's (d, a)
+    # pair times the adjacent powers (M^j v, X M^j v); on the split path the
+    # first row holds the I (x) X_lo GEMM before that
+    scaled = np.empty((2,) + shape)
+    first, second = scaled
+    low_part = first.reshape(-1, shape[-1])
+    sums = np.empty((2, first.size))
     # exp(-iM) v = even - i odd: re = even_re + odd_im, im = even_im - odd_re
     even, odd = sums.reshape((2,) + shape)
     parts = even[:, :, 0], odd[:, :, 1], even[:, :, 1], odd[:, :, 0]
-    dot, multiply = np.dot, np.multiply     # bound once: called per term
+    # bound once, GEMMs through ndarray.dot, which skips np.dot's dispatch:
+    # on a one-run block the cost per numpy call is the whole cost
+    flip_dot, multiply, add = flip.dot, np.multiply, np.add
     for coef, diag, terms, subs in chunks:
         if views is None or len(powers) <= max(terms):
             powers = np.concatenate([powers[:1], np.empty((max(terms),) + shape)])
             rows, flat = list(powers), powers.reshape(len(powers), -1)
             wide = [row.reshape(high, -1) for row in rows]
-            # per term j: M^(j+1) v, M^j v, wide M^j v and M^(j+1) v, tall M^j v
-            views = list(zip(rows[1:], rows, wide, wide[1:],
-                             [row.reshape(-1, shape[-1]) for row in rows]))
-            heads = [(_CHEBYSHEV[count], flat[:count + 1])
+            # per term j: (M^j v, M^(j+1) v), M^(j+1) v, wide M^j v and
+            # M^(j+1) v, the GEMM of tall M^j v
+            views = list(zip([powers[j:j + 2] for j in range(len(rows) - 1)],
+                             rows[1:], wide, wide[1:],
+                             [row.reshape(-1, shape[-1]).dot for row in rows]))
+            heads = [(views[:count], _CHEBYSHEV[count].dot, flat[:count + 1])
                      for count in range(len(powers))]
             state = rows[0][:, :, 0], rows[0][:, :, 1]
-        if len(coefs) < len(coef):
-            coefs, diags = np.empty((2, len(coef)) + shape)
-        coefs[:len(coef)] = coef[:, None, :, None, None]
-        diags[:len(coef)] = diag.reshape(len(diag), high, -1, batch).transpose(
+        if len(pairs) < len(coef):
+            pairs = np.empty((len(coef), 2) + shape)
+        pairs[:len(coef), 0] = diag.reshape(len(diag), high, -1, batch).transpose(
             0, 1, 3, 2)[:, :, :, None]
-        for count, repeat, a, d in zip(terms, subs, coefs, diags):
+        pairs[:len(coef), 1] = coef[:, None, :, None, None]
+        for count, repeat, pair in zip(terms, subs, pairs):
+            steps, weigh, series = heads[count]
             for _ in range(repeat):
-                if low is None:
-                    for power, previous, source, target, _ in views[:count]:
-                        dot(flip, source, out=target)
-                        power *= a
-                        power += multiply(d, previous, out=product)
-                else:
-                    for power, previous, source, target, tall in views[:count]:
-                        dot(flip, source, out=target)
-                        dot(tall, low, out=low_part)
-                        power += product
-                        power *= a
-                        power += multiply(d, previous, out=product)
-                np.dot(*heads[count], out=sums)
-                np.add(parts[0], parts[1], out=state[0])
+                for both, power, source, target, tall_dot in steps:
+                    flip_dot(source, out=target)
+                    if split:
+                        tall_dot(low, out=low_part)
+                        power += first
+                    multiply(pair, both, out=scaled)
+                    add(first, second, out=power)
+                weigh(series, out=sums)
+                add(parts[0], parts[1], out=state[0])
                 np.subtract(parts[2], parts[3], out=state[1])
     return powers[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
-
-
-def _apply_matrices(psi, chunks):
-    """Same action as _apply_vectors, for small B * 4^n.
-
-    Each chunk's exponentials are formed as matrices by the polynomial of
-    its top degree, which holds on every smaller norm, batched over every
-    factor of the chunk, then applied in turn.
-    This costs 2^n times the arithmetic but far fewer numpy calls, so small
-    blocks (one run at n <= 5, a few at n = 4) are not bound by per-call
-    cost.
-    """
-    dim = psi.shape[0]
-    i = np.arange(dim)
-    cols = psi.T[:, :, None]
-    for coef, diag, terms, subs in chunks:
-        gen = coef[:, :, None, None] * _flip_matrix(dim.bit_length() - 1)
-        gen[:, :, i, i] += diag.transpose(0, 2, 1)
-        power = np.broadcast_to(np.eye(dim), gen.shape)
-        even, odd = power.copy(), np.zeros_like(gen)
-        top = max(terms)
-        for j in range(1, top + 1):
-            power = power @ gen
-            acc = odd if j & 1 else even
-            acc += _CHEBYSHEV[top][j & 1, j] * power
-        for prop, repeat in zip(even - 1j * odd, subs):
-            for _ in range(repeat):
-                cols = prop @ cols
-    return cols[:, :, 0].T
 
 
 def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
@@ -394,9 +357,8 @@ def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
         width[used, b] = np.repeat(dts, 2)
 
     # each factor is exp(-i dt (coef X + 0.5 static - dlocal sumh))
-    matrix = batch * dim * dim <= _MATRIX_WORK
     # about six float arrays of one factor's block size are live per row
-    chunk = max(1, _CHUNK_BYTES // (48 * batch * dim * (dim if matrix else 1)))
+    chunk = max(1, _CHUNK_BYTES // (48 * batch * dim))
     phase = np.zeros(batch)
 
     def chunks():
@@ -428,8 +390,7 @@ def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
             diag = (diag - mid[:, :, None]) * scale[:, :, None]
             yield coef[part] * scale, diag.transpose(0, 2, 1), terms, subs
 
-    psi = (_apply_matrices if matrix else _apply_vectors)(initial.T.copy(),
-                                                          chunks())
+    psi = _apply_vectors(initial.T.copy(), chunks())
     return (psi * np.exp(-1j * phase)).T
 
 

@@ -14,8 +14,7 @@ def make_pulse(shape, kind, param, seed=0.0, **kw):
 
 class TestEvaluate:
     def test_linear_rabi_ramp_construction(self):
-        pulse = make_pulse("linear", "rabi", 3.0, seed=1.0, duration=1.0,
-                           ramp_fraction=0.05)
+        pulse = make_pulse("linear", "rabi", 3.0, seed=1.0, duration=1.0)
         assert evaluate(pulse, 0.0) == 0.0
         assert evaluate(pulse, 0.05) == pytest.approx(1.0, abs=1e-12)
         assert evaluate(pulse, 0.95) == pytest.approx(3.0, abs=1e-12)

@@ -25,7 +25,8 @@ def test_library_example_runs_and_gives_its_shapes():
     assert namespace["noisy"].shape == (16,)
     assert namespace["many"].shape == (3, 16)
     # a batch row is its lone run up to rounding
-    lone = namespace["generate_features"](namespace["params"], 0.5)
+    lone = namespace["generate_batch"]([(namespace["params"], 0.5,
+                                         namespace["EXACT"])])[0]
     assert np.abs(namespace["many"][1] - lone).max() <= 1e-12
 
 

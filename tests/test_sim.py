@@ -343,13 +343,11 @@ class TestEvolveBatch:
            steps=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
            chunk_bytes=st.sampled_from([1, 1 << 12, 1 << 16, 1 << 20]),
            max_block=st.sampled_from([1, 64, 1 << 14]),
-           matrix_work=st.sampled_from([0, 1024, 1 << 16]),
            split=st.integers(1, 7))
     def test_every_tuning_matches_eigh_oracle(self, n, batch, steps, seed,
-                                              chunk_bytes, max_block,
-                                              matrix_work, split):
-        # chunking, blocking, the matrix/vector choice and the Kronecker
-        # split change how the factors are applied, never what they are
+                                              chunk_bytes, max_block, split):
+        # chunking, blocking and the Kronecker split change how the factors
+        # are applied, never what they are
         rng = np.random.default_rng(seed)
         specs = [random_spec(rng, n, duration=rng.choice([1.0, 0.6]))
                  for _ in range(batch)]
@@ -359,7 +357,6 @@ class TestEvolveBatch:
         with pytest.MonkeyPatch.context() as patch:
             for name, value in (("_CHUNK_BYTES", chunk_bytes),
                                 ("_MAX_BLOCK", max_block),
-                                ("_MATRIX_WORK", matrix_work),
                                 ("_SPLIT_QUBITS", split)):
                 patch.setattr(sim, name, value)
             out = evolve(specs, steps=steps, initial=initial)
@@ -407,8 +404,8 @@ class TestEvolveBatch:
             assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-9
 
     def test_rows_agree_with_lone_runs(self):
-        # twelve runs take the state-block path, a lone run the
-        # factor-matrix path
+        # a lone run is a one-column block, with its own term counts and
+        # chunk size
         rng = np.random.default_rng(9)
         specs = [random_spec(rng, 4) for _ in range(12)]
         out = evolve(specs, steps=100)
@@ -497,7 +494,6 @@ def captured_factors(spec, steps, duration=None):
         return psi
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_CHUNK_BYTES", 1 << 40)
-        patch.setattr(sim, "_apply_matrices", keep)
         patch.setattr(sim, "_apply_vectors", keep)
         phase = evolve([spec], steps=steps, duration=duration)[0, 0]
     (chunk,) = seen
@@ -540,11 +536,10 @@ class TestChebyshevTable:
         # a bound a rounding above the cap stays on the table
         assert chebyshev_terms(np.nextafter(sim._MAX_NORM, 10.0)) == 22
 
-    def test_mixed_degree_chunk_matches_vector_path_and_eigh_oracle(self):
+    def test_mixed_degree_chunk_matches_eigh_oracle(self):
         # one chunk holds zero-width padding (degree 0), a gentle run's
         # factors and the first 0.1 us of a 4 um-packed run, whose stiff
-        # factors are substepped; the matrix path sums them all at the
-        # chunk's top degree
+        # factors are substepped
         rng = np.random.default_rng(33)
         gentle, packed = random_spec(rng, 3), full_range_spec(rng, 3)
         first, phase1 = captured_factors(gentle, 150)
@@ -556,11 +551,9 @@ class TestChebyshevTable:
         assert terms.min() == 0 and first[2].max() < 22
         assert second[3].min() > 1 and terms.max() == 22
         start = ground(3)[:, None]
-        matrices = sim._apply_matrices(start, [chunk])[:, 0] * phase1 * phase2
-        vectors = sim._apply_vectors(start, [chunk])[:, 0] * phase1 * phase2
-        assert np.abs(matrices - vectors).max() <= 1e-13
+        out = sim._apply_vectors(start, [chunk])[:, 0] * phase1 * phase2
         ref = evolve_eigh(evolve_eigh(ground(3), gentle, 150), packed, 3, 0.1)
-        assert np.abs(matrices - ref).max() <= 1e-9
+        assert np.abs(out - ref).max() <= 1e-9
 
 
 class TestBlockade:
