@@ -9,8 +9,10 @@ n = 4 batches shaped like those of training (B = 12, 102 and 192, at the
 at the same seeds), a full-range n = 6 batch (B = 16), a full-range n = 8
 batch (B = 2), an n = 6 batch (B = 4) packed on a 4 um grid, whose stiff
 factors are split into substeps at the top series degree, and two small
-full-range blocks, n = 2 (B = 4) and n = 4 (B = 1). BLAS runs on one
-thread so that its GEMMs take one code path.
+full-range blocks, n = 2 (B = 4) and n = 4 (B = 1). A last case digests
+the features of a noisy `generate_batch` call at n = 4 (B = 12, each run
+its own draw of the hardware-error model). BLAS runs on one thread so that
+its GEMMs take one code path.
 """
 
 import hashlib
@@ -43,9 +45,9 @@ def training_batch(rng, points, seeds):
     return specs, config.steps
 
 
-def full_range_batch(rng, n, count, spacing=None):
-    """Specs of strong legal drives on atoms anywhere in the field, or with
-    `spacing`, on a square grid of that pitch in um."""
+def full_range_params(rng, n, spacing=None):
+    """Strong legal drives on atoms anywhere in the field, or with `spacing`,
+    on a square grid of that pitch in um."""
     if spacing is None:
         while True:
             pos = rng.uniform(0.0, 75.0, size=(n, 2))
@@ -55,13 +57,30 @@ def full_range_batch(rng, n, count, spacing=None):
     else:
         side = int(np.ceil(np.sqrt(n)))
         pos = spacing * np.array([(i % side, i // side) for i in range(n)])
-    params = rydgan.GeneratorParams(
+    return rydgan.GeneratorParams(
         rydgan.AtomArrangement(tuple(map(tuple, pos)),
                                tuple(rng.uniform(0.0, 1.0, n))),
         "trapezoid", 0.9 * LIMITS.omega_max, "sine_bump",
         0.9 * LIMITS.local_detuning_min, 0.5 * LIMITS.global_detuning_abs)
+
+
+def full_range_batch(rng, n, count, spacing=None):
+    """Specs of `count` seeds of full_range_params."""
+    params = full_range_params(rng, n, spacing)
     return [rydgan.generator.build_spec(params, float(s), LIMITS)
             for s in rydgan.draw_seeds(rng, count)], 250
+
+
+def noisy_runs(rng, n, count):
+    """(params, seed, mode) runs of full_range_params, each noisy with its
+    own error-model seed."""
+    params = full_range_params(rng, n)
+    return [(params, float(s), rydgan.NoisyMode(rydgan.ErrorModel(rng_seed=i)))
+            for i, s in enumerate(rydgan.draw_seeds(rng, count))]
+
+
+def digest(name, out):
+    print(f"{name:14s} {hashlib.sha256(out.tobytes()).hexdigest()}")
 
 
 def main():
@@ -74,8 +93,9 @@ def main():
     cases["n2-full-B4"] = full_range_batch(rng, 2, 4)
     cases["n4-full-B1"] = full_range_batch(rng, 4, 1)
     for name, (specs, steps) in cases.items():
-        out = rydgan.sim.evolve(specs, steps)
-        print(f"{name:14s} {hashlib.sha256(out.tobytes()).hexdigest()}")
+        digest(name, rydgan.sim.evolve(specs, steps))
+    digest("n4-noisy-B12",
+           rydgan.generate_batch(noisy_runs(rng, 4, 12), LIMITS, steps=250))
 
 
 if __name__ == "__main__":

@@ -125,12 +125,17 @@ def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
 
 
 def _load_run_learner(config: RunConfig, path: str):
-    """A learner file's training result; it must match the run's qubit count."""
+    """A learner file's training result; it must match the run's qubit count
+    and its duration, from which `_features` sets every run's step count."""
     result = load_learner(path)
     if result.config.n_qubits != config.n_qubits:
         raise DataError(
             f"{path}: field config.n_qubits: a {result.config.n_qubits}-qubit "
             f"learner, but this run has n_qubits = {config.n_qubits}")
+    if result.config.duration != config.duration_us:
+        raise DataError(
+            f"{path}: field config.duration: a {result.config.duration} us "
+            f"learner, but this run has duration_us = {config.duration_us}")
     return result
 
 

@@ -14,7 +14,7 @@ and their boxes serve both `validate` and the Nelder-Mead stages of training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +40,6 @@ class GeneratorParams:
 
     The trainable values form the GROUPS; `groups` gives each with its
     hardware box and `with_group` replaces one.
-
-    rabi_gain and local_shift are identity by default; the hardware-error
-    model writes perturbed copies through them (multiplicative on the Rabi
-    waveform, additive on the local-detuning waveform before the per-atom
-    coupling weight).
     """
 
     arrangement: AtomArrangement
@@ -54,8 +49,6 @@ class GeneratorParams:
     local_param: float
     global_detuning_offset: float
     duration: float = 1.0
-    rabi_gain: float = 1.0
-    local_shift: float = 0.0
 
     @property
     def n_qubits(self) -> int:
@@ -162,10 +155,9 @@ class ShotsMode:
 
 @dataclass(frozen=True)
 class NoisyMode:
-    """Parameters perturbed by an ErrorModel before a fresh exact/shots run."""
+    """An exact run of the Hamiltonian perturbed by one ErrorModel draw."""
 
     model: ErrorModel
-    submode: object = field(default_factory=ExactMode)
 
 
 EXACT = ExactMode()
@@ -191,8 +183,7 @@ def build_spec(params: GeneratorParams, seed: float,
     return HamiltonianSpec(arrangement=params.arrangement, rabi=rabi,
                            local_detuning=local,
                            global_detuning_offset=params.global_detuning_offset,
-                           c6=c6, rabi_scale=params.rabi_gain,
-                           local_detuning_shift=params.local_shift)
+                           c6=c6)
 
 
 def modulo_encode(probs) -> np.ndarray:
@@ -219,8 +210,8 @@ def modulo_encode(probs) -> np.ndarray:
     return np.where(r > 0.0, r, np.where(p > 0.0, width, 0.0))
 
 
-def perturb_params(params: GeneratorParams, model: ErrorModel) -> GeneratorParams:
-    """Fresh copy of params with one draw of the hardware-error model.
+def perturb_params(spec: HamiltonianSpec, model: ErrorModel) -> HamiltonianSpec:
+    """Copy of a run's Hamiltonian with one draw of the hardware-error model.
 
     Draw order (fixed for reproducibility): global detuning shift, local
     waveform shift, Rabi gain factor, then x/y per atom. The perturbed
@@ -232,15 +223,15 @@ def perturb_params(params: GeneratorParams, model: ErrorModel) -> GeneratorParam
     d_local = rng.normal(0.0, model.detuning_sigma)
     gain = rng.normal(1.0, model.rabi_rel_sigma)
     offsets = rng.normal(0.0, model.position_sigma,
-                         size=(params.arrangement.n_atoms, 2))
+                         size=(spec.arrangement.n_atoms, 2))
     positions = tuple((x + offsets[i, 0], y + offsets[i, 1])
-                      for i, (x, y) in enumerate(params.arrangement.positions))
-    arrangement = AtomArrangement(positions, params.arrangement.couplings)
-    return replace(params,
+                      for i, (x, y) in enumerate(spec.arrangement.positions))
+    arrangement = AtomArrangement(positions, spec.arrangement.couplings)
+    return replace(spec,
                    arrangement=arrangement,
-                   global_detuning_offset=params.global_detuning_offset + d_global,
-                   local_shift=params.local_shift + d_local,
-                   rabi_gain=params.rabi_gain * gain)
+                   global_detuning_offset=spec.global_detuning_offset + d_global,
+                   local_detuning_shift=spec.local_detuning_shift + d_local,
+                   rabi_scale=spec.rabi_scale * gain)
 
 
 def _plan(params: GeneratorParams, seed: float, mode, limits: PulseLimits,
@@ -249,12 +240,12 @@ def _plan(params: GeneratorParams, seed: float, mode, limits: PulseLimits,
     if not SEED_LO - 1e-12 <= seed <= SEED_HI + 1e-12:
         raise ValidationError(
             f"seed {seed} outside legal range [{SEED_LO}, {SEED_HI}]")
-    while isinstance(mode, NoisyMode):
-        params = perturb_params(params, mode.model)
-        mode = mode.submode
+    spec = build_spec(params, seed, limits, c6)
+    if isinstance(mode, NoisyMode):
+        return perturb_params(spec, mode.model), EXACT
     if not isinstance(mode, (ExactMode, ShotsMode)):
         raise ValidationError(f"unknown generation mode {mode!r}")
-    return build_spec(params, seed, limits, c6), mode
+    return spec, mode
 
 
 def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
@@ -264,7 +255,7 @@ def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
     """Features (2^n,) of one seed: a one-run `generate_batch`.
 
     Deterministic for fixed (params, seed, mode); the stored params are
-    never mutated, noisy runs perturb a per-invocation copy.
+    never mutated, a noisy run perturbs its own copy of the Hamiltonian.
     """
     return generate_batch([(params, seed, mode)], limits, c6, steps)[0]
 

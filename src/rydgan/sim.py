@@ -90,10 +90,10 @@ class HamiltonianSpec:
     """Complete description of one analog evolution.
 
     The drive phase is always zero, so the spec has no phase field.
-    rabi_scale and local_detuning_shift default to the identity and exist
-    for the hardware-error model, which scales the Rabi waveform
-    multiplicatively and shifts the local-detuning waveform additively
-    (before the per-atom coupling weight is applied).
+    rabi_scale and local_detuning_shift default to the identity; the
+    hardware-error model (`generator.perturb_params`) draws them, scaling
+    the Rabi waveform multiplicatively and shifting the local-detuning
+    waveform additively (before the per-atom coupling weight is applied).
     """
 
     arrangement: AtomArrangement
@@ -327,7 +327,7 @@ def _apply_vectors(psi, chunks):
     return powers[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
 
 
-def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
+def _propagate(specs, steps, initial, first) -> np.ndarray:
     """evolve on one block of at most _MAX_BLOCK amplitudes from row first."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
@@ -343,7 +343,7 @@ def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
                                        for s in specs)))
     grids = [grid(tuple(breakpoint_times(s.rabi)
                         + breakpoint_times(s.local_detuning)),
-                  end, steps or default_steps(end)) for s, end in zip(specs, ends)]
+                  s.duration, steps or default_steps(s.duration)) for s in specs]
     # one row per Magnus factor, two per step in application order; columns
     # with fewer steps are padded with zero-width steps, which are identities
     rows = 2 * max(len(starts) for starts, _ in grids)
@@ -394,17 +394,16 @@ def _propagate(specs, ends, steps, initial, first) -> np.ndarray:
     return (psi * np.exp(-1j * phase)).T
 
 
-def evolve(specs, steps: int | None = None, duration: float | None = None,
-           initial=None) -> np.ndarray:
+def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
     """Final amplitudes (B, 2^n) of one Schrodinger evolution per spec.
 
-    Row b integrates specs[b] from t = 0 to `duration` (default: that
-    spec's own duration), starting from the normalized initial[b]
-    (default: the ground state). Every run keeps its own breakpoint-aligned
-    step grid for the `steps` budget (default 1000 per us) and fourth-order
-    commutator-free Magnus factors (Alvermann & Fehske, J. Comput. Phys.
-    230 (2011) 5930), so a row does not depend on the rest of the batch
-    beyond rounding. All specs share one qubit count in [1, MAX_QUBITS].
+    Row b integrates specs[b] over its own duration, starting from the
+    normalized initial[b] (default: the ground state). Every run keeps its
+    own breakpoint-aligned step grid for the `steps` budget (default 1000
+    per us) and fourth-order commutator-free Magnus factors (Alvermann &
+    Fehske, J. Comput. Phys. 230 (2011) 5930), so a row does not depend on
+    the rest of the batch beyond rounding. All specs share one qubit count
+    in [1, MAX_QUBITS].
 
     Each factor exp(-i dt (a X + diag d)) is applied as its Chebyshev
     expansion truncated at unit roundoff (Tal-Ezer & Kosloff, J. Chem.
@@ -426,12 +425,6 @@ def evolve(specs, steps: int | None = None, duration: float | None = None,
         raise ValidationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     if steps is not None and steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    ends = [spec.duration if duration is None else duration for spec in specs]
-    for spec, end in zip(specs, ends):
-        if not 0.0 < end <= spec.duration + 1e-12:
-            raise ValidationError(
-                f"evolution duration {end} outside pulse domain "
-                f"(0, {spec.duration}]")
     dim = 1 << n
     if initial is None:
         initial = np.zeros((len(specs), dim), dtype=complex)
@@ -448,6 +441,5 @@ def evolve(specs, steps: int | None = None, duration: float | None = None,
                               f"sum |a_k|^2 = {norms[bad[0]]!r}")
     block = max(1, _MAX_BLOCK // dim)
     return np.concatenate([
-        _propagate(specs[i:i + block], ends[i:i + block], steps,
-                   initial[i:i + block], i)
+        _propagate(specs[i:i + block], steps, initial[i:i + block], i)
         for i in range(0, len(specs), block)])

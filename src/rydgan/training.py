@@ -293,8 +293,6 @@ def save_learner(result: TrainingResult, path: str):
             "local_param_rad_per_us": params.local_param,
             "global_detuning_rad_per_us": params.global_detuning_offset,
             "duration_us": params.duration,
-            "rabi_gain": params.rabi_gain,
-            "local_shift_rad_per_us": params.local_shift,
         },
         "final_loss": learner.final_loss,
         "initial_loss": result.initial_loss,
@@ -331,11 +329,13 @@ def load_learner(path: str) -> TrainingResult:
             local_shape=doc["local_shape"],
             local_param=float(p["local_param_rad_per_us"]),
             global_detuning_offset=float(p["global_detuning_rad_per_us"]),
-            duration=float(p["duration_us"]), rabi_gain=float(p["rabi_gain"]),
-            local_shift=float(p["local_shift_rad_per_us"]))
+            duration=float(p["duration_us"]))
         if params.n_qubits != config.n_qubits:
             raise ValidationError(f"{params.n_qubits} atoms, but the file's "
                                   f"config has n_qubits = {config.n_qubits}")
+        if params.duration != config.duration:
+            raise ValidationError(f"duration_us = {params.duration}, but the "
+                                  f"file's config has duration = {config.duration}")
         params.validate(config.limits, config.min_spacing, config.field_size)
     with _doc_field(path, "discriminator"):
         net = DiscriminatorNet(**{name: np.array(arr, dtype=float) for name, arr

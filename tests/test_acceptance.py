@@ -19,8 +19,9 @@ import pytest
 
 from rydgan.data import fit_pca, scale_features, transform, unscale_features
 from rydgan.discriminator import bce_gradients, bce_loss, init_discriminator
-from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, draw_seeds,
-                              generate_batch, modulo_encode, perturb_params)
+from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, build_spec,
+                              draw_seeds, generate_batch, modulo_encode,
+                              perturb_params)
 from rydgan.metrics import (GaussianSummary, fid, greedy_select,
                             variation_scores)
 from rydgan.sim import AtomArrangement, evolve, interaction_strength
@@ -38,7 +39,7 @@ def test_rabi_physics_oracle():
     start = time.perf_counter()
     spec = constant_spec([(0.0, 0.0)], [0.0], omega=np.pi, dlocal=0.0,
                          dglobal=0.0)
-    p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
+    p = np.abs(evolve([spec])[0]) ** 2
     assert abs(p[1] - 1.0) < 1e-6
 
     rng = np.random.default_rng(1)
@@ -47,7 +48,7 @@ def test_rabi_physics_oracle():
         t = rng.uniform(0.1, 2.0)
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=omega, dlocal=0.0,
                              dglobal=0.0, duration=t)
-        p = np.abs(evolve([spec], duration=t)[0]) ** 2
+        p = np.abs(evolve([spec])[0]) ** 2
         assert abs(p[1] - np.sin(omega * t / 2.0) ** 2) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"Rabi oracle took {elapsed:.2f}s"
@@ -60,12 +61,12 @@ def test_blockade_physics_oracle():
                                                                  abs=5e-4)
     close = constant_spec([(0.0, 0.0), (4.0, 0.0)], [0.0, 0.0],
                           omega=2.5, dlocal=0.0, dglobal=0.0)
-    p_close = np.abs(evolve([close], duration=1.0)[0]) ** 2
+    p_close = np.abs(evolve([close])[0]) ** 2
     assert p_close[3] < 0.05
 
     far = constant_spec([(0.0, 0.0), (30.0, 0.0)], [0.0, 0.0],
                         omega=2.5, dlocal=0.0, dglobal=0.0)
-    p_far = np.abs(evolve([far], duration=1.0)[0]) ** 2
+    p_far = np.abs(evolve([far])[0]) ** 2
     independent = np.sin(2.5 * 1.0 / 2.0) ** 2
     assert abs(p_far[3] - independent ** 2) < 1e-3
     elapsed = time.perf_counter() - start
@@ -194,14 +195,15 @@ def test_modulo_encoding_window():
 
 def test_error_model_statistics():
     arr = AtomArrangement(((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5))
-    params = GeneratorParams(arr, "linear", 2.0, "triangle", -3.0, 0.5)
+    spec = build_spec(GeneratorParams(arr, "linear", 2.0, "triangle", -3.0,
+                                      0.5), 0.5)
     detunings, gains, offsets = [], [], []
     for i in range(10_000):
-        out = perturb_params(params, ErrorModel(rng_seed=i))
+        out = perturb_params(spec, ErrorModel(rng_seed=i))
         detunings.append(out.global_detuning_offset - 0.5)
-        gains.append(out.rabi_gain)
+        gains.append(out.rabi_scale)
         offsets.append(np.array(out.arrangement.positions)
-                       - np.array(params.arrangement.positions))
+                       - np.array(spec.arrangement.positions))
     detunings = np.array(detunings)
     gains = np.array(gains)
     offsets = np.concatenate([o.reshape(-1) for o in offsets])

@@ -17,8 +17,8 @@ from rydgan.cli import main
 from rydgan.config import RunConfig, _sections, load_config, render_config
 from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
 from rydgan.errors import DataError, RydganError
-from rydgan.generator import (EXACT, GeneratorParams, draw_seeds, generate_batch,
-                              perturb_params)
+from rydgan.generator import (EXACT, GeneratorParams, build_spec, draw_seeds,
+                              generate_batch, perturb_params)
 from rydgan.metrics import greedy_select
 from rydgan.neldermead import nelder_mead_steps
 from rydgan.sim import AtomArrangement
@@ -406,7 +406,8 @@ class TestGenerate:
         config = load_config(str(cfg), {"out_dir": out})
         mode = cli._member_mode(config, "noisy", image, files.index(name))
         learner = load_learner(os.path.join(out, "learners", "class0", name))
-        pos = perturb_params(learner.learner.params,
+        seed = draw_seeds(np.random.default_rng(config.master_seed), 400)[image]
+        pos = perturb_params(build_spec(learner.learner.params, seed),
                              mode.model).arrangement.position_array()
         assert np.linalg.norm(pos[0] - pos[1]) < 1.0
         assert not os.path.exists(os.path.join(out, "generated"))
@@ -964,9 +965,10 @@ def _add_atom(doc):
     (_crowd_second_atom, "params"),
     (_add_atom, "params"),
     (lambda doc: doc["config"].update(master_seed=-1), "config"),
+    (lambda doc: doc["params"].update(duration_us=50.0), "params"),
 ], ids=["rabi-5000", "atom-outside-field", "constant-shape",
         "atoms-0.5um-apart", "three-atoms-in-a-two-qubit-file",
-        "negative-master-seed"])
+        "negative-master-seed", "50us-params-under-a-1us-config"])
 def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
                                          capsys, edit, field):
     """A learner file whose params leave its own config's hardware envelope,
@@ -1013,6 +1015,33 @@ def test_member_of_another_qubit_count_exits_3(smoke_ini, pipeline_out,
     assert code == 3
     assert path in err and "n_qubits" in err
     assert not os.path.exists(os.path.join(out, "generated"))
+
+
+@pytest.mark.parametrize("command, written", [
+    ("select", "ensemble_class0.json"), ("generate", "generated"),
+    ("evaluate", "evaluation.csv")])
+def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
+                                             capsys, command, written):
+    """A run whose duration_us differs from its learners' own: every run's
+    step count comes from the run's duration, so select, generate and
+    evaluate exit 3 naming a learner file and the field, before any output."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(pipeline_out, out)
+    target = os.path.join(out, written)
+    if os.path.isdir(target):
+        shutil.rmtree(target)
+    elif os.path.exists(target):
+        os.remove(target)
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(open(smoke_ini).read().replace(
+        "[training]\n", "[training]\nduration_us = 2.0\n"))
+    code = main([command, "--config", str(cfg), "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.search(r"learners/class0/[a-z-]+\.json: field config\.duration: "
+                     r"a 1\.0 us learner, but this run has duration_us = 2\.0",
+                     err), err
+    assert not os.path.exists(target)
 
 
 @pytest.fixture(scope="module")

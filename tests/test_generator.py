@@ -142,7 +142,7 @@ class TestGenerateFeatures:
         generate_features(params, 0.4, NoisyMode(ErrorModel(rng_seed=2)),
                           steps=100)
         assert params.arrangement.positions == before
-        assert params.rabi_gain == 1.0 and params.local_shift == 0.0
+        assert params == square_params()
 
     def test_seed_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -161,8 +161,7 @@ class TestGenerateBatch:
     @pytest.mark.parametrize("mode", [
         EXACT, ShotsMode(shots=500, rng_seed=4),
         NoisyMode(ErrorModel(rng_seed=2)),
-        NoisyMode(ErrorModel(rng_seed=3), ShotsMode(shots=500, rng_seed=5)),
-    ], ids=["exact", "shots", "noisy", "noisy-shots"])
+    ], ids=["exact", "shots", "noisy"])
     def test_rows_equal_lone_runs(self, mode):
         # two learners with different pulse shapes share the batch
         runs = [(square_params(), 0.3, mode),
@@ -183,57 +182,61 @@ class TestGenerateBatch:
             generate_batch([(square_params(), 0.5, EXACT), (two, 0.5, EXACT)])
 
 
+def square_spec():
+    return build_spec(square_params(), 0.5)
+
+
 class TestPerturbParams:
     def test_zero_sigmas_identity(self):
-        params = square_params()
+        spec = square_spec()
         model = ErrorModel(0.0, 0.0, 0.0, rng_seed=1)
-        out = perturb_params(params, model)
-        assert out == params
+        out = perturb_params(spec, model)
+        assert out == spec
 
     def test_same_seed_same_perturbation(self):
-        params = square_params()
+        spec = square_spec()
         model = ErrorModel(rng_seed=77)
-        assert perturb_params(params, model) == perturb_params(params, model)
+        assert perturb_params(spec, model) == perturb_params(spec, model)
 
     def test_position_sigma_statistics(self):
-        params = square_params()
+        spec = square_spec()
         draws = []
         for i in range(10_000):
-            out = perturb_params(params, ErrorModel(rng_seed=i))
+            out = perturb_params(spec, ErrorModel(rng_seed=i))
             delta = (np.array(out.arrangement.positions)
-                     - np.array(params.arrangement.positions))
+                     - np.array(spec.arrangement.positions))
             draws.append(delta.reshape(-1))
         draws = np.concatenate(draws)
         assert 0.095 <= draws.std() <= 0.105
         assert abs(draws.mean()) < 0.005
 
     def test_detuning_sigma_statistics(self):
-        params = square_params()
+        spec = square_spec()
         deltas = np.array([
-            perturb_params(params, ErrorModel(rng_seed=i)).global_detuning_offset
-            - params.global_detuning_offset for i in range(10_000)])
+            perturb_params(spec, ErrorModel(rng_seed=i)).global_detuning_offset
+            - spec.global_detuning_offset for i in range(10_000)])
         assert abs(deltas.std() - 0.1) / 0.1 < 0.05
         assert abs(deltas.mean()) < 0.005
 
     def test_local_shift_statistics(self):
-        params = square_params()
+        spec = square_spec()
         shifts = np.array([
-            perturb_params(params, ErrorModel(rng_seed=i)).local_shift
+            perturb_params(spec, ErrorModel(rng_seed=i)).local_detuning_shift
             for i in range(10_000)])
         assert abs(shifts.std() - 0.1) / 0.1 < 0.05
 
     def test_rabi_gain_statistics(self):
-        params = square_params()
+        spec = square_spec()
         gains = np.array([
-            perturb_params(params, ErrorModel(rng_seed=i)).rabi_gain
+            perturb_params(spec, ErrorModel(rng_seed=i)).rabi_scale
             for i in range(10_000)])
         assert abs(gains.std() - 0.01) / 0.01 < 0.05
         assert abs(gains.mean() - 1.0) < 0.001
 
     def test_original_untouched(self):
-        params = square_params()
-        perturb_params(params, ErrorModel(rng_seed=3))
-        assert params == square_params()
+        spec = square_spec()
+        perturb_params(spec, ErrorModel(rng_seed=3))
+        assert spec == square_spec()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):

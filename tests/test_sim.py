@@ -32,13 +32,12 @@ def build_hamiltonian(spec, t):
     return omega * _flip_matrix(spec.n_qubits) + np.diag(static - dlocal * sumh)
 
 
-def evolve_eigh(amplitudes, spec, steps, duration=None):
+def evolve_eigh(amplitudes, spec, steps):
     """Reference propagator: the step grid and Magnus factors of `evolve`,
     each factor exponentiated through a dense Hermitian eigendecomposition.
     """
-    duration = spec.duration if duration is None else duration
     cuts = breakpoint_times(spec.rabi) + breakpoint_times(spec.local_detuning)
-    starts, dts = _step_grid(tuple(cuts), duration, steps)
+    starts, dts = _step_grid(tuple(cuts), spec.duration, steps)
     lo, hi = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
     w1, w2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
     psi = np.array(amplitudes, dtype=complex)
@@ -202,7 +201,7 @@ class TestEvolve:
     def test_rabi_oscillation_analytic(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=np.pi, dlocal=0.0,
                              dglobal=0.0)
-        p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
+        p = np.abs(evolve([spec])[0]) ** 2
         assert p[1] == pytest.approx(np.sin(np.pi * 1.0 / 2.0) ** 2, abs=1e-6)
         assert p[1] == pytest.approx(1.0, abs=1e-6)
 
@@ -219,7 +218,7 @@ class TestEvolve:
         h = build_hamiltonian(spec, 0.0)
         w, v = np.linalg.eigh(h)
         expected = v @ (np.exp(-1j * w * 1.0) * (v.conj().T @ ground(2)))
-        out = evolve([spec], duration=1.0)[0]
+        out = evolve([spec])[0]
         assert np.abs(out - expected).max() < 1e-8
 
     def test_unitarity_random_specs(self):
@@ -250,11 +249,6 @@ class TestEvolve:
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             evolve([spec], initial=[ground(2)])
-
-    def test_duration_beyond_pulse_domain(self):
-        spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0, duration=1.0)
-        with pytest.raises(ValidationError):
-            evolve([spec], duration=2.0)
 
 
 def full_range_spec(rng, n, spacing=4.0):
@@ -389,14 +383,6 @@ class TestEvolveBatch:
         with pytest.raises(ValueError):
             x[0, 1] = 1.0
 
-    def test_stops_at_a_common_duration(self):
-        rng = np.random.default_rng(30)
-        specs = [random_spec(rng, 3), random_spec(rng, 3, duration=0.6)]
-        out = evolve(specs, steps=150, duration=0.55)
-        for spec, row in zip(specs, out):
-            ref = evolve_eigh(ground(3), spec, 150, 0.55)
-            assert np.abs(row - ref).max() <= 1e-9
-
     def test_unitarity_full_range_eight_qubits(self):
         spec = full_range_spec(np.random.default_rng(8), 8)
         for steps in (20, 250):
@@ -482,7 +468,7 @@ def chebyshev_terms(norm):
     return int(np.searchsorted(sim._THETA[:-1], norm))
 
 
-def captured_factors(spec, steps, duration=None):
+def captured_factors(spec, steps):
     """The one chunk (coef, diag, terms, subs) of Magnus factors that
     `evolve` builds for a lone run, and the phase it applies after the
     kernel (with the kernel an identity, evolve returns that phase times
@@ -495,7 +481,7 @@ def captured_factors(spec, steps, duration=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_CHUNK_BYTES", 1 << 40)
         patch.setattr(sim, "_apply_vectors", keep)
-        phase = evolve([spec], steps=steps, duration=duration)[0, 0]
+        phase = evolve([spec], steps=steps)[0, 0]
     (chunk,) = seen
     return chunk, phase
 
@@ -538,12 +524,15 @@ class TestChebyshevTable:
 
     def test_mixed_degree_chunk_matches_eigh_oracle(self):
         # one chunk holds zero-width padding (degree 0), a gentle run's
-        # factors and the first 0.1 us of a 4 um-packed run, whose stiff
-        # factors are substepped
+        # factors and a 0.1 us run of full-scale constant drives on atoms
+        # 4 um apart, whose stiff factors are all substepped
         rng = np.random.default_rng(33)
-        gentle, packed = random_spec(rng, 3), full_range_spec(rng, 3)
+        gentle = random_spec(rng, 3)
+        packed = constant_spec([(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)],
+                               rng.uniform(0, 1, 3), omega=15.8, dlocal=-125.0,
+                               dglobal=125.0, duration=0.1)
         first, phase1 = captured_factors(gentle, 150)
-        second, phase2 = captured_factors(packed, 3, duration=0.1)
+        second, phase2 = captured_factors(packed, 3)
         pad = (np.zeros((2, 1)), np.zeros((2, 8, 1)),
                np.zeros(2, dtype=int), np.ones(2, dtype=int))
         chunk = [np.concatenate(parts) for parts in zip(pad, first, pad, second)]
@@ -552,7 +541,7 @@ class TestChebyshevTable:
         assert second[3].min() > 1 and terms.max() == 22
         start = ground(3)[:, None]
         out = sim._apply_vectors(start, [chunk])[:, 0] * phase1 * phase2
-        ref = evolve_eigh(evolve_eigh(ground(3), gentle, 150), packed, 3, 0.1)
+        ref = evolve_eigh(evolve_eigh(ground(3), gentle, 150), packed, 3)
         assert np.abs(out - ref).max() <= 1e-9
 
 
@@ -560,13 +549,13 @@ class TestBlockade:
     def test_close_atoms_suppress_double_excitation(self):
         spec = constant_spec([(0.0, 0.0), (4.0, 0.0)], [0.0, 0.0],
                              omega=2.5, dlocal=0.0, dglobal=0.0)
-        p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
+        p = np.abs(evolve([spec])[0]) ** 2
         assert p[3] < 0.05
 
     def test_distant_atoms_factorize(self):
         spec = constant_spec([(0.0, 0.0), (30.0, 0.0)], [0.0, 0.0],
                              omega=2.5, dlocal=0.0, dglobal=0.0)
-        p = np.abs(evolve([spec], duration=1.0)[0]) ** 2
+        p = np.abs(evolve([spec])[0]) ** 2
         single = np.sin(2.5 * 1.0 / 2.0) ** 2
         assert abs(p[3] - single ** 2) < 1e-3
 

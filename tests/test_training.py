@@ -8,7 +8,8 @@ from rydgan.discriminator import (AdamState, discriminator_forward,
                                   discriminator_step, init_discriminator)
 from rydgan import training
 from rydgan.errors import DataError, NumericError, ValidationError
-from rydgan.generator import EXACT, GeneratorParams, draw_seeds, generate_features
+from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, NoisyMode,
+                              draw_seeds, generate_batch, generate_features)
 from rydgan.sim import AtomArrangement
 from rydgan.training import (Learner, TrainConfig, initial_params,
                              load_learner, save_learner, train_learners)
@@ -191,6 +192,28 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=section):
             load_learner(str(path))
+
+    @pytest.mark.parametrize("gain, shift", [(1.0, 0.0), (100.0, -1e4)],
+                             ids=["identity", "gain-100"])
+    def test_retired_noise_keys_are_ignored(self, learner_text, tmp_path,
+                                            gain, shift):
+        """Files written before the error model moved onto the Hamiltonian
+        hold rabi_gain and local_shift_rad_per_us; they load, and generate
+        the features of the same file without those keys."""
+        doc = json.loads(learner_text)
+        doc["params"].update(rabi_gain=gain, local_shift_rad_per_us=shift)
+        old, plain = tmp_path / "old.json", tmp_path / "plain.json"
+        old.write_text(json.dumps(doc))
+        plain.write_text(learner_text)
+        seeds = draw_seeds(np.random.default_rng(5), 3)
+        feats = []
+        for path in (old, plain):
+            params = load_learner(str(path)).learner.params
+            feats.append(generate_batch(
+                [(params, s, EXACT) for s in seeds]
+                + [(params, s, NoisyMode(ErrorModel(rng_seed=i)))
+                   for i, s in enumerate(seeds)], steps=150).tobytes())
+        assert feats[0] == feats[1]
 
 
 class TestConfigValidation:
