@@ -11,8 +11,11 @@ batch (B = 2), an n = 6 batch (B = 4) packed on a 4 um grid, whose stiff
 factors are split into substeps at the top series degree, and two small
 full-range blocks, n = 2 (B = 4) and n = 4 (B = 1). A last case digests
 the features of a noisy `generate_batch` call at n = 4 (B = 12, each run
-its own draw of the hardware-error model). BLAS runs on one thread so that
-its GEMMs take one code path.
+its own draw of the hardware-error model). The tenth case is a full-range
+n = 4 batch (B = 8) under `[pulses] omega_max = 31.6` and
+`local_detuning_min = -250`, twice the default limits; it comes last so
+that the other cases' draws stay as they were. BLAS runs on one thread so
+that its GEMMs take one code path.
 """
 
 import hashlib
@@ -29,6 +32,8 @@ import numpy as np  # noqa: E402
 import rydgan  # noqa: E402
 
 LIMITS = rydgan.DEFAULT_LIMITS
+WIDE_LIMITS = rydgan.pulses.PulseLimits(omega_max=31.6,
+                                        local_detuning_min=-250.0)
 
 
 def training_batch(rng, points, seeds):
@@ -45,9 +50,9 @@ def training_batch(rng, points, seeds):
     return specs, config.steps
 
 
-def full_range_params(rng, n, spacing=None):
-    """Strong legal drives on atoms anywhere in the field, or with `spacing`,
-    on a square grid of that pitch in um."""
+def full_range_params(rng, n, spacing=None, limits=LIMITS):
+    """Strong legal drives under `limits` on atoms anywhere in the field, or
+    with `spacing`, on a square grid of that pitch in um."""
     if spacing is None:
         while True:
             pos = rng.uniform(0.0, 75.0, size=(n, 2))
@@ -60,14 +65,14 @@ def full_range_params(rng, n, spacing=None):
     return rydgan.GeneratorParams(
         rydgan.AtomArrangement(tuple(map(tuple, pos)),
                                tuple(rng.uniform(0.0, 1.0, n))),
-        "trapezoid", 0.9 * LIMITS.omega_max, "sine_bump",
-        0.9 * LIMITS.local_detuning_min, 0.5 * LIMITS.global_detuning_abs)
+        "trapezoid", 0.9 * limits.omega_max, "sine_bump",
+        0.9 * limits.local_detuning_min, 0.5 * limits.global_detuning_abs)
 
 
-def full_range_batch(rng, n, count, spacing=None):
+def full_range_batch(rng, n, count, spacing=None, limits=LIMITS):
     """Specs of `count` seeds of full_range_params."""
-    params = full_range_params(rng, n, spacing)
-    return [rydgan.generator.build_spec(params, float(s), LIMITS)
+    params = full_range_params(rng, n, spacing, limits)
+    return [rydgan.generator.build_spec(params, float(s), limits)
             for s in rydgan.draw_seeds(rng, count)], 250
 
 
@@ -96,6 +101,8 @@ def main():
         digest(name, rydgan.sim.evolve(specs, steps))
     digest("n4-noisy-B12",
            rydgan.generate_batch(noisy_runs(rng, 4, 12), LIMITS, steps=250))
+    digest("n4-wide-B8", rydgan.sim.evolve(
+        *full_range_batch(rng, 4, 8, limits=WIDE_LIMITS)))
 
 
 if __name__ == "__main__":

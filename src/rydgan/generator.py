@@ -169,15 +169,15 @@ def build_spec(params: GeneratorParams, seed: float,
     """Instantiate the Hamiltonian for one seed value.
 
     The shared scalar seed u is injected into both pulses scaled to each
-    drive's full range, so seed_noise = u * omega_max for the Rabi pulse
-    and u * local_detuning_min (negative) for the local-detuning pulse.
+    drive's full range, the run's omega_max or local_detuning_min (negative):
+    full_scale is that limit and seed_noise = u * full_scale.
     """
-    rabi = PulseProgram(shape=params.rabi_shape, kind="rabi",
-                        param=params.rabi_param,
+    rabi = PulseProgram(shape=params.rabi_shape, param=params.rabi_param,
+                        full_scale=limits.omega_max,
                         seed_noise=seed * limits.omega_max,
                         duration=params.duration)
-    local = PulseProgram(shape=params.local_shape, kind="local_detuning",
-                         param=params.local_param,
+    local = PulseProgram(shape=params.local_shape, param=params.local_param,
+                         full_scale=limits.local_detuning_min,
                          seed_noise=seed * limits.local_detuning_min,
                          duration=params.duration)
     return HamiltonianSpec(arrangement=params.arrangement, rabi=rabi,

@@ -2,9 +2,10 @@
 
 Each pulse is one of six shapes controlled by a single trainable scalar
 (``param``) plus a per-run seed value (``seed_noise``) injected into the
-shape: the seed sets the starting value of the linear ramp, shifts the
-triangle peak, modulates the trapezoid plateau width, the gaussian width,
-and the sine bump phase. Hardware requires Rabi and local-detuning
+shape: the seed sets the starting value of the linear ramp, and as a
+fraction of the drive's signed ``full_scale`` (the run's limit) it shifts
+the triangle peak and modulates the trapezoid plateau width, the gaussian
+width and the sine bump phase. Hardware requires Rabi and local-detuning
 waveforms to start and end at zero, so every shape is wrapped in linear
 entry/exit ramps each covering ``RAMP_FRACTION`` of the duration; the
 seeded value holds at the interior boundary.
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import ValidationError, check_finite
 
 SHAPES = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump", "constant")
-KINDS = ("rabi", "local_detuning")
 
 # Shapes that are exactly piecewise linear (evaluated from their knots).
 PIECEWISE_LINEAR_SHAPES = frozenset({"linear", "triangle", "trapezoid", "constant"})
@@ -48,14 +48,6 @@ class PulseLimits:
         if not self.global_detuning_abs > 0:
             raise ValidationError("global_detuning_abs must be positive")
 
-    def amplitude_scale(self, kind: str) -> float:
-        """Signed full-scale amplitude for a pulse kind (seed units)."""
-        if kind == "rabi":
-            return self.omega_max
-        if kind == "local_detuning":
-            return self.local_detuning_min
-        raise ValidationError(f"unknown pulse kind {kind!r}")
-
 
 DEFAULT_LIMITS = PulseLimits()
 
@@ -64,14 +56,15 @@ DEFAULT_LIMITS = PulseLimits()
 class PulseProgram:
     """One drive waveform: shape id, seed injection, trainable scalar.
 
-    ``evaluate`` is a pure function of the fields below; the seed-driven
-    timing/width modulations normalize ``seed_noise`` against the default
-    hardware full scale of ``kind`` so the waveform does not depend on any
-    runtime configuration.
+    ``full_scale`` is the drive's signed full-scale amplitude, the run's
+    ``omega_max`` or ``local_detuning_min``: ``seed_noise`` is the seed in
+    those units, and the seed-driven timing/width modulations read
+    ``seed_noise / full_scale``, clipped to [0, 1]. ``evaluate`` is a pure
+    function of the fields below.
     """
 
     shape: str
-    kind: str
+    full_scale: float
     param: float
     seed_noise: float = 0.0
     duration: float = 1.0
@@ -80,9 +73,9 @@ class PulseProgram:
         if self.shape not in SHAPES:
             raise ValidationError(
                 f"unknown pulse shape {self.shape!r}; valid shapes: {', '.join(SHAPES)}")
-        if self.kind not in KINDS:
+        if not (math.isfinite(self.full_scale) and self.full_scale != 0):
             raise ValidationError(
-                f"unknown pulse kind {self.kind!r}; valid kinds: {', '.join(KINDS)}")
+                f"pulse full_scale must be finite and nonzero, got {self.full_scale}")
         if not self.duration > 0:
             raise ValidationError(f"pulse duration must be positive, got {self.duration}")
         if not (math.isfinite(self.param) and math.isfinite(self.seed_noise)):
@@ -90,9 +83,8 @@ class PulseProgram:
 
     @property
     def _seed_unit(self) -> float:
-        """Seed normalized to [0, 1] against the default kind full scale."""
-        scale = abs(DEFAULT_LIMITS.amplitude_scale(self.kind))
-        return min(max(abs(self.seed_noise) / scale, 0.0), 1.0)
+        """Seed normalized to [0, 1] against the drive's full scale."""
+        return min(abs(self.seed_noise / self.full_scale), 1.0)
 
 
 def _breakpoints(pulse: PulseProgram):

@@ -30,7 +30,7 @@ from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                         generate_batch)
 from .neldermead import nelder_mead_steps
 from .pulses import PulseLimits
-from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, default_steps
+from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, STEPS_PER_US, default_steps
 
 STAGES = tuple(GROUPS)
 
@@ -43,7 +43,7 @@ _GEOMETRY_PENALTY = 1e3
 class TrainConfig:
     n_qubits: int = 4
     duration: float = 1.0
-    steps_per_us: int = 1000
+    steps_per_us: int = STEPS_PER_US
     cycles: int = 3
     nm_iters: int = 60
     nm_tol: float = 1e-6

@@ -11,7 +11,7 @@ from rydgan.generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                               GeneratorParams, NoisyMode, ShotsMode,
                               build_spec, draw_seeds, generate_batch,
                               generate_features, modulo_encode, perturb_params)
-from rydgan.pulses import DEFAULT_LIMITS, evaluate
+from rydgan.pulses import DEFAULT_LIMITS, PulseLimits, breakpoint_times, evaluate
 from rydgan.sim import AtomArrangement
 
 
@@ -155,6 +155,42 @@ class TestGenerateFeatures:
         spec = build_spec(params, 0.5)
         assert spec.rabi.seed_noise == pytest.approx(0.5 * 15.8)
         assert spec.local_detuning.seed_noise == pytest.approx(0.5 * -125.0)
+        assert spec.rabi.full_scale == 15.8
+        assert spec.local_detuning.full_scale == -125.0
+
+
+# a legal configuration whose drives reach twice the default full scale
+WIDE_LIMITS = PulseLimits(omega_max=31.6, local_detuning_min=-250.0)
+
+
+class TestSeedFullScale:
+    """The seed spans each drive's full range under the run's limits."""
+
+    def test_seeds_stay_distinct_under_wider_limits(self):
+        params = square_params(rabi_shape="triangle", local_shape="gaussian")
+        seeds = (0.5, 0.7, 0.9, 1.0)
+        feats = generate_batch([(params, s, EXACT) for s in seeds],
+                               WIDE_LIMITS, steps=100)
+        for i, j in itertools.combinations(range(len(seeds)), 2):
+            assert not np.array_equal(feats[i], feats[j]), (seeds[i], seeds[j])
+
+    @pytest.mark.parametrize("shape", ["triangle", "trapezoid", "gaussian",
+                                       "sine_bump"])
+    def test_seed_timing_does_not_depend_on_limits(self, shape):
+        params = square_params(rabi_shape=shape, local_shape=shape)
+        ts = np.linspace(0.0, 1.0, 1001)
+        for seed in (0.1, 0.35, 0.6, 0.85, 1.0):
+            ref = build_spec(params, seed)
+            for factor in (2.0, 0.5):
+                limits = PulseLimits(
+                    omega_max=factor * DEFAULT_LIMITS.omega_max,
+                    local_detuning_min=factor * DEFAULT_LIMITS.local_detuning_min)
+                spec = build_spec(params, seed, limits)
+                for a, b in ((ref.rabi, spec.rabi),
+                             (ref.local_detuning, spec.local_detuning)):
+                    assert np.allclose(breakpoint_times(a), breakpoint_times(b),
+                                       rtol=0.0, atol=1e-12)
+                    assert np.abs(evaluate(a, ts) - evaluate(b, ts)).max() <= 1e-12
 
 
 class TestGenerateBatch:
@@ -302,15 +338,21 @@ class TestParamValidation:
 
 
 unit = st.floats(0.0, 1.0)
+bound = st.floats(1.0, 1000.0)    # a hardware limit's magnitude
 
 
 @given(rabi=unit, local=st.lists(unit, min_size=5, max_size=5),
-       seed=st.floats(SEED_LO, SEED_HI))
-def test_hardware_envelope_implies_legal_waveforms(rabi, local, seed):
+       seed=st.floats(SEED_LO, SEED_HI),
+       limits=st.one_of(st.just(DEFAULT_LIMITS), st.builds(
+           PulseLimits, omega_max=bound,
+           local_detuning_min=bound.map(lambda b: -b),
+           global_detuning_abs=bound)))
+def test_hardware_envelope_implies_legal_waveforms(rabi, local, seed, limits):
     """Every trainable shape pair with its pulse scalars anywhere in the boxes
-    of `GeneratorParams.groups` and any legal seed gives waveforms that start
-    and end at 0 and keep the sign and amplitude bounds of the hardware."""
-    limits, tol = DEFAULT_LIMITS, 1e-9
+    of `GeneratorParams.groups`, under any hardware limits, and any legal
+    seed gives waveforms that start and end at 0 and keep the sign and
+    amplitude bounds of those limits."""
+    tol = 1e-9
     ts = np.linspace(0.0, 1.0, 1001)
     for rabi_shape, local_shape in itertools.product(TRAINABLE_SHAPES,
                                                      repeat=2):

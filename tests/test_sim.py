@@ -56,9 +56,9 @@ def constant_spec(positions, couplings, omega, dlocal, dglobal, duration=1.0):
     n = len(positions)
     return HamiltonianSpec(
         arrangement=AtomArrangement(tuple(positions), tuple(couplings)),
-        rabi=PulseProgram(shape="constant", kind="rabi", param=omega,
+        rabi=PulseProgram(shape="constant", full_scale=15.8, param=omega,
                           duration=duration),
-        local_detuning=PulseProgram(shape="constant", kind="local_detuning",
+        local_detuning=PulseProgram(shape="constant", full_scale=-125.0,
                                     param=dlocal, duration=duration),
         global_detuning_offset=dglobal)
 
@@ -71,11 +71,11 @@ def random_spec(rng, n=4, duration=1.0):
         if n == 1 or d[np.triu_indices(n, 1)].min() >= 4.0:
             break
     shapes = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump")
-    rabi = PulseProgram(shape=shapes[rng.integers(len(shapes))], kind="rabi",
-                        param=rng.uniform(0.0, 15.8),
+    rabi = PulseProgram(shape=shapes[rng.integers(len(shapes))],
+                        full_scale=15.8, param=rng.uniform(0.0, 15.8),
                         seed_noise=rng.uniform(1.58, 15.8), duration=duration)
     local = PulseProgram(shape=shapes[rng.integers(len(shapes))],
-                         kind="local_detuning",
+                         full_scale=-125.0,
                          param=-rng.uniform(0.0, 125.0),
                          seed_noise=-rng.uniform(12.5, 125.0),
                          duration=duration)
@@ -182,10 +182,10 @@ class TestBuildHamiltonian:
         with pytest.raises(ValidationError):
             HamiltonianSpec(
                 arrangement=AtomArrangement(((0.0, 0.0),), (0.0,)),
-                rabi=PulseProgram(shape="constant", kind="rabi", param=1.0,
+                rabi=PulseProgram(shape="constant", full_scale=15.8, param=1.0,
                                   duration=1.0),
                 local_detuning=PulseProgram(shape="constant",
-                                            kind="local_detuning", param=0.0,
+                                            full_scale=-125.0, param=0.0,
                                             duration=2.0),
                 global_detuning_offset=0.0)
 
@@ -258,9 +258,9 @@ def full_range_spec(rng, n, spacing=4.0):
     pos = [(spacing * (i % side), spacing * (i // side)) for i in range(n)]
     return HamiltonianSpec(
         arrangement=AtomArrangement(tuple(pos), tuple(rng.uniform(0, 1, n))),
-        rabi=PulseProgram(shape="trapezoid", kind="rabi", param=15.8,
+        rabi=PulseProgram(shape="trapezoid", full_scale=15.8, param=15.8,
                           seed_noise=15.8),
-        local_detuning=PulseProgram(shape="sine_bump", kind="local_detuning",
+        local_detuning=PulseProgram(shape="sine_bump", full_scale=-125.0,
                                     param=-125.0, seed_noise=-125.0),
         global_detuning_offset=125.0)
 
