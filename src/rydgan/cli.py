@@ -125,8 +125,9 @@ def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
 
 
 def _load_run_learner(config: RunConfig, path: str):
-    """A learner file's training result; it must match the run's qubit count
-    and its duration, from which `_features` sets every run's step count."""
+    """A learner file's training result; it must match the run's qubit count,
+    its duration, from which `_features` sets every run's step count, and
+    its pulse limits and c6, under which `_features` evolves the learner."""
     result = load_learner(path)
     if result.config.n_qubits != config.n_qubits:
         raise DataError(
@@ -136,6 +137,14 @@ def _load_run_learner(config: RunConfig, path: str):
         raise DataError(
             f"{path}: field config.duration: a {result.config.duration} us "
             f"learner, but this run has duration_us = {config.duration_us}")
+    if result.config.limits != config.limits():
+        raise DataError(
+            f"{path}: field config.limits: a learner trained under "
+            f"{result.config.limits}, but this run has {config.limits()}")
+    if result.config.c6 != config.c6:
+        raise DataError(
+            f"{path}: field config.c6: a learner trained with c6 = "
+            f"{result.config.c6}, but this run has c6 = {config.c6}")
     return result
 
 

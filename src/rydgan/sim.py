@@ -27,12 +27,13 @@ through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
 plus elementwise diagonal products, on the block in the real layout
 (2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is one GEMM from the left
 and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
-(up to six qubits h = n and X_hi = X). No eigendecomposition is taken.
+(up to five qubits h = n and X_hi = X). No eigendecomposition is taken.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -149,20 +150,27 @@ def _flip_matrix(n: int) -> np.ndarray:
     return x
 
 
-def _diagonals(occ: np.ndarray, arrangement, offset: float, c6: float):
-    """The time-independent diagonal of H and the coupling weights sum_i h_i n_i.
-
+def _diagonals(specs, occ: np.ndarray):
+    """(static, sumh), each (B, 2^n): the time-independent diagonal of each
+    run's H and its coupling weights sum_i h_i n_i, so that
     H(t) = omega(t) * X + diag(static - dlocal(t) * sumh).
     """
-    n = arrangement.n_atoms
-    pos = arrangement.position_array()
-    inter = np.zeros(len(occ))
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter += (interaction_strength(pos[i], pos[j], c6)
-                      * occ[:, i] * occ[:, j])
-    static = inter - offset * occ.sum(axis=1)
-    return static, occ @ arrangement.coupling_array()
+    pairs = list(itertools.combinations(range(occ.shape[1]), 2))
+
+    # the runs of one learner point share an arrangement
+    @functools.cache
+    def per_arrangement(arrangement, c6):
+        pos = arrangement.positions
+        return ([interaction_strength(pos[i], pos[j], c6) for i, j in pairs],
+                occ @ arrangement.coupling_array())
+
+    strength, sumh = zip(*(per_arrangement(s.arrangement, s.c6) for s in specs))
+    strength = np.array(strength).reshape(len(specs), len(pairs))
+    inter = np.zeros((len(specs), len(occ)))
+    for k, (i, j) in enumerate(pairs):
+        inter += strength[:, k, None] * occ[:, i] * occ[:, j]
+    offset = np.array([s.global_detuning_offset for s in specs])
+    return inter - offset[:, None] * occ.sum(axis=1), np.array(sumh)
 
 
 def _drive_values(spec: HamiltonianSpec, t):
@@ -246,10 +254,22 @@ _THETA, _CHEBYSHEV = _chebyshev_table(22)
 _MAX_NORM = _THETA[-1]
 _MAX_STIFFNESS = 30_000.0
 # from this qubit count on, X acts on the state block through its Kronecker
-# factors (see _apply_vectors)
-_SPLIT_QUBITS = 7
+# factors (see _apply_vectors): scripts/flip_sweep.py times both paths, and
+# the split is the faster from six qubits on blocks of a few runs or more
+_SPLIT_QUBITS = 6
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the series powers
+
+
+def _empty(shape) -> np.ndarray:
+    """np.empty(shape) of floats starting on a 64-byte boundary. numpy's own
+    arrays are only 16-byte aligned, so a full-width vector load may split a
+    cache line; on aligned work arrays the series' elementwise products and
+    sums run up to twice as fast, with the same arithmetic."""
+    size = math.prod(shape)
+    buffer = np.empty(size + 7)
+    start = -buffer.ctypes.data % 64 // 8
+    return buffer[start:start + size].reshape(shape)
 
 
 def _apply_vectors(psi, chunks):
@@ -261,9 +281,9 @@ def _apply_vectors(psi, chunks):
     qubits. Each power M^j v costs X_hi (x) I, one GEMM from the left on the
     (2^h, 2B 2^(n-h)) view, I (x) X_lo, one from the right on the
     (2^h 2B, 2^(n-h)) view, and elementwise products with full-shape factor
-    data. From _SPLIT_QUBITS on h = ceil(n/2) and X_hi, X_lo are the flip
-    matrices of h and n - h qubits; below it h = n and the first GEMM is all
-    of X.
+    data. From _SPLIT_QUBITS (six) qubits on h = ceil(n/2) and X_hi, X_lo
+    are the flip matrices of h and n - h qubits; up to five qubits h = n and
+    the first GEMM is all of X.
     One GEMM with the _CHEBYSHEV weights sums the powers into the next
     factor's first power. All chunks share the work arrays, grown on demand.
     """
@@ -274,24 +294,27 @@ def _apply_vectors(psi, chunks):
     flip, low = _flip_matrix(h), _flip_matrix(n - h) if split else None
     high = len(flip)
     shape = (high, batch, 2, dim // high)
-    powers, views, pairs = np.empty((1,) + shape), None, ()
+    powers, views, pairs = _empty((1,) + shape), None, ()
     powers[0] = psi.view(float).reshape(high, -1, batch, 2).transpose(0, 2, 3, 1)
     # one multiply forms a term's d M^j v and a X M^j v: the factor's (d, a)
     # pair times the adjacent powers (M^j v, X M^j v); on the split path the
     # first row holds the I (x) X_lo GEMM before that
-    scaled = np.empty((2,) + shape)
+    scaled = _empty((2,) + shape)
     first, second = scaled
     low_part = first.reshape(-1, shape[-1])
-    sums = np.empty((2, first.size))
+    sums = _empty((2, first.size))
     # exp(-iM) v = even - i odd: re = even_re + odd_im, im = even_im - odd_re
     even, odd = sums.reshape((2,) + shape)
     parts = even[:, :, 0], odd[:, :, 1], even[:, :, 1], odd[:, :, 0]
-    # bound once, GEMMs through ndarray.dot, which skips np.dot's dispatch:
+    # bound once, GEMMs through ndarray.dot, which skips np.dot's dispatch,
+    # and every out array passed by position, which skips keyword parsing:
     # on a one-run block the cost per numpy call is the whole cost
-    flip_dot, multiply, add = flip.dot, np.multiply, np.add
+    flip_dot, multiply, add, subtract = flip.dot, np.multiply, np.add, np.subtract
     for coef, diag, terms, subs in chunks:
         if views is None or len(powers) <= max(terms):
-            powers = np.concatenate([powers[:1], np.empty((max(terms),) + shape)])
+            grown = _empty((max(terms) + 1,) + shape)
+            grown[0] = powers[0]
+            powers = grown
             rows, flat = list(powers), powers.reshape(len(powers), -1)
             wide = [row.reshape(high, -1) for row in rows]
             # per term j: (M^j v, M^(j+1) v), M^(j+1) v, wide M^j v and
@@ -303,7 +326,7 @@ def _apply_vectors(psi, chunks):
                      for count in range(len(powers))]
             state = rows[0][:, :, 0], rows[0][:, :, 1]
         if len(pairs) < len(coef):
-            pairs = np.empty((len(coef), 2) + shape)
+            pairs = _empty((len(coef), 2) + shape)
         pairs[:len(coef), 0] = diag.reshape(len(diag), high, -1, batch).transpose(
             0, 1, 3, 2)[:, :, :, None]
         pairs[:len(coef), 1] = coef[:, None, :, None, None]
@@ -311,15 +334,15 @@ def _apply_vectors(psi, chunks):
             steps, weigh, series = heads[count]
             for _ in range(repeat):
                 for both, power, source, target, tall_dot in steps:
-                    flip_dot(source, out=target)
+                    flip_dot(source, target)
                     if split:
-                        tall_dot(low, out=low_part)
-                        power += first
-                    multiply(pair, both, out=scaled)
-                    add(first, second, out=power)
-                weigh(series, out=sums)
-                add(parts[0], parts[1], out=state[0])
-                np.subtract(parts[2], parts[3], out=state[1])
+                        tall_dot(low, low_part)
+                        add(power, first, power)
+                    multiply(pair, both, scaled)
+                    add(first, second, power)
+                weigh(series, sums)
+                add(parts[0], parts[1], state[0])
+                subtract(parts[2], parts[3], state[1])
     return powers[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
 
 
@@ -327,16 +350,13 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     """evolve on one block of at most _MAX_BLOCK amplitudes from row first."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
-    # set-up is built once per distinct input: the runs of one learner point
-    # share an arrangement, the runs of one seed a step grid
-    diagonals = functools.cache(functools.partial(_diagonals, _occupations(n)))
+    # a step grid is built once per distinct input: the runs of one seed
+    # share it
     grid = functools.cache(_step_grid)
     # (run, state) arrays, the longer axis contiguous: the diagonals built
     # from them keep that layout, so the reductions over states run long loops
-    static, sumh = (np.array(parts, order="F" if batch > dim else "C")
-                    for parts in zip(*(diagonals(s.arrangement,
-                                                 s.global_detuning_offset, s.c6)
-                                       for s in specs)))
+    static, sumh = (np.array(part, order="F" if batch > dim else "C")
+                    for part in _diagonals(specs, _occupations(n)))
     grids = [grid(tuple(breakpoint_times(s.rabi)
                         + breakpoint_times(s.local_detuning)),
                   s.duration, steps or default_steps(s.duration)) for s in specs]

@@ -1017,14 +1017,11 @@ def test_member_of_another_qubit_count_exits_3(smoke_ini, pipeline_out,
     assert not os.path.exists(os.path.join(out, "generated"))
 
 
-@pytest.mark.parametrize("command, written", [
-    ("select", "ensemble_class0.json"), ("generate", "generated"),
-    ("evaluate", "evaluation.csv")])
-def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
-                                             capsys, command, written):
-    """A run whose duration_us differs from its learners' own: every run's
-    step count comes from the run's duration, so select, generate and
-    evaluate exit 3 naming a learner file and the field, before any output."""
+def _run_with_settings(smoke_ini, pipeline_out, tmp_path, capsys, command,
+                       written, section, settings):
+    """(exit code, stderr) of `command` on a copy of the smoke pipeline's
+    outputs, under the smoke config with `settings` added to `section`;
+    asserts that `written`, removed from the copy first, is not written."""
     out = str(tmp_path / "copy")
     shutil.copytree(pipeline_out, out)
     target = os.path.join(out, written)
@@ -1032,16 +1029,49 @@ def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
         shutil.rmtree(target)
     elif os.path.exists(target):
         os.remove(target)
-    cfg = tmp_path / "long.ini"
+    cfg = tmp_path / "edited.ini"
     cfg.write_text(open(smoke_ini).read().replace(
-        "[training]\n", "[training]\nduration_us = 2.0\n"))
+        f"[{section}]\n", f"[{section}]\n{settings}\n"))
     code = main([command, "--config", str(cfg), "--out", out])
-    err = capsys.readouterr().err
+    assert not os.path.exists(target)
+    return code, capsys.readouterr().err
+
+
+RUN_OUTPUTS = [("select", "ensemble_class0.json"), ("generate", "generated"),
+               ("evaluate", "evaluation.csv")]
+
+
+@pytest.mark.parametrize("command, written", RUN_OUTPUTS)
+def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
+                                             capsys, command, written):
+    """A run whose duration_us differs from its learners' own: every run's
+    step count comes from the run's duration, so select, generate and
+    evaluate exit 3 naming a learner file and the field, before any output."""
+    code, err = _run_with_settings(smoke_ini, pipeline_out, tmp_path, capsys,
+                                   command, written, "training",
+                                   "duration_us = 2.0")
     assert code == 3
     assert re.search(r"learners/class0/[a-z-]+\.json: field config\.duration: "
                      r"a 1\.0 us learner, but this run has duration_us = 2\.0",
                      err), err
-    assert not os.path.exists(target)
+
+
+@pytest.mark.parametrize("command, written", RUN_OUTPUTS)
+@pytest.mark.parametrize("section, settings, field", [
+    ("pulses", "omega_max = 0.5\nlocal_detuning_min = -1.0", "limits"),
+    ("quantum", "c6 = 1000000.0", "c6")], ids=["limits", "c6"])
+def test_learner_of_other_pulse_limits_or_c6_exits_3(
+        smoke_ini, pipeline_out, tmp_path, capsys, command, written, section,
+        settings, field):
+    """Learners trained at the default limits and c6, run under others: the
+    run would evolve, and score, a generator other than the trained one, so
+    select, generate and evaluate exit 3 naming a learner file and the
+    field, before any output."""
+    code, err = _run_with_settings(smoke_ini, pipeline_out, tmp_path, capsys,
+                                   command, written, section, settings)
+    assert code == 3
+    assert re.search(rf"learners/class0/[a-z-]+\.json: field config\.{field}: ",
+                     err), err
 
 
 @pytest.fixture(scope="module")

@@ -26,8 +26,7 @@ def ground(n):
 def build_hamiltonian(spec, t):
     """Dense Hermitian H(t) over the 2^n computational basis, assembled from
     the diagonals, drive values and flip matrix that `evolve` uses."""
-    static, sumh = _diagonals(_occupations(spec.n_qubits), spec.arrangement,
-                              spec.global_detuning_offset, spec.c6)
+    (static,), (sumh,) = _diagonals([spec], _occupations(spec.n_qubits))
     omega, dlocal = _drive_values(spec, float(t))
     return omega * _flip_matrix(spec.n_qubits) + np.diag(static - dlocal * sumh)
 
@@ -281,9 +280,9 @@ class TestEvolveBatch:
         for spec, start, row in zip(specs, initial, out):
             assert np.abs(row - evolve_eigh(start, spec, 150)).max() <= 1e-9
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [6, 7, 8])
     def test_split_flip_path_matches_eigh_oracle(self, n):
-        # from seven qubits X acts through its Kronecker factors; atoms
+        # from six qubits X acts through its Kronecker factors; atoms
         # packed on a 4 um grid make the factors stiff (several substeps)
         rng = np.random.default_rng(70 + n)
         specs = [random_spec(rng, n), full_range_spec(rng, n),
@@ -297,12 +296,15 @@ class TestEvolveBatch:
         out = evolve([spec], steps=12)[0]
         assert np.abs(out - evolve_eigh(ground(9), spec, 12)).max() <= 1e-9
 
-    def test_split_and_dense_paths_agree_at_seven_qubits(self, monkeypatch):
+    def test_split_and_dense_paths_agree_from_six_qubits(self, monkeypatch):
         rng = np.random.default_rng(77)
-        specs = [random_spec(rng, 7), random_spec(rng, 7, duration=0.6)]
-        split = evolve(specs, steps=20)
-        monkeypatch.setattr(sim, "_SPLIT_QUBITS", 8)
-        assert np.abs(evolve(specs, steps=20) - split).max() <= 1e-13
+        for n in (6, 7):
+            specs = [random_spec(rng, n), random_spec(rng, n, duration=0.6)]
+            split = evolve(specs, steps=20)
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_SPLIT_QUBITS", n + 1)
+                dense = evolve(specs, steps=20)
+            assert np.abs(dense - split).max() <= 1e-13
 
     def test_spread_ten_qubit_run_takes_under_a_second(self):
         # the README's promise, at the default step budget
@@ -357,7 +359,7 @@ class TestEvolveBatch:
         for spec, start, row in zip(specs, initial, out):
             assert np.abs(row - evolve_eigh(start, spec, steps)).max() <= 1e-9
 
-    @pytest.mark.parametrize("n, split", [(4, 7), (5, 1), (8, 7)])
+    @pytest.mark.parametrize("n, split", [(4, 7), (5, 1), (6, 6), (8, 7)])
     def test_chunked_factors_are_bit_identical(self, n, split, monkeypatch):
         # the work arrays are reused across chunks: term and factor counts
         # that rise and fall between chunks must not change one bit
@@ -376,6 +378,14 @@ class TestEvolveBatch:
             for a, b in zip(cuts, cuts[1:])])
         assert np.array_equal(whole, parts)
         assert not np.array_equal(whole, psi)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 16, 12, 2, 1)],
+                             ids=["one", "3x5", "pairs"])
+    def test_work_arrays_start_on_a_cache_line(self, shape):
+        # the series' powers, products and sums are built by _empty
+        work = sim._empty(shape)
+        assert work.shape == shape and work.dtype == np.float64
+        assert work.ctypes.data % 64 == 0
 
     def test_flip_matrix_is_cached_and_read_only(self):
         x = sim._flip_matrix(5)
