@@ -375,7 +375,9 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     # each factor is exp(-i dt (coef X + 0.5 static - dlocal sumh))
     # about six float arrays of one factor's block size are live per row
     chunk = max(1, _CHUNK_BYTES // (48 * batch * dim))
-    phase = np.zeros(batch)
+    # each factor's diagonal shift; the phase is summed once over all rows,
+    # so no output depends on the chunk size
+    mid = np.zeros((rows, batch))
 
     def chunks():
         for lo in range(0, rows, chunk):
@@ -386,10 +388,10 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             # exp(-i dt c) applied exactly at the end, halves the norm bound
             # of a stiff (blockaded) diagonal; a purely diagonal factor is
             # not shifted, so a run without dynamics keeps its amplitudes
-            mid = np.where(coef[part] != 0.0, 0.5 * (top + bottom), 0.0)
-            phase[:] += (mid * width[part]).sum(axis=0)
+            mid[part] = np.where(coef[part] != 0.0, 0.5 * (top + bottom), 0.0)
+            centre = mid[part]
             norm = (np.abs(coef[part]) * (n / 2.0)
-                    + np.maximum(top - mid, mid - bottom)) * width[part]
+                    + np.maximum(top - centre, centre - bottom)) * width[part]
             stiff = np.flatnonzero(~(norm <= _MAX_STIFFNESS).all(axis=0))
             if stiff.size:
                 run = first + int(stiff[0])
@@ -403,11 +405,11 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             # bound a rounding above _MAX_NORM stays on the table
             terms = np.searchsorted(_THETA[:-1], worst / subs)
             scale = width[part] / subs[:, None]
-            diag = (diag - mid[:, :, None]) * scale[:, :, None]
+            diag = (diag - centre[:, :, None]) * scale[:, :, None]
             yield coef[part] * scale, diag.transpose(0, 2, 1), terms, subs
 
     psi = _apply_vectors(initial.T.copy(), chunks())
-    return (psi * np.exp(-1j * phase)).T
+    return (psi * np.exp(-1j * (mid * width).sum(axis=0))).T
 
 
 def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:

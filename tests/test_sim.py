@@ -379,6 +379,21 @@ class TestEvolveBatch:
         assert np.array_equal(whole, parts)
         assert not np.array_equal(whole, psi)
 
+    @pytest.mark.parametrize("n, batch", [(4, 12), (6, 4)])
+    def test_outputs_do_not_depend_on_the_chunk_size(self, n, batch,
+                                                     monkeypatch):
+        # from one row per chunk to all rows in one: the phase of the
+        # diagonal shifts is summed over every row at once
+        rng = np.random.default_rng(90 + n)
+        specs = [random_spec(rng, n, duration=rng.choice([1.0, 0.6]))
+                 for _ in range(batch)]
+        outs = []
+        for size in (1, 1 << 12, 1 << 20, 1 << 40):
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", size)
+            outs.append(evolve(specs, steps=60))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
     @pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 16, 12, 2, 1)],
                              ids=["one", "3x5", "pairs"])
     def test_work_arrays_start_on_a_cache_line(self, shape):
