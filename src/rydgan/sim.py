@@ -272,9 +272,15 @@ def _empty(shape) -> np.ndarray:
     return buffer[start:start + size].reshape(shape)
 
 
+def _high_qubits(n: int) -> int:
+    """h, the qubits of the state block's first axis (see _apply_vectors):
+    all n up to five qubits, ceil(n/2) from _SPLIT_QUBITS on."""
+    return (n + 1) // 2 if n >= _SPLIT_QUBITS else n
+
+
 def _apply_vectors(psi, chunks):
-    """Apply exp(-i (coef[f] X + diag(diag[f])))^subs[f] to psi, factor by
-    factor, for each (coef, diag, terms, subs) of chunks in turn.
+    """Apply exp(-i (a X + diag d))^subs[f] to psi, factor by factor, for
+    each (pairs, terms, subs) of chunks in turn.
 
     The series acts on the (2^n, B) block in the real layout (2^h, 2B,
     2^(n-h)): high qubits, the real and imaginary column of every run, low
@@ -284,17 +290,22 @@ def _apply_vectors(psi, chunks):
     data. From _SPLIT_QUBITS (six) qubits on h = ceil(n/2) and X_hi, X_lo
     are the flip matrices of h and n - h qubits; up to five qubits h = n and
     the first GEMM is all of X.
+    The chunk producer builds each factor's data once, in that layout:
+    pairs[f] is (2, 2^h, B, 2, 2^(n-h)), d in [0] and a in [1], each
+    repeated over the real and imaginary columns (and a over the states).
     One GEMM with the _CHEBYSHEV weights sums the powers into the next
-    factor's first power. All chunks share the work arrays, grown on demand.
+    factor's first power. All chunks share the work arrays, grown on demand,
+    and a chunk's factors act one after another, so the result does not
+    depend on where the chunks are cut.
     """
     dim, batch = psi.shape
     n = dim.bit_length() - 1
-    split = n >= _SPLIT_QUBITS
-    h = (n + 1) // 2 if split else n
+    h = _high_qubits(n)
+    split = h < n
     flip, low = _flip_matrix(h), _flip_matrix(n - h) if split else None
     high = len(flip)
     shape = (high, batch, 2, dim // high)
-    powers, views, pairs = _empty((1,) + shape), None, ()
+    powers, views = _empty((1,) + shape), None
     powers[0] = psi.view(float).reshape(high, -1, batch, 2).transpose(0, 2, 3, 1)
     # one multiply forms a term's d M^j v and a X M^j v: the factor's (d, a)
     # pair times the adjacent powers (M^j v, X M^j v); on the split path the
@@ -310,7 +321,7 @@ def _apply_vectors(psi, chunks):
     # and every out array passed by position, which skips keyword parsing:
     # on a one-run block the cost per numpy call is the whole cost
     flip_dot, multiply, add, subtract = flip.dot, np.multiply, np.add, np.subtract
-    for coef, diag, terms, subs in chunks:
+    for pairs, terms, subs in chunks:
         if views is None or len(powers) <= max(terms):
             grown = _empty((max(terms) + 1,) + shape)
             grown[0] = powers[0]
@@ -325,11 +336,6 @@ def _apply_vectors(psi, chunks):
             heads = [(views[:count], _CHEBYSHEV[count].dot, flat[:count + 1])
                      for count in range(len(powers))]
             state = rows[0][:, :, 0], rows[0][:, :, 1]
-        if len(pairs) < len(coef):
-            pairs = _empty((len(coef), 2) + shape)
-        pairs[:len(coef), 0] = diag.reshape(len(diag), high, -1, batch).transpose(
-            0, 1, 3, 2)[:, :, :, None]
-        pairs[:len(coef), 1] = coef[:, None, :, None, None]
         for count, repeat, pair in zip(terms, subs, pairs):
             steps, weigh, series = heads[count]
             for _ in range(repeat):
@@ -350,13 +356,25 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     """evolve on one block of at most _MAX_BLOCK amplitudes from row first."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
+    high = 1 << _high_qubits(n)
     # a step grid is built once per distinct input: the runs of one seed
     # share it
     grid = functools.cache(_step_grid)
-    # (run, state) arrays, the longer axis contiguous: the diagonals built
-    # from them keep that layout, so the reductions over states run long loops
-    static, sumh = (np.array(part, order="F" if batch > dim else "C")
-                    for part in _diagonals(specs, _occupations(n)))
+    # a factor's diagonal is a (rows, B, 2^n) array. Up to five qubits, where
+    # runs are the kernel's inner axis, its states are outermost in memory,
+    # so its max and min over states and its products with per-run values
+    # run one long loop per state; from six qubits on, with the low qubits
+    # inner, runs are outermost and states contiguous.
+    split = high < dim
+
+    def work(shape):
+        if split:
+            return _empty(shape)
+        return np.moveaxis(_empty(shape[-1:] + shape[:-1]), 0, -1)
+
+    half, sumh = work((batch, dim)), work((batch, dim))
+    static, sumh[:] = _diagonals(specs, _occupations(n))
+    np.multiply(0.5, static, half)
     grids = [grid(tuple(breakpoint_times(s.rabi)
                         + breakpoint_times(s.local_detuning)),
                   s.duration, steps or default_steps(s.duration)) for s in specs]
@@ -372,17 +390,23 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
         dlocal[used, b] = (_WEIGHTS @ shift).T.reshape(-1)
         width[used, b] = np.repeat(dts, 2)
 
-    # each factor is exp(-i dt (coef X + 0.5 static - dlocal sumh))
-    # about six float arrays of one factor's block size are live per row
-    chunk = max(1, _CHUNK_BYTES // (48 * batch * dim))
+    # each factor is exp(-i dt (coef X + 0.5 static - dlocal sumh)); its
+    # diagonal and its four copies in the kernel's pairs, five floats per
+    # amplitude, are held per row of a chunk
+    chunk = min(rows, max(1, _CHUNK_BYTES // (40 * batch * dim)))
+    pairs = _empty((chunk, 2, high, batch, 2, dim // high))
+    diags = work((chunk, batch, dim))
     # each factor's diagonal shift; the phase is summed once over all rows,
     # so no output depends on the chunk size
     mid = np.zeros((rows, batch))
+    multiply, subtract = np.multiply, np.subtract
 
     def chunks():
         for lo in range(0, rows, chunk):
             part = slice(lo, lo + chunk)
-            diag = 0.5 * static - dlocal[part, :, None] * sumh
+            block, diag = pairs[:len(coef[part])], diags[:len(coef[part])]
+            multiply(dlocal[part, :, None], sumh, diag)
+            subtract(half, diag, diag)
             top, bottom = diag.max(axis=2), diag.min(axis=2)
             # shifting the diagonal by its midpoint c, with the phase
             # exp(-i dt c) applied exactly at the end, halves the norm bound
@@ -405,8 +429,15 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             # bound a rounding above _MAX_NORM stays on the table
             terms = np.searchsorted(_THETA[:-1], worst / subs)
             scale = width[part] / subs[:, None]
-            diag = (diag - centre[:, :, None]) * scale[:, :, None]
-            yield coef[part] * scale, diag.transpose(0, 2, 1), terms, subs
+            subtract(diag, centre[:, :, None], diag)
+            multiply(diag, scale[:, :, None], diag)
+            # d and a into the real and imaginary slots of the kernel layout
+            diag = diag.reshape(len(block), batch, high, -1).transpose(0, 2, 1, 3)
+            block[:, 0, :, :, 0] = diag
+            block[:, 0, :, :, 1] = diag
+            block[:, 1] = np.repeat(coef[part] * scale, 2, axis=1).reshape(
+                len(block), 1, batch, 2, 1)
+            yield block, terms, subs
 
     psi = _apply_vectors(initial.T.copy(), chunks())
     return (psi * np.exp(-1j * (mid * width).sum(axis=0))).T

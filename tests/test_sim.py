@@ -329,8 +329,8 @@ class TestEvolveBatch:
         monkeypatch.setattr(sim, "_SPLIT_QUBITS", 1)
         rng = np.random.default_rng(n)
         block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
-        out = sim._apply_vectors(block, [(np.ones((1, 3)),
-                                          np.zeros((1, 1 << n, 3)), [1], [1])])
+        pairs = kernel_pairs(np.ones((1, 3)), np.zeros((1, 1 << n, 3)))
+        out = sim._apply_vectors(block, [(pairs, [1], [1])])
         flipped = 1j * (out - block)
         assert np.abs(flipped - sim._flip_matrix(n) @ block).max() <= 1e-13
 
@@ -371,11 +371,11 @@ class TestEvolveBatch:
         coef = rng.uniform(-0.1, 0.1, size=(len(terms), batch))
         diag = rng.uniform(-0.2, 0.2, size=(len(terms), dim, batch))
         psi = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
-        whole = sim._apply_vectors(psi, [(coef, diag, terms, subs)])
+        pairs = kernel_pairs(coef, diag)
+        whole = sim._apply_vectors(psi, [(pairs, terms, subs)])
         cuts = [0, 1, 3, 4, 7]
         parts = sim._apply_vectors(psi, [
-            (coef[a:b], diag[a:b], terms[a:b], subs[a:b])
-            for a, b in zip(cuts, cuts[1:])])
+            (pairs[a:b], terms[a:b], subs[a:b]) for a, b in zip(cuts, cuts[1:])])
         assert np.array_equal(whole, parts)
         assert not np.array_equal(whole, psi)
 
@@ -393,6 +393,30 @@ class TestEvolveBatch:
             outs.append(evolve(specs, steps=60))
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
+
+    @pytest.mark.parametrize("n, split", [(2, 7), (2, 1), (4, 7), (4, 1),
+                                          (6, 7), (6, 6)])
+    def test_chunks_match_the_reference_construction(self, n, split,
+                                                     monkeypatch):
+        # dense and split layouts; a shorter run pads the block with
+        # zero-width rows, a noisy run scales the Rabi drive and shifts the
+        # local detuning, and small chunks make the producer reuse its work
+        # arrays
+        monkeypatch.setattr(sim, "_SPLIT_QUBITS", split)
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 1 << 14)
+        rng = np.random.default_rng(60 + n)
+        specs = [random_spec(rng, n), random_spec(rng, n, duration=0.6),
+                 dataclasses.replace(random_spec(rng, n), rabi_scale=1.07,
+                                     local_detuning_shift=-3.5)]
+        chunks, out = captured_chunks(specs, 40)
+        coef, diag, mid, width, terms, subs = reference_factors(specs, 40)
+        assert len(chunks) > 1 and (width == 0.0).any()
+        pairs, got_terms, got_subs = (np.concatenate(part)
+                                      for part in zip(*chunks))
+        assert np.array_equal(pairs, kernel_pairs(coef, diag))
+        assert np.array_equal(got_terms, terms)
+        assert np.array_equal(got_subs, subs)
+        assert np.array_equal(out[:, 0], np.exp(-1j * (mid * width).sum(axis=0)))
 
     @pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 16, 12, 2, 1)],
                              ids=["one", "3x5", "pairs"])
@@ -493,22 +517,73 @@ def chebyshev_terms(norm):
     return int(np.searchsorted(sim._THETA[:-1], norm))
 
 
-def captured_factors(spec, steps):
-    """The one chunk (coef, diag, terms, subs) of Magnus factors that
-    `evolve` builds for a lone run, and the phase it applies after the
-    kernel (with the kernel an identity, evolve returns that phase times
-    the ground state)."""
+def kernel_pairs(coef, diag):
+    """The kernel's factor data (rows, 2, 2^h, B, 2, 2^(n-h)) of drive
+    coefficients coef (rows, B) and diagonals diag (rows, 2^n, B): d in
+    [:, 0] and a in [:, 1], each in the real and the imaginary slot."""
+    rows, dim, batch = diag.shape
+    high = 1 << sim._high_qubits(dim.bit_length() - 1)
+    pairs = np.empty((rows, 2, high, batch, 2, dim // high))
+    pairs[:, 0] = diag.reshape(rows, high, -1, batch).transpose(
+        0, 1, 3, 2)[:, :, :, None]
+    pairs[:, 1] = coef[:, None, :, None, None]
+    return pairs
+
+
+def reference_factors(specs, steps):
+    """(a, d, mid, width, terms, subs) of every Magnus factor row of one
+    block, built all at once as `evolve` built them chunk by chunk before
+    it wrote the kernel's layout: the slow reference for its chunks. a,
+    mid (the diagonal shift) and width are (rows, B), d is (rows, 2^n, B)."""
+    n = specs[0].n_qubits
+    static, sumh = _diagonals(specs, _occupations(n))
+    grids = [_step_grid(tuple(breakpoint_times(s.rabi)
+                              + breakpoint_times(s.local_detuning)),
+                        s.duration, steps) for s in specs]
+    rows = 2 * max(len(starts) for starts, _ in grids)
+    coef, dlocal, width = (np.zeros((rows, len(specs))) for _ in range(3))
+    for b, (spec, (starts, dts)) in enumerate(zip(specs, grids)):
+        omega, shift = (v.reshape(2, -1) for v in _drive_values(
+            spec, np.concatenate([starts + c * dts for c in sim._NODES])))
+        used = slice(0, 2 * len(starts))
+        coef[used, b] = (sim._WEIGHTS @ omega).T.reshape(-1)
+        dlocal[used, b] = (sim._WEIGHTS @ shift).T.reshape(-1)
+        width[used, b] = np.repeat(dts, 2)
+    diag = 0.5 * static - dlocal[:, :, None] * sumh
+    top, bottom = diag.max(axis=2), diag.min(axis=2)
+    mid = np.where(coef != 0.0, 0.5 * (top + bottom), 0.0)
+    norm = (np.abs(coef) * (n / 2.0)
+            + np.maximum(top - mid, mid - bottom)) * width
+    worst = norm.max(axis=1)
+    subs = np.maximum(1, np.ceil(worst / sim._MAX_NORM)).astype(int)
+    terms = np.searchsorted(sim._THETA[:-1], worst / subs)
+    scale = width / subs[:, None]
+    diag = (diag - mid[:, :, None]) * scale[:, :, None]
+    return coef * scale, diag.transpose(0, 2, 1), mid, width, terms, subs
+
+
+def captured_chunks(specs, steps):
+    """The (pairs, terms, subs) chunks `evolve` builds for one block, each
+    copied as the kernel draws it, and evolve's output with the kernel an
+    identity: the phase of the diagonal shifts times the ground state."""
     seen = []
 
     def keep(psi, chunks):
-        seen.extend(chunks)
+        seen.extend((pairs.copy(), terms, subs) for pairs, terms, subs in chunks)
         return psi
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_CHUNK_BYTES", 1 << 40)
         patch.setattr(sim, "_apply_vectors", keep)
-        phase = evolve([spec], steps=steps)[0, 0]
-    (chunk,) = seen
-    return chunk, phase
+        out = evolve(specs, steps=steps)
+    return seen, out
+
+
+def captured_factors(spec, steps):
+    """The one chunk (pairs, terms, subs) of Magnus factors that `evolve`
+    builds for a lone run, and the phase it applies after the kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_CHUNK_BYTES", 1 << 40)
+        (chunk,), out = captured_chunks([spec], steps)
+    return chunk, out[0, 0]
 
 
 class TestChebyshevTable:
@@ -528,8 +603,8 @@ class TestChebyshevTable:
         zero = np.zeros((1, 1))
         psi = np.array([[0.6], [0.8j]])
         for terms in range(len(sim._CHEBYSHEV)):
-            out = sim._apply_vectors(psi, [(zero, np.zeros((1, 2, 1)),
-                                            [terms], [1])])
+            pairs = kernel_pairs(zero, np.zeros((1, 2, 1)))
+            out = sim._apply_vectors(psi, [(pairs, [terms], [1])])
             assert np.array_equal(out, psi)
 
     def test_norms_strictly_increase_to_the_substep_cap(self):
@@ -558,12 +633,12 @@ class TestChebyshevTable:
                                dglobal=125.0, duration=0.1)
         first, phase1 = captured_factors(gentle, 150)
         second, phase2 = captured_factors(packed, 3)
-        pad = (np.zeros((2, 1)), np.zeros((2, 8, 1)),
+        pad = (kernel_pairs(np.zeros((2, 1)), np.zeros((2, 8, 1))),
                np.zeros(2, dtype=int), np.ones(2, dtype=int))
         chunk = [np.concatenate(parts) for parts in zip(pad, first, pad, second)]
-        terms = chunk[2]
-        assert terms.min() == 0 and first[2].max() < 22
-        assert second[3].min() > 1 and terms.max() == 22
+        terms = chunk[1]
+        assert terms.min() == 0 and first[1].max() < 22
+        assert second[2].min() > 1 and terms.max() == 22
         start = ground(3)[:, None]
         out = sim._apply_vectors(start, [chunk])[:, 0] * phase1 * phase2
         ref = evolve_eigh(evolve_eigh(ground(3), gentle, 150), packed, 3)
