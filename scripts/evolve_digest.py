@@ -13,11 +13,15 @@ full-range blocks, n = 2 (B = 4) and n = 4 (B = 1). A last case digests
 the features of a noisy `generate_batch` call at n = 4 (B = 12, each run
 its own draw of the hardware-error model). The tenth case is a full-range
 n = 4 batch (B = 8) under `[pulses] omega_max = 31.6` and
-`local_detuning_min = -250`, twice the default limits; it comes last so
-that the other cases' draws stay as they were. BLAS runs on one thread so
-that its GEMMs take one code path.
+`local_detuning_min = -250`, twice the default limits. The eleventh is an
+n = 5 batch on the dense path (B = 25): every trainable (Rabi, local) shape
+pair once, at durations of 1 and 0.6 us in turn, so the shorter runs' grids
+are padded. Each new case comes last, so that the other cases' draws stay
+as they were. BLAS runs on one thread so that its GEMMs take one code
+path.
 """
 
+import dataclasses
 import hashlib
 import os
 import sys
@@ -76,6 +80,19 @@ def full_range_batch(rng, n, count, spacing=None, limits=LIMITS):
             for s in rydgan.draw_seeds(rng, count)], 250
 
 
+def shape_pairs_batch(rng, n):
+    """Specs of every trainable (Rabi, local) shape pair on one arrangement,
+    one seed each, at durations of 1 and 0.6 us in turn."""
+    params = full_range_params(rng, n)
+    shapes = rydgan.generator.TRAINABLE_SHAPES
+    pairs = [(a, b) for a in shapes for b in shapes]
+    return [rydgan.generator.build_spec(
+        dataclasses.replace(params, rabi_shape=a, local_shape=b,
+                            duration=(1.0, 0.6)[i % 2]), float(seed), LIMITS)
+        for i, ((a, b), seed) in enumerate(
+            zip(pairs, rydgan.draw_seeds(rng, len(pairs))))], 250
+
+
 def noisy_runs(rng, n, count):
     """(params, seed, mode) runs of full_range_params, each noisy with its
     own error-model seed."""
@@ -103,6 +120,7 @@ def main():
            rydgan.generate_batch(noisy_runs(rng, 4, 12), LIMITS, steps=250))
     digest("n4-wide-B8", rydgan.sim.evolve(
         *full_range_batch(rng, 4, 8, limits=WIDE_LIMITS)))
+    digest("n5-shapes-B25", rydgan.sim.evolve(*shape_pairs_batch(rng, 5)))
 
 
 if __name__ == "__main__":
