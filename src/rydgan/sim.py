@@ -28,6 +28,9 @@ plus elementwise diagonal products, on the block in the real layout
 (2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is one GEMM from the left
 and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
 (up to five qubits h = n and X_hi = X). No eigendecomposition is taken.
+A block's factor data, the diagonal and drive coefficient of every factor,
+is built once per chunk of factors straight into the kernel's layout, and
+the results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -373,8 +376,8 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
         return np.moveaxis(_empty(shape[-1:] + shape[:-1]), 0, -1)
 
     half, sumh = work((batch, dim)), work((batch, dim))
-    static, sumh[:] = _diagonals(specs, _occupations(n))
-    np.multiply(0.5, static, half)
+    half[:], sumh[:] = _diagonals(specs, _occupations(n))
+    half *= 0.5
     grids = [grid(tuple(breakpoint_times(s.rabi)
                         + breakpoint_times(s.local_detuning)),
                   s.duration, steps or default_steps(s.duration)) for s in specs]
@@ -399,14 +402,13 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     # each factor's diagonal shift; the phase is summed once over all rows,
     # so no output depends on the chunk size
     mid = np.zeros((rows, batch))
-    multiply, subtract = np.multiply, np.subtract
 
     def chunks():
         for lo in range(0, rows, chunk):
             part = slice(lo, lo + chunk)
             block, diag = pairs[:len(coef[part])], diags[:len(coef[part])]
-            multiply(dlocal[part, :, None], sumh, diag)
-            subtract(half, diag, diag)
+            np.multiply(dlocal[part, :, None], sumh, diag)
+            np.subtract(half, diag, diag)
             top, bottom = diag.max(axis=2), diag.min(axis=2)
             # shifting the diagonal by its midpoint c, with the phase
             # exp(-i dt c) applied exactly at the end, halves the norm bound
@@ -429,8 +431,8 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             # bound a rounding above _MAX_NORM stays on the table
             terms = np.searchsorted(_THETA[:-1], worst / subs)
             scale = width[part] / subs[:, None]
-            subtract(diag, centre[:, :, None], diag)
-            multiply(diag, scale[:, :, None], diag)
+            np.subtract(diag, centre[:, :, None], diag)
+            np.multiply(diag, scale[:, :, None], diag)
             # d and a into the real and imaginary slots of the kernel layout
             diag = diag.reshape(len(block), batch, high, -1).transpose(0, 2, 1, 3)
             block[:, 0, :, :, 0] = diag
