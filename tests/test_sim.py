@@ -532,9 +532,10 @@ def kernel_pairs(coef, diag):
 
 def reference_factors(specs, steps):
     """(a, d, mid, width, terms, subs) of every Magnus factor row of one
-    block, built all at once as `evolve` built them chunk by chunk before
-    it wrote the kernel's layout: the slow reference for its chunks. a,
-    mid (the diagonal shift) and width are (rows, B), d is (rows, 2^n, B)."""
+    block, built for all rows at once in plain (rows, B, 2^n) arrays, one
+    `evaluate` per run and drive: the slow reference for the chunks that
+    `evolve` builds. a, mid (the diagonal shift) and width are (rows, B),
+    d is (rows, 2^n, B); `kernel_pairs` lays a and d out for the kernel."""
     n = specs[0].n_qubits
     static, sumh = _diagonals(specs, _occupations(n))
     grids = [_step_grid(tuple(breakpoint_times(s.rabi)
