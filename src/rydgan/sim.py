@@ -442,7 +442,10 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             yield block, terms, subs
 
     psi = _apply_vectors(initial.T.copy(), chunks())
-    return (psi * np.exp(-1j * (mid * width).sum(axis=0))).T
+    # each run's phase is summed along its own contiguous column, so a run's
+    # bits do not depend on how many runs share its block
+    phase = np.ascontiguousarray((mid * width).T).sum(axis=1)
+    return (psi * np.exp(-1j * phase)).T
 
 
 def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:

@@ -264,6 +264,22 @@ def full_range_spec(rng, n, spacing=4.0):
         global_detuning_offset=125.0)
 
 
+def spread_full_range_spec(rng, n, seed=0.6):
+    """Strong legal drives at one seed on atoms anywhere in the 75 um field,
+    at least 4 um apart."""
+    while True:
+        pos = rng.uniform(0.0, 75.0, size=(n, 2))
+        d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
+        if d[np.triu_indices(n, 1)].min() >= 4.0:
+            break
+    limits = generator.DEFAULT_LIMITS
+    params = GeneratorParams(
+        AtomArrangement(tuple(map(tuple, pos)), tuple(rng.uniform(0.0, 1.0, n))),
+        "trapezoid", 0.9 * limits.omega_max, "sine_bump",
+        0.9 * limits.local_detuning_min, 0.5 * limits.global_detuning_abs)
+    return generator.build_spec(params, seed, limits)
+
+
 class TestEvolveBatch:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_eigh_oracle(self, n):
@@ -416,7 +432,8 @@ class TestEvolveBatch:
         assert np.array_equal(pairs, kernel_pairs(coef, diag))
         assert np.array_equal(got_terms, terms)
         assert np.array_equal(got_subs, subs)
-        assert np.array_equal(out[:, 0], np.exp(-1j * (mid * width).sum(axis=0)))
+        assert np.array_equal(out[:, 0], np.exp(-1j * np.array(
+            [np.sum(m * w) for m, w in zip(mid.T, width.T)])))
 
     @pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 16, 12, 2, 1)],
                              ids=["one", "3x5", "pairs"])
@@ -447,6 +464,18 @@ class TestEvolveBatch:
         for spec, row in zip(specs, out):
             lone = evolve([spec], steps=100)[0]
             assert np.abs(row - lone).max() <= 1e-12
+
+    def test_copies_match_the_lone_run_bit_for_bit(self):
+        # each run's phase is summed along its own column, so a run's bits
+        # do not depend on how many copies share its block; at n = 4, blocks
+        # of three or more copies still round differently in the dense GEMM
+        rng = np.random.default_rng(7)
+        for n, batches in ((4, (2,)), (6, (2, 3, 8, 16)), (8, (2, 3, 8, 16))):
+            spec = spread_full_range_spec(rng, n)
+            lone = evolve([spec], steps=250)[0]
+            for batch in batches:
+                out = evolve([spec] * batch, steps=250)
+                assert all(np.array_equal(row, lone) for row in out), (n, batch)
 
     @pytest.mark.parametrize("n, batch", [(8, 3), (10, 2)])
     def test_split_path_rows_agree_with_lone_runs(self, n, batch):
