@@ -125,26 +125,17 @@ def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
 
 
 def _load_run_learner(config: RunConfig, path: str):
-    """A learner file's training result; it must match the run's qubit count,
-    its duration, from which `_features` sets every run's step count, and
-    its pulse limits and c6, under which `_features` evolves the learner."""
+    """A learner file's training result; the settings that define its
+    generator (qubit count, duration, pulse limits, c6) must be the run's,
+    under which `_features` sets its step count and evolves it."""
     result = load_learner(path)
-    if result.config.n_qubits != config.n_qubits:
-        raise DataError(
-            f"{path}: field config.n_qubits: a {result.config.n_qubits}-qubit "
-            f"learner, but this run has n_qubits = {config.n_qubits}")
-    if result.config.duration != config.duration_us:
-        raise DataError(
-            f"{path}: field config.duration: a {result.config.duration} us "
-            f"learner, but this run has duration_us = {config.duration_us}")
-    if result.config.limits != config.limits():
-        raise DataError(
-            f"{path}: field config.limits: a learner trained under "
-            f"{result.config.limits}, but this run has {config.limits()}")
-    if result.config.c6 != config.c6:
-        raise DataError(
-            f"{path}: field config.c6: a learner trained with c6 = "
-            f"{result.config.c6}, but this run has c6 = {config.c6}")
+    run = config.train_config()
+    for name in ("n_qubits", "duration", "limits", "c6"):
+        theirs, ours = getattr(result.config, name), getattr(run, name)
+        if theirs != ours:
+            raise DataError(
+                f"{path}: field config.{name}: a learner trained with "
+                f"{name} = {theirs}, but this run has {name} = {ours}")
     return result
 
 

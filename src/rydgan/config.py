@@ -2,35 +2,39 @@
 
 Each INI key is one `RunConfig` field, declared once with its section in
 the field metadata; parsing (by field type), rendering and the
-unknown-section/unknown-key errors are all derived from those fields. A
-key whose value belongs to `TrainConfig`, `PulseLimits` or `ErrorModel`
-takes its default from that class, and that class checks its range. A
-config file overrides any subset of the defaults, CLI flags override the
-file, and the effective configuration is echoed into the output
-directory of every command so runs stay auditable and reproducible.
+unknown-section/unknown-key errors are all derived from those fields.
+Each bound is declared on the field of the class that owns the key, beside
+its default, and `errors.check_settings` checks them all: a key whose value
+belongs to `TrainConfig`, `PulseLimits`, `ErrorModel` or `ShotsMode` takes
+its default and bounds from that class, and the run's own keys declare
+theirs here. A config file overrides any subset of the defaults, CLI flags
+override the file, and the effective configuration is echoed into the
+output directory of every command so runs stay auditable and reproducible.
 """
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .errors import ValidationError
-from .generator import TRAINABLE_SHAPES, ErrorModel
+from .errors import ValidationError, check_settings, setting
+from .generator import TRAINABLE_SHAPES, ErrorModel, ShotsMode
 from .pulses import PulseLimits
 from .training import TrainConfig
 
 MODES = ("ideal", "noisy", "shots")
 
 
-def check_class(cls: int):
-    """Raise ValidationError unless cls is a digit class, 0 to 9."""
+def check_class(cls: int, name: str = "class"):
+    """Raise ValidationError unless cls, the setting called name, is a digit
+    class, 0 to 9."""
     if not 0 <= cls <= 9:
-        raise ValidationError(f"class must be in [0, 9], got {cls}")
+        raise ValidationError(f"{name} must be in [0, 9], got {cls}")
 
 
-def _key(section: str, default):
-    """One INI key: a RunConfig field that knows its section."""
-    return field(default=default, metadata={"section": section})
+def _key(section: str, default, *bounds):
+    """One INI key: a RunConfig field that knows its section and, if the
+    key is the run's own, its bounds."""
+    return setting(default, *bounds, section=section)
 
 
 @dataclass
@@ -38,8 +42,8 @@ class RunConfig:
     images: str = _key("data", "")
     labels: str = _key("data", "")
     digit_class: int = _key("data", 0)
-    val_fraction: float = _key("data", 0.1)
-    split_seed: int = _key("data", 20240)
+    val_fraction: float = _key("data", 0.1, (">", 0), ("<", 1))
+    split_seed: int = _key("data", 20240, (">=", 0))
     n_qubits: int = _key("quantum", TrainConfig.n_qubits)
     c6: float = _key("quantum", TrainConfig.c6)
     steps_per_us: int = _key("quantum", TrainConfig.steps_per_us)
@@ -66,32 +70,33 @@ class RunConfig:
     detuning_sigma: float = _key("error_model", ErrorModel.detuning_sigma)
     rabi_rel_sigma: float = _key("error_model", ErrorModel.rabi_rel_sigma)
     position_sigma: float = _key("error_model", ErrorModel.position_sigma)
-    shots: int = _key("sampling", 1000)
-    fid_batch: int = _key("ensemble", 100)
+    shots: int = _key("sampling", ShotsMode.shots)
+    # an image batch (fid_batch, count) needs 2 images for its FID covariance
+    fid_batch: int = _key("ensemble", 100, (">=", 2))
     master_seed: int = _key("run", TrainConfig.master_seed)
     out_dir: str = _key("run", "out")
     # accepted for compatibility; learners train in lock step in one
     # thread, so the value does not change speed or output
-    jobs: int = _key("run", 1)
-    count: int = _key("run", 16)
+    jobs: int = _key("run", 1, (">=", 1))
+    count: int = _key("run", 16, (">=", 2))
     mode: str = _key("run", "ideal")
 
     def validate(self):
         """Raise ValidationError on the first invalid field; runs before any work.
 
-        Settings owned by PulseLimits, ErrorModel or TrainConfig are checked
-        by constructing those objects; the checks here are the run-level ones.
+        Settings owned by PulseLimits, ErrorModel, ShotsMode or TrainConfig
+        are checked by constructing those objects, the run's own keys by
+        their declared bounds; the rules here compare fields or name things.
         """
         self.error_model()
         self.train_config()
+        ShotsMode(self.shots)
+        check_settings(self)
         if (1 << self.n_qubits) > 784:
             raise ValidationError(
                 f"2^n_qubits = {1 << self.n_qubits} PCA components exceed "
                 "the 784 pixels per image")
-        check_class(self.digit_class)
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValidationError(
-                f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        check_class(self.digit_class, "digit_class")
         if self.mode not in MODES:
             raise ValidationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
@@ -107,12 +112,6 @@ class RunConfig:
                 # each shape pair names one learner file
                 if s in shapes[:i]:
                     raise ValidationError(f"{group}: shape {s!r} is repeated")
-        # an image batch needs 2 images for its FID covariance
-        for name, least in (("shots", 1), ("fid_batch", 2), ("jobs", 1),
-                            ("count", 2), ("split_seed", 0)):
-            if getattr(self, name) < least:
-                raise ValidationError(
-                    f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def _shared(self, owner) -> dict:
         """Values of the fields this config shares by name with owner."""

@@ -130,9 +130,7 @@ def load_idx(images_path: str, labels_path: str) -> ImageSet:
 
 def split_train_val(data: ImageSet, val_fraction: float = 0.1,
                     shuffle_seed: int = 20240) -> tuple:
-    """Deterministic shuffled train/validation split (default 90/10)."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ValidationError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    """Deterministic shuffled train/validation split, 0 < val_fraction < 1."""
     n = len(data)
     if n < 2:
         raise DataError(f"need at least 2 images to split, got {n}")

@@ -6,7 +6,10 @@ error of no more specific kind exits with 1, as an internal error does.
 """
 
 import math
-from dataclasses import fields
+import operator
+from dataclasses import field, fields
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 class RydganError(Exception):
@@ -37,9 +40,20 @@ class NumericError(RydganError):
         self.run = run      # batch row of the one run that failed, if any
 
 
-def check_finite(owner):
-    """Raise ValidationError naming the first non-finite float field of owner,
-    a settings dataclass."""
-    for name in (f.name for f in fields(owner) if f.type in (float, "float")):
-        if not math.isfinite(value := getattr(owner, name)):
-            raise ValidationError(f"{name} must be finite, got {value}")
+def setting(default, *bounds, **metadata):
+    """A settings dataclass field: its default and its bounds, each an
+    (op, limit) pair with op one of >, >=, < and <=."""
+    return field(default=default, metadata={"bounds": bounds, **metadata})
+
+
+def check_settings(owner):
+    """Raise ValidationError naming the first field of owner, a settings
+    dataclass, that holds a non-finite float or breaks a declared bound."""
+    for f in fields(owner):
+        value = getattr(owner, f.name)
+        if f.type in (float, "float") and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value}")
+        for op, limit in f.metadata.get("bounds", ()):
+            if not _OPS[op](value, limit):
+                raise ValidationError(
+                    f"{f.name} must be {op} {limit}, got {value}")

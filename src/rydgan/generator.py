@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, check_finite
+from .errors import NumericError, ValidationError, check_settings, setting
 from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits, PulseProgram
 from .sim import (AtomArrangement, C6_DEFAULT, NORM_TOL, HamiltonianSpec,
                   evolve)
@@ -124,16 +124,13 @@ class ErrorModel:
     every atom coordinate an independent additive N(0, sigma) shift.
     """
 
-    detuning_sigma: float = 0.1    # rad/us
-    rabi_rel_sigma: float = 0.01   # dimensionless
-    position_sigma: float = 0.1    # um
+    detuning_sigma: float = setting(0.1, (">=", 0))    # rad/us
+    rabi_rel_sigma: float = setting(0.01, (">=", 0))   # dimensionless
+    position_sigma: float = setting(0.1, (">=", 0))    # um
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
-        for name in ("detuning_sigma", "rabi_rel_sigma", "position_sigma"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        check_settings(self)
 
 
 @dataclass(frozen=True)
@@ -145,12 +142,11 @@ class ExactMode:
 class ShotsMode:
     """Probabilities estimated from projective-measurement frequencies."""
 
-    shots: int = 1000
+    shots: int = setting(1000, (">=", 1))
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValidationError(f"shots must be >= 1, got {self.shots}")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_settings, setting
 
 SHAPES = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump", "constant")
 
@@ -35,18 +35,13 @@ RAMP_FRACTION = 0.05   # share of the duration in each entry and exit ramp
 class PulseLimits:
     """Hardware amplitude bounds (Aquila-like defaults, config-overridable)."""
 
-    omega_max: float = 15.8               # Rabi drive, rad/us, >= 0
-    local_detuning_min: float = -125.0    # local detuning, rad/us, <= 0
-    global_detuning_abs: float = 125.0    # |trainable global offset| bound, rad/us
+    omega_max: float = setting(15.8, (">", 0))              # Rabi drive, rad/us
+    local_detuning_min: float = setting(-125.0, ("<", 0))   # local detuning, rad/us
+    # |trainable global offset| bound, rad/us
+    global_detuning_abs: float = setting(125.0, (">", 0))
 
     def __post_init__(self):
-        check_finite(self)
-        if not self.omega_max > 0:
-            raise ValidationError("omega_max must be positive")
-        if not self.local_detuning_min < 0:
-            raise ValidationError("local_detuning_min must be negative")
-        if not self.global_detuning_abs > 0:
-            raise ValidationError("global_detuning_abs must be positive")
+        check_settings(self)
 
 
 DEFAULT_LIMITS = PulseLimits()

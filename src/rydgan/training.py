@@ -24,7 +24,8 @@ import numpy as np
 from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
-from .errors import DataError, RydganError, ValidationError, check_finite
+from .errors import (DataError, RydganError, ValidationError, check_settings,
+                     setting)
 from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                         TRAINABLE_SHAPES, GeneratorParams, draw_seeds,
                         generate_batch)
@@ -41,49 +42,32 @@ _GEOMETRY_PENALTY = 1e3
 
 @dataclass(frozen=True)
 class TrainConfig:
-    n_qubits: int = 4
-    duration: float = 1.0
-    steps_per_us: int = STEPS_PER_US
-    cycles: int = 3
-    nm_iters: int = 60
-    nm_tol: float = 1e-6
-    disc_steps: int = 30
-    disc_batch: int = 32
-    seed_batch: int = 16
-    adam_lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    hidden: int = 64
+    n_qubits: int = setting(4, (">=", 1), ("<=", MAX_QUBITS))
+    # Aquila runs a pulse program for at most 4 us
+    duration: float = setting(1.0, (">", 0), ("<=", 4.0))
+    # 1000 steps/us already resolve features to about 1e-12, and the finest
+    # reference grid used 4000; finer grids only add rounding and memory
+    steps_per_us: int = setting(STEPS_PER_US, (">=", 1), ("<=", 10_000))
+    cycles: int = setting(3, (">=", 1))
+    nm_iters: int = setting(60, (">=", 1))
+    nm_tol: float = setting(1e-6, (">=", 0))
+    disc_steps: int = setting(30, (">=", 1))
+    disc_batch: int = setting(32, (">=", 1))
+    seed_batch: int = setting(16, (">=", 1))
+    adam_lr: float = setting(1e-3, (">", 0))
+    adam_beta1: float = setting(0.9, (">=", 0), ("<", 1))
+    adam_beta2: float = setting(0.999, (">=", 0), ("<", 1))
+    adam_eps: float = setting(1e-8, (">", 0))
+    hidden: int = setting(64, (">=", 1))
     stage_order: tuple = STAGES
-    master_seed: int = 0
+    master_seed: int = setting(0, (">=", 0))
     limits: PulseLimits = field(default_factory=PulseLimits)
-    c6: float = C6_DEFAULT
-    min_spacing: float = MIN_SPACING_UM
-    field_size: float = FIELD_SIZE_UM
+    c6: float = setting(C6_DEFAULT, (">", 0))
+    min_spacing: float = setting(MIN_SPACING_UM, (">", 0))
+    field_size: float = setting(FIELD_SIZE_UM, (">", 0))
 
     def __post_init__(self):
-        check_finite(self)
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValidationError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        for name in ("steps_per_us", "cycles", "nm_iters", "disc_steps",
-                     "disc_batch", "seed_batch", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("duration", "c6", "adam_lr", "adam_eps", "min_spacing",
-                     "field_size"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(
-                    f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValidationError(
-                    f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("nm_tol", "master_seed"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
+        check_settings(self)
         if sorted(self.stage_order) != sorted(STAGES):
             raise ValidationError(
                 f"stage_order must be a permutation of {STAGES}, "

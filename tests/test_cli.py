@@ -1052,8 +1052,8 @@ def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
                                    "duration_us = 2.0")
     assert code == 3
     assert re.search(r"learners/class0/[a-z-]+\.json: field config\.duration: "
-                     r"a 1\.0 us learner, but this run has duration_us = 2\.0",
-                     err), err
+                     r"a learner trained with duration = 1\.0, but this run "
+                     r"has duration = 2\.0", err), err
 
 
 @pytest.mark.parametrize("command, written", RUN_OUTPUTS)
