@@ -1,6 +1,7 @@
 import base64
 import collections
 import json
+import math
 import os
 import re
 import shutil
@@ -16,13 +17,15 @@ from rydgan import cli, training
 from rydgan.cli import main
 from rydgan.config import RunConfig, _sections, load_config, render_config
 from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
-from rydgan.errors import DataError, RydganError
-from rydgan.generator import (EXACT, GeneratorParams, build_spec, draw_seeds,
-                              generate_batch, perturb_params)
+from rydgan.errors import DataError, RydganError, ValidationError
+from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, ShotsMode,
+                              build_spec, draw_seeds, generate_batch,
+                              perturb_params)
 from rydgan.metrics import greedy_select
 from rydgan.neldermead import nelder_mead_steps
 from rydgan.sim import AtomArrangement
-from rydgan.training import Learner, load_learner
+from rydgan.pulses import PulseLimits
+from rydgan.training import Learner, TrainConfig, load_learner
 from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, f8_field,
                              synthetic_digits)
 
@@ -664,9 +667,80 @@ DEFAULT_INI = "\n".join([
     "mode = ideal", "", ""])
 
 
+# the classes whose fields own the INI keys that are not the run's own
+OWNERS = (TrainConfig, PulseLimits, ErrorModel, ShotsMode)
+
+
+def declared(key: str) -> tuple:
+    """(field name, bounds) of an INI key: the field of its owning class,
+    named as the key or as the key without its unit suffix, else the key's
+    own RunConfig field."""
+    owned = {f.name: f for owner in OWNERS for f in fields(owner)}
+    for name in (key, key.removesuffix("_um").removesuffix("_us")):
+        if name in owned:
+            return name, owned[name].metadata.get("bounds", ())
+    return key, next(f for f in fields(RunConfig)
+                     if f.name == key).metadata["bounds"]
+
+
+NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in (int, float)]
+EXTREMES = [0, -1, 10**30, -10**30, 1e308, -1e308, math.inf, -math.inf,
+            math.nan]
+
+
+def _with_setting(smoke_ini, path, key, value):
+    """The smoke config with one key set, in place of its own line if it
+    has one, written to path."""
+    section = next(name for name, keys in _sections().items() if key in keys)
+    text = re.sub(rf"^{key} = .*\n", "", open(smoke_ini).read(), flags=re.M)
+    if f"[{section}]\n" not in text:
+        text += f"\n[{section}]\n"
+    path.write_text(text.replace(f"[{section}]\n",
+                                 f"[{section}]\n{key} = {value}\n", 1))
+    return str(path)
+
+
 class TestConfigSchema:
     def test_default_rendering_is_pinned(self):
         assert render_config(RunConfig()) == DEFAULT_INI
+
+    @pytest.mark.parametrize("key, last", [("steps_per_us", 10_000),
+                                           ("duration_us", 4.0)])
+    def test_step_budget_is_bounded_above(self, smoke_ini, tmp_path, key,
+                                          last):
+        # checked by validation only: no grid of that size is ever built
+        path = tmp_path / "bound.ini"
+        load_config(_with_setting(smoke_ini, path, key, last)).validate()
+        past = last + 1 if isinstance(last, int) else np.nextafter(last, 5.0)
+        config = load_config(_with_setting(smoke_ini, path, key, past))
+        with pytest.raises(ValidationError, match=declared(key)[0]):
+            config.validate()
+
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_numeric_keys_hold_their_bounds_or_are_named(self, smoke_ini,
+                                                         tmp_path, data):
+        """Any value of any numeric key, extreme or not: validation either
+        names the key or leaves a value inside every bound declared for it.
+        Nothing runs, so nothing is allocated."""
+        key = data.draw(st.sampled_from(NUMERIC_KEYS), label="key")
+        name, bounds = declared(key)
+        value = data.draw(st.sampled_from(EXTREMES + [b for _, b in bounds])
+                          | st.integers(-3, 20_000)
+                          | st.floats(-3.0, 3.0), label="value")
+        path = _with_setting(smoke_ini, tmp_path / "fuzz.ini", key, value)
+        try:
+            config = load_config(path)
+            config.validate()
+        except ValidationError as exc:
+            assert name in str(exc), (key, value, str(exc))
+            return
+        got = getattr(config, key)
+        assert math.isfinite(got), (key, value)
+        for op, limit in bounds:
+            assert {">": got > limit, ">=": got >= limit, "<": got < limit,
+                    "<=": got <= limit}[op], (key, value, op, limit)
 
     def test_every_key_round_trips(self, tmp_path):
         config = RunConfig(

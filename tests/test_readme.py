@@ -1,4 +1,5 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and its
+settings table matches the code."""
 
 import glob
 import os
@@ -28,6 +29,36 @@ def test_library_example_runs_and_gives_its_shapes():
     lone = namespace["generate_batch"]([(namespace["params"], 0.5,
                                          namespace["EXACT"])])[0]
     assert np.abs(namespace["many"][1] - lone).max() <= 1e-12
+
+
+def settings_table() -> list:
+    """(key, section, default, bounds) cells of the README's settings table,
+    backticks dropped."""
+    with open(README, encoding="utf-8") as f:
+        lines = f.read().split("\n| Key | Section | Default | Bounds |", 1)[1]
+    rows = []
+    for line in lines.split("\n")[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().replace("`", "")
+                          for cell in line.split("|")[1:5]))
+    return rows
+
+
+def test_settings_table_matches_defaults_and_declared_bounds():
+    from rydgan.config import RunConfig, _sections, render_config
+    from tests.test_cli import declared
+    section, rendered = None, {}
+    for line in render_config(RunConfig()).splitlines():
+        if line.startswith("["):
+            section = line
+        elif line:
+            key, value = line.split(" = ", 1)
+            rendered[key] = (section, value)
+    expected = [(key, *rendered[key],
+                 ", ".join(f"{op} {limit}" for op, limit in declared(key)[1]))
+                for keys in _sections().values() for key in keys]
+    assert settings_table() == expected
 
 
 def test_benchmark_names_resolve():
