@@ -614,16 +614,9 @@ class TestConfigPlumbing:
         ("rabi_rel_sigma", "nan"), ("position_sigma", "nan")])
     def test_out_of_range_setting_fails_before_work(self, smoke_ini, tmp_path,
                                                     capsys, key, value):
-        section = next(name for name, keys in _sections().items()
-                       if key in keys)
-        text = open(smoke_ini).read()
-        if f"[{section}]\n" not in text:
-            text += f"\n[{section}]\n"
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text.replace(f"[{section}]\n",
-                                    f"[{section}]\n{key} = {value}\n"))
+        cfg = _with_setting(smoke_ini, tmp_path / "bad.ini", key, value)
         out = tmp_path / "o"
-        assert main(["fit-pca", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["fit-pca", "--config", cfg, "--out", str(out)]) == 2
         # the owning class's field is the key without its unit suffix
         field = key.removesuffix("_um").removesuffix("_us")
         assert field in capsys.readouterr().err
