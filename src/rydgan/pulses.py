@@ -8,7 +8,8 @@ the triangle peak and modulates the trapezoid plateau width, the gaussian
 width and the sine bump phase. Hardware requires Rabi and local-detuning
 waveforms to start and end at zero, so every shape is wrapped in linear
 entry/exit ramps each covering ``RAMP_FRACTION`` of the duration; the
-seeded value holds at the interior boundary.
+seeded value holds at the interior boundary. Each shape is declared once,
+in ``_shape``, which both ``evaluate`` and ``breakpoint_times`` read.
 
 Units: time in us, amplitudes in rad/us.
 """
@@ -23,9 +24,6 @@ import numpy as np
 from .errors import ValidationError, check_settings, setting
 
 SHAPES = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump", "constant")
-
-# Shapes that are exactly piecewise linear (evaluated from their knots).
-PIECEWISE_LINEAR_SHAPES = frozenset({"linear", "triangle", "trapezoid", "constant"})
 
 _DOMAIN_TOL = 1e-12
 RAMP_FRACTION = 0.05   # share of the duration in each entry and exit ramp
@@ -82,39 +80,40 @@ class PulseProgram:
         return min(abs(self.seed_noise / self.full_scale), 1.0)
 
 
-def _breakpoints(pulse: PulseProgram):
-    """Knot list (t, value) for the piecewise-linear shapes."""
-    d = pulse.duration
+def _shape(pulse: PulseProgram):
+    """(knots, interior, kinks): the one declaration of each shape.
+
+    The waveform runs straight between the knots, (t, value) pairs from 0 to
+    the duration. A smooth shape's knots are its ramp corners, and between
+    the inner two it is interior(tau), tau in [0, 1] across them; kinks are
+    the interior's own non-analytic times. A piecewise-linear shape has no
+    interior (None) and no kinks.
+    """
+    d, u, p = pulse.duration, pulse._seed_unit, pulse.param
     r = RAMP_FRACTION * d
     w = d - 2.0 * r
-    u = pulse._seed_unit
     if pulse.shape == "constant":
-        return [(0.0, pulse.param), (d, pulse.param)]
+        return [(0.0, p), (d, p)], None, []
     if pulse.shape == "linear":
-        return [(0.0, 0.0), (r, pulse.seed_noise), (d - r, pulse.param), (d, 0.0)]
+        return [(0.0, 0.0), (r, pulse.seed_noise), (d - r, p), (d, 0.0)], None, []
     if pulse.shape == "triangle":
         peak_t = r + (0.2 + 0.6 * u) * w
-        return [(0.0, 0.0), (r, 0.0), (peak_t, pulse.param), (d - r, 0.0), (d, 0.0)]
+        return [(0.0, 0.0), (r, 0.0), (peak_t, p), (d - r, 0.0), (d, 0.0)], None, []
     if pulse.shape == "trapezoid":
         plateau = 0.2 + 0.6 * u
-        t1 = r + 0.5 * (1.0 - plateau) * w
-        t2 = r + 0.5 * (1.0 + plateau) * w
-        return [(0.0, 0.0), (r, 0.0), (t1, pulse.param), (t2, pulse.param),
-                (d - r, 0.0), (d, 0.0)]
-    raise ValidationError(f"shape {pulse.shape!r} is not piecewise linear")
-
-
-def _interior(pulse: PulseProgram, tau):
-    """Smooth-shape interior value on the normalized coordinate tau in [0, 1]."""
-    tau = np.asarray(tau, dtype=float)
-    u = pulse._seed_unit
+        return ([(0.0, 0.0), (r, 0.0), (r + 0.5 * (1.0 - plateau) * w, p),
+                 (r + 0.5 * (1.0 + plateau) * w, p), (d - r, 0.0), (d, 0.0)], None, [])
     if pulse.shape == "gaussian":
         sigma = 0.08 + 0.17 * u
-        return pulse.param * np.exp(-0.5 * ((tau - 0.5) / sigma) ** 2)
-    if pulse.shape == "sine_bump":
+        interior = lambda tau: p * np.exp(-0.5 * ((tau - 0.5) / sigma) ** 2)
+        kinks = []
+    else:   # sine_bump: sin(pi tau + phase) crosses zero at most once in (0, 1)
         phase = (u - 0.5) * (math.pi / 6.0)
-        return pulse.param * np.maximum(0.0, np.sin(math.pi * tau + phase))
-    raise ValidationError(f"shape {pulse.shape!r} has no smooth interior")
+        interior = lambda tau: p * np.maximum(0.0, np.sin(math.pi * tau + phase))
+        kinks = [r + tau * w for tau in (-phase / math.pi, 1.0 - phase / math.pi)
+                 if 0.0 < tau < 1.0]
+    return ([(0.0, 0.0), (r, interior(0.0)), (d - r, interior(1.0)), (d, 0.0)],
+            interior, kinks)
 
 
 def evaluate(pulse: PulseProgram, t):
@@ -129,21 +128,16 @@ def evaluate(pulse: PulseProgram, t):
             f"pulse evaluated outside [0, {pulse.duration}] us")
     t_arr = np.clip(t_arr, 0.0, pulse.duration)
 
-    if pulse.shape in PIECEWISE_LINEAR_SHAPES:
-        pts = _breakpoints(pulse)
-        ts = np.array([p[0] for p in pts])
-        vs = np.array([p[1] for p in pts])
+    knots, interior, _ = _shape(pulse)
+    ts, vs = zip(*knots)
+    if interior is None:
         out = np.interp(t_arr, ts, vs)
     else:
-        d = pulse.duration
-        r = RAMP_FRACTION * d
-        w = d - 2.0 * r
-        tau = np.clip((t_arr - r) / w, 0.0, 1.0)
-        out = _interior(pulse, tau)
-        entry = _interior(pulse, 0.0) * (t_arr / r)
-        exit_ = _interior(pulse, 1.0) * ((d - t_arr) / r)
-        out = np.where(t_arr < r, entry, out)
-        out = np.where(t_arr > d - r, exit_, out)
+        # linear entry and exit ramps around the interior
+        _, r, end, d = ts
+        out = interior(np.clip((t_arr - r) / (d - 2.0 * r), 0.0, 1.0))
+        out = np.where(t_arr < r, vs[1] * (t_arr / r), out)
+        out = np.where(t_arr > end, vs[2] * ((d - t_arr) / r), out)
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -155,17 +149,5 @@ def breakpoint_times(pulse: PulseProgram):
     Integrators split their step grids here so that every step sees a
     smooth drive.
     """
-    if pulse.shape in PIECEWISE_LINEAR_SHAPES:
-        times = [t for t, _ in _breakpoints(pulse)]
-    else:
-        d = pulse.duration
-        r = RAMP_FRACTION * d
-        times = [0.0, r, d - r, d]
-        if pulse.shape == "sine_bump":
-            # sin(pi tau + phase) crosses zero at most once inside (0, 1)
-            phase = (pulse._seed_unit - 0.5) * (math.pi / 6.0)
-            for k in (0, 1):
-                tau = k - phase / math.pi
-                if 0.0 < tau < 1.0:
-                    times.append(r + tau * (d - 2.0 * r))
-    return sorted(set(t for t in times if 0.0 <= t <= pulse.duration))
+    knots, _, kinks = _shape(pulse)
+    return sorted({t for t, _ in knots}.union(kinks))
