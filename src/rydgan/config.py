@@ -17,11 +17,14 @@ import io
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError, check_settings, setting
-from .generator import TRAINABLE_SHAPES, ErrorModel, ShotsMode
+from .generator import MAX_RUNS, TRAINABLE_SHAPES, ErrorModel, ShotsMode
 from .pulses import PulseLimits
 from .training import TrainConfig
 
 MODES = ("ideal", "noisy", "shots")
+# images per batch, so that one request for every shape pair's learner at
+# every image holds at most MAX_RUNS runs
+_MAX_IMAGES = MAX_RUNS // len(TRAINABLE_SHAPES) ** 2
 
 
 def check_class(cls: int, name: str = "class"):
@@ -71,14 +74,15 @@ class RunConfig:
     rabi_rel_sigma: float = _key("error_model", ErrorModel.rabi_rel_sigma)
     position_sigma: float = _key("error_model", ErrorModel.position_sigma)
     shots: int = _key("sampling", ShotsMode.shots)
-    # an image batch (fid_batch, count) needs 2 images for its FID covariance
-    fid_batch: int = _key("ensemble", 100, (">=", 2))
+    # an image batch (fid_batch, count) needs 2 images for its FID covariance,
+    # and is asked for at once from every learner or member (up to 25)
+    fid_batch: int = _key("ensemble", 100, (">=", 2), ("<=", _MAX_IMAGES))
     master_seed: int = _key("run", TrainConfig.master_seed)
     out_dir: str = _key("run", "out")
     # accepted for compatibility; learners train in lock step in one
     # thread, so the value does not change speed or output
     jobs: int = _key("run", 1, (">=", 1))
-    count: int = _key("run", 16, (">=", 2))
+    count: int = _key("run", 16, (">=", 2), ("<=", _MAX_IMAGES))
     mode: str = _key("run", "ideal")
 
     def validate(self):

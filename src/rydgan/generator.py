@@ -29,6 +29,9 @@ MIN_SPACING_UM = 4.0
 FIELD_SIZE_UM = 75.0
 # Rabi and local-detuning pulses must start and end at 0; constant cannot
 TRAINABLE_SHAPES = tuple(s for s in SHAPES if s != "constant")
+# runs one request hands generate_batch: their final amplitudes alone take
+# 1 GiB at MAX_QUBITS (2^10 complex numbers per run)
+MAX_RUNS = 1 << 16
 # the trainable parameter groups, each a training stage, and what they hold
 GROUPS = {"positions": "atom coordinate", "rabi": "rabi_param",
           "local": "local_param or coupling", "global": "global detuning"}
@@ -142,7 +145,8 @@ class ExactMode:
 class ShotsMode:
     """Probabilities estimated from projective-measurement frequencies."""
 
-    shots: int = setting(1000, (">=", 1))
+    # numpy draws the counts as int64, and raises OverflowError from 2^63
+    shots: int = setting(1000, (">=", 1), ("<=", 2 ** 63 - 1))
     rng_seed: int = 0
 
     def __post_init__(self):

@@ -26,7 +26,7 @@ from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .errors import (DataError, RydganError, ValidationError, check_settings,
                      setting)
-from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
+from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MAX_RUNS, MIN_SPACING_UM,
                         TRAINABLE_SHAPES, GeneratorParams, draw_seeds,
                         generate_batch)
 from .neldermead import nelder_mead_steps
@@ -51,14 +51,20 @@ class TrainConfig:
     cycles: int = setting(3, (">=", 1))
     nm_iters: int = setting(60, (">=", 1))
     nm_tol: float = setting(1e-6, (">=", 0))
-    disc_steps: int = setting(30, (">=", 1))
-    disc_batch: int = setting(32, (">=", 1))
-    seed_batch: int = setting(16, (">=", 1))
+    # a stage asks for disc_steps x disc_batch fakes at once, at most MAX_RUNS
+    disc_steps: int = setting(30, (">=", 1), ("<=", MAX_RUNS))
+    # a step holds disc_batch x hidden activations per layer: 32 MiB at most
+    disc_batch: int = setting(32, (">=", 1), ("<=", 4096))
+    # a Nelder-Mead round asks for up to 2 n_qubits + 1 vertices x seed_batch runs
+    seed_batch: int = setting(16, (">=", 1),
+                              ("<=", MAX_RUNS // (2 * MAX_QUBITS + 1)))
     adam_lr: float = setting(1e-3, (">", 0))
     adam_beta1: float = setting(0.9, (">=", 0), ("<", 1))
     adam_beta2: float = setting(0.999, (">=", 0), ("<", 1))
     adam_eps: float = setting(1e-8, (">", 0))
-    hidden: int = setting(64, (">=", 1))
+    # the middle layer holds hidden^2 weights, 8 MiB at 1024, and Adam two
+    # more copies
+    hidden: int = setting(64, (">=", 1), ("<=", 1024))
     stage_order: tuple = STAGES
     master_seed: int = setting(0, (">=", 0))
     limits: PulseLimits = field(default_factory=PulseLimits)
@@ -68,6 +74,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_settings(self)
+        if self.disc_steps * self.disc_batch > MAX_RUNS:
+            raise ValidationError(
+                f"disc_steps x disc_batch = {self.disc_steps * self.disc_batch} "
+                f"fakes per stage exceed {MAX_RUNS}")
         if sorted(self.stage_order) != sorted(STAGES):
             raise ValidationError(
                 f"stage_order must be a permutation of {STAGES}, "

@@ -611,7 +611,8 @@ class TestConfigPlumbing:
         ("adam_lr", "nan"), ("nm_tol", "-1"), ("min_spacing_um", "0"),
         ("field_size_um", "-5"), ("duration_us", "inf"), ("omega_max", "inf"),
         ("c6", "inf"), ("field_size_um", "inf"), ("detuning_sigma", "nan"),
-        ("rabi_rel_sigma", "nan"), ("position_sigma", "nan")])
+        ("rabi_rel_sigma", "nan"), ("position_sigma", "nan"),
+        ("seed_batch", "1000000000"), ("shots", str(10**30))])
     def test_out_of_range_setting_fails_before_work(self, smoke_ini, tmp_path,
                                                     capsys, key, value):
         cfg = _with_setting(smoke_ini, tmp_path / "bad.ini", key, value)
@@ -708,6 +709,35 @@ class TestConfigSchema:
         config = load_config(_with_setting(smoke_ini, path, key, past))
         with pytest.raises(ValidationError, match=declared(key)[0]):
             config.validate()
+
+    @pytest.mark.parametrize("key, last", [
+        ("disc_batch", 4096), ("seed_batch", 3120), ("hidden", 1024),
+        ("shots", 2**63 - 1), ("fid_batch", 2621), ("count", 2621)])
+    def test_batch_keys_are_bounded_above(self, smoke_ini, tmp_path, key,
+                                          last):
+        # checked by validation only: nothing of that size is allocated
+        path = tmp_path / "bound.ini"
+        load_config(_with_setting(smoke_ini, path, key, last)).validate()
+        config = load_config(_with_setting(smoke_ini, path, key, last + 1))
+        with pytest.raises(ValidationError, match=declared(key)[0]):
+            config.validate()
+
+    @pytest.mark.parametrize("steps, batch, legal", [
+        (65536, 1, True), (65537, 1, False), (16, 4096, True),
+        (17, 4096, False), (4096, 4096, False)])
+    def test_fakes_per_stage_are_bounded(self, smoke_ini, tmp_path, steps,
+                                         batch, legal):
+        # a stage asks for disc_steps x disc_batch fakes in one request
+        path = _with_setting(smoke_ini, tmp_path / "a.ini", "disc_batch", batch)
+        path = _with_setting(path, tmp_path / "b.ini", "disc_steps", steps)
+        config = load_config(path)
+        if legal:
+            config.validate()
+            return
+        with pytest.raises(ValidationError, match="disc_steps") as info:
+            config.validate()
+        if steps <= 65536:
+            assert "disc_batch" in str(info.value)
 
     @settings(max_examples=300,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
