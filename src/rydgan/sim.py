@@ -262,6 +262,9 @@ _MAX_STIFFNESS = 30_000.0
 _SPLIT_QUBITS = 6
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the series powers
+# factor rows x runs per block: bounds _propagate's four (rows, B) float
+# arrays (coef, dlocal, width, mid), 32 bytes per entry, to 128 MiB
+_MAX_FACTORS = 1 << 22
 
 
 def _empty(shape) -> np.ndarray:
@@ -356,7 +359,8 @@ def _apply_vectors(psi, chunks):
 
 
 def _propagate(specs, steps, initial, first) -> np.ndarray:
-    """evolve on one block of at most _MAX_BLOCK amplitudes from row first."""
+    """evolve on one block of at most _MAX_BLOCK amplitudes and about
+    _MAX_FACTORS factor rows x runs, from row first."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
     high = 1 << _high_qubits(n)
@@ -493,7 +497,9 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
     if bad.size:
         raise ValidationError(f"initial state {bad[0]} not normalized: "
                               f"sum |a_k|^2 = {norms[bad[0]]!r}")
-    block = max(1, _MAX_BLOCK // dim)
+    # a run has two factor rows per step, and a few more at its breakpoints
+    rows = 2 * (steps or max(default_steps(s.duration) for s in specs))
+    block = max(1, min(_MAX_BLOCK // dim, _MAX_FACTORS // rows))
     return np.concatenate([
         _propagate(specs[i:i + block], steps, initial[i:i + block], i)
         for i in range(0, len(specs), block)])

@@ -375,6 +375,24 @@ class TestEvolveBatch:
         for spec, start, row in zip(specs, initial, out):
             assert np.abs(row - evolve_eigh(start, spec, steps)).max() <= 1e-9
 
+    @pytest.mark.parametrize("steps, duration", [(30, 1.0), (None, 0.03)])
+    def test_factor_row_cap_splits_the_block(self, steps, duration,
+                                             monkeypatch):
+        # about two factor rows per step: a cap of 2 x 30 x 2 factor rows x
+        # runs holds two runs of a 30-step budget
+        rng = np.random.default_rng(5)
+        specs = [random_spec(rng, 4, duration) for _ in range(5)]
+        whole = evolve(specs, steps=steps)
+        sizes, propagate = [], sim._propagate
+        monkeypatch.setattr(sim, "_MAX_FACTORS", 2 * 30 * 2)
+        monkeypatch.setattr(sim, "_propagate", lambda specs, *rest: (
+            sizes.append(len(specs)) or propagate(specs, *rest)))
+        out = evolve(specs, steps=steps)
+        assert sizes == [2, 2, 1]
+        assert np.abs(out - whole).max() <= 1e-12
+        for spec, row in zip(specs, out):
+            assert np.abs(row - evolve_eigh(ground(4), spec, 30)).max() <= 1e-9
+
     @pytest.mark.parametrize("n, split", [(4, 7), (5, 1), (6, 6), (8, 7)])
     def test_chunked_factors_are_bit_identical(self, n, split, monkeypatch):
         # the work arrays are reused across chunks: term and factor counts
