@@ -3,7 +3,7 @@ import pytest
 
 from rydgan.errors import ValidationError
 from rydgan.pulses import (DEFAULT_LIMITS, PulseLimits, PulseProgram, SHAPES,
-                           evaluate)
+                           breakpoint_times, evaluate)
 
 RABI_LOCAL_SHAPES = [s for s in SHAPES if s != "constant"]
 OMEGA = DEFAULT_LIMITS.omega_max
@@ -86,6 +86,32 @@ class TestShapeInvariants:
         pulse_b = make_pulse("sine_bump", OMEGA, 2.5, seed=4.0)
         ts = np.linspace(0, 1, 97)
         assert np.array_equal(evaluate(pulse_a, ts), evaluate(pulse_b, ts))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_kink_is_a_breakpoint(shape):
+    """On a fine grid, a second difference larger than a smooth shape's
+    curvature gives appears only within one cell of a breakpoint: a kink
+    between breakpoints would sit inside an integration step and cost the
+    Magnus integrator its order."""
+    rng = np.random.default_rng(SHAPES.index(shape))
+    cells = 20_000
+    for _ in range(20):
+        scale = rng.choice([OMEGA, DEFAULT_LIMITS.local_detuning_min])
+        duration = rng.uniform(0.37, 4.0)
+        pulse = make_pulse(shape, scale, rng.uniform(0.05, 1.0) * scale,
+                           seed=rng.uniform(0.1, 1.0) * scale,
+                           duration=duration)
+        t = np.linspace(0.0, duration, cells + 1)
+        v = evaluate(pulse, t)
+        # the narrowest gaussian bends the most: |second difference| up to
+        # 193 max|v| / cells^2; a slope jump s moves one of the two second
+        # differences around it by at least s h / 2, about max|v| / cells
+        bend = np.abs(v[:-2] - 2.0 * v[1:-1] + v[2:])
+        kinks = t[1:-1][bend > 1e3 * np.abs(v).max() / cells ** 2]
+        cuts = np.array(breakpoint_times(pulse))
+        gaps = np.abs(kinks[:, None] - cuts).min(axis=1, initial=np.inf)
+        assert (gaps <= 1.000001 * duration / cells).all(), (pulse, kinks)
 
 
 @pytest.mark.parametrize("field, value", [
