@@ -66,16 +66,10 @@ def test_benchmark_names_resolve():
     deletion cannot break the benchmark commands unnoticed."""
     import rydgan
     import rydgan.cli  # noqa: F401 (perfbench imports it: loads rydgan.config)
-    sources = (glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
-               + glob.glob(os.path.join(ROOT, "perfbench", "tests", "*.py")))
-    chains = set()
-    for path in sources:
-        with open(path, encoding="utf-8") as f:
-            chains |= set(re.findall(r"\brydgan((?:\.\w+)+)", f.read()))
+    from tests.test_scripts import assert_chains_resolve, name_chains
+    chains = name_chains(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+                         + glob.glob(os.path.join(ROOT, "perfbench", "tests",
+                                                  "*.py")), "rydgan")
     assert {".generate_features", ".nelder_mead", ".cli.ENSEMBLE_FORMAT",
             ".config.load_config"} <= chains
-    for chain in sorted(chains):
-        obj = rydgan
-        for name in chain.split(".")[1:]:
-            assert hasattr(obj, name), f"rydgan{chain}"
-            obj = getattr(obj, name)
+    assert_chains_resolve(rydgan, chains)
