@@ -22,9 +22,7 @@ from .pulses import PulseLimits
 from .training import TrainConfig
 
 MODES = ("ideal", "noisy", "shots")
-# images per batch, so that one request for every shape pair's learner at
-# every image holds at most MAX_RUNS runs
-_MAX_IMAGES = MAX_RUNS // len(TRAINABLE_SHAPES) ** 2
+_MAX_IMAGES = MAX_RUNS // len(TRAINABLE_SHAPES) ** 2   # one run per shape pair
 
 
 def check_class(cls: int, name: str = "class"):

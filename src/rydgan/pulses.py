@@ -74,11 +74,6 @@ class PulseProgram:
         if not (math.isfinite(self.param) and math.isfinite(self.seed_noise)):
             raise ValidationError("pulse param and seed_noise must be finite")
 
-    @property
-    def _seed_unit(self) -> float:
-        """Seed normalized to [0, 1] against the drive's full scale."""
-        return min(abs(self.seed_noise / self.full_scale), 1.0)
-
 
 def _shape(pulse: PulseProgram):
     """(knots, interior, kinks): the one declaration of each shape.
@@ -89,7 +84,8 @@ def _shape(pulse: PulseProgram):
     the interior's own non-analytic times. A piecewise-linear shape has no
     interior (None) and no kinks.
     """
-    d, u, p = pulse.duration, pulse._seed_unit, pulse.param
+    d, p = pulse.duration, pulse.param
+    u = min(abs(pulse.seed_noise / pulse.full_scale), 1.0)   # the seed in [0, 1]
     r = RAMP_FRACTION * d
     w = d - 2.0 * r
     if pulse.shape == "constant":

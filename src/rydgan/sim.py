@@ -359,8 +359,7 @@ def _apply_vectors(psi, chunks):
 
 
 def _propagate(specs, steps, initial, first) -> np.ndarray:
-    """evolve on one block of at most _MAX_BLOCK amplitudes and about
-    _MAX_FACTORS factor rows x runs, from row first."""
+    """evolve on one block of runs, sized by evolve, from row first."""
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
     high = 1 << _high_qubits(n)

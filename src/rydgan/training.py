@@ -56,14 +56,12 @@ class TrainConfig:
     # a step holds disc_batch x hidden activations per layer: 32 MiB at most
     disc_batch: int = setting(32, (">=", 1), ("<=", 4096))
     # a Nelder-Mead round asks for up to 2 n_qubits + 1 vertices x seed_batch runs
-    seed_batch: int = setting(16, (">=", 1),
-                              ("<=", MAX_RUNS // (2 * MAX_QUBITS + 1)))
+    seed_batch: int = setting(16, (">=", 1), ("<=", MAX_RUNS // (2 * MAX_QUBITS + 1)))
     adam_lr: float = setting(1e-3, (">", 0))
     adam_beta1: float = setting(0.9, (">=", 0), ("<", 1))
     adam_beta2: float = setting(0.999, (">=", 0), ("<", 1))
     adam_eps: float = setting(1e-8, (">", 0))
-    # the middle layer holds hidden^2 weights, 8 MiB at 1024, and Adam two
-    # more copies
+    # hidden^2 middle-layer weights: 8 MiB at 1024, and Adam keeps two more
     hidden: int = setting(64, (">=", 1), ("<=", 1024))
     stage_order: tuple = STAGES
     master_seed: int = setting(0, (">=", 0))
