@@ -96,7 +96,8 @@ def cmd_train(config: RunConfig) -> int:
     out_dir = _learners_dir(config, cls)
     os.makedirs(out_dir, exist_ok=True)
     results = train_learners(
-        [(config.train_config(_pair_seed(config.master_seed, index)), pair)
+        config.train_config(),
+        [(_pair_seed(config.master_seed, index), pair)
          for index, pair in enumerate(_shape_pairs(config))], features)
 
     log_lines = ["learner,cycle,stage,nm_iterations,nm_evaluations,nm_stop,"

@@ -127,11 +127,8 @@ class RunConfig:
     def error_model(self, rng_seed: int = 0) -> ErrorModel:
         return ErrorModel(**self._shared(ErrorModel), rng_seed=rng_seed)
 
-    def train_config(self, master_seed: int | None = None) -> TrainConfig:
-        values = self._shared(TrainConfig)
-        if master_seed is not None:
-            values["master_seed"] = master_seed
-        return TrainConfig(**values, duration=self.duration_us,
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**self._shared(TrainConfig), duration=self.duration_us,
                            min_spacing=self.min_spacing_um,
                            field_size=self.field_size_um, limits=self.limits())
 

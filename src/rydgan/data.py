@@ -79,53 +79,42 @@ def _read_be32(f, path: str, what: str) -> int:
     return struct.unpack(">i", _read_exact(f, 4, path, what))[0]
 
 
-def _check_count(f, path: str, what: str, count: int, item_bytes: int):
-    """Reject a header count (byte offset 4) the rest of the file cannot hold."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if not 0 <= count * item_bytes <= left:
-        raise DataError(f"{path}: {what} {count} at byte offset 4 must be in "
-                        f"[0, {left // item_bytes}] to fit the file")
+def _read_idx(path: str, magic: int, what: str, dims: tuple) -> tuple:
+    """(count, payload) of an IDX file of `what` items, each of shape dims.
+
+    A bad magic or item dimensions, a count the file cannot hold or a
+    short payload is a DataError naming the file and the byte offset.
+    """
+    with open(path, "rb") as f:
+        found = _read_be32(f, path, "magic number")
+        if found != magic:
+            raise DataError(f"{path}: bad {what} magic {found} at byte offset 0 "
+                            f"(expected {magic})")
+        count = _read_be32(f, path, f"{what} count")
+        shape = tuple(_read_be32(f, path, f"{what} dimension") for _ in dims)
+        if shape != dims:
+            raise DataError(
+                f"{path}: {what} dimensions {'x'.join(map(str, shape))} at byte "
+                f"offset 8, expected {'x'.join(map(str, dims))}")
+        size = math.prod(dims)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if not 0 <= count * size <= left:
+            raise DataError(f"{path}: {what} count {count} at byte offset 4 "
+                            f"must be in [0, {left // size}] to fit the file")
+        return count, _read_exact(f, count * size, path, f"{what} data")
 
 
 def load_idx(images_path: str, labels_path: str) -> ImageSet:
-    """Parse a big-endian IDX image/label file pair into an ImageSet.
-
-    A bad header, a count the file cannot hold or a short payload is a
-    DataError naming the file and the byte offset.
-    """
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path, "magic number")
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataError(
-                f"{images_path}: bad image magic {magic} at byte offset 0 "
-                f"(expected {IDX_IMAGE_MAGIC})")
-        count = _read_be32(f, images_path, "image count")
-        rows = _read_be32(f, images_path, "row count")
-        cols = _read_be32(f, images_path, "column count")
-        if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
-            raise DataError(
-                f"{images_path}: image dimensions {rows}x{cols} at byte "
-                f"offset 8, expected {IMAGE_SIDE}x{IMAGE_SIDE}")
-        _check_count(f, images_path, "image count", count, rows * cols)
-        payload = _read_exact(f, count * rows * cols, images_path, "pixel data")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path, "magic number")
-        if magic != IDX_LABEL_MAGIC:
-            raise DataError(
-                f"{labels_path}: bad label magic {magic} at byte offset 0 "
-                f"(expected {IDX_LABEL_MAGIC})")
-        label_count = _read_be32(f, labels_path, "label count")
-        _check_count(f, labels_path, "label count", label_count, 1)
-        labels = np.frombuffer(
-            _read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8)
-
+    """Parse a big-endian IDX image/label file pair into an ImageSet."""
+    dims = (IMAGE_SIDE, IMAGE_SIDE)
+    count, pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", dims)
+    label_count, labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ())
     if label_count != count:
         raise DataError(
             f"{images_path} holds {count} images but {labels_path} holds "
             f"{label_count} labels")
-    return ImageSet(images / 255.0, labels.astype(int))
+    images = np.frombuffer(pixels, np.uint8).reshape((count,) + dims)
+    return ImageSet(images / 255.0, np.frombuffer(labels, np.uint8).astype(int))
 
 
 def split_train_val(data: ImageSet, val_fraction: float = 0.1,

@@ -285,10 +285,11 @@ def _high_qubits(n: int) -> int:
 
 
 def _apply_vectors(psi, chunks):
-    """Apply exp(-i (a X + diag d))^subs[f] to psi, factor by factor, for
-    each (pairs, terms, subs) of chunks in turn.
+    """Apply exp(-i (a X + diag d))^subs[f] to the C-contiguous (B, 2^n)
+    block psi, factor by factor, for each (pairs, terms, subs) of chunks in
+    turn, and return the new (B, 2^n) block.
 
-    The series acts on the (2^n, B) block in the real layout (2^h, 2B,
+    The series acts on the block in the real layout (2^h, 2B,
     2^(n-h)): high qubits, the real and imaginary column of every run, low
     qubits. Each power M^j v costs X_hi (x) I, one GEMM from the left on the
     (2^h, 2B 2^(n-h)) view, I (x) X_lo, one from the right on the
@@ -300,19 +301,30 @@ def _apply_vectors(psi, chunks):
     pairs[f] is (2, 2^h, B, 2, 2^(n-h)), d in [0] and a in [1], each
     repeated over the real and imaginary columns (and a over the states).
     One GEMM with the _CHEBYSHEV weights sums the powers into the next
-    factor's first power. All chunks share the work arrays, grown on demand,
-    and a chunk's factors act one after another, so the result does not
-    depend on where the chunks are cut.
+    factor's first power. All chunks share the work arrays, sized once for
+    the top degree, and a chunk's factors act one after another, so the
+    result does not depend on where the chunks are cut.
     """
-    dim, batch = psi.shape
+    batch, dim = psi.shape
     n = dim.bit_length() - 1
     h = _high_qubits(n)
     split = h < n
     flip, low = _flip_matrix(h), _flip_matrix(n - h) if split else None
     high = len(flip)
     shape = (high, batch, 2, dim // high)
-    powers, views = _empty((1,) + shape), None
-    powers[0] = psi.view(float).reshape(high, -1, batch, 2).transpose(0, 2, 3, 1)
+    # every power to the top degree; pages of rows never written stay untouched
+    powers = _empty((len(_CHEBYSHEV),) + shape)
+    powers[0] = psi.view(float).reshape(batch, high, -1, 2).transpose(1, 0, 3, 2)
+    rows, flat = list(powers), powers.reshape(len(powers), -1)
+    wide = [row.reshape(high, -1) for row in rows]
+    # per term j: (M^j v, M^(j+1) v), M^(j+1) v, wide M^j v and M^(j+1) v,
+    # the GEMM of tall M^j v
+    views = list(zip([powers[j:j + 2] for j in range(len(rows) - 1)],
+                     rows[1:], wide, wide[1:],
+                     [row.reshape(-1, shape[-1]).dot for row in rows]))
+    heads = [(views[:count], _CHEBYSHEV[count].dot, flat[:count + 1])
+             for count in range(len(powers))]
+    state = rows[0][:, :, 0], rows[0][:, :, 1]
     # one multiply forms a term's d M^j v and a X M^j v: the factor's (d, a)
     # pair times the adjacent powers (M^j v, X M^j v); on the split path the
     # first row holds the I (x) X_lo GEMM before that
@@ -328,20 +340,6 @@ def _apply_vectors(psi, chunks):
     # on a one-run block the cost per numpy call is the whole cost
     flip_dot, multiply, add, subtract = flip.dot, np.multiply, np.add, np.subtract
     for pairs, terms, subs in chunks:
-        if views is None or len(powers) <= max(terms):
-            grown = _empty((max(terms) + 1,) + shape)
-            grown[0] = powers[0]
-            powers = grown
-            rows, flat = list(powers), powers.reshape(len(powers), -1)
-            wide = [row.reshape(high, -1) for row in rows]
-            # per term j: (M^j v, M^(j+1) v), M^(j+1) v, wide M^j v and
-            # M^(j+1) v, the GEMM of tall M^j v
-            views = list(zip([powers[j:j + 2] for j in range(len(rows) - 1)],
-                             rows[1:], wide, wide[1:],
-                             [row.reshape(-1, shape[-1]).dot for row in rows]))
-            heads = [(views[:count], _CHEBYSHEV[count].dot, flat[:count + 1])
-                     for count in range(len(powers))]
-            state = rows[0][:, :, 0], rows[0][:, :, 1]
         for count, repeat, pair in zip(terms, subs, pairs):
             steps, weigh, series = heads[count]
             for _ in range(repeat):
@@ -355,7 +353,7 @@ def _apply_vectors(psi, chunks):
                 weigh(series, sums)
                 add(parts[0], parts[1], state[0])
                 subtract(parts[2], parts[3], state[1])
-    return powers[0].transpose(0, 3, 1, 2).copy().view(complex).reshape(dim, batch)
+    return powers[0].transpose(1, 0, 3, 2).copy().view(complex).reshape(batch, dim)
 
 
 def _propagate(specs, steps, initial, first) -> np.ndarray:
@@ -444,11 +442,11 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
                 len(block), 1, batch, 2, 1)
             yield block, terms, subs
 
-    psi = _apply_vectors(initial.T.copy(), chunks())
+    psi = _apply_vectors(initial, chunks())
     # each run's phase is summed along its own contiguous column, so a run's
     # bits do not depend on how many runs share its block
     phase = np.ascontiguousarray((mid * width).T).sum(axis=1)
-    return (psi * np.exp(-1j * phase)).T
+    return psi * np.exp(-1j * phase)[:, None]
 
 
 def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
@@ -486,7 +484,7 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
     if initial is None:
         initial = np.zeros((len(specs), dim), dtype=complex)
         initial[:, 0] = 1.0
-    initial = np.asarray(initial, dtype=complex)
+    initial = np.ascontiguousarray(initial, dtype=complex)
     if initial.shape != (len(specs), dim):
         raise ValidationError(
             f"initial states have shape {initial.shape}, "

@@ -10,9 +10,10 @@ parameters only, inside the group's hardware box from
 parameters frozen and a penalty on atoms closer than the minimum spacing.
 Generation during training uses exact probabilities (no shot noise).
 Fully deterministic for a fixed seed.
-`train_learners` runs learners in lock step: one `generate_batch` call
-per round serves every learner's pending runs, because a small batch
-costs per call (numpy overhead), hardly per run.
+`train_learners` runs learners that share one `TrainConfig`, each under
+its own master seed, in lock step: a round serves every learner's pending
+runs in as few `generate_batch` calls as `MAX_RUNS` allows, because a
+small batch costs per call (numpy overhead), hardly per run.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
                 net, adam, disc_loss = discriminator_step(
                     net, data[rows], step_fakes, adam, config.adam_lr,
                     config.adam_beta1, config.adam_beta2, config.adam_eps)
+            del fakes, step_fakes   # a suspended learner holds no features
 
             # (b) generator block: Nelder-Mead on this stage's parameters
             stage_seeds = draw_seeds(rng, config.seed_batch)
@@ -195,11 +197,12 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
                             for t in trials]
                     runs = [(t, s) for t, gap in zip(trials, gaps)
                             if not gap > 0 for s in stage_seeds]
-                    rows = (iter((yield runs).reshape(-1, config.seed_batch, k))
-                            if runs else None)
+                    feats = (iter((yield runs).reshape(-1, config.seed_batch, k))
+                             if runs else None)
                     scored.update(zip(fresh, [
                         _GEOMETRY_PENALTY + 100.0 * gap if gap > 0
-                        else _mean_loss(net, next(rows)) for gap in gaps]))
+                        else _mean_loss(net, next(feats)) for gap in gaps]))
+                    del feats
                     values = [scored[x.tobytes()] for x in points]
                     # x0 of the first simplex is the untrained params
                     if initial_loss is None:
@@ -218,17 +221,15 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
     return TrainingResult(learner, net, tuple(log), config, float(initial_loss))
 
 
-def train_learners(jobs, class_data) -> list:
-    """Train learners [(config, (rabi_shape, local_shape)), ...] in lock step.
+def train_learners(config: TrainConfig, learners, class_data) -> list:
+    """Train learners [(master_seed, (rabi_shape, local_shape)), ...] under
+    config, each with its own master_seed, in lock step.
 
-    One generate_batch call per round serves every learner's pending runs;
-    each learner keeps its own RNG, so its draws do not depend on the
-    group. Raw class_data (outside the window (0, 1/2^n]) is rejected.
+    A round serves every learner's pending runs in generate_batch calls of
+    whole requests, in learner order, of at most MAX_RUNS runs each; each
+    learner keeps its own RNG, so its draws do not depend on the group. Raw
+    class_data (outside the window (0, 1/2^n]) is rejected.
     """
-    if len({(c.n_qubits, c.limits, c.c6, c.steps) for c, _ in jobs}) != 1:
-        raise ValidationError("train_learners needs one or more learners that "
-                              "share n_qubits, limits, c6 and steps")
-    config = jobs[0][0]
     data = np.asarray(class_data, dtype=float)
     k = 1 << config.n_qubits
     if data.ndim != 2 or data.shape[1] != k or data.shape[0] == 0:
@@ -240,28 +241,41 @@ def train_learners(jobs, class_data) -> list:
             "class_data must be scaled into the generator window "
             f"[0, {window_top}]; got range [{data.min():.4g}, {data.max():.4g}]")
 
-    names = [f"{rabi}-{local}" for _, (rabi, local) in jobs]
-    learners = [_learner(c, data, shapes) for c, shapes in jobs]
-    results, sent = [None] * len(jobs), dict.fromkeys(range(len(jobs)))
-    while True:
-        requests = {}
-        for i, feats in sent.items():
+    names = [f"{rabi}-{local}" for _, (rabi, local) in learners]
+    running = [_learner(replace(config, master_seed=seed), data, shapes)
+               for seed, shapes in learners]
+    results, requests = [None] * len(running), {}
+
+    def send(group, parts):
+        for i, part in zip(group, parts):
             try:
-                requests[i] = learners[i].send(feats)
+                requests[i] = running[i].send(part)
             except StopIteration as stop:
                 results[i] = stop.value
             except RydganError as exc:
                 raise type(exc)(f"learner {names[i]}: {exc}") from exc
-        if not requests:
-            return results
-        runs = [(p, s, EXACT) for request in requests.values() for p, s in request]
-        try:
-            feats = generate_batch(runs, config.limits, config.c6, config.steps)
-        except RydganError as exc:
-            raise type(exc)(f"learners {', '.join(names[i] for i in requests)}: "
-                            f"{exc}") from exc
-        ends = np.cumsum([len(request) for request in requests.values()])
-        sent = dict(zip(requests, np.split(feats, ends[:-1])))
+
+    send(range(len(running)), [None] * len(running))
+    while requests:
+        # each request fits in one call; a learner is sent its features as
+        # soon as its call returns, and no features are held through the
+        # next call
+        pending, requests, groups = requests, {}, [[]]
+        for i, request in pending.items():
+            if sum(len(pending[j]) for j in groups[-1]) + len(request) > MAX_RUNS:
+                groups.append([])
+            groups[-1].append(i)
+        for group in groups:
+            runs = [(p, s, EXACT) for i in group for p, s in pending[i]]
+            try:
+                feats = generate_batch(runs, config.limits, config.c6, config.steps)
+            except RydganError as exc:
+                raise type(exc)(f"learners {', '.join(names[i] for i in group)}: "
+                                f"{exc}") from exc
+            ends = np.cumsum([len(pending[i]) for i in group])
+            send(group, np.split(feats, ends[:-1]))
+            del feats
+    return results
 
 
 LEARNER_FORMAT = "rydgan-learner"
@@ -271,8 +285,6 @@ LEARNER_VERSION = 1
 def save_learner(result: TrainingResult, path: str):
     """Persist a training result as a versioned JSON text document."""
     learner, params = result.learner, result.learner.params
-    config = asdict(result.config)
-    config["limits"] = asdict(result.config.limits)
     doc = {
         "format": LEARNER_FORMAT,
         "version": LEARNER_VERSION,
@@ -291,7 +303,7 @@ def save_learner(result: TrainingResult, path: str):
         "validation_fid": learner.validation_fid,
         "discriminator": {name: arr.tolist()
                           for name, arr in result.net.as_dict().items()},
-        "config": config,
+        "config": asdict(result.config),
         "rng_seed": result.config.master_seed,
         "log": [asdict(row) for row in result.log],
     }

@@ -234,7 +234,8 @@ def _smoke_seed_run(master_seed: int, features, val, pca) -> tuple:
         params = initial_params(config, np.random.default_rng(master_seed))
         untrained.append(replace(params, rabi_shape=rabi_shape,
                                  local_shape=local_shape))
-    trained = [train_learners([(config, pair)], features)[0].learner.params
+    trained = [train_learners(config, [(master_seed, pair)],
+                              features)[0].learner.params
                for pair in pairs]
     return ensemble_fid(untrained), ensemble_fid(trained)
 

@@ -3,10 +3,12 @@
 Each workload's inputs, written by the harness's own `write_inputs`, must
 validate as a run config, and each ensemble member must load as a learner
 of that run; otherwise a new check would fail every benchmark command of
-the workload without any test noticing.
+the workload without any test noticing. The harness's convergence sample,
+which calls the program's API directly, must run on them too.
 """
 
 import glob
+import io
 import os
 import sys
 
@@ -36,3 +38,14 @@ def test_workload_inputs_pass_validation(name, tmp_path):
     assert len(members) == workload.members
     for path in members:
         cli._load_run_learner(config, path)
+
+
+@pytest.mark.parametrize("name", ["generate-n6-noisy", "generate-n8-ideal"])
+def test_convergence_sample_runs(name, tmp_path, monkeypatch):
+    workload = workloads.WORKLOADS[name]
+    inputs.write_inputs(str(tmp_path), workload, 3, rydgan)
+    monkeypatch.chdir(tmp_path)
+    ledger = workloads.Ledger(io.StringIO())
+    worst = workloads.convergence(rydgan, workload, ledger)
+    assert ledger.failures == []
+    assert worst <= workloads.CONV_TOL

@@ -344,11 +344,11 @@ class TestEvolveBatch:
         # maps v to v - i X v
         monkeypatch.setattr(sim, "_SPLIT_QUBITS", 1)
         rng = np.random.default_rng(n)
-        block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+        block = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
         pairs = kernel_pairs(np.ones((1, 3)), np.zeros((1, 1 << n, 3)))
         out = sim._apply_vectors(block, [(pairs, [1], [1])])
         flipped = 1j * (out - block)
-        assert np.abs(flipped - sim._flip_matrix(n) @ block).max() <= 1e-13
+        assert np.abs(flipped - block @ sim._flip_matrix(n)).max() <= 1e-13
 
     @settings(max_examples=60)
     @given(n=st.integers(1, 6), batch=st.integers(1, 5),
@@ -404,7 +404,7 @@ class TestEvolveBatch:
         subs = np.array([1, 2, 1, 1, 3, 1, 1])
         coef = rng.uniform(-0.1, 0.1, size=(len(terms), batch))
         diag = rng.uniform(-0.2, 0.2, size=(len(terms), dim, batch))
-        psi = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
+        psi = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
         pairs = kernel_pairs(coef, diag)
         whole = sim._apply_vectors(psi, [(pairs, terms, subs)])
         cuts = [0, 1, 3, 4, 7]
@@ -533,6 +533,20 @@ class TestEvolveBatch:
         with pytest.raises(NumericError, match="^run 1: "):
             evolve([spread, crowded, spread], steps=100)
 
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_initial_layout_does_not_change_a_bit(self, n):
+        # evolve takes any (B, 2^n) array: a Fortran-ordered copy and a
+        # strided view hold the same amplitudes as the contiguous block
+        rng = np.random.default_rng(70 + n)
+        specs = [random_spec(rng, n) for _ in range(3)]
+        wide = rng.normal(size=(3, 2 << n)) + 1j * rng.normal(size=(3, 2 << n))
+        strided = wide[:, ::2]
+        strided /= np.linalg.norm(strided, axis=1, keepdims=True)
+        contiguous = evolve(specs, steps=40, initial=strided.copy())
+        for initial in (np.asfortranarray(strided), strided):
+            assert np.array_equal(evolve(specs, steps=40, initial=initial),
+                                  contiguous)
+
     def test_rejects_misshapen_initial_states(self):
         spec = random_spec(np.random.default_rng(2), 2)
         with pytest.raises(ValidationError):
@@ -649,7 +663,7 @@ class TestChebyshevTable:
         for weights in sim._CHEBYSHEV:
             assert weights[0, 0] == 1.0 and weights[1, 0] == 0.0
         zero = np.zeros((1, 1))
-        psi = np.array([[0.6], [0.8j]])
+        psi = np.array([[0.6, 0.8j]])
         for terms in range(len(sim._CHEBYSHEV)):
             pairs = kernel_pairs(zero, np.zeros((1, 2, 1)))
             out = sim._apply_vectors(psi, [(pairs, [terms], [1])])
@@ -687,8 +701,8 @@ class TestChebyshevTable:
         terms = chunk[1]
         assert terms.min() == 0 and first[1].max() < 22
         assert second[2].min() > 1 and terms.max() == 22
-        start = ground(3)[:, None]
-        out = sim._apply_vectors(start, [chunk])[:, 0] * phase1 * phase2
+        start = ground(3)[None]
+        out = sim._apply_vectors(start, [chunk])[0] * phase1 * phase2
         ref = evolve_eigh(evolve_eigh(ground(3), gentle, 150), packed, 3)
         assert np.abs(out - ref).max() <= 1e-9
 

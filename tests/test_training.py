@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def class_data():
 
 class TestLayeredTrain:
     def test_one_cycle_touches_every_stage_once(self, class_data):
-        result = train_learners([(tiny_config(), ("linear", "triangle"))],
+        result = train_learners(tiny_config(), [(0, ("linear", "triangle"))],
                                 class_data)[0]
         stages = [row.stage for row in result.log]
         assert stages == list(tiny_config().stage_order)
@@ -49,13 +50,13 @@ class TestLayeredTrain:
 
     def test_stage_order_configurable(self, class_data):
         config = tiny_config(stage_order=("global", "local", "rabi", "positions"))
-        result = train_learners([(config, ("linear", "triangle"))],
+        result = train_learners(config, [(0, ("linear", "triangle"))],
                                 class_data)[0]
         assert [row.stage for row in result.log] == list(config.stage_order)
 
     def test_deterministic_for_fixed_seed(self, class_data):
-        a, b = (train_learners([(tiny_config(master_seed=7),
-                                 ("linear", "gaussian"))], class_data)[0]
+        a, b = (train_learners(tiny_config(), [(7, ("linear", "gaussian"))],
+                               class_data)[0]
                 for _ in range(2))
         assert a.learner.params == b.learner.params
         assert a.learner.final_loss == b.learner.final_loss
@@ -68,16 +69,16 @@ class TestLayeredTrain:
         # should beat its own initialization for most seeds
         improved = 0
         for seed in range(5):
-            config = tiny_config(master_seed=seed, nm_iters=10, cycles=1)
-            result = train_learners([(config, ("linear", "triangle"))],
+            config = tiny_config(nm_iters=10, cycles=1)
+            result = train_learners(config, [(seed, ("linear", "triangle"))],
                                     class_data)[0]
             if result.learner.final_loss < result.initial_loss:
                 improved += 1
         assert improved >= 4
 
     def test_params_stay_inside_hardware_bounds(self, class_data):
-        config = tiny_config(master_seed=3)
-        result = train_learners([(config, ("trapezoid", "sine_bump"))],
+        config = tiny_config()
+        result = train_learners(config, [(3, ("trapezoid", "sine_bump"))],
                                 class_data)[0]
         params = result.learner.params
         params.validate(config.limits, config.min_spacing, config.field_size)
@@ -89,15 +90,15 @@ class TestLayeredTrain:
     def test_rejects_unscaled_features(self, class_data):
         raw = class_data * 500.0  # plainly outside the (0, 1/2^n] window
         with pytest.raises(ValidationError, match="scaled"):
-            train_learners([(tiny_config(), ("linear", "triangle"))], raw)
+            train_learners(tiny_config(), [(0, ("linear", "triangle"))], raw)
 
     def test_rejects_empty_data(self):
         with pytest.raises(ValidationError):
-            train_learners([(tiny_config(), ("linear", "triangle"))],
+            train_learners(tiny_config(), [(0, ("linear", "triangle"))],
                            np.empty((0, 4)))
 
     def test_learner_records_shape_pair(self, class_data):
-        result = train_learners([(tiny_config(), ("gaussian", "triangle"))],
+        result = train_learners(tiny_config(), [(0, ("gaussian", "triangle"))],
                                 class_data)[0]
         assert result.learner.rabi_shape == "gaussian"
         assert result.learner.local_shape == "triangle"
@@ -131,8 +132,8 @@ class TestDiscriminatorWarmup:
 @pytest.fixture(scope="module")
 def learner_text(class_data, tmp_path_factory):
     """One saved learner document."""
-    result = train_learners([(tiny_config(master_seed=12),
-                              ("linear", "gaussian"))], class_data)[0]
+    result = train_learners(tiny_config(), [(12, ("linear", "gaussian"))],
+                            class_data)[0]
     path = tmp_path_factory.mktemp("learner") / "learner.json"
     save_learner(result, str(path))
     return path.read_text()
@@ -140,8 +141,8 @@ def learner_text(class_data, tmp_path_factory):
 
 class TestPersistence:
     def test_roundtrip(self, class_data, tmp_path):
-        result = train_learners([(tiny_config(master_seed=11),
-                                  ("linear", "gaussian"))], class_data)[0]
+        result = train_learners(tiny_config(), [(11, ("linear", "gaussian"))],
+                                class_data)[0]
         path = str(tmp_path / "learner.json")
         save_learner(result, path)
         loaded = load_learner(path)
@@ -242,9 +243,9 @@ class TestConfigValidation:
         assert a == b
 
 
-GROUP = [(tiny_config(master_seed=seed), shapes) for seed, shapes in
-         ((21, ("linear", "triangle")), (22, ("linear", "gaussian")),
-          (23, ("trapezoid", "sine_bump")))]
+CONFIG = tiny_config()
+GROUP = [(21, ("linear", "triangle")), (22, ("linear", "gaussian")),
+         (23, ("trapezoid", "sine_bump"))]
 
 
 def rowwise_stub(runs, limits, c6, steps):
@@ -269,17 +270,17 @@ class TestLockStep:
     def test_group_equals_lone_runs_with_a_rowwise_generator(
             self, class_data, tmp_path, monkeypatch):
         monkeypatch.setattr(training, "generate_batch", rowwise_stub)
-        together = train_learners(GROUP, class_data)
-        for i, (config, shapes) in enumerate(GROUP):
-            alone = train_learners([(config, shapes)], class_data)[0]
+        together = train_learners(CONFIG, GROUP, class_data)
+        for i, learner in enumerate(GROUP):
+            alone = train_learners(CONFIG, [learner], class_data)[0]
             assert (saved_bytes(together[i], tmp_path, f"g{i}.json")
                     == saved_bytes(alone, tmp_path, f"a{i}.json"))
             assert together[i].log == alone.log
 
     def test_group_matches_lone_nelder_mead_counts(self, class_data):
-        together = train_learners(GROUP, class_data)
-        for result, (config, shapes) in zip(together, GROUP):
-            alone = train_learners([(config, shapes)], class_data)[0]
+        together = train_learners(CONFIG, GROUP, class_data)
+        for result, (seed, shapes) in zip(together, GROUP):
+            alone = train_learners(CONFIG, [(seed, shapes)], class_data)[0]
             assert ([(r.nm_iterations, r.nm_evaluations, r.nm_stop)
                      for r in result.log]
                     == [(r.nm_iterations, r.nm_evaluations, r.nm_stop)
@@ -287,7 +288,8 @@ class TestLockStep:
             assert result.learner.name == "-".join(shapes)
 
     def test_group_rerun_is_byte_identical(self, class_data, tmp_path):
-        first, second = (train_learners(GROUP, class_data) for _ in range(2))
+        first, second = (train_learners(CONFIG, GROUP, class_data)
+                         for _ in range(2))
         for i, (a, b) in enumerate(zip(first, second)):
             assert (saved_bytes(a, tmp_path, f"1-{i}.json")
                     == saved_bytes(b, tmp_path, f"2-{i}.json"))
@@ -301,14 +303,54 @@ class TestLockStep:
 
         monkeypatch.setattr(training, "generate_batch", counting)
         lone_calls = []
-        for config, shapes in GROUP:
+        for learner in GROUP:
             sizes.clear()
-            train_learners([(config, shapes)], class_data)
+            train_learners(CONFIG, [learner], class_data)
             lone_calls.append(len(sizes))
         sizes.clear()
-        train_learners(GROUP, class_data)
+        train_learners(CONFIG, GROUP, class_data)
         # rounds run until the slowest learner is done
         assert len(sizes) == max(lone_calls)
+
+    def test_calls_hold_at_most_max_runs(self, class_data, tmp_path,
+                                         monkeypatch):
+        # a round's requests are served in calls of whole requests, in
+        # learner order: each request (40 fakes, at most 20 vertex runs)
+        # fits under 50 runs, but the three of a round do not
+        sizes = []
+
+        def counting(runs, *args):
+            sizes.append(len(runs))
+            return rowwise_stub(runs, *args)
+
+        monkeypatch.setattr(training, "generate_batch", counting)
+        unsplit = train_learners(CONFIG, GROUP, class_data)
+        rounds = len(sizes)
+        sizes.clear()
+        monkeypatch.setattr(training, "MAX_RUNS", 50)
+        split = train_learners(CONFIG, GROUP, class_data)
+        assert max(sizes) <= 50
+        # more calls than rounds: some round took more than one
+        assert len(sizes) > rounds
+        for i, (a, b) in enumerate(zip(unsplit, split)):
+            assert (saved_bytes(a, tmp_path, f"u{i}.json")
+                    == saved_bytes(b, tmp_path, f"s{i}.json"))
+
+    def test_a_suspended_learner_holds_no_features(self, class_data):
+        learner = training._learner(CONFIG, class_data, ("linear", "triangle"))
+        request, served = learner.send(None), 0
+        while True:
+            feats = rowwise_stub([(p, s, EXACT) for p, s in request], None,
+                                 None, None)
+            held = weakref.ref(feats)
+            try:
+                request = learner.send(feats)
+            except StopIteration:
+                break
+            del feats
+            served += 1
+            assert held() is None, f"request {served}"
+        assert served > 4
 
     def test_initial_loss_comes_from_the_first_simplex(self, class_data,
                                                        monkeypatch):
@@ -322,7 +364,7 @@ class TestLockStep:
         # a Rabi simplex keeps the atoms apart, so no vertex is penalized
         config = tiny_config(stage_order=("rabi", "positions", "local",
                                           "global"))
-        result = train_learners([(config, ("linear", "triangle"))],
+        result = train_learners(config, [(0, ("linear", "triangle"))],
                                 class_data)[0]
         x0, _ = result.learner.params.groups(config.limits,
                                              config.field_size)["rabi"]
@@ -333,9 +375,9 @@ class TestLockStep:
         assert np.isfinite(result.initial_loss)
 
     def test_learner_error_names_the_learner(self, class_data):
-        jobs = GROUP[:1] + [(tiny_config(), ("constant", "triangle"))]
+        learners = GROUP[:1] + [(0, ("constant", "triangle"))]
         with pytest.raises(ValidationError, match="learner constant-triangle: "):
-            train_learners(jobs, class_data)
+            train_learners(CONFIG, learners, class_data)
 
     def test_learner_numeric_error_keeps_its_type(self, class_data,
                                                   monkeypatch):
@@ -347,7 +389,7 @@ class TestLockStep:
         monkeypatch.setattr(training, "generate_batch", nan_for_gaussian)
         with pytest.raises(NumericError,
                            match="^learner linear-gaussian: non-finite"):
-            train_learners(GROUP, class_data)
+            train_learners(CONFIG, GROUP, class_data)
 
     def test_batch_error_names_every_learner_of_the_round(self, class_data,
                                                          monkeypatch):
@@ -361,26 +403,19 @@ class TestLockStep:
 
         monkeypatch.setattr(training, "generate_batch", failing)
         with pytest.raises(NumericError) as info:
-            train_learners(GROUP, class_data)
+            train_learners(CONFIG, GROUP, class_data)
         assert str(info.value) == ("learners linear-triangle, linear-gaussian, "
                                    "trapezoid-sine_bump: stiff")
-
-    def test_mismatched_generation_settings_rejected(self, class_data):
-        jobs = GROUP[:1] + [(tiny_config(steps_per_us=151), ("linear", "gaussian"))]
-        with pytest.raises(ValidationError, match="share"):
-            train_learners(jobs, class_data)
-        with pytest.raises(ValidationError, match="share"):
-            train_learners([], class_data)
 
 
 class TestStopReason:
     def test_log_records_why_nelder_mead_stopped(self, class_data):
-        result = train_learners([(tiny_config(nm_iters=200, nm_tol=1e-1),
-                                  ("linear", "triangle"))], class_data)[0]
+        result = train_learners(tiny_config(nm_iters=200, nm_tol=1e-1),
+                                [(0, ("linear", "triangle"))], class_data)[0]
         assert {row.nm_stop for row in result.log} <= {"tol", "max_iters"}
         assert "tol" in {row.nm_stop for row in result.log}
-        capped = train_learners([(tiny_config(nm_iters=2, nm_tol=0.0),
-                                  ("linear", "triangle"))], class_data)[0]
+        capped = train_learners(tiny_config(nm_iters=2, nm_tol=0.0),
+                                [(0, ("linear", "triangle"))], class_data)[0]
         assert {row.nm_stop for row in capped.log} == {"max_iters"}
 
     def test_log_without_stop_reason_still_loads(self, learner_text, tmp_path):
