@@ -63,6 +63,16 @@ def _load_class_split(config: RunConfig, cls: int):
     return dp.split_train_val(class_set, config.val_fraction, config.split_seed)
 
 
+def _load_held_out(config: RunConfig, cls: int) -> dp.ImageSet:
+    """The class's held-out images; FID against them needs at least 2."""
+    train, val = _load_class_split(config, cls)
+    if len(val) < 2:
+        raise DataError(f"class {cls}: val_fraction = {config.val_fraction} "
+                        f"holds out {len(val)} of its {len(train) + len(val)} "
+                        "images; FID needs at least 2")
+    return val
+
+
 def cmd_fit_pca(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
@@ -83,8 +93,8 @@ def _shape_pairs(config: RunConfig):
     return [(r, l) for r in config.rabi_shapes for l in config.local_shapes]
 
 
-def _pair_seed(master_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
+def _derived_seed(*keys: int) -> int:
+    return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -97,7 +107,7 @@ def cmd_train(config: RunConfig) -> int:
     os.makedirs(out_dir, exist_ok=True)
     results = train_learners(
         config.train_config(),
-        [(_pair_seed(config.master_seed, index), pair)
+        [(_derived_seed(config.master_seed, index), pair)
          for index, pair in enumerate(_shape_pairs(config))], features)
 
     log_lines = ["learner,cycle,stage,nm_iterations,nm_evaluations,nm_stop,"
@@ -159,7 +169,7 @@ def cmd_select(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    _, val = _load_class_split(config, cls)
+    val = _load_held_out(config, cls)
     paths, results = _load_learner_files(config, cls)
     learners = [r.learner for r in results]
     seeds = draw_seeds(np.random.default_rng(config.master_seed),
@@ -212,8 +222,7 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
     mode_name is one of MODES, which RunConfig.validate has checked."""
     if mode_name == "ideal":
         return EXACT
-    derived = int(np.random.SeedSequence(
-        [config.master_seed, image_idx, member_idx]).generate_state(1)[0])
+    derived = _derived_seed(config.master_seed, image_idx, member_idx)
     if mode_name == "shots":
         return ShotsMode(config.shots, derived)
     return NoisyMode(config.error_model(derived))
@@ -252,7 +261,7 @@ def cmd_generate(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    _, val = _load_class_split(config, cls)
+    val = _load_held_out(config, cls)
     files, members = _load_ensemble_members(config, cls)
     images = _generate_images(config, members, model, config.mode,
                               config.count, files)
@@ -276,16 +285,14 @@ def cmd_generate(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig, classes) -> int:
-    if not classes:
-        raise ValidationError("evaluate needs at least one class (use --class)")
     _echo_config(config)
+    # every class's inputs are read before any class is generated
+    inputs = [(cls, _require_pca(config, cls), _load_held_out(config, cls),
+               *_load_ensemble_members(config, cls)) for cls in classes]
     rows = ["class,mode,fid,mean_variation"]
     summary = []
-    for cls in classes:
-        model = _require_pca(config, cls)
-        _, val = _load_class_split(config, cls)
-        files, members = _load_ensemble_members(config, cls)
-        per_mode = {}
+    for cls, model, val, files, members in inputs:
+        per_mode = []
         for mode_name in ("ideal", "noisy"):
             images = _generate_images(config, members, model, mode_name,
                                       config.fid_batch, files)
@@ -295,12 +302,9 @@ def cmd_evaluate(config: RunConfig, classes) -> int:
                         f"{float(variation.mean())!r}")
             _write_variation_csv(variation, os.path.join(
                 config.out_dir, f"variation_class{cls}_{mode_name}.csv"))
-            per_mode[mode_name] = (score, float(variation.mean()))
-        summary.append(
-            f"class {cls}: ideal FID {per_mode['ideal'][0]:.4f} "
-            f"(mean variation {per_mode['ideal'][1]:.6f}); "
-            f"noisy FID {per_mode['noisy'][0]:.4f} "
-            f"(mean variation {per_mode['noisy'][1]:.6f})")
+            per_mode.append(f"{mode_name} FID {score:.4f} "
+                            f"(mean variation {variation.mean():.6f})")
+        summary.append(f"class {cls}: " + "; ".join(per_mode))
     dp.atomic_write_text(os.path.join(config.out_dir, "evaluation.csv"),
                          "\n".join(rows) + "\n")
     dp.atomic_write_text(os.path.join(config.out_dir, "evaluation.txt"),
@@ -344,22 +348,23 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         classes = None
-        digit_class = None
         if args.digit_class is not None:
             try:
-                classes = [int(x) for x in str(args.digit_class).split(",") if x]
+                classes = [int(x) for x in args.digit_class.split(",") if x]
             except ValueError:
                 raise ValidationError(
                     f"--class must be an integer or comma list, "
                     f"got {args.digit_class!r}")
+            if not classes or len(set(classes)) < len(classes):
+                raise ValidationError(f"--class must name one or more distinct "
+                                      f"classes, got {args.digit_class!r}")
             for cls in classes:
                 check_class(cls)
             if len(classes) > 1 and args.command != "evaluate":
                 raise ValidationError(
                     f"--class takes one class for {args.command} (only "
                     f"evaluate accepts a comma list), got {args.digit_class!r}")
-            digit_class = classes[0] if classes else None
-        overrides = {"digit_class": digit_class,
+        overrides = {"digit_class": classes[0] if classes else None,
                      "master_seed": args.master_seed,
                      "out_dir": args.out_dir,
                      "jobs": args.jobs,

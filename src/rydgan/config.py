@@ -16,6 +16,7 @@ import configparser
 import io
 from dataclasses import dataclass, fields
 
+from .data import PIXELS
 from .errors import ValidationError, check_settings, setting
 from .generator import MAX_RUNS, TRAINABLE_SHAPES, ErrorModel, ShotsMode
 from .pulses import PulseLimits
@@ -94,10 +95,9 @@ class RunConfig:
         self.train_config()
         ShotsMode(self.shots)
         check_settings(self)
-        if (1 << self.n_qubits) > 784:
-            raise ValidationError(
-                f"2^n_qubits = {1 << self.n_qubits} PCA components exceed "
-                "the 784 pixels per image")
+        if self.k > PIXELS:
+            raise ValidationError(f"2^n_qubits = {self.k} PCA components "
+                                  f"exceed the {PIXELS} pixels per image")
         check_class(self.digit_class, "digit_class")
         if self.mode not in MODES:
             raise ValidationError(

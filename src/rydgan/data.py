@@ -117,8 +117,8 @@ def load_idx(images_path: str, labels_path: str) -> ImageSet:
     return ImageSet(images / 255.0, np.frombuffer(labels, np.uint8).astype(int))
 
 
-def split_train_val(data: ImageSet, val_fraction: float = 0.1,
-                    shuffle_seed: int = 20240) -> tuple:
+def split_train_val(data: ImageSet, val_fraction: float,
+                    shuffle_seed: int) -> tuple:
     """Deterministic shuffled train/validation split, 0 < val_fraction < 1."""
     n = len(data)
     if n < 2:

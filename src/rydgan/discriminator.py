@@ -38,16 +38,12 @@ class DiscriminatorNet:
     def in_dim(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
-
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
-def init_discriminator(rng: np.random.Generator, in_dim: int = 16,
-                       hidden: int = 64) -> DiscriminatorNet:
+def init_discriminator(rng: np.random.Generator, in_dim: int,
+                       hidden: int) -> DiscriminatorNet:
     """He-initialized weights, zero biases."""
     def he(fan_in, shape):
         return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
@@ -101,22 +97,14 @@ def discriminator_forward(net: DiscriminatorNet, features) -> np.ndarray:
     return float(p[0]) if single else p
 
 
-def bce_loss(net: DiscriminatorNet, features, targets) -> float:
-    """Mean binary cross-entropy of the net's outputs against 0/1 targets."""
-    x = _check_features(features)
-    y = np.asarray(targets, dtype=float).reshape(-1)
-    z = _logits(net, x)[4][:, 0]
-    return float(np.mean(y * _softplus(-z) + (1.0 - y) * _softplus(z)))
-
-
 def bce_gradients(net: DiscriminatorNet, features, targets):
-    """(loss, grads) with grads keyed like the net's parameters."""
+    """(loss, grads): the mean binary cross-entropy of the net's outputs
+    against 0/1 targets, and its gradients keyed like the net's parameters."""
     x = _check_features(features)
     y = np.asarray(targets, dtype=float).reshape(-1, 1)
     z1, a1, z2, a2, z3 = _logits(net, x)
     n = x.shape[0]
-    loss = float(np.mean(y[:, 0] * _softplus(-z3[:, 0])
-                         + (1.0 - y[:, 0]) * _softplus(z3[:, 0])))
+    loss = float(np.mean(y * _softplus(-z3) + (1.0 - y) * _softplus(z3)))
     dz3 = (_sigmoid(z3) - y) / n
     dw3 = a2.T @ dz3
     db3 = dz3.sum(axis=0)
@@ -147,8 +135,7 @@ class AdamState:
 
 
 def adam_update(net: DiscriminatorNet, grads: dict, state: AdamState,
-                lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8):
+                lr: float, beta1: float, beta2: float, eps: float):
     """One Adam step; returns (new net, new state)."""
     t = state.t + 1
     new_params, new_m, new_v = {}, {}, {}
@@ -164,8 +151,8 @@ def adam_update(net: DiscriminatorNet, grads: dict, state: AdamState,
 
 
 def discriminator_step(net: DiscriminatorNet, real_batch, fake_batch,
-                       state: AdamState, lr: float = 1e-3, beta1: float = 0.9,
-                       beta2: float = 0.999, eps: float = 1e-8):
+                       state: AdamState, lr: float, beta1: float, beta2: float,
+                       eps: float):
     """One Adam update on BCE with targets 1 (real) / 0 (fake).
 
     Returns (new net, new state, mean loss).

@@ -481,22 +481,26 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
     if steps is not None and steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     dim = 1 << n
+    # the one (B, 2^n) array: the initial states, each block evolved in place
+    out = np.zeros((len(specs), dim), dtype=complex)
     if initial is None:
-        initial = np.zeros((len(specs), dim), dtype=complex)
-        initial[:, 0] = 1.0
-    initial = np.ascontiguousarray(initial, dtype=complex)
-    if initial.shape != (len(specs), dim):
-        raise ValidationError(
-            f"initial states have shape {initial.shape}, "
-            f"expected {(len(specs), dim)}")
-    norms = np.sum(np.abs(initial) ** 2, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
-    if bad.size:
-        raise ValidationError(f"initial state {bad[0]} not normalized: "
-                              f"sum |a_k|^2 = {norms[bad[0]]!r}")
+        out[:, 0] = 1.0
+    else:
+        initial = np.asarray(initial)
+        if initial.shape != out.shape:
+            raise ValidationError(
+                f"initial states have shape {initial.shape}, "
+                f"expected {out.shape}")
+        out[:] = initial
+        norms = np.sum(np.abs(out) ** 2, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+        if bad.size:
+            raise ValidationError(f"initial state {bad[0]} not normalized: "
+                                  f"sum |a_k|^2 = {norms[bad[0]]!r}")
     # a run has two factor rows per step, and a few more at its breakpoints
     rows = 2 * (steps or max(default_steps(s.duration) for s in specs))
     block = max(1, min(_MAX_BLOCK // dim, _MAX_FACTORS // rows))
-    return np.concatenate([
-        _propagate(specs[i:i + block], steps, initial[i:i + block], i)
-        for i in range(0, len(specs), block)])
+    for i in range(0, len(specs), block):
+        out[i:i + block] = _propagate(specs[i:i + block], steps,
+                                      out[i:i + block], i)
+    return out

@@ -536,6 +536,30 @@ def test_class_list_is_rejected_outside_evaluate(smoke_ini, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, classes", [
+    ("fit-pca", ","), ("fit-pca", ""), ("train", ",,"), ("evaluate", "0,0"),
+    ("evaluate", "0,1,0")])
+def test_class_list_naming_no_class_or_one_twice_exits_2(
+        smoke_ini, pipeline_out, tmp_path, capsys, command, classes):
+    """A --class list must name at least one class and each class once: an
+    empty list does not fall back on the config's digit_class, and evaluate
+    does not score a class twice; both exit 2 before any output."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(pipeline_out, out)
+
+    def written():
+        return {os.path.join(root, name):
+                os.stat(os.path.join(root, name)).st_mtime_ns
+                for root, _, names in os.walk(out) for name in names}
+    before = written()
+    code = main([command, "--config", smoke_ini, "--out", out,
+                 "--class", classes])
+    assert code == 2
+    assert f"--class must name one or more distinct classes, got {classes!r}" \
+        in capsys.readouterr().err
+    assert written() == before
+
+
 @pytest.mark.parametrize("command, flags, line, key", [
     ("train", ["--seed", "-1"], "", "master_seed"),
     ("select", ["--seed", "-3"], "", "master_seed"),
@@ -1142,6 +1166,24 @@ def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
     assert re.search(r"learners/class0/[a-z-]+\.json: field config\.duration: "
                      r"a learner trained with duration = 1\.0, but this run "
                      r"has duration = 2\.0", err), err
+
+
+@pytest.mark.parametrize("command, written", RUN_OUTPUTS)
+def test_held_out_split_of_one_image_exits_3_before_generating(
+        smoke_ini, pipeline_out, tmp_path, capsys, monkeypatch, command,
+        written):
+    """val_fraction = 0.01 holds out 1 of class 0's 100 images, too few for
+    an FID: select, generate and evaluate exit 3 naming the class, its image
+    count and val_fraction, before any run is generated."""
+    def generated(*args):
+        raise AssertionError("a run was generated")
+    monkeypatch.setattr(cli, "_features", generated)
+    code, err = _run_with_settings(smoke_ini, pipeline_out, tmp_path, capsys,
+                                   command, written, "data",
+                                   "val_fraction = 0.01")
+    assert code == 3
+    assert ("class 0: val_fraction = 0.01 holds out 1 of its 100 images"
+            in err), err
 
 
 @pytest.mark.parametrize("command, written", RUN_OUTPUTS)

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rydgan.config import RunConfig
 from rydgan.data import (ImageSet, PcaModel, atomic_write_json,
                          atomic_write_text, fit_pca, inverse_transform,
                          load_idx, load_pca, pgm_bytes, save_pca,
@@ -86,22 +87,28 @@ class TestLoadIdx:
             load_idx(img, lbl)
 
 
+def split(data):
+    """split_train_val at RunConfig's default fraction and seed."""
+    config = RunConfig()
+    return split_train_val(data, config.val_fraction, config.split_seed)
+
+
 class TestSplit:
     def test_ninety_ten(self):
         data = synthetic_digits(np.random.default_rng(1), 100)
-        train, val = split_train_val(data)
+        train, val = split(data)
         assert len(train) == 90 and len(val) == 10
 
     def test_deterministic(self):
         data = synthetic_digits(np.random.default_rng(1), 50)
-        t1, v1 = split_train_val(data)
-        t2, v2 = split_train_val(data)
+        t1, v1 = split(data)
+        t2, v2 = split(data)
         assert np.array_equal(t1.images, t2.images)
         assert np.array_equal(v1.images, v2.images)
 
     def test_disjoint_and_complete(self):
         data = synthetic_digits(np.random.default_rng(2), 40)
-        train, val = split_train_val(data)
+        train, val = split(data)
         combined = np.concatenate([train.images, val.images])
         assert combined.shape[0] == 40
         assert np.allclose(np.sort(combined.sum(axis=(1, 2))),

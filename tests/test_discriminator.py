@@ -3,10 +3,17 @@ import pytest
 from dataclasses import replace
 
 from rydgan.discriminator import (AdamState, DiscriminatorNet, adam_update,
-                                  bce_gradients, bce_loss,
-                                  discriminator_forward, discriminator_step,
-                                  init_discriminator)
+                                  bce_gradients, discriminator_forward,
+                                  discriminator_step, init_discriminator)
 from rydgan.errors import NumericError, ValidationError
+from rydgan.training import TrainConfig
+
+
+def adam(**given):
+    """TrainConfig's default Adam settings, with the given ones in place."""
+    config = TrainConfig()
+    return {"lr": config.adam_lr, "beta1": config.adam_beta1,
+            "beta2": config.adam_beta2, "eps": config.adam_eps, **given}
 
 
 def zero_net(in_dim=16, hidden=8):
@@ -67,7 +74,7 @@ class TestGradients:
                         bumped = param.copy().reshape(-1)
                         bumped[j] += sign * h
                         net_b = replace(net, **{name: bumped.reshape(param.shape)})
-                        numeric[j] += sign * bce_loss(net_b, x, y)
+                        numeric[j] += sign * bce_gradients(net_b, x, y)[0]
                 numeric /= 2 * h
                 scale = np.maximum(np.abs(numeric), np.abs(g.reshape(-1)))
                 mask = scale > 1e-7  # relative error only meaningful away from 0
@@ -95,7 +102,7 @@ class TestStep:
         fake = rng.normal(loc=-3, scale=0.1, size=(32, 2))
         for _ in range(400):
             net, state, loss = discriminator_step(net, real, fake, state,
-                                                  lr=5e-2)
+                                                  **adam(lr=5e-2))
         assert loss < 1e-3
 
     def test_untrained_loss_near_ln2(self):
@@ -103,7 +110,8 @@ class TestStep:
         state = AdamState.for_net(net)
         rng = np.random.default_rng(6)
         _, _, loss = discriminator_step(net, rng.normal(size=(16, 16)),
-                                        rng.normal(size=(16, 16)), state)
+                                        rng.normal(size=(16, 16)), state,
+                                        **adam())
         assert loss == pytest.approx(np.log(2.0), abs=0.01)
 
     def test_separable_clusters_loss_decreases(self):
@@ -117,7 +125,7 @@ class TestStep:
             losses = []
             for _ in range(200):
                 net, state, loss = discriminator_step(net, real, fake, state,
-                                                      lr=1e-2)
+                                                      **adam(lr=1e-2))
                 losses.append(loss)
             if losses[-1] < losses[0]:
                 final_below_initial += 1
@@ -127,7 +135,8 @@ class TestStep:
         net = zero_net()
         state = AdamState.for_net(net)
         with pytest.raises(ValidationError):
-            discriminator_step(net, np.zeros((0, 16)), np.zeros((2, 16)), state)
+            discriminator_step(net, np.zeros((0, 16)), np.zeros((2, 16)),
+                               state, **adam())
 
     def test_step_is_pure(self):
         net = init_discriminator(np.random.default_rng(7), 16, 8)
@@ -135,7 +144,7 @@ class TestStep:
         w1_before = net.w1.copy()
         rng = np.random.default_rng(8)
         discriminator_step(net, rng.normal(size=(4, 16)),
-                           rng.normal(size=(4, 16)), state)
+                           rng.normal(size=(4, 16)), state, **adam())
         assert np.array_equal(net.w1, w1_before)
 
 
@@ -144,7 +153,8 @@ class TestAdam:
         # with bias correction the first update magnitude is ~lr per weight
         net = zero_net(2, 2)
         grads = {k: np.ones_like(v) for k, v in net.as_dict().items()}
-        new_net, state = adam_update(net, grads, AdamState.for_net(net), lr=0.1)
+        new_net, state = adam_update(net, grads, AdamState.for_net(net),
+                                     **adam(lr=0.1))
         assert np.allclose(new_net.w1, -0.1, atol=1e-6)
         assert state.t == 1
 
@@ -152,7 +162,7 @@ class TestAdam:
         rng = np.random.default_rng(9)
         net = init_discriminator(rng, 4, 4)
         grads = {k: np.full_like(v, 0.5) for k, v in net.as_dict().items()}
-        a, _ = adam_update(net, grads, AdamState.for_net(net))
-        b, _ = adam_update(net, grads, AdamState.for_net(net))
+        a, _ = adam_update(net, grads, AdamState.for_net(net), **adam())
+        b, _ = adam_update(net, grads, AdamState.for_net(net), **adam())
         assert all(np.array_equal(getattr(a, n), getattr(b, n))
                    for n in ("w1", "b1", "w2", "b2", "w3", "b3"))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,6 +552,27 @@ class TestEvolveBatch:
         spec = random_spec(np.random.default_rng(2), 2)
         with pytest.raises(ValidationError):
             evolve([spec], steps=10, initial=np.ones((1, 8)))
+
+    def test_holds_one_output_array(self):
+        # the ground states are built in the output and each block is evolved
+        # into its own rows, so a larger batch adds its output and no copy
+        spec = HamiltonianSpec(
+            arrangement=AtomArrangement(
+                tuple((20.0 * i, 0.0) for i in range(6)), (0.5,) * 6),
+            rabi=PulseProgram(shape="linear", full_scale=15.8, param=1.0),
+            local_detuning=PulseProgram(shape="linear", full_scale=-125.0,
+                                        param=-1.0),
+            global_detuning_offset=0.0)
+        peaks = []
+        for specs in ([spec] * 512, [spec] * 2048):
+            tracemalloc.start()
+            try:
+                evolve(specs, steps=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (2048 - 512) * (1 << 6) * np.dtype(complex).itemsize
+        assert (peaks[1] - peaks[0]) / growth <= 1.25
 
 
 def series_error(theta, weights, points=20001):

@@ -119,11 +119,14 @@ class TestDiscriminatorWarmup:
         rng = np.random.default_rng(42)
         net = init_discriminator(rng, 4, 16)
         state = AdamState.for_net(net)
+        config = TrainConfig()
         for _ in range(200):
             rows = rng.integers(0, len(real), 16)
             frows = rng.integers(0, len(fakes), 16)
-            net, state, _ = discriminator_step(net, real[rows], fakes[frows],
-                                               state, lr=5e-3)
+            net, state, _ = discriminator_step(
+                net, real[rows], fakes[frows], state, lr=5e-3,
+                beta1=config.adam_beta1, beta2=config.adam_beta2,
+                eps=config.adam_eps)
         correct = ((discriminator_forward(net, real) > 0.5).sum()
                    + (discriminator_forward(net, fakes) <= 0.5).sum())
         assert correct / (len(real) + len(fakes)) > 0.9
