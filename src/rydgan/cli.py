@@ -24,11 +24,12 @@ from . import data as dp
 from .config import MODES, RunConfig, check_class, load_config, render_config
 from .errors import DataError, NumericError, RydganError, ValidationError
 from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
-from .metrics import fid_images, greedy_select, variation_scores
+from .metrics import ensemble_images, fid_images, greedy_select, variation_scores
 from .training import load_learner, save_learner, train_learners
 
 ENSEMBLE_FORMAT = "rydgan-ensemble"
 ENSEMBLE_VERSION = 1
+SCORE_HEADER = "class,mode,fid,mean_variation"
 
 
 def _pca_path(config: RunConfig, cls: int) -> str:
@@ -49,34 +50,35 @@ def _echo_config(config: RunConfig):
                          render_config(config))
 
 
-def _load_class_split(config: RunConfig, cls: int):
+def _load_splits(config: RunConfig, classes) -> list:
+    """Each class's (train, held-out) split, from one read of the IDX pair;
+    an FID against the held-out images needs at least 2."""
     if not config.images or not config.labels:
         raise ValidationError("config must set data.images and data.labels paths")
     for path in (config.images, config.labels):
         if not os.path.exists(path):
             raise DataError(f"dataset file does not exist: {path}")
     dataset = dp.load_idx(config.images, config.labels)
-    class_set = dataset.for_class(cls)
-    if len(class_set) < 2:
-        raise DataError(
-            f"class {cls} has only {len(class_set)} images in {config.images}")
-    return dp.split_train_val(class_set, config.val_fraction, config.split_seed)
-
-
-def _load_held_out(config: RunConfig, cls: int) -> dp.ImageSet:
-    """The class's held-out images; FID against them needs at least 2."""
-    train, val = _load_class_split(config, cls)
-    if len(val) < 2:
-        raise DataError(f"class {cls}: val_fraction = {config.val_fraction} "
-                        f"holds out {len(val)} of its {len(train) + len(val)} "
-                        "images; FID needs at least 2")
-    return val
+    splits = []
+    for cls in classes:
+        class_set = dataset.for_class(cls)
+        if len(class_set) < 2:
+            raise DataError(
+                f"class {cls} has only {len(class_set)} images in {config.images}")
+        train, val = dp.split_train_val(class_set, config.val_fraction,
+                                        config.split_seed)
+        if len(val) < 2:
+            raise DataError(f"class {cls}: val_fraction = {config.val_fraction} "
+                            f"holds out {len(val)} of its {len(class_set)} "
+                            "images; FID needs at least 2")
+        splits.append((train, val))
+    return splits
 
 
 def cmd_fit_pca(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
-    train, _ = _load_class_split(config, cls)
+    [(train, _)] = _load_splits(config, [cls])
     model = dp.fit_pca(train, config.k)
     path = _pca_path(config, cls)
     dp.save_pca(model, path)
@@ -89,10 +91,6 @@ def cmd_fit_pca(config: RunConfig) -> int:
     return 0
 
 
-def _shape_pairs(config: RunConfig):
-    return [(r, l) for r in config.rabi_shapes for l in config.local_shapes]
-
-
 def _derived_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
@@ -101,14 +99,15 @@ def cmd_train(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    train, _ = _load_class_split(config, cls)
+    [(train, _)] = _load_splits(config, [cls])
     features = dp.scale_features(model, dp.transform(model, train.flat()))
     out_dir = _learners_dir(config, cls)
     os.makedirs(out_dir, exist_ok=True)
+    pairs = [(r, l) for r in config.rabi_shapes for l in config.local_shapes]
     results = train_learners(
         config.train_config(),
         [(_derived_seed(config.master_seed, index), pair)
-         for index, pair in enumerate(_shape_pairs(config))], features)
+         for index, pair in enumerate(pairs)], features)
 
     log_lines = ["learner,cycle,stage,nm_iterations,nm_evaluations,nm_stop,"
                  "gen_loss,disc_loss"]
@@ -169,7 +168,7 @@ def cmd_select(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    val = _load_held_out(config, cls)
+    [(_, val)] = _load_splits(config, [cls])
     paths, results = _load_learner_files(config, cls)
     learners = [r.learner for r in results]
     seeds = draw_seeds(np.random.default_rng(config.master_seed),
@@ -245,9 +244,8 @@ def _generate_images(config: RunConfig, members, model: dp.PcaModel,
         image, member = divmod(err.run, len(members))
         raise NumericError(
             f"image {image}, member {files[member]}: {err}") from err
-    features = features.reshape(count, len(members), -1)
-    weights = dp.unscale_features(model, features.mean(axis=1))
-    return dp.inverse_transform(model, weights).reshape(count, 28, 28)
+    features = features.reshape(count, len(members), -1).transpose(1, 0, 2)
+    return ensemble_images(model, features).reshape(count, 28, 28)
 
 
 def _write_variation_csv(variation: np.ndarray, path: str):
@@ -257,26 +255,30 @@ def _write_variation_csv(variation: np.ndarray, path: str):
     dp.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _score(val: dp.ImageSet, cls: int, mode_name: str, images):
+    """(FID against the held-out images, variations, SCORE_HEADER row)."""
+    score, variation = fid_images(val.images, images), variation_scores(images)
+    return score, variation, (f"{cls},{mode_name},{score!r},"
+                              f"{float(variation.mean())!r}")
+
+
 def cmd_generate(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    val = _load_held_out(config, cls)
+    [(_, val)] = _load_splits(config, [cls])
     files, members = _load_ensemble_members(config, cls)
     images = _generate_images(config, members, model, config.mode,
                               config.count, files)
-    score = fid_images(val.images, images)
-    variation = variation_scores(images)
+    score, variation, row = _score(val, cls, config.mode, images)
     out_dir = os.path.join(config.out_dir, "generated", f"class{cls}",
                            config.mode)
     os.makedirs(out_dir, exist_ok=True)
     for i, image in enumerate(images):
         dp.write_image(image, os.path.join(out_dir, f"img_{i:04d}.pgm"))
     dp.write_montage(images, os.path.join(out_dir, "montage.pgm"))
-    lines = ["class,mode,fid,mean_variation",
-             f"{cls},{config.mode},{score!r},{float(variation.mean())!r}"]
     dp.atomic_write_text(os.path.join(out_dir, "metrics.csv"),
-                         "\n".join(lines) + "\n")
+                         f"{SCORE_HEADER}\n{row}\n")
     _write_variation_csv(variation, os.path.join(out_dir, "variation.csv"))
     print(f"wrote {len(images)} images + montage to {out_dir}")
     print(f"FID vs held-out data: {score:.4f}; "
@@ -287,19 +289,19 @@ def cmd_generate(config: RunConfig) -> int:
 def cmd_evaluate(config: RunConfig, classes) -> int:
     _echo_config(config)
     # every class's inputs are read before any class is generated
-    inputs = [(cls, _require_pca(config, cls), _load_held_out(config, cls),
-               *_load_ensemble_members(config, cls)) for cls in classes]
-    rows = ["class,mode,fid,mean_variation"]
+    models = [_require_pca(config, cls) for cls in classes]
+    inputs = [(cls, model, val, *_load_ensemble_members(config, cls))
+              for cls, model, (_, val)
+              in zip(classes, models, _load_splits(config, classes))]
+    rows = [SCORE_HEADER]
     summary = []
     for cls, model, val, files, members in inputs:
         per_mode = []
         for mode_name in ("ideal", "noisy"):
             images = _generate_images(config, members, model, mode_name,
                                       config.fid_batch, files)
-            score = fid_images(val.images, images)
-            variation = variation_scores(images)
-            rows.append(f"{cls},{mode_name},{score!r},"
-                        f"{float(variation.mean())!r}")
+            score, variation, row = _score(val, cls, mode_name, images)
+            rows.append(row)
             _write_variation_csv(variation, os.path.join(
                 config.out_dir, f"variation_class{cls}_{mode_name}.csv"))
             per_mode.append(f"{mode_name} FID {score:.4f} "
@@ -372,17 +374,10 @@ def main(argv=None) -> int:
                      "mode": getattr(args, "mode", None)}
         config = load_config(args.config, overrides)
         config.validate()
-        if args.command == "fit-pca":
-            return cmd_fit_pca(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "select":
-            return cmd_select(config)
-        if args.command == "generate":
-            return cmd_generate(config)
-        # the subparsers are required, so the one command left is evaluate
-        return cmd_evaluate(config, classes if classes is not None
-                            else [config.digit_class])
+        if args.command == "evaluate":
+            return cmd_evaluate(config, classes or [config.digit_class])
+        return {"fit-pca": cmd_fit_pca, "train": cmd_train, "select": cmd_select,
+                "generate": cmd_generate}[args.command](config)
     except RydganError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -157,12 +157,11 @@ def discriminator_step(net: DiscriminatorNet, real_batch, fake_batch,
 
     Returns (new net, new state, mean loss).
     """
-    real = _check_features(real_batch)
-    fake = _check_features(fake_batch)
-    if real.shape[0] == 0 or fake.shape[0] == 0:
+    real, fake = np.atleast_2d(real_batch), np.atleast_2d(fake_batch)
+    if len(real) == 0 or len(fake) == 0:
         raise ValidationError("real and fake batches must both be nonempty")
-    x = np.vstack([real, fake])
-    y = np.concatenate([np.ones(real.shape[0]), np.zeros(fake.shape[0])])
-    loss, grads = bce_gradients(net, x, y)
+    y = np.concatenate([np.ones(len(real)), np.zeros(len(fake))])
+    # bce_gradients checks the stacked features once
+    loss, grads = bce_gradients(net, np.vstack([real, fake]), y)
     new_net, new_state = adam_update(net, grads, state, lr, beta1, beta2, eps)
     return new_net, new_state, loss

@@ -150,6 +150,13 @@ def _finite(values, quantity: str):
     return values
 
 
+def ensemble_images(pca: PcaModel, member_features) -> np.ndarray:
+    """(S, pixels) images from the (M, S, 2^n) features of M members at the
+    same S seeds: each image decodes the mean of its members' features."""
+    mean = np.mean(member_features, axis=0)
+    return inverse_transform(pca, unscale_features(pca, mean))
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     member_indices: tuple    # learner positions in pick order
@@ -178,9 +185,7 @@ def greedy_select(feature_batches, val_images: ImageSet,
     val_flat = val_images.flat()
 
     def fid_of(indices) -> float:
-        avg = batches[list(indices)].mean(axis=0)
-        images = inverse_transform(pca, unscale_features(pca, avg))
-        return fid_images(val_flat, images)
+        return fid_images(val_flat, ensemble_images(pca, batches[list(indices)]))
 
     singles = [fid_of([i]) for i in range(len(batches))]
     best = int(np.argmin(singles))

@@ -14,9 +14,11 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from rydgan import cli, training
+from rydgan import data as dp
 from rydgan.cli import main
 from rydgan.config import RunConfig, _sections, load_config, render_config
-from rydgan.data import fit_pca, inverse_transform, load_pca, unscale_features
+from rydgan.data import (fit_pca, inverse_transform, load_idx, load_pca,
+                         unscale_features)
 from rydgan.errors import DataError, RydganError, ValidationError
 from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, ShotsMode,
                               build_spec, draw_seeds, generate_batch,
@@ -331,7 +333,7 @@ class TestSelect:
                            config.fid_batch)
         runs = [(r.learner.params, s, EXACT) for r in results for s in seeds]
         batches = rowwise_stub(runs, None, None, None).reshape(3, len(seeds), -1)
-        _, val = cli._load_class_split(config, 0)
+        [(_, val)] = cli._load_splits(config, [0])
         expected = greedy_select(batches, val, cli._require_pca(config, 0))
         doc = json.loads(open(os.path.join(out, "ensemble_class0.json")).read())
         members = expected.member_indices
@@ -484,8 +486,8 @@ class TestEvaluate:
                                                      pipeline_out, tmp_path):
         # same code path, same seeds: regenerating the batch and calling
         # fid_images directly must reproduce the CSV value exactly
-        from rydgan.cli import (_generate_images, _load_class_split,
-                                _load_ensemble_members, _require_pca)
+        from rydgan.cli import (_generate_images, _load_ensemble_members,
+                                _load_splits, _require_pca)
         from rydgan.config import load_config
         from rydgan.metrics import fid_images
         out = str(tmp_path / "out")
@@ -495,7 +497,7 @@ class TestEvaluate:
         config = load_config(smoke_ini, {"out_dir": out})
         config.validate()
         model = _require_pca(config, 0)
-        _, val = _load_class_split(config, 0)
+        [(_, val)] = _load_splits(config, [0])
         files, members = _load_ensemble_members(config, 0)
         images = _generate_images(config, members, model, "ideal",
                                   config.fid_batch, files)
@@ -504,6 +506,28 @@ class TestEvaluate:
             rows = f.read().splitlines()
         reported = float(rows[1].split(",")[2])
         assert abs(reported - direct) <= 1e-9
+
+    def test_two_classes_read_the_dataset_once(self, smoke_ini, pipeline_out,
+                                               tmp_path, monkeypatch):
+        """evaluate --class 0,1 reads the IDX pair once for both classes'
+        held-out images (class 1 reuses class 0's artefacts here)."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        shutil.copy(out / "pca_class0.json", out / "pca_class1.json")
+        shutil.copy(out / "ensemble_class0.json", out / "ensemble_class1.json")
+        shutil.copytree(out / "learners" / "class0", out / "learners" / "class1")
+        reads = []
+
+        def counting(*paths):
+            reads.append(paths)
+            return load_idx(*paths)
+        monkeypatch.setattr(dp, "load_idx", counting)
+        assert main(["evaluate", "--config", smoke_ini, "--out", str(out),
+                     "--class", "0,1"]) == 0
+        assert len(reads) == 1
+        rows = (out / "evaluation.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["0", "ideal"], ["0", "noisy"], ["1", "ideal"], ["1", "noisy"]]
 
     def test_empty_class_list_is_usage_error(self, smoke_ini, tmp_path,
                                              capsys):
@@ -1168,16 +1192,20 @@ def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
                      r"has duration = 2\.0", err), err
 
 
-@pytest.mark.parametrize("command, written", RUN_OUTPUTS)
+@pytest.mark.parametrize("command, written", [
+    ("fit-pca", "pca_class0.json"), ("train", "learners")] + RUN_OUTPUTS)
 def test_held_out_split_of_one_image_exits_3_before_generating(
         smoke_ini, pipeline_out, tmp_path, capsys, monkeypatch, command,
         written):
     """val_fraction = 0.01 holds out 1 of class 0's 100 images, too few for
-    an FID: select, generate and evaluate exit 3 naming the class, its image
-    count and val_fraction, before any run is generated."""
-    def generated(*args):
-        raise AssertionError("a run was generated")
-    monkeypatch.setattr(cli, "_features", generated)
+    an FID: every command exits 3 naming the class, its image count and
+    val_fraction, before it fits a PCA model, trains a learner or generates
+    a run."""
+    def work(*args):
+        raise AssertionError("work began before the split was checked")
+    for name in ("_features", "train_learners"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(dp, "fit_pca", work)
     code, err = _run_with_settings(smoke_ini, pipeline_out, tmp_path, capsys,
                                    command, written, "data",
                                    "val_fraction = 0.01")

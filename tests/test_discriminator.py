@@ -138,6 +138,30 @@ class TestStep:
             discriminator_step(net, np.zeros((0, 16)), np.zeros((2, 16)),
                                state, **adam())
 
+    @pytest.mark.parametrize("which", ["real", "fake"])
+    def test_non_finite_batch_checked_once(self, monkeypatch, which):
+        """A non-finite value in either batch raises NumericError, and each
+        step checks its stacked features once."""
+        import rydgan.discriminator as disc
+        check, calls = disc._check_features, []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return check(x)
+        monkeypatch.setattr(disc, "_check_features", counting)
+        net = zero_net()
+        rng = np.random.default_rng(9)
+        batches = {"real": rng.normal(size=(3, 16)),
+                   "fake": rng.normal(size=(2, 16))}
+        discriminator_step(net, batches["real"], batches["fake"],
+                           AdamState.for_net(net), **adam())
+        assert calls == [(5, 16)]
+        batches[which][1, 4] = np.nan
+        with pytest.raises(NumericError, match="^non-finite feature values "
+                           "passed to discriminator$"):
+            discriminator_step(net, batches["real"], batches["fake"],
+                               AdamState.for_net(net), **adam())
+
     def test_step_is_pure(self):
         net = init_discriminator(np.random.default_rng(7), 16, 8)
         state = AdamState.for_net(net)

@@ -1,7 +1,9 @@
-"""The README's library example runs against the current API, and its
-settings table matches the code."""
+"""The README's library example runs against the current API, its
+settings table matches the code, and its module table names only code
+that exists."""
 
 import glob
+import importlib
 import os
 import re
 
@@ -73,3 +75,39 @@ def test_benchmark_names_resolve():
     assert {".generate_features", ".nelder_mead", ".cli.ENSEMBLE_FORMAT",
             ".config.load_config"} <= chains
     assert_chains_resolve(rydgan, chains)
+
+
+def module_table() -> dict:
+    """{module: contents} rows of the README's module table."""
+    with open(README, encoding="utf-8") as f:
+        lines = f.read().split("\n| Module | Contents |", 1)[1].split("\n")
+    rows = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        module, contents = (cell.strip()
+                            for cell in re.split(r"(?<!\\)\|", line)[1:3])
+        rows[module.strip("`")] = contents
+    return rows
+
+
+def test_module_table_names_resolve():
+    """Every backticked `name` or `name(...)` in a row of the module table
+    resolves in that row's module (a `rydgan.` name from the package), so
+    the table cannot name deleted code."""
+    import rydgan
+    from tests.test_scripts import assert_chains_resolve
+    table = module_table()
+    assert list(table) == ["rydgan." + name for name in (
+        "sim", "pulses", "generator", "data", "discriminator", "neldermead",
+        "training", "metrics", "cli")]
+    for module, contents in table.items():
+        names = re.findall(r"`([A-Za-z_][\w.]*)(?:\(.*?\))?`", contents)
+        chains = {"." + name for name in names}
+        qualified = {chain for chain in chains if chain.startswith(".rydgan.")}
+        assert_chains_resolve(importlib.import_module(module),
+                              chains - qualified)
+        assert_chains_resolve(rydgan, {chain[len(".rydgan"):]
+                                       for chain in qualified})
+    metrics_names = re.findall(r"`(\w+)`", table["rydgan.metrics"])
+    assert "ensemble_images" in metrics_names
