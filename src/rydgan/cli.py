@@ -55,9 +55,6 @@ def _load_splits(config: RunConfig, classes) -> list:
     an FID against the held-out images needs at least 2."""
     if not config.images or not config.labels:
         raise ValidationError("config must set data.images and data.labels paths")
-    for path in (config.images, config.labels):
-        if not os.path.exists(path):
-            raise DataError(f"dataset file does not exist: {path}")
     dataset = dp.load_idx(config.images, config.labels)
     splits = []
     for cls in classes:

@@ -357,17 +357,14 @@ def write_image(pixels, path: str):
 
 
 def write_montage(images, path: str):
-    """Combine a batch of equal-size grids into one square-ish PGM contact
+    """Combine an (N, h, w) batch of grids into one square-ish PGM contact
     sheet, the grids 2 pixels apart."""
-    batch = [np.asarray(im, dtype=float) for im in images]
-    if not batch:
-        raise ValidationError("montage needs at least one image")
-    h, w = batch[0].shape
-    cols = int(math.ceil(math.sqrt(len(batch))))
+    count, h, w = np.shape(images)
+    cols = int(math.ceil(math.sqrt(count)))
     pad = 2
-    rows = -(-len(batch) // cols)
+    rows = -(-count // cols)
     sheet = np.zeros((rows * (h + pad) - pad, cols * (w + pad) - pad))
-    for i, im in enumerate(batch):
+    for i, im in enumerate(images):
         r, c = divmod(i, cols)
         sheet[r * (h + pad):r * (h + pad) + h, c * (w + pad):c * (w + pad) + w] = im
     write_image(sheet, path)

@@ -84,17 +84,13 @@ def _logits(net: DiscriminatorNet, x: np.ndarray):
 
 
 def discriminator_forward(net: DiscriminatorNet, features) -> np.ndarray:
-    """Probability the input is real, strictly inside (0, 1).
-
-    Accepts a single feature vector (returns a scalar) or a batch.
-    """
-    single = np.ndim(features) == 1
+    """Probability that each row of the (N, in_dim) batch is real, strictly
+    inside (0, 1)."""
     x = _check_features(features)
     if x.shape[1] != net.in_dim:
         raise ValidationError(
             f"expected {net.in_dim} features, got {x.shape[1]}")
-    p = np.clip(_sigmoid(_logits(net, x)[4][:, 0]), 1e-15, 1.0 - 1e-15)
-    return float(p[0]) if single else p
+    return np.clip(_sigmoid(_logits(net, x)[4][:, 0]), 1e-15, 1.0 - 1e-15)
 
 
 def bce_gradients(net: DiscriminatorNet, features, targets):

@@ -129,17 +129,11 @@ def fid_images(real_images, generated_images) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def variation_scores(batch) -> np.ndarray:
-    """Summed squared deviation of each image from the batch-mean image."""
-    arrs = [np.asarray(im, dtype=float) for im in batch]
-    if not arrs:
-        raise ValidationError("variation needs at least one image")
-    shape = arrs[0].shape
-    if any(a.shape != shape for a in arrs):
-        raise ValidationError("all images in the batch must share one shape")
-    stack = np.stack(arrs)
-    mu = stack.mean(axis=0)
-    return _finite(((mu[None, ...] - stack) ** 2).sum(
+def variation_scores(images) -> np.ndarray:
+    """Summed squared deviation of each image of the (N, ...) batch from the
+    batch-mean image."""
+    stack = np.asarray(images, dtype=float)
+    return _finite(((stack.mean(axis=0) - stack) ** 2).sum(
         axis=tuple(range(1, stack.ndim))), "variation")
 
 

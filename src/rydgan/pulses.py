@@ -112,8 +112,8 @@ def _shape(pulse: PulseProgram):
             interior, kinks)
 
 
-def evaluate(pulse: PulseProgram, t):
-    """Waveform value at time t (scalar or array), rad/us.
+def evaluate(pulse: PulseProgram, t) -> np.ndarray:
+    """Waveform values, rad/us, at the times of the array t.
 
     Raises ValidationError if any t falls outside [0, duration].
     """
@@ -127,16 +127,12 @@ def evaluate(pulse: PulseProgram, t):
     knots, interior, _ = _shape(pulse)
     ts, vs = zip(*knots)
     if interior is None:
-        out = np.interp(t_arr, ts, vs)
-    else:
-        # linear entry and exit ramps around the interior
-        _, r, end, d = ts
-        out = interior(np.clip((t_arr - r) / (d - 2.0 * r), 0.0, 1.0))
-        out = np.where(t_arr < r, vs[1] * (t_arr / r), out)
-        out = np.where(t_arr > end, vs[2] * ((d - t_arr) / r), out)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+        return np.interp(t_arr, ts, vs)
+    # linear entry and exit ramps around the interior
+    _, r, end, d = ts
+    out = interior(np.clip((t_arr - r) / (d - 2.0 * r), 0.0, 1.0))
+    out = np.where(t_arr < r, vs[1] * (t_arr / r), out)
+    return np.where(t_arr > end, vs[2] * ((d - t_arr) / r), out)
 
 
 def breakpoint_times(pulse: PulseProgram):

@@ -177,10 +177,8 @@ def _diagonals(specs, occ: np.ndarray):
 
 
 def _drive_values(spec: HamiltonianSpec, t):
-    omega = spec.rabi_scale * np.asarray(evaluate(spec.rabi, t), dtype=float)
-    dlocal = (np.asarray(evaluate(spec.local_detuning, t), dtype=float)
-              + spec.local_detuning_shift)
-    return omega, dlocal
+    return (spec.rabi_scale * evaluate(spec.rabi, t),
+            evaluate(spec.local_detuning, t) + spec.local_detuning_shift)
 
 
 def default_steps(duration: float, steps_per_us: int = STEPS_PER_US) -> int:
@@ -201,7 +199,8 @@ def _step_grid(cuts: tuple, duration: float, steps: int):
     starts, dts = [np.empty(0)], [np.empty(0)]
     for a, b in zip(bounds, bounds[1:]):
         span = b - a
-        if span <= 1e-12:
+        # merge a breakpoint's two pulse copies, which differ by rounding
+        if span <= 1e-12 * duration:
             continue
         m = max(1, math.ceil(span / dt_target - 1e-9))
         dt = span / m

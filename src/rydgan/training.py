@@ -18,6 +18,7 @@ small batch costs per call (numpy overhead), hardly per run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -25,11 +26,9 @@ import numpy as np
 from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
-from .errors import (DataError, RydganError, ValidationError, check_settings,
-                     setting)
+from .errors import RydganError, ValidationError, check_settings, setting
 from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MAX_RUNS, MIN_SPACING_UM,
-                        TRAINABLE_SHAPES, GeneratorParams, draw_seeds,
-                        generate_batch)
+                        GeneratorParams, draw_seeds, generate_batch)
 from .neldermead import nelder_mead_steps
 from .pulses import PulseLimits
 from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, STEPS_PER_US, default_steps
@@ -77,6 +76,10 @@ class TrainConfig:
             raise ValidationError(
                 f"disc_steps x disc_batch = {self.disc_steps * self.disc_batch} "
                 f"fakes per stage exceed {MAX_RUNS}")
+        if (self.grid_side - 1) * self.min_spacing > self.field_size:
+            raise ValidationError(
+                f"field_size = {self.field_size} um cannot hold {self.n_qubits} atoms "
+                f"min_spacing = {self.min_spacing} um apart, {self.grid_side} to a row")
         if sorted(self.stage_order) != sorted(STAGES):
             raise ValidationError(
                 f"stage_order must be a permutation of {STAGES}, "
@@ -86,6 +89,11 @@ class TrainConfig:
     @property
     def steps(self) -> int:
         return default_steps(self.duration, self.steps_per_us)
+
+    @property
+    def grid_side(self) -> int:
+        """Atoms per row of the starting grid of initial_params."""
+        return math.ceil(math.sqrt(self.n_qubits))
 
 
 @dataclass(frozen=True)
@@ -128,25 +136,38 @@ def _mean_loss(net: DiscriminatorNet, feats) -> float:
 
 
 def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorParams:
-    """Weakly driven starting point: jittered grid, mid-range couplings.
+    """Weakly driven starting point inside every box: jittered grid,
+    mid-range couplings.
 
-    Atoms sit on a 6 um grid (outside full blockade, within interaction
-    range) with +-0.5 um uniform jitter; drive scalars start small so the
-    untrained generator output is clearly distinguishable from data.
+    Atoms sit on a grid of pitch max(6, min_spacing + 1) um (outside full
+    blockade, within interaction range) with +-0.5 um uniform jitter, or
+    min_spacing apart with the jitter a smaller field leaves; drive scalars
+    start small, clipped into their boxes, so the untrained generator
+    output is clearly distinguishable from data.
     """
-    n = config.n_qubits
-    side = int(np.ceil(np.sqrt(n)))
-    cells = [(6.0 + 6.0 * (i % side), 6.0 + 6.0 * (i // side)) for i in range(n)]
-    jitter = rng.uniform(-0.5, 0.5, size=(n, 2))
+    n, side, spacing = config.n_qubits, config.grid_side, config.min_spacing
+    pitch = origin = max(6.0, spacing + 1.0)
+    half = 0.5
+    if side * pitch + half > config.field_size:
+        # TrainConfig holds (side - 1) x min_spacing within the field
+        half = min(half, (config.field_size - (side - 1) * spacing) / (2 * side))
+        pitch, origin = spacing + 2.0 * half, half
+    cells = [(origin + pitch * (i % side), origin + pitch * (i // side))
+             for i in range(n)]
+    jitter = rng.uniform(-0.5, 0.5, size=(n, 2)) * (2.0 * half)
     positions = tuple((x + jitter[i, 0], y + jitter[i, 1])
                       for i, (x, y) in enumerate(cells))
     couplings = tuple(rng.uniform(0.25, 0.75, size=n))
-    return GeneratorParams(
+    params = GeneratorParams(
         arrangement=AtomArrangement(positions, couplings),
         rabi_shape="linear", rabi_param=float(rng.uniform(0.5, 2.0)),
         local_shape="linear", local_param=float(rng.uniform(-5.0, -0.5)),
         global_detuning_offset=float(rng.uniform(-1.0, 1.0)),
         duration=config.duration)
+    for stage in ("rabi", "local", "global"):
+        values, bounds = params.groups(config.limits, config.field_size)[stage]
+        params = params.with_group(stage, np.clip(values, *np.transpose(bounds)))
+    return params
 
 
 def _learner(config: TrainConfig, data: np.ndarray, shapes):
@@ -313,14 +334,9 @@ def save_learner(result: TrainingResult, path: str):
 def load_learner(path: str) -> TrainingResult:
     """A saved training result; its params must lie in its own config's envelope."""
     doc = _load_doc(path, LEARNER_FORMAT, LEARNER_VERSION)
-    for key in ("rabi_shape", "local_shape"):
-        if doc.get(key) not in TRAINABLE_SHAPES:
-            raise DataError(f"{path}: field {key}: unknown or untrainable "
-                            f"pulse shape {doc.get(key)!r}")
     with _doc_field(path, "config"):
         cfg = dict(doc["config"])
         cfg["limits"] = PulseLimits(**cfg["limits"])
-        cfg["stage_order"] = tuple(cfg["stage_order"])
         config = TrainConfig(**cfg)
     with _doc_field(path, "params"):
         p = doc["params"]

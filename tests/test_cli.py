@@ -1097,7 +1097,7 @@ def _add_atom(doc):
 @pytest.mark.parametrize("edit, field", [
     (lambda doc: doc["params"].update(rabi_param_rad_per_us=5000.0), "params"),
     (lambda doc: _move_first_atom(doc, [200.0, 5.0]), "params"),
-    (lambda doc: doc.update(rabi_shape="constant"), "rabi_shape"),
+    (lambda doc: doc.update(rabi_shape="constant"), "params"),
     (_crowd_second_atom, "params"),
     (_add_atom, "params"),
     (lambda doc: doc["config"].update(master_seed=-1), "config"),
@@ -1291,3 +1291,43 @@ def test_mutated_idx_never_escapes_main(idx_copy, data):
             f.write(raw)
     event(f"{name}: exit {code}")
     assert code in (0, 3)
+
+
+def _least_legal(key: str):
+    """The least legal value of a numeric INI key: its lower bound, or, if
+    that bound is exclusive, 1 (for an integer key) or 1e-12 inside it; a
+    key bounded only from above takes that bound the same way."""
+    _, bounds = declared(key)
+    op, limit = next(((op, limit) for op, limit in bounds if op[0] == ">"),
+                     bounds[0])
+    if op in (">=", "<="):
+        return limit
+    inside = 1 if isinstance(getattr(RunConfig, key), int) else 1e-12
+    return limit + inside if op == ">" else limit - inside
+
+
+TRAIN_KEYS = [key for section in ("quantum", "pulses", "training")
+              for key in _sections()[section] if key in NUMERIC_KEYS]
+NOISE_KEYS = [key for key in _sections()["error_model"] if key in NUMERIC_KEYS]
+
+
+@pytest.mark.parametrize("command, key", [("train", key) for key in TRAIN_KEYS]
+                         + [("generate", key) for key in NOISE_KEYS])
+def test_least_legal_value_never_exits_1(smoke_ini, pipeline_out, tmp_path,
+                                         capsys, command, key):
+    """The smoke pipeline with one key at its least legal value: fit-pca
+    and train for a [quantum], [pulses] or [training] key, noisy generation
+    for an [error_model] key. Each run succeeds or exits with a named error
+    (2, 3 or 4), never as an internal error."""
+    value = _least_legal(key)
+    cfg = _with_setting(smoke_ini, tmp_path / "least.ini", key, value)
+    out = str(tmp_path / "out")
+    if command == "train":
+        commands = [["fit-pca"], ["train"]]
+    else:
+        shutil.copytree(pipeline_out, out)
+        commands = [["generate", "--mode", "noisy"]]
+    codes = [main(args + ["--config", cfg, "--out", out]) for args in commands]
+    err = capsys.readouterr().err
+    assert "internal" not in err, (key, value, err)
+    assert set(codes) <= {0, 2, 3, 4}, (key, value, codes, err)

@@ -28,32 +28,32 @@ class TestForward:
         net = zero_net()
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert discriminator_forward(net, rng.normal(size=16)) == 0.5
+            assert discriminator_forward(net, rng.normal(size=(1, 16)))[0] == 0.5
 
     def test_output_in_open_unit_interval(self):
         rng = np.random.default_rng(1)
         for i in range(1000):
             net = init_discriminator(np.random.default_rng(i), 16, 8)
-            p = discriminator_forward(net, rng.normal(size=16) * 10)
+            p = discriminator_forward(net, rng.normal(size=(1, 16)) * 10)[0]
             assert 0.0 < p < 1.0
 
     def test_batch_and_single_agree(self):
         net = init_discriminator(np.random.default_rng(2), 16, 8)
         x = np.random.default_rng(3).normal(size=(5, 16))
         batch = discriminator_forward(net, x)
-        singles = [discriminator_forward(net, row) for row in x]
+        singles = [discriminator_forward(net, row[None])[0] for row in x]
         assert np.allclose(batch, singles)
 
     def test_non_finite_input_rejected(self):
         net = zero_net()
-        bad = np.zeros(16)
-        bad[3] = np.nan
+        bad = np.zeros((1, 16))
+        bad[0, 3] = np.nan
         with pytest.raises(NumericError):
             discriminator_forward(net, bad)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValidationError):
-            discriminator_forward(zero_net(), np.zeros(7))
+            discriminator_forward(zero_net(), np.zeros((1, 7)))
 
 
 class TestGradients:

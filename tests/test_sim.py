@@ -245,6 +245,22 @@ class TestEvolve:
         assert errs[0] / errs[1] > 8.0
         assert errs[1] / errs[2] > 8.0
 
+    @pytest.mark.parametrize("duration", [1e-13, 5e-12, 1.0, 4.0])
+    def test_step_grid_covers_any_duration(self, duration):
+        """Breakpoints closer than 1e-12 of the duration merge, as a run's
+        two pulses' copies of one breakpoint do; every other segment is
+        covered, however short the run, so it always has a step."""
+        spec = random_spec(np.random.default_rng(7), n=2, duration=duration)
+        cuts = breakpoint_times(spec.rabi) + breakpoint_times(spec.local_detuning)
+        twin = cuts[2] * (1.0 + 1e-14)
+        _, dts = _step_grid(tuple(cuts) + (twin,), duration, 1)
+        assert dts.sum() == pytest.approx(duration, rel=1e-12, abs=0.0)
+        assert dts.min() > 1e-12 * duration
+        out = evolve([spec])[0]
+        assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-9
+        if duration < 1e-9:
+            assert abs(out[0]) ** 2 == pytest.approx(1.0, abs=1e-9)
+
     def test_qubit_count_mismatch(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0)
         with pytest.raises(ValidationError):

@@ -11,6 +11,7 @@ from rydgan import training
 from rydgan.errors import DataError, NumericError, ValidationError
 from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, NoisyMode,
                               draw_seeds, generate_batch, generate_features)
+from rydgan.pulses import PulseLimits
 from rydgan.sim import AtomArrangement
 from rydgan.training import (Learner, TrainConfig, initial_params,
                              load_learner, save_learner, train_learners)
@@ -171,7 +172,7 @@ class TestPersistence:
     @pytest.mark.parametrize("payload, field", [
         (b"[]", "top level"),
         (b"\xff\xfe{", "rydgan-learner"),
-        (b'{"format": "rydgan-learner", "version": 1}', "shape"),
+        (b'{"format": "rydgan-learner", "version": 1}', "config"),
     ], ids=["not-an-object", "not-utf8", "missing-keys"])
     def test_malformed_document_names_path_and_field(self, tmp_path, payload,
                                                      field):
@@ -237,6 +238,29 @@ class TestConfigValidation:
     def test_out_of_range_setting_named(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("settings", [
+        dict(limits=PulseLimits(omega_max=1.0)),
+        dict(limits=PulseLimits(local_detuning_min=-2.0)),
+        dict(limits=PulseLimits(global_detuning_abs=0.5)),
+        dict(min_spacing=6.0), dict(field_size=10.0), dict(field_size=4.0)],
+        ids=["omega_max-1", "local_detuning_min--2", "global_detuning_abs-0.5",
+             "min_spacing-6", "field_size-10", "field_size-4"])
+    def test_starting_point_lies_inside_the_envelope(self, settings):
+        """The fixed starting ranges (Rabi 0.5-2, local -5 to -0.5, global
+        +-1, a 6 um grid) leave these envelopes; each start is clipped into
+        its boxes and the grid is fitted to the spacing and the field."""
+        config = TrainConfig(n_qubits=4, **settings)
+        for seed in range(200):
+            initial_params(config, np.random.default_rng(seed)).validate(
+                config.limits, config.min_spacing, config.field_size)
+
+    def test_field_too_small_for_the_starting_grid_named(self):
+        # five atoms take a grid of three to a row: 2 x 4 um wide
+        TrainConfig(n_qubits=5, field_size=8.0)
+        with pytest.raises(ValidationError,
+                           match="field_size .* min_spacing = 4.0 um"):
+            TrainConfig(n_qubits=5, field_size=7.9)
 
     def test_learner_dataclass_equality(self):
         a = Learner("linear", "triangle",
