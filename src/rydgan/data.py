@@ -1,7 +1,7 @@
 """Dataset ingestion (IDX), PCA with inverse transform, feature scaling,
 and PGM image output.
 
-The PCA keeps the top-k eigenvectors of the pixel covariance so generated
+The PCA keeps the top-k principal components of the pixels so generated
 feature vectors can be mapped back to images with the inverse transform.
 Feature scaling sends the observed per-feature training range onto the
 generator's output window (0, 1/2^n], and is inverted before the inverse
@@ -172,7 +172,19 @@ class PcaModel:
 
 
 def fit_pca(train: ImageSet, k: int) -> PcaModel:
-    """Eigendecompose the pixel covariance and keep the top-k components."""
+    """The top-k principal components of the images, from one `eigh` of the
+    smaller Gram matrix of the centred data C (N images x 784 pixels).
+
+    With fewer images than pixels that is the N x N matrix C C^T, whose
+    eigenvectors U give the components as the normalized rows of U^T C (the
+    method of snapshots: Sirovich, Q. Appl. Math. 45 (1987) 561); otherwise
+    it is the 784 x 784 matrix C^T C, N - 1 times the covariance. Each
+    component is then signed so that its largest-magnitude entry, the first
+    on a tie, is positive (Bro, Acar & Kolda, J. Chemometrics 22 (2008) 135),
+    so the basis depends on neither the route nor LAPACK's sign choice. A
+    component whose variance is at rounding level, within what rounding the
+    Gram entries and the centring can leave, is a DataError naming it.
+    """
     n = len(train)
     if k < 1 or k > PIXELS:
         raise ValidationError(f"k must be in [1, {PIXELS}], got {k}")
@@ -181,19 +193,29 @@ def fit_pca(train: ImageSet, k: int) -> PcaModel:
     x = train.flat()
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)       # ascending
-    order = np.argsort(eigvals)[::-1][:k]
-    components = eigvecs[:, order].T
-    eigenvalues = np.maximum(eigvals[order], 0.0)
-    weights = centered @ components.T
-    lo, hi = weights.min(axis=0), weights.max(axis=0)
-    degenerate = hi - lo <= 0
+    snapshots = n < PIXELS
+    gram = centered @ centered.T if snapshots else centered.T @ centered
+    eigvals, eigvecs = np.linalg.eigh(gram)       # ascending
+    eigvals, eigvecs = eigvals[::-1][:k], eigvecs[:, ::-1][:, :k]
+    # rounding level: that of the Gram entries, m x their trace, plus that
+    # of the centring, m^2 x the images' sum of squares, m = max(N, 784) eps
+    m, trace = max(n, PIXELS) * np.finfo(float).eps, np.trace(gram)
+    degenerate = eigvals <= m * (trace + m * (trace + n * (mean @ mean)))
     if degenerate.any():
         raise DataError(
             f"feature(s) {np.nonzero(degenerate)[0].tolist()} have degenerate "
-            "scale bounds (lo = hi); not enough variation in the training data")
-    return PcaModel(mean, components, eigenvalues, lo, hi)
+            "scale bounds (variance at rounding level); not enough variation "
+            "in the training data")
+    if snapshots:
+        components = eigvecs.T @ centered
+        components /= np.linalg.norm(components, axis=1)[:, None]
+    else:
+        components = eigvecs.T.copy()
+    peaks = np.abs(components).argmax(axis=1)
+    components *= np.sign(components[np.arange(k), peaks])[:, None]
+    weights = centered @ components.T
+    return PcaModel(mean, components, eigvals / (n - 1),
+                    weights.min(axis=0), weights.max(axis=0))
 
 
 def transform(model: PcaModel, image) -> np.ndarray:

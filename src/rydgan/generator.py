@@ -170,15 +170,13 @@ def build_spec(params: GeneratorParams, seed: float,
 
     The shared scalar seed u is injected into both pulses scaled to each
     drive's full range, the run's omega_max or local_detuning_min (negative):
-    full_scale is that limit and seed_noise = u * full_scale.
+    full_scale is that limit and seed = u, so both read one fraction.
     """
     rabi = PulseProgram(shape=params.rabi_shape, param=params.rabi_param,
-                        full_scale=limits.omega_max,
-                        seed_noise=seed * limits.omega_max,
+                        full_scale=limits.omega_max, seed=seed,
                         duration=params.duration)
     local = PulseProgram(shape=params.local_shape, param=params.local_param,
-                         full_scale=limits.local_detuning_min,
-                         seed_noise=seed * limits.local_detuning_min,
+                         full_scale=limits.local_detuning_min, seed=seed,
                          duration=params.duration)
     return HamiltonianSpec(arrangement=params.arrangement, rabi=rabi,
                            local_detuning=local,

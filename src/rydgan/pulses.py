@@ -1,10 +1,10 @@
 """Parameterized drive waveforms for the analog generator.
 
 Each pulse is one of six shapes controlled by a single trainable scalar
-(``param``) plus a per-run seed value (``seed_noise``) injected into the
-shape: the seed sets the starting value of the linear ramp, and as a
-fraction of the drive's signed ``full_scale`` (the run's limit) it shifts
-the triangle peak and modulates the trapezoid plateau width, the gaussian
+(``param``) plus a per-run seed fraction (``seed``) injected into the
+shape: times the drive's signed ``full_scale`` (the run's limit) it sets
+the starting value of the linear ramp, and as a fraction it shifts the
+triangle peak and modulates the trapezoid plateau width, the gaussian
 width and the sine bump phase. Hardware requires Rabi and local-detuning
 waveforms to start and end at zero, so every shape is wrapped in linear
 entry/exit ramps each covering ``RAMP_FRACTION`` of the duration; the
@@ -50,16 +50,17 @@ class PulseProgram:
     """One drive waveform: shape id, seed injection, trainable scalar.
 
     ``full_scale`` is the drive's signed full-scale amplitude, the run's
-    ``omega_max`` or ``local_detuning_min``: ``seed_noise`` is the seed in
-    those units, and the seed-driven timing/width modulations read
-    ``seed_noise / full_scale``, clipped to [0, 1]. ``evaluate`` is a pure
-    function of the fields below.
+    ``omega_max`` or ``local_detuning_min``, and ``seed`` the run's seed as
+    a fraction of it: ``seed * full_scale`` is the seed in the drive's
+    units, and the seed-driven timing/width modulations read |seed| clipped
+    to [0, 1].
+    ``evaluate`` is a pure function of the fields below.
     """
 
     shape: str
     full_scale: float
     param: float
-    seed_noise: float = 0.0
+    seed: float = 0.0
     duration: float = 1.0
 
     def __post_init__(self):
@@ -71,8 +72,8 @@ class PulseProgram:
                 f"pulse full_scale must be finite and nonzero, got {self.full_scale}")
         if not self.duration > 0:
             raise ValidationError(f"pulse duration must be positive, got {self.duration}")
-        if not (math.isfinite(self.param) and math.isfinite(self.seed_noise)):
-            raise ValidationError("pulse param and seed_noise must be finite")
+        if not (math.isfinite(self.param) and math.isfinite(self.seed)):
+            raise ValidationError("pulse param and seed must be finite")
 
 
 def _shape(pulse: PulseProgram):
@@ -85,13 +86,14 @@ def _shape(pulse: PulseProgram):
     interior (None) and no kinks.
     """
     d, p = pulse.duration, pulse.param
-    u = min(abs(pulse.seed_noise / pulse.full_scale), 1.0)   # the seed in [0, 1]
+    u = min(abs(pulse.seed), 1.0)
     r = RAMP_FRACTION * d
     w = d - 2.0 * r
     if pulse.shape == "constant":
         return [(0.0, p), (d, p)], None, []
     if pulse.shape == "linear":
-        return [(0.0, 0.0), (r, pulse.seed_noise), (d - r, p), (d, 0.0)], None, []
+        return ([(0.0, 0.0), (r, pulse.seed * pulse.full_scale), (d - r, p),
+                 (d, 0.0)], None, [])
     if pulse.shape == "triangle":
         peak_t = r + (0.2 + 0.6 * u) * w
         return [(0.0, 0.0), (r, 0.0), (peak_t, p), (d - r, 0.0), (d, 0.0)], None, []

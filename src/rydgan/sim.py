@@ -47,7 +47,7 @@ from .pulses import PulseProgram, breakpoint_times, evaluate
 
 C6_DEFAULT = 5_420_503.0  # rad/us * um^6
 MAX_QUBITS = 10
-STEPS_PER_US = 1000         # default step rate of a run
+STEPS_PER_US = 250          # default step rate of a run
 
 NORM_TOL = 1e-9             # allowed |sum_k |a_k|^2 - 1| of a state
 _SQRT3 = math.sqrt(3.0)
@@ -199,7 +199,7 @@ def _step_grid(cuts: tuple, duration: float, steps: int):
     starts, dts = [np.empty(0)], [np.empty(0)]
     for a, b in zip(bounds, bounds[1:]):
         span = b - a
-        # merge a breakpoint's two pulse copies, which differ by rounding
+        # merge breakpoints that differ by rounding alone
         if span <= 1e-12 * duration:
             continue
         m = max(1, math.ceil(span / dt_target - 1e-9))
@@ -453,7 +453,7 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
 
     Row b integrates specs[b] over its own duration, starting from the
     normalized initial[b] (default: the ground state). Every run keeps its
-    own breakpoint-aligned step grid for the `steps` budget (default 1000
+    own breakpoint-aligned step grid for the `steps` budget (default 250
     per us) and fourth-order commutator-free Magnus factors (Alvermann &
     Fehske, J. Comput. Phys. 230 (2011) 5930), so a row does not depend on
     the rest of the batch beyond rounding. All specs share one qubit count
@@ -465,7 +465,7 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
     of degree fixed in advance from a norm bound (Al-Mohy & Higham, SIAM J.
     Sci. Comput. 33 (2011) 488), but with ~15% fewer terms. The norm is
     preserved to rounding, and doubling `steps` moves probabilities by well
-    under 1e-6 at 1000 steps/us even for full-scale drives. A run no step
+    under 1e-6 at the default 250 steps/us even for full-scale drives. A run no step
     budget resolves (near-coincident atoms) is a NumericError whose `run`
     is its row.
     """

@@ -45,8 +45,9 @@ class TrainConfig:
     n_qubits: int = setting(4, (">=", 1), ("<=", MAX_QUBITS))
     # Aquila runs a pulse program for at most 4 us
     duration: float = setting(1.0, (">", 0), ("<=", 4.0))
-    # 1000 steps/us already resolve features to about 1e-12, and the finest
-    # reference grid used 4000; finer grids only add rounding and memory
+    # 250 steps/us resolve full-scale n = 4 features to about 3e-8 (1000 to
+    # about 1e-10), and the finest reference grid used 4000; finer grids
+    # only add rounding and memory
     steps_per_us: int = setting(STEPS_PER_US, (">=", 1), ("<=", 10_000))
     cycles: int = setting(3, (">=", 1))
     nm_iters: int = setting(60, (">=", 1))

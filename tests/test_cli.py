@@ -6,7 +6,7 @@ import os
 import re
 import shutil
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from rydgan.sim import AtomArrangement
 from rydgan.pulses import PulseLimits
 from rydgan.training import Learner, TrainConfig, load_learner
 from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, f8_field,
-                             synthetic_digits)
+                             synthetic_digits, write_idx_pair)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,22 @@ class TestFitPca:
                      "--out", str(tmp_path / "o")])
         assert code == 2  # validation fires before the missing files matter
         assert "784" in capsys.readouterr().err
+
+    def test_class_without_variance_exits_3(self, tmp_path, capsys):
+        # integer pixels on a 2-D affine subspace: k = 4 components need
+        # two that the class does not have
+        rng = np.random.default_rng(23)
+        steps = rng.integers(-1, 2, size=(2, 784))
+        images = 100 + rng.integers(-20, 21, size=(40, 2)) @ steps
+        paths = write_idx_pair(tmp_path, images.reshape(40, 28, 28),
+                               np.zeros(40))
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("[data]\nimages = {}\nlabels = {}\n"
+                       "[quantum]\nn_qubits = 2\n".format(*paths))
+        code = main(["fit-pca", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "feature(s) [2, 3] have degenerate" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -390,11 +406,21 @@ class TestGenerate:
 
     def test_crowded_noisy_draw_exits_4_naming_image_and_member(
             self, smoke_ini, pipeline_out, tmp_path, capsys):
-        # a 5 um position error brings the atoms of some of 400 draws within
-        # ~1 um, which no step budget resolves; nothing is written
+        # every member's two atoms sit min_spacing apart, so a 5 um position
+        # error brings them within ~1 um in some of 400 draws, which no step
+        # budget resolves; nothing is written
         out = str(tmp_path / "crowded")
         shutil.copytree(pipeline_out, out)
         shutil.rmtree(os.path.join(out, "generated"), ignore_errors=True)
+        files = json.load(open(_artefact_paths(out)["manifest"]))["member_files"]
+        for name in files:
+            path = os.path.join(out, "learners", "class0", name)
+            result = load_learner(path)
+            params, c = result.learner.params, result.config.field_size / 2
+            crowded = params.with_group("positions", [
+                c, c, c + result.config.min_spacing, c])
+            training.save_learner(replace(result, learner=replace(
+                result.learner, params=crowded)), path)
         cfg = tmp_path / "crowded.ini"
         cfg.write_text(open(smoke_ini).read()
                        + "\n[error_model]\nposition_sigma = 5.0\n")
@@ -406,7 +432,6 @@ class TestGenerate:
                           "Hamiltonian norm bound", err)
         assert match, err
         image, name, run = int(match[1]), match[2], int(match[3])
-        files = json.load(open(_artefact_paths(out)["manifest"]))["member_files"]
         assert run == image * len(files) + files.index(name)
         config = load_config(str(cfg), {"out_dir": out})
         mode = cli._member_mode(config, "noisy", image, files.index(name))
@@ -691,7 +716,7 @@ class TestConfigPlumbing:
 DEFAULT_INI = "\n".join([
     "[data]", "images = ", "labels = ", "digit_class = 0",
     "val_fraction = 0.1", "split_seed = 20240", "",
-    "[quantum]", "n_qubits = 4", "c6 = 5420503.0", "steps_per_us = 1000",
+    "[quantum]", "n_qubits = 4", "c6 = 5420503.0", "steps_per_us = 250",
     "min_spacing_um = 4.0", "field_size_um = 75.0", "",
     "[pulses]", "omega_max = 15.8", "local_detuning_min = -125.0",
     "global_detuning_abs = 125.0", "rabi_shapes = linear,triangle",

@@ -165,6 +165,21 @@ PAYLOAD_DEFECTS = [
 ]
 
 
+def signed(components):
+    """Rows signed so that the largest-magnitude entry, the first on a tie,
+    is positive."""
+    peaks = np.abs(components).argmax(axis=1)
+    return components * np.sign(components[np.arange(len(components)), peaks])[:, None]
+
+
+def affine_plane(rng, count):
+    """count images on a 2-D affine subspace of pixel space, unclipped."""
+    base = rng.uniform(0.3, 0.7, size=784)
+    directions = rng.uniform(-0.1, 0.1, size=(2, 784))
+    images = base + rng.uniform(-1, 1, size=(count, 2)) @ directions
+    return ImageSet(images.reshape(count, 28, 28), np.zeros(count, dtype=int))
+
+
 class TestPca:
     def test_exact_low_rank_roundtrip(self):
         # data confined to a 2-D affine subspace of pixel space
@@ -187,6 +202,59 @@ class TestPca:
         model = fit_pca(data, 16)
         gram = model.components @ model.components.T
         assert np.abs(gram - np.eye(16)).max() < 1e-8
+
+    def test_n8_class_components_orthonormal(self):
+        # the benchmark's n = 8 shape: k = 256 from 288 images, C C^T route
+        model = fit_pca(synthetic_digits(np.random.default_rng(4), 288), 256)
+        gram = model.components @ model.components.T
+        assert np.abs(gram - np.eye(256)).max() < 1e-8
+
+    @pytest.mark.parametrize("count", [40, 800], ids=["gram", "covariance"])
+    def test_matches_svd_oracle_on_both_routes(self, count):
+        # fewer images than pixels decomposes C C^T, more C^T C
+        data = synthetic_digits(np.random.default_rng(19), count)
+        model = fit_pca(data, 16)
+        centered = data.flat() - data.flat().mean(axis=0)
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        eigenvalues = s[:16] ** 2 / (count - 1)
+        assert np.abs(model.components - signed(vt[:16])).max() < 1e-9
+        assert (np.abs(model.eigenvalues - eigenvalues).max()
+                < 1e-9 * eigenvalues[0])
+
+    @pytest.mark.parametrize("count", [40, 800], ids=["gram", "covariance"])
+    def test_largest_entry_of_each_component_is_positive(self, count):
+        components = fit_pca(synthetic_digits(np.random.default_rng(20), count),
+                             16).components
+        assert np.array_equal(components, signed(components))
+        peaks = components[np.arange(16), np.abs(components).argmax(axis=1)]
+        assert (peaks > 0).all()
+
+    def test_sign_tie_goes_to_the_first_entry(self):
+        # pixels 5 and 9 move in exact opposition (32 images and steps of
+        # 1/64 keep the centring exact), so the one component is +-a at both
+        c = np.arange(-16, 16) / 64.0
+        images = np.full((32, 784), 0.5)
+        images[:, 5], images[:, 9] = 0.5 + c, 0.5 - c
+        data = ImageSet(images.reshape(32, 28, 28), np.zeros(32, dtype=int))
+        row = fit_pca(data, 1).components[0]
+        assert row[5] == -row[9] > 0
+
+    @pytest.mark.parametrize("count", [30, 800], ids=["gram", "covariance"])
+    def test_component_without_variance_is_a_data_error(self, count):
+        # a 2-D affine subspace leaves components 2 and 3 at rounding level
+        data = affine_plane(np.random.default_rng(21), count)
+        assert fit_pca(data, 2).k == 2
+        with pytest.raises(DataError, match=r"feature\(s\) \[2, 3\] have "
+                           "degenerate scale bounds"):
+            fit_pca(data, 4)
+
+    @pytest.mark.parametrize("count", [40, 800], ids=["gram", "covariance"])
+    def test_refit_saves_identical_bytes(self, tmp_path, count):
+        data = synthetic_digits(np.random.default_rng(22), count)
+        paths = [str(tmp_path / f"model{i}.json") for i in range(2)]
+        for path in paths:
+            save_pca(fit_pca(data, 16), path)
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
     def test_eigenvalues_match_bruteforce_oracle(self):
         data = synthetic_digits(np.random.default_rng(5), 50)

@@ -153,8 +153,7 @@ class TestGenerateFeatures:
     def test_build_spec_shares_one_seed_scalar(self):
         params = square_params()
         spec = build_spec(params, 0.5)
-        assert spec.rabi.seed_noise == pytest.approx(0.5 * 15.8)
-        assert spec.local_detuning.seed_noise == pytest.approx(0.5 * -125.0)
+        assert spec.rabi.seed == spec.local_detuning.seed == 0.5
         assert spec.rabi.full_scale == 15.8
         assert spec.local_detuning.full_scale == -125.0
 

@@ -9,21 +9,22 @@ RABI_LOCAL_SHAPES = [s for s in SHAPES if s != "constant"]
 OMEGA = DEFAULT_LIMITS.omega_max
 
 
-def make_pulse(shape, full_scale, param, seed=0.0, **kw):
+def make_pulse(shape, full_scale, param, seed_noise=0.0, **kw):
+    """A pulse whose seed is given in the drive's units."""
     return PulseProgram(shape=shape, full_scale=full_scale, param=param,
-                        seed_noise=seed, **kw)
+                        seed=seed_noise / full_scale, **kw)
 
 
 class TestEvaluate:
     def test_linear_rabi_ramp_construction(self):
-        pulse = make_pulse("linear", OMEGA, 3.0, seed=1.0, duration=1.0)
+        pulse = make_pulse("linear", OMEGA, 3.0, seed_noise=1.0, duration=1.0)
         assert evaluate(pulse, 0.0) == 0.0
         assert evaluate(pulse, 0.05) == pytest.approx(1.0, abs=1e-12)
         assert evaluate(pulse, 0.95) == pytest.approx(3.0, abs=1e-12)
         assert evaluate(pulse, 1.0) == 0.0
 
     def test_linear_interior_interpolates_seed_to_param(self):
-        pulse = make_pulse("linear", OMEGA, 4.0, seed=2.0)
+        pulse = make_pulse("linear", OMEGA, 4.0, seed_noise=2.0)
         mid = evaluate(pulse, 0.5)
         assert mid == pytest.approx(3.0, abs=1e-12)
 
@@ -33,7 +34,7 @@ class TestEvaluate:
             assert evaluate(pulse, float(t)) == 2.0
 
     def test_triangle_zero_peak_is_identically_zero(self):
-        pulse = make_pulse("triangle", OMEGA, 0.0, seed=5.0)
+        pulse = make_pulse("triangle", OMEGA, 0.0, seed_noise=5.0)
         ts = np.linspace(0, 1, 101)
         assert np.all(evaluate(pulse, ts) == 0.0)
 
@@ -45,7 +46,7 @@ class TestEvaluate:
             evaluate(pulse, -0.1)
 
     def test_array_and_scalar_agree(self):
-        pulse = make_pulse("gaussian", OMEGA, 2.0, seed=3.0)
+        pulse = make_pulse("gaussian", OMEGA, 2.0, seed_noise=3.0)
         ts = np.linspace(0, 1, 23)
         arr = evaluate(pulse, ts)
         scalars = np.concatenate([evaluate(pulse, ts[i:i + 1])
@@ -73,7 +74,7 @@ class TestShapeInvariants:
         for _ in range(25):
             seed = rng.uniform(lo, hi)
             param = rng.uniform(0.0, 1.0) * scale
-            pulse = make_pulse(shape, scale, param, seed=seed)
+            pulse = make_pulse(shape, scale, param, seed_noise=seed)
             vals = evaluate(pulse, ts)
             assert vals[0] == 0.0 and vals[-1] == 0.0
             if scale > 0:
@@ -83,8 +84,8 @@ class TestShapeInvariants:
             assert np.abs(vals).max() <= abs(scale) + 1e-9
 
     def test_evaluate_is_deterministic(self):
-        pulse_a = make_pulse("sine_bump", OMEGA, 2.5, seed=4.0)
-        pulse_b = make_pulse("sine_bump", OMEGA, 2.5, seed=4.0)
+        pulse_a = make_pulse("sine_bump", OMEGA, 2.5, seed_noise=4.0)
+        pulse_b = make_pulse("sine_bump", OMEGA, 2.5, seed_noise=4.0)
         ts = np.linspace(0, 1, 97)
         assert np.array_equal(evaluate(pulse_a, ts), evaluate(pulse_b, ts))
 
@@ -101,7 +102,7 @@ def test_every_kink_is_a_breakpoint(shape):
         scale = rng.choice([OMEGA, DEFAULT_LIMITS.local_detuning_min])
         duration = rng.uniform(0.37, 4.0)
         pulse = make_pulse(shape, scale, rng.uniform(0.05, 1.0) * scale,
-                           seed=rng.uniform(0.1, 1.0) * scale,
+                           seed_noise=rng.uniform(0.1, 1.0) * scale,
                            duration=duration)
         t = np.linspace(0.0, duration, cells + 1)
         v = evaluate(pulse, t)
@@ -126,4 +127,4 @@ def test_limits_reject_out_of_range_bounds(field, value):
 @pytest.mark.parametrize("full_scale", [0.0, -0.0, np.nan, np.inf, -np.inf])
 def test_full_scale_must_be_finite_and_nonzero(full_scale):
     with pytest.raises(ValidationError, match="full_scale"):
-        make_pulse("triangle", full_scale, 1.0)
+        PulseProgram(shape="triangle", full_scale=full_scale, param=1.0)

@@ -73,11 +73,12 @@ def random_spec(rng, n=4, duration=1.0):
     shapes = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump")
     rabi = PulseProgram(shape=shapes[rng.integers(len(shapes))],
                         full_scale=15.8, param=rng.uniform(0.0, 15.8),
-                        seed_noise=rng.uniform(1.58, 15.8), duration=duration)
+                        seed=rng.uniform(1.58, 15.8) / 15.8,
+                        duration=duration)
     local = PulseProgram(shape=shapes[rng.integers(len(shapes))],
                          full_scale=-125.0,
                          param=-rng.uniform(0.0, 125.0),
-                         seed_noise=-rng.uniform(12.5, 125.0),
+                         seed=rng.uniform(12.5, 125.0) / 125.0,
                          duration=duration)
     return HamiltonianSpec(
         arrangement=AtomArrangement(tuple(map(tuple, pos)),
@@ -275,9 +276,9 @@ def full_range_spec(rng, n, spacing=4.0):
     return HamiltonianSpec(
         arrangement=AtomArrangement(tuple(pos), tuple(rng.uniform(0, 1, n))),
         rabi=PulseProgram(shape="trapezoid", full_scale=15.8, param=15.8,
-                          seed_noise=15.8),
+                          seed=1.0),
         local_detuning=PulseProgram(shape="sine_bump", full_scale=-125.0,
-                                    param=-125.0, seed_noise=-125.0),
+                                    param=-125.0, seed=1.0),
         global_detuning_offset=125.0)
 
 
@@ -395,20 +396,21 @@ class TestEvolveBatch:
     @pytest.mark.parametrize("steps, duration", [(30, 1.0), (None, 0.03)])
     def test_factor_row_cap_splits_the_block(self, steps, duration,
                                              monkeypatch):
-        # about two factor rows per step: a cap of 2 x 30 x 2 factor rows x
-        # runs holds two runs of a 30-step budget
+        # about two factor rows per step: a cap of 2 x budget x 2 factor rows
+        # x runs holds two runs
+        budget = steps or sim.default_steps(duration)
         rng = np.random.default_rng(5)
         specs = [random_spec(rng, 4, duration) for _ in range(5)]
         whole = evolve(specs, steps=steps)
         sizes, propagate = [], sim._propagate
-        monkeypatch.setattr(sim, "_MAX_FACTORS", 2 * 30 * 2)
+        monkeypatch.setattr(sim, "_MAX_FACTORS", 2 * budget * 2)
         monkeypatch.setattr(sim, "_propagate", lambda specs, *rest: (
             sizes.append(len(specs)) or propagate(specs, *rest)))
         out = evolve(specs, steps=steps)
         assert sizes == [2, 2, 1]
         assert np.abs(out - whole).max() <= 1e-12
         for spec, row in zip(specs, out):
-            assert np.abs(row - evolve_eigh(ground(4), spec, 30)).max() <= 1e-9
+            assert np.abs(row - evolve_eigh(ground(4), spec, budget)).max() <= 1e-9
 
     @pytest.mark.parametrize("n, split", [(4, 7), (5, 1), (6, 6), (8, 7)])
     def test_chunked_factors_are_bit_identical(self, n, split, monkeypatch):
