@@ -33,7 +33,7 @@ SCORE_HEADER = "class,mode,fid,mean_variation"
 
 
 def _pca_path(config: RunConfig, cls: int) -> str:
-    return os.path.join(config.out_dir, f"pca_class{cls}.json")
+    return os.path.join(config.out_dir, f"pca_class{cls}.pca")
 
 
 def _learners_dir(config: RunConfig, cls: int) -> str:
@@ -126,9 +126,16 @@ def cmd_train(config: RunConfig) -> int:
 
 def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
     path = _pca_path(config, cls)
-    if not os.path.exists(path):
-        raise DataError(f"missing PCA model {path}; run fit-pca first")
-    return dp.load_pca(path)
+    try:
+        return dp.load_pca(path)
+    except DataError as exc:
+        if not isinstance(exc.__cause__, FileNotFoundError):
+            raise
+    stale = os.path.splitext(path)[0] + ".json"
+    if os.path.exists(stale):
+        raise DataError(f"{stale}: a PCA model of format version 2, which "
+                        "this version does not read; re-run fit-pca")
+    raise DataError(f"missing PCA model {path}; run fit-pca first")
 
 
 def _load_run_learner(config: RunConfig, path: str):

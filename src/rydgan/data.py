@@ -5,14 +5,13 @@ The PCA keeps the top-k principal components of the pixels so generated
 feature vectors can be mapped back to images with the inverse transform.
 Feature scaling sends the observed per-feature training range onto the
 generator's output window (0, 1/2^n], and is inverted before the inverse
-PCA when rendering generated images. A saved PCA model is a JSON document
-whose arrays are base64 of their little-endian float64 bytes (format
-version 2), so it round-trips bit for bit.
+PCA when rendering generated images. A saved PCA model (format version 3)
+is one JSON header line followed by its arrays' little-endian float64
+bytes, so it round-trips bit for bit and loads as views of one buffer.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -176,14 +175,16 @@ def fit_pca(train: ImageSet, k: int) -> PcaModel:
     smaller Gram matrix of the centred data C (N images x 784 pixels).
 
     With fewer images than pixels that is the N x N matrix C C^T, whose
-    eigenvectors U give the components as the normalized rows of U^T C (the
-    method of snapshots: Sirovich, Q. Appl. Math. 45 (1987) 561); otherwise
-    it is the 784 x 784 matrix C^T C, N - 1 times the covariance. Each
-    component is then signed so that its largest-magnitude entry, the first
-    on a tie, is positive (Bro, Acar & Kolda, J. Chemometrics 22 (2008) 135),
-    so the basis depends on neither the route nor LAPACK's sign choice. A
-    component whose variance is at rounding level, within what rounding the
-    Gram entries and the centring can leave, is a DataError naming it.
+    eigenvectors U give the components as the normalized rows V of U^T C
+    (the method of snapshots: Sirovich, Q. Appl. Math. 45 (1987) 561),
+    which passes of V -= (V V^T - I) V / 2 make orthonormal within 1e-12;
+    otherwise it is the 784 x 784 matrix C^T C, N - 1 times the
+    covariance. Each component is then signed so that its largest-magnitude
+    entry, the first on a tie, is positive (Bro, Acar & Kolda, J.
+    Chemometrics 22 (2008) 135), so the basis depends on neither the route
+    nor LAPACK's sign choice. A component whose variance is at rounding
+    level, within what rounding the Gram entries and the centring can
+    leave, is a DataError naming it.
     """
     n = len(train)
     if k < 1 or k > PIXELS:
@@ -209,6 +210,11 @@ def fit_pca(train: ImageSet, k: int) -> PcaModel:
     if snapshots:
         components = eigvecs.T @ centered
         components /= np.linalg.norm(components, axis=1)[:, None]
+        for _ in range(8):      # each pass squares the rows' rounding drift
+            drift = components @ components.T - np.eye(k)
+            if np.abs(drift).max() <= 1e-12:
+                break
+            components -= 0.5 * drift @ components
     else:
         components = eigvecs.T.copy()
     peaks = np.abs(components).argmax(axis=1)
@@ -254,49 +260,68 @@ def unscale_features(model: PcaModel, scaled) -> np.ndarray:
 
 
 PCA_FORMAT = "rydgan-pca"
-PCA_VERSION = 2
+PCA_VERSION = 3
 
 
 def save_pca(model: PcaModel, path: str):
-    """Write the model as one JSON document in which each array is
-    {"dtype": "<f8", "shape": [...], "base64": ...}: its little-endian
-    float64 bytes, so that it loads back bit for bit."""
-    doc = {"format": PCA_FORMAT, "version": PCA_VERSION, "k": model.k,
-           "pixels": int(model.mean.shape[0])}
-    for name in _PCA_ARRAYS:
-        a = np.ascontiguousarray(getattr(model, name), "<f8")
-        doc[name] = {"dtype": "<f8", "shape": list(a.shape),
-                     "base64": base64.b64encode(a.tobytes()).decode("ascii")}
-    atomic_write_json(path, doc)
+    """Write one UTF-8 JSON header line, then each array's little-endian
+    float64 bytes in `_PCA_ARRAYS` order; it loads back bit for bit."""
+    arrays = [np.ascontiguousarray(getattr(model, name), "<f8")
+              for name in _PCA_ARRAYS]
+    header = {"format": PCA_FORMAT, "version": PCA_VERSION, "k": model.k,
+              "pixels": int(model.mean.shape[0])}
+    header.update((name, {"dtype": "<f8", "shape": list(a.shape)})
+                  for name, a in zip(_PCA_ARRAYS, arrays))
+    _atomic_write(path, lambda f: f.writelines(
+        [json.dumps(header).encode("utf-8") + b"\n", *arrays]), mode="wb")
 
 
 def load_pca(path: str) -> PcaModel:
-    """Read a save_pca file. Bad base64, a byte count that does not fill
-    the shape, another dtype, a non-finite value or a version-1 (float
-    text) file is a DataError naming the path and the field."""
-    doc = _load_doc(path, PCA_FORMAT, PCA_VERSION, "; re-run fit-pca")
-    arrays = {}
+    """Read a save_pca file into views of one buffer. Another format,
+    version or dtype, a shape with a negative entry or that the bytes left
+    do not fill, bytes after the last array or a non-finite value is a
+    DataError naming the path and the field."""
+    line, payload = _read(path, lambda f: (f.readline(),
+                                           np.fromfile(f, np.uint8)))
+    doc = _parse_doc(path, line, PCA_FORMAT, PCA_VERSION, "; re-run fit-pca")
+    arrays, start = {}, 0
     for name in _PCA_ARRAYS:
         with _doc_field(path, name):
             node = doc[name]
             if node["dtype"] != "<f8":
                 raise ValueError(f"dtype must be '<f8', got {node['dtype']!r}")
-            raw = base64.b64decode(node["base64"], validate=True)
-            if len(raw) != 8 * math.prod(node["shape"]):
-                raise ValueError(f"{len(raw)} bytes do not fill shape "
-                                 f"{node['shape']}")
-            arrays[name] = np.frombuffer(raw, "<f8").reshape(node["shape"])
+            shape, end = node["shape"], start + 8 * math.prod(node["shape"])
+            if min(shape, default=0) < 0 or end > len(payload):
+                raise ValueError(f"shape {shape} does not fit the "
+                                 f"{len(payload) - start} bytes left")
+            arrays[name] = payload[start:end].view("<f8").reshape(shape)
+            start = end
+    if start < len(payload):
+        raise DataError(f"{path}: field {name}: followed by "
+                        f"{len(payload) - start} trailing bytes")
     with _doc_field(path):
         return PcaModel(**arrays)
 
 
-def _load_doc(path: str, format: str, version: int, remedy: str = "") -> dict:
-    """A versioned JSON artefact as a dict; any defect is a DataError naming path."""
+def _read(path: str, read):
+    """read(f) of path opened for binary reading; OSError becomes DataError."""
     try:
         with open(path, "rb") as f:
-            doc = json.loads(f.read().decode("utf-8"))
+            return read(f)
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def _load_doc(path: str, format: str, version: int) -> dict:
+    """A versioned JSON artefact as a dict; any defect is a DataError naming path."""
+    return _parse_doc(path, _read(path, lambda f: f.read()), format, version)
+
+
+def _parse_doc(path: str, raw: bytes, format: str, version: int,
+               remedy: str = "") -> dict:
+    """The JSON object in raw, which must hold this format and version."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:    # invalid UTF-8 or invalid JSON
         raise DataError(f"{path}: not a valid {format} file: {exc}") from exc
     if not isinstance(doc, dict):

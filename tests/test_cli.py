@@ -1,4 +1,3 @@
-import base64
 import collections
 import json
 import math
@@ -28,7 +27,7 @@ from rydgan.neldermead import nelder_mead_steps
 from rydgan.sim import AtomArrangement
 from rydgan.pulses import PulseLimits
 from rydgan.training import Learner, TrainConfig, load_learner
-from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, f8_field,
+from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, PcaFile, f8_field,
                              synthetic_digits, write_idx_pair)
 
 
@@ -82,8 +81,8 @@ class TestFitPca:
     def test_writes_model_with_k_components(self, smoke_ini, tmp_path):
         out = str(tmp_path / "out")
         assert main(["fit-pca", "--config", smoke_ini, "--out", out]) == 0
-        doc = json.loads(open(os.path.join(out, "pca_class0.json")).read())
-        assert doc["k"] == 4
+        header = PcaFile(os.path.join(out, "pca_class0.pca")).header
+        assert header["k"] == 4
         assert os.path.exists(os.path.join(out, "effective-config.ini"))
 
     def test_missing_dataset_names_path(self, smoke_ini, tmp_path, capsys):
@@ -538,7 +537,7 @@ class TestEvaluate:
         held-out images (class 1 reuses class 0's artefacts here)."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_out, out)
-        shutil.copy(out / "pca_class0.json", out / "pca_class1.json")
+        shutil.copy(out / "pca_class0.pca", out / "pca_class1.pca")
         shutil.copy(out / "ensemble_class0.json", out / "ensemble_class1.json")
         shutil.copytree(out / "learners" / "class0", out / "learners" / "class1")
         reads = []
@@ -915,7 +914,7 @@ def _artefact_paths(out):
     manifest = os.path.join(out, "ensemble_class0.json")
     with open(manifest) as f:
         member = json.load(f)["member_files"][0]
-    return {"pca": os.path.join(out, "pca_class0.json"),
+    return {"pca": os.path.join(out, "pca_class0.pca"),
             "learner": os.path.join(out, "learners", "class0", member),
             "manifest": manifest}
 
@@ -939,14 +938,15 @@ class TestMalformedArtefacts:
         return out
 
     @pytest.mark.parametrize("artefact, payload, field", [
-        ("pca", b'{"format": "rydgan-pca", "version": 2}', "mean"),
+        ("pca", b'{"format": "rydgan-pca", "version": 3}\n', "mean"),
         ("pca", b"[]", "top level"),
         ("learner", b"[]", "top level"),
         ("pca", b"\xff\xfe{", "utf-8"),
         ("learner", b"\xff\xfe{", "utf-8"),
         ("pca", b'{"format": "rydgan-pca", "version": 1}', "fit-pca"),
+        ("pca", b'{"format": "rydgan-pca", "version": 2}\n', "fit-pca"),
     ], ids=["pca-missing-keys", "pca-array", "learner-array", "pca-not-utf8",
-            "learner-not-utf8", "pca-version-1"])
+            "learner-not-utf8", "pca-version-1", "pca-version-2"])
     def test_generate_exits_3_naming_path(self, smoke_ini, copy, capsys,
                                           artefact, payload, field):
         path = _artefact_paths(copy)[artefact]
@@ -960,11 +960,9 @@ class TestMalformedArtefacts:
 
     def test_short_scale_bounds_exit_3(self, smoke_ini, copy, capsys):
         path = _artefact_paths(copy)["pca"]
-        with open(path) as f:
-            doc = json.load(f)
-        doc["scale_lo"] = f8_field(load_pca(path).scale_lo[:1])
-        with open(path, "w") as f:
-            json.dump(doc, f)
+        pca = PcaFile(path)
+        f8_field(pca, "scale_lo", load_pca(path).scale_lo[:1])
+        pca.write(path)
         code = main(["generate", "--config", smoke_ini, "--out", copy,
                      "--count", "2"])
         err = capsys.readouterr().err
@@ -976,11 +974,9 @@ class TestMalformedArtefacts:
             self, smoke_ini, copy, capsys, field, edit):
         shutil.rmtree(os.path.join(copy, "generated"), ignore_errors=True)
         path = _artefact_paths(copy)["pca"]
-        with open(path) as f:
-            doc = json.load(f)
-        edit(doc)
-        with open(path, "w") as f:
-            json.dump(doc, f)
+        pca = PcaFile(path)
+        edit(pca)
+        pca.write(path)
         code = main(["generate", "--config", smoke_ini, "--out", copy,
                      "--count", "2"])
         err = capsys.readouterr().err
@@ -995,13 +991,11 @@ class TestMalformedArtefacts:
         # no nan or inf FID or variation may reach an output file
         shutil.rmtree(os.path.join(copy, "generated"), ignore_errors=True)
         path = _artefact_paths(copy)["pca"]
-        with open(path) as f:
-            doc = json.load(f)
+        pca = PcaFile(path)
         components = load_pca(path).components.copy()
         components[0, 0] = 1e300
-        doc["components"] = f8_field(components)
-        with open(path, "w") as f:
-            json.dump(doc, f)
+        f8_field(pca, "components", components)
+        pca.write(path)
 
         def tree():
             return {os.path.join(root, name): open(os.path.join(root, name),
@@ -1028,7 +1022,8 @@ def mutable_out(pipeline_out, tmp_path_factory):
     for name, path in paths.items():
         with open(path, "rb") as f:
             raw = f.read()
-        originals[name] = (raw, list(_key_paths(json.loads(raw))))
+        doc = PcaFile(path).header if name == "pca" else json.loads(raw)
+        originals[name] = (raw, list(_key_paths(doc)))
     return out, paths, originals
 
 
@@ -1038,9 +1033,10 @@ _REPLACEMENTS = (None, "x", [], {}, -1)
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
-    """Truncate an artefact, break one key or, in the PCA model, overwrite
-    one float64 of an array payload or drop its last bytes: generate exits
-    0, 2, 3 or 4, and 3 whenever the document no longer loads."""
+    """Truncate an artefact, break one key (of the PCA model's header) or,
+    in the PCA model, overwrite one float64 of an array or drop its last
+    bytes: generate exits 0, 2, 3 or 4, and 3 whenever the file no longer
+    loads."""
     out, paths, originals = mutable_out
     name = data.draw(st.sampled_from(sorted(paths)), label="artefact")
     raw, key_paths = originals[name]
@@ -1050,9 +1046,9 @@ def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
     if how == "truncate":
         mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="offset")]
     elif how == "payload":
-        doc = json.loads(raw)
-        node = doc[data.draw(st.sampled_from(PCA_ARRAYS), label="array")]
-        payload = bytearray(base64.b64decode(node["base64"]))
+        pca = PcaFile(paths[name])
+        array = data.draw(st.sampled_from(PCA_ARRAYS), label="array")
+        payload = bytearray(pca.arrays[array])
         if data.draw(st.booleans(), label="drop tail"):
             del payload[-data.draw(st.integers(1, 8), label="bytes"):]
         else:
@@ -1061,10 +1057,11 @@ def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
             payload[at:at + 8] = struct.pack("<d", data.draw(
                 st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(
                     allow_nan=False, allow_infinity=False), label="value"))
-        node["base64"] = base64.b64encode(payload).decode("ascii")
-        mutated = json.dumps(doc).encode()
+        pca.arrays[array] = bytes(payload)
+        mutated = pca.encode()
     else:
-        doc = json.loads(raw)
+        pca = PcaFile(paths[name]) if name == "pca" else None
+        doc = pca.header if pca else json.loads(raw)
         *parents, key = data.draw(st.sampled_from(key_paths), label="key")
         node = doc
         for step in parents:
@@ -1075,7 +1072,7 @@ def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
             del node[key]
         else:
             node[key] = _REPLACEMENTS[choice]
-        mutated = json.dumps(doc).encode()
+        mutated = pca.encode() if pca else json.dumps(doc).encode()
     with open(paths[name], "wb") as f:
         f.write(mutated)
     try:
@@ -1217,8 +1214,30 @@ def test_learner_of_another_duration_exits_3(smoke_ini, pipeline_out, tmp_path,
                      r"has duration = 2\.0", err), err
 
 
+@pytest.mark.parametrize("command, written", RUN_OUTPUTS)
+def test_stale_format_2_model_exits_3_naming_it(smoke_ini, pipeline_out,
+                                                tmp_path, capsys, command,
+                                                written):
+    """Where fit-pca of an earlier version left pca_class0.json (format
+    version 2) and no pca_class0.pca, select, generate and evaluate exit 3
+    naming the .json file and asking for fit-pca, before any output."""
+    out = tmp_path / "copy"
+    shutil.copytree(pipeline_out, out)
+    os.rename(out / "pca_class0.pca", out / "pca_class0.json")
+    target = out / written
+    if target.is_dir():
+        shutil.rmtree(target)
+    elif target.exists():
+        target.unlink()
+    code = main([command, "--config", smoke_ini, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{out / 'pca_class0.json'}: " in err and "re-run fit-pca" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("command, written", [
-    ("fit-pca", "pca_class0.json"), ("train", "learners")] + RUN_OUTPUTS)
+    ("fit-pca", "pca_class0.pca"), ("train", "learners")] + RUN_OUTPUTS)
 def test_held_out_split_of_one_image_exits_3_before_generating(
         smoke_ini, pipeline_out, tmp_path, capsys, monkeypatch, command,
         written):

@@ -1,5 +1,5 @@
-import base64
 import json
+import math
 import os
 import struct
 import tempfile
@@ -122,18 +122,36 @@ _EDGE_OR_ANY_FLOAT = (st.sampled_from([
     | st.floats(allow_nan=False, allow_infinity=False))
 
 
-def f8_field(values) -> dict:
-    """A PCA array field: base64 of little-endian float64, with its shape."""
+class PcaFile:
+    """A saved PCA model as its JSON header, the byte after the header line
+    and each array's bytes, for tests to edit and write back."""
+
+    def __init__(self, path):
+        with open(path, "rb") as f:
+            line, self.newline, payload = f.read().partition(b"\n")
+        self.header, self.arrays, start = json.loads(line), {}, 0
+        for name in PCA_ARRAYS:
+            end = start + 8 * math.prod(self.header[name]["shape"])
+            self.arrays[name], start = payload[start:end], end
+
+    def encode(self) -> bytes:
+        return (json.dumps(self.header).encode() + self.newline
+                + b"".join(self.arrays.values()))
+
+    def write(self, path):
+        with open(path, "wb") as f:
+            f.write(self.encode())
+
+
+def f8_field(pca, field, values):
+    """Store values as a PCA array: little-endian float64, with its shape."""
     a = np.asarray(values, dtype="<f8")
-    return {"dtype": "<f8", "shape": list(a.shape),
-            "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+    pca.header[field]["shape"], pca.arrays[field] = list(a.shape), a.tobytes()
 
 
-def recode(doc, field, edit):
-    """Replace a PCA array field's bytes by edit(bytes), keeping its shape."""
-    node = doc[field]
-    node["base64"] = base64.b64encode(
-        edit(base64.b64decode(node["base64"]))).decode("ascii")
+def recode(pca, field, edit):
+    """Replace a PCA array's bytes by edit(bytes), keeping its shape."""
+    pca.arrays[field] = edit(pca.arrays[field])
 
 
 def set_element(index, value):
@@ -145,23 +163,51 @@ def set_element(index, value):
     return edit
 
 
-# (field named in the error, edit of a saved PCA document)
+def end_within(field, count):
+    """An edit that ends the file count bytes before the end of field."""
+    def edit(pca):
+        recode(pca, field, lambda raw: raw[:len(raw) - count])
+        for later in PCA_ARRAYS[PCA_ARRAYS.index(field) + 1:]:
+            pca.arrays[later] = b""
+    return edit
+
+
+def one_more_eigenvalue(pca):
+    """eigenvalues one entry longer than k, with the bytes to fill it."""
+    f8_field(pca, "eigenvalues",
+             np.append(np.frombuffer(pca.arrays["eigenvalues"]), 0.0))
+
+
+def header_alone(pca):
+    """The header line without its newline, and no arrays after it."""
+    pca.newline = b""
+    for name in PCA_ARRAYS:
+        pca.arrays[name] = b""
+
+
+# (field named in the error, edit of a saved PCA file)
 PAYLOAD_DEFECTS = [
-    pytest.param("mean", lambda doc: doc["mean"].update(
-        base64="!" + doc["mean"]["base64"]), id="not-base64"),
-    pytest.param("components", lambda doc: recode(
-        doc, "components", lambda raw: raw[:-8]), id="8-bytes-short"),
-    pytest.param("eigenvalues", lambda doc: doc["eigenvalues"].update(
-        shape=[doc["k"] + 1]), id="shape-disagrees"),
-    pytest.param("eigenvalues", lambda doc: doc["eigenvalues"].update(
+    pytest.param("mean", lambda pca: pca.header["mean"].update(shape="784"),
+                 id="shape-not-a-list"),
+    pytest.param("components", end_within("components", 8),
+                 id="8-bytes-short"),
+    pytest.param("eigenvalues", one_more_eigenvalue, id="shape-disagrees"),
+    pytest.param("eigenvalues", lambda pca: pca.header["eigenvalues"].update(
         shape=[-1]), id="shape-minus-one"),
-    pytest.param("scale_hi", lambda doc: doc["scale_hi"].update(dtype="<f4"),
-                 id="dtype-f4"),
-    pytest.param("mean", lambda doc: recode(doc, "mean",
+    pytest.param("components", lambda pca: pca.header["components"].update(
+        shape=[-pca.header["k"], -784]), id="negative-shape"),
+    pytest.param("components", lambda pca: pca.header["components"].update(
+        shape=[2 ** 62]), id="shape-overruns-file"),
+    pytest.param("scale_hi", lambda pca: pca.header["scale_hi"].update(
+        dtype="<f4"), id="dtype-f4"),
+    pytest.param("mean", lambda pca: recode(pca, "mean",
                                             set_element(3, np.nan)), id="nan"),
-    pytest.param("scale_hi", lambda doc: recode(doc, "scale_hi",
+    pytest.param("scale_hi", lambda pca: recode(pca, "scale_hi",
                                                 set_element(0, np.inf)),
                  id="inf"),
+    pytest.param("scale_hi", lambda pca: recode(
+        pca, "scale_hi", lambda raw: raw + bytes(8)), id="trailing-bytes"),
+    pytest.param("mean", header_alone, id="header-without-newline"),
 ]
 
 
@@ -209,6 +255,26 @@ class TestPca:
         gram = model.components @ model.components.T
         assert np.abs(gram - np.eye(256)).max() < 1e-8
 
+    def test_components_orthonormal_down_to_the_rounding_floor(self):
+        # 200 images whose singular values fall geometrically from 0.02 to
+        # 2e-11: the C C^T route alone left rows of 77 of the 134 k that
+        # the floor admits more than 1e-12 off orthonormal, 8.1e-5 at k = 134
+        rng = np.random.default_rng(25)
+        u = np.linalg.qr(rng.normal(size=(200, 200)))[0]
+        v = np.linalg.qr(rng.normal(size=(784, 200)))[0]
+        images = 0.5 + (u * np.geomspace(0.02, 2e-11, 200)) @ v.T
+        data = ImageSet(images.reshape(200, 28, 28), np.zeros(200, dtype=int))
+        for k in range(1, 200):
+            try:
+                components = fit_pca(data, k).components
+            except DataError as err:
+                assert "degenerate" in str(err) and k > 120, k
+                break
+            gram = components @ components.T
+            assert np.abs(gram - np.eye(k)).max() <= 1e-12, k
+        else:
+            pytest.fail("the floor admitted every k")
+
     @pytest.mark.parametrize("count", [40, 800], ids=["gram", "covariance"])
     def test_matches_svd_oracle_on_both_routes(self, count):
         # fewer images than pixels decomposes C C^T, more C^T C
@@ -251,7 +317,7 @@ class TestPca:
     @pytest.mark.parametrize("count", [40, 800], ids=["gram", "covariance"])
     def test_refit_saves_identical_bytes(self, tmp_path, count):
         data = synthetic_digits(np.random.default_rng(22), count)
-        paths = [str(tmp_path / f"model{i}.json") for i in range(2)]
+        paths = [str(tmp_path / f"model{i}.pca") for i in range(2)]
         for path in paths:
             save_pca(fit_pca(data, 16), path)
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
@@ -301,7 +367,7 @@ class TestPca:
     def test_save_load_roundtrip(self, tmp_path):
         data = synthetic_digits(np.random.default_rng(12), 40)
         model = fit_pca(data, 8)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.pca")
         save_pca(model, path)
         loaded = load_pca(path)
         assert np.array_equal(loaded.components, model.components)
@@ -315,15 +381,16 @@ class TestPca:
             load_pca(str(path))
 
     @pytest.mark.parametrize("payload, field", [
-        (b'{"format": "rydgan-pca", "version": 2}', "mean"),
+        (b'{"format": "rydgan-pca", "version": 3}\n', "mean"),
         (b"[]", "top level"),
         (b"\xff\xfe{", "rydgan-pca"),
-        (b'{"format": "rydgan-pca", "version": 3}', "version"),
+        (b'{"format": "rydgan-pca", "version": 4}\n', "version"),
         (b'{"format": "rydgan-pca", "version": 1}', "fit-pca"),
+        (b'{"format": "rydgan-pca", "version": 2}\n', "fit-pca"),
     ], ids=["missing-keys", "not-an-object", "not-utf8", "wrong-version",
-            "version-1"])
+            "version-1", "version-2"])
     def test_load_names_path_and_field(self, tmp_path, payload, field):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.pca"
         path.write_bytes(payload)
         with pytest.raises(DataError, match=field) as info:
             load_pca(str(path))
@@ -344,12 +411,11 @@ class TestPca:
 
     def test_short_scale_bounds_in_a_file_are_a_data_error(self, tmp_path):
         model = fit_pca(synthetic_digits(np.random.default_rng(15), 20), 2)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.pca")
         save_pca(model, path)
-        doc = json.loads(open(path).read())
-        short = np.frombuffer(base64.b64decode(doc["scale_lo"]["base64"]))[:1]
-        doc["scale_lo"] = f8_field(short)
-        open(path, "w").write(json.dumps(doc))
+        pca = PcaFile(path)
+        f8_field(pca, "scale_lo", model.scale_lo[:1])
+        pca.write(path)
         with pytest.raises(DataError, match="scale_lo"):
             load_pca(path)
 
@@ -365,11 +431,11 @@ class TestPca:
     @pytest.mark.parametrize("field, edit", PAYLOAD_DEFECTS)
     def test_payload_defect_names_path_and_field(self, tmp_path, field, edit):
         model = fit_pca(synthetic_digits(np.random.default_rng(17), 20), 2)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.pca")
         save_pca(model, path)
-        doc = json.loads(open(path).read())
-        edit(doc)
-        open(path, "w").write(json.dumps(doc))
+        pca = PcaFile(path)
+        edit(pca)
+        pca.write(path)
         with pytest.raises(DataError) as info:
             load_pca(path)
         message = str(info.value)
@@ -389,7 +455,7 @@ class TestPca:
             model = PcaModel(mean, components, np.sort(eigenvalues)[::-1],
                              lo, hi)
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "model.json")
+            path = os.path.join(tmp, "model.pca")
             save_pca(model, path)
             with np.errstate(over="ignore"):
                 loaded = load_pca(path)
@@ -398,15 +464,28 @@ class TestPca:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_k256_model_file_is_binary_sized(self, tmp_path):
-        """Base64 float64 keeps a k = 256 model near 2.15 MB; the float
-        text of format version 1 took 5.07 MB."""
+        """A k = 256 model is a header line under 1 KB, then exactly its
+        202,256 float64 values; the base64 of format version 2 took
+        2,157,867 bytes and the float text of version 1 5.07 MB."""
         rng = np.random.default_rng(18)
         model = PcaModel(rng.uniform(0, 1, 784), rng.normal(size=(256, 784)),
                          np.sort(rng.uniform(0, 1, 256))[::-1],
                          -rng.uniform(1, 2, 256), rng.uniform(1, 2, 256))
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.pca"
         save_pca(model, str(path))
-        assert path.stat().st_size < 2.3e6
+        header = path.read_bytes().index(b"\n") + 1
+        assert header < 1024
+        assert path.stat().st_size - header == 8 * 202_256 == 1_618_048
+
+    def test_header_run_into_the_arrays_is_not_valid(self, tmp_path):
+        model = fit_pca(synthetic_digits(np.random.default_rng(24), 20), 2)
+        path = str(tmp_path / "model.pca")
+        save_pca(model, path)
+        pca = PcaFile(path)
+        pca.newline = b""
+        pca.write(path)
+        with pytest.raises(DataError, match="not a valid rydgan-pca file"):
+            load_pca(path)
 
 
 class TestScaling:

@@ -111,3 +111,17 @@ def test_module_table_names_resolve():
                                        for chain in qualified})
     metrics_names = re.findall(r"`(\w+)`", table["rydgan.metrics"])
     assert "ensemble_images" in metrics_names
+
+
+def test_fit_pca_paragraph_names_the_file_and_version():
+    """The README's fit-pca paragraph names the file that `fit-pca` writes
+    and the PCA format version that `save_pca` writes."""
+    from rydgan import cli, data
+    from rydgan.config import RunConfig
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    paragraph = text.split("\n`fit-pca` writes ", 1)[1].split("\n\n", 1)[0]
+    name = os.path.basename(cli._pca_path(RunConfig(), 7)).replace("7", "<N>")
+    assert paragraph.startswith(f"`{name}`, PCA format version "
+                                f"{data.PCA_VERSION}:")
+    assert f"`version` ({data.PCA_VERSION})" in paragraph
