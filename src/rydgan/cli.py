@@ -50,32 +50,32 @@ def _echo_config(config: RunConfig):
                          render_config(config))
 
 
-def _load_splits(config: RunConfig, classes) -> list:
-    """Each class's (train, held-out) split, from one read of the IDX pair;
-    an FID against the held-out images needs at least 2."""
+def _load_splits(config: RunConfig, classes, held_out: bool) -> list:
+    """Each class's held-out or training images from one read of the IDX pair,
+    only those converted to float; an FID needs 2 held-out images, training 1."""
     if not config.images or not config.labels:
         raise ValidationError("config must set data.images and data.labels paths")
-    dataset = dp.load_idx(config.images, config.labels)
+    images, labels = dp.read_idx_pair(config.images, config.labels)
     splits = []
     for cls in classes:
-        class_set = dataset.for_class(cls)
-        if len(class_set) < 2:
+        rows = np.flatnonzero(labels == cls)
+        if len(rows) < 2:
             raise DataError(
-                f"class {cls} has only {len(class_set)} images in {config.images}")
-        train, val = dp.split_train_val(class_set, config.val_fraction,
-                                        config.split_seed)
-        if len(val) < 2:
-            raise DataError(f"class {cls}: val_fraction = {config.val_fraction} "
-                            f"holds out {len(val)} of its {len(class_set)} "
-                            "images; FID needs at least 2")
-        splits.append((train, val))
+                f"class {cls} has only {len(rows)} images in {config.images}")
+        train, val = dp.split_indices(len(rows), config.val_fraction, config.split_seed)
+        if len(val) < 2 or not (held_out or len(train)):
+            need = "FID needs at least 2" if len(val) < 2 else "training needs at least 1"
+            raise DataError(f"class {cls}: val_fraction = {config.val_fraction} holds "
+                            f"out {len(val)} of its {len(rows)} images; {need}")
+        rows = rows[val if held_out else train]
+        splits.append(dp.ImageSet(images[rows] / 255.0, labels[rows]))
     return splits
 
 
 def cmd_fit_pca(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
-    [(train, _)] = _load_splits(config, [cls])
+    [train] = _load_splits(config, [cls], held_out=False)
     model = dp.fit_pca(train, config.k)
     path = _pca_path(config, cls)
     dp.save_pca(model, path)
@@ -96,7 +96,7 @@ def cmd_train(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    [(train, _)] = _load_splits(config, [cls])
+    [train] = _load_splits(config, [cls], held_out=False)
     features = dp.scale_features(model, dp.transform(model, train.flat()))
     out_dir = _learners_dir(config, cls)
     os.makedirs(out_dir, exist_ok=True)
@@ -172,7 +172,7 @@ def cmd_select(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    [(_, val)] = _load_splits(config, [cls])
+    [val] = _load_splits(config, [cls], held_out=True)
     paths, results = _load_learner_files(config, cls)
     learners = [r.learner for r in results]
     seeds = draw_seeds(np.random.default_rng(config.master_seed),
@@ -270,7 +270,7 @@ def cmd_generate(config: RunConfig) -> int:
     _echo_config(config)
     cls = config.digit_class
     model = _require_pca(config, cls)
-    [(_, val)] = _load_splits(config, [cls])
+    [val] = _load_splits(config, [cls], held_out=True)
     files, members = _load_ensemble_members(config, cls)
     images = _generate_images(config, members, model, config.mode,
                               config.count, files)
@@ -295,8 +295,8 @@ def cmd_evaluate(config: RunConfig, classes) -> int:
     # every class's inputs are read before any class is generated
     models = [_require_pca(config, cls) for cls in classes]
     inputs = [(cls, model, val, *_load_ensemble_members(config, cls))
-              for cls, model, (_, val)
-              in zip(classes, models, _load_splits(config, classes))]
+              for cls, model, val
+              in zip(classes, models, _load_splits(config, classes, held_out=True))]
     rows = [SCORE_HEADER]
     summary = []
     for cls, model, val, files, members in inputs:

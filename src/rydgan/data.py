@@ -1,13 +1,13 @@
 """Dataset ingestion (IDX), PCA with inverse transform, feature scaling,
 and PGM image output.
 
-The PCA keeps the top-k principal components of the pixels so generated
-feature vectors can be mapped back to images with the inverse transform.
-Feature scaling sends the observed per-feature training range onto the
-generator's output window (0, 1/2^n], and is inverted before the inverse
-PCA when rendering generated images. A saved PCA model (format version 3)
-is one JSON header line followed by its arrays' little-endian float64
-bytes, so it round-trips bit for bit and loads as views of one buffer.
+The IDX pair is read as uint8, so a caller converts to float only the images
+it uses. The PCA keeps the top-k principal components of the pixels, whose
+inverse transform maps generated feature vectors back to images. Feature
+scaling sends the observed per-feature training range onto the generator's
+output window (0, 1/2^n], and back before the inverse PCA. A saved PCA model
+(format version 3) is one JSON header line and its arrays' little-endian
+float64 bytes, so it round-trips bit for bit and loads as views of one buffer.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def _read_be32(f, path: str, what: str) -> int:
     return struct.unpack(">i", _read_exact(f, 4, path, what))[0]
 
 
-def _read_idx(path: str, magic: int, what: str, dims: tuple) -> tuple:
-    """(count, payload) of an IDX file of `what` items, each of shape dims.
+def _read_idx(path: str, magic: int, what: str, dims: tuple) -> np.ndarray:
+    """The uint8 items of an IDX file of `what` items, each of shape dims.
 
     A bad magic or item dimensions, a count the file cannot hold or a
     short payload is a DataError naming the file and the byte offset.
@@ -100,33 +100,41 @@ def _read_idx(path: str, magic: int, what: str, dims: tuple) -> tuple:
         if not 0 <= count * size <= left:
             raise DataError(f"{path}: {what} count {count} at byte offset 4 "
                             f"must be in [0, {left // size}] to fit the file")
-        return count, _read_exact(f, count * size, path, f"{what} data")
+        payload = _read_exact(f, count * size, path, f"{what} data")
+    return np.frombuffer(payload, np.uint8).reshape((count,) + dims)
+
+
+def read_idx_pair(images_path: str, labels_path: str) -> tuple:
+    """(images, labels) of a big-endian IDX image/label file pair: uint8
+    arrays of shape (N, 28, 28) and (N,) over the bytes read."""
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", (IMAGE_SIDE, IMAGE_SIDE))
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ())
+    if len(labels) != len(images):
+        raise DataError(f"{images_path} holds {len(images)} images but {labels_path} "
+                        f"holds {len(labels)} labels")
+    return images, labels
 
 
 def load_idx(images_path: str, labels_path: str) -> ImageSet:
     """Parse a big-endian IDX image/label file pair into an ImageSet."""
-    dims = (IMAGE_SIDE, IMAGE_SIDE)
-    count, pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", dims)
-    label_count, labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ())
-    if label_count != count:
-        raise DataError(
-            f"{images_path} holds {count} images but {labels_path} holds "
-            f"{label_count} labels")
-    images = np.frombuffer(pixels, np.uint8).reshape((count,) + dims)
-    return ImageSet(images / 255.0, np.frombuffer(labels, np.uint8).astype(int))
+    images, labels = read_idx_pair(images_path, labels_path)
+    return ImageSet(images / 255.0, labels.astype(int))
 
 
-def split_train_val(data: ImageSet, val_fraction: float,
-                    shuffle_seed: int) -> tuple:
-    """Deterministic shuffled train/validation split, 0 < val_fraction < 1."""
-    n = len(data)
+def split_indices(n: int, val_fraction: float, shuffle_seed: int) -> tuple:
+    """(train, held-out) positions of n items: the first round(n
+    val_fraction), at least 1, of a seeded permutation are held out."""
     if n < 2:
         raise DataError(f"need at least 2 images to split, got {n}")
     order = np.random.default_rng(shuffle_seed).permutation(n)
     n_val = max(1, int(round(n * val_fraction)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    return (ImageSet(data.images[train_idx], data.labels[train_idx]),
-            ImageSet(data.images[val_idx], data.labels[val_idx]))
+    return order[n_val:], order[:n_val]
+
+
+def split_train_val(data: ImageSet, val_fraction: float, shuffle_seed: int) -> tuple:
+    """Deterministic shuffled (train, validation) split by split_indices."""
+    return tuple(ImageSet(data.images[rows], data.labels[rows]) for rows
+                 in split_indices(len(data), val_fraction, shuffle_seed))
 
 
 @dataclass(frozen=True)
@@ -172,19 +180,19 @@ class PcaModel:
 
 def fit_pca(train: ImageSet, k: int) -> PcaModel:
     """The top-k principal components of the images, from one `eigh` of the
-    smaller Gram matrix of the centred data C (N images x 784 pixels).
+    smaller Gram matrix of the centred data C (N images x 784 pixels), dropped
+    once its trace is taken; of the eigenvectors only the top k are kept.
 
     With fewer images than pixels that is the N x N matrix C C^T, whose
-    eigenvectors U give the components as the normalized rows V of U^T C
-    (the method of snapshots: Sirovich, Q. Appl. Math. 45 (1987) 561),
-    which passes of V -= (V V^T - I) V / 2 make orthonormal within 1e-12;
-    otherwise it is the 784 x 784 matrix C^T C, N - 1 times the
-    covariance. Each component is then signed so that its largest-magnitude
-    entry, the first on a tie, is positive (Bro, Acar & Kolda, J.
-    Chemometrics 22 (2008) 135), so the basis depends on neither the route
-    nor LAPACK's sign choice. A component whose variance is at rounding
-    level, within what rounding the Gram entries and the centring can
-    leave, is a DataError naming it.
+    eigenvectors U give the components as the normalized rows V of U^T C (the
+    method of snapshots: Sirovich, Q. Appl. Math. 45 (1987) 561), which passes
+    of V -= (V V^T - I) V / 2 make orthonormal within 1e-12; otherwise it is
+    the 784 x 784 matrix C^T C, N - 1 times the covariance. Each component is
+    then signed so that its largest-magnitude entry, the first on a tie, is
+    positive (Bro, Acar & Kolda, J. Chemometrics 22 (2008) 135), so the basis
+    depends on neither the route nor LAPACK's sign choice. A component whose
+    variance is at rounding level, within what rounding the Gram entries and
+    the centring can leave, is a DataError naming it.
     """
     n = len(train)
     if k < 1 or k > PIXELS:
@@ -196,11 +204,12 @@ def fit_pca(train: ImageSet, k: int) -> PcaModel:
     centered = x - mean
     snapshots = n < PIXELS
     gram = centered @ centered.T if snapshots else centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(gram)       # ascending
-    eigvals, eigvecs = eigvals[::-1][:k], eigvecs[:, ::-1][:, :k]
+    (eigvals, eigvecs), trace = np.linalg.eigh(gram), np.trace(gram)  # ascending
+    del gram
+    eigvals, eigvecs = eigvals[::-1][:k], eigvecs[:, ::-1][:, :k].copy()
     # rounding level: that of the Gram entries, m x their trace, plus that
     # of the centring, m^2 x the images' sum of squares, m = max(N, 784) eps
-    m, trace = max(n, PIXELS) * np.finfo(float).eps, np.trace(gram)
+    m = max(n, PIXELS) * np.finfo(float).eps
     degenerate = eigvals <= m * (trace + m * (trace + n * (mean @ mean)))
     if degenerate.any():
         raise DataError(
@@ -211,7 +220,8 @@ def fit_pca(train: ImageSet, k: int) -> PcaModel:
         components = eigvecs.T @ centered
         components /= np.linalg.norm(components, axis=1)[:, None]
         for _ in range(8):      # each pass squares the rows' rounding drift
-            drift = components @ components.T - np.eye(k)
+            drift = components @ components.T
+            drift.flat[::k + 1] -= 1.0
             if np.abs(drift).max() <= 1e-12:
                 break
             components -= 0.5 * drift @ components
@@ -277,10 +287,10 @@ def save_pca(model: PcaModel, path: str):
 
 
 def load_pca(path: str) -> PcaModel:
-    """Read a save_pca file into views of one buffer. Another format,
-    version or dtype, a shape with a negative entry or that the bytes left
-    do not fill, bytes after the last array or a non-finite value is a
-    DataError naming the path and the field."""
+    """Read a save_pca file into views of one buffer. Another format, version
+    or dtype, a shape with a negative entry or that the bytes left do not fill,
+    bytes after the last array, a non-finite value or a header `k` or `pixels`
+    that the arrays do not match is a DataError naming the path and the field."""
     line, payload = _read(path, lambda f: (f.readline(),
                                            np.fromfile(f, np.uint8)))
     doc = _parse_doc(path, line, PCA_FORMAT, PCA_VERSION, "; re-run fit-pca")
@@ -300,7 +310,12 @@ def load_pca(path: str) -> PcaModel:
         raise DataError(f"{path}: field {name}: followed by "
                         f"{len(payload) - start} trailing bytes")
     with _doc_field(path):
-        return PcaModel(**arrays)
+        model = PcaModel(**arrays)
+    for name, size in (("k", model.k), ("pixels", model.mean.size)):
+        with _doc_field(path, name):
+            if doc[name] != size:
+                raise ValueError(f"the arrays hold {size}, not {doc[name]!r}")
+    return model
 
 
 def _read(path: str, read):

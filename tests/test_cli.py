@@ -1,10 +1,12 @@
 import collections
+import gc
 import json
 import math
 import os
 import re
 import shutil
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +19,7 @@ from rydgan import data as dp
 from rydgan.cli import main
 from rydgan.config import RunConfig, _sections, load_config, render_config
 from rydgan.data import (fit_pca, inverse_transform, load_idx, load_pca,
-                         unscale_features)
+                         read_idx_pair, split_train_val, unscale_features)
 from rydgan.errors import DataError, RydganError, ValidationError
 from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, ShotsMode,
                               build_spec, draw_seeds, generate_batch,
@@ -348,7 +350,7 @@ class TestSelect:
                            config.fid_batch)
         runs = [(r.learner.params, s, EXACT) for r in results for s in seeds]
         batches = rowwise_stub(runs, None, None, None).reshape(3, len(seeds), -1)
-        [(_, val)] = cli._load_splits(config, [0])
+        [val] = cli._load_splits(config, [0], held_out=True)
         expected = greedy_select(batches, val, cli._require_pca(config, 0))
         doc = json.loads(open(os.path.join(out, "ensemble_class0.json")).read())
         members = expected.member_indices
@@ -363,6 +365,17 @@ class TestSelect:
         assert list(doc) == ["format", "version", "class", "member_files",
                              "member_names", "validation_fid", "fid_trail",
                              "singleton_fids", "master_seed", "fid_batch"]
+
+
+def _two_class_copy(pipeline_out, tmp_path):
+    """A copy of the smoke pipeline's outputs in which class 1 has class 0's
+    PCA model, learners and ensemble."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    shutil.copy(out / "pca_class0.pca", out / "pca_class1.pca")
+    shutil.copy(out / "ensemble_class0.json", out / "ensemble_class1.json")
+    shutil.copytree(out / "learners" / "class0", out / "learners" / "class1")
+    return out
 
 
 class TestGenerate:
@@ -521,7 +534,7 @@ class TestEvaluate:
         config = load_config(smoke_ini, {"out_dir": out})
         config.validate()
         model = _require_pca(config, 0)
-        [(_, val)] = _load_splits(config, [0])
+        [val] = _load_splits(config, [0], held_out=True)
         files, members = _load_ensemble_members(config, 0)
         images = _generate_images(config, members, model, "ideal",
                                   config.fid_batch, files)
@@ -535,17 +548,13 @@ class TestEvaluate:
                                                tmp_path, monkeypatch):
         """evaluate --class 0,1 reads the IDX pair once for both classes'
         held-out images (class 1 reuses class 0's artefacts here)."""
-        out = tmp_path / "out"
-        shutil.copytree(pipeline_out, out)
-        shutil.copy(out / "pca_class0.pca", out / "pca_class1.pca")
-        shutil.copy(out / "ensemble_class0.json", out / "ensemble_class1.json")
-        shutil.copytree(out / "learners" / "class0", out / "learners" / "class1")
+        out = _two_class_copy(pipeline_out, tmp_path)
         reads = []
 
         def counting(*paths):
             reads.append(paths)
-            return load_idx(*paths)
-        monkeypatch.setattr(dp, "load_idx", counting)
+            return read_idx_pair(*paths)
+        monkeypatch.setattr(dp, "read_idx_pair", counting)
         assert main(["evaluate", "--config", smoke_ini, "--out", str(out),
                      "--class", "0,1"]) == 0
         assert len(reads) == 1
@@ -1256,6 +1265,101 @@ def test_held_out_split_of_one_image_exits_3_before_generating(
     assert code == 3
     assert ("class 0: val_fraction = 0.01 holds out 1 of its 100 images"
             in err), err
+
+
+@pytest.mark.parametrize("command, written", [
+    ("fit-pca", "pca_class0.pca"), ("train", "learners")])
+def test_split_without_training_images_exits_3_before_work(
+        smoke_ini, pipeline_out, tmp_path, capsys, monkeypatch, command,
+        written):
+    """val_fraction = 0.996 holds out all of class 0's 100 images: fit-pca,
+    and train with a PCA model fitted under the default split, exit 3
+    naming the class, its image count and val_fraction before any work."""
+    def work(*args):
+        raise AssertionError("work began before the split was checked")
+    monkeypatch.setattr(cli, "train_learners", work)
+    monkeypatch.setattr(dp, "fit_pca", work)
+    code, err = _run_with_settings(smoke_ini, pipeline_out, tmp_path, capsys,
+                                   command, written, "data",
+                                   "val_fraction = 0.996")
+    assert code == 3
+    assert ("class 0: val_fraction = 0.996 holds out 100 of its 100 images; "
+            "training needs at least 1" in err), err
+
+
+def test_every_command_gets_the_split_of_split_train_val(
+        smoke_ini, pipeline_out, tmp_path, monkeypatch):
+    """The images each command converts are bit-equal to split_train_val of
+    the class in load_idx's dataset: the training split for fit-pca and
+    train, the held-out split for select, generate and both classes of a
+    two-class evaluate."""
+    out = _two_class_copy(pipeline_out, tmp_path)
+    load_splits, loaded = cli._load_splits, []
+
+    def recording(config, classes, held_out):
+        splits = load_splits(config, classes, held_out)
+        loaded.append((classes, held_out, splits))
+        return splits
+    monkeypatch.setattr(cli, "_load_splits", recording)
+    for command, *flags in (["fit-pca"], ["train"], ["select"], ["generate"],
+                            ["evaluate", "--class", "0,1"]):
+        assert main([command, "--config", smoke_ini, "--out", str(out),
+                     *flags]) == 0
+    assert [(classes, held_out) for classes, held_out, _ in loaded] == [
+        ([0], False), ([0], False), ([0], True), ([0], True), ([0, 1], True)]
+    config = load_config(smoke_ini, {})
+    dataset = load_idx(config.images, config.labels)
+    for classes, held_out, splits in loaded:
+        for cls, split in zip(classes, splits):
+            want = split_train_val(dataset.for_class(cls), config.val_fraction,
+                                   config.split_seed)[held_out]
+            assert split.images.dtype == want.images.dtype
+            assert split.images.tobytes() == want.images.tobytes()
+            assert np.array_equal(split.labels, want.labels)
+
+
+@pytest.mark.parametrize("held_out", [False, True])
+def test_one_class_split_converts_only_its_own_images(tmp_path, held_out):
+    """On a 10-class IDX pair, loading one class's split peaks at the
+    file's bytes plus 1.5 x the float64 split it returns (traced), not at
+    the whole file as float64."""
+    rng = np.random.default_rng(8)
+    raw = rng.integers(0, 256, size=(1000, 28, 28), dtype=np.uint8)
+    images, labels = write_idx_pair(tmp_path, raw, np.arange(1000) % 10)
+    # half of each class held out: both splits dwarf the 64 KiB buffer
+    # through which numpy casts the uint8 pixels to float
+    config = RunConfig(images=images, labels=labels, val_fraction=0.5)
+    tracemalloc.start()
+    try:
+        [split] = cli._load_splits(config, [3], held_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(split) == 50
+    assert peak <= os.path.getsize(images) + 1.5 * split.images.nbytes
+
+
+def test_repeated_train_and_select_retain_under_256_kib(smoke_ini,
+                                                        pipeline_out, tmp_path):
+    """A second in-process train + select on the smoke pipeline keeps under
+    256 KiB of what it allocates, so a long-lived process running many
+    commands does not grow with their number."""
+    out = str(tmp_path / "out")
+    shutil.copytree(pipeline_out, out)
+
+    def train_and_select():
+        for command in ("train", "select"):
+            assert main([command, "--config", smoke_ini, "--out", out]) == 0
+    train_and_select()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        train_and_select()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024, retained
 
 
 @pytest.mark.parametrize("command, written", RUN_OUTPUTS)

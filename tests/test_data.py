@@ -208,6 +208,10 @@ PAYLOAD_DEFECTS = [
     pytest.param("scale_hi", lambda pca: recode(
         pca, "scale_hi", lambda raw: raw + bytes(8)), id="trailing-bytes"),
     pytest.param("mean", header_alone, id="header-without-newline"),
+    pytest.param("k", lambda pca: pca.header.update(k=pca.header["k"] + 1),
+                 id="k-disagrees"),
+    pytest.param("pixels", lambda pca: pca.header.pop("pixels"),
+                 id="pixels-missing"),
 ]
 
 
