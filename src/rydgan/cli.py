@@ -208,7 +208,7 @@ def _load_ensemble_members(config: RunConfig, cls: int):
     path = _ensemble_path(config, cls)
     if not os.path.exists(path):
         raise DataError(f"missing ensemble manifest {path}; run select first")
-    manifest = dp._load_doc(path, ENSEMBLE_FORMAT, ENSEMBLE_VERSION)
+    manifest = dp._load_doc(path, ENSEMBLE_FORMAT, (ENSEMBLE_VERSION,))
     names = manifest.get("member_files")
     if (not isinstance(names, list) or not names
             or not all(isinstance(name, str) and name for name in names)):

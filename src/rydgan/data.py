@@ -293,7 +293,8 @@ def load_pca(path: str) -> PcaModel:
     that the arrays do not match is a DataError naming the path and the field."""
     line, payload = _read(path, lambda f: (f.readline(),
                                            np.fromfile(f, np.uint8)))
-    doc = _parse_doc(path, line, PCA_FORMAT, PCA_VERSION, "; re-run fit-pca")
+    doc = _parse_doc(path, line, PCA_FORMAT, (PCA_VERSION,),
+                     "; re-run fit-pca")
     arrays, start = {}, 0
     for name in _PCA_ARRAYS:
         with _doc_field(path, name):
@@ -327,14 +328,15 @@ def _read(path: str, read):
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
-def _load_doc(path: str, format: str, version: int) -> dict:
+def _load_doc(path: str, format: str, versions: tuple) -> dict:
     """A versioned JSON artefact as a dict; any defect is a DataError naming path."""
-    return _parse_doc(path, _read(path, lambda f: f.read()), format, version)
+    return _parse_doc(path, _read(path, lambda f: f.read()), format, versions)
 
 
-def _parse_doc(path: str, raw: bytes, format: str, version: int,
+def _parse_doc(path: str, raw: bytes, format: str, versions: tuple,
                remedy: str = "") -> dict:
-    """The JSON object in raw, which must hold this format and version."""
+    """The JSON object in raw, which must hold this format and, as a JSON
+    integer (not `true` or `1.0`), one of these versions."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:    # invalid UTF-8 or invalid JSON
@@ -344,10 +346,10 @@ def _parse_doc(path: str, raw: bytes, format: str, version: int,
                         f"a JSON {type(doc).__name__}, not an object")
     if doc.get("format") != format:
         raise DataError(f"{path}: field format: not a {format} document")
-    if doc.get("version") != version:
-        raise DataError(
-            f"{path}: field version: unsupported version "
-            f"{doc.get('version')!r}{remedy}")
+    version = doc.get("version")
+    if type(version) is not int or version not in versions:
+        raise DataError(f"{path}: field version: unsupported version "
+                        f"{version!r}{remedy}")
     return doc
 
 

@@ -105,7 +105,6 @@ class Learner:
     local_shape: str
     params: GeneratorParams
     final_loss: float
-    validation_fid: float | None = None
 
     @property
     def name(self) -> str:
@@ -125,8 +124,10 @@ class StageLog:
 
 @dataclass(frozen=True)
 class TrainingResult:
+    """A learner and its training record; `net` is None once loaded."""
+
     learner: Learner
-    net: DiscriminatorNet
+    net: DiscriminatorNet | None
     log: tuple
     config: TrainConfig
     initial_loss: float
@@ -301,11 +302,12 @@ def train_learners(config: TrainConfig, learners, class_data) -> list:
 
 
 LEARNER_FORMAT = "rydgan-learner"
-LEARNER_VERSION = 1
+LEARNER_VERSION = 2
 
 
 def save_learner(result: TrainingResult, path: str):
-    """Persist a training result as a versioned JSON text document."""
+    """Persist a training result, less its discriminator, as a JSON text
+    document of learner format version 2."""
     learner, params = result.learner, result.learner.params
     doc = {
         "format": LEARNER_FORMAT,
@@ -322,19 +324,17 @@ def save_learner(result: TrainingResult, path: str):
         },
         "final_loss": learner.final_loss,
         "initial_loss": result.initial_loss,
-        "validation_fid": learner.validation_fid,
-        "discriminator": {name: arr.tolist()
-                          for name, arr in result.net.as_dict().items()},
         "config": asdict(result.config),
-        "rng_seed": result.config.master_seed,
         "log": [asdict(row) for row in result.log],
     }
     atomic_write_json(path, doc)
 
 
 def load_learner(path: str) -> TrainingResult:
-    """A saved training result; its params must lie in its own config's envelope."""
-    doc = _load_doc(path, LEARNER_FORMAT, LEARNER_VERSION)
+    """A saved training result, with net None; its params must lie in its
+    own config's envelope. Reads versions 1 and 2: the `discriminator`,
+    `validation_fid` and `rng_seed` keys of version 1 are ignored."""
+    doc = _load_doc(path, LEARNER_FORMAT, (1, LEARNER_VERSION))
     with _doc_field(path, "config"):
         cfg = dict(doc["config"])
         cfg["limits"] = PulseLimits(**cfg["limits"])
@@ -358,12 +358,9 @@ def load_learner(path: str) -> TrainingResult:
             raise ValidationError(f"duration_us = {params.duration}, but the "
                                   f"file's config has duration = {config.duration}")
         params.validate(config.limits, config.min_spacing, config.field_size)
-    with _doc_field(path, "discriminator"):
-        net = DiscriminatorNet(**{name: np.array(arr, dtype=float) for name, arr
-                                  in doc["discriminator"].items()})
     with _doc_field(path, "final_loss"):
         learner = Learner(doc["rabi_shape"], doc["local_shape"], params,
-                          float(doc["final_loss"]), doc.get("validation_fid"))
+                          float(doc["final_loss"]))
     with _doc_field(path, "log"):
         log = tuple(StageLog(**row) for row in doc.get("log", []))
-    return TrainingResult(learner, net, log, config, doc.get("initial_loss"))
+    return TrainingResult(learner, None, log, config, doc.get("initial_loss"))

@@ -467,7 +467,10 @@ class TestGenerate:
         (lambda doc: doc.update(member_files=7), "member_files"),
         (lambda doc: doc.update(member_files=[]), "member_files"),
         (lambda doc: doc.update(version=99), "version"),
-    ], ids=["missing", "not-a-list", "empty", "wrong-version"])
+        (lambda doc: doc.update(version=True), "version"),
+        (lambda doc: doc.update(version=1.0), "version"),
+    ], ids=["missing", "not-a-list", "empty", "wrong-version", "version-true",
+            "version-1.0"])
     def test_malformed_manifest_is_data_error(self, smoke_ini, pipeline_out,
                                               tmp_path, capsys, edit, field):
         out = str(tmp_path / "copy")
@@ -966,6 +969,23 @@ class TestMalformedArtefacts:
         err = capsys.readouterr().err
         assert code == 3
         assert path in err and field in err
+
+    @pytest.mark.parametrize("version", [True, 1.0, 0, 3])
+    def test_learner_version_not_1_or_2_exits_3(self, smoke_ini, copy, capsys,
+                                                version):
+        """A learner file loads at version 1 or 2, a JSON integer: Python
+        holds True == 1 and 1.0 == 1, which must not pass."""
+        path = _artefact_paths(copy)["learner"]
+        with open(path) as f:
+            doc = json.load(f)
+        doc["version"] = version
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        code = main(["generate", "--config", smoke_ini, "--out", copy,
+                     "--count", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{path}: field version: unsupported version {version!r}" in err
 
     def test_short_scale_bounds_exit_3(self, smoke_ini, copy, capsys):
         path = _artefact_paths(copy)["pca"]

@@ -212,6 +212,11 @@ PAYLOAD_DEFECTS = [
                  id="k-disagrees"),
     pytest.param("pixels", lambda pca: pca.header.pop("pixels"),
                  id="pixels-missing"),
+    # Python holds True == 1 and 3.0 == 3; the version must be a JSON integer
+    pytest.param("version", lambda pca: pca.header.update(version=True),
+                 id="version-true"),
+    pytest.param("version", lambda pca: pca.header.update(version=3.0),
+                 id="version-3.0"),
 ]
 
 

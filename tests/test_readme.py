@@ -125,3 +125,16 @@ def test_fit_pca_paragraph_names_the_file_and_version():
     assert paragraph.startswith(f"`{name}`, PCA format version "
                                 f"{data.PCA_VERSION}:")
     assert f"`version` ({data.PCA_VERSION})" in paragraph
+
+
+def test_learner_paragraph_names_the_version():
+    """The README's learner-file paragraph names the learner format version
+    that `save_learner` writes."""
+    from rydgan import training
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    head = "\nA learner file is learner format version "
+    paragraph = text.split(head, 1)[1].split("\n\n", 1)[0]
+    assert paragraph.startswith(f"{training.LEARNER_VERSION}:")
+    assert f"`version` ({training.LEARNER_VERSION})" in paragraph
+    assert f"`format` (`{training.LEARNER_FORMAT}`)" in paragraph
