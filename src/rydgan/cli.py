@@ -17,11 +17,12 @@ import argparse
 import glob
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import data as dp
-from .config import MODES, RunConfig, check_class, load_config, render_config
+from .config import MODES, RunConfig, load_config, render_config
 from .errors import DataError, NumericError, RydganError, ValidationError
 from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
 from .metrics import ensemble_images, fid_images, greedy_select, variation_scores
@@ -364,8 +365,6 @@ def main(argv=None) -> int:
             if not classes or len(set(classes)) < len(classes):
                 raise ValidationError(f"--class must name one or more distinct "
                                       f"classes, got {args.digit_class!r}")
-            for cls in classes:
-                check_class(cls)
             if len(classes) > 1 and args.command != "evaluate":
                 raise ValidationError(
                     f"--class takes one class for {args.command} (only "
@@ -377,9 +376,11 @@ def main(argv=None) -> int:
                      "count": getattr(args, "count", None),
                      "mode": getattr(args, "mode", None)}
         config = load_config(args.config, overrides)
-        config.validate()
+        classes = classes or [config.digit_class]
+        for cls in classes:
+            replace(config, digit_class=cls).validate()
         if args.command == "evaluate":
-            return cmd_evaluate(config, classes or [config.digit_class])
+            return cmd_evaluate(config, classes)
         return {"fit-pca": cmd_fit_pca, "train": cmd_train, "select": cmd_select,
                 "generate": cmd_generate}[args.command](config)
     except RydganError as exc:

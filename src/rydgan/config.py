@@ -3,13 +3,13 @@
 Each INI key is one `RunConfig` field, declared once with its section in
 the field metadata; parsing (by field type), rendering and the
 unknown-section/unknown-key errors are all derived from those fields.
-Each bound is declared on the field of the class that owns the key, beside
-its default, and `errors.check_settings` checks them all: a key whose value
-belongs to `TrainConfig`, `PulseLimits`, `ErrorModel` or `ShotsMode` takes
-its default and bounds from that class, and the run's own keys declare
-theirs here. A config file overrides any subset of the defaults, CLI flags
-override the file, and the effective configuration is echoed into the
-output directory of every command so runs stay auditable and reproducible.
+Each rule (bounds or choices) is declared beside its default on the field
+of the class that owns the key, and `errors.check_settings` checks them
+all under the key's name: a key of `TrainConfig`, `PulseLimits`,
+`ErrorModel` or `ShotsMode` takes its default and bounds from that class.
+A config file overrides any subset of the defaults, CLI flags override
+the file, and the effective configuration is echoed into the output
+directory of every command so runs stay auditable and reproducible.
 """
 
 import configparser
@@ -26,94 +26,74 @@ MODES = ("ideal", "noisy", "shots")
 _MAX_IMAGES = MAX_RUNS // len(TRAINABLE_SHAPES) ** 2   # one run per shape pair
 
 
-def check_class(cls: int, name: str = "class"):
-    """Raise ValidationError unless cls, the setting called name, is a digit
-    class, 0 to 9."""
-    if not 0 <= cls <= 9:
-        raise ValidationError(f"{name} must be in [0, 9], got {cls}")
+def _key(section: str, default, *bounds, choices=()):
+    """One INI key: a RunConfig field that knows its section and its rules."""
+    return setting(default, *bounds, choices=choices, section=section)
 
 
-def _key(section: str, default, *bounds):
-    """One INI key: a RunConfig field that knows its section and, if the
-    key is the run's own, its bounds."""
-    return setting(default, *bounds, section=section)
+def _owned(section: str, owner, name: str):
+    """The INI key of owner's field name, with that field's default and bounds."""
+    f = owner.__dataclass_fields__[name]
+    return _key(section, f.default, *f.metadata.get("bounds", ()))
 
 
 @dataclass
 class RunConfig:
     images: str = _key("data", "")
     labels: str = _key("data", "")
-    digit_class: int = _key("data", 0)
+    digit_class: int = _key("data", 0, (">=", 0), ("<=", 9))
     val_fraction: float = _key("data", 0.1, (">", 0), ("<", 1))
     split_seed: int = _key("data", 20240, (">=", 0))
-    n_qubits: int = _key("quantum", TrainConfig.n_qubits)
-    c6: float = _key("quantum", TrainConfig.c6)
-    steps_per_us: int = _key("quantum", TrainConfig.steps_per_us)
-    min_spacing_um: float = _key("quantum", TrainConfig.min_spacing)
-    field_size_um: float = _key("quantum", TrainConfig.field_size)
-    omega_max: float = _key("pulses", PulseLimits.omega_max)
-    local_detuning_min: float = _key("pulses", PulseLimits.local_detuning_min)
-    global_detuning_abs: float = _key("pulses", PulseLimits.global_detuning_abs)
-    rabi_shapes: tuple = _key("pulses", ("linear", "triangle"))
-    local_shapes: tuple = _key("pulses", ("triangle", "gaussian"))
-    duration_us: float = _key("training", TrainConfig.duration)
-    cycles: int = _key("training", TrainConfig.cycles)
-    nm_iters: int = _key("training", TrainConfig.nm_iters)
-    nm_tol: float = _key("training", TrainConfig.nm_tol)
-    disc_steps: int = _key("training", TrainConfig.disc_steps)
-    disc_batch: int = _key("training", TrainConfig.disc_batch)
-    seed_batch: int = _key("training", TrainConfig.seed_batch)
-    adam_lr: float = _key("training", TrainConfig.adam_lr)
-    adam_beta1: float = _key("training", TrainConfig.adam_beta1)
-    adam_beta2: float = _key("training", TrainConfig.adam_beta2)
-    adam_eps: float = _key("training", TrainConfig.adam_eps)
-    hidden: int = _key("training", TrainConfig.hidden)
-    stage_order: tuple = _key("training", TrainConfig.stage_order)
-    detuning_sigma: float = _key("error_model", ErrorModel.detuning_sigma)
-    rabi_rel_sigma: float = _key("error_model", ErrorModel.rabi_rel_sigma)
-    position_sigma: float = _key("error_model", ErrorModel.position_sigma)
-    shots: int = _key("sampling", ShotsMode.shots)
+    n_qubits: int = _owned("quantum", TrainConfig, "n_qubits")
+    c6: float = _owned("quantum", TrainConfig, "c6")
+    steps_per_us: int = _owned("quantum", TrainConfig, "steps_per_us")
+    min_spacing_um: float = _owned("quantum", TrainConfig, "min_spacing")
+    field_size_um: float = _owned("quantum", TrainConfig, "field_size")
+    omega_max: float = _owned("pulses", PulseLimits, "omega_max")
+    local_detuning_min: float = _owned("pulses", PulseLimits, "local_detuning_min")
+    global_detuning_abs: float = _owned("pulses", PulseLimits, "global_detuning_abs")
+    # each shape pair names one learner file
+    rabi_shapes: tuple = _key("pulses", ("linear", "triangle"), choices=TRAINABLE_SHAPES)
+    local_shapes: tuple = _key("pulses", ("triangle", "gaussian"), choices=TRAINABLE_SHAPES)
+    duration_us: float = _owned("training", TrainConfig, "duration")
+    cycles: int = _owned("training", TrainConfig, "cycles")
+    nm_iters: int = _owned("training", TrainConfig, "nm_iters")
+    nm_tol: float = _owned("training", TrainConfig, "nm_tol")
+    disc_steps: int = _owned("training", TrainConfig, "disc_steps")
+    disc_batch: int = _owned("training", TrainConfig, "disc_batch")
+    seed_batch: int = _owned("training", TrainConfig, "seed_batch")
+    adam_lr: float = _owned("training", TrainConfig, "adam_lr")
+    adam_beta1: float = _owned("training", TrainConfig, "adam_beta1")
+    adam_beta2: float = _owned("training", TrainConfig, "adam_beta2")
+    adam_eps: float = _owned("training", TrainConfig, "adam_eps")
+    hidden: int = _owned("training", TrainConfig, "hidden")
+    stage_order: tuple = _owned("training", TrainConfig, "stage_order")
+    detuning_sigma: float = _owned("error_model", ErrorModel, "detuning_sigma")
+    rabi_rel_sigma: float = _owned("error_model", ErrorModel, "rabi_rel_sigma")
+    position_sigma: float = _owned("error_model", ErrorModel, "position_sigma")
+    shots: int = _owned("sampling", ShotsMode, "shots")
     # an image batch (fid_batch, count) needs 2 images for its FID covariance,
     # and is asked for at once from every learner or member (up to 25)
     fid_batch: int = _key("ensemble", 100, (">=", 2), ("<=", _MAX_IMAGES))
-    master_seed: int = _key("run", TrainConfig.master_seed)
+    master_seed: int = _owned("run", TrainConfig, "master_seed")
     out_dir: str = _key("run", "out")
     # accepted for compatibility; learners train in lock step in one
     # thread, so the value does not change speed or output
     jobs: int = _key("run", 1, (">=", 1))
     count: int = _key("run", 16, (">=", 2), ("<=", _MAX_IMAGES))
-    mode: str = _key("run", "ideal")
+    mode: str = _key("run", "ideal", choices=MODES)
 
     def validate(self):
         """Raise ValidationError on the first invalid field; runs before any work.
 
-        Settings owned by PulseLimits, ErrorModel, ShotsMode or TrainConfig
-        are checked by constructing those objects, the run's own keys by
-        their declared bounds; the rules here compare fields or name things.
+        Every key's declared rules are checked first, naming the key; then
+        TrainConfig checks the rules that compare its fields.
         """
-        self.error_model()
-        self.train_config()
-        ShotsMode(self.shots)
         check_settings(self)
+        self.train_config()
         if self.k > PIXELS:
             raise ValidationError(f"2^n_qubits = {self.k} PCA components "
                                   f"exceed the {PIXELS} pixels per image")
-        check_class(self.digit_class, "digit_class")
-        if self.mode not in MODES:
-            raise ValidationError(
-                f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        for group, shapes in (("rabi_shapes", self.rabi_shapes),
-                              ("local_shapes", self.local_shapes)):
-            if not shapes:
-                raise ValidationError(f"{group} must name at least one shape")
-            for i, s in enumerate(shapes):
-                if s not in TRAINABLE_SHAPES:
-                    raise ValidationError(
-                        f"{group}: unknown or illegal shape {s!r}; valid: "
-                        f"{', '.join(TRAINABLE_SHAPES)}")
-                # each shape pair names one learner file
-                if s in shapes[:i]:
-                    raise ValidationError(f"{group}: shape {s!r} is repeated")
 
     def _shared(self, owner) -> dict:
         """Values of the fields this config shares by name with owner."""

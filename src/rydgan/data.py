@@ -131,12 +131,6 @@ def split_indices(n: int, val_fraction: float, shuffle_seed: int) -> tuple:
     return order[n_val:], order[:n_val]
 
 
-def split_train_val(data: ImageSet, val_fraction: float, shuffle_seed: int) -> tuple:
-    """Deterministic shuffled (train, validation) split by split_indices."""
-    return tuple(ImageSet(data.images[rows], data.labels[rows]) for rows
-                 in split_indices(len(data), val_fraction, shuffle_seed))
-
-
 @dataclass(frozen=True)
 class PcaModel:
     """Top-k principal components of a training set plus scaling bounds."""

@@ -14,7 +14,7 @@ and their boxes serve both `validate` and the Nelder-Mead stages of training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,12 +46,12 @@ class GeneratorParams:
     """
 
     arrangement: AtomArrangement
-    rabi_shape: str
+    rabi_shape: str = field(metadata={"choices": TRAINABLE_SHAPES})
     rabi_param: float
-    local_shape: str
+    local_shape: str = field(metadata={"choices": TRAINABLE_SHAPES})
     local_param: float
     global_detuning_offset: float
-    duration: float = 1.0
+    duration: float = setting(1.0, (">", 0))
 
     @property
     def n_qubits(self) -> int:
@@ -98,13 +98,9 @@ class GeneratorParams:
     def validate(self, limits: PulseLimits = DEFAULT_LIMITS,
                  min_spacing: float = MIN_SPACING_UM,
                  field_size: float = FIELD_SIZE_UM):
-        """Raise ValidationError unless both shapes are trainable, every group
-        lies in its box, atoms are min_spacing apart and the duration is > 0."""
-        for what, shape in (("rabi", self.rabi_shape), ("local", self.local_shape)):
-            if shape not in TRAINABLE_SHAPES:
-                raise ValidationError(
-                    f"{what} pulse shape {shape!r} is not trainable; valid: "
-                    f"{', '.join(TRAINABLE_SHAPES)}")
+        """Raise ValidationError unless every field keeps its declared rules,
+        every group lies in its box and atoms are min_spacing apart."""
+        check_settings(self)
         for group, (values, bounds) in self.groups(limits, field_size).items():
             for v, (lo, hi) in zip(values, bounds):
                 if not lo <= v <= hi:
@@ -114,8 +110,6 @@ class GeneratorParams:
         if dmin < min_spacing:
             raise ValidationError(f"atoms {dmin!r} um apart; minimum spacing "
                                   f"is {min_spacing} um")
-        if not self.duration > 0:
-            raise ValidationError(f"duration must be positive, got {self.duration}")
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,9 @@ class StageLog:
     disc_loss: float
     nm_stop: str = "unknown"  # "tol" or "max_iters"; "unknown" in older files
 
+    def __post_init__(self):
+        check_settings(self)
+
 
 @dataclass(frozen=True)
 class TrainingResult:
@@ -330,6 +333,13 @@ def save_learner(result: TrainingResult, path: str):
     atomic_write_json(path, doc)
 
 
+def _number(value) -> float:
+    """A JSON number as a float; any other JSON value is a TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 def load_learner(path: str) -> TrainingResult:
     """A saved training result, with net None; its params must lie in its
     own config's envelope. Reads versions 1 and 2: the `discriminator`,
@@ -343,14 +353,14 @@ def load_learner(path: str) -> TrainingResult:
         p = doc["params"]
         params = GeneratorParams(
             arrangement=AtomArrangement(
-                tuple(tuple(q) for q in p["positions_um"]),
-                tuple(p["couplings"])),
+                tuple(tuple(map(_number, q)) for q in p["positions_um"]),
+                tuple(map(_number, p["couplings"]))),
             rabi_shape=doc["rabi_shape"],
-            rabi_param=float(p["rabi_param_rad_per_us"]),
+            rabi_param=_number(p["rabi_param_rad_per_us"]),
             local_shape=doc["local_shape"],
-            local_param=float(p["local_param_rad_per_us"]),
-            global_detuning_offset=float(p["global_detuning_rad_per_us"]),
-            duration=float(p["duration_us"]))
+            local_param=_number(p["local_param_rad_per_us"]),
+            global_detuning_offset=_number(p["global_detuning_rad_per_us"]),
+            duration=_number(p["duration_us"]))
         if params.n_qubits != config.n_qubits:
             raise ValidationError(f"{params.n_qubits} atoms, but the file's "
                                   f"config has n_qubits = {config.n_qubits}")
@@ -360,7 +370,9 @@ def load_learner(path: str) -> TrainingResult:
         params.validate(config.limits, config.min_spacing, config.field_size)
     with _doc_field(path, "final_loss"):
         learner = Learner(doc["rabi_shape"], doc["local_shape"], params,
-                          float(doc["final_loss"]))
+                          _number(doc["final_loss"]))
+    with _doc_field(path, "initial_loss"):
+        initial_loss = _number(doc["initial_loss"]) if "initial_loss" in doc else None
     with _doc_field(path, "log"):
         log = tuple(StageLog(**row) for row in doc.get("log", []))
-    return TrainingResult(learner, None, log, config, doc.get("initial_loss"))
+    return TrainingResult(learner, None, log, config, initial_loss)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import json
 import math
@@ -17,20 +18,20 @@ from hypothesis import strategies as st
 from rydgan import cli, training
 from rydgan import data as dp
 from rydgan.cli import main
-from rydgan.config import RunConfig, _sections, load_config, render_config
+from rydgan.config import (MODES, RunConfig, _sections, load_config,
+                           render_config)
 from rydgan.data import (fit_pca, inverse_transform, load_idx, load_pca,
-                         read_idx_pair, split_train_val, unscale_features)
+                         read_idx_pair, unscale_features)
 from rydgan.errors import DataError, RydganError, ValidationError
-from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, ShotsMode,
+from rydgan.generator import (EXACT, TRAINABLE_SHAPES, GeneratorParams,
                               build_spec, draw_seeds, generate_batch,
                               perturb_params)
 from rydgan.metrics import greedy_select
 from rydgan.neldermead import nelder_mead_steps
 from rydgan.sim import AtomArrangement
-from rydgan.pulses import PulseLimits
-from rydgan.training import Learner, TrainConfig, load_learner
+from rydgan.training import Learner, load_learner
 from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, PcaFile, f8_field,
-                             synthetic_digits, write_idx_pair)
+                             split_train_val, synthetic_digits, write_idx_pair)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +208,7 @@ class TestTrain:
         code = main(["train", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert key in err and "repeated" in err
+        assert key in err
         assert ("'linear'" if key == "rabi_shapes" else "'gaussian'") in err
         assert not out.exists()
 
@@ -579,7 +580,9 @@ class TestEvaluate:
         code = main(["evaluate", "--config", smoke_ini, "--out", str(out),
                      "--class", classes])
         assert code == 2
-        assert f"class must be in [0, 9], got {bad}" in capsys.readouterr().err
+        rule = "<= 9" if int(bad) > 9 else ">= 0"
+        assert (f"digit_class must be {rule}, got {bad}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -745,20 +748,12 @@ DEFAULT_INI = "\n".join([
     "mode = ideal", "", ""])
 
 
-# the classes whose fields own the INI keys that are not the run's own
-OWNERS = (TrainConfig, PulseLimits, ErrorModel, ShotsMode)
-
-
 def declared(key: str) -> tuple:
-    """(field name, bounds) of an INI key: the field of its owning class,
-    named as the key or as the key without its unit suffix, else the key's
-    own RunConfig field."""
-    owned = {f.name: f for owner in OWNERS for f in fields(owner)}
-    for name in (key, key.removesuffix("_um").removesuffix("_us")):
-        if name in owned:
-            return name, owned[name].metadata.get("bounds", ())
-    return key, next(f for f in fields(RunConfig)
-                     if f.name == key).metadata["bounds"]
+    """(bounds, choices) declared on an INI key's RunConfig field; a key of
+    TrainConfig, PulseLimits, ErrorModel or ShotsMode takes the bounds of
+    that class's field."""
+    metadata = RunConfig.__dataclass_fields__[key].metadata
+    return metadata["bounds"], metadata["choices"]
 
 
 NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in (int, float)]
@@ -794,7 +789,7 @@ class TestConfigSchema:
         load_config(_with_setting(smoke_ini, path, key, last)).validate()
         past = last + 1 if isinstance(last, int) else np.nextafter(last, 5.0)
         config = load_config(_with_setting(smoke_ini, path, key, past))
-        with pytest.raises(ValidationError, match=declared(key)[0]):
+        with pytest.raises(ValidationError, match=key):
             config.validate()
 
     @pytest.mark.parametrize("steps, batch, legal", [
@@ -823,7 +818,7 @@ class TestConfigSchema:
         names the key or leaves a value inside every bound declared for it.
         Nothing runs, so nothing is allocated."""
         key = data.draw(st.sampled_from(NUMERIC_KEYS), label="key")
-        name, bounds = declared(key)
+        bounds, _ = declared(key)
         value = data.draw(st.sampled_from(EXTREMES + [b for _, b in bounds])
                           | st.integers(-3, 20_000)
                           | st.floats(-3.0, 3.0), label="value")
@@ -832,13 +827,65 @@ class TestConfigSchema:
             config = load_config(path)
             config.validate()
         except ValidationError as exc:
-            assert name in str(exc), (key, value, str(exc))
+            # the grid rule compares two keys and names TrainConfig's fields
+            grid = (key in ("min_spacing_um", "field_size_um")
+                    and "cannot hold" in str(exc))
+            assert key in str(exc) or grid, (key, value, str(exc))
             return
         got = getattr(config, key)
         assert math.isfinite(got), (key, value)
         for op, limit in bounds:
             assert {">": got > limit, ">=": got >= limit, "<": got < limit,
                     "<=": got <= limit}[op], (key, value, op, limit)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_choice_keys_and_classes_hold_their_rules_or_are_named(
+            self, smoke_ini, tmp_path, capsys, monkeypatch, data):
+        """Any names for mode or a shape key (unknown, illegal, repeated or
+        none) and any --class list: main either accepts them within their
+        declared rule or exits 2 naming the key, never 1 nor a traceback.
+        The commands are stubbed, so nothing runs."""
+        ran = []
+        for name in ("cmd_fit_pca", "cmd_train", "cmd_select", "cmd_generate"):
+            monkeypatch.setattr(cli, name, lambda config: ran.append(
+                (config, [config.digit_class])) or 0)
+        monkeypatch.setattr(cli, "cmd_evaluate", lambda config, classes:
+                            ran.append((config, classes)) or 0)
+        key = data.draw(st.sampled_from(
+            ["mode", "rabi_shapes", "local_shapes", "--class"]), label="key")
+        if key == "--class":
+            classes = data.draw(st.lists(st.integers(-3, 12), max_size=4),
+                                label="classes")
+            command = data.draw(st.sampled_from(["evaluate", "fit-pca"]),
+                                label="command")
+            argv = [command, "--config", smoke_ini,
+                    "--class=" + ",".join(map(str, classes))]
+        else:
+            names = data.draw(st.lists(st.sampled_from(
+                TRAINABLE_SHAPES + MODES + ("constant", "sawtooth")),
+                max_size=6), label="names")
+            argv = ["train", "--config", _with_setting(
+                smoke_ini, tmp_path / "fuzz.ini", key, ",".join(names))]
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 2:
+            names = ("--class", "digit_class") if key == "--class" else (key,)
+            assert any(name in err for name in names), (argv, err)
+            return
+        assert code == 0, (argv, err)
+        [(config, classes)] = ran
+        for cls in classes:
+            assert 0 <= cls <= 9
+        if key == "--class":
+            return
+        value = getattr(config, key)
+        named = (value,) if key == "mode" else value
+        choices = MODES if key == "mode" else TRAINABLE_SHAPES
+        assert named and len(set(named)) == len(named)
+        assert set(named) <= set(choices), (key, value)
 
     def test_every_key_round_trips(self, tmp_path):
         config = RunConfig(
@@ -1127,6 +1174,56 @@ def test_mutated_artefact_never_escapes_main(smoke_ini, mutable_out, data):
         assert code == 3
 
 
+def _leaf_paths(node, prefix=()):
+    """Paths to every value of a JSON document that is neither an object
+    nor an array, list items included."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaf_paths(value, prefix + (key,))
+    else:
+        yield prefix
+
+
+def _json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string",
+            type(None): "null", list: "array", dict: "object"}[type(value)]
+
+
+def test_retyped_learner_leaf_exits_3_naming_its_field(pipeline_out,
+                                                       tmp_path):
+    """Every leaf of a learner file, retyped to each other JSON type (a
+    number, a string, true, null, an empty array, an array holding the old
+    value, an object), fails to load with a DataError (exit 3) naming the
+    file and the field: the top-level key, and for a config or log value
+    the field inside."""
+    with open(_artefact_paths(pipeline_out)["learner"]) as f:
+        original = json.load(f)
+    path = str(tmp_path / "retyped.json")
+    cases = 0
+    for leaf in _leaf_paths(original):
+        *parents, key = leaf
+        old = functools.reduce(lambda node, step: node[step], leaf, original)
+        for new in (0.5, "x", True, None, [], [old], {}):
+            if _json_type(new) == _json_type(old):
+                continue
+            doc = json.loads(json.dumps(original))
+            functools.reduce(lambda node, step: node[step], parents,
+                             doc)[key] = new
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            with pytest.raises(DataError) as info:
+                load_learner(path)
+            message, top = str(info.value), leaf[0]
+            assert message.startswith(f"{path}: field "), (leaf, new, message)
+            assert top in message, (leaf, new, message)
+            if top in ("config", "log"):
+                inner = [step for step in leaf if isinstance(step, str)][-1]
+                assert inner in message, (leaf, new, message)
+            cases += 1
+    assert cases > 300
+
+
 def _move_first_atom(doc, position):
     doc["params"]["positions_um"][0] = position
 
@@ -1153,14 +1250,30 @@ def _add_atom(doc):
     (_add_atom, "params"),
     (lambda doc: doc["config"].update(master_seed=-1), "config"),
     (lambda doc: doc["params"].update(duration_us=50.0), "params"),
+    (lambda doc: doc["config"].update(cycles=2.5), "config: cycles"),
+    (lambda doc: doc["config"].update(cycles=True), "config: cycles"),
+    (lambda doc: doc["config"].update(nm_tol=True), "config: nm_tol"),
+    (lambda doc: doc["config"].update(n_qubits=2.0), "config: n_qubits"),
+    (lambda doc: doc["config"].update(hidden="64"), "config: hidden"),
+    (lambda doc: doc["config"].update(c6="5420503.0"), "config: c6"),
+    (lambda doc: doc.update(initial_loss="x"), "initial_loss"),
+    (lambda doc: doc["log"][0].update(cycle="a"), "log: cycle"),
+    (lambda doc: doc.update(final_loss=True), "final_loss"),
+    (lambda doc: doc["params"].update(duration_us=True), "params"),
+    (lambda doc: doc["params"].update(couplings=[True, False]), "params"),
 ], ids=["rabi-5000", "atom-outside-field", "constant-shape",
         "atoms-0.5um-apart", "three-atoms-in-a-two-qubit-file",
-        "negative-master-seed", "50us-params-under-a-1us-config"])
+        "negative-master-seed", "50us-params-under-a-1us-config",
+        "cycles-2.5", "cycles-true", "nm_tol-true", "n_qubits-2.0",
+        "hidden-string", "c6-string", "initial_loss-string",
+        "log-cycle-string", "final_loss-true", "duration-true",
+        "couplings-true-false"])
 def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
                                          capsys, edit, field):
     """A learner file whose params leave its own config's hardware envelope,
-    or whose config is invalid, fails to load, and generate exits 3 before
-    writing any image."""
+    whose config is invalid, or that holds a value of the wrong JSON type
+    (not coerced), fails to load, and generate exits 3 before writing any
+    image."""
     out = str(tmp_path / "copy")
     shutil.copytree(pipeline_out, out)
     shutil.rmtree(os.path.join(out, "generated"), ignore_errors=True)
@@ -1465,7 +1578,7 @@ def _least_legal(key: str):
     """The least legal value of a numeric INI key: its lower bound, or, if
     that bound is exclusive, 1 (for an integer key) or 1e-12 inside it; a
     key bounded only from above takes that bound the same way."""
-    _, bounds = declared(key)
+    bounds, _ = declared(key)
     op, limit = next(((op, limit) for op, limit in bounds if op[0] == ">"),
                      bounds[0])
     if op in (">=", "<="):

@@ -14,7 +14,7 @@ from rydgan.config import RunConfig
 from rydgan.data import (ImageSet, PcaModel, atomic_write_json,
                          atomic_write_text, fit_pca, inverse_transform,
                          load_idx, load_pca, pgm_bytes, save_pca,
-                         scale_features, split_train_val, transform,
+                         scale_features, split_indices, transform,
                          unscale_features, write_image, write_montage)
 from rydgan.errors import DataError, ValidationError
 
@@ -85,6 +85,13 @@ class TestLoadIdx:
         _, lbl = write_idx_pair(tmp_path / "b", np.zeros((2, 28, 28)), [0, 1])
         with pytest.raises(DataError, match="labels"):
             load_idx(img, lbl)
+
+
+def split_train_val(data: ImageSet, val_fraction: float, shuffle_seed: int) -> tuple:
+    """Deterministic shuffled (train, validation) split by split_indices: the
+    oracle of the split each command takes of a class's images."""
+    return tuple(ImageSet(data.images[rows], data.labels[rows]) for rows
+                 in split_indices(len(data), val_fraction, shuffle_seed))
 
 
 def split(data):

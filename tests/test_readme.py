@@ -34,10 +34,10 @@ def test_library_example_runs_and_gives_its_shapes():
 
 
 def settings_table() -> list:
-    """(key, section, default, bounds) cells of the README's settings table,
+    """(key, section, default, rule) cells of the README's settings table,
     backticks dropped."""
     with open(README, encoding="utf-8") as f:
-        lines = f.read().split("\n| Key | Section | Default | Bounds |", 1)[1]
+        lines = f.read().split("\n| Key | Section | Default | Rule |", 1)[1]
     rows = []
     for line in lines.split("\n")[2:]:
         if not line.startswith("|"):
@@ -47,9 +47,21 @@ def settings_table() -> list:
     return rows
 
 
+def declared_rule(key: str) -> str:
+    """An INI key's declared rule as the settings table writes it: its
+    bounds, or the choices a str key holds one of or a tuple key names."""
+    from rydgan.config import RunConfig
+    from tests.test_cli import declared
+    bounds, choices = declared(key)
+    if not choices:
+        return ", ".join(f"{op} {limit}" for op, limit in bounds)
+    if isinstance(getattr(RunConfig(), key), str):
+        return "one of " + ", ".join(choices)
+    return "one or more of " + ", ".join(choices) + ", none twice"
+
+
 def test_settings_table_matches_defaults_and_declared_bounds():
     from rydgan.config import RunConfig, _sections, render_config
-    from tests.test_cli import declared
     section, rendered = None, {}
     for line in render_config(RunConfig()).splitlines():
         if line.startswith("["):
@@ -57,8 +69,7 @@ def test_settings_table_matches_defaults_and_declared_bounds():
         elif line:
             key, value = line.split(" = ", 1)
             rendered[key] = (section, value)
-    expected = [(key, *rendered[key],
-                 ", ".join(f"{op} {limit}" for op, limit in declared(key)[1]))
+    expected = [(key, *rendered[key], declared_rule(key))
                 for keys in _sections().values() for key in keys]
     assert settings_table() == expected
 
