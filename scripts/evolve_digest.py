@@ -47,7 +47,7 @@ def training_batch(rng, points, seeds):
     draws = rydgan.draw_seeds(rng, seeds)
     specs = []
     for _ in range(points):
-        x, _ = base.groups(LIMITS, config.field_size)["positions"]
+        x, _ = base.groups(LIMITS, config.field_size_um)["positions"]
         params = base.with_group("positions", x + rng.uniform(-0.5, 0.5, x.size))
         specs += [rydgan.generator.build_spec(params, float(s), LIMITS)
                   for s in draws]

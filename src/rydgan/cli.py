@@ -26,7 +26,7 @@ from .config import MODES, RunConfig, load_config, render_config
 from .errors import DataError, NumericError, RydganError, ValidationError
 from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
 from .metrics import ensemble_images, fid_images, greedy_select, variation_scores
-from .training import load_learner, save_learner, train_learners
+from .training import TrainConfig, load_learner, save_learner, train_learners
 
 ENSEMBLE_FORMAT = "rydgan-ensemble"
 ENSEMBLE_VERSION = 1
@@ -139,34 +139,13 @@ def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
     raise DataError(f"missing PCA model {path}; run fit-pca first")
 
 
-def _load_run_learner(config: RunConfig, path: str):
-    """A learner file's training result; the settings that define its
-    generator (qubit count, duration, pulse limits, c6) must be the run's,
-    under which `_features` sets its step count and evolves it."""
-    result = load_learner(path)
-    run = config.train_config()
-    for name in ("n_qubits", "duration", "limits", "c6"):
-        theirs, ours = getattr(result.config, name), getattr(run, name)
-        if theirs != ours:
-            raise DataError(
-                f"{path}: field config.{name}: a learner trained with "
-                f"{name} = {theirs}, but this run has {name} = {ours}")
-    return result
-
-
-def _load_learner_files(config: RunConfig, cls: int):
+def _load_learner_files(config: RunConfig, cls: int, run: TrainConfig):
     pattern = os.path.join(_learners_dir(config, cls), "*.json")
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise ValidationError(
             f"no learner files match {pattern}; run train first")
-    return paths, [_load_run_learner(config, p) for p in paths]
-
-
-def _features(config: RunConfig, runs) -> np.ndarray:
-    """Features of (params, seed, mode) runs from one generate_batch call."""
-    return generate_batch(runs, config.limits(), config.c6,
-                          config.train_config().steps)
+    return paths, [load_learner(p, run) for p in paths]
 
 
 def cmd_select(config: RunConfig) -> int:
@@ -174,13 +153,14 @@ def cmd_select(config: RunConfig) -> int:
     cls = config.digit_class
     model = _require_pca(config, cls)
     [val] = _load_splits(config, [cls], held_out=True)
-    paths, results = _load_learner_files(config, cls)
+    run = config.train_config()
+    paths, results = _load_learner_files(config, cls, run)
     learners = [r.learner for r in results]
     seeds = draw_seeds(np.random.default_rng(config.master_seed),
                        config.fid_batch)
     # every learner at every seed in one batch: (L, fid_batch, 2^n)
-    features = _features(config, [(l.params, s, EXACT)
-                                  for l in learners for s in seeds])
+    features = generate_batch([(l.params, s, EXACT) for l in learners
+                               for s in seeds], run.limits, run.c6, run.steps)
     selection = greedy_select(
         features.reshape(len(learners), len(seeds), -1), val, model)
     members = selection.member_indices
@@ -204,20 +184,23 @@ def cmd_select(config: RunConfig) -> int:
     return 0
 
 
-def _load_ensemble_members(config: RunConfig, cls: int):
-    """The member file names of the class's manifest and their learners."""
+def _load_ensemble_members(config: RunConfig, cls: int, run: TrainConfig):
+    """The member file names of the class's manifest and their learners, each
+    a learner of run; a command reads only the manifest's class and files."""
     path = _ensemble_path(config, cls)
     if not os.path.exists(path):
         raise DataError(f"missing ensemble manifest {path}; run select first")
     manifest = dp._load_doc(path, ENSEMBLE_FORMAT, (ENSEMBLE_VERSION,))
+    if type(manifest.get("class")) is not int or manifest["class"] != cls:
+        raise DataError(f"{path}: field class must be the JSON integer {cls}, "
+                        f"got {manifest.get('class')!r}")
     names = manifest.get("member_files")
     if (not isinstance(names, list) or not names
             or not all(isinstance(name, str) and name for name in names)):
         raise DataError(f"{path}: field member_files must be a nonempty list "
                         f"of learner file names, got {names!r}")
-    return names, [_load_run_learner(
-        config, os.path.join(_learners_dir(config, cls), name)).learner
-        for name in names]
+    return names, [load_learner(os.path.join(_learners_dir(config, cls), name),
+                                run).learner for name in names]
 
 
 def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
@@ -232,8 +215,9 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
     return NoisyMode(config.error_model(derived))
 
 
-def _generate_images(config: RunConfig, members, model: dp.PcaModel,
-                     mode_name: str, count: int, files) -> np.ndarray:
+def _generate_images(config: RunConfig, run: TrainConfig, members,
+                     model: dp.PcaModel, mode_name: str, count: int,
+                     files) -> np.ndarray:
     """(count, 28, 28) ensemble images; every run a fresh perturbation.
 
     All count x members runs are generated as one batch; each image
@@ -244,7 +228,7 @@ def _generate_images(config: RunConfig, members, model: dp.PcaModel,
     runs = [(m.params, seed, _member_mode(config, mode_name, i, j))
             for i, seed in enumerate(seeds) for j, m in enumerate(members)]
     try:
-        features = _features(config, runs)
+        features = generate_batch(runs, run.limits, run.c6, run.steps)
     except NumericError as err:     # generate_batch names the failed run
         image, member = divmod(err.run, len(members))
         raise NumericError(
@@ -272,8 +256,9 @@ def cmd_generate(config: RunConfig) -> int:
     cls = config.digit_class
     model = _require_pca(config, cls)
     [val] = _load_splits(config, [cls], held_out=True)
-    files, members = _load_ensemble_members(config, cls)
-    images = _generate_images(config, members, model, config.mode,
+    run = config.train_config()
+    files, members = _load_ensemble_members(config, cls, run)
+    images = _generate_images(config, run, members, model, config.mode,
                               config.count, files)
     score, variation, row = _score(val, cls, config.mode, images)
     out_dir = os.path.join(config.out_dir, "generated", f"class{cls}",
@@ -294,8 +279,9 @@ def cmd_generate(config: RunConfig) -> int:
 def cmd_evaluate(config: RunConfig, classes) -> int:
     _echo_config(config)
     # every class's inputs are read before any class is generated
+    run = config.train_config()
     models = [_require_pca(config, cls) for cls in classes]
-    inputs = [(cls, model, val, *_load_ensemble_members(config, cls))
+    inputs = [(cls, model, val, *_load_ensemble_members(config, cls, run))
               for cls, model, val
               in zip(classes, models, _load_splits(config, classes, held_out=True))]
     rows = [SCORE_HEADER]
@@ -303,8 +289,8 @@ def cmd_evaluate(config: RunConfig, classes) -> int:
     for cls, model, val, files, members in inputs:
         per_mode = []
         for mode_name in ("ideal", "noisy"):
-            images = _generate_images(config, members, model, mode_name,
-                                      config.fid_batch, files)
+            images = _generate_images(config, run, members, model,
+                                      mode_name, config.fid_batch, files)
             score, variation, row = _score(val, cls, mode_name, images)
             rows.append(row)
             _write_variation_csv(variation, os.path.join(

@@ -47,15 +47,15 @@ class RunConfig:
     n_qubits: int = _owned("quantum", TrainConfig, "n_qubits")
     c6: float = _owned("quantum", TrainConfig, "c6")
     steps_per_us: int = _owned("quantum", TrainConfig, "steps_per_us")
-    min_spacing_um: float = _owned("quantum", TrainConfig, "min_spacing")
-    field_size_um: float = _owned("quantum", TrainConfig, "field_size")
+    min_spacing_um: float = _owned("quantum", TrainConfig, "min_spacing_um")
+    field_size_um: float = _owned("quantum", TrainConfig, "field_size_um")
     omega_max: float = _owned("pulses", PulseLimits, "omega_max")
     local_detuning_min: float = _owned("pulses", PulseLimits, "local_detuning_min")
     global_detuning_abs: float = _owned("pulses", PulseLimits, "global_detuning_abs")
     # each shape pair names one learner file
     rabi_shapes: tuple = _key("pulses", ("linear", "triangle"), choices=TRAINABLE_SHAPES)
     local_shapes: tuple = _key("pulses", ("triangle", "gaussian"), choices=TRAINABLE_SHAPES)
-    duration_us: float = _owned("training", TrainConfig, "duration")
+    duration_us: float = _owned("training", TrainConfig, "duration_us")
     cycles: int = _owned("training", TrainConfig, "cycles")
     nm_iters: int = _owned("training", TrainConfig, "nm_iters")
     nm_tol: float = _owned("training", TrainConfig, "nm_tol")
@@ -108,9 +108,7 @@ class RunConfig:
         return ErrorModel(**self._shared(ErrorModel), rng_seed=rng_seed)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self._shared(TrainConfig), duration=self.duration_us,
-                           min_spacing=self.min_spacing_um,
-                           field_size=self.field_size_um, limits=self.limits())
+        return TrainConfig(**self._shared(TrainConfig), limits=self.limits())
 
     @property
     def k(self) -> int:

@@ -355,8 +355,8 @@ def _doc_field(path: str, name: str = ""):
         yield
     except KeyError as exc:
         raise DataError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError, AttributeError, ValidationError,
-            NumericError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError,
+            ValidationError, NumericError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 

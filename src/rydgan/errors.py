@@ -5,11 +5,12 @@ exit with 2, data/format problems with 3, numeric failures with 4; an
 error of no more specific kind exits with 1, as an internal error does.
 """
 
-import math
 import numbers
 import operator
+import sys
 from dataclasses import field, fields
 
+_FINITE = -sys.float_info.max, sys.float_info.max   # an int may lie outside
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 # what a value of each declared field type is; a bool is neither int nor float
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
@@ -63,7 +64,7 @@ def check_settings(owner):
                 isinstance(value, bool) or not isinstance(value, _TYPES[kind])
                 or kind == "tuple" and not all(isinstance(s, str) for s in value)):
             raise ValidationError(f"{f.name} must be of type {kind}, got {value!r}")
-        if kind == "float" and f.metadata and not math.isfinite(value):
+        if kind == "float" and f.metadata and not _FINITE[0] <= value <= _FINITE[1]:
             raise ValidationError(f"{f.name} must be finite, got {value}")
         for op, limit in f.metadata.get("bounds", ()):
             if not _OPS[op](value, limit):

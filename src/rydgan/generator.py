@@ -57,14 +57,14 @@ class GeneratorParams:
     def n_qubits(self) -> int:
         return self.arrangement.n_atoms
 
-    def groups(self, limits: PulseLimits, field_size: float) -> dict:
+    def groups(self, limits: PulseLimits, field_size_um: float) -> dict:
         """{group: (values, bounds)} in GROUPS order, bounds one (lo, hi) per
         value: the Nelder-Mead box of a training stage and what validate checks.
         """
         n = self.n_qubits
         return {
             "positions": (self.arrangement.position_array().reshape(-1),
-                          [(0.0, field_size)] * (2 * n)),
+                          [(0.0, field_size_um)] * (2 * n)),
             "rabi": (np.array([self.rabi_param]), [(0.0, limits.omega_max)]),
             "local": (np.concatenate([[self.local_param],
                                       self.arrangement.coupling_array()]),
@@ -96,20 +96,20 @@ class GeneratorParams:
         return float(dists[np.triu_indices(len(pos), 1)].min(initial=np.inf))
 
     def validate(self, limits: PulseLimits = DEFAULT_LIMITS,
-                 min_spacing: float = MIN_SPACING_UM,
-                 field_size: float = FIELD_SIZE_UM):
+                 min_spacing_um: float = MIN_SPACING_UM,
+                 field_size_um: float = FIELD_SIZE_UM):
         """Raise ValidationError unless every field keeps its declared rules,
-        every group lies in its box and atoms are min_spacing apart."""
+        every group lies in its box and atoms are min_spacing_um apart."""
         check_settings(self)
-        for group, (values, bounds) in self.groups(limits, field_size).items():
+        for group, (values, bounds) in self.groups(limits, field_size_um).items():
             for v, (lo, hi) in zip(values, bounds):
                 if not lo <= v <= hi:
                     raise ValidationError(
                         f"{GROUPS[group]} {v!r} outside [{lo}, {hi}]")
         dmin = self.min_pair_distance()
-        if dmin < min_spacing:
+        if dmin < min_spacing_um:
             raise ValidationError(f"atoms {dmin!r} um apart; minimum spacing "
-                                  f"is {min_spacing} um")
+                                  f"is {min_spacing_um} um")
 
 
 @dataclass(frozen=True)

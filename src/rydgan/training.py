@@ -26,7 +26,7 @@ import numpy as np
 from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
-from .errors import RydganError, ValidationError, check_settings, setting
+from .errors import DataError, RydganError, ValidationError, check_settings, setting
 from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MAX_RUNS, MIN_SPACING_UM,
                         GeneratorParams, draw_seeds, generate_batch)
 from .neldermead import nelder_mead_steps
@@ -34,6 +34,7 @@ from .pulses import PulseLimits
 from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, STEPS_PER_US, default_steps
 
 STAGES = tuple(GROUPS)
+_COUNT = {"bounds": ((">=", 0),)}     # a log row's cycle and Nelder-Mead counts
 
 # penalty returned by the generator objective for geometry violations,
 # large enough to dominate any reachable cross-entropy value
@@ -44,7 +45,7 @@ _GEOMETRY_PENALTY = 1e3
 class TrainConfig:
     n_qubits: int = setting(4, (">=", 1), ("<=", MAX_QUBITS))
     # Aquila runs a pulse program for at most 4 us
-    duration: float = setting(1.0, (">", 0), ("<=", 4.0))
+    duration_us: float = setting(1.0, (">", 0), ("<=", 4.0))
     # 250 steps/us resolve full-scale n = 4 features to about 3e-8 (1000 to
     # about 1e-10), and the finest reference grid used 4000; finer grids
     # only add rounding and memory
@@ -68,8 +69,8 @@ class TrainConfig:
     master_seed: int = setting(0, (">=", 0))
     limits: PulseLimits = field(default_factory=PulseLimits)
     c6: float = setting(C6_DEFAULT, (">", 0))
-    min_spacing: float = setting(MIN_SPACING_UM, (">", 0))
-    field_size: float = setting(FIELD_SIZE_UM, (">", 0))
+    min_spacing_um: float = setting(MIN_SPACING_UM, (">", 0))
+    field_size_um: float = setting(FIELD_SIZE_UM, (">", 0))
 
     def __post_init__(self):
         check_settings(self)
@@ -77,10 +78,10 @@ class TrainConfig:
             raise ValidationError(
                 f"disc_steps x disc_batch = {self.disc_steps * self.disc_batch} "
                 f"fakes per stage exceed {MAX_RUNS}")
-        if (self.grid_side - 1) * self.min_spacing > self.field_size:
+        if (self.grid_side - 1) * self.min_spacing_um > self.field_size_um:
             raise ValidationError(
-                f"field_size = {self.field_size} um cannot hold {self.n_qubits} atoms "
-                f"min_spacing = {self.min_spacing} um apart, {self.grid_side} to a row")
+                f"field_size_um = {self.field_size_um} cannot hold {self.n_qubits} atoms "
+                f"min_spacing_um = {self.min_spacing_um} apart, {self.grid_side} to a row")
         if sorted(self.stage_order) != sorted(STAGES):
             raise ValidationError(
                 f"stage_order must be a permutation of {STAGES}, "
@@ -89,7 +90,7 @@ class TrainConfig:
 
     @property
     def steps(self) -> int:
-        return default_steps(self.duration, self.steps_per_us)
+        return default_steps(self.duration_us, self.steps_per_us)
 
     @property
     def grid_side(self) -> int:
@@ -113,13 +114,13 @@ class Learner:
 
 @dataclass(frozen=True)
 class StageLog:
-    cycle: int
-    stage: str
-    nm_iterations: int
-    nm_evaluations: int
+    cycle: int = field(metadata=_COUNT)
+    stage: str = field(metadata={"choices": STAGES})
+    nm_iterations: int = field(metadata=_COUNT)
+    nm_evaluations: int = field(metadata=_COUNT)
     gen_loss: float
     disc_loss: float
-    nm_stop: str = "unknown"  # "tol" or "max_iters"; "unknown" in older files
+    nm_stop: str = setting("unknown", choices=("tol", "max_iters", "unknown"))
 
     def __post_init__(self):
         check_settings(self)
@@ -144,18 +145,18 @@ def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorPa
     """Weakly driven starting point inside every box: jittered grid,
     mid-range couplings.
 
-    Atoms sit on a grid of pitch max(6, min_spacing + 1) um (outside full
+    Atoms sit on a grid of pitch max(6, min_spacing_um + 1) um (outside full
     blockade, within interaction range) with +-0.5 um uniform jitter, or
-    min_spacing apart with the jitter a smaller field leaves; drive scalars
+    min_spacing_um apart with the jitter a smaller field leaves; drive scalars
     start small, clipped into their boxes, so the untrained generator
     output is clearly distinguishable from data.
     """
-    n, side, spacing = config.n_qubits, config.grid_side, config.min_spacing
+    n, side, spacing = config.n_qubits, config.grid_side, config.min_spacing_um
     pitch = origin = max(6.0, spacing + 1.0)
     half = 0.5
-    if side * pitch + half > config.field_size:
-        # TrainConfig holds (side - 1) x min_spacing within the field
-        half = min(half, (config.field_size - (side - 1) * spacing) / (2 * side))
+    if side * pitch + half > config.field_size_um:
+        # TrainConfig holds (side - 1) x min_spacing_um within the field
+        half = min(half, (config.field_size_um - (side - 1) * spacing) / (2 * side))
         pitch, origin = spacing + 2.0 * half, half
     cells = [(origin + pitch * (i % side), origin + pitch * (i // side))
              for i in range(n)]
@@ -168,9 +169,9 @@ def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorPa
         rabi_shape="linear", rabi_param=float(rng.uniform(0.5, 2.0)),
         local_shape="linear", local_param=float(rng.uniform(-5.0, -0.5)),
         global_detuning_offset=float(rng.uniform(-1.0, 1.0)),
-        duration=config.duration)
+        duration=config.duration_us)
     for stage in ("rabi", "local", "global"):
-        values, bounds = params.groups(config.limits, config.field_size)[stage]
+        values, bounds = params.groups(config.limits, config.field_size_um)[stage]
         params = params.with_group(stage, np.clip(values, *np.transpose(bounds)))
     return params
 
@@ -183,7 +184,7 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
     rng = np.random.default_rng(config.master_seed)
     params = replace(initial_params(config, rng),
                      rabi_shape=rabi_shape, local_shape=local_shape)
-    params.validate(config.limits, config.min_spacing, config.field_size)
+    params.validate(config.limits, config.min_spacing_um, config.field_size_um)
 
     net = init_discriminator(rng, in_dim=k, hidden=config.hidden)
     adam = AdamState.for_net(net)
@@ -209,7 +210,7 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
 
             # (b) generator block: Nelder-Mead on this stage's parameters
             stage_seeds = draw_seeds(rng, config.seed_batch)
-            x0, bounds = params.groups(config.limits, config.field_size)[stage]
+            x0, bounds = params.groups(config.limits, config.field_size_um)[stage]
             steps = nelder_mead_steps(x0, bounds, config.nm_iters, config.nm_tol)
             scored = {}     # vertex bytes -> loss; a stage's objective is fixed
             try:
@@ -217,9 +218,9 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
                 while True:
                     fresh = {x.tobytes(): x for x in points
                              if x.tobytes() not in scored}
-                    # atoms closer than min_spacing get a penalty, not a run
+                    # atoms closer than min_spacing_um get a penalty, not a run
                     trials = [params.with_group(stage, x) for x in fresh.values()]
-                    gaps = [config.min_spacing - t.min_pair_distance()
+                    gaps = [config.min_spacing_um - t.min_pair_distance()
                             for t in trials]
                     runs = [(t, s) for t, gap in zip(trials, gaps)
                             if not gap > 0 for s in stage_seeds]
@@ -242,7 +243,7 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
                                 result.evaluations, result.fun, disc_loss,
                                 "tol" if result.converged else "max_iters"))
 
-    params.validate(config.limits, config.min_spacing, config.field_size)
+    params.validate(config.limits, config.min_spacing_um, config.field_size_um)
     learner = Learner(rabi_shape, local_shape, params, final_loss=log[-1].gen_loss)
     return TrainingResult(learner, net, tuple(log), config, float(initial_loss))
 
@@ -305,12 +306,14 @@ def train_learners(config: TrainConfig, learners, class_data) -> list:
 
 
 LEARNER_FORMAT = "rydgan-learner"
-LEARNER_VERSION = 2
+LEARNER_VERSION = 3
+_UNITLESS = {"duration": "duration_us", "min_spacing": "min_spacing_um",
+             "field_size": "field_size_um"}
 
 
 def save_learner(result: TrainingResult, path: str):
     """Persist a training result, less its discriminator, as a JSON text
-    document of learner format version 2."""
+    document of learner format version 3."""
     learner, params = result.learner, result.learner.params
     doc = {
         "format": LEARNER_FORMAT,
@@ -323,7 +326,6 @@ def save_learner(result: TrainingResult, path: str):
             "rabi_param_rad_per_us": params.rabi_param,
             "local_param_rad_per_us": params.local_param,
             "global_detuning_rad_per_us": params.global_detuning_offset,
-            "duration_us": params.duration,
         },
         "final_loss": learner.final_loss,
         "initial_loss": result.initial_loss,
@@ -340,13 +342,18 @@ def _number(value) -> float:
     return float(value)
 
 
-def load_learner(path: str) -> TrainingResult:
-    """A saved training result, with net None; its params must lie in its
-    own config's envelope. Reads versions 1 and 2: the `discriminator`,
+def load_learner(path: str, run: TrainConfig | None = None) -> TrainingResult:
+    """A saved training result, with net None; its params must lie in its own
+    config's envelope, and the settings that define its generator must be
+    those of `run`, if given. Reads versions 1 to 3; the `discriminator`,
     `validation_fid` and `rng_seed` keys of version 1 are ignored."""
-    doc = _load_doc(path, LEARNER_FORMAT, (1, LEARNER_VERSION))
+    doc = _load_doc(path, LEARNER_FORMAT, (1, 2, LEARNER_VERSION))
     with _doc_field(path, "config"):
         cfg = dict(doc["config"])
+        if doc["version"] < 3:      # formats 1 and 2 named three settings unitless
+            if not set(_UNITLESS.values()).isdisjoint(cfg):
+                raise TypeError(f"a version {doc['version']} config has unit suffixes")
+            cfg = {_UNITLESS.get(key, key): value for key, value in cfg.items()}
         cfg["limits"] = PulseLimits(**cfg["limits"])
         config = TrainConfig(**cfg)
     with _doc_field(path, "params"):
@@ -360,14 +367,15 @@ def load_learner(path: str) -> TrainingResult:
             local_shape=doc["local_shape"],
             local_param=_number(p["local_param_rad_per_us"]),
             global_detuning_offset=_number(p["global_detuning_rad_per_us"]),
-            duration=_number(p["duration_us"]))
+            duration=config.duration_us)
         if params.n_qubits != config.n_qubits:
             raise ValidationError(f"{params.n_qubits} atoms, but the file's "
                                   f"config has n_qubits = {config.n_qubits}")
-        if params.duration != config.duration:
-            raise ValidationError(f"duration_us = {params.duration}, but the "
-                                  f"file's config has duration = {config.duration}")
-        params.validate(config.limits, config.min_spacing, config.field_size)
+        if (doc["version"] < 3 or "duration_us" in p) and (
+                duration := _number(p["duration_us"])) != config.duration_us:
+            raise ValidationError(f"duration_us = {duration}, but the file's "
+                                  f"config has duration_us = {config.duration_us}")
+        params.validate(config.limits, config.min_spacing_um, config.field_size_um)
     with _doc_field(path, "final_loss"):
         learner = Learner(doc["rabi_shape"], doc["local_shape"], params,
                           _number(doc["final_loss"]))
@@ -375,4 +383,10 @@ def load_learner(path: str) -> TrainingResult:
         initial_loss = _number(doc["initial_loss"]) if "initial_loss" in doc else None
     with _doc_field(path, "log"):
         log = tuple(StageLog(**row) for row in doc.get("log", []))
+    for name in ("n_qubits", "duration_us", "limits", "c6") if run else ():
+        theirs, ours = getattr(config, name), getattr(run, name)
+        if theirs != ours:
+            raise DataError(
+                f"{path}: field config.{name}: a learner trained with "
+                f"{name} = {theirs}, but this run has {name} = {ours}")
     return TrainingResult(learner, None, log, config, initial_loss)

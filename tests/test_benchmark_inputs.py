@@ -1,9 +1,9 @@
 """The benchmark's inputs pass the program's checks.
 
 Each workload's inputs, written by the harness's own `write_inputs`, must
-validate as a run config, and each ensemble member must load as a learner
-of that run; otherwise a new check would fail every benchmark command of
-the workload without any test noticing. The harness's convergence sample,
+validate as a run config, and its ensemble manifest must load, each member
+a learner of that run; otherwise a new check would fail every benchmark
+command of the workload without any test noticing. The harness's convergence sample,
 which calls the program's API directly, must run on them too.
 """
 
@@ -33,11 +33,14 @@ def test_workload_inputs_pass_validation(name, tmp_path):
     inputs.write_inputs(str(tmp_path), workload, 3, rydgan)
     config = load_config(str(tmp_path / inputs.CONFIG))
     config.validate()
-    members = sorted(glob.glob(str(tmp_path / inputs.OUT / "learners" / "*"
-                                   / "*.json")))
+    config.out_dir = str(tmp_path / config.out_dir)
+    members = glob.glob(str(tmp_path / inputs.OUT / "learners" / "*"
+                            / "*.json"))
     assert len(members) == workload.members
-    for path in members:
-        cli._load_run_learner(config, path)
+    if members:
+        files, _ = cli._load_ensemble_members(config, config.digit_class,
+                                              config.train_config())
+        assert sorted(files) == sorted(os.path.basename(p) for p in members)
 
 
 @pytest.mark.parametrize("name", ["generate-n6-noisy", "generate-n8-ideal"])

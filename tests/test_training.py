@@ -1,5 +1,6 @@
 import json
 import weakref
+from dataclasses import fields
 from functools import partial
 from types import SimpleNamespace
 
@@ -27,6 +28,19 @@ def tiny_config(**kw):
                     master_seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def as_version_2(doc, version=2):
+    """A version-3 learner document as formats 1 and 2 wrote it: three
+    config settings without their units, and the duration again in params
+    (version 1 held more keys, which load ignores)."""
+    unitless = {"duration_us": "duration", "min_spacing_um": "min_spacing",
+                "field_size_um": "field_size"}
+    old = json.loads(json.dumps(doc))
+    old.update(version=version, config={unitless.get(key, key): value
+                                        for key, value in doc["config"].items()})
+    old["params"]["duration_us"] = doc["config"]["duration_us"]
+    return old
 
 
 def target_features(count, seed=0):
@@ -84,11 +98,12 @@ class TestLayeredTrain:
         result = train_learners(config, [(3, ("trapezoid", "sine_bump"))],
                                 class_data)[0]
         params = result.learner.params
-        params.validate(config.limits, config.min_spacing, config.field_size)
+        params.validate(config.limits, config.min_spacing_um,
+                        config.field_size_um)
         assert 0.0 <= params.rabi_param <= config.limits.omega_max
         assert config.limits.local_detuning_min <= params.local_param <= 0.0
         pos = params.arrangement.position_array()
-        assert pos.min() >= 0.0 and pos.max() <= config.field_size
+        assert pos.min() >= 0.0 and pos.max() <= config.field_size_um
 
     def test_rejects_unscaled_features(self, class_data):
         raw = class_data * 500.0  # plainly outside the (0, 1/2^n] window
@@ -234,29 +249,70 @@ class TestPersistence:
 
     def test_version_1_file_loads_to_the_same_learner(self, learner_text,
                                                       tmp_path):
-        """Learner format version 1 also held the discriminator's weights,
-        `validation_fid` (always null) and `rng_seed` (the config's
-        master_seed); such a file loads as the version-2 file does and
-        generates the same features."""
+        """Learner formats 1 and 2 named three config settings without their
+        units (`duration`, `min_spacing`, `field_size`) and held the duration
+        again as `params.duration_us`; version 1 also held the
+        discriminator's weights, `validation_fid` (always null) and
+        `rng_seed` (the config's master_seed). Such files load as the
+        version-3 file does and generate the same features."""
         doc = json.loads(learner_text)
-        assert doc["version"] == training.LEARNER_VERSION == 2
+        assert doc["version"] == training.LEARNER_VERSION == 3
+        v2 = as_version_2(doc)
         net = init_discriminator(np.random.default_rng(3), in_dim=4, hidden=16)
-        doc.update(version=1, validation_fid=None,
-                   rng_seed=doc["config"]["master_seed"],
-                   discriminator={name: a.tolist()
-                                  for name, a in net.as_dict().items()})
-        old, new = tmp_path / "v1.json", tmp_path / "v2.json"
-        old.write_text(json.dumps(doc))
-        new.write_text(learner_text)
-        results = [load_learner(str(path)) for path in (old, new)]
-        assert results[0] == results[1]
+        v1 = dict(v2, version=1, validation_fid=None,
+                  rng_seed=v2["config"]["master_seed"],
+                  discriminator={name: a.tolist()
+                                 for name, a in net.as_dict().items()})
+        paths = [tmp_path / name for name in ("v1.json", "v2.json", "v3.json")]
+        for path, text in zip(paths, (json.dumps(v1), json.dumps(v2),
+                                      learner_text)):
+            path.write_text(text)
+        results = [load_learner(str(path)) for path in paths]
+        assert results[0] == results[1] == results[2]
         assert results[0].net is None
         seeds = draw_seeds(np.random.default_rng(6), 3)
         config = results[0].config
         feats = [generate_batch([(r.learner.params, s, EXACT) for s in seeds],
                                 config.limits, config.c6, config.steps)
                  for r in results]
-        assert feats[0].tobytes() == feats[1].tobytes()
+        assert feats[0].tobytes() == feats[1].tobytes() == feats[2].tobytes()
+
+    def test_version_3_file_holds_each_setting_once(self, learner_text):
+        """The config holds the settings under their INI keys' names, and
+        params no longer repeats the duration."""
+        doc = json.loads(learner_text)
+        assert set(doc["config"]) == {f.name for f in fields(TrainConfig)}
+        assert not set(doc["params"]) & set(doc["config"])
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_copied_duration_must_match_the_config(self, learner_text,
+                                                   tmp_path, version):
+        """Formats 1 and 2 hold the duration again as `params.duration_us`,
+        which must be there and equal the config's."""
+        doc = as_version_2(json.loads(learner_text), version)
+        doc["params"]["duration_us"] = 0.5
+        path = tmp_path / "learner.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="field params: duration_us = 0.5, "
+                           "but the file's config has duration_us = 1.0"):
+            load_learner(str(path))
+        del doc["params"]["duration_us"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="field params: missing key "
+                           "'duration_us'"):
+            load_learner(str(path))
+
+    def test_unit_named_key_in_an_old_version_is_rejected(self, learner_text,
+                                                         tmp_path):
+        """A version-2 config that holds a setting under its version-3 name
+        is not read as that setting."""
+        doc = json.loads(learner_text)
+        doc.update(version=2)
+        doc["params"]["duration_us"] = doc["config"]["duration_us"]
+        path = tmp_path / "learner.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="field config: a version 2 config"):
+            load_learner(str(path))
 
     @pytest.mark.parametrize("gain, shift", [(1.0, 0.0), (100.0, -1e4)],
                              ids=["identity", "gain-100"])
@@ -291,10 +347,10 @@ class TestConfigValidation:
             TrainConfig(cycles=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("n_qubits", 0), ("n_qubits", 11), ("c6", 0.0), ("duration", 0.0),
+        ("n_qubits", 0), ("n_qubits", 11), ("c6", 0.0), ("duration_us", 0.0),
         ("adam_lr", float("nan")), ("adam_lr", 0.0), ("adam_beta1", 1.0),
         ("adam_beta2", -0.1), ("adam_eps", 0.0), ("nm_tol", -1.0),
-        ("min_spacing", 0.0), ("field_size", -1.0)])
+        ("min_spacing_um", 0.0), ("field_size_um", -1.0)])
     def test_out_of_range_setting_named(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
@@ -303,7 +359,8 @@ class TestConfigValidation:
         dict(limits=PulseLimits(omega_max=1.0)),
         dict(limits=PulseLimits(local_detuning_min=-2.0)),
         dict(limits=PulseLimits(global_detuning_abs=0.5)),
-        dict(min_spacing=6.0), dict(field_size=10.0), dict(field_size=4.0)],
+        dict(min_spacing_um=6.0), dict(field_size_um=10.0),
+        dict(field_size_um=4.0)],
         ids=["omega_max-1", "local_detuning_min--2", "global_detuning_abs-0.5",
              "min_spacing-6", "field_size-10", "field_size-4"])
     def test_starting_point_lies_inside_the_envelope(self, settings):
@@ -313,14 +370,14 @@ class TestConfigValidation:
         config = TrainConfig(n_qubits=4, **settings)
         for seed in range(200):
             initial_params(config, np.random.default_rng(seed)).validate(
-                config.limits, config.min_spacing, config.field_size)
+                config.limits, config.min_spacing_um, config.field_size_um)
 
     def test_field_too_small_for_the_starting_grid_named(self):
         # five atoms take a grid of three to a row: 2 x 4 um wide
-        TrainConfig(n_qubits=5, field_size=8.0)
+        TrainConfig(n_qubits=5, field_size_um=8.0)
         with pytest.raises(ValidationError,
-                           match="field_size .* min_spacing = 4.0 um"):
-            TrainConfig(n_qubits=5, field_size=7.9)
+                           match="field_size_um = 7.9 .* min_spacing_um = 4.0 "):
+            TrainConfig(n_qubits=5, field_size_um=7.9)
 
     def test_learner_dataclass_equality(self):
         a = Learner("linear", "triangle",
@@ -454,7 +511,7 @@ class TestLockStep:
         result = train_learners(config, [(0, ("linear", "triangle"))],
                                 class_data)[0]
         x0, _ = result.learner.params.groups(config.limits,
-                                             config.field_size)["rabi"]
+                                             config.field_size_um)["rabi"]
         # disc block, then the (d + 1)-vertex simplex: no separate request
         # re-evaluates the untrained params for initial_loss
         assert sizes[:2] == [config.disc_steps * config.disc_batch,
