@@ -16,9 +16,10 @@ n = 4 batch (B = 8) under `[pulses] omega_max = 31.6` and
 `local_detuning_min = -250`, twice the default limits. The eleventh is an
 n = 5 batch on the dense path (B = 25): every trainable (Rabi, local) shape
 pair once, at durations of 1 and 0.6 us in turn, so the shorter runs' grids
-are padded. Each new case comes last, so that the other cases' draws stay
-as they were. BLAS runs on one thread so that its GEMMs take one code
-path.
+are padded. The twelfth digests the features of one `generate_batch` call
+of 8 exact runs at n = 4 under a run of 0.6 us pulses at 200 steps/us.
+Each new case comes last, so that the other cases' draws stay as they
+were. BLAS runs on one thread so that its GEMMs take one code path.
 """
 
 import dataclasses
@@ -49,7 +50,7 @@ def training_batch(rng, points, seeds):
     for _ in range(points):
         x, _ = base.groups(LIMITS, config.field_size_um)["positions"]
         params = base.with_group("positions", x + rng.uniform(-0.5, 0.5, x.size))
-        specs += [rydgan.generator.build_spec(params, float(s), LIMITS)
+        specs += [rydgan.generator.build_spec(params, float(s), config)
                   for s in draws]
     return specs, config.steps
 
@@ -76,7 +77,8 @@ def full_range_params(rng, n, spacing=None, limits=LIMITS):
 def full_range_batch(rng, n, count, spacing=None, limits=LIMITS):
     """Specs of `count` seeds of full_range_params."""
     params = full_range_params(rng, n, spacing, limits)
-    return [rydgan.generator.build_spec(params, float(s), limits)
+    run = rydgan.TrainConfig(limits=limits)
+    return [rydgan.generator.build_spec(params, float(s), run)
             for s in rydgan.draw_seeds(rng, count)], 250
 
 
@@ -87,8 +89,8 @@ def shape_pairs_batch(rng, n):
     shapes = rydgan.generator.TRAINABLE_SHAPES
     pairs = [(a, b) for a in shapes for b in shapes]
     return [rydgan.generator.build_spec(
-        dataclasses.replace(params, rabi_shape=a, local_shape=b,
-                            duration=(1.0, 0.6)[i % 2]), float(seed), LIMITS)
+        dataclasses.replace(params, rabi_shape=a, local_shape=b), float(seed),
+        rydgan.TrainConfig(duration_us=(1.0, 0.6)[i % 2]))
         for i, ((a, b), seed) in enumerate(
             zip(pairs, rydgan.draw_seeds(rng, len(pairs))))], 250
 
@@ -117,10 +119,14 @@ def main():
     for name, (specs, steps) in cases.items():
         digest(name, rydgan.sim.evolve(specs, steps))
     digest("n4-noisy-B12",
-           rydgan.generate_batch(noisy_runs(rng, 4, 12), LIMITS, steps=250))
+           rydgan.generate_batch(noisy_runs(rng, 4, 12), rydgan.TrainConfig()))
     digest("n4-wide-B8", rydgan.sim.evolve(
         *full_range_batch(rng, 4, 8, limits=WIDE_LIMITS)))
     digest("n5-shapes-B25", rydgan.sim.evolve(*shape_pairs_batch(rng, 5)))
+    params = full_range_params(rng, 4)
+    digest("n4-gen-d0.6-B8", rydgan.generate_batch(
+        [(params, float(s), rydgan.EXACT) for s in rydgan.draw_seeds(rng, 8)],
+        rydgan.TrainConfig(duration_us=0.6, steps_per_us=200)))
 
 
 if __name__ == "__main__":

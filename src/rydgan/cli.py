@@ -24,9 +24,9 @@ import numpy as np
 from . import data as dp
 from .config import MODES, RunConfig, load_config, render_config
 from .errors import DataError, NumericError, RydganError, ValidationError
-from .generator import EXACT, NoisyMode, ShotsMode, draw_seeds, generate_batch
+from .generator import EXACT, NoisyMode, ShotsMode, TrainConfig, draw_seeds, generate_batch
 from .metrics import ensemble_images, fid_images, greedy_select, variation_scores
-from .training import TrainConfig, load_learner, save_learner, train_learners
+from .training import load_learner, save_learner, train_learners
 
 ENSEMBLE_FORMAT = "rydgan-ensemble"
 ENSEMBLE_VERSION = 1
@@ -160,7 +160,7 @@ def cmd_select(config: RunConfig) -> int:
                        config.fid_batch)
     # every learner at every seed in one batch: (L, fid_batch, 2^n)
     features = generate_batch([(l.params, s, EXACT) for l in learners
-                               for s in seeds], run.limits, run.c6, run.steps)
+                               for s in seeds], run)
     selection = greedy_select(
         features.reshape(len(learners), len(seeds), -1), val, model)
     members = selection.member_indices
@@ -218,7 +218,7 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
 def _generate_images(config: RunConfig, run: TrainConfig, members,
                      model: dp.PcaModel, mode_name: str, count: int,
                      files) -> np.ndarray:
-    """(count, 28, 28) ensemble images; every run a fresh perturbation.
+    """(count, IMAGE_SIDE, IMAGE_SIDE) ensemble images; every run freshly perturbed.
 
     All count x members runs are generated as one batch; each image
     averages its members' features. A run that fails numerically (a noisy
@@ -228,13 +228,13 @@ def _generate_images(config: RunConfig, run: TrainConfig, members,
     runs = [(m.params, seed, _member_mode(config, mode_name, i, j))
             for i, seed in enumerate(seeds) for j, m in enumerate(members)]
     try:
-        features = generate_batch(runs, run.limits, run.c6, run.steps)
+        features = generate_batch(runs, run)
     except NumericError as err:     # generate_batch names the failed run
         image, member = divmod(err.run, len(members))
         raise NumericError(
             f"image {image}, member {files[member]}: {err}") from err
     features = features.reshape(count, len(members), -1).transpose(1, 0, 2)
-    return ensemble_images(model, features).reshape(count, 28, 28)
+    return ensemble_images(model, features).reshape(count, dp.IMAGE_SIDE, -1)
 
 
 def _write_variation_csv(variation: np.ndarray, path: str):

@@ -18,9 +18,8 @@ from dataclasses import dataclass, fields
 
 from .data import PIXELS
 from .errors import ValidationError, check_settings, setting
-from .generator import MAX_RUNS, TRAINABLE_SHAPES, ErrorModel, ShotsMode
+from .generator import MAX_RUNS, TRAINABLE_SHAPES, ErrorModel, ShotsMode, TrainConfig
 from .pulses import PulseLimits
-from .training import TrainConfig
 
 MODES = ("ideal", "noisy", "shots")
 _MAX_IMAGES = MAX_RUNS // len(TRAINABLE_SHAPES) ** 2   # one run per shape pair

@@ -6,22 +6,23 @@ to each drive's full range), evolves the ground state under the resulting
 Hamiltonian, and maps the outcome probabilities to features with a modulo
 operation so each feature can take any value in (0, 1/2^n] independently
 of the others. `generate_batch`, the one generation path, evolves many
-(params, seed, mode) runs in one `sim.evolve` call and reads out the whole
-block; `generate_features` is a one-run `generate_batch`.
+(params, seed, mode) runs under one `TrainConfig`, the run's settings, in one
+`sim.evolve` call; `generate_features` is a one-run `generate_batch`.
 `GeneratorParams` declares the hardware envelope once: its trainable groups
 and their boxes serve both `validate` and the Nelder-Mead stages of training.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericError, ValidationError, check_settings, setting
 from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits, PulseProgram
-from .sim import (AtomArrangement, C6_DEFAULT, NORM_TOL, HamiltonianSpec,
-                  evolve)
+from .sim import (AtomArrangement, C6_DEFAULT, MAX_QUBITS, NORM_TOL, STEPS_PER_US,
+                  HamiltonianSpec, default_steps, evolve)
 
 SEED_LO, SEED_HI = 0.1, 1.0
 # default geometry in um: minimum atom spacing, side of the square field
@@ -35,6 +36,7 @@ MAX_RUNS = 1 << 16
 # the trainable parameter groups, each a training stage, and what they hold
 GROUPS = {"positions": "atom coordinate", "rabi": "rabi_param",
           "local": "local_param or coupling", "global": "global detuning"}
+STAGES = tuple(GROUPS)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class GeneratorParams:
     local_shape: str = field(metadata={"choices": TRAINABLE_SHAPES})
     local_param: float
     global_detuning_offset: float
-    duration: float = setting(1.0, (">", 0))
 
     @property
     def n_qubits(self) -> int:
@@ -157,25 +158,83 @@ class NoisyMode:
 EXACT = ExactMode()
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """A run's settings; generation reads limits, c6, duration_us and steps.
+    A learner file stores the fields in this order."""
+
+    n_qubits: int = setting(4, (">=", 1), ("<=", MAX_QUBITS))
+    # Aquila runs a pulse program for at most 4 us
+    duration_us: float = setting(1.0, (">", 0), ("<=", 4.0))
+    # 250 steps/us resolve full-scale n = 4 features to about 3e-8 (1000 to
+    # about 1e-10), and the finest reference grid used 4000; finer grids
+    # only add rounding and memory
+    steps_per_us: int = setting(STEPS_PER_US, (">=", 1), ("<=", 10_000))
+    cycles: int = setting(3, (">=", 1))
+    nm_iters: int = setting(60, (">=", 1))
+    nm_tol: float = setting(1e-6, (">=", 0))
+    # a stage asks for disc_steps x disc_batch fakes at once, at most MAX_RUNS
+    disc_steps: int = setting(30, (">=", 1), ("<=", MAX_RUNS))
+    # a step holds disc_batch x hidden activations per layer: 32 MiB at most
+    disc_batch: int = setting(32, (">=", 1), ("<=", 4096))
+    # a Nelder-Mead round asks for up to 2 n_qubits + 1 vertices x seed_batch runs
+    seed_batch: int = setting(16, (">=", 1), ("<=", MAX_RUNS // (2 * MAX_QUBITS + 1)))
+    adam_lr: float = setting(1e-3, (">", 0))
+    adam_beta1: float = setting(0.9, (">=", 0), ("<", 1))
+    adam_beta2: float = setting(0.999, (">=", 0), ("<", 1))
+    adam_eps: float = setting(1e-8, (">", 0))
+    # hidden^2 middle-layer weights: 8 MiB at 1024, and Adam keeps two more
+    hidden: int = setting(64, (">=", 1), ("<=", 1024))
+    stage_order: tuple = STAGES
+    master_seed: int = setting(0, (">=", 0))
+    limits: PulseLimits = field(default_factory=PulseLimits)
+    c6: float = setting(C6_DEFAULT, (">", 0))
+    min_spacing_um: float = setting(MIN_SPACING_UM, (">", 0))
+    field_size_um: float = setting(FIELD_SIZE_UM, (">", 0))
+
+    def __post_init__(self):
+        check_settings(self)
+        if self.disc_steps * self.disc_batch > MAX_RUNS:
+            raise ValidationError(
+                f"disc_steps x disc_batch = {self.disc_steps * self.disc_batch} "
+                f"fakes per stage exceed {MAX_RUNS}")
+        if (self.grid_side - 1) * self.min_spacing_um > self.field_size_um:
+            raise ValidationError(
+                f"field_size_um = {self.field_size_um} cannot hold {self.n_qubits} atoms "
+                f"min_spacing_um = {self.min_spacing_um} apart, {self.grid_side} to a row")
+        if sorted(self.stage_order) != sorted(STAGES):
+            raise ValidationError(
+                f"stage_order must be a permutation of {STAGES}, "
+                f"got {self.stage_order}")
+        object.__setattr__(self, "stage_order", tuple(self.stage_order))
+
+    @property
+    def steps(self) -> int:
+        return default_steps(self.duration_us, self.steps_per_us)
+
+    @property
+    def grid_side(self) -> int:
+        """Atoms per row of the starting grid of initial_params."""
+        return math.ceil(math.sqrt(self.n_qubits))
+
+
 def build_spec(params: GeneratorParams, seed: float,
-               limits: PulseLimits = DEFAULT_LIMITS,
-               c6: float = C6_DEFAULT) -> HamiltonianSpec:
-    """Instantiate the Hamiltonian for one seed value.
+               run: TrainConfig = TrainConfig()) -> HamiltonianSpec:
+    """Instantiate the Hamiltonian for one seed value under run's settings.
 
     The shared scalar seed u is injected into both pulses scaled to each
     drive's full range, the run's omega_max or local_detuning_min (negative):
     full_scale is that limit and seed = u, so both read one fraction.
     """
     rabi = PulseProgram(shape=params.rabi_shape, param=params.rabi_param,
-                        full_scale=limits.omega_max, seed=seed,
-                        duration=params.duration)
+                        full_scale=run.limits.omega_max, seed=seed,
+                        duration=run.duration_us)
     local = PulseProgram(shape=params.local_shape, param=params.local_param,
-                         full_scale=limits.local_detuning_min, seed=seed,
-                         duration=params.duration)
+                         full_scale=run.limits.local_detuning_min, seed=seed,
+                         duration=run.duration_us)
     return HamiltonianSpec(arrangement=params.arrangement, rabi=rabi,
-                           local_detuning=local,
-                           global_detuning_offset=params.global_detuning_offset,
-                           c6=c6)
+                           local_detuning=local, c6=run.c6,
+                           global_detuning_offset=params.global_detuning_offset)
 
 
 def modulo_encode(probs) -> np.ndarray:
@@ -226,13 +285,12 @@ def perturb_params(spec: HamiltonianSpec, model: ErrorModel) -> HamiltonianSpec:
                    rabi_scale=spec.rabi_scale * gain)
 
 
-def _plan(params: GeneratorParams, seed: float, mode, limits: PulseLimits,
-          c6: float):
+def _plan(params: GeneratorParams, seed: float, mode, run: TrainConfig):
     """(spec, readout mode) of one run: the seed checked, noise drawn."""
     if not SEED_LO - 1e-12 <= seed <= SEED_HI + 1e-12:
         raise ValidationError(
             f"seed {seed} outside legal range [{SEED_LO}, {SEED_HI}]")
-    spec = build_spec(params, seed, limits, c6)
+    spec = build_spec(params, seed, run)
     if isinstance(mode, NoisyMode):
         return perturb_params(spec, mode.model), EXACT
     if not isinstance(mode, (ExactMode, ShotsMode)):
@@ -241,20 +299,19 @@ def _plan(params: GeneratorParams, seed: float, mode, limits: PulseLimits,
 
 
 def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
-                      limits: PulseLimits = DEFAULT_LIMITS,
-                      c6: float = C6_DEFAULT,
+                      limits: PulseLimits = DEFAULT_LIMITS, c6: float = C6_DEFAULT,
                       steps: int | None = None) -> np.ndarray:
-    """Features (2^n,) of one seed: a one-run `generate_batch`.
+    """Features (2^n,) of one seed: a one-run `generate_batch`, 1 us long.
 
     Deterministic for fixed (params, seed, mode); the stored params are
     never mutated, a noisy run perturbs its own copy of the Hamiltonian.
     """
-    return generate_batch([(params, seed, mode)], limits, c6, steps)[0]
+    run = TrainConfig(limits=limits, c6=c6,
+                      steps_per_us=STEPS_PER_US if steps is None else steps)
+    return generate_batch([(params, seed, mode)], run)[0]
 
 
-def generate_batch(runs, limits: PulseLimits = DEFAULT_LIMITS,
-                   c6: float = C6_DEFAULT,
-                   steps: int | None = None) -> np.ndarray:
+def generate_batch(runs, run: TrainConfig = TrainConfig()) -> np.ndarray:
     """Features (B, 2^n) of many (params, seed, mode) runs, evolved as one batch.
 
     Probabilities are p = |a|^2 of the final amplitudes, or for a ShotsMode
@@ -262,11 +319,10 @@ def generate_batch(runs, limits: PulseLimits = DEFAULT_LIMITS,
     All runs share one qubit count; batching is what makes generation
     cheap, so callers pass all the runs they need at once.
     """
-    plans = [_plan(params, float(seed), mode, limits, c6)
-             for params, seed, mode in runs]
+    plans = [_plan(params, float(seed), mode, run) for params, seed, mode in runs]
     if not plans:
         raise ValidationError("generate_batch needs at least one run")
-    probs = np.abs(evolve([spec for spec, _ in plans], steps)) ** 2
+    probs = np.abs(evolve([spec for spec, _ in plans], run.steps)) ** 2
     norms = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:

@@ -182,7 +182,8 @@ def _drive_values(spec: HamiltonianSpec, t):
 
 
 def default_steps(duration: float, steps_per_us: int = STEPS_PER_US) -> int:
-    """Step budget of a run; also `TrainConfig.steps`, so there is one rule."""
+    """Steps of a run `duration` us long: `TrainConfig.steps`, which every
+    generator run is evolved with, and `evolve`'s default budget."""
     return max(1, int(round(steps_per_us * duration)))
 
 

@@ -10,16 +10,15 @@ parameters only, inside the group's hardware box from
 parameters frozen and a penalty on atoms closer than the minimum spacing.
 Generation during training uses exact probabilities (no shot noise).
 Fully deterministic for a fixed seed.
-`train_learners` runs learners that share one `TrainConfig`, each under
-its own master seed, in lock step: a round serves every learner's pending
-runs in as few `generate_batch` calls as `MAX_RUNS` allows, because a
-small batch costs per call (numpy overhead), hardly per run.
+`train_learners` runs learners that share the run's `TrainConfig`, each
+under its own master seed, in lock step: a round serves every learner's
+pending runs in as few `generate_batch` calls as `MAX_RUNS` allows, each
+evolved under that config; a small batch costs per call, hardly per run.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,75 +26,17 @@ from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .errors import DataError, RydganError, ValidationError, check_settings, setting
-from .generator import (EXACT, FIELD_SIZE_UM, GROUPS, MAX_RUNS, MIN_SPACING_UM,
-                        GeneratorParams, draw_seeds, generate_batch)
+from .generator import (EXACT, MAX_RUNS, STAGES, GeneratorParams, TrainConfig,
+                        draw_seeds, generate_batch)
 from .neldermead import nelder_mead_steps
 from .pulses import PulseLimits
-from .sim import AtomArrangement, C6_DEFAULT, MAX_QUBITS, STEPS_PER_US, default_steps
+from .sim import AtomArrangement
 
-STAGES = tuple(GROUPS)
 _COUNT = {"bounds": ((">=", 0),)}     # a log row's cycle and Nelder-Mead counts
 
 # penalty returned by the generator objective for geometry violations,
 # large enough to dominate any reachable cross-entropy value
 _GEOMETRY_PENALTY = 1e3
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    n_qubits: int = setting(4, (">=", 1), ("<=", MAX_QUBITS))
-    # Aquila runs a pulse program for at most 4 us
-    duration_us: float = setting(1.0, (">", 0), ("<=", 4.0))
-    # 250 steps/us resolve full-scale n = 4 features to about 3e-8 (1000 to
-    # about 1e-10), and the finest reference grid used 4000; finer grids
-    # only add rounding and memory
-    steps_per_us: int = setting(STEPS_PER_US, (">=", 1), ("<=", 10_000))
-    cycles: int = setting(3, (">=", 1))
-    nm_iters: int = setting(60, (">=", 1))
-    nm_tol: float = setting(1e-6, (">=", 0))
-    # a stage asks for disc_steps x disc_batch fakes at once, at most MAX_RUNS
-    disc_steps: int = setting(30, (">=", 1), ("<=", MAX_RUNS))
-    # a step holds disc_batch x hidden activations per layer: 32 MiB at most
-    disc_batch: int = setting(32, (">=", 1), ("<=", 4096))
-    # a Nelder-Mead round asks for up to 2 n_qubits + 1 vertices x seed_batch runs
-    seed_batch: int = setting(16, (">=", 1), ("<=", MAX_RUNS // (2 * MAX_QUBITS + 1)))
-    adam_lr: float = setting(1e-3, (">", 0))
-    adam_beta1: float = setting(0.9, (">=", 0), ("<", 1))
-    adam_beta2: float = setting(0.999, (">=", 0), ("<", 1))
-    adam_eps: float = setting(1e-8, (">", 0))
-    # hidden^2 middle-layer weights: 8 MiB at 1024, and Adam keeps two more
-    hidden: int = setting(64, (">=", 1), ("<=", 1024))
-    stage_order: tuple = STAGES
-    master_seed: int = setting(0, (">=", 0))
-    limits: PulseLimits = field(default_factory=PulseLimits)
-    c6: float = setting(C6_DEFAULT, (">", 0))
-    min_spacing_um: float = setting(MIN_SPACING_UM, (">", 0))
-    field_size_um: float = setting(FIELD_SIZE_UM, (">", 0))
-
-    def __post_init__(self):
-        check_settings(self)
-        if self.disc_steps * self.disc_batch > MAX_RUNS:
-            raise ValidationError(
-                f"disc_steps x disc_batch = {self.disc_steps * self.disc_batch} "
-                f"fakes per stage exceed {MAX_RUNS}")
-        if (self.grid_side - 1) * self.min_spacing_um > self.field_size_um:
-            raise ValidationError(
-                f"field_size_um = {self.field_size_um} cannot hold {self.n_qubits} atoms "
-                f"min_spacing_um = {self.min_spacing_um} apart, {self.grid_side} to a row")
-        if sorted(self.stage_order) != sorted(STAGES):
-            raise ValidationError(
-                f"stage_order must be a permutation of {STAGES}, "
-                f"got {self.stage_order}")
-        object.__setattr__(self, "stage_order", tuple(self.stage_order))
-
-    @property
-    def steps(self) -> int:
-        return default_steps(self.duration_us, self.steps_per_us)
-
-    @property
-    def grid_side(self) -> int:
-        """Atoms per row of the starting grid of initial_params."""
-        return math.ceil(math.sqrt(self.n_qubits))
 
 
 @dataclass(frozen=True)
@@ -168,8 +109,7 @@ def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorPa
         arrangement=AtomArrangement(positions, couplings),
         rabi_shape="linear", rabi_param=float(rng.uniform(0.5, 2.0)),
         local_shape="linear", local_param=float(rng.uniform(-5.0, -0.5)),
-        global_detuning_offset=float(rng.uniform(-1.0, 1.0)),
-        duration=config.duration_us)
+        global_detuning_offset=float(rng.uniform(-1.0, 1.0)))
     for stage in ("rabi", "local", "global"):
         values, bounds = params.groups(config.limits, config.field_size_um)[stage]
         params = params.with_group(stage, np.clip(values, *np.transpose(bounds)))
@@ -295,7 +235,7 @@ def train_learners(config: TrainConfig, learners, class_data) -> list:
         for group in groups:
             runs = [(p, s, EXACT) for i in group for p, s in pending[i]]
             try:
-                feats = generate_batch(runs, config.limits, config.c6, config.steps)
+                feats = generate_batch(runs, config)
             except RydganError as exc:
                 raise type(exc)(f"learners {', '.join(names[i] for i in group)}: "
                                 f"{exc}") from exc
@@ -342,6 +282,11 @@ def _number(value) -> float:
     return float(value)
 
 
+def _every_field(cls, values: dict):
+    """cls(**values); every file version wrote every field, so none defaults."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)} | values)
+
+
 def load_learner(path: str, run: TrainConfig | None = None) -> TrainingResult:
     """A saved training result, with net None; its params must lie in its own
     config's envelope, and the settings that define its generator must be
@@ -354,8 +299,8 @@ def load_learner(path: str, run: TrainConfig | None = None) -> TrainingResult:
             if not set(_UNITLESS.values()).isdisjoint(cfg):
                 raise TypeError(f"a version {doc['version']} config has unit suffixes")
             cfg = {_UNITLESS.get(key, key): value for key, value in cfg.items()}
-        cfg["limits"] = PulseLimits(**cfg["limits"])
-        config = TrainConfig(**cfg)
+        cfg["limits"] = _every_field(PulseLimits, cfg["limits"])
+        config = _every_field(TrainConfig, cfg)
     with _doc_field(path, "params"):
         p = doc["params"]
         params = GeneratorParams(
@@ -366,8 +311,7 @@ def load_learner(path: str, run: TrainConfig | None = None) -> TrainingResult:
             rabi_param=_number(p["rabi_param_rad_per_us"]),
             local_shape=doc["local_shape"],
             local_param=_number(p["local_param_rad_per_us"]),
-            global_detuning_offset=_number(p["global_detuning_rad_per_us"]),
-            duration=config.duration_us)
+            global_detuning_offset=_number(p["global_detuning_rad_per_us"]))
         if params.n_qubits != config.n_qubits:
             raise ValidationError(f"{params.n_qubits} atoms, but the file's "
                                   f"config has n_qubits = {config.n_qubits}")

@@ -225,7 +225,7 @@ def _smoke_seed_run(master_seed: int, features, val, pca) -> tuple:
     def ensemble_fid(pool) -> float:
         """Validation FID of the greedy ensemble over a pool of params."""
         runs = [(params, s, EXACT) for params in pool for s in fid_seeds]
-        batches = generate_batch(runs, steps=config.steps)
+        batches = generate_batch(runs, config)
         return greedy_select(batches.reshape(len(pool), len(fid_seeds), -1),
                              val, pca).fid_trail[-1]
 

@@ -337,9 +337,9 @@ class TestSelect:
             assert main([cmd, "--config", str(cfg), "--out", out]) == 0
         calls = []
 
-        def counting(runs, limits, c6, steps):
+        def counting(runs, run):
             calls.append(runs)
-            return rowwise_stub(runs, limits, c6, steps)
+            return rowwise_stub(runs, run)
 
         monkeypatch.setattr(cli, "generate_batch", counting)
         assert main(["select", "--config", str(cfg), "--out", out]) == 0
@@ -351,7 +351,7 @@ class TestSelect:
         seeds = draw_seeds(np.random.default_rng(config.master_seed),
                            config.fid_batch)
         runs = [(r.learner.params, s, EXACT) for r in results for s in seeds]
-        batches = rowwise_stub(runs, None, None, None).reshape(3, len(seeds), -1)
+        batches = rowwise_stub(runs, config.train_config()).reshape(3, len(seeds), -1)
         [val] = cli._load_splits(config, [0], held_out=True)
         expected = greedy_select(batches, val, cli._require_pca(config, 0))
         doc = json.loads(open(os.path.join(out, "ensemble_class0.json")).read())
@@ -930,7 +930,7 @@ class TestGenerateImages:
     @staticmethod
     def stub_generation(monkeypatch, outputs):
         monkeypatch.setattr(
-            cli, "generate_batch", lambda runs, limits, c6, steps: np.stack(
+            cli, "generate_batch", lambda runs, run: np.stack(
                 [outputs[params.rabi_param] for params, _, _ in runs]))
 
     def test_images_decode_the_member_average(self, monkeypatch, model):
@@ -965,8 +965,7 @@ class TestGenerateImages:
                                       model, "ideal", 3, ["a.json"])
         seeds = draw_seeds(np.random.default_rng(config.master_seed), 3)
         features = generate_batch([(member.params, s, EXACT) for s in seeds],
-                                  config.limits(), config.c6,
-                                  config.train_config().steps)
+                                  config.train_config())
         expected = inverse_transform(model, unscale_features(model, features))
         assert np.array_equal(images, expected.reshape(3, 28, 28))
 
@@ -1225,6 +1224,41 @@ def test_retyped_learner_leaf_exits_3_naming_its_field(pipeline_out,
                 assert inner in message, (leaf, new, message)
             cases += 1
     assert cases > 300
+
+
+def test_deleted_learner_key_exits_3_naming_it(pipeline_out, tmp_path):
+    """Every file version wrote every field of the config and its limits,
+    so a learner file with any key or leaf deleted fails to load with a
+    DataError (exit 3) naming the file and the field: the top-level key,
+    and for a config or log value the key inside. Only initial_loss, log
+    and a log row's nm_stop may be missing."""
+    with open(_artefact_paths(pipeline_out)["learner"]) as f:
+        original = json.load(f)
+    path = str(tmp_path / "deleted.json")
+    optional = {("initial_loss",), ("log",)} | {
+        ("log", i, "nm_stop") for i in range(len(original["log"]))}
+    cases = 0
+    for leaf in dict.fromkeys([*_key_paths(original), *_leaf_paths(original)]):
+        *parents, key = leaf
+        doc = json.loads(json.dumps(original))
+        del functools.reduce(lambda node, step: node[step], parents, doc)[key]
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        if leaf in optional:
+            load_learner(path)
+            continue
+        with pytest.raises(DataError) as info:
+            load_learner(path)
+        message, top = str(info.value), leaf[0]
+        assert message.startswith(f"{path}: field "), (leaf, message)
+        assert top in message, (leaf, message)
+        if top in ("config", "log"):
+            inner = [step for step in leaf if isinstance(step, str)][-1]
+            assert inner in message, (leaf, message)
+        cases += 1
+    assert {("config", "hidden"), ("config", "c6"), ("config", "stage_order"),
+            ("config", "limits", "omega_max")} <= set(_key_paths(original))
+    assert cases > 60
 
 
 def test_retyped_manifest_leaf_exits_3_or_is_not_read(smoke_ini,

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from rydgan.errors import ValidationError
 from rydgan.generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                               SEED_HI, SEED_LO, TRAINABLE_SHAPES, ErrorModel,
-                              GeneratorParams, NoisyMode, ShotsMode,
+                              GeneratorParams, NoisyMode, ShotsMode, TrainConfig,
                               build_spec, draw_seeds, generate_batch,
                               generate_features, modulo_encode, perturb_params)
 from rydgan.pulses import DEFAULT_LIMITS, PulseLimits, breakpoint_times, evaluate
-from rydgan.sim import AtomArrangement
+from rydgan.sim import AtomArrangement, evolve
 
 
 def square_params(**kw):
@@ -157,6 +157,10 @@ class TestGenerateFeatures:
         assert spec.rabi.full_scale == 15.8
         assert spec.local_detuning.full_scale == -125.0
 
+    def test_build_spec_takes_the_run_duration(self):
+        spec = build_spec(square_params(), 0.5, TrainConfig(duration_us=0.6))
+        assert spec.rabi.duration == spec.local_detuning.duration == 0.6
+
 
 # a legal configuration whose drives reach twice the default full scale
 WIDE_LIMITS = PulseLimits(omega_max=31.6, local_detuning_min=-250.0)
@@ -169,7 +173,7 @@ class TestSeedFullScale:
         params = square_params(rabi_shape="triangle", local_shape="gaussian")
         seeds = (0.5, 0.7, 0.9, 1.0)
         feats = generate_batch([(params, s, EXACT) for s in seeds],
-                               WIDE_LIMITS, steps=100)
+                               TrainConfig(limits=WIDE_LIMITS, steps_per_us=100))
         for i, j in itertools.combinations(range(len(seeds)), 2):
             assert not np.array_equal(feats[i], feats[j]), (seeds[i], seeds[j])
 
@@ -184,7 +188,7 @@ class TestSeedFullScale:
                 limits = PulseLimits(
                     omega_max=factor * DEFAULT_LIMITS.omega_max,
                     local_detuning_min=factor * DEFAULT_LIMITS.local_detuning_min)
-                spec = build_spec(params, seed, limits)
+                spec = build_spec(params, seed, TrainConfig(limits=limits))
                 for a, b in ((ref.rabi, spec.rabi),
                              (ref.local_detuning, spec.local_detuning)):
                     assert np.allclose(breakpoint_times(a), breakpoint_times(b),
@@ -203,10 +207,24 @@ class TestGenerateBatch:
                 (square_params(rabi_shape="sine_bump", local_shape="gaussian",
                                rabi_param=9.0, local_param=-40.0), 0.8, mode),
                 (square_params(), 0.95, EXACT)]
-        batch = generate_batch(runs, steps=120)
+        batch = generate_batch(runs, TrainConfig(steps_per_us=120))
         for row, (params, seed, run_mode) in zip(batch, runs):
             lone = generate_features(params, seed, run_mode, steps=120)
             assert np.abs(row - lone).max() <= 1e-12
+
+    def test_evolves_under_the_run_duration_and_steps(self):
+        # 0.6 us at 200 steps/us: the run's 120 steps, bit for bit
+        run = TrainConfig(duration_us=0.6, steps_per_us=200)
+        params = square_params(rabi_shape="sine_bump", local_shape="gaussian")
+        seeds = (0.3, 0.65, 1.0)
+        batch = generate_batch([(params, s, EXACT) for s in seeds], run)
+        amps = evolve([build_spec(params, s, run) for s in seeds], 120)
+        assert batch.tobytes() == modulo_encode(np.abs(amps) ** 2).tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 10_001])
+    def test_features_step_count_outside_the_run_rule(self, steps):
+        with pytest.raises(ValidationError, match="steps_per_us"):
+            generate_features(square_params(), 0.5, EXACT, steps=steps)
 
     def test_rejects_empty_and_mixed_qubit_counts(self):
         with pytest.raises(ValidationError):
@@ -362,7 +380,7 @@ def test_hardware_envelope_implies_legal_waveforms(rabi, local, seed, limits):
             params = params.with_group(group,
                                        lo + np.array(fractions) * (hi - lo))
         params.validate(limits)
-        spec = build_spec(params, seed, limits)
+        spec = build_spec(params, seed, TrainConfig(limits=limits))
         omega, dlocal = (evaluate(spec.rabi, ts),
                          evaluate(spec.local_detuning, ts))
         for values in (omega, dlocal):

@@ -11,7 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
 DIGEST_CASES = ("n4-train-B12", "n4-train-B102", "n4-train-B192",
                 "n6-full-B16", "n8-full-B2", "n6-packed-B4", "n2-full-B4",
-                "n4-full-B1", "n4-noisy-B12", "n4-wide-B8", "n5-shapes-B25")
+                "n4-full-B1", "n4-noisy-B12", "n4-wide-B8", "n5-shapes-B25",
+                "n4-gen-d0.6-B8")
 
 
 def name_chains(paths, name: str) -> set:

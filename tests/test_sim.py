@@ -295,7 +295,7 @@ def spread_full_range_spec(rng, n, seed=0.6):
         AtomArrangement(tuple(map(tuple, pos)), tuple(rng.uniform(0.0, 1.0, n))),
         "trapezoid", 0.9 * limits.omega_max, "sine_bump",
         0.9 * limits.local_detuning_min, 0.5 * limits.global_detuning_abs)
-    return generator.build_spec(params, seed, limits)
+    return generator.build_spec(params, seed, generator.TrainConfig(limits=limits))
 
 
 class TestEvolveBatch:

@@ -273,7 +273,7 @@ class TestPersistence:
         seeds = draw_seeds(np.random.default_rng(6), 3)
         config = results[0].config
         feats = [generate_batch([(r.learner.params, s, EXACT) for s in seeds],
-                                config.limits, config.c6, config.steps)
+                                config)
                  for r in results]
         assert feats[0].tobytes() == feats[1].tobytes() == feats[2].tobytes()
 
@@ -333,7 +333,8 @@ class TestPersistence:
             feats.append(generate_batch(
                 [(params, s, EXACT) for s in seeds]
                 + [(params, s, NoisyMode(ErrorModel(rng_seed=i)))
-                   for i, s in enumerate(seeds)], steps=150).tobytes())
+                   for i, s in enumerate(seeds)],
+                TrainConfig(steps_per_us=150)).tobytes())
         assert feats[0] == feats[1]
 
 
@@ -392,7 +393,7 @@ GROUP = [(21, ("linear", "triangle")), (22, ("linear", "gaussian")),
          (23, ("trapezoid", "sine_bump"))]
 
 
-def rowwise_stub(runs, limits, c6, steps):
+def rowwise_stub(runs, run):
     """Deterministic features in the 2-qubit window, row by row."""
     rows = []
     for params, seed, _ in runs:
@@ -484,8 +485,7 @@ class TestLockStep:
         learner = training._learner(CONFIG, class_data, ("linear", "triangle"))
         request, served = learner.send(None), 0
         while True:
-            feats = rowwise_stub([(p, s, EXACT) for p, s in request], None,
-                                 None, None)
+            feats = rowwise_stub([(p, s, EXACT) for p, s in request], CONFIG)
             held = weakref.ref(feats)
             try:
                 request = learner.send(feats)
