@@ -18,6 +18,8 @@ n = 5 batch on the dense path (B = 25): every trainable (Rabi, local) shape
 pair once, at durations of 1 and 0.6 us in turn, so the shorter runs' grids
 are padded. The twelfth digests the features of one `generate_batch` call
 of 8 exact runs at n = 4 under a run of 0.6 us pulses at 200 steps/us.
+The thirteenth is an n = 2 batch (B = 2) of two atoms 1e60 um apart, too
+far for C6 / r^6 to be a float, so they do not interact.
 Each new case comes last, so that the other cases' draws stay as they
 were. BLAS runs on one thread so that its GEMMs take one code path.
 """
@@ -127,6 +129,8 @@ def main():
     digest("n4-gen-d0.6-B8", rydgan.generate_batch(
         [(params, float(s), rydgan.EXACT) for s in rydgan.draw_seeds(rng, 8)],
         rydgan.TrainConfig(duration_us=0.6, steps_per_us=200)))
+    digest("n2-far-B2", rydgan.sim.evolve(
+        *full_range_batch(rng, 2, 2, spacing=1e60)))
 
 
 if __name__ == "__main__":

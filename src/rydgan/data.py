@@ -1,7 +1,7 @@
 """Dataset ingestion (IDX), PCA with inverse transform, feature scaling,
 and PGM image output.
 
-The IDX pair is read as uint8, so a caller converts to float only the images
+The IDX pair is mapped as uint8, so a caller converts to float only the images
 it uses. The PCA keeps the top-k principal components of the pixels, whose
 inverse transform maps generated feature vectors back to images. Feature
 scaling sends the observed per-feature training range onto the generator's
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 from contextlib import contextmanager
@@ -64,25 +65,20 @@ class ImageSet:
         return self.images.reshape(len(self), -1)
 
 
-def _read_exact(f, count: int, path: str, what: str) -> bytes:
-    offset = f.tell()
-    data = f.read(count)
-    if len(data) != count:
-        raise DataError(
-            f"{path}: truncated {what} at byte offset {offset}: "
-            f"wanted {count} bytes, got {len(data)}")
-    return data
-
-
 def _read_be32(f, path: str, what: str) -> int:
-    return struct.unpack(">i", _read_exact(f, 4, path, what))[0]
+    offset, data = f.tell(), f.read(4)
+    if len(data) != 4:
+        raise DataError(f"{path}: truncated {what} at byte offset {offset}: "
+                        f"wanted 4 bytes, got {len(data)}")
+    return struct.unpack(">i", data)[0]
 
 
 def _read_idx(path: str, magic: int, what: str, dims: tuple) -> np.ndarray:
-    """The uint8 items of an IDX file of `what` items, each of shape dims.
+    """The uint8 items of an IDX file of `what` items, each of shape dims, as
+    a read-only view of the mapped file: only the pages read are loaded.
 
-    A bad magic or item dimensions, a count the file cannot hold or a
-    short payload is a DataError naming the file and the byte offset.
+    A bad magic or item dimensions or a count the file cannot hold is a
+    DataError naming the file and the byte offset.
     """
     with open(path, "rb") as f:
         found = _read_be32(f, path, "magic number")
@@ -100,13 +96,15 @@ def _read_idx(path: str, magic: int, what: str, dims: tuple) -> np.ndarray:
         if not 0 <= count * size <= left:
             raise DataError(f"{path}: {what} count {count} at byte offset 4 "
                             f"must be in [0, {left // size}] to fit the file")
-        payload = _read_exact(f, count * size, path, f"{what} data")
-    return np.frombuffer(payload, np.uint8).reshape((count,) + dims)
+        payload = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        return np.frombuffer(payload, np.uint8, count * size,
+                             f.tell()).reshape((count,) + dims)
 
 
 def read_idx_pair(images_path: str, labels_path: str) -> tuple:
     """(images, labels) of a big-endian IDX image/label file pair: uint8
-    arrays of shape (N, 28, 28) and (N,) over the bytes read."""
+    arrays of shape (N, 28, 28) and (N,), views of the mapped files. Copy
+    the rows you keep: reading a view of a file since truncated is SIGBUS."""
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", (IMAGE_SIDE, IMAGE_SIDE))
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ())
     if len(labels) != len(images):

@@ -36,7 +36,6 @@ the results do not depend on the chunk size.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,15 +124,13 @@ class HamiltonianSpec:
         return self.rabi.duration
 
 
-def interaction_strength(s_i, s_j, c6: float = C6_DEFAULT) -> float:
-    """Pairwise van der Waals interaction C6 / |s_i - s_j|^6 in rad/us."""
-    dx = float(s_i[0]) - float(s_j[0])
-    dy = float(s_i[1]) - float(s_j[1])
-    dist_sq = dx * dx + dy * dy
-    if dist_sq < 1e-24:
-        raise ValidationError(
-            f"coincident atoms at {tuple(s_i)}: interaction diverges")
-    return c6 / dist_sq ** 3
+def interaction_strength(s_i, s_j, c6=C6_DEFAULT):
+    """Van der Waals interaction C6 / |s_i - s_j|^6 in rad/us, elementwise
+    over the last (x, y) axis of broadcastable position arrays: inf for
+    coincident atoms and 0 for atoms too far apart for a float."""
+    with np.errstate(divide="ignore", over="ignore"):
+        dx, dy = np.moveaxis(np.subtract(s_i, s_j, dtype=float), -1, 0)
+        return c6 / (dx * dx + dy * dy) ** 3
 
 
 def _occupations(n: int) -> np.ndarray:
@@ -156,24 +153,18 @@ def _flip_matrix(n: int) -> np.ndarray:
 def _diagonals(specs, occ: np.ndarray):
     """(static, sumh), each (B, 2^n): the time-independent diagonal of each
     run's H and its coupling weights sum_i h_i n_i, so that
-    H(t) = omega(t) * X + diag(static - dlocal(t) * sumh).
+    H(t) = omega(t) * X + diag(static - dlocal(t) * sumh). A pair's strength
+    is capped at 1e300, so coincident atoms leave a finite diagonal for
+    _propagate's stiffness check; each row sums its own terms alone.
     """
-    pairs = list(itertools.combinations(range(occ.shape[1]), 2))
-
-    # the runs of one learner point share an arrangement
-    @functools.cache
-    def per_arrangement(arrangement, c6):
-        pos = arrangement.positions
-        return ([interaction_strength(pos[i], pos[j], c6) for i, j in pairs],
-                occ @ arrangement.coupling_array())
-
-    strength, sumh = zip(*(per_arrangement(s.arrangement, s.c6) for s in specs))
-    strength = np.array(strength).reshape(len(specs), len(pairs))
-    inter = np.zeros((len(specs), len(occ)))
-    for k, (i, j) in enumerate(pairs):
-        inter += strength[:, k, None] * occ[:, i] * occ[:, j]
-    offset = np.array([s.global_detuning_offset for s in specs])
-    return inter - offset[:, None] * occ.sum(axis=1), np.array(sumh)
+    i, j = np.triu_indices(occ.shape[1], 1)
+    pos = np.array([s.arrangement.positions for s in specs])
+    c6, offset = np.array([[s.c6, s.global_detuning_offset]
+                           for s in specs]).T[:, :, None]
+    strength = np.minimum(interaction_strength(pos[:, i], pos[:, j], c6), 1e300)
+    static = (strength[:, :, None] * (occ.T[i] * occ.T[j])).sum(axis=1)
+    coupling = np.array([s.arrangement.couplings for s in specs])
+    return static - offset * occ.sum(axis=1), (occ @ coupling[:, :, None])[:, :, 0]
 
 
 def _drive_values(spec: HamiltonianSpec, t):
@@ -467,8 +458,9 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
     Sci. Comput. 33 (2011) 488), but with ~15% fewer terms. The norm is
     preserved to rounding, and doubling `steps` moves probabilities by well
     under 1e-6 at the default 250 steps/us even for full-scale drives. A run no step
-    budget resolves (near-coincident atoms) is a NumericError whose `run`
-    is its row.
+    budget resolves (coincident or near-coincident atoms) is a NumericError
+    whose `run` is its row; atoms too far apart for C6 / r^6 to be a float
+    do not interact.
     """
     specs = list(specs)
     if not specs:

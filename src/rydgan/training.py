@@ -26,8 +26,8 @@ from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
 from .errors import DataError, RydganError, ValidationError, check_settings, setting
-from .generator import (EXACT, MAX_RUNS, STAGES, GeneratorParams, TrainConfig,
-                        draw_seeds, generate_batch)
+from .generator import (EXACT, MAX_RUNS, STAGES, TRAINABLE_SHAPES, GeneratorParams,
+                        TrainConfig, draw_seeds, generate_batch)
 from .neldermead import nelder_mead_steps
 from .pulses import PulseLimits
 from .sim import AtomArrangement
@@ -301,6 +301,10 @@ def load_learner(path: str, run: TrainConfig | None = None) -> TrainingResult:
             cfg = {_UNITLESS.get(key, key): value for key, value in cfg.items()}
         cfg["limits"] = _every_field(PulseLimits, cfg["limits"])
         config = _every_field(TrainConfig, cfg)
+    for key in ("rabi_shape", "local_shape"):
+        with _doc_field(path, key):
+            if doc[key] not in TRAINABLE_SHAPES:
+                raise ValueError(f"not a trainable shape: {doc[key]!r}")
     with _doc_field(path, "params"):
         p = doc["params"]
         params = GeneratorParams(

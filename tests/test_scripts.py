@@ -12,7 +12,7 @@ SCRIPTS = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
 DIGEST_CASES = ("n4-train-B12", "n4-train-B102", "n4-train-B192",
                 "n6-full-B16", "n8-full-B2", "n6-packed-B4", "n2-full-B4",
                 "n4-full-B1", "n4-noisy-B12", "n4-wide-B8", "n5-shapes-B25",
-                "n4-gen-d0.6-B8")
+                "n4-gen-d0.6-B8", "n2-far-B2")
 
 
 def name_chains(paths, name: str) -> set:
@@ -48,9 +48,11 @@ def test_script_names_resolve():
 
 def test_evolve_digest_prints_every_case():
     # the digests themselves move with any rounding change, so only their
-    # form is checked here
+    # form is checked here; a numpy RuntimeWarning fails the script, as it
+    # fails the tests
     done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "evolve_digest.py")],
+        [sys.executable, "-W", "error::RuntimeWarning",
+         os.path.join(ROOT, "scripts", "evolve_digest.py")],
         capture_output=True, text=True, timeout=300, check=True)
     lines = [line.split() for line in done.stdout.splitlines()]
     assert [line[0] for line in lines] == list(DIGEST_CASES)

@@ -130,8 +130,80 @@ class TestInteractionStrength:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_coincident_atoms(self):
-        with pytest.raises(ValidationError):
-            interaction_strength((0, 0), (0, 0))
+        # infinite, not an error: _propagate's stiffness check names the run
+        assert interaction_strength((0, 0), (0, 0)) == np.inf
+
+    def test_atoms_beyond_float_range_do_not_interact(self):
+        # r^6 overflows from about 1e51 um, r^2 from about 1e154 um
+        for r in (1e60, 1e200, 1e308):
+            assert interaction_strength((0.0, 0.0), (r, 0.0)) == 0.0
+        assert interaction_strength((-1e308, 0.0), (1e308, 0.0)) == 0.0
+
+    def test_elementwise_over_broadcast_positions(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(0, 20, (3, 5, 2)), rng.uniform(0, 20, (5, 2))
+        c6 = rng.uniform(1e5, 1e7, (3, 1))
+        got = interaction_strength(a, b, c6)
+        assert got.shape == (3, 5)
+        for r, k in np.ndindex(got.shape):
+            want = c6[r, 0] / math.dist(a[r, k], b[k]) ** 6
+            assert got[r, k] == pytest.approx(want, rel=1e-14)
+
+
+def diagonal_oracle(spec):
+    """(static, sumh, scale) of one run, basis state by basis state: C6 /
+    r^6 over each excited pair less the offset per excitation, sum_i h_i
+    n_i, and the sum of the magnitudes of static's terms."""
+    n, arrangement = spec.n_qubits, spec.arrangement
+    static, sumh, scale = (np.zeros(1 << n) for _ in range(3))
+    for k in range(1 << n):
+        up = [i for i in range(n) if k >> (n - 1 - i) & 1]
+        pairs = [spec.c6 / math.dist(arrangement.positions[i],
+                                     arrangement.positions[j]) ** 6
+                 for a, i in enumerate(up) for j in up[a + 1:]]
+        static[k] = sum(pairs) - spec.global_detuning_offset * len(up)
+        scale[k] = sum(pairs) + abs(spec.global_detuning_offset) * len(up)
+        sumh[k] = sum(arrangement.couplings[i] for i in up)
+    return static, sumh, scale
+
+
+def mixed_block(rng, n):
+    """Runs of n atoms, spread over the field and packed on a 4 um grid,
+    at three C6 values and offsets of both signs."""
+    specs = []
+    for c6, spacing in ((C6_DEFAULT, None), (862_690.0, 4.0), (1e3, None),
+                        (C6_DEFAULT, 4.0)):
+        base = (spread_full_range_spec(rng, n) if spacing is None
+                else full_range_spec(rng, n, spacing))
+        specs.append(dataclasses.replace(
+            base, c6=c6, global_detuning_offset=rng.uniform(-125.0, 125.0)))
+    return specs
+
+
+class TestDiagonals:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_match_the_brute_force_oracle(self, n):
+        specs = mixed_block(np.random.default_rng(40 + n), n)
+        static, sumh = _diagonals(specs, _occupations(n))
+        for spec, row, weights in zip(specs, static, sumh):
+            want, want_h, scale = diagonal_oracle(spec)
+            assert np.all(np.abs(row - want) <= 1e-12 * scale)
+            assert np.all(np.abs(weights - want_h) <= 1e-12 * want_h)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_rows_do_not_depend_on_the_block(self, n):
+        specs = mixed_block(np.random.default_rng(50 + n), n) * 3
+        static, sumh = _diagonals(specs, _occupations(n))
+        for b, spec in enumerate(specs):
+            (alone,), (alone_h,) = _diagonals([spec], _occupations(n))
+            assert np.array_equal(alone, static[b])
+            assert np.array_equal(alone_h, sumh[b])
+
+    def test_coincident_atoms_leave_a_finite_diagonal(self):
+        spec = constant_spec([(1.0, 2.0), (1.0, 2.0), (9.0, 2.0)], [0.5] * 3,
+                             omega=2.0, dlocal=0.0, dglobal=0.0)
+        (static,), _ = _diagonals([spec], _occupations(3))
+        assert np.isfinite(static).all() and static[-1] > 1e299
 
 
 class TestBuildHamiltonian:
@@ -288,7 +360,7 @@ def spread_full_range_spec(rng, n, seed=0.6):
     while True:
         pos = rng.uniform(0.0, 75.0, size=(n, 2))
         d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
-        if d[np.triu_indices(n, 1)].min() >= 4.0:
+        if d[np.triu_indices(n, 1)].min(initial=np.inf) >= 4.0:
             break
     limits = generator.DEFAULT_LIMITS
     params = GeneratorParams(
@@ -536,6 +608,21 @@ class TestEvolveBatch:
         with pytest.raises(NumericError):
             evolve([spec], steps=100)
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_coincident_atoms_are_a_numeric_error_naming_the_run(self, n):
+        # the stiffness check is the one check on atom spacing, and it
+        # reports a finite bound
+        rng = np.random.default_rng(60 + n)
+        specs = [spread_full_range_spec(rng, n) for _ in range(4)]
+        pos = list(specs[2].arrangement.positions)
+        pos[-1] = pos[0]
+        specs[2] = dataclasses.replace(specs[2], arrangement=AtomArrangement(
+            tuple(pos), specs[2].arrangement.couplings))
+        with pytest.raises(NumericError, match=r"^run 2: .* \d") as err:
+            evolve(specs, steps=50)
+        assert err.value.run == 2
+        assert "inf" not in str(err.value) and "nan" not in str(err.value)
+
     @pytest.mark.parametrize("n", [2, 8])
     def test_stiff_run_is_named(self, n, monkeypatch):
         # run 1 has a 0.01 um pair; at n = 8 the runs take the split path
@@ -745,6 +832,24 @@ class TestChebyshevTable:
         out = sim._apply_vectors(start, [chunk])[0] * phase1 * phase2
         ref = evolve_eigh(evolve_eigh(ground(3), gentle, 150), packed, 3)
         assert np.abs(out - ref).max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(separation=st.floats(0.0, 1e200))
+def test_any_two_atom_separation_gives_features_or_a_numeric_error(separation):
+    """Two atoms at any separation, from coincident to beyond the float
+    range of C6 / r^6: generate_batch returns features in (0, 1/4] or
+    raises a NumericError naming the run, and nothing else."""
+    params = GeneratorParams(
+        AtomArrangement(((0.0, 0.0), (separation, 0.0)), (0.5, 0.5)),
+        "trapezoid", 14.0, "sine_bump", -100.0, 50.0)
+    run = generator.TrainConfig(n_qubits=2, steps_per_us=50)
+    try:
+        features = generator.generate_batch([(params, 0.7, EXACT)], run)
+    except NumericError as err:
+        assert err.run == 0
+        return
+    assert np.all((features > 0.0) & (features <= 0.25))
 
 
 class TestBlockade:
