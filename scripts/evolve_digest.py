@@ -3,7 +3,9 @@
     python3 scripts/evolve_digest.py
 
 Run it in two checkouts of the repository: equal digests mean that the
-two versions evolve these batches bit for bit alike. The cases are
+two versions evolve these batches bit for bit alike. tests/pinned_digests.json
+holds the digests per numpy version, BLAS and machine type, and
+tests/test_scripts.py compares the script's output with them. The cases are
 n = 4 batches shaped like those of training (B = 12, 102 and 192, at the
 250 steps/us of the reduced-budget pipeline: a few parameter points, each
 at the same seeds), a full-range n = 6 batch (B = 16), a full-range n = 8

@@ -53,24 +53,31 @@ def _echo_config(config: RunConfig):
 
 def _load_splits(config: RunConfig, classes, held_out: bool) -> list:
     """Each class's held-out or training images from one read of the IDX pair,
-    only those converted to float; an FID needs 2 held-out images, training 1."""
+    only those read and converted to float; an FID needs 2 held-out images,
+    training 1."""
     if not config.images or not config.labels:
         raise ValidationError("config must set data.images and data.labels paths")
-    images, labels = dp.read_idx_pair(config.images, config.labels)
-    splits = []
-    for cls in classes:
-        rows = np.flatnonzero(labels == cls)
-        if len(rows) < 2:
-            raise DataError(
-                f"class {cls} has only {len(rows)} images in {config.images}")
-        train, val = dp.split_indices(len(rows), config.val_fraction, config.split_seed)
-        if len(val) < 2 or not (held_out or len(train)):
-            need = "FID needs at least 2" if len(val) < 2 else "training needs at least 1"
-            raise DataError(f"class {cls}: val_fraction = {config.val_fraction} holds "
-                            f"out {len(val)} of its {len(rows)} images; {need}")
-        rows = rows[val if held_out else train]
-        splits.append(dp.ImageSet(images[rows] / 255.0, labels[rows]))
-    return splits
+    picked = []
+
+    def pick(labels):
+        for cls in classes:
+            rows = np.flatnonzero(labels == cls)
+            if len(rows) < 2:
+                raise DataError(
+                    f"class {cls} has only {len(rows)} images in {config.images}")
+            train, val = dp.split_indices(len(rows), config.val_fraction,
+                                          config.split_seed)
+            if len(val) < 2 or not (held_out or len(train)):
+                need = "FID needs at least 2" if len(val) < 2 else "training needs at least 1"
+                raise DataError(f"class {cls}: val_fraction = {config.val_fraction} holds "
+                                f"out {len(val)} of its {len(rows)} images; {need}")
+            picked.append(rows[val if held_out else train])
+        return np.concatenate(picked)
+
+    images, labels = dp.read_idx_pair(config.images, config.labels, pick)
+    ends = np.cumsum([len(rows) for rows in picked])
+    return [dp.ImageSet(images[lo:hi] / 255.0, labels[lo:hi])
+            for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
 
 
 def cmd_fit_pca(config: RunConfig) -> int:

@@ -1,9 +1,10 @@
 """Dataset ingestion (IDX), PCA with inverse transform, feature scaling,
 and PGM image output.
 
-The IDX pair is mapped as uint8, so a caller converts to float only the images
-it uses. The PCA keeps the top-k principal components of the pixels, whose
-inverse transform maps generated feature vectors back to images. Feature
+The IDX pair is read as uint8, only the rows a caller picks, so a caller
+reads and converts to float only the images it uses. The PCA keeps the
+top-k principal components of the pixels, whose inverse transform maps
+generated feature vectors back to images. Feature
 scaling sends the observed per-feature training range onto the generator's
 output window (0, 1/2^n], and back before the inverse PCA. A saved PCA model
 (format version 3) is one JSON header line and its arrays' little-endian
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 import struct
 from contextlib import contextmanager
@@ -73,44 +73,71 @@ def _read_be32(f, path: str, what: str) -> int:
     return struct.unpack(">i", data)[0]
 
 
-def _read_idx(path: str, magic: int, what: str, dims: tuple) -> np.ndarray:
-    """The uint8 items of an IDX file of `what` items, each of shape dims, as
-    a read-only view of the mapped file: only the pages read are loaded.
+def _idx_reader(f, path: str, magic: int, what: str, dims: tuple):
+    """(count, read) of the open IDX file f of `what` items, each of shape
+    dims: read(rows) returns the uint8 items of the index array rows in its
+    order, or all of them for None, reading only their bytes.
 
     A bad magic or item dimensions or a count the file cannot hold is a
     DataError naming the file and the byte offset.
     """
-    with open(path, "rb") as f:
-        found = _read_be32(f, path, "magic number")
-        if found != magic:
-            raise DataError(f"{path}: bad {what} magic {found} at byte offset 0 "
-                            f"(expected {magic})")
-        count = _read_be32(f, path, f"{what} count")
-        shape = tuple(_read_be32(f, path, f"{what} dimension") for _ in dims)
-        if shape != dims:
-            raise DataError(
-                f"{path}: {what} dimensions {'x'.join(map(str, shape))} at byte "
-                f"offset 8, expected {'x'.join(map(str, dims))}")
-        size = math.prod(dims)
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if not 0 <= count * size <= left:
-            raise DataError(f"{path}: {what} count {count} at byte offset 4 "
-                            f"must be in [0, {left // size}] to fit the file")
-        payload = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        return np.frombuffer(payload, np.uint8, count * size,
-                             f.tell()).reshape((count,) + dims)
+    found = _read_be32(f, path, "magic number")
+    if found != magic:
+        raise DataError(f"{path}: bad {what} magic {found} at byte offset 0 "
+                        f"(expected {magic})")
+    count = _read_be32(f, path, f"{what} count")
+    shape = tuple(_read_be32(f, path, f"{what} dimension") for _ in dims)
+    if shape != dims:
+        raise DataError(
+            f"{path}: {what} dimensions {'x'.join(map(str, shape))} at byte "
+            f"offset 8, expected {'x'.join(map(str, dims))}")
+    size = math.prod(dims)
+    start = f.tell()
+    left = os.fstat(f.fileno()).st_size - start
+    if not 0 <= count * size <= left:
+        raise DataError(f"{path}: {what} count {count} at byte offset 4 "
+                        f"must be in [0, {left // size}] to fit the file")
+
+    def read(rows=None):
+        rows = np.arange(count) if rows is None else np.asarray(rows)
+        items = np.empty((len(rows),) + dims, np.uint8)
+        flat, fd = items.reshape(-1), f.fileno()
+        # positioned reads of each run of rows consecutive in the file, into place
+        heads = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+        for lo, hi, offset in zip((heads * size).tolist(),
+                                  (np.r_[heads[1:], len(rows)] * size).tolist(),
+                                  (start + rows[heads] * size).tolist()):
+            view = flat[lo:hi]
+            while view.size:
+                got = os.preadv(fd, [view], offset)
+                if not got:
+                    raise DataError(f"{path}: truncated {what} items at byte "
+                                    f"offset {offset}")
+                view, offset = view[got:], offset + got
+        return items
+
+    return count, read
 
 
-def read_idx_pair(images_path: str, labels_path: str) -> tuple:
+def read_idx_pair(images_path: str, labels_path: str, pick=None) -> tuple:
     """(images, labels) of a big-endian IDX image/label file pair: uint8
-    arrays of shape (N, 28, 28) and (N,), views of the mapped files. Copy
-    the rows you keep: reading a view of a file since truncated is SIGBUS."""
-    images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", (IMAGE_SIDE, IMAGE_SIDE))
-    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ())
-    if len(labels) != len(images):
-        raise DataError(f"{images_path} holds {len(images)} images but {labels_path} "
-                        f"holds {len(labels)} labels")
-    return images, labels
+    arrays of shape (N, 28, 28) and (N,). pick(labels), given all the
+    labels, may name the rows to return as an index array: only their
+    image bytes are read."""
+    with open(images_path, "rb") as f:
+        count, read_images = _idx_reader(f, images_path, IDX_IMAGE_MAGIC, "image",
+                                         (IMAGE_SIDE, IMAGE_SIDE))
+        with open(labels_path, "rb") as g:
+            found, read_labels = _idx_reader(g, labels_path, IDX_LABEL_MAGIC,
+                                             "label", ())
+            if found != count:
+                raise DataError(f"{images_path} holds {count} images but "
+                                f"{labels_path} holds {found} labels")
+            labels = read_labels()
+        if pick is None:
+            return read_images(), labels
+        rows = pick(labels)
+        return read_images(rows), labels[rows]
 
 
 def load_idx(images_path: str, labels_path: str) -> ImageSet:

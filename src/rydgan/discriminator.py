@@ -83,6 +83,9 @@ def _logits(net: DiscriminatorNet, x: np.ndarray):
     return z1, a1, z2, a2, z3
 
 
+# a net whose weights overflow fails DiscriminatorNet's finite check, a
+# NumericError, so the arithmetic that leads there raises no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def discriminator_forward(net: DiscriminatorNet, features) -> np.ndarray:
     """Probability that each row of the (N, in_dim) batch is real, strictly
     inside (0, 1)."""
@@ -146,6 +149,7 @@ def adam_update(net: DiscriminatorNet, grads: dict, state: AdamState,
     return DiscriminatorNet(**new_params), AdamState(new_m, new_v, t)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def discriminator_step(net: DiscriminatorNet, real_batch, fake_batch,
                        state: AdamState, lr: float, beta1: float, beta2: float,
                        eps: float):

@@ -93,8 +93,9 @@ class GeneratorParams:
     def min_pair_distance(self) -> float:
         """Smallest distance between two atoms in um; inf for a single atom."""
         pos = self.arrangement.position_array()
-        dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
-        return float(dists[np.triu_indices(len(pos), 1)].min(initial=np.inf))
+        i, j = np.triu_indices(len(pos), 1)
+        # hypot does not overflow where a distance's square would
+        return float(np.hypot(*(pos[i] - pos[j]).T).min(initial=np.inf))
 
     def validate(self, limits: PulseLimits = DEFAULT_LIMITS,
                  min_spacing_um: float = MIN_SPACING_UM,

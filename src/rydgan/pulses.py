@@ -9,7 +9,8 @@ width and the sine bump phase. Hardware requires Rabi and local-detuning
 waveforms to start and end at zero, so every shape is wrapped in linear
 entry/exit ramps each covering ``RAMP_FRACTION`` of the duration; the
 seeded value holds at the interior boundary. Each shape is declared once,
-in ``_shape``, which both ``evaluate`` and ``breakpoint_times`` read.
+in ``_shape``, which both ``evaluate`` and ``breakpoint_times`` read, for one
+pulse or for a sequence of pulses of one shape at once.
 
 Units: time in us, amplitudes in rad/us.
 """
@@ -76,72 +77,109 @@ class PulseProgram:
             raise ValidationError("pulse param and seed must be finite")
 
 
-def _shape(pulse: PulseProgram):
-    """(knots, interior, kinks): the one declaration of each shape.
+def _fields(pulses, ndim: int = 1):
+    """(shape, duration, param, seed, full_scale) of one pulse, as numbers,
+    or of a sequence of pulses of one shape, as arrays with one entry per
+    pulse along the first of ndim axes, broadcast along the others."""
+    if isinstance(pulses, PulseProgram):
+        return (pulses.shape, pulses.duration, pulses.param, pulses.seed,
+                pulses.full_scale)
+    shapes = {pulse.shape for pulse in pulses}
+    if len(shapes) != 1:
+        raise ValidationError(
+            f"pulses evaluated together must share one shape, got {sorted(shapes)}")
+    values = np.array([(q.duration, q.param, q.seed, q.full_scale)
+                       for q in pulses]).T
+    return (shapes.pop(), *values.reshape((4, len(pulses)) + (1,) * (ndim - 1)))
+
+
+def _shape(shape: str, d, p, seed, full_scale):
+    """(knots, interior, kinks): the one declaration of each shape, over
+    numbers or broadcast arrays of pulses of one shape.
 
     The waveform runs straight between the knots, (t, value) pairs from 0 to
     the duration. A smooth shape's knots are its ramp corners, and between
     the inner two it is interior(tau), tau in [0, 1] across them; kinks are
-    the interior's own non-analytic times. A piecewise-linear shape has no
-    interior (None) and no kinks.
+    the interior's own non-analytic times, 0 where a pulse has none. A
+    piecewise-linear shape has no interior (None) and no kinks.
     """
-    d, p = pulse.duration, pulse.param
-    u = min(abs(pulse.seed), 1.0)
+    u = np.minimum(np.abs(seed), 1.0)
     r = RAMP_FRACTION * d
     w = d - 2.0 * r
-    if pulse.shape == "constant":
+    if shape == "constant":
         return [(0.0, p), (d, p)], None, []
-    if pulse.shape == "linear":
-        return ([(0.0, 0.0), (r, pulse.seed * pulse.full_scale), (d - r, p),
-                 (d, 0.0)], None, [])
-    if pulse.shape == "triangle":
+    if shape == "linear":
+        return [(0.0, 0.0), (r, seed * full_scale), (d - r, p), (d, 0.0)], None, []
+    if shape == "triangle":
         peak_t = r + (0.2 + 0.6 * u) * w
         return [(0.0, 0.0), (r, 0.0), (peak_t, p), (d - r, 0.0), (d, 0.0)], None, []
-    if pulse.shape == "trapezoid":
+    if shape == "trapezoid":
         plateau = 0.2 + 0.6 * u
         return ([(0.0, 0.0), (r, 0.0), (r + 0.5 * (1.0 - plateau) * w, p),
                  (r + 0.5 * (1.0 + plateau) * w, p), (d - r, 0.0), (d, 0.0)], None, [])
-    if pulse.shape == "gaussian":
+    if shape == "gaussian":
         sigma = 0.08 + 0.17 * u
         interior = lambda tau: p * np.exp(-0.5 * ((tau - 0.5) / sigma) ** 2)
-        kinks = []
-    else:   # sine_bump: sin(pi tau + phase) crosses zero at most once in (0, 1)
-        phase = (u - 0.5) * (math.pi / 6.0)
-        interior = lambda tau: p * np.maximum(0.0, np.sin(math.pi * tau + phase))
-        kinks = [r + tau * w for tau in (-phase / math.pi, 1.0 - phase / math.pi)
-                 if 0.0 < tau < 1.0]
+        # both ramp ends, squared by libm's pow as a float's ** 2 is: an
+        # array's ** 2 multiplies, which rounds differently in a few inputs
+        # in a thousand
+        edge = p * np.exp(-0.5 * np.float_power(0.5 / sigma, 2.0))
+        return [(0.0, 0.0), (r, edge), (d - r, edge), (d, 0.0)], interior, []
+    # sine_bump: sin(pi tau + phase) crosses zero at most once in (0, 1)
+    phase = (u - 0.5) * (math.pi / 6.0)
+    interior = lambda tau: p * np.maximum(0.0, np.sin(math.pi * tau + phase))
+    kinks = [np.where((0.0 < tau) & (tau < 1.0), r + tau * w, 0.0)
+             for tau in (-phase / math.pi, 1.0 - phase / math.pi)]
     return ([(0.0, 0.0), (r, interior(0.0)), (d - r, interior(1.0)), (d, 0.0)],
             interior, kinks)
 
 
-def evaluate(pulse: PulseProgram, t) -> np.ndarray:
+def evaluate(pulses, t) -> np.ndarray:
     """Waveform values, rad/us, at the times of the array t.
 
-    Raises ValidationError if any t falls outside [0, duration].
+    pulses is one PulseProgram, or a sequence of them of one shape whose
+    times are the rows along t's first axis. Raises ValidationError if any
+    t falls outside [0, duration].
     """
     t_arr = np.asarray(t, dtype=float)
-    lo, hi = -_DOMAIN_TOL, pulse.duration + _DOMAIN_TOL
-    if np.any(t_arr < lo) or np.any(t_arr > hi):
-        raise ValidationError(
-            f"pulse evaluated outside [0, {pulse.duration}] us")
-    t_arr = np.clip(t_arr, 0.0, pulse.duration)
+    fields = _fields(pulses, t_arr.ndim)
+    d = fields[1]
+    outside = (t_arr < -_DOMAIN_TOL) | (t_arr > d + _DOMAIN_TOL)
+    if outside.any():
+        duration = np.broadcast_to(d, t_arr.shape)[outside][0]
+        raise ValidationError(f"pulse evaluated outside [0, {duration}] us")
+    t_arr = np.clip(t_arr, 0.0, d)
 
-    knots, interior, _ = _shape(pulse)
-    ts, vs = zip(*knots)
+    knots, interior, _ = _shape(*fields)
     if interior is None:
-        return np.interp(t_arr, ts, vs)
+        # np.interp's arithmetic, segment by segment from the last: a knot's
+        # value at the knot, else the segment's slope from its left knot;
+        # like np.interp, an overflowing slope is no warning
+        out, line = np.empty(t_arr.shape), np.empty(t_arr.shape)
+        out[...] = knots[-1][1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (x0, y0), (x1, y1) in zip(knots[-2::-1], knots[:0:-1]):
+                np.subtract(t_arr, x0, line)
+                line *= (y1 - y0) / (x1 - x0)
+                line += y0
+                np.copyto(line, y0, where=t_arr == x0)
+                np.copyto(out, line, where=t_arr < x1)
+        return out
     # linear entry and exit ramps around the interior
-    _, r, end, d = ts
+    (_, _), (r, start), (end, stop), _ = knots
     out = interior(np.clip((t_arr - r) / (d - 2.0 * r), 0.0, 1.0))
-    out = np.where(t_arr < r, vs[1] * (t_arr / r), out)
-    return np.where(t_arr > end, vs[2] * ((d - t_arr) / r), out)
+    out = np.where(t_arr < r, start * (t_arr / r), out)
+    return np.where(t_arr > end, stop * ((d - t_arr) / r), out)
 
 
-def breakpoint_times(pulse: PulseProgram):
-    """Times where the waveform is not analytic (knots, ramps, clip points).
+def breakpoint_times(pulses) -> np.ndarray:
+    """Times where the waveform is not analytic (knots, ramps, clip points):
+    one pulse's, or a row per pulse of a sequence of one shape. A time may
+    repeat, and 0 stands in for a kink a pulse does not have.
 
     Integrators split their step grids here so that every step sees a
     smooth drive.
     """
-    knots, _, kinks = _shape(pulse)
-    return sorted({t for t, _ in knots}.union(kinks))
+    knots, _, kinks = _shape(*_fields(pulses))
+    times = [t for t, _ in knots] + kinks
+    return np.stack(np.broadcast_arrays(*times), axis=-1)

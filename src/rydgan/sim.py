@@ -28,9 +28,13 @@ plus elementwise diagonal products, on the block in the real layout
 (2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is one GEMM from the left
 and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
 (up to five qubits h = n and X_hi = X). No eigendecomposition is taken.
-A block's factor data, the diagonal and drive coefficient of every factor,
-is built once per chunk of factors straight into the kernel's layout, and
-the results do not depend on the chunk size.
+A block's step grids are tables of each run's segments between pulse
+breakpoints. From them the drive coefficients and step widths are built a
+slab of factor rows at a time, as array passes over all runs with one
+`pulses.evaluate` per pulse shape, and each chunk of a slab's factors,
+diagonal and drive coefficient, straight into the kernel's layout; the one
+rows x runs array is the factors' phases. The results do not depend on the
+chunk or slab size.
 """
 
 from __future__ import annotations
@@ -167,38 +171,56 @@ def _diagonals(specs, occ: np.ndarray):
     return static - offset * occ.sum(axis=1), (occ @ coupling[:, :, None])[:, :, 0]
 
 
-def _drive_values(spec: HamiltonianSpec, t):
-    return (spec.rabi_scale * evaluate(spec.rabi, t),
-            evaluate(spec.local_detuning, t) + spec.local_detuning_shift)
-
-
 def default_steps(duration: float, steps_per_us: int = STEPS_PER_US) -> int:
     """Steps of a run `duration` us long: `TrainConfig.steps`, which every
     generator run is evolved with, and `evolve`'s default budget."""
     return max(1, int(round(steps_per_us * duration)))
 
 
-def _step_grid(cuts: tuple, duration: float, steps: int):
-    """(start, dt) per integration step, aligned to the pulse breakpoints cuts.
+def _shape_groups(pulses):
+    """[(rows, group)] per pulse shape of a block: the block rows that the
+    shape drives (a slice when it drives them all) and their pulses."""
+    shapes = np.array([pulse.shape for pulse in pulses])
+    groups = []
+    for shape in dict.fromkeys(shapes):
+        rows = np.flatnonzero(shapes == shape)
+        groups.append((slice(None) if len(rows) == len(pulses) else rows,
+                       [pulses[b] for b in rows]))
+    return groups
 
-    The step budget sets a target dt; each smooth segment between pulse
-    kinks is covered by uniform steps no wider than the target, so every
-    step integrates an analytic drive and the propagator keeps its full
-    fourth-order accuracy for every pulse shape.
+
+def _step_tables(durations, budgets, drives):
+    """(starts, dts, firsts): each run's step grid for its step budget,
+    aligned to the breakpoints of its pulses, as (runs, segments) tables of
+    each segment's start time, step width and first step index.
+
+    The budget sets a target dt; each smooth segment between pulse kinks is
+    covered by uniform steps no wider than the target, so every step
+    integrates an analytic drive and the propagator keeps its full
+    fourth-order accuracy for every pulse shape. Breakpoints that differ by
+    rounding alone (1e-12 of the duration) bound a segment of no steps. The
+    last segment is a zero-width pad at t = 0 from the run's last step on,
+    so that runs with fewer steps share the block's rows.
     """
-    bounds = sorted({0.0, duration} | {t for t in cuts if 0.0 < t < duration})
-    dt_target = duration / steps
-    starts, dts = [np.empty(0)], [np.empty(0)]
-    for a, b in zip(bounds, bounds[1:]):
-        span = b - a
-        # merge breakpoints that differ by rounding alone
-        if span <= 1e-12 * duration:
-            continue
-        m = max(1, math.ceil(span / dt_target - 1e-9))
-        dt = span / m
-        starts.append(a + np.arange(m) * dt)
-        dts.append(np.full(m, dt))
-    return np.concatenate(starts), np.concatenate(dts)
+    batch = len(durations)
+    ends = durations[:, None]
+    cuts = [np.zeros((batch, 1)), ends]
+    for groups in drives:
+        times = [(rows, breakpoint_times(group)) for rows, group in groups]
+        cuts.append(np.zeros((batch, max(t.shape[1] for _, t in times))))
+        for rows, t in times:
+            cuts[-1][rows, :t.shape[1]] = t
+    # 0, the duration and every breakpoint between them, in order; the
+    # others become copies of 0, which bound segments of no steps
+    cuts = np.concatenate(cuts, axis=1)
+    bounds = np.sort(np.where((cuts > 0.0) & (cuts <= ends), cuts, 0.0), axis=1)
+    spans = np.diff(bounds, axis=1)
+    counts = np.ceil(spans / (durations / budgets)[:, None] - 1e-9)
+    counts = np.where(spans > 1e-12 * ends, np.maximum(1.0, counts), 0.0)
+    pad = np.zeros((batch, 1))
+    return (np.hstack([bounds[:, :-1], pad]),
+            np.hstack([spans / np.maximum(counts, 1.0), pad]),
+            np.hstack([pad.astype(int), np.cumsum(counts.astype(int), axis=1)]))
 
 
 def _chebyshev_table(top: int):
@@ -252,9 +274,10 @@ _MAX_STIFFNESS = 30_000.0
 # the split is the faster from six qubits on blocks of a few runs or more
 _SPLIT_QUBITS = 6
 _CHUNK_BYTES = 1 << 20      # precomputed factor data held at once
+_SLAB_BYTES = 1 << 17       # each drive coefficient and step width array
 _MAX_BLOCK = 1 << 14        # amplitudes per block: bounds the series powers
-# factor rows x runs per block: bounds _propagate's four (rows, B) float
-# arrays (coef, dlocal, width, mid), 32 bytes per entry, to 128 MiB
+# factor rows x runs per block: bounds _propagate's one (B, rows) float
+# array (the factors' phases), 8 bytes per entry, to 32 MiB
 _MAX_FACTORS = 1 << 22
 
 
@@ -352,9 +375,6 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     n = specs[0].n_qubits
     dim, batch = 1 << n, len(specs)
     high = 1 << _high_qubits(n)
-    # a step grid is built once per distinct input: the runs of one seed
-    # share it
-    grid = functools.cache(_step_grid)
     # a factor's diagonal is a (rows, B, 2^n) array. Up to five qubits, where
     # runs are the kernel's inner axis, its states are outermost in memory,
     # so its max and min over states and its products with per-run values
@@ -370,20 +390,18 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     half, sumh = work((batch, dim)), work((batch, dim))
     half[:], sumh[:] = _diagonals(specs, _occupations(n))
     half *= 0.5
-    grids = [grid(tuple(breakpoint_times(s.rabi)
-                        + breakpoint_times(s.local_detuning)),
-                  s.duration, steps or default_steps(s.duration)) for s in specs]
-    # one row per Magnus factor, two per step in application order; columns
-    # with fewer steps are padded with zero-width steps, which are identities
-    rows = 2 * max(len(starts) for starts, _ in grids)
-    coef, dlocal, width = (np.zeros((rows, batch)) for _ in range(3))
-    for b, (spec, (starts, dts)) in enumerate(zip(specs, grids)):
-        omega, shift = (v.reshape(2, -1) for v in _drive_values(
-            spec, np.concatenate([starts + c * dts for c in _NODES])))
-        used = slice(0, 2 * len(starts))
-        coef[used, b] = (_WEIGHTS @ omega).T.reshape(-1)
-        dlocal[used, b] = (_WEIGHTS @ shift).T.reshape(-1)
-        width[used, b] = np.repeat(dts, 2)
+    durations, scales, shifts = np.array(
+        [(s.duration, s.rabi_scale, s.local_detuning_shift) for s in specs]).T
+    budgets = np.array([steps or default_steps(d) for d in durations])
+    drives = (_shape_groups([s.rabi for s in specs]),
+              _shape_groups([s.local_detuning for s in specs]))
+    starts, dts, firsts = _step_tables(durations, budgets, drives)
+    # one row per Magnus factor, two per step in application order
+    rows = 2 * int(firsts[:, -1].max())
+    # the segment ends of each run, offset past every step index of the runs
+    # before it, so that one search finds the segment of every (run, step)
+    lanes = np.arange(batch)[:, None]
+    keyed = (firsts[:, 1:] + lanes * (rows + 1)).ravel()
 
     # each factor is exp(-i dt (coef X + 0.5 static - dlocal sumh)); its
     # diagonal and its four copies in the kernel's pairs, five floats per
@@ -391,14 +409,54 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     chunk = min(rows, max(1, _CHUNK_BYTES // (40 * batch * dim)))
     pairs = _empty((chunk, 2, high, batch, 2, dim // high))
     diags = work((chunk, batch, dim))
-    # each factor's diagonal shift; the phase is summed once over all rows,
-    # so no output depends on the chunk size
-    mid = np.zeros((rows, batch))
+    # the drive coefficients and step widths of a slab of whole chunks,
+    # (rows, B) each, from the first row of its first step
+    slab = chunk * max(1, _SLAB_BYTES // (8 * batch * chunk))
+    coef, dlocal, width = (np.empty((min(slab, rows) + 2, batch))
+                           for _ in range(3))
+    # each factor's phase dt c, c its diagonal shift, summed once over all
+    # rows, so no output depends on the chunk or slab size
+    phases = np.zeros((batch, rows))
+
+    def fill(lo, hi):
+        """The factor rows lo..hi of every run into coef, dlocal and width,
+        as array passes over the slab's steps, from the first row of step
+        lo // 2, which it returns. A padded step's rows are zero."""
+        step = np.arange(lo // 2, (hi + 1) // 2)
+        used = slice(0, 2 * len(step))
+        at = np.searchsorted(keyed, step + lanes * (rows + 1), side="right")
+        at += lanes
+        dt = dts.ravel()[at]
+        width[used].reshape(-1, 2, batch)[:] = dt.T[:, None]
+        # the Gauss-Legendre node times (a + k dt) + c dt of each step
+        start = (step - firsts.ravel()[at]) * dt
+        start += starts.ravel()[at]
+        times = np.empty((batch, 2, len(step)))
+        for c, node in enumerate(_NODES):
+            np.multiply(dt, node, times[:, c])
+            times[:, c] += start
+        values = np.empty((2, batch, len(step)))
+        for target, groups, noise, apply in ((coef, drives[0], scales, np.multiply),
+                                             (dlocal, drives[1], shifts, np.add)):
+            for group_rows, group in groups:
+                values[:, group_rows] = evaluate(
+                    group, times[group_rows]).transpose(1, 0, 2)
+            apply(values, noise[:, None], values)
+            target[used].reshape(-1, 2, batch)[:] = (
+                _WEIGHTS @ values.reshape(2, -1)).reshape(
+                    2, batch, -1).transpose(2, 0, 1)
+        padded = width[used] == 0.0
+        coef[used][padded] = 0.0
+        dlocal[used][padded] = 0.0
+        return 2 * int(step[0])
 
     def chunks():
         for lo in range(0, rows, chunk):
-            part = slice(lo, lo + chunk)
-            block, diag = pairs[:len(coef[part])], diags[:len(coef[part])]
+            if lo % slab == 0:
+                base = fill(lo, min(lo + slab, rows))
+            hi = min(lo + chunk, rows)
+            part = slice(lo - base, hi - base)
+            block, diag = pairs[:hi - lo], diags[:hi - lo]
             np.multiply(dlocal[part, :, None], sumh, diag)
             np.subtract(half, diag, diag)
             top, bottom = diag.max(axis=2), diag.min(axis=2)
@@ -406,8 +464,8 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             # exp(-i dt c) applied exactly at the end, halves the norm bound
             # of a stiff (blockaded) diagonal; a purely diagonal factor is
             # not shifted, so a run without dynamics keeps its amplitudes
-            mid[part] = np.where(coef[part] != 0.0, 0.5 * (top + bottom), 0.0)
-            centre = mid[part]
+            centre = np.where(coef[part] != 0.0, 0.5 * (top + bottom), 0.0)
+            phases[:, lo:hi] = (centre * width[part]).T
             norm = (np.abs(coef[part]) * (n / 2.0)
                     + np.maximum(top - centre, centre - bottom)) * width[part]
             stiff = np.flatnonzero(~(norm <= _MAX_STIFFNESS).all(axis=0))
@@ -434,10 +492,9 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             yield block, terms, subs
 
     psi = _apply_vectors(initial, chunks())
-    # each run's phase is summed along its own contiguous column, so a run's
+    # each run's phase is summed along its own contiguous row, so a run's
     # bits do not depend on how many runs share its block
-    phase = np.ascontiguousarray((mid * width).T).sum(axis=1)
-    return psi * np.exp(-1j * phase)[:, None]
+    return psi * np.exp(-1j * phases.sum(axis=1))[:, None]
 
 
 def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:

@@ -1568,8 +1568,8 @@ def test_every_command_gets_the_split_of_split_train_val(
 def test_one_class_split_converts_only_its_own_images(tmp_path, held_out):
     """On a 10-class IDX pair, loading one class's split peaks within the
     labels file plus 1.5 x the float64 split it returns and 64 KiB
-    (traced): the image file is mapped, not read, and never converted
-    whole to float64."""
+    (traced): only the split's rows of the image file are read, and they
+    alone are converted to float64."""
     rng = np.random.default_rng(8)
     raw = rng.integers(0, 256, size=(1000, 28, 28), dtype=np.uint8)
     images, labels = write_idx_pair(tmp_path, raw, np.arange(1000) % 10)
@@ -1585,6 +1585,32 @@ def test_one_class_split_converts_only_its_own_images(tmp_path, held_out):
     assert len(split) == 50
     assert peak <= (os.path.getsize(labels) + 1.5 * split.images.nbytes
                     + 64 * 1024)
+
+
+@pytest.mark.parametrize("held_out", [False, True])
+def test_one_class_split_reads_only_its_own_rows(tmp_path, monkeypatch,
+                                                 held_out):
+    """Of the image file's items, loading one class's split reads the bytes
+    of the split's rows, each once, so its RSS is bounded by the split and
+    not by the file."""
+    rng = np.random.default_rng(9)
+    raw = rng.integers(0, 256, size=(1000, 28, 28), dtype=np.uint8)
+    images, labels = write_idx_pair(tmp_path, raw, np.arange(1000) % 10)
+    config = RunConfig(images=images, labels=labels, val_fraction=0.5)
+    image_file, rows_read = os.stat(images).st_ino, []
+    preadv = os.preadv
+
+    def counting(fd, buffers, offset):
+        got = preadv(fd, buffers, offset)
+        if os.fstat(fd).st_ino == image_file:
+            rows_read.extend(range((offset - 16) // 784, (offset - 16 + got) // 784))
+        return got
+    monkeypatch.setattr(os, "preadv", counting)
+    [split] = cli._load_splits(config, [3], held_out)
+    rows = np.flatnonzero(np.arange(1000) % 10 == 3)[
+        dp.split_indices(100, 0.5, config.split_seed)[held_out]]
+    assert len(rows) == 50 and sorted(rows_read) == sorted(rows)
+    assert split.images.tobytes() == (raw[rows] / 255.0).tobytes()
 
 
 def test_repeated_train_and_select_retain_under_256_kib(smoke_ini,
@@ -1727,6 +1753,31 @@ def test_least_legal_value_never_exits_1(smoke_ini, pipeline_out, tmp_path,
     err = capsys.readouterr().err
     assert "internal" not in err, (key, value, err)
     assert set(codes) <= {0, 2, 3, 4}, (key, value, codes, err)
+
+
+HUGE_KEYS = [(command, key) for command, keys in (("train", TRAIN_KEYS),
+                                                  ("generate", NOISE_KEYS))
+             for key in keys if isinstance(getattr(RunConfig, key), float)
+             and not any(op[0] == "<" for op, _ in declared(key)[0])]
+
+
+@pytest.mark.parametrize("command, key", HUGE_KEYS)
+def test_huge_legal_value_never_exits_1(smoke_ini, pipeline_out, tmp_path,
+                                        capsys, command, key):
+    """The twin of test_least_legal_value_never_exits_1: each float key
+    without an upper bound at 1e300. A numpy warning is an error here, as
+    in every test, so an overflow that reaches one exits 1."""
+    cfg = _with_setting(smoke_ini, tmp_path / "huge.ini", key, 1e300)
+    out = str(tmp_path / "out")
+    if command == "train":
+        commands = [["fit-pca"], ["train"]]
+    else:
+        shutil.copytree(pipeline_out, out)
+        commands = [["generate", "--mode", "noisy"]]
+    codes = [main(args + ["--config", cfg, "--out", out]) for args in commands]
+    err = capsys.readouterr().err
+    assert "internal" not in err, (key, err)
+    assert set(codes) <= {0, 2, 3, 4}, (key, codes, err)
 
 
 @pytest.mark.parametrize("command, key, value", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rydgan import pulses as pulses_module
 from rydgan.errors import ValidationError
 from rydgan.pulses import (DEFAULT_LIMITS, PulseLimits, PulseProgram, SHAPES,
                            breakpoint_times, evaluate)
@@ -114,6 +115,35 @@ def test_every_kink_is_a_breakpoint(shape):
         cuts = np.array(breakpoint_times(pulse))
         gaps = np.abs(kinks[:, None] - cuts).min(axis=1, initial=np.inf)
         assert (gaps <= 1.000001 * duration / cells).all(), (pulse, kinks)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_group_evaluates_each_pulse_as_alone(shape):
+    """A sequence of pulses of one shape, at a row of times each (its
+    breakpoints among them), gives each pulse's values and breakpoints bit
+    for bit; a piecewise-linear shape gives np.interp's values on its
+    knots."""
+    rng = np.random.default_rng(40 + SHAPES.index(shape))
+    group = [make_pulse(shape, scale, rng.uniform(0.0, 1.0) * scale,
+                        seed_noise=rng.uniform(0.1, 1.0) * scale,
+                        duration=rng.choice([1.0, 0.6, 3.7]))
+             for scale in rng.choice([OMEGA, DEFAULT_LIMITS.local_detuning_min], 40)]
+    cuts = breakpoint_times(group)
+    t = np.concatenate([cuts, rng.uniform(0.0, 1.0, (len(group), 2000))
+                        * [[pulse.duration] for pulse in group]], axis=1)
+    values = evaluate(group, t)
+    for pulse, row, cut, value in zip(group, t, cuts, values):
+        assert np.array_equal(breakpoint_times(pulse), cut)
+        assert np.array_equal(evaluate(pulse, row), value)
+        knots, interior, _ = pulses_module._shape(*pulses_module._fields(pulse))
+        if interior is None:
+            assert np.array_equal(value, np.interp(row, *zip(*knots)))
+
+
+def test_a_group_needs_one_shape():
+    with pytest.raises(ValidationError, match="one shape"):
+        evaluate([make_pulse("linear", OMEGA, 1.0), make_pulse("triangle", OMEGA, 1.0)],
+                 np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("field, value", [

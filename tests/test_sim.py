@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from rydgan import generator, sim
 from rydgan.errors import NumericError, ValidationError
 from rydgan.generator import EXACT, GeneratorParams, ShotsMode
-from rydgan.pulses import PulseProgram, breakpoint_times
+from rydgan.pulses import PulseProgram, breakpoint_times, evaluate
 from rydgan.sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
-                        _diagonals, _drive_values, _flip_matrix, _occupations,
-                        _step_grid, evolve, interaction_strength)
+                        _diagonals, _flip_matrix, _occupations, evolve,
+                        interaction_strength)
 
 
 def ground(n):
@@ -24,11 +24,40 @@ def ground(n):
     return amps
 
 
+def step_grid(spec, steps: int):
+    """(start, dt) per integration step of one run, built segment by segment:
+    the reference for the step tables that `evolve` builds per block. Each
+    smooth segment between the pulses' breakpoints is covered by uniform
+    steps no wider than duration / steps; breakpoints closer than 1e-12 of
+    the duration merge."""
+    duration = spec.duration
+    cuts = np.concatenate([breakpoint_times(spec.rabi),
+                           breakpoint_times(spec.local_detuning)])
+    bounds = sorted({0.0, duration} | {t for t in cuts if 0.0 < t < duration})
+    dt_target = duration / steps
+    starts, dts = [np.empty(0)], [np.empty(0)]
+    for a, b in zip(bounds, bounds[1:]):
+        span = b - a
+        if span <= 1e-12 * duration:
+            continue
+        m = max(1, math.ceil(span / dt_target - 1e-9))
+        dt = span / m
+        starts.append(a + np.arange(m) * dt)
+        dts.append(np.full(m, dt))
+    return np.concatenate(starts), np.concatenate(dts)
+
+
+def drive_values(spec, t):
+    """(Omega, Delta_local) of one run at the times t, noise included."""
+    return (spec.rabi_scale * evaluate(spec.rabi, t),
+            evaluate(spec.local_detuning, t) + spec.local_detuning_shift)
+
+
 def build_hamiltonian(spec, t):
     """Dense Hermitian H(t) over the 2^n computational basis, assembled from
     the diagonals, drive values and flip matrix that `evolve` uses."""
     (static,), (sumh,) = _diagonals([spec], _occupations(spec.n_qubits))
-    omega, dlocal = _drive_values(spec, float(t))
+    omega, dlocal = drive_values(spec, float(t))
     return omega * _flip_matrix(spec.n_qubits) + np.diag(static - dlocal * sumh)
 
 
@@ -36,8 +65,7 @@ def evolve_eigh(amplitudes, spec, steps):
     """Reference propagator: the step grid and Magnus factors of `evolve`,
     each factor exponentiated through a dense Hermitian eigendecomposition.
     """
-    cuts = breakpoint_times(spec.rabi) + breakpoint_times(spec.local_detuning)
-    starts, dts = _step_grid(tuple(cuts), spec.duration, steps)
+    starts, dts = step_grid(spec, steps)
     lo, hi = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
     w1, w2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
     psi = np.array(amplitudes, dtype=complex)
@@ -324,9 +352,17 @@ class TestEvolve:
         two pulses' copies of one breakpoint do; every other segment is
         covered, however short the run, so it always has a step."""
         spec = random_spec(np.random.default_rng(7), n=2, duration=duration)
-        cuts = breakpoint_times(spec.rabi) + breakpoint_times(spec.local_detuning)
-        twin = cuts[2] * (1.0 + 1e-14)
-        _, dts = _step_grid(tuple(cuts) + (twin,), duration, 1)
+        def twinned(pulses):
+            # each pulse's third breakpoint gains a twin a rounding away
+            cuts = breakpoint_times(pulses)
+            return np.concatenate([cuts, cuts[..., 2:3] * (1.0 + 1e-14)], axis=-1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "breakpoint_times", twinned)
+            _, widths, firsts = sim._step_tables(
+                np.array([duration]), np.array([1]),
+                [sim._shape_groups([pulse])
+                 for pulse in (spec.rabi, spec.local_detuning)])
+        dts = np.repeat(widths[0, :-1], np.diff(firsts[0]))
         assert dts.sum() == pytest.approx(duration, rel=1e-12, abs=0.0)
         assert dts.min() > 1e-12 * duration
         out = evolve([spec])[0]
@@ -519,23 +555,39 @@ class TestEvolveBatch:
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
 
-    @pytest.mark.parametrize("n, split", [(2, 7), (2, 1), (4, 7), (4, 1),
-                                          (6, 7), (6, 6)])
+    @pytest.mark.parametrize("n, split", [(1, 7), (2, 7), (2, 1), (3, 7),
+                                          (4, 7), (4, 1), (5, 7), (6, 7),
+                                          (6, 6), (7, 6), (8, 6)])
     def test_chunks_match_the_reference_construction(self, n, split,
                                                      monkeypatch):
-        # dense and split layouts; a shorter run pads the block with
-        # zero-width rows, a noisy run scales the Rabi drive and shifts the
-        # local detuning, and small chunks make the producer reuse its work
-        # arrays
+        # dense and split layouts; every trainable shape pair and a constant
+        # pair, 1 and 0.6 us runs in turn (the shorter ones pad the block
+        # with zero-width rows), every third run noisy (its Rabi drive
+        # scaled, its local detuning shifted); chunks of three rows in slabs
+        # of fifteen make the producer reuse its work arrays and put chunk
+        # and slab boundaries between the two rows of a step
         monkeypatch.setattr(sim, "_SPLIT_QUBITS", split)
-        monkeypatch.setattr(sim, "_CHUNK_BYTES", 1 << 14)
-        rng = np.random.default_rng(60 + n)
-        specs = [random_spec(rng, n), random_spec(rng, n, duration=0.6),
-                 dataclasses.replace(random_spec(rng, n), rabi_scale=1.07,
-                                     local_detuning_shift=-3.5)]
+        rng = np.random.default_rng(80 + n)
+        shapes = generator.TRAINABLE_SHAPES
+        pairs = [(a, b) for a in shapes for b in shapes] + [("constant",) * 2]
+        specs = []
+        for i, (rabi, local) in enumerate(pairs):
+            spec = random_spec(rng, n, duration=(1.0, 0.6)[i % 2])
+            spec = dataclasses.replace(
+                spec, rabi=dataclasses.replace(spec.rabi, shape=rabi),
+                local_detuning=dataclasses.replace(spec.local_detuning,
+                                                   shape=local))
+            if i % 3 == 0:
+                spec = dataclasses.replace(spec, rabi_scale=rng.normal(1.0, 0.01),
+                                           local_detuning_shift=rng.normal(0.0, 0.1))
+            specs.append(spec)
+        batch, dim = len(specs), 1 << n
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 40 * batch * dim)
+        monkeypatch.setattr(sim, "_SLAB_BYTES", 15 * 8 * batch)
         chunks, out = captured_chunks(specs, 40)
         coef, diag, mid, width, terms, subs = reference_factors(specs, 40)
-        assert len(chunks) > 1 and (width == 0.0).any()
+        assert [len(chunk[1]) for chunk in chunks[:-1]] == [3] * (len(chunks) - 1)
+        assert (width == 0.0).any()
         pairs, got_terms, got_subs = (np.concatenate(part)
                                       for part in zip(*chunks))
         assert np.array_equal(pairs, kernel_pairs(coef, diag))
@@ -543,6 +595,62 @@ class TestEvolveBatch:
         assert np.array_equal(got_subs, subs)
         assert np.array_equal(out[:, 0], np.exp(-1j * np.array(
             [np.sum(m * w) for m, w in zip(mid.T, width.T)])))
+
+    def test_pulses_are_evaluated_per_shape_group_and_slab(self, monkeypatch):
+        # two Rabi and three local-detuning shapes: five calls per slab,
+        # however many runs share them
+        calls = []
+
+        def counting(pulses, t):
+            calls.append((len(pulses), t.shape))
+            return evaluate(pulses, t)
+        monkeypatch.setattr(sim, "evaluate", counting)
+        rng = np.random.default_rng(31)
+        pairs = [("linear", "triangle"), ("gaussian", "triangle"),
+                 ("linear", "sine_bump"), ("gaussian", "trapezoid")]
+        for copies in (1, 6):
+            specs = [dataclasses.replace(
+                spec, rabi=dataclasses.replace(spec.rabi, shape=rabi),
+                local_detuning=dataclasses.replace(spec.local_detuning,
+                                                   shape=local))
+                     for rabi, local in pairs * copies
+                     for spec in [random_spec(rng, 2)]]
+            rows = 2 * max(len(step_grid(spec, 50)[0]) for spec in specs)
+            for slab, slabs in ((1 << 40, 1), (8 * 20 * len(specs),
+                                               math.ceil(rows / 20))):
+                monkeypatch.setattr(sim, "_SLAB_BYTES", slab)
+                monkeypatch.setattr(sim, "_CHUNK_BYTES", 40 * 4 * len(specs))
+                calls.clear()
+                evolve(specs, steps=50)
+                assert len(calls) == 5 * slabs
+                assert sum(size for size, _ in calls) == 2 * len(specs) * slabs
+                assert all(shape[0] == size for size, shape in calls)
+
+    def test_set_up_memory_grows_with_the_rows_by_the_phases_alone(self):
+        # a select-like block: 200 n = 4 runs of two shape pairs. Only the
+        # (B, rows) phase array grows with the step count; the drive
+        # coefficients and widths are built a slab at a time
+        rng = np.random.default_rng(12)
+        specs = []
+        for local in ("triangle", "gaussian"):
+            spec = spread_full_range_spec(rng, 4)
+            spec = dataclasses.replace(spec, local_detuning=dataclasses.replace(
+                spec.local_detuning, shape=local))
+            specs += [dataclasses.replace(spec, rabi=dataclasses.replace(
+                spec.rabi, seed=seed), local_detuning=dataclasses.replace(
+                    spec.local_detuning, seed=seed))
+                      for seed in rng.uniform(0.1, 1.0, 100)]
+        peaks, rows = [], []
+        for steps in (250, 1000):
+            rows.append(2 * max(len(step_grid(spec, steps)[0]) for spec in specs))
+            tracemalloc.start()
+            try:
+                evolve(specs, steps=steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = len(specs) * (rows[1] - rows[0]) * 8
+        assert peaks[1] - peaks[0] <= growth + 128 * 1024
 
     @pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 16, 12, 2, 1)],
                              ids=["one", "3x5", "pairs"])
@@ -726,13 +834,11 @@ def reference_factors(specs, steps):
     d is (rows, 2^n, B); `kernel_pairs` lays a and d out for the kernel."""
     n = specs[0].n_qubits
     static, sumh = _diagonals(specs, _occupations(n))
-    grids = [_step_grid(tuple(breakpoint_times(s.rabi)
-                              + breakpoint_times(s.local_detuning)),
-                        s.duration, steps) for s in specs]
+    grids = [step_grid(s, steps) for s in specs]
     rows = 2 * max(len(starts) for starts, _ in grids)
     coef, dlocal, width = (np.zeros((rows, len(specs))) for _ in range(3))
     for b, (spec, (starts, dts)) in enumerate(zip(specs, grids)):
-        omega, shift = (v.reshape(2, -1) for v in _drive_values(
+        omega, shift = (v.reshape(2, -1) for v in drive_values(
             spec, np.concatenate([starts + c * dts for c in sim._NODES])))
         used = slice(0, 2 * len(starts))
         coef[used, b] = (sim._WEIGHTS @ omega).T.reshape(-1)
