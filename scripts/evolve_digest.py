@@ -45,18 +45,23 @@ WIDE_LIMITS = rydgan.pulses.PulseLimits(omega_max=31.6,
                                         local_detuning_min=-250.0)
 
 
+def exact_block(params, seeds, run):
+    """The RunBlock of exact runs of params, one per seed, under run."""
+    return rydgan.generator._block(
+        [(p, float(s), rydgan.EXACT) for p in params for s in seeds], run)
+
+
 def training_batch(rng, points, seeds):
-    """Specs of `points` Nelder-Mead-like parameter points x `seeds` seeds."""
+    """Runs of `points` Nelder-Mead-like parameter points x `seeds` seeds."""
     config = rydgan.TrainConfig(n_qubits=4, steps_per_us=250)
     base = rydgan.training.initial_params(config, rng)
     draws = rydgan.draw_seeds(rng, seeds)
-    specs = []
+    params = []
     for _ in range(points):
         x, _ = base.groups(LIMITS, config.field_size_um)["positions"]
-        params = base.with_group("positions", x + rng.uniform(-0.5, 0.5, x.size))
-        specs += [rydgan.generator.build_spec(params, float(s), config)
-                  for s in draws]
-    return specs, config.steps
+        params.append(base.with_group("positions",
+                                      x + rng.uniform(-0.5, 0.5, x.size)))
+    return exact_block(params, draws, config), config.steps
 
 
 def full_range_params(rng, n, spacing=None, limits=LIMITS):
@@ -79,24 +84,25 @@ def full_range_params(rng, n, spacing=None, limits=LIMITS):
 
 
 def full_range_batch(rng, n, count, spacing=None, limits=LIMITS):
-    """Specs of `count` seeds of full_range_params."""
+    """Runs of `count` seeds of full_range_params."""
     params = full_range_params(rng, n, spacing, limits)
-    run = rydgan.TrainConfig(limits=limits)
-    return [rydgan.generator.build_spec(params, float(s), run)
-            for s in rydgan.draw_seeds(rng, count)], 250
+    return exact_block([params], rydgan.draw_seeds(rng, count),
+                       rydgan.TrainConfig(limits=limits)), 250
 
 
 def shape_pairs_batch(rng, n):
-    """Specs of every trainable (Rabi, local) shape pair on one arrangement,
+    """Runs of every trainable (Rabi, local) shape pair on one arrangement,
     one seed each, at durations of 1 and 0.6 us in turn."""
     params = full_range_params(rng, n)
     shapes = rydgan.generator.TRAINABLE_SHAPES
     pairs = [(a, b) for a in shapes for b in shapes]
-    return [rydgan.generator.build_spec(
-        dataclasses.replace(params, rabi_shape=a, local_shape=b), float(seed),
-        rydgan.TrainConfig(duration_us=(1.0, 0.6)[i % 2]))
-        for i, ((a, b), seed) in enumerate(
-            zip(pairs, rydgan.draw_seeds(rng, len(pairs))))], 250
+    block = rydgan.generator._block(
+        [(dataclasses.replace(params, rabi_shape=a, local_shape=b), float(seed),
+          rydgan.EXACT)
+         for (a, b), seed in zip(pairs, rydgan.draw_seeds(rng, len(pairs)))],
+        rydgan.TrainConfig())
+    durations = [(1.0, 0.6)[i % 2] for i in range(len(pairs))]
+    return dataclasses.replace(block, duration=durations), 250
 
 
 def noisy_runs(rng, n, count):
@@ -120,8 +126,8 @@ def main():
     cases["n6-packed-B4"] = full_range_batch(rng, 6, 4, spacing=4.0)
     cases["n2-full-B4"] = full_range_batch(rng, 2, 4)
     cases["n4-full-B1"] = full_range_batch(rng, 4, 1)
-    for name, (specs, steps) in cases.items():
-        digest(name, rydgan.sim.evolve(specs, steps))
+    for name, (block, steps) in cases.items():
+        digest(name, rydgan.sim.evolve(block, steps))
     digest("n4-noisy-B12",
            rydgan.generate_batch(noisy_runs(rng, 4, 12), rydgan.TrainConfig()))
     digest("n4-wide-B8", rydgan.sim.evolve(

@@ -7,8 +7,8 @@ OLD and NEW are roots of two checkouts of the repository. The script
 writes the workload's inputs for the seed with `perfbench/inputs.py`
 (read-only: the perfbench of the checkout holding this script) into a
 temporary directory, runs the workload's set-up and timed commands once
-through OLD's command line and records every `sim.evolve` call (its specs
-and step count). It then replays the calls through both trees in one
+through OLD's command line and records every `sim.evolve` call (its run
+block and step count). It then replays the calls through both trees in one
 process, the two sides interleaved pass by pass, each pass in turn
 starting with the other side, and prints:
 
@@ -21,7 +21,9 @@ starting with the other side, and prints:
   rest of the pass.
 
 The trees are imported as two packages, so nothing but their `src/` is
-shared. BLAS runs on one thread, as in the benchmark.
+shared. Both trees must take `sim.RunBlock`s, as every tree since the
+run block replaced the per-run spec objects does. BLAS runs on one
+thread, as in the benchmark.
 """
 
 import argparse
@@ -60,14 +62,13 @@ def load_tree(root: str, name: str):
 
 
 def capture(rydgan, workload, seed: int) -> list:
-    """(specs, steps) of every `evolve` call of the workload's commands."""
+    """(block, steps) of every `evolve` call of the workload's commands."""
     calls = []
     real = rydgan.generator.evolve
 
-    def record(specs, steps=None):
-        specs = list(specs)
-        calls.append((specs, steps))
-        return real(specs, steps)
+    def record(block, steps=None):
+        calls.append((block, steps))
+        return real(block, steps)
 
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as path:
@@ -86,15 +87,10 @@ def capture(rydgan, workload, seed: int) -> list:
     return calls
 
 
-def rebuild(value, rydgan):
-    """A copy of value whose dataclasses are those of the package rydgan."""
-    if dataclasses.is_dataclass(value):
-        cls = type(value).__name__
-        owner = rydgan.sim if hasattr(rydgan.sim, cls) else rydgan.pulses
-        return getattr(owner, cls)(**{
-            f.name: rebuild(getattr(value, f.name), rydgan)
-            for f in dataclasses.fields(value)})
-    return value
+def rebuild(block, rydgan):
+    """A copy of the run block as a RunBlock of the package rydgan."""
+    return rydgan.sim.RunBlock(**{f.name: getattr(block, f.name)
+                                  for f in dataclasses.fields(block)})
 
 
 def run_pass(sim, calls, kernel=True) -> float:
@@ -106,8 +102,8 @@ def run_pass(sim, calls, kernel=True) -> float:
             collections.deque(chunks, 0), psi)[1]
     try:
         start = time.perf_counter()
-        for specs, steps in calls:
-            sim.evolve(specs, steps)
+        for block, steps in calls:
+            sim.evolve(block, steps)
         return time.perf_counter() - start
     finally:
         sim._apply_vectors = real
@@ -126,10 +122,9 @@ def main(argv=None):
              "new": load_tree(args.new, "rydgan_new")}
     workload = workloads.WORKLOADS[args.workload]
     captured = capture(trees["old"], workload, args.seed)
-    calls = {side: [([rebuild(s, tree) for s in specs], steps)
-                    for specs, steps in captured]
+    calls = {side: [(rebuild(block, tree), steps) for block, steps in captured]
              for side, tree in trees.items()}
-    sizes = sorted(len(specs) for specs, _ in captured)
+    sizes = sorted(len(block) for block, _ in captured)
     print(f"{args.workload} seed {args.seed}: {len(captured)} evolve calls, "
           f"{sum(sizes)} runs, B = {sizes[0]}-{sizes[-1]}")
 

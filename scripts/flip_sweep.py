@@ -33,14 +33,14 @@ REPEATS = 7             # timed calls per path; one more warms both up
 
 def sweep(n, batch, rng):
     """(dense, split) median seconds of one `evolve` call on one block."""
-    specs, steps = full_range_batch(rng, n, batch)
+    block, steps = full_range_batch(rng, n, batch)
     times = {"dense": [], "split": []}
     paths = {"dense": n + 1, "split": n}
     for repeat in range(REPEATS + 1):
         for path in sorted(paths, reverse=repeat % 2 == 1):
             sim._SPLIT_QUBITS = paths[path]
             start = time.perf_counter()
-            sim.evolve(specs, steps)
+            sim.evolve(block, steps)
             if repeat:
                 times[path].append(time.perf_counter() - start)
     return statistics.median(times["dense"]), statistics.median(times["split"])

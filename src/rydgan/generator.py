@@ -1,13 +1,15 @@
 """The quantum generator: seed + trainable parameters -> feature vector.
 
-One generator run builds the Rabi and local-detuning pulses with the seed
+One generator run drives the Rabi and local-detuning pulses with the seed
 injected into both (a single scalar in [0.1, 1] shared by the pair, scaled
 to each drive's full range), evolves the ground state under the resulting
 Hamiltonian, and maps the outcome probabilities to features with a modulo
 operation so each feature can take any value in (0, 1/2^n] independently
-of the others. `generate_batch`, the one generation path, evolves many
-(params, seed, mode) runs under one `TrainConfig`, the run's settings, in one
-`sim.evolve` call; `generate_features` is a one-run `generate_batch`.
+of the others. `generate_batch`, the one generation path, writes many
+(params, seed, mode) runs under one `TrainConfig`, the run's settings, into
+the arrays of one `sim.RunBlock`, a noisy run's draw in its own rows, and
+evolves it in one `sim.evolve` call; `generate_features` is a one-run
+`generate_batch`.
 `GeneratorParams` declares the hardware envelope once: its trainable groups
 and their boxes serve both `validate` and the Nelder-Mead stages of training.
 """
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericError, ValidationError, check_settings, setting
-from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits, PulseProgram
+from .pulses import DEFAULT_LIMITS, SHAPES, PulseLimits
 from .sim import (AtomArrangement, C6_DEFAULT, MAX_QUBITS, NORM_TOL, STEPS_PER_US,
-                  HamiltonianSpec, default_steps, evolve)
+                  RunBlock, default_steps, evolve)
 
 SEED_LO, SEED_HI = 0.1, 1.0
 # default geometry in um: minimum atom spacing, side of the square field
@@ -56,7 +58,7 @@ class GeneratorParams:
 
     @property
     def n_qubits(self) -> int:
-        return self.arrangement.n_atoms
+        return len(self.arrangement.positions)
 
     def groups(self, limits: PulseLimits, field_size_um: float) -> dict:
         """{group: (values, bounds)} in GROUPS order, bounds one (lo, hi) per
@@ -64,11 +66,10 @@ class GeneratorParams:
         """
         n = self.n_qubits
         return {
-            "positions": (self.arrangement.position_array().reshape(-1),
+            "positions": (np.ravel(self.arrangement.positions),
                           [(0.0, field_size_um)] * (2 * n)),
             "rabi": (np.array([self.rabi_param]), [(0.0, limits.omega_max)]),
-            "local": (np.concatenate([[self.local_param],
-                                      self.arrangement.coupling_array()]),
+            "local": (np.array((self.local_param,) + self.arrangement.couplings),
                       [(limits.local_detuning_min, 0.0)] + [(0.0, 1.0)] * n),
             "global": (np.array([self.global_detuning_offset]),
                        [(-limits.global_detuning_abs, limits.global_detuning_abs)]),
@@ -92,7 +93,7 @@ class GeneratorParams:
 
     def min_pair_distance(self) -> float:
         """Smallest distance between two atoms in um; inf for a single atom."""
-        pos = self.arrangement.position_array()
+        pos = np.array(self.arrangement.positions)
         i, j = np.triu_indices(len(pos), 1)
         # hypot does not overflow where a distance's square would
         return float(np.hypot(*(pos[i] - pos[j]).T).min(initial=np.inf))
@@ -211,31 +212,12 @@ class TrainConfig:
 
     @property
     def steps(self) -> int:
-        return default_steps(self.duration_us, self.steps_per_us)
+        return int(default_steps(self.duration_us, self.steps_per_us))
 
     @property
     def grid_side(self) -> int:
         """Atoms per row of the starting grid of initial_params."""
         return math.ceil(math.sqrt(self.n_qubits))
-
-
-def build_spec(params: GeneratorParams, seed: float,
-               run: TrainConfig = TrainConfig()) -> HamiltonianSpec:
-    """Instantiate the Hamiltonian for one seed value under run's settings.
-
-    The shared scalar seed u is injected into both pulses scaled to each
-    drive's full range, the run's omega_max or local_detuning_min (negative):
-    full_scale is that limit and seed = u, so both read one fraction.
-    """
-    rabi = PulseProgram(shape=params.rabi_shape, param=params.rabi_param,
-                        full_scale=run.limits.omega_max, seed=seed,
-                        duration=run.duration_us)
-    local = PulseProgram(shape=params.local_shape, param=params.local_param,
-                         full_scale=run.limits.local_detuning_min, seed=seed,
-                         duration=run.duration_us)
-    return HamiltonianSpec(arrangement=params.arrangement, rabi=rabi,
-                           local_detuning=local, c6=run.c6,
-                           global_detuning_offset=params.global_detuning_offset)
 
 
 def modulo_encode(probs) -> np.ndarray:
@@ -262,41 +244,21 @@ def modulo_encode(probs) -> np.ndarray:
     return np.where(r > 0.0, r, np.where(p > 0.0, width, 0.0))
 
 
-def perturb_params(spec: HamiltonianSpec, model: ErrorModel) -> HamiltonianSpec:
-    """Copy of a run's Hamiltonian with one draw of the hardware-error model.
+def perturb_params(positions, model: ErrorModel):
+    """(positions, global shift, local shift, Rabi gain): one draw of the
+    hardware-error model for a run of atoms at positions (n, 2).
 
     Draw order (fixed for reproducibility): global detuning shift, local
-    waveform shift, Rabi gain factor, then x/y per atom. The perturbed
-    copy deliberately skips geometry re-validation: physical noise may
-    push positions slightly past nominal tolerances.
+    waveform shift, Rabi gain factor, then x/y per atom. The displaced
+    atoms deliberately skip the geometry rules of `GeneratorParams.validate`:
+    physical noise may push positions slightly past nominal tolerances.
     """
     rng = np.random.default_rng(model.rng_seed)
     d_global = rng.normal(0.0, model.detuning_sigma)
     d_local = rng.normal(0.0, model.detuning_sigma)
     gain = rng.normal(1.0, model.rabi_rel_sigma)
-    offsets = rng.normal(0.0, model.position_sigma,
-                         size=(spec.arrangement.n_atoms, 2))
-    positions = tuple((x + offsets[i, 0], y + offsets[i, 1])
-                      for i, (x, y) in enumerate(spec.arrangement.positions))
-    arrangement = AtomArrangement(positions, spec.arrangement.couplings)
-    return replace(spec,
-                   arrangement=arrangement,
-                   global_detuning_offset=spec.global_detuning_offset + d_global,
-                   local_detuning_shift=spec.local_detuning_shift + d_local,
-                   rabi_scale=spec.rabi_scale * gain)
-
-
-def _plan(params: GeneratorParams, seed: float, mode, run: TrainConfig):
-    """(spec, readout mode) of one run: the seed checked, noise drawn."""
-    if not SEED_LO - 1e-12 <= seed <= SEED_HI + 1e-12:
-        raise ValidationError(
-            f"seed {seed} outside legal range [{SEED_LO}, {SEED_HI}]")
-    spec = build_spec(params, seed, run)
-    if isinstance(mode, NoisyMode):
-        return perturb_params(spec, mode.model), EXACT
-    if not isinstance(mode, (ExactMode, ShotsMode)):
-        raise ValidationError(f"unknown generation mode {mode!r}")
-    return spec, mode
+    offsets = rng.normal(0.0, model.position_sigma, size=np.shape(positions))
+    return positions + offsets, d_global, d_local, gain
 
 
 def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
@@ -312,6 +274,39 @@ def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
     return generate_batch([(params, seed, mode)], run)[0]
 
 
+def _block(runs, run: TrainConfig) -> RunBlock:
+    """The RunBlock of (params, seed, mode) runs under run's settings, each
+    noisy run with its own draw; the seed is both drives' fraction of their
+    full scale, the run's omega_max and local_detuning_min."""
+    params = [p for p, _, _ in runs]
+    atoms = np.array([p.n_qubits for p in params])
+    seeds = np.array([float(seed) for _, seed, _ in runs])
+    bad = np.flatnonzero(atoms != atoms[0])
+    if bad.size:
+        raise ValidationError(f"run {bad[0]}: positions hold {atoms[bad[0]]} atoms, "
+                              f"run 0's {atoms[0]}; one call has one qubit count")
+    bad = np.flatnonzero(~((SEED_LO - 1e-12 <= seeds) & (seeds <= SEED_HI + 1e-12)))
+    if bad.size:
+        raise ValidationError(f"run {bad[0]}: seed {seeds[bad[0]]} outside legal "
+                              f"range [{SEED_LO}, {SEED_HI}]")
+    positions = np.array([p.arrangement.positions for p in params])
+    # per run: global offset, local shift and Rabi gain, a noisy run's drawn
+    noise = np.array([(p.global_detuning_offset, 0.0, 1.0) for p in params])
+    for row, (_, _, mode) in enumerate(runs):
+        if isinstance(mode, NoisyMode):
+            positions[row], *draw = perturb_params(positions[row], mode.model)
+            noise[row, :2] += draw[:2]
+            noise[row, 2] *= draw[2]
+        elif not isinstance(mode, (ExactMode, ShotsMode)):
+            raise ValidationError(f"run {row}: unknown generation mode {mode!r}")
+    return RunBlock(
+        positions, [p.arrangement.couplings for p in params], noise[:, 0],
+        run.duration_us, [(p.rabi_shape, p.local_shape) for p in params],
+        [(p.rabi_param, p.local_param) for p in params], seeds[:, None],
+        (run.limits.omega_max, run.limits.local_detuning_min), run.c6,
+        noise[:, 2], noise[:, 1])
+
+
 def generate_batch(runs, run: TrainConfig = TrainConfig()) -> np.ndarray:
     """Features (B, 2^n) of many (params, seed, mode) runs, evolved as one batch.
 
@@ -320,19 +315,19 @@ def generate_batch(runs, run: TrainConfig = TrainConfig()) -> np.ndarray:
     All runs share one qubit count; batching is what makes generation
     cheap, so callers pass all the runs they need at once.
     """
-    plans = [_plan(params, float(seed), mode, run) for params, seed, mode in runs]
-    if not plans:
+    runs = list(runs)
+    if not runs:
         raise ValidationError("generate_batch needs at least one run")
-    probs = np.abs(evolve([spec for spec, _ in plans], run.steps)) ** 2
+    probs = np.abs(evolve(_block(runs, run), run.steps)) ** 2
     norms = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         raise NumericError(f"generator run {bad[0]} lost its norm: "
                            f"sum |a_k|^2 = {norms[bad[0]]!r}", run=int(bad[0]))
-    for p, (_, readout) in zip(probs, plans):
-        if isinstance(readout, ShotsMode):
-            rng = np.random.default_rng(readout.rng_seed)
-            p[:] = rng.multinomial(readout.shots, p / p.sum()) / readout.shots
+    for p, (_, _, mode) in zip(probs, runs):
+        if isinstance(mode, ShotsMode):
+            rng = np.random.default_rng(mode.rng_seed)
+            p[:] = rng.multinomial(mode.shots, p / p.sum()) / mode.shots
     return modulo_encode(probs)
 
 

@@ -9,8 +9,8 @@ width and the sine bump phase. Hardware requires Rabi and local-detuning
 waveforms to start and end at zero, so every shape is wrapped in linear
 entry/exit ramps each covering ``RAMP_FRACTION`` of the duration; the
 seeded value holds at the interior boundary. Each shape is declared once,
-in ``_shape``, which both ``evaluate`` and ``breakpoint_times`` read, for one
-pulse or for a sequence of pulses of one shape at once.
+in ``_shape``, which ``evaluate`` and ``breakpoint_times`` read for a drive:
+one entry per run of a block (`sim.RunBlock.drive`), in any mix of shapes.
 
 Units: time in us, amplitudes in rad/us.
 """
@@ -46,51 +46,15 @@ class PulseLimits:
 DEFAULT_LIMITS = PulseLimits()
 
 
-@dataclass(frozen=True)
-class PulseProgram:
-    """One drive waveform: shape id, seed injection, trainable scalar.
-
-    ``full_scale`` is the drive's signed full-scale amplitude, the run's
-    ``omega_max`` or ``local_detuning_min``, and ``seed`` the run's seed as
-    a fraction of it: ``seed * full_scale`` is the seed in the drive's
-    units, and the seed-driven timing/width modulations read |seed| clipped
-    to [0, 1].
-    ``evaluate`` is a pure function of the fields below.
-    """
-
-    shape: str
-    full_scale: float
-    param: float
-    seed: float = 0.0
-    duration: float = 1.0
-
-    def __post_init__(self):
-        if self.shape not in SHAPES:
-            raise ValidationError(
-                f"unknown pulse shape {self.shape!r}; valid shapes: {', '.join(SHAPES)}")
-        if not (math.isfinite(self.full_scale) and self.full_scale != 0):
-            raise ValidationError(
-                f"pulse full_scale must be finite and nonzero, got {self.full_scale}")
-        if not self.duration > 0:
-            raise ValidationError(f"pulse duration must be positive, got {self.duration}")
-        if not (math.isfinite(self.param) and math.isfinite(self.seed)):
-            raise ValidationError("pulse param and seed must be finite")
-
-
-def _fields(pulses, ndim: int = 1):
-    """(shape, duration, param, seed, full_scale) of one pulse, as numbers,
-    or of a sequence of pulses of one shape, as arrays with one entry per
-    pulse along the first of ndim axes, broadcast along the others."""
-    if isinstance(pulses, PulseProgram):
-        return (pulses.shape, pulses.duration, pulses.param, pulses.seed,
-                pulses.full_scale)
-    shapes = {pulse.shape for pulse in pulses}
-    if len(shapes) != 1:
-        raise ValidationError(
-            f"pulses evaluated together must share one shape, got {sorted(shapes)}")
-    values = np.array([(q.duration, q.param, q.seed, q.full_scale)
-                       for q in pulses]).T
-    return (shapes.pop(), *values.reshape((4, len(pulses)) + (1,) * (ndim - 1)))
+def _groups(drive, runs: np.ndarray):
+    """(name, where, fields) per pulse shape of the drive: the entries of
+    runs (block rows) whose run has that shape, Ellipsis for all, and the
+    numeric fields of their runs."""
+    names = dict.fromkeys(drive[0].tolist())
+    for name in names:
+        where = Ellipsis if len(names) == 1 else (drive[0] == name)[runs]
+        at = runs[where]
+        yield name, where, [field[at] for field in drive[1:]]
 
 
 def _shape(shape: str, d, p, seed, full_scale):
@@ -134,23 +98,30 @@ def _shape(shape: str, d, p, seed, full_scale):
             interior, kinks)
 
 
-def evaluate(pulses, t) -> np.ndarray:
-    """Waveform values, rad/us, at the times of the array t.
-
-    pulses is one PulseProgram, or a sequence of them of one shape whose
-    times are the rows along t's first axis. Raises ValidationError if any
-    t falls outside [0, duration].
-    """
-    t_arr = np.asarray(t, dtype=float)
-    fields = _fields(pulses, t_arr.ndim)
-    d = fields[1]
+def evaluate(drive, t, runs=0) -> np.ndarray:
+    """Waveform values, rad/us, of a drive, (shape, duration, param, seed,
+    full_scale) with ``seed`` a fraction of the signed ``full_scale``, at the
+    times of the array t. runs holds the run of each entry along t's leading
+    axes, as many as runs has (by default all are run 0's); each run's
+    fields broadcast over the rest. Raises ValidationError if any t falls
+    outside [0, duration]."""
+    t_arr, runs = np.asarray(t, dtype=float), np.asarray(runs)
+    trail = (1,) * (t_arr.ndim - runs.ndim)
+    d = drive[1][runs].reshape(runs.shape + trail)
     outside = (t_arr < -_DOMAIN_TOL) | (t_arr > d + _DOMAIN_TOL)
     if outside.any():
-        duration = np.broadcast_to(d, t_arr.shape)[outside][0]
-        raise ValidationError(f"pulse evaluated outside [0, {duration}] us")
-    t_arr = np.clip(t_arr, 0.0, d)
+        d = np.broadcast_to(d, t_arr.shape)[outside][0]
+        raise ValidationError(f"pulse evaluated outside [0, {d}] us")
+    out = np.empty(t_arr.shape)
+    for name, where, fields in _groups(drive, runs):
+        fields = [field.reshape(field.shape + trail) for field in fields]
+        out[where] = _values(name, np.clip(t_arr[where], 0.0, fields[0]), *fields)
+    return out
 
-    knots, interior, _ = _shape(*fields)
+
+def _values(name: str, t_arr, d, *rest) -> np.ndarray:
+    """evaluate for pulses of one shape, at times in [0, d]."""
+    knots, interior, _ = _shape(name, d, *rest)
     if interior is None:
         # np.interp's arithmetic, segment by segment from the last: a knot's
         # value at the knot, else the segment's slope from its left knot;
@@ -172,14 +143,14 @@ def evaluate(pulses, t) -> np.ndarray:
     return np.where(t_arr > end, stop * ((d - t_arr) / r), out)
 
 
-def breakpoint_times(pulses) -> np.ndarray:
-    """Times where the waveform is not analytic (knots, ramps, clip points):
-    one pulse's, or a row per pulse of a sequence of one shape. A time may
-    repeat, and 0 stands in for a kink a pulse does not have.
-
-    Integrators split their step grids here so that every step sees a
-    smooth drive.
-    """
-    knots, _, kinks = _shape(*_fields(pulses))
-    times = [t for t, _ in knots] + kinks
-    return np.stack(np.broadcast_arrays(*times), axis=-1)
+def breakpoint_times(drive) -> np.ndarray:
+    """(B, 6) times where each run's waveform is not analytic (knots, ramps,
+    clip points), where integrators split their step grids so that every
+    step sees a smooth drive. A time may repeat, and 0 stands in for a kink
+    a run's shape does not have."""
+    out = np.zeros((len(drive[0]), 6))
+    for name, rows, fields in _groups(drive, np.arange(len(drive[0]))):
+        knots, _, kinks = _shape(name, *fields)
+        times = np.stack(np.broadcast_arrays(*[t for t, _ in knots], *kinks), axis=-1)
+        out[rows, :times.shape[1]] = times
+    return out

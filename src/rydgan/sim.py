@@ -18,35 +18,31 @@ the order is |gg>, |gr>, |rg>, |rr>.
 
 Time evolution is a fourth-order commutator-free Magnus integrator: two
 exponential factors per step, on a step grid aligned to the pulse
-breakpoints. `evolve`, the one evolution function, advances many runs at
-once as the columns of one state block; states are plain (B, 2^n) complex
-arrays, and measurement is the generator's readout. Each factor
-exp(-i dt (a X + diag d)) is its Chebyshev expansion truncated at unit
-roundoff, summed in monomial weights like a Taylor series and applied
-through real GEMMs with the flip operator X = 1/2 sum_i sigma^x_i
-plus elementwise diagonal products, on the block in the real layout
+breakpoints. `evolve(block, steps, initial)`, the one evolution function,
+advances the runs of a `RunBlock`, the arrays that describe them, at once
+as the columns of one (B, 2^n) complex state block; measurement is the
+generator's readout. Each factor is applied through real GEMMs with the
+flip operator X = 1/2 sum_i sigma^x_i, on the block in the real layout
 (2^h, 2B, 2^(n-h)): X = X_hi (x) I + I (x) X_lo is one GEMM from the left
 and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
 (up to five qubits h = n and X_hi = X). No eigendecomposition is taken.
-A block's step grids are tables of each run's segments between pulse
-breakpoints. From them the drive coefficients and step widths are built a
-slab of factor rows at a time, as array passes over all runs with one
-`pulses.evaluate` per pulse shape, and each chunk of a slab's factors,
-diagonal and drive coefficient, straight into the kernel's layout; the one
-rows x runs array is the factors' phases. The results do not depend on the
-chunk or slab size.
+The step grids are tables of each run's segments between breakpoints;
+from them the drive coefficients and step widths are built a slab of
+factor rows at a time, with `pulses.evaluate` on each drive at the real
+steps' nodes alone, and each chunk of a slab's factors straight into the
+kernel's layout. No result depends on the chunk or slab size.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .pulses import PulseProgram, breakpoint_times, evaluate
+from .pulses import SHAPES, breakpoint_times, evaluate
 
 C6_DEFAULT = 5_420_503.0  # rad/us * um^6
 MAX_QUBITS = 10
@@ -58,11 +54,9 @@ _SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class AtomArrangement:
-    """Atom positions s_i = (x_i, y_i) in um plus local-detuning couplings h_i.
-
-    The hardware geometry is checked by `GeneratorParams.validate`, so the
-    hardware-error model can carry perturbed copies.
-    """
+    """Atom positions s_i = (x_i, y_i) in um plus local-detuning couplings h_i,
+    checked by `GeneratorParams.validate` and, for every run evolved, by
+    `RunBlock`."""
 
     positions: tuple
     couplings: tuple
@@ -75,57 +69,81 @@ class AtomArrangement:
                 f"{len(pos)} positions but {len(coup)} couplings")
         if not pos:
             raise ValidationError("arrangement needs at least one atom")
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in pos):
-            raise ValidationError("atom positions must be finite")
-        if any(not 0.0 <= h <= 1.0 for h in coup):
-            raise ValidationError("couplings h_i must lie in [0, 1]")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "couplings", coup)
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.positions)
 
-    def position_array(self) -> np.ndarray:
-        return np.array(self.positions, dtype=float)
-
-    def coupling_array(self) -> np.ndarray:
-        return np.array(self.couplings, dtype=float)
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Complete description of one analog evolution.
-
-    The drive phase is always zero, so the spec has no phase field.
-    rabi_scale and local_detuning_shift default to the identity; the
-    hardware-error model (`generator.perturb_params`) draws them, scaling
-    the Rabi waveform multiplicatively and shifting the local-detuning
-    waveform additively (before the per-atom coupling weight is applied).
+@dataclass(frozen=True, eq=False)
+class RunBlock:
+    """B analog evolutions, one row per run: positions (B, n, 2) in um,
+    couplings h_i (B, n), global offset, C6, duration in us, the error
+    model's Rabi gain and local-detuning shift, and per drive (Rabi, local
+    detuning) the shape name, param, seed and full scale (B, 2) that
+    `drive` hands `pulses`. A value without the run axis is every run's;
+    the drive phase is zero. A broken rule names its field and first run.
     """
 
-    arrangement: AtomArrangement
-    rabi: PulseProgram
-    local_detuning: PulseProgram
-    global_detuning_offset: float
-    c6: float = C6_DEFAULT
-    rabi_scale: float = 1.0
-    local_detuning_shift: float = 0.0
+    positions: np.ndarray
+    couplings: np.ndarray
+    global_detuning_offset: np.ndarray
+    duration: np.ndarray
+    shapes: np.ndarray
+    params: np.ndarray
+    seeds: np.ndarray
+    full_scales: np.ndarray
+    c6: np.ndarray = C6_DEFAULT
+    rabi_scale: np.ndarray = 1.0
+    local_detuning_shift: np.ndarray = 0.0
 
     def __post_init__(self):
-        if not self.c6 > 0:
-            raise ValidationError(f"c6 must be positive, got {self.c6}")
-        if self.rabi.duration != self.local_detuning.duration:
-            raise ValidationError(
-                "rabi and local-detuning pulses must share one duration")
+        shape = np.shape(self.positions)
+        if len(shape) != 3 or not shape[0] or not 1 <= shape[1] <= MAX_QUBITS:
+            raise ValidationError(f"positions must be (runs, n_qubits in "
+                                  f"[1, {MAX_QUBITS}], 2), got {shape}")
+        batch, n = shape[:2]
+        tails = dict(positions=(n, 2), couplings=(n,), shapes=(2,), params=(2,),
+                     seeds=(2,), full_scales=(2,))
+        for name in [f.name for f in fields(self)]:
+            value = np.asarray(getattr(self, name), None if name == "shapes" else float)
+            want = (batch,) + tails.get(name, ())
+            try:
+                object.__setattr__(self, name, np.broadcast_to(value, want))
+            except ValueError:
+                raise ValidationError(f"{name} has shape {value.shape}, "
+                                      f"expected {want}") from None
+        for name, ok, rule in (
+                ("shapes", (self.shapes[..., None] == SHAPES).any(-1),
+                 f"must be pulse shapes {SHAPES}"),
+                ("full_scales", np.isfinite(self.full_scales) & (self.full_scales != 0),
+                 "must be finite and nonzero"),
+                ("duration", np.isfinite(self.duration) & (self.duration > 0),
+                 "must be finite and positive"),
+                ("c6", self.c6 > 0, "must be positive"),
+                *((name, np.isfinite(getattr(self, name)), "must be finite")
+                  for name in ("params", "seeds", "positions")),
+                ("couplings", (self.couplings >= 0) & (self.couplings <= 1),
+                 "must lie in [0, 1]")):
+            bad = np.flatnonzero(~ok.reshape(batch, -1).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"run {bad[0]}: {name} {rule}, got "
+                                      f"{getattr(self, name)[bad[0]].tolist()!r}")
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, rows) -> "RunBlock":
+        """The block of the runs at rows (a slice or an index array)."""
+        return RunBlock(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     @property
     def n_qubits(self) -> int:
-        return self.arrangement.n_atoms
+        return self.positions.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.rabi.duration
+    def drive(self, k: int) -> tuple:
+        """The Rabi (k = 0) or local-detuning (k = 1) drive of every run, as
+        `pulses` reads it: (shape, duration, param, seed, full_scale)."""
+        return (self.shapes[:, k], self.duration, self.params[:, k],
+                self.seeds[:, k], self.full_scales[:, k])
 
 
 def interaction_strength(s_i, s_j, c6=C6_DEFAULT):
@@ -154,7 +172,7 @@ def _flip_matrix(n: int) -> np.ndarray:
     return x
 
 
-def _diagonals(specs, occ: np.ndarray):
+def _diagonals(block: RunBlock, occ: np.ndarray):
     """(static, sumh), each (B, 2^n): the time-independent diagonal of each
     run's H and its coupling weights sum_i h_i n_i, so that
     H(t) = omega(t) * X + diag(static - dlocal(t) * sumh). A pair's strength
@@ -162,36 +180,23 @@ def _diagonals(specs, occ: np.ndarray):
     _propagate's stiffness check; each row sums its own terms alone.
     """
     i, j = np.triu_indices(occ.shape[1], 1)
-    pos = np.array([s.arrangement.positions for s in specs])
-    c6, offset = np.array([[s.c6, s.global_detuning_offset]
-                           for s in specs]).T[:, :, None]
-    strength = np.minimum(interaction_strength(pos[:, i], pos[:, j], c6), 1e300)
+    pos = block.positions
+    strength = np.minimum(
+        interaction_strength(pos[:, i], pos[:, j], block.c6[:, None]), 1e300)
     static = (strength[:, :, None] * (occ.T[i] * occ.T[j])).sum(axis=1)
-    coupling = np.array([s.arrangement.couplings for s in specs])
-    return static - offset * occ.sum(axis=1), (occ @ coupling[:, :, None])[:, :, 0]
+    return (static - block.global_detuning_offset[:, None] * occ.sum(axis=1),
+            (occ @ block.couplings[:, :, None])[:, :, 0])
 
 
-def default_steps(duration: float, steps_per_us: int = STEPS_PER_US) -> int:
-    """Steps of a run `duration` us long: `TrainConfig.steps`, which every
-    generator run is evolved with, and `evolve`'s default budget."""
-    return max(1, int(round(steps_per_us * duration)))
-
-
-def _shape_groups(pulses):
-    """[(rows, group)] per pulse shape of a block: the block rows that the
-    shape drives (a slice when it drives them all) and their pulses."""
-    shapes = np.array([pulse.shape for pulse in pulses])
-    groups = []
-    for shape in dict.fromkeys(shapes):
-        rows = np.flatnonzero(shapes == shape)
-        groups.append((slice(None) if len(rows) == len(pulses) else rows,
-                       [pulses[b] for b in rows]))
-    return groups
+def default_steps(duration, steps_per_us: int = STEPS_PER_US):
+    """Steps of runs `duration` us long, elementwise: `TrainConfig.steps`,
+    which every generator run is evolved with, and `evolve`'s default."""
+    return np.maximum(1, np.rint(np.multiply(steps_per_us, duration))).astype(int)
 
 
 def _step_tables(durations, budgets, drives):
     """(starts, dts, firsts): each run's step grid for its step budget,
-    aligned to the breakpoints of its pulses, as (runs, segments) tables of
+    aligned to the breakpoints of its drives, as (runs, segments) tables of
     each segment's start time, step width and first step index.
 
     The budget sets a target dt; each smooth segment between pulse kinks is
@@ -202,22 +207,16 @@ def _step_tables(durations, budgets, drives):
     last segment is a zero-width pad at t = 0 from the run's last step on,
     so that runs with fewer steps share the block's rows.
     """
-    batch = len(durations)
     ends = durations[:, None]
-    cuts = [np.zeros((batch, 1)), ends]
-    for groups in drives:
-        times = [(rows, breakpoint_times(group)) for rows, group in groups]
-        cuts.append(np.zeros((batch, max(t.shape[1] for _, t in times))))
-        for rows, t in times:
-            cuts[-1][rows, :t.shape[1]] = t
     # 0, the duration and every breakpoint between them, in order; the
     # others become copies of 0, which bound segments of no steps
-    cuts = np.concatenate(cuts, axis=1)
+    cuts = np.concatenate([np.zeros_like(ends), ends]
+                          + [breakpoint_times(drive) for drive in drives], axis=1)
     bounds = np.sort(np.where((cuts > 0.0) & (cuts <= ends), cuts, 0.0), axis=1)
     spans = np.diff(bounds, axis=1)
     counts = np.ceil(spans / (durations / budgets)[:, None] - 1e-9)
     counts = np.where(spans > 1e-12 * ends, np.maximum(1.0, counts), 0.0)
-    pad = np.zeros((batch, 1))
+    pad = np.zeros_like(ends)
     return (np.hstack([bounds[:, :-1], pad]),
             np.hstack([spans / np.maximum(counts, 1.0), pad]),
             np.hstack([pad.astype(int), np.cumsum(counts.astype(int), axis=1)]))
@@ -370,10 +369,10 @@ def _apply_vectors(psi, chunks):
     return powers[0].transpose(1, 0, 3, 2).copy().view(complex).reshape(batch, dim)
 
 
-def _propagate(specs, steps, initial, first) -> np.ndarray:
+def _propagate(block: RunBlock, steps, initial, first) -> np.ndarray:
     """evolve on one block of runs, sized by evolve, from row first."""
-    n = specs[0].n_qubits
-    dim, batch = 1 << n, len(specs)
+    n = block.n_qubits
+    dim, batch = 1 << n, len(block)
     high = 1 << _high_qubits(n)
     # a factor's diagonal is a (rows, B, 2^n) array. Up to five qubits, where
     # runs are the kernel's inner axis, its states are outermost in memory,
@@ -388,16 +387,14 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
         return np.moveaxis(_empty(shape[-1:] + shape[:-1]), 0, -1)
 
     half, sumh = work((batch, dim)), work((batch, dim))
-    half[:], sumh[:] = _diagonals(specs, _occupations(n))
+    half[:], sumh[:] = _diagonals(block, _occupations(n))
     half *= 0.5
-    durations, scales, shifts = np.array(
-        [(s.duration, s.rabi_scale, s.local_detuning_shift) for s in specs]).T
-    budgets = np.array([steps or default_steps(d) for d in durations])
-    drives = (_shape_groups([s.rabi for s in specs]),
-              _shape_groups([s.local_detuning for s in specs]))
-    starts, dts, firsts = _step_tables(durations, budgets, drives)
+    budgets = np.full(batch, steps) if steps else default_steps(block.duration)
+    drives = block.drive(0), block.drive(1)
+    starts, dts, firsts = _step_tables(block.duration, budgets, drives)
     # one row per Magnus factor, two per step in application order
-    rows = 2 * int(firsts[:, -1].max())
+    totals = firsts[:, -1]
+    rows = 2 * int(totals.max())
     # the segment ends of each run, offset past every step index of the runs
     # before it, so that one search finds the segment of every (run, step)
     lanes = np.arange(batch)[:, None]
@@ -421,7 +418,8 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     def fill(lo, hi):
         """The factor rows lo..hi of every run into coef, dlocal and width,
         as array passes over the slab's steps, from the first row of step
-        lo // 2, which it returns. A padded step's rows are zero."""
+        lo // 2, which it returns. The pulses are evaluated at the real
+        steps alone; a padded step's rows are zero."""
         step = np.arange(lo // 2, (hi + 1) // 2)
         used = slice(0, 2 * len(step))
         at = np.searchsorted(keyed, step + lanes * (rows + 1), side="right")
@@ -435,19 +433,23 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
         for c, node in enumerate(_NODES):
             np.multiply(dt, node, times[:, c])
             times[:, c] += start
-        values = np.empty((2, batch, len(step)))
-        for target, groups, noise, apply in ((coef, drives[0], scales, np.multiply),
-                                             (dlocal, drives[1], shifts, np.add)):
-            for group_rows, group in groups:
-                values[:, group_rows] = evaluate(
-                    group, times[group_rows]).transpose(1, 0, 2)
-            apply(values, noise[:, None], values)
+        # the steps that every run has are evaluated a row of times per run;
+        # of the rest, the longer runs' last steps, the real ones alone
+        head = int(np.searchsorted(step, totals.min()))
+        tail = step[head:] < totals[:, None]
+        runs = np.nonzero(tail)[0]
+        late = times[..., head:].transpose(0, 2, 1)[tail]
+        values = np.zeros((2, batch, len(step)))
+        for target, drive, noise, apply in (
+                (coef, drives[0], block.rabi_scale, np.multiply),
+                (dlocal, drives[1], block.local_detuning_shift, np.add)):
+            values[..., :head] = apply(evaluate(drive, times[..., :head], lanes[:, 0]),
+                                       noise[:, None, None]).transpose(1, 0, 2)
+            values[..., head:][:, tail] = apply(evaluate(drive, late, runs),
+                                                noise[runs][:, None]).T
             target[used].reshape(-1, 2, batch)[:] = (
                 _WEIGHTS @ values.reshape(2, -1)).reshape(
                     2, batch, -1).transpose(2, 0, 1)
-        padded = width[used] == 0.0
-        coef[used][padded] = 0.0
-        dlocal[used][padded] = 0.0
         return 2 * int(step[0])
 
     def chunks():
@@ -456,7 +458,7 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
                 base = fill(lo, min(lo + slab, rows))
             hi = min(lo + chunk, rows)
             part = slice(lo - base, hi - base)
-            block, diag = pairs[:hi - lo], diags[:hi - lo]
+            data, diag = pairs[:hi - lo], diags[:hi - lo]
             np.multiply(dlocal[part, :, None], sumh, diag)
             np.subtract(half, diag, diag)
             top, bottom = diag.max(axis=2), diag.min(axis=2)
@@ -484,12 +486,12 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
             np.subtract(diag, centre[:, :, None], diag)
             np.multiply(diag, scale[:, :, None], diag)
             # d and a into the real and imaginary slots of the kernel layout
-            diag = diag.reshape(len(block), batch, high, -1).transpose(0, 2, 1, 3)
-            block[:, 0, :, :, 0] = diag
-            block[:, 0, :, :, 1] = diag
-            block[:, 1] = np.repeat(coef[part] * scale, 2, axis=1).reshape(
-                len(block), 1, batch, 2, 1)
-            yield block, terms, subs
+            diag = diag.reshape(len(data), batch, high, -1).transpose(0, 2, 1, 3)
+            data[:, 0, :, :, 0] = diag
+            data[:, 0, :, :, 1] = diag
+            data[:, 1] = np.repeat(coef[part] * scale, 2, axis=1).reshape(
+                len(data), 1, batch, 2, 1)
+            yield data, terms, subs
 
     psi = _apply_vectors(initial, chunks())
     # each run's phase is summed along its own contiguous row, so a run's
@@ -497,16 +499,16 @@ def _propagate(specs, steps, initial, first) -> np.ndarray:
     return psi * np.exp(-1j * phases.sum(axis=1))[:, None]
 
 
-def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
-    """Final amplitudes (B, 2^n) of one Schrodinger evolution per spec.
+def evolve(block: RunBlock, steps: int | None = None, initial=None) -> np.ndarray:
+    """Final amplitudes (B, 2^n) of one Schrodinger evolution per run of
+    the block.
 
-    Row b integrates specs[b] over its own duration, starting from the
+    Row b integrates run b over its own duration, starting from the
     normalized initial[b] (default: the ground state). Every run keeps its
     own breakpoint-aligned step grid for the `steps` budget (default 250
     per us) and fourth-order commutator-free Magnus factors (Alvermann &
     Fehske, J. Comput. Phys. 230 (2011) 5930), so a row does not depend on
-    the rest of the batch beyond rounding. All specs share one qubit count
-    in [1, MAX_QUBITS].
+    the rest of the batch beyond rounding.
 
     Each factor exp(-i dt (a X + diag d)) is applied as its Chebyshev
     expansion truncated at unit roundoff (Tal-Ezer & Kosloff, J. Chem.
@@ -519,19 +521,10 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
     whose `run` is its row; atoms too far apart for C6 / r^6 to be a float
     do not interact.
     """
-    specs = list(specs)
-    if not specs:
-        raise ValidationError("evolve needs at least one spec")
-    n = specs[0].n_qubits
-    if any(spec.n_qubits != n for spec in specs):
-        raise ValidationError("all specs in one batch must share one qubit count")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     if steps is not None and steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    dim = 1 << n
     # the one (B, 2^n) array: the initial states, each block evolved in place
-    out = np.zeros((len(specs), dim), dtype=complex)
+    out = np.zeros((len(block), 1 << block.n_qubits), dtype=complex)
     if initial is None:
         out[:, 0] = 1.0
     else:
@@ -547,9 +540,9 @@ def evolve(specs, steps: int | None = None, initial=None) -> np.ndarray:
             raise ValidationError(f"initial state {bad[0]} not normalized: "
                                   f"sum |a_k|^2 = {norms[bad[0]]!r}")
     # a run has two factor rows per step, and a few more at its breakpoints
-    rows = 2 * (steps or max(default_steps(s.duration) for s in specs))
-    block = max(1, min(_MAX_BLOCK // dim, _MAX_FACTORS // rows))
-    for i in range(0, len(specs), block):
-        out[i:i + block] = _propagate(specs[i:i + block], steps,
-                                      out[i:i + block], i)
+    rows = 2 * int(steps or default_steps(block.duration.max()))
+    size = max(1, min(_MAX_BLOCK // out.shape[1], _MAX_FACTORS // rows))
+    for i in range(0, len(out), size):
+        part = block if size >= len(out) else block[i:i + size]
+        out[i:i + size] = _propagate(part, steps, out[i:i + size], i)
     return out

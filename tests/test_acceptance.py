@@ -19,12 +19,11 @@ import pytest
 
 from rydgan.data import fit_pca, scale_features, transform, unscale_features
 from rydgan.discriminator import bce_gradients, init_discriminator
-from rydgan.generator import (EXACT, ErrorModel, GeneratorParams, build_spec,
-                              draw_seeds, generate_batch, modulo_encode,
-                              perturb_params)
+from rydgan.generator import (EXACT, ErrorModel, draw_seeds, generate_batch,
+                              modulo_encode, perturb_params)
 from rydgan.metrics import (GaussianSummary, fid, greedy_select,
                             variation_scores)
-from rydgan.sim import AtomArrangement, evolve, interaction_strength
+from rydgan.sim import evolve, interaction_strength
 from rydgan.training import TrainConfig, initial_params, train_learners
 from tests.test_data import synthetic_digits
 from tests.test_metrics import naive_fid, random_summary
@@ -39,7 +38,7 @@ def test_rabi_physics_oracle():
     start = time.perf_counter()
     spec = constant_spec([(0.0, 0.0)], [0.0], omega=np.pi, dlocal=0.0,
                          dglobal=0.0)
-    p = np.abs(evolve([spec])[0]) ** 2
+    p = np.abs(evolve(spec)[0]) ** 2
     assert abs(p[1] - 1.0) < 1e-6
 
     rng = np.random.default_rng(1)
@@ -48,7 +47,7 @@ def test_rabi_physics_oracle():
         t = rng.uniform(0.1, 2.0)
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=omega, dlocal=0.0,
                              dglobal=0.0, duration=t)
-        p = np.abs(evolve([spec])[0]) ** 2
+        p = np.abs(evolve(spec)[0]) ** 2
         assert abs(p[1] - np.sin(omega * t / 2.0) ** 2) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"Rabi oracle took {elapsed:.2f}s"
@@ -61,12 +60,12 @@ def test_blockade_physics_oracle():
                                                                  abs=5e-4)
     close = constant_spec([(0.0, 0.0), (4.0, 0.0)], [0.0, 0.0],
                           omega=2.5, dlocal=0.0, dglobal=0.0)
-    p_close = np.abs(evolve([close])[0]) ** 2
+    p_close = np.abs(evolve(close)[0]) ** 2
     assert p_close[3] < 0.05
 
     far = constant_spec([(0.0, 0.0), (30.0, 0.0)], [0.0, 0.0],
                         omega=2.5, dlocal=0.0, dglobal=0.0)
-    p_far = np.abs(evolve([far])[0]) ** 2
+    p_far = np.abs(evolve(far)[0]) ** 2
     independent = np.sin(2.5 * 1.0 / 2.0) ** 2
     assert abs(p_far[3] - independent ** 2) < 1e-3
     elapsed = time.perf_counter() - start
@@ -78,9 +77,9 @@ def test_unitarity_and_convergence():
     rng = np.random.default_rng(2)
     for _ in range(50):
         spec = random_spec(rng, n=4)
-        p1 = np.abs(evolve([spec], steps=1000)[0]) ** 2
+        p1 = np.abs(evolve(spec, steps=1000)[0]) ** 2
         assert abs(np.sum(p1) - 1.0) < 1e-9
-        p2 = np.abs(evolve([spec], steps=2000)[0]) ** 2
+        p2 = np.abs(evolve(spec, steps=2000)[0]) ** 2
         assert np.abs(p1 - p2).max() < 1e-6
     report("unitarity and step-halving convergence")
 
@@ -194,16 +193,13 @@ def test_modulo_encoding_window():
 
 
 def test_error_model_statistics():
-    arr = AtomArrangement(((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5))
-    spec = build_spec(GeneratorParams(arr, "linear", 2.0, "triangle", -3.0,
-                                      0.5), 0.5)
+    pos = np.array(((6.0, 6.0), (12.0, 6.0)))
     detunings, gains, offsets = [], [], []
     for i in range(10_000):
-        out = perturb_params(spec, ErrorModel(rng_seed=i))
-        detunings.append(out.global_detuning_offset - 0.5)
-        gains.append(out.rabi_scale)
-        offsets.append(np.array(out.arrangement.positions)
-                       - np.array(spec.arrangement.positions))
+        out, d_global, _, gain = perturb_params(pos, ErrorModel(rng_seed=i))
+        detunings.append(d_global)
+        gains.append(gain)
+        offsets.append(out - pos)
     detunings = np.array(detunings)
     gains = np.array(gains)
     offsets = np.concatenate([o.reshape(-1) for o in offsets])

@@ -4,7 +4,8 @@ Each workload's inputs, written by the harness's own `write_inputs`, must
 validate as a run config, and its ensemble manifest must load, each member
 a learner of that run; otherwise a new check would fail every benchmark
 command of the workload without any test noticing. The harness's convergence sample,
-which calls the program's API directly, must run on them too.
+which calls the program's API directly, must run on them too, and the
+inputs of seed 3 hash to their pins.
 """
 
 import glob
@@ -17,6 +18,7 @@ import pytest
 import rydgan
 from rydgan import cli
 from rydgan.config import load_config
+from tests.test_scripts import assert_pinned
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench")
@@ -41,6 +43,13 @@ def test_workload_inputs_pass_validation(name, tmp_path):
         files, _ = cli._load_ensemble_members(config, config.digit_class,
                                               config.train_config())
         assert sorted(files) == sorted(os.path.basename(p) for p in members)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_inputs_equal_their_pins(name, tmp_path):
+    # the learner files among them are written by the program
+    digest = inputs.write_inputs(str(tmp_path), workloads.WORKLOADS[name], 3, rydgan)
+    assert_pinned(f"inputs {name} seed 3", digest)
 
 
 @pytest.mark.parametrize("name", ["generate-n6-noisy", "generate-n8-ideal"])

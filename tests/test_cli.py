@@ -1,6 +1,8 @@
 import collections
 import functools
 import gc
+import glob
+import hashlib
 import json
 import math
 import os
@@ -24,14 +26,14 @@ from rydgan.data import (fit_pca, inverse_transform, load_idx, load_pca,
                          read_idx_pair, unscale_features)
 from rydgan.errors import DataError, RydganError, ValidationError
 from rydgan.generator import (EXACT, TRAINABLE_SHAPES, GeneratorParams,
-                              build_spec, draw_seeds, generate_batch,
-                              perturb_params)
+                              draw_seeds, generate_batch, perturb_params)
 from rydgan.metrics import greedy_select
 from rydgan.neldermead import nelder_mead_steps
 from rydgan.sim import AtomArrangement
 from rydgan.training import Learner, load_learner
 from tests.test_data import (PAYLOAD_DEFECTS, PCA_ARRAYS, PcaFile, f8_field,
                              split_train_val, synthetic_digits, write_idx_pair)
+from tests.test_scripts import assert_pinned
 
 
 @pytest.fixture(scope="module")
@@ -452,9 +454,8 @@ class TestGenerate:
         config = load_config(str(cfg), {"out_dir": out})
         mode = cli._member_mode(config, "noisy", image, files.index(name))
         learner = load_learner(os.path.join(out, "learners", "class0", name))
-        seed = draw_seeds(np.random.default_rng(config.master_seed), 400)[image]
-        pos = perturb_params(build_spec(learner.learner.params, seed),
-                             mode.model).arrangement.position_array()
+        pos = perturb_params(np.array(learner.learner.params.arrangement.positions),
+                             mode.model)[0]
         assert np.linalg.norm(pos[0] - pos[1]) < 1.0
         assert not os.path.exists(os.path.join(out, "generated"))
 
@@ -511,6 +512,26 @@ class TestReproducible:
             trees.append(tree)
         assert len(trees[0]) > 10
         assert trees[0] == trees[1]
+
+    def test_smoke_tree_equals_its_pin(self, smoke_ini, pipeline_out, tmp_path):
+        # the PCA model, the learner files, the manifest, training_log.csv
+        # and the images of one generate call per mode
+        out = str(tmp_path / "out")
+        shutil.copytree(pipeline_out, out)
+        for mode in MODES:
+            assert main(["generate", "--mode", mode, "--config", smoke_ini,
+                         "--out", out]) == 0
+        names = sorted(os.path.relpath(path, out) for pattern in (
+            "*.pca", "ensemble_*.json", os.path.join("learners", "*", "*"),
+            os.path.join("generated", "*", "*", "*.pgm"))
+            for path in glob.glob(os.path.join(out, pattern)))
+        assert len(names) == 20
+        digest = hashlib.sha256()
+        for name in names:
+            digest.update(name.encode())
+            with open(os.path.join(out, name), "rb") as f:
+                digest.update(f.read())
+        assert_pinned("smoke pipeline tree", digest.hexdigest())
 
 
 class TestEvaluate:

@@ -9,9 +9,10 @@ from rydgan.errors import ValidationError
 from rydgan.generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                               SEED_HI, SEED_LO, TRAINABLE_SHAPES, ErrorModel,
                               GeneratorParams, NoisyMode, ShotsMode, TrainConfig,
-                              build_spec, draw_seeds, generate_batch,
+                              _block, draw_seeds, generate_batch,
                               generate_features, modulo_encode, perturb_params)
 from rydgan.pulses import DEFAULT_LIMITS, PulseLimits, breakpoint_times, evaluate
+from rydgan import sim
 from rydgan.sim import AtomArrangement, evolve
 
 
@@ -25,6 +26,11 @@ def square_params(**kw):
         global_detuning_offset=0.5)
     defaults.update(kw)
     return GeneratorParams(**defaults)
+
+
+def one_run(params, seed, run=TrainConfig()):
+    """The one-run block of an exact run of params at seed under run."""
+    return _block([(params, seed, EXACT)], run)
 
 
 class TestModuloEncode:
@@ -150,16 +156,15 @@ class TestGenerateFeatures:
         with pytest.raises(ValidationError):
             generate_features(square_params(), 0.0)
 
-    def test_build_spec_shares_one_seed_scalar(self):
+    def test_block_shares_one_seed_scalar(self):
         params = square_params()
-        spec = build_spec(params, 0.5)
-        assert spec.rabi.seed == spec.local_detuning.seed == 0.5
-        assert spec.rabi.full_scale == 15.8
-        assert spec.local_detuning.full_scale == -125.0
+        spec = one_run(params, 0.5)
+        assert spec.seeds.tolist() == [[0.5, 0.5]]
+        assert spec.full_scales.tolist() == [[15.8, -125.0]]
 
-    def test_build_spec_takes_the_run_duration(self):
-        spec = build_spec(square_params(), 0.5, TrainConfig(duration_us=0.6))
-        assert spec.rabi.duration == spec.local_detuning.duration == 0.6
+    def test_block_takes_the_run_duration(self):
+        spec = one_run(square_params(), 0.5, TrainConfig(duration_us=0.6))
+        assert spec.duration.tolist() == [0.6]
 
 
 # a legal configuration whose drives reach twice the default full scale
@@ -183,14 +188,14 @@ class TestSeedFullScale:
         params = square_params(rabi_shape=shape, local_shape=shape)
         ts = np.linspace(0.0, 1.0, 1001)
         for seed in (0.1, 0.35, 0.6, 0.85, 1.0):
-            ref = build_spec(params, seed)
+            ref = one_run(params, seed)
             for factor in (2.0, 0.5):
                 limits = PulseLimits(
                     omega_max=factor * DEFAULT_LIMITS.omega_max,
                     local_detuning_min=factor * DEFAULT_LIMITS.local_detuning_min)
-                spec = build_spec(params, seed, TrainConfig(limits=limits))
-                for a, b in ((ref.rabi, spec.rabi),
-                             (ref.local_detuning, spec.local_detuning)):
+                spec = one_run(params, seed, TrainConfig(limits=limits))
+                for a, b in ((ref.drive(0), spec.drive(0)),
+                             (ref.drive(1), spec.drive(1))):
                     assert np.allclose(breakpoint_times(a), breakpoint_times(b),
                                        rtol=0.0, atol=1e-12)
                     assert np.abs(evaluate(a, ts) - evaluate(b, ts)).max() <= 1e-12
@@ -218,7 +223,7 @@ class TestGenerateBatch:
         params = square_params(rabi_shape="sine_bump", local_shape="gaussian")
         seeds = (0.3, 0.65, 1.0)
         batch = generate_batch([(params, s, EXACT) for s in seeds], run)
-        amps = evolve([build_spec(params, s, run) for s in seeds], 120)
+        amps = evolve(_block([(params, s, EXACT) for s in seeds], run), 120)
         assert batch.tobytes() == modulo_encode(np.abs(amps) ** 2).tobytes()
 
     @pytest.mark.parametrize("steps", [0, 10_001])
@@ -231,65 +236,106 @@ class TestGenerateBatch:
             generate_batch([])
         two = square_params(arrangement=AtomArrangement(
             ((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^run 1: positions"):
             generate_batch([(square_params(), 0.5, EXACT), (two, 0.5, EXACT)])
 
+    @pytest.mark.parametrize("field, run", [
+        ("shapes", (square_params(local_shape="sawtooth"), 0.5, EXACT)),
+        ("params", (square_params(rabi_param=float("nan")), 0.5, EXACT)),
+        ("seed", (square_params(), float("nan"), EXACT)),
+        # this draw moves an atom past the float range
+        ("positions", (square_params(), 0.5, NoisyMode(ErrorModel(
+            position_sigma=1e308, rng_seed=2)))),
+        ("positions", (square_params(arrangement=AtomArrangement(
+            ((6.0, 6.0),), (0.5,))), 0.5, EXACT)),
+    ], ids=["shape", "param", "seed", "noisy-positions", "qubit-count"])
+    def test_a_broken_run_names_its_field_and_row(self, field, run):
+        good = (square_params(), 0.7, EXACT)
+        with pytest.raises(ValidationError, match=rf"^run 2: {field}"):
+            generate_batch([good, good, run, run])
 
-def square_spec():
-    return build_spec(square_params(), 0.5)
+    def test_a_broken_run_stops_the_call_before_any_work(self, monkeypatch):
+        # its run is the last, in the last of four one-run blocks
+        evolved = []
+        monkeypatch.setattr(sim, "_propagate", lambda *args: evolved.append(args))
+        monkeypatch.setattr(sim, "_MAX_BLOCK", 1)
+        good = (square_params(), 0.7, EXACT)
+        broken = (square_params(rabi_param=float("inf")), 0.7, EXACT)
+        with pytest.raises(ValidationError, match="^run 3: params"):
+            generate_batch([good, good, good, broken])
+        assert not evolved
+
+
+def square_positions():
+    return np.array(square_params().arrangement.positions)
 
 
 class TestPerturbParams:
+    """perturb_params draws (positions, global shift, local shift, gain)."""
+
     def test_zero_sigmas_identity(self):
-        spec = square_spec()
+        pos = square_positions()
         model = ErrorModel(0.0, 0.0, 0.0, rng_seed=1)
-        out = perturb_params(spec, model)
-        assert out == spec
+        out, *noise = perturb_params(pos, model)
+        assert np.array_equal(out, pos) and noise == [0.0, 0.0, 1.0]
 
     def test_same_seed_same_perturbation(self):
-        spec = square_spec()
+        pos = square_positions()
         model = ErrorModel(rng_seed=77)
-        assert perturb_params(spec, model) == perturb_params(spec, model)
+        first, *noise = perturb_params(pos, model)
+        again, *repeat = perturb_params(pos, model)
+        assert np.array_equal(first, again) and noise == repeat
 
     def test_position_sigma_statistics(self):
-        spec = square_spec()
+        pos = square_positions()
         draws = []
         for i in range(10_000):
-            out = perturb_params(spec, ErrorModel(rng_seed=i))
-            delta = (np.array(out.arrangement.positions)
-                     - np.array(spec.arrangement.positions))
+            out = perturb_params(pos, ErrorModel(rng_seed=i))[0]
+            delta = out - pos
             draws.append(delta.reshape(-1))
         draws = np.concatenate(draws)
         assert 0.095 <= draws.std() <= 0.105
         assert abs(draws.mean()) < 0.005
 
     def test_detuning_sigma_statistics(self):
-        spec = square_spec()
+        pos = square_positions()
         deltas = np.array([
-            perturb_params(spec, ErrorModel(rng_seed=i)).global_detuning_offset
-            - spec.global_detuning_offset for i in range(10_000)])
+            perturb_params(pos, ErrorModel(rng_seed=i))[1]
+            for i in range(10_000)])
         assert abs(deltas.std() - 0.1) / 0.1 < 0.05
         assert abs(deltas.mean()) < 0.005
 
     def test_local_shift_statistics(self):
-        spec = square_spec()
+        pos = square_positions()
         shifts = np.array([
-            perturb_params(spec, ErrorModel(rng_seed=i)).local_detuning_shift
+            perturb_params(pos, ErrorModel(rng_seed=i))[2]
             for i in range(10_000)])
         assert abs(shifts.std() - 0.1) / 0.1 < 0.05
 
     def test_rabi_gain_statistics(self):
-        spec = square_spec()
+        pos = square_positions()
         gains = np.array([
-            perturb_params(spec, ErrorModel(rng_seed=i)).rabi_scale
+            perturb_params(pos, ErrorModel(rng_seed=i))[3]
             for i in range(10_000)])
         assert abs(gains.std() - 0.01) / 0.01 < 0.05
         assert abs(gains.mean() - 1.0) < 0.001
 
     def test_original_untouched(self):
-        spec = square_spec()
-        perturb_params(spec, ErrorModel(rng_seed=3))
-        assert spec == square_spec()
+        pos = square_positions()
+        perturb_params(pos, ErrorModel(rng_seed=3))
+        assert np.array_equal(pos, square_positions())
+
+    def test_a_noisy_run_holds_its_own_draw(self):
+        # the block's rows of a noisy run are the nominal values with the
+        # draw applied, the exact run beside it keeps them
+        params, model = square_params(), ErrorModel(rng_seed=5)
+        block = _block([(params, 0.5, NoisyMode(model)), (params, 0.5, EXACT)],
+                       TrainConfig())
+        pos, d_global, d_local, gain = perturb_params(square_positions(), model)
+        assert np.array_equal(block.positions, [pos, square_positions()])
+        assert block.global_detuning_offset.tolist() == [0.5 + d_global, 0.5]
+        assert block.local_detuning_shift.tolist() == [d_local, 0.0]
+        assert block.rabi_scale.tolist() == [gain, 1.0]
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):
@@ -380,9 +426,9 @@ def test_hardware_envelope_implies_legal_waveforms(rabi, local, seed, limits):
             params = params.with_group(group,
                                        lo + np.array(fractions) * (hi - lo))
         params.validate(limits)
-        spec = build_spec(params, seed, TrainConfig(limits=limits))
-        omega, dlocal = (evaluate(spec.rabi, ts),
-                         evaluate(spec.local_detuning, ts))
+        spec = one_run(params, seed, TrainConfig(limits=limits))
+        omega, dlocal = (evaluate(spec.drive(0), ts),
+                         evaluate(spec.drive(1), ts))
         for values in (omega, dlocal):
             assert abs(values[0]) <= tol and abs(values[-1]) <= tol
         assert -tol <= omega.min() and omega.max() <= limits.omega_max + tol

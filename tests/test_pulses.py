@@ -3,17 +3,30 @@ import pytest
 
 from rydgan import pulses as pulses_module
 from rydgan.errors import ValidationError
-from rydgan.pulses import (DEFAULT_LIMITS, PulseLimits, PulseProgram, SHAPES,
+from rydgan.pulses import (DEFAULT_LIMITS, PulseLimits, SHAPES,
                            breakpoint_times, evaluate)
+from rydgan.sim import RunBlock
 
 RABI_LOCAL_SHAPES = [s for s in SHAPES if s != "constant"]
 OMEGA = DEFAULT_LIMITS.omega_max
 
 
+def one_run(shape, full_scale, param, seed=0.0, duration=1.0):
+    """A one-run block whose two drives are this pulse."""
+    return RunBlock(positions=[[(0.0, 0.0)]], couplings=[[0.0]],
+                    global_detuning_offset=0.0, duration=duration,
+                    shapes=[(shape, shape)], params=param, seeds=seed,
+                    full_scales=full_scale)
+
+
 def make_pulse(shape, full_scale, param, seed_noise=0.0, **kw):
-    """A pulse whose seed is given in the drive's units."""
-    return PulseProgram(shape=shape, full_scale=full_scale, param=param,
-                        seed=seed_noise / full_scale, **kw)
+    """One run's drive, its seed given in the drive's units."""
+    return one_run(shape, full_scale, param, seed_noise / full_scale, **kw).drive(0)
+
+
+def stack(pulses):
+    """One drive of the pulses' runs, in order."""
+    return tuple(map(np.concatenate, zip(*pulses)))
 
 
 class TestEvaluate:
@@ -55,11 +68,11 @@ class TestEvaluate:
         assert np.array_equal(arr, scalars)
 
     def test_unknown_shape_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="shapes must be pulse shapes"):
             make_pulse("sawtooth", OMEGA, 1.0)
 
     def test_bad_duration_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="duration"):
             make_pulse("linear", OMEGA, 1.0, duration=0.0)
 
 
@@ -112,7 +125,7 @@ def test_every_kink_is_a_breakpoint(shape):
         # differences around it by at least s h / 2, about max|v| / cells
         bend = np.abs(v[:-2] - 2.0 * v[1:-1] + v[2:])
         kinks = t[1:-1][bend > 1e3 * np.abs(v).max() / cells ** 2]
-        cuts = np.array(breakpoint_times(pulse))
+        cuts = breakpoint_times(pulse)[0]
         gaps = np.abs(kinks[:, None] - cuts).min(axis=1, initial=np.inf)
         assert (gaps <= 1.000001 * duration / cells).all(), (pulse, kinks)
 
@@ -128,22 +141,39 @@ def test_a_group_evaluates_each_pulse_as_alone(shape):
                         seed_noise=rng.uniform(0.1, 1.0) * scale,
                         duration=rng.choice([1.0, 0.6, 3.7]))
              for scale in rng.choice([OMEGA, DEFAULT_LIMITS.local_detuning_min], 40)]
-    cuts = breakpoint_times(group)
-    t = np.concatenate([cuts, rng.uniform(0.0, 1.0, (len(group), 2000))
-                        * [[pulse.duration] for pulse in group]], axis=1)
-    values = evaluate(group, t)
-    for pulse, row, cut, value in zip(group, t, cuts, values):
-        assert np.array_equal(breakpoint_times(pulse), cut)
+    assert_each_run_as_alone(stack(group), group, rng)
+
+
+def assert_each_run_as_alone(drive, pulses, rng):
+    """Each run of the drive, at a row of times (its breakpoints among
+    them), gives the values and breakpoints of its pulse alone, bit for
+    bit; a piecewise-linear shape gives np.interp's values on its knots."""
+    cuts = breakpoint_times(drive)
+    t = np.concatenate([cuts, rng.uniform(0.0, 1.0, (len(pulses), 2000))
+                        * drive[1][:, None]], axis=1)
+    values = evaluate(drive, t, np.arange(len(pulses)))
+    flat = evaluate(drive, t.ravel(), np.repeat(np.arange(len(pulses)), t.shape[1]))
+    assert np.array_equal(flat, values.ravel())
+    for pulse, row, cut, value in zip(pulses, t, cuts, values):
+        alone = breakpoint_times(pulse)[0]
+        assert np.array_equal(alone, cut[:len(alone)]) and not cut[len(alone):].any()
         assert np.array_equal(evaluate(pulse, row), value)
-        knots, interior, _ = pulses_module._shape(*pulses_module._fields(pulse))
+        knots, interior, _ = pulses_module._shape(
+            pulse[0][0], *(float(field[0]) for field in pulse[1:]))
         if interior is None:
             assert np.array_equal(value, np.interp(row, *zip(*knots)))
 
 
-def test_a_group_needs_one_shape():
-    with pytest.raises(ValidationError, match="one shape"):
-        evaluate([make_pulse("linear", OMEGA, 1.0), make_pulse("triangle", OMEGA, 1.0)],
-                 np.zeros((2, 3)))
+def test_a_drive_of_mixed_shapes_evaluates_each_run_as_alone():
+    """Runs of every shape in one drive, in any order, by row or with the
+    run of each time given."""
+    rng = np.random.default_rng(60)
+    pulses = [make_pulse(shape, scale, rng.uniform(0.0, 1.0) * scale,
+                         seed_noise=rng.uniform(0.1, 1.0) * scale,
+                         duration=rng.choice([1.0, 0.6, 3.7]))
+              for shape, scale in zip(rng.choice(SHAPES, 60), rng.choice(
+                  [OMEGA, DEFAULT_LIMITS.local_detuning_min], 60))]
+    assert_each_run_as_alone(stack(pulses), pulses, rng)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -157,4 +187,4 @@ def test_limits_reject_out_of_range_bounds(field, value):
 @pytest.mark.parametrize("full_scale", [0.0, -0.0, np.nan, np.inf, -np.inf])
 def test_full_scale_must_be_finite_and_nonzero(full_scale):
     with pytest.raises(ValidationError, match="full_scale"):
-        PulseProgram(shape="triangle", full_scale=full_scale, param=1.0)
+        one_run("triangle", full_scale, 1.0)

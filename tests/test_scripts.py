@@ -1,6 +1,8 @@
 """The measurement scripts under `scripts/` stay runnable: every program
 name they reach exists, and `evolve_digest.py` prints a digest per case,
-each equal to its pinned value."""
+each equal to its pinned value. `assert_pinned` compares the other pins
+of tests/pinned_digests.json: the benchmark's input hashes and the smoke
+pipeline's artefacts."""
 
 import glob
 import json
@@ -28,6 +30,20 @@ def provenance() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"numpy {np.__version__}, {blas.get('name', 'unknown')} "
             f"{blas.get('version', 'unknown')}, {platform.machine()}")
+
+
+def assert_pinned(name: str, value: str):
+    """value equals the pin of name for this numpy, BLAS and machine. With
+    nothing pinned for them, skip and say how to pin it."""
+    key = provenance()
+    with open(PINS, encoding="utf-8") as f:
+        pins = json.load(f)
+    if key not in pins:
+        pytest.skip(f"nothing pinned for {key!r}; to pin {name}, add "
+                    f"{json.dumps({name: value})} under that key in {PINS}")
+    assert pins[key].get(name) == value, (
+        f"{name} moved for {key!r}: {pins[key].get(name)} -> {value}; if the "
+        f"move is intended, update {PINS} and record old -> new")
 
 
 def name_chains(paths, name: str) -> set:

@@ -11,10 +11,26 @@ from hypothesis import strategies as st
 from rydgan import generator, sim
 from rydgan.errors import NumericError, ValidationError
 from rydgan.generator import EXACT, GeneratorParams, ShotsMode
-from rydgan.pulses import PulseProgram, breakpoint_times, evaluate
-from rydgan.sim import (AtomArrangement, C6_DEFAULT, HamiltonianSpec,
-                        _diagonals, _flip_matrix, _occupations, evolve,
+from rydgan.pulses import breakpoint_times, evaluate
+from rydgan.sim import (AtomArrangement, C6_DEFAULT, RunBlock, _diagonals,
+                        _flip_matrix, _occupations, evolve,
                         interaction_strength)
+
+
+def one_run(positions, couplings, offset, shapes, params, seeds,
+            full_scales=(15.8, -125.0), duration=1.0, **kw):
+    """A one-run block: one atom list, and one (Rabi, local) pair per drive
+    field."""
+    return RunBlock(positions=[positions], couplings=[couplings],
+                    global_detuning_offset=offset, duration=duration,
+                    shapes=[shapes], params=[params], seeds=[seeds],
+                    full_scales=[full_scales], **kw)
+
+
+def stack(blocks):
+    """The blocks' runs, in order, as one block."""
+    return RunBlock(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+                       for f in dataclasses.fields(RunBlock)})
 
 
 def ground(n):
@@ -30,9 +46,9 @@ def step_grid(spec, steps: int):
     smooth segment between the pulses' breakpoints is covered by uniform
     steps no wider than duration / steps; breakpoints closer than 1e-12 of
     the duration merge."""
-    duration = spec.duration
-    cuts = np.concatenate([breakpoint_times(spec.rabi),
-                           breakpoint_times(spec.local_detuning)])
+    duration = float(spec.duration[0])
+    cuts = np.concatenate([breakpoint_times(spec.drive(0))[0],
+                           breakpoint_times(spec.drive(1))[0]])
     bounds = sorted({0.0, duration} | {t for t in cuts if 0.0 < t < duration})
     dt_target = duration / steps
     starts, dts = [np.empty(0)], [np.empty(0)]
@@ -49,14 +65,14 @@ def step_grid(spec, steps: int):
 
 def drive_values(spec, t):
     """(Omega, Delta_local) of one run at the times t, noise included."""
-    return (spec.rabi_scale * evaluate(spec.rabi, t),
-            evaluate(spec.local_detuning, t) + spec.local_detuning_shift)
+    return (spec.rabi_scale[0] * evaluate(spec.drive(0), t),
+            evaluate(spec.drive(1), t) + spec.local_detuning_shift[0])
 
 
 def build_hamiltonian(spec, t):
     """Dense Hermitian H(t) over the 2^n computational basis, assembled from
     the diagonals, drive values and flip matrix that `evolve` uses."""
-    (static,), (sumh,) = _diagonals([spec], _occupations(spec.n_qubits))
+    (static,), (sumh,) = _diagonals(spec, _occupations(spec.n_qubits))
     omega, dlocal = drive_values(spec, float(t))
     return omega * _flip_matrix(spec.n_qubits) + np.diag(static - dlocal * sumh)
 
@@ -80,45 +96,32 @@ def evolve_eigh(amplitudes, spec, steps):
 
 
 def constant_spec(positions, couplings, omega, dlocal, dglobal, duration=1.0):
-    """Spec with flat drives (constant shape ignores the endpoint rules)."""
-    n = len(positions)
-    return HamiltonianSpec(
-        arrangement=AtomArrangement(tuple(positions), tuple(couplings)),
-        rabi=PulseProgram(shape="constant", full_scale=15.8, param=omega,
-                          duration=duration),
-        local_detuning=PulseProgram(shape="constant", full_scale=-125.0,
-                                    param=dlocal, duration=duration),
-        global_detuning_offset=dglobal)
+    """A run with flat drives (constant shape ignores the endpoint rules)."""
+    return one_run(positions, couplings, dglobal, ("constant", "constant"),
+                   (omega, dlocal), (0.0, 0.0), duration=duration)
 
 
 def random_spec(rng, n=4, duration=1.0):
-    """Legal-range random spec: seeded shaped pulses, spacing >= 4 um."""
+    """Legal-range random run: seeded shaped pulses, spacing >= 4 um."""
     while True:
         pos = rng.uniform(0.0, 20.0, size=(n, 2))
         d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
         if n == 1 or d[np.triu_indices(n, 1)].min() >= 4.0:
             break
     shapes = ("linear", "triangle", "trapezoid", "gaussian", "sine_bump")
-    rabi = PulseProgram(shape=shapes[rng.integers(len(shapes))],
-                        full_scale=15.8, param=rng.uniform(0.0, 15.8),
-                        seed=rng.uniform(1.58, 15.8) / 15.8,
-                        duration=duration)
-    local = PulseProgram(shape=shapes[rng.integers(len(shapes))],
-                         full_scale=-125.0,
-                         param=-rng.uniform(0.0, 125.0),
-                         seed=rng.uniform(12.5, 125.0) / 125.0,
-                         duration=duration)
-    return HamiltonianSpec(
-        arrangement=AtomArrangement(tuple(map(tuple, pos)),
-                                    tuple(rng.uniform(0, 1, n))),
-        rabi=rabi, local_detuning=local,
-        global_detuning_offset=rng.uniform(-125.0, 125.0))
+    rabi = (shapes[rng.integers(len(shapes))], rng.uniform(0.0, 15.8),
+            rng.uniform(1.58, 15.8) / 15.8)
+    local = (shapes[rng.integers(len(shapes))], -rng.uniform(0.0, 125.0),
+             rng.uniform(12.5, 125.0) / 125.0)
+    couplings = rng.uniform(0, 1, n)
+    return one_run(pos, couplings, rng.uniform(-125.0, 125.0), *zip(rabi, local),
+                   duration=duration)
 
 
 def assert_default_start_is_ground(n):
     spec = random_spec(np.random.default_rng(n), n)
-    assert np.array_equal(evolve([spec], steps=20),
-                          evolve([spec], steps=20, initial=[ground(n)]))
+    assert np.array_equal(evolve(spec, steps=20),
+                          evolve(spec, steps=20, initial=[ground(n)]))
 
 
 class TestGroundState:
@@ -132,15 +135,14 @@ class TestGroundState:
         assert_default_start_is_ground(1)
 
     def test_cap(self):
-        spec = constant_spec([(6.0 * i, 0.0) for i in range(11)], [0.5] * 11,
-                             omega=1.0, dlocal=0.0, dglobal=0.0)
         with pytest.raises(ValidationError, match="n_qubits"):
-            evolve([spec])
+            evolve(constant_spec([(6.0 * i, 0.0) for i in range(11)], [0.5] * 11,
+                                 omega=1.0, dlocal=0.0, dglobal=0.0))
 
     def test_non_normalized_state_rejected(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0)
         with pytest.raises(ValidationError, match="initial state 1"):
-            evolve([spec, spec], initial=np.array([[1.0, 0.0], [1.0, 1.0]]))
+            evolve(stack([spec, spec]), initial=np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 class TestInteractionStrength:
@@ -182,16 +184,16 @@ def diagonal_oracle(spec):
     """(static, sumh, scale) of one run, basis state by basis state: C6 /
     r^6 over each excited pair less the offset per excitation, sum_i h_i
     n_i, and the sum of the magnitudes of static's terms."""
-    n, arrangement = spec.n_qubits, spec.arrangement
+    n, positions = spec.n_qubits, spec.positions[0].tolist()
+    c6, offset = float(spec.c6[0]), float(spec.global_detuning_offset[0])
     static, sumh, scale = (np.zeros(1 << n) for _ in range(3))
     for k in range(1 << n):
         up = [i for i in range(n) if k >> (n - 1 - i) & 1]
-        pairs = [spec.c6 / math.dist(arrangement.positions[i],
-                                     arrangement.positions[j]) ** 6
+        pairs = [c6 / math.dist(positions[i], positions[j]) ** 6
                  for a, i in enumerate(up) for j in up[a + 1:]]
-        static[k] = sum(pairs) - spec.global_detuning_offset * len(up)
-        scale[k] = sum(pairs) + abs(spec.global_detuning_offset) * len(up)
-        sumh[k] = sum(arrangement.couplings[i] for i in up)
+        static[k] = sum(pairs) - offset * len(up)
+        scale[k] = sum(pairs) + abs(offset) * len(up)
+        sumh[k] = sum(float(spec.couplings[0, i]) for i in up)
     return static, sumh, scale
 
 
@@ -212,7 +214,7 @@ class TestDiagonals:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_match_the_brute_force_oracle(self, n):
         specs = mixed_block(np.random.default_rng(40 + n), n)
-        static, sumh = _diagonals(specs, _occupations(n))
+        static, sumh = _diagonals(stack(specs), _occupations(n))
         for spec, row, weights in zip(specs, static, sumh):
             want, want_h, scale = diagonal_oracle(spec)
             assert np.all(np.abs(row - want) <= 1e-12 * scale)
@@ -221,16 +223,16 @@ class TestDiagonals:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_rows_do_not_depend_on_the_block(self, n):
         specs = mixed_block(np.random.default_rng(50 + n), n) * 3
-        static, sumh = _diagonals(specs, _occupations(n))
+        static, sumh = _diagonals(stack(specs), _occupations(n))
         for b, spec in enumerate(specs):
-            (alone,), (alone_h,) = _diagonals([spec], _occupations(n))
+            (alone,), (alone_h,) = _diagonals(spec, _occupations(n))
             assert np.array_equal(alone, static[b])
             assert np.array_equal(alone_h, sumh[b])
 
     def test_coincident_atoms_leave_a_finite_diagonal(self):
         spec = constant_spec([(1.0, 2.0), (1.0, 2.0), (9.0, 2.0)], [0.5] * 3,
                              omega=2.0, dlocal=0.0, dglobal=0.0)
-        (static,), _ = _diagonals([spec], _occupations(3))
+        (static,), _ = _diagonals(spec, _occupations(3))
         assert np.isfinite(static).all() and static[-1] > 1e299
 
 
@@ -280,15 +282,11 @@ class TestBuildHamiltonian:
             build_hamiltonian(spec, 1.5)
 
     def test_mismatched_durations_rejected(self):
-        with pytest.raises(ValidationError):
-            HamiltonianSpec(
-                arrangement=AtomArrangement(((0.0, 0.0),), (0.0,)),
-                rabi=PulseProgram(shape="constant", full_scale=15.8, param=1.0,
-                                  duration=1.0),
-                local_detuning=PulseProgram(shape="constant",
-                                            full_scale=-125.0, param=0.0,
-                                            duration=2.0),
-                global_detuning_offset=0.0)
+        # a run has one duration, which both drives share: one per drive
+        # is a misshapen field
+        with pytest.raises(ValidationError, match="duration"):
+            constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0, duration=[[1.0, 2.0]])
+
 
 
 class TestEvolve:
@@ -296,20 +294,20 @@ class TestEvolve:
         spec = constant_spec([(0.0, 0.0), (8.0, 37.0)], [0.5, 0.5],
                              omega=0.0, dlocal=0.0, dglobal=0.0)
         # far-separated atoms, no drive: only a tiny interaction term
-        out = evolve([spec], steps=100)[0]
+        out = evolve(spec, steps=100)[0]
         assert np.allclose(out, ground(2), atol=1e-12)
 
     def test_rabi_oscillation_analytic(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=np.pi, dlocal=0.0,
                              dglobal=0.0)
-        p = np.abs(evolve([spec])[0]) ** 2
+        p = np.abs(evolve(spec)[0]) ** 2
         assert p[1] == pytest.approx(np.sin(np.pi * 1.0 / 2.0) ** 2, abs=1e-6)
         assert p[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_ground_state_is_detuning_eigenstate(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], omega=0.0, dlocal=0.0,
                              dglobal=5.0)
-        out = evolve([spec])[0]
+        out = evolve(spec)[0]
         assert np.allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-12)
 
     def test_matches_direct_diagonalization_oracle(self):
@@ -319,28 +317,28 @@ class TestEvolve:
         h = build_hamiltonian(spec, 0.0)
         w, v = np.linalg.eigh(h)
         expected = v @ (np.exp(-1j * w * 1.0) * (v.conj().T @ ground(2)))
-        out = evolve([spec])[0]
+        out = evolve(spec)[0]
         assert np.abs(out - expected).max() < 1e-8
 
     def test_unitarity_random_specs(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             spec = random_spec(rng)
-            out = evolve([spec], steps=400)[0]
+            out = evolve(spec, steps=400)[0]
             assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-9
 
     def test_step_halving_convergence(self):
         rng = np.random.default_rng(17)
         spec = random_spec(rng)
-        p1 = np.abs(evolve([spec], steps=1000)[0]) ** 2
-        p2 = np.abs(evolve([spec], steps=2000)[0]) ** 2
+        p1 = np.abs(evolve(spec, steps=1000)[0]) ** 2
+        p2 = np.abs(evolve(spec, steps=2000)[0]) ** 2
         assert np.abs(p1 - p2).max() < 1e-6
 
     def test_fourth_order_convergence_rate(self):
         rng = np.random.default_rng(23)
         spec = random_spec(rng)
-        ref = np.abs(evolve([spec], steps=4000)[0]) ** 2
-        errs = [np.abs(np.abs(evolve([spec], steps=s)[0]) ** 2 - ref).max()
+        ref = np.abs(evolve(spec, steps=4000)[0]) ** 2
+        errs = [np.abs(np.abs(evolve(spec, steps=s)[0]) ** 2 - ref).max()
                 for s in (125, 250, 500)]
         # halving dt should cut the error by roughly 2^4
         assert errs[0] / errs[1] > 8.0
@@ -359,13 +357,11 @@ class TestEvolve:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "breakpoint_times", twinned)
             _, widths, firsts = sim._step_tables(
-                np.array([duration]), np.array([1]),
-                [sim._shape_groups([pulse])
-                 for pulse in (spec.rabi, spec.local_detuning)])
+                np.array([duration]), np.array([1]), (spec.drive(0), spec.drive(1)))
         dts = np.repeat(widths[0, :-1], np.diff(firsts[0]))
         assert dts.sum() == pytest.approx(duration, rel=1e-12, abs=0.0)
         assert dts.min() > 1e-12 * duration
-        out = evolve([spec])[0]
+        out = evolve(spec)[0]
         assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-9
         if duration < 1e-9:
             assert abs(out[0]) ** 2 == pytest.approx(1.0, abs=1e-9)
@@ -373,7 +369,51 @@ class TestEvolve:
     def test_qubit_count_mismatch(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
-            evolve([spec], initial=[ground(2)])
+            evolve(spec, initial=[ground(2)])
+
+
+def with_run(block, name, value, rows):
+    """A copy of block whose field name holds value at the runs rows."""
+    field = getattr(block, name).copy()
+    field[rows] = value
+    return dataclasses.replace(block, **{name: field})
+
+
+# each rule a block keeps: the field and a value at one run that breaks it
+BLOCK_RULES = [
+    ("shapes", ("linear", "sawtooth")),
+    ("full_scales", (15.8, 0.0)),
+    ("full_scales", (np.inf, -125.0)),
+    ("duration", 0.0),
+    ("duration", -1.0),
+    ("params", (np.nan, -3.0)),
+    ("seeds", (0.5, np.inf)),
+    ("c6", 0.0),
+    ("c6", -5.0),
+    ("positions", [(0.0, 0.0), (np.inf, 0.0)]),
+    ("positions", [(np.nan, 0.0), (6.0, 0.0)]),
+    ("couplings", (0.5, 1.5)),
+    ("couplings", (-0.1, 0.5)),
+]
+
+
+class TestBlockRules:
+    @pytest.mark.parametrize("name, value", BLOCK_RULES,
+                             ids=[f"{name}-{i}" for i, (name, _) in enumerate(BLOCK_RULES)])
+    def test_a_broken_run_names_its_field_and_row(self, name, value):
+        rng = np.random.default_rng(8)
+        block = stack([random_spec(rng, 2) for _ in range(4)])
+        # the first broken run is named
+        for rows in ([1], [2, 3], [0, 1, 2, 3]):
+            with pytest.raises(ValidationError, match=rf"^run {rows[0]}: {name} "):
+                evolve(with_run(block, name, value, rows))
+
+    def test_every_field_is_one_row_per_run(self):
+        # a field's rows are the runs; one value is shared by every run
+        block = stack([random_spec(np.random.default_rng(9), 2)] * 3)
+        assert dataclasses.replace(block, c6=1e6).c6.tolist() == [1e6] * 3
+        with pytest.raises(ValidationError, match="c6 has shape"):
+            dataclasses.replace(block, c6=[1e6, 2e6])
 
 
 def full_range_spec(rng, n, spacing=4.0):
@@ -381,13 +421,8 @@ def full_range_spec(rng, n, spacing=4.0):
     minimum 4 um spacing."""
     side = int(np.ceil(np.sqrt(n)))
     pos = [(spacing * (i % side), spacing * (i // side)) for i in range(n)]
-    return HamiltonianSpec(
-        arrangement=AtomArrangement(tuple(pos), tuple(rng.uniform(0, 1, n))),
-        rabi=PulseProgram(shape="trapezoid", full_scale=15.8, param=15.8,
-                          seed=1.0),
-        local_detuning=PulseProgram(shape="sine_bump", full_scale=-125.0,
-                                    param=-125.0, seed=1.0),
-        global_detuning_offset=125.0)
+    return one_run(pos, rng.uniform(0, 1, n), 125.0, ("trapezoid", "sine_bump"),
+                   (15.8, -125.0), (1.0, 1.0))
 
 
 def spread_full_range_spec(rng, n, seed=0.6):
@@ -403,7 +438,8 @@ def spread_full_range_spec(rng, n, seed=0.6):
         AtomArrangement(tuple(map(tuple, pos)), tuple(rng.uniform(0.0, 1.0, n))),
         "trapezoid", 0.9 * limits.omega_max, "sine_bump",
         0.9 * limits.local_detuning_min, 0.5 * limits.global_detuning_abs)
-    return generator.build_spec(params, seed, generator.TrainConfig(limits=limits))
+    return generator._block([(params, seed, EXACT)],
+                            generator.TrainConfig(limits=limits))
 
 
 class TestEvolveBatch:
@@ -418,7 +454,7 @@ class TestEvolveBatch:
                                omega=0.0, dlocal=0.0, dglobal=0.0)]
         initial = rng.normal(size=(4, 1 << n)) + 1j * rng.normal(size=(4, 1 << n))
         initial /= np.linalg.norm(initial, axis=1, keepdims=True)
-        out = evolve(specs, steps=150, initial=initial)
+        out = evolve(stack(specs), steps=150, initial=initial)
         for spec, start, row in zip(specs, initial, out):
             assert np.abs(row - evolve_eigh(start, spec, 150)).max() <= 1e-9
 
@@ -429,30 +465,30 @@ class TestEvolveBatch:
         rng = np.random.default_rng(70 + n)
         specs = [random_spec(rng, n), full_range_spec(rng, n),
                  random_spec(rng, n, duration=0.6)]
-        out = evolve(specs, steps=12)
+        out = evolve(stack(specs), steps=12)
         for spec, row in zip(specs, out):
             assert np.abs(row - evolve_eigh(ground(n), spec, 12)).max() <= 1e-9
 
     def test_nine_qubit_split_path_matches_eigh_oracle(self):
         spec = random_spec(np.random.default_rng(79), 9)
-        out = evolve([spec], steps=12)[0]
+        out = evolve(spec, steps=12)[0]
         assert np.abs(out - evolve_eigh(ground(9), spec, 12)).max() <= 1e-9
 
     def test_split_and_dense_paths_agree_from_six_qubits(self, monkeypatch):
         rng = np.random.default_rng(77)
         for n in (6, 7):
             specs = [random_spec(rng, n), random_spec(rng, n, duration=0.6)]
-            split = evolve(specs, steps=20)
+            split = evolve(stack(specs), steps=20)
             with monkeypatch.context() as patch:
                 patch.setattr(sim, "_SPLIT_QUBITS", n + 1)
-                dense = evolve(specs, steps=20)
+                dense = evolve(stack(specs), steps=20)
             assert np.abs(dense - split).max() <= 1e-13
 
     def test_spread_ten_qubit_run_takes_under_a_second(self):
         # the README's promise, at the default step budget
         spec = full_range_spec(np.random.default_rng(10), 10, spacing=25.0)
         start = time.perf_counter()
-        evolve([spec])
+        evolve(spec)
         elapsed = time.perf_counter() - start
         assert elapsed <= 1.0, f"one n = 10 run took {elapsed:.2f}s"
 
@@ -460,7 +496,7 @@ class TestEvolveBatch:
         # 4 um packing at a coarse step: every factor's norm bound is far
         # above one substep's cap
         spec = full_range_spec(np.random.default_rng(6), 6)
-        out = evolve([spec], steps=30)[0]
+        out = evolve(spec, steps=30)[0]
         ref = evolve_eigh(ground(6), spec, 30)
         assert np.abs(out - ref).max() <= 1e-9
 
@@ -497,7 +533,7 @@ class TestEvolveBatch:
                                 ("_MAX_BLOCK", max_block),
                                 ("_SPLIT_QUBITS", split)):
                 patch.setattr(sim, name, value)
-            out = evolve(specs, steps=steps, initial=initial)
+            out = evolve(stack(specs), steps=steps, initial=initial)
         for spec, start, row in zip(specs, initial, out):
             assert np.abs(row - evolve_eigh(start, spec, steps)).max() <= 1e-9
 
@@ -509,12 +545,12 @@ class TestEvolveBatch:
         budget = steps or sim.default_steps(duration)
         rng = np.random.default_rng(5)
         specs = [random_spec(rng, 4, duration) for _ in range(5)]
-        whole = evolve(specs, steps=steps)
+        whole = evolve(stack(specs), steps=steps)
         sizes, propagate = [], sim._propagate
         monkeypatch.setattr(sim, "_MAX_FACTORS", 2 * budget * 2)
         monkeypatch.setattr(sim, "_propagate", lambda specs, *rest: (
             sizes.append(len(specs)) or propagate(specs, *rest)))
-        out = evolve(specs, steps=steps)
+        out = evolve(stack(specs), steps=steps)
         assert sizes == [2, 2, 1]
         assert np.abs(out - whole).max() <= 1e-12
         for spec, row in zip(specs, out):
@@ -551,7 +587,7 @@ class TestEvolveBatch:
         outs = []
         for size in (1, 1 << 12, 1 << 20, 1 << 40):
             monkeypatch.setattr(sim, "_CHUNK_BYTES", size)
-            outs.append(evolve(specs, steps=60))
+            outs.append(evolve(stack(specs), steps=60))
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
 
@@ -573,10 +609,7 @@ class TestEvolveBatch:
         specs = []
         for i, (rabi, local) in enumerate(pairs):
             spec = random_spec(rng, n, duration=(1.0, 0.6)[i % 2])
-            spec = dataclasses.replace(
-                spec, rabi=dataclasses.replace(spec.rabi, shape=rabi),
-                local_detuning=dataclasses.replace(spec.local_detuning,
-                                                   shape=local))
+            spec = dataclasses.replace(spec, shapes=[(rabi, local)])
             if i % 3 == 0:
                 spec = dataclasses.replace(spec, rabi_scale=rng.normal(1.0, 0.01),
                                            local_detuning_shift=rng.normal(0.0, 0.1))
@@ -596,35 +629,38 @@ class TestEvolveBatch:
         assert np.array_equal(out[:, 0], np.exp(-1j * np.array(
             [np.sum(m * w) for m, w in zip(mid.T, width.T)])))
 
-    def test_pulses_are_evaluated_per_shape_group_and_slab(self, monkeypatch):
-        # two Rabi and three local-detuning shapes: five calls per slab,
-        # however many runs share them
+    def test_pulses_are_evaluated_per_drive_and_slab_at_real_steps(
+            self, monkeypatch):
+        # two Rabi and three local-detuning shapes, 1 and 0.6 us runs in
+        # turn: two calls per drive and slab (the steps every run has, then
+        # the rest), however many runs and shapes share them, at the two
+        # nodes of each run's real steps alone, not at the pad steps of the
+        # shorter runs
         calls = []
 
-        def counting(pulses, t):
-            calls.append((len(pulses), t.shape))
-            return evaluate(pulses, t)
+        def counting(drive, t, runs=None):
+            calls.append(t.size)
+            return evaluate(drive, t, runs)
         monkeypatch.setattr(sim, "evaluate", counting)
         rng = np.random.default_rng(31)
         pairs = [("linear", "triangle"), ("gaussian", "triangle"),
                  ("linear", "sine_bump"), ("gaussian", "trapezoid")]
         for copies in (1, 6):
-            specs = [dataclasses.replace(
-                spec, rabi=dataclasses.replace(spec.rabi, shape=rabi),
-                local_detuning=dataclasses.replace(spec.local_detuning,
-                                                   shape=local))
-                     for rabi, local in pairs * copies
-                     for spec in [random_spec(rng, 2)]]
-            rows = 2 * max(len(step_grid(spec, 50)[0]) for spec in specs)
+            specs = [dataclasses.replace(spec, shapes=[pair])
+                     for i, pair in enumerate(pairs * copies)
+                     for spec in [random_spec(rng, 2, (1.0, 0.6)[i % 2])]]
+            # each run's default budget: 250 steps per us
+            real = [len(step_grid(spec, sim.default_steps(spec.duration[0]))[0])
+                    for spec in specs]
+            assert len(set(real)) > 1
             for slab, slabs in ((1 << 40, 1), (8 * 20 * len(specs),
-                                               math.ceil(rows / 20))):
+                                               math.ceil(2 * max(real) / 20))):
                 monkeypatch.setattr(sim, "_SLAB_BYTES", slab)
                 monkeypatch.setattr(sim, "_CHUNK_BYTES", 40 * 4 * len(specs))
                 calls.clear()
-                evolve(specs, steps=50)
-                assert len(calls) == 5 * slabs
-                assert sum(size for size, _ in calls) == 2 * len(specs) * slabs
-                assert all(shape[0] == size for size, shape in calls)
+                evolve(stack(specs))
+                assert len(calls) == 4 * slabs
+                assert sum(calls) == 2 * sum(real) * 2
 
     def test_set_up_memory_grows_with_the_rows_by_the_phases_alone(self):
         # a select-like block: 200 n = 4 runs of two shape pairs. Only the
@@ -634,18 +670,16 @@ class TestEvolveBatch:
         specs = []
         for local in ("triangle", "gaussian"):
             spec = spread_full_range_spec(rng, 4)
-            spec = dataclasses.replace(spec, local_detuning=dataclasses.replace(
-                spec.local_detuning, shape=local))
-            specs += [dataclasses.replace(spec, rabi=dataclasses.replace(
-                spec.rabi, seed=seed), local_detuning=dataclasses.replace(
-                    spec.local_detuning, seed=seed))
+            spec = dataclasses.replace(
+                spec, shapes=[(spec.shapes[0, 0], local)])
+            specs += [dataclasses.replace(spec, seeds=[(seed, seed)])
                       for seed in rng.uniform(0.1, 1.0, 100)]
         peaks, rows = [], []
         for steps in (250, 1000):
             rows.append(2 * max(len(step_grid(spec, steps)[0]) for spec in specs))
             tracemalloc.start()
             try:
-                evolve(specs, steps=steps)
+                evolve(stack(specs), steps=steps)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -669,7 +703,7 @@ class TestEvolveBatch:
     def test_unitarity_full_range_eight_qubits(self):
         spec = full_range_spec(np.random.default_rng(8), 8)
         for steps in (20, 250):
-            out = evolve([spec], steps=steps)[0]
+            out = evolve(spec, steps=steps)[0]
             assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-9
 
     def test_rows_agree_with_lone_runs(self):
@@ -677,9 +711,9 @@ class TestEvolveBatch:
         # chunk size
         rng = np.random.default_rng(9)
         specs = [random_spec(rng, 4) for _ in range(12)]
-        out = evolve(specs, steps=100)
+        out = evolve(stack(specs), steps=100)
         for spec, row in zip(specs, out):
-            lone = evolve([spec], steps=100)[0]
+            lone = evolve(spec, steps=100)[0]
             assert np.abs(row - lone).max() <= 1e-12
 
     def test_copies_match_the_lone_run_bit_for_bit(self):
@@ -689,32 +723,34 @@ class TestEvolveBatch:
         rng = np.random.default_rng(7)
         for n, batches in ((4, (2,)), (6, (2, 3, 8, 16)), (8, (2, 3, 8, 16))):
             spec = spread_full_range_spec(rng, n)
-            lone = evolve([spec], steps=250)[0]
+            lone = evolve(spec, steps=250)[0]
             for batch in batches:
-                out = evolve([spec] * batch, steps=250)
+                out = evolve(spec[[0] * batch], steps=250)
                 assert all(np.array_equal(row, lone) for row in out), (n, batch)
 
     @pytest.mark.parametrize("n, batch", [(8, 3), (10, 2)])
     def test_split_path_rows_agree_with_lone_runs(self, n, batch):
         rng = np.random.default_rng(n)
         specs = [random_spec(rng, n) for _ in range(batch)]
-        out = evolve(specs, steps=40)
+        out = evolve(stack(specs), steps=40)
         for spec, row in zip(specs, out):
-            assert np.abs(row - evolve([spec], steps=40)[0]).max() <= 1e-12
+            assert np.abs(row - evolve(spec, steps=40)[0]).max() <= 1e-12
 
     def test_rejects_mixed_qubit_counts(self):
-        rng = np.random.default_rng(1)
+        # a block holds one atom count: couplings of another are rejected,
+        # and so is a block of no runs
+        spec = random_spec(np.random.default_rng(1), 2)
+        with pytest.raises(ValidationError, match="couplings"):
+            evolve(dataclasses.replace(spec, couplings=[[0.5] * 3]))
         with pytest.raises(ValidationError):
-            evolve([random_spec(rng, 2), random_spec(rng, 3)])
-        with pytest.raises(ValidationError):
-            evolve([])
+            evolve(spec[[]])
 
     def test_near_coincident_atoms_are_a_numeric_error(self):
         # C6 / (0.01 um)^6 ~ 5e18 rad/us: no step budget resolves it
         spec = constant_spec([(0.0, 0.0), (0.01, 0.0)], [0.5, 0.5],
                              omega=2.0, dlocal=0.0, dglobal=0.0)
         with pytest.raises(NumericError):
-            evolve([spec], steps=100)
+            evolve(spec, steps=100)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_coincident_atoms_are_a_numeric_error_naming_the_run(self, n):
@@ -722,12 +758,11 @@ class TestEvolveBatch:
         # reports a finite bound
         rng = np.random.default_rng(60 + n)
         specs = [spread_full_range_spec(rng, n) for _ in range(4)]
-        pos = list(specs[2].arrangement.positions)
-        pos[-1] = pos[0]
-        specs[2] = dataclasses.replace(specs[2], arrangement=AtomArrangement(
-            tuple(pos), specs[2].arrangement.couplings))
+        pos = specs[2].positions.copy()
+        pos[0, -1] = pos[0, 0]
+        specs[2] = dataclasses.replace(specs[2], positions=pos)
         with pytest.raises(NumericError, match=r"^run 2: .* \d") as err:
-            evolve(specs, steps=50)
+            evolve(stack(specs), steps=50)
         assert err.value.run == 2
         assert "inf" not in str(err.value) and "nan" not in str(err.value)
 
@@ -735,17 +770,16 @@ class TestEvolveBatch:
     def test_stiff_run_is_named(self, n, monkeypatch):
         # run 1 has a 0.01 um pair; at n = 8 the runs take the split path
         spread = full_range_spec(np.random.default_rng(n), n, spacing=20.0)
-        pos = list(spread.arrangement.positions)
-        pos[1] = (pos[0][0] + 0.01, pos[0][1])
-        crowded = dataclasses.replace(spread, arrangement=AtomArrangement(
-            tuple(pos), spread.arrangement.couplings))
+        pos = spread.positions.copy()
+        pos[0, 1] = (pos[0, 0, 0] + 0.01, pos[0, 0, 1])
+        crowded = dataclasses.replace(spread, positions=pos)
         with pytest.raises(NumericError, match="^run 1: ") as err:
-            evolve([spread, crowded, spread], steps=100)
+            evolve(stack([spread, crowded, spread]), steps=100)
         assert err.value.run == 1
         # one run per block: evolve adds the block offset
         monkeypatch.setattr(sim, "_MAX_BLOCK", 1)
         with pytest.raises(NumericError, match="^run 1: "):
-            evolve([spread, crowded, spread], steps=100)
+            evolve(stack([spread, crowded, spread]), steps=100)
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_initial_layout_does_not_change_a_bit(self, n):
@@ -756,31 +790,26 @@ class TestEvolveBatch:
         wide = rng.normal(size=(3, 2 << n)) + 1j * rng.normal(size=(3, 2 << n))
         strided = wide[:, ::2]
         strided /= np.linalg.norm(strided, axis=1, keepdims=True)
-        contiguous = evolve(specs, steps=40, initial=strided.copy())
+        contiguous = evolve(stack(specs), steps=40, initial=strided.copy())
         for initial in (np.asfortranarray(strided), strided):
-            assert np.array_equal(evolve(specs, steps=40, initial=initial),
+            assert np.array_equal(evolve(stack(specs), steps=40, initial=initial),
                                   contiguous)
 
     def test_rejects_misshapen_initial_states(self):
         spec = random_spec(np.random.default_rng(2), 2)
         with pytest.raises(ValidationError):
-            evolve([spec], steps=10, initial=np.ones((1, 8)))
+            evolve(spec, steps=10, initial=np.ones((1, 8)))
 
     def test_holds_one_output_array(self):
         # the ground states are built in the output and each block is evolved
         # into its own rows, so a larger batch adds its output and no copy
-        spec = HamiltonianSpec(
-            arrangement=AtomArrangement(
-                tuple((20.0 * i, 0.0) for i in range(6)), (0.5,) * 6),
-            rabi=PulseProgram(shape="linear", full_scale=15.8, param=1.0),
-            local_detuning=PulseProgram(shape="linear", full_scale=-125.0,
-                                        param=-1.0),
-            global_detuning_offset=0.0)
+        spec = one_run([(20.0 * i, 0.0) for i in range(6)], [0.5] * 6, 0.0,
+                       ("linear", "linear"), (1.0, -1.0), (0.0, 0.0))
         peaks = []
-        for specs in ([spec] * 512, [spec] * 2048):
+        for block in (spec[[0] * 512], spec[[0] * 2048]):
             tracemalloc.start()
             try:
-                evolve(specs, steps=1)
+                evolve(block, steps=1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -833,7 +862,7 @@ def reference_factors(specs, steps):
     `evolve` builds. a, mid (the diagonal shift) and width are (rows, B),
     d is (rows, 2^n, B); `kernel_pairs` lays a and d out for the kernel."""
     n = specs[0].n_qubits
-    static, sumh = _diagonals(specs, _occupations(n))
+    static, sumh = _diagonals(stack(specs), _occupations(n))
     grids = [step_grid(s, steps) for s in specs]
     rows = 2 * max(len(starts) for starts, _ in grids)
     coef, dlocal, width = (np.zeros((rows, len(specs))) for _ in range(3))
@@ -868,7 +897,7 @@ def captured_chunks(specs, steps):
         return psi
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_apply_vectors", keep)
-        out = evolve(specs, steps=steps)
+        out = evolve(stack(specs), steps=steps)
     return seen, out
 
 
@@ -962,13 +991,13 @@ class TestBlockade:
     def test_close_atoms_suppress_double_excitation(self):
         spec = constant_spec([(0.0, 0.0), (4.0, 0.0)], [0.0, 0.0],
                              omega=2.5, dlocal=0.0, dglobal=0.0)
-        p = np.abs(evolve([spec])[0]) ** 2
+        p = np.abs(evolve(spec)[0]) ** 2
         assert p[3] < 0.05
 
     def test_distant_atoms_factorize(self):
         spec = constant_spec([(0.0, 0.0), (30.0, 0.0)], [0.0, 0.0],
                              omega=2.5, dlocal=0.0, dglobal=0.0)
-        p = np.abs(evolve([spec])[0]) ** 2
+        p = np.abs(evolve(spec)[0]) ** 2
         single = np.sin(2.5 * 1.0 / 2.0) ** 2
         assert abs(p[3] - single ** 2) < 1e-3
 
@@ -979,7 +1008,7 @@ def read_out(monkeypatch, amplitudes, modes):
     amplitudes = np.array(amplitudes, dtype=complex)
     n = amplitudes.shape[1].bit_length() - 1
     monkeypatch.setattr(generator, "evolve",
-                        lambda specs, steps=None: amplitudes.copy())
+                        lambda block, steps=None: amplitudes.copy())
     monkeypatch.setattr(generator, "modulo_encode", lambda p: p)
     params = GeneratorParams(
         AtomArrangement(tuple((6.0 * i, 0.0) for i in range(n)), (0.5,) * n),

@@ -102,7 +102,7 @@ class TestLayeredTrain:
                         config.field_size_um)
         assert 0.0 <= params.rabi_param <= config.limits.omega_max
         assert config.limits.local_detuning_min <= params.local_param <= 0.0
-        pos = params.arrangement.position_array()
+        pos = np.array(params.arrangement.positions)
         assert pos.min() >= 0.0 and pos.max() <= config.field_size_um
 
     def test_rejects_unscaled_features(self, class_data):
@@ -400,7 +400,7 @@ def rowwise_stub(runs, run):
         phase = (params.rabi_param + 2.0 * params.local_param
                  + 3.0 * params.global_detuning_offset
                  + sum(params.arrangement.couplings)
-                 + 0.1 * params.arrangement.position_array().sum())
+                 + 0.1 * np.array(params.arrangement.positions).sum())
         rows.append(0.25 * np.abs(np.sin(phase + seed * np.arange(1, 5))))
     return np.array(rows)
 
