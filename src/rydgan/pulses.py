@@ -10,7 +10,8 @@ waveforms to start and end at zero, so every shape is wrapped in linear
 entry/exit ramps each covering ``RAMP_FRACTION`` of the duration; the
 seeded value holds at the interior boundary. Each shape is declared once,
 in ``_shape``, which ``evaluate`` and ``breakpoint_times`` read for a drive:
-one entry per run of a block (`sim.RunBlock.drive`), in any mix of shapes.
+one entry per run of a block (`sim.RunBlock.drive`), in any mix of shapes,
+and for ``evaluate`` the runs' times along the first axis.
 
 Units: time in us, amplitudes in rad/us.
 """
@@ -46,15 +47,13 @@ class PulseLimits:
 DEFAULT_LIMITS = PulseLimits()
 
 
-def _groups(drive, runs: np.ndarray):
-    """(name, where, fields) per pulse shape of the drive: the entries of
-    runs (block rows) whose run has that shape, Ellipsis for all, and the
-    numeric fields of their runs."""
+def _groups(drive):
+    """(name, where, fields) per pulse shape of the drive: the runs of that
+    shape (Ellipsis for all) and their numeric fields."""
     names = dict.fromkeys(drive[0].tolist())
     for name in names:
-        where = Ellipsis if len(names) == 1 else (drive[0] == name)[runs]
-        at = runs[where]
-        yield name, where, [field[at] for field in drive[1:]]
+        where = Ellipsis if len(names) == 1 else drive[0] == name
+        yield name, where, [field[where] for field in drive[1:]]
 
 
 def _shape(shape: str, d, p, seed, full_scale):
@@ -98,23 +97,22 @@ def _shape(shape: str, d, p, seed, full_scale):
             interior, kinks)
 
 
-def evaluate(drive, t, runs=0) -> np.ndarray:
+def evaluate(drive, t) -> np.ndarray:
     """Waveform values, rad/us, of a drive, (shape, duration, param, seed,
     full_scale) with ``seed`` a fraction of the signed ``full_scale``, at the
-    times of the array t. runs holds the run of each entry along t's leading
-    axes, as many as runs has (by default all are run 0's); each run's
-    fields broadcast over the rest. Raises ValidationError if any t falls
-    outside [0, duration]."""
-    t_arr, runs = np.asarray(t, dtype=float), np.asarray(runs)
-    trail = (1,) * (t_arr.ndim - runs.ndim)
-    d = drive[1][runs].reshape(runs.shape + trail)
-    outside = (t_arr < -_DOMAIN_TOL) | (t_arr > d + _DOMAIN_TOL)
+    times of the array t, whose first axis holds the drive's runs (a one-run
+    drive's times may have any shape); each run's fields broadcast over the
+    rest. Raises ValidationError if any t is not inside [0, duration]."""
+    t_arr = np.asarray(t, dtype=float)
+    trail = (1,) * (t_arr.ndim - 1)
+    d = drive[1].reshape(-1, *trail)
+    outside = ~((t_arr >= -_DOMAIN_TOL) & (t_arr <= d + _DOMAIN_TOL))
     if outside.any():
-        d = np.broadcast_to(d, t_arr.shape)[outside][0]
+        d = np.broadcast_to(d, outside.shape)[outside][0]
         raise ValidationError(f"pulse evaluated outside [0, {d}] us")
     out = np.empty(t_arr.shape)
-    for name, where, fields in _groups(drive, runs):
-        fields = [field.reshape(field.shape + trail) for field in fields]
+    for name, where, fields in _groups(drive):
+        fields = [field.reshape(-1, *trail) for field in fields]
         out[where] = _values(name, np.clip(t_arr[where], 0.0, fields[0]), *fields)
     return out
 
@@ -149,7 +147,7 @@ def breakpoint_times(drive) -> np.ndarray:
     step sees a smooth drive. A time may repeat, and 0 stands in for a kink
     a run's shape does not have."""
     out = np.zeros((len(drive[0]), 6))
-    for name, rows, fields in _groups(drive, np.arange(len(drive[0]))):
+    for name, rows, fields in _groups(drive):
         knots, _, kinks = _shape(name, *fields)
         times = np.stack(np.broadcast_arrays(*[t for t, _ in knots], *kinks), axis=-1)
         out[rows, :times.shape[1]] = times

@@ -28,9 +28,10 @@ and one from the right, O(2^n (2^h + 2^(n-h))) per term instead of O(4^n)
 (up to five qubits h = n and X_hi = X). No eigendecomposition is taken.
 The step grids are tables of each run's segments between breakpoints;
 from them the drive coefficients and step widths are built a slab of
-factor rows at a time, with `pulses.evaluate` on each drive at the real
-steps' nodes alone, and each chunk of a slab's factors straight into the
-kernel's layout. No result depends on the chunk or slab size.
+factor rows at a time, with one `pulses.evaluate` call per drive at every
+run's step nodes (a shorter run's zero-width pad steps among them), and
+each chunk of a slab's factors straight into the kernel's layout. No
+result depends on the chunk or slab size.
 """
 
 from __future__ import annotations
@@ -393,8 +394,7 @@ def _propagate(block: RunBlock, steps, initial, first) -> np.ndarray:
     drives = block.drive(0), block.drive(1)
     starts, dts, firsts = _step_tables(block.duration, budgets, drives)
     # one row per Magnus factor, two per step in application order
-    totals = firsts[:, -1]
-    rows = 2 * int(totals.max())
+    rows = 2 * int(firsts[:, -1].max())
     # the segment ends of each run, offset past every step index of the runs
     # before it, so that one search finds the segment of every (run, step)
     lanes = np.arange(batch)[:, None]
@@ -418,8 +418,9 @@ def _propagate(block: RunBlock, steps, initial, first) -> np.ndarray:
     def fill(lo, hi):
         """The factor rows lo..hi of every run into coef, dlocal and width,
         as array passes over the slab's steps, from the first row of step
-        lo // 2, which it returns. The pulses are evaluated at the real
-        steps alone; a padded step's rows are zero."""
+        lo // 2, which it returns: one `evaluate` call per drive, at the
+        nodes of every run's steps. A pad step has zero width, so its
+        factor is the identity whatever the drive reads at its t = 0."""
         step = np.arange(lo // 2, (hi + 1) // 2)
         used = slice(0, 2 * len(step))
         at = np.searchsorted(keyed, step + lanes * (rows + 1), side="right")
@@ -433,22 +434,12 @@ def _propagate(block: RunBlock, steps, initial, first) -> np.ndarray:
         for c, node in enumerate(_NODES):
             np.multiply(dt, node, times[:, c])
             times[:, c] += start
-        # the steps that every run has are evaluated a row of times per run;
-        # of the rest, the longer runs' last steps, the real ones alone
-        head = int(np.searchsorted(step, totals.min()))
-        tail = step[head:] < totals[:, None]
-        runs = np.nonzero(tail)[0]
-        late = times[..., head:].transpose(0, 2, 1)[tail]
-        values = np.zeros((2, batch, len(step)))
         for target, drive, noise, apply in (
                 (coef, drives[0], block.rabi_scale, np.multiply),
                 (dlocal, drives[1], block.local_detuning_shift, np.add)):
-            values[..., :head] = apply(evaluate(drive, times[..., :head], lanes[:, 0]),
-                                       noise[:, None, None]).transpose(1, 0, 2)
-            values[..., head:][:, tail] = apply(evaluate(drive, late, runs),
-                                                noise[runs][:, None]).T
+            values = apply(evaluate(drive, times), noise[:, None, None])
             target[used].reshape(-1, 2, batch)[:] = (
-                _WEIGHTS @ values.reshape(2, -1)).reshape(
+                _WEIGHTS @ values.transpose(1, 0, 2).reshape(2, -1)).reshape(
                     2, batch, -1).transpose(2, 0, 1)
         return 2 * int(step[0])
 

@@ -59,6 +59,27 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(pulse, -0.1)
 
+    def test_nan_time_is_outside_the_domain(self):
+        pulse = make_pulse("linear", OMEGA, 1.0)
+        with pytest.raises(ValidationError, match=r"\[0, 1\.0\]"):
+            evaluate(pulse, np.nan)
+        drive = stack([pulse, make_pulse("gaussian", OMEGA, 2.0, duration=0.6)])
+        with pytest.raises(ValidationError, match=r"\[0, 0\.6\]"):
+            evaluate(drive, [[0.5, 0.25], [0.1, np.nan]])
+
+    def test_each_run_has_its_own_domain(self):
+        # a 0.6 us run's row may not reach 0.8 us, inside the 1 us runs'
+        # domain, whatever shapes share the drive
+        drive = stack([make_pulse(shape, OMEGA, 2.0, seed_noise=1.0,
+                                  duration=duration)
+                       for shape, duration in (("linear", 1.0), ("gaussian", 0.6),
+                                               ("triangle", 1.0), ("linear", 0.6))])
+        t = np.array([[0.8, 1.0], [0.5, 0.6], [0.8, 1.0], [0.8, 0.1]])
+        with pytest.raises(ValidationError, match=r"\[0, 0\.6\]"):
+            evaluate(drive, t)
+        t[3, 0] = 0.6
+        assert evaluate(drive, t).shape == t.shape
+
     def test_array_and_scalar_agree(self):
         pulse = make_pulse("gaussian", OMEGA, 2.0, seed_noise=3.0)
         ts = np.linspace(0, 1, 23)
@@ -151,9 +172,7 @@ def assert_each_run_as_alone(drive, pulses, rng):
     cuts = breakpoint_times(drive)
     t = np.concatenate([cuts, rng.uniform(0.0, 1.0, (len(pulses), 2000))
                         * drive[1][:, None]], axis=1)
-    values = evaluate(drive, t, np.arange(len(pulses)))
-    flat = evaluate(drive, t.ravel(), np.repeat(np.arange(len(pulses)), t.shape[1]))
-    assert np.array_equal(flat, values.ravel())
+    values = evaluate(drive, t)
     for pulse, row, cut, value in zip(pulses, t, cuts, values):
         alone = breakpoint_times(pulse)[0]
         assert np.array_equal(alone, cut[:len(alone)]) and not cut[len(alone):].any()
@@ -165,8 +184,7 @@ def assert_each_run_as_alone(drive, pulses, rng):
 
 
 def test_a_drive_of_mixed_shapes_evaluates_each_run_as_alone():
-    """Runs of every shape in one drive, in any order, by row or with the
-    run of each time given."""
+    """Runs of every shape in one drive, in any order, a row of times each."""
     rng = np.random.default_rng(60)
     pulses = [make_pulse(shape, scale, rng.uniform(0.0, 1.0) * scale,
                          seed_noise=rng.uniform(0.1, 1.0) * scale,

@@ -4,6 +4,7 @@ that exists."""
 
 import glob
 import importlib
+import inspect
 import os
 import re
 
@@ -104,8 +105,10 @@ def module_table() -> dict:
 
 def test_module_table_names_resolve():
     """Every backticked `name` or `name(...)` in a row of the module table
-    resolves in that row's module (a `rydgan.` name from the package), so
-    the table cannot name deleted code."""
+    resolves in that row's module (a `rydgan.` name from the package), and
+    the names a `name(a, b)` lists are parameters of that callable, in the
+    order of its signature, so the table cannot name deleted code or a
+    stale call."""
     import rydgan
     from tests.test_scripts import assert_chains_resolve
     table = module_table()
@@ -120,6 +123,15 @@ def test_module_table_names_resolve():
                               chains - qualified)
         assert_chains_resolve(rydgan, {chain[len(".rydgan"):]
                                        for chain in qualified})
+        for name, listed in re.findall(r"`([A-Za-z_][\w.]*)\((.*?)\)`", contents):
+            obj = (rydgan if name.startswith("rydgan.")
+                   else importlib.import_module(module))
+            for attr in name.removeprefix("rydgan.").split("."):
+                obj = getattr(obj, attr)
+            params = iter(inspect.signature(obj).parameters)
+            assert all(arg in params for arg in filter(None, listed.split(", "))), (
+                f"`{name}({listed})` in the {module} row: the signature is "
+                f"{inspect.signature(obj)}")
     metrics_names = re.findall(r"`(\w+)`", table["rydgan.metrics"])
     assert "ensemble_images" in metrics_names
 

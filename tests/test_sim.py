@@ -629,18 +629,17 @@ class TestEvolveBatch:
         assert np.array_equal(out[:, 0], np.exp(-1j * np.array(
             [np.sum(m * w) for m, w in zip(mid.T, width.T)])))
 
-    def test_pulses_are_evaluated_per_drive_and_slab_at_real_steps(
+    def test_pulses_are_evaluated_once_per_drive_and_slab(
             self, monkeypatch):
         # two Rabi and three local-detuning shapes, 1 and 0.6 us runs in
-        # turn: two calls per drive and slab (the steps every run has, then
-        # the rest), however many runs and shapes share them, at the two
-        # nodes of each run's real steps alone, not at the pad steps of the
-        # shorter runs
+        # turn: one call per drive and slab, however many runs and shapes
+        # share them, at the two nodes of every run's steps, the shorter
+        # runs' pad steps among them
         calls = []
 
-        def counting(drive, t, runs=None):
+        def counting(drive, t):
             calls.append(t.size)
-            return evaluate(drive, t, runs)
+            return evaluate(drive, t)
         monkeypatch.setattr(sim, "evaluate", counting)
         rng = np.random.default_rng(31)
         pairs = [("linear", "triangle"), ("gaussian", "triangle"),
@@ -653,14 +652,16 @@ class TestEvolveBatch:
             real = [len(step_grid(spec, sim.default_steps(spec.duration[0]))[0])
                     for spec in specs]
             assert len(set(real)) > 1
-            for slab, slabs in ((1 << 40, 1), (8 * 20 * len(specs),
-                                               math.ceil(2 * max(real) / 20))):
+            # one slab of every step, then slabs of 20 rows (10 steps)
+            for slab, each in ((1 << 40, max(real)), (8 * 20 * len(specs), 10)):
                 monkeypatch.setattr(sim, "_SLAB_BYTES", slab)
                 monkeypatch.setattr(sim, "_CHUNK_BYTES", 40 * 4 * len(specs))
                 calls.clear()
                 evolve(stack(specs))
-                assert len(calls) == 4 * slabs
-                assert sum(calls) == 2 * sum(real) * 2
+                steps = [min(each, max(real) - lo)
+                         for lo in range(0, max(real), each)]
+                assert calls == [2 * len(specs) * count
+                                 for count in steps for _ in range(2)]
 
     def test_set_up_memory_grows_with_the_rows_by_the_phases_alone(self):
         # a select-like block: 200 n = 4 runs of two shape pairs. Only the
