@@ -139,10 +139,6 @@ def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
     except DataError as exc:
         if not isinstance(exc.__cause__, FileNotFoundError):
             raise
-    stale = os.path.splitext(path)[0] + ".json"
-    if os.path.exists(stale):
-        raise DataError(f"{stale}: a PCA model of format version 2, which "
-                        "this version does not read; re-run fit-pca")
     raise DataError(f"missing PCA model {path}; run fit-pca first")
 
 
@@ -197,13 +193,14 @@ def _load_ensemble_members(config: RunConfig, cls: int, run: TrainConfig):
     path = _ensemble_path(config, cls)
     if not os.path.exists(path):
         raise DataError(f"missing ensemble manifest {path}; run select first")
-    manifest = dp._load_doc(path, ENSEMBLE_FORMAT, (ENSEMBLE_VERSION,))
+    manifest = dp._load_doc(path, ENSEMBLE_FORMAT, ENSEMBLE_VERSION, "; re-run select")
     if type(manifest.get("class")) is not int or manifest["class"] != cls:
         raise DataError(f"{path}: field class must be the JSON integer {cls}, "
                         f"got {manifest.get('class')!r}")
     names = manifest.get("member_files")
-    if (not isinstance(names, list) or not names
-            or not all(isinstance(name, str) and name for name in names)):
+    if (not isinstance(names, list) or not names or not all(
+            isinstance(name, str) and name and os.path.basename(name) == name
+            for name in names)):
         raise DataError(f"{path}: field member_files must be a nonempty list "
                         f"of learner file names, got {names!r}")
     return names, [load_learner(os.path.join(_learners_dir(config, cls), name),

@@ -312,8 +312,7 @@ def load_pca(path: str) -> PcaModel:
     that the arrays do not match is a DataError naming the path and the field."""
     line, payload = _read(path, lambda f: (f.readline(),
                                            np.fromfile(f, np.uint8)))
-    doc = _parse_doc(path, line, PCA_FORMAT, (PCA_VERSION,),
-                     "; re-run fit-pca")
+    doc = _parse_doc(path, line, PCA_FORMAT, PCA_VERSION, "; re-run fit-pca")
     arrays, start = {}, 0
     for name in _PCA_ARRAYS:
         with _doc_field(path, name):
@@ -347,15 +346,16 @@ def _read(path: str, read):
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
-def _load_doc(path: str, format: str, versions: tuple) -> dict:
+def _load_doc(path: str, format: str, current: int, remedy: str) -> dict:
     """A versioned JSON artefact as a dict; any defect is a DataError naming path."""
-    return _parse_doc(path, _read(path, lambda f: f.read()), format, versions)
+    return _parse_doc(path, _read(path, lambda f: f.read()), format, current, remedy)
 
 
-def _parse_doc(path: str, raw: bytes, format: str, versions: tuple,
-               remedy: str = "") -> dict:
+def _parse_doc(path: str, raw: bytes, format: str, current: int,
+               remedy: str) -> dict:
     """The JSON object in raw, which must hold this format and, as a JSON
-    integer (not `true` or `1.0`), one of these versions."""
+    integer (not `true` or `3.0`), its current version; another version is
+    a DataError that ends with remedy, the command that rewrites the file."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:    # invalid UTF-8 or invalid JSON
@@ -366,7 +366,7 @@ def _parse_doc(path: str, raw: bytes, format: str, versions: tuple,
     if doc.get("format") != format:
         raise DataError(f"{path}: field format: not a {format} document")
     version = doc.get("version")
-    if type(version) is not int or version not in versions:
+    if type(version) is not int or version != current:
         raise DataError(f"{path}: field version: unsupported version "
                         f"{version!r}{remedy}")
     return doc

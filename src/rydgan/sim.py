@@ -406,23 +406,22 @@ def _propagate(block: RunBlock, steps, initial, first) -> np.ndarray:
     chunk = min(rows, max(1, _CHUNK_BYTES // (40 * batch * dim)))
     pairs = _empty((chunk, 2, high, batch, 2, dim // high))
     diags = work((chunk, batch, dim))
-    # the drive coefficients and step widths of a slab of whole chunks,
-    # (rows, B) each, from the first row of its first step
-    slab = chunk * max(1, _SLAB_BYTES // (8 * batch * chunk))
-    coef, dlocal, width = (np.empty((min(slab, rows) + 2, batch))
-                           for _ in range(3))
+    # the drive coefficients and step widths of a slab of whole chunks and
+    # whole steps, (rows, B) each
+    slab = 2 * chunk * max(1, _SLAB_BYTES // (16 * batch * chunk))
+    coef, dlocal, width = (np.empty((min(slab, rows), batch)) for _ in range(3))
     # each factor's phase dt c, c its diagonal shift, summed once over all
     # rows, so no output depends on the chunk or slab size
     phases = np.zeros((batch, rows))
 
     def fill(lo, hi):
-        """The factor rows lo..hi of every run into coef, dlocal and width,
-        as array passes over the slab's steps, from the first row of step
-        lo // 2, which it returns: one `evaluate` call per drive, at the
-        nodes of every run's steps. A pad step has zero width, so its
-        factor is the identity whatever the drive reads at its t = 0."""
-        step = np.arange(lo // 2, (hi + 1) // 2)
-        used = slice(0, 2 * len(step))
+        """The factor rows lo..hi, steps lo // 2 .. hi // 2, of every run
+        into coef, dlocal and width, as array passes over the slab's steps:
+        one `evaluate` call per drive, at the nodes of every run's steps. A
+        pad step has zero width, so its factor is the identity whatever the
+        drive reads at its t = 0."""
+        step = np.arange(lo // 2, hi // 2)
+        used = slice(0, hi - lo)
         at = np.searchsorted(keyed, step + lanes * (rows + 1), side="right")
         at += lanes
         dt = dts.ravel()[at]
@@ -441,14 +440,13 @@ def _propagate(block: RunBlock, steps, initial, first) -> np.ndarray:
             target[used].reshape(-1, 2, batch)[:] = (
                 _WEIGHTS @ values.transpose(1, 0, 2).reshape(2, -1)).reshape(
                     2, batch, -1).transpose(2, 0, 1)
-        return 2 * int(step[0])
 
     def chunks():
         for lo in range(0, rows, chunk):
             if lo % slab == 0:
-                base = fill(lo, min(lo + slab, rows))
+                fill(lo, min(lo + slab, rows))
             hi = min(lo + chunk, rows)
-            part = slice(lo - base, hi - base)
+            part = slice(lo % slab, hi - lo + lo % slab)
             data, diag = pairs[:hi - lo], diags[:hi - lo]
             np.multiply(dlocal[part, :, None], sumh, diag)
             np.subtract(half, diag, diag)

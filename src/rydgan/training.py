@@ -25,7 +25,7 @@ import numpy as np
 from .data import _doc_field, _load_doc, atomic_write_json
 from .discriminator import (AdamState, DiscriminatorNet, discriminator_forward,
                             discriminator_step, init_discriminator)
-from .errors import DataError, RydganError, ValidationError, check_settings, setting
+from .errors import DataError, RydganError, ValidationError, check_settings
 from .generator import (EXACT, MAX_RUNS, STAGES, TRAINABLE_SHAPES, GeneratorParams,
                         TrainConfig, draw_seeds, generate_batch)
 from .neldermead import nelder_mead_steps
@@ -61,7 +61,7 @@ class StageLog:
     nm_evaluations: int = field(metadata=_COUNT)
     gen_loss: float
     disc_loss: float
-    nm_stop: str = setting("unknown", choices=("tol", "max_iters", "unknown"))
+    nm_stop: str = field(metadata={"choices": ("tol", "max_iters")})
 
     def __post_init__(self):
         check_settings(self)
@@ -247,8 +247,6 @@ def train_learners(config: TrainConfig, learners, class_data) -> list:
 
 LEARNER_FORMAT = "rydgan-learner"
 LEARNER_VERSION = 3
-_UNITLESS = {"duration": "duration_us", "min_spacing": "min_spacing_um",
-             "field_size": "field_size_um"}
 
 
 def save_learner(result: TrainingResult, path: str):
@@ -283,22 +281,18 @@ def _number(value) -> float:
 
 
 def _every_field(cls, values: dict):
-    """cls(**values); every file version wrote every field, so none defaults."""
+    """cls(**values); a file holds every field, so none defaults."""
     return cls(**{f.name: values[f.name] for f in fields(cls)} | values)
 
 
 def load_learner(path: str, run: TrainConfig | None = None) -> TrainingResult:
     """A saved training result, with net None; its params must lie in its own
     config's envelope, and the settings that define its generator must be
-    those of `run`, if given. Reads versions 1 to 3; the `discriminator`,
-    `validation_fid` and `rng_seed` keys of version 1 are ignored."""
-    doc = _load_doc(path, LEARNER_FORMAT, (1, 2, LEARNER_VERSION))
+    those of `run`, if given. Reads version 3 only; a file of another
+    version asks for train to be re-run."""
+    doc = _load_doc(path, LEARNER_FORMAT, LEARNER_VERSION, "; re-run train")
     with _doc_field(path, "config"):
         cfg = dict(doc["config"])
-        if doc["version"] < 3:      # formats 1 and 2 named three settings unitless
-            if not set(_UNITLESS.values()).isdisjoint(cfg):
-                raise TypeError(f"a version {doc['version']} config has unit suffixes")
-            cfg = {_UNITLESS.get(key, key): value for key, value in cfg.items()}
         cfg["limits"] = _every_field(PulseLimits, cfg["limits"])
         config = _every_field(TrainConfig, cfg)
     for key in ("rabi_shape", "local_shape"):
@@ -319,18 +313,14 @@ def load_learner(path: str, run: TrainConfig | None = None) -> TrainingResult:
         if params.n_qubits != config.n_qubits:
             raise ValidationError(f"{params.n_qubits} atoms, but the file's "
                                   f"config has n_qubits = {config.n_qubits}")
-        if (doc["version"] < 3 or "duration_us" in p) and (
-                duration := _number(p["duration_us"])) != config.duration_us:
-            raise ValidationError(f"duration_us = {duration}, but the file's "
-                                  f"config has duration_us = {config.duration_us}")
         params.validate(config.limits, config.min_spacing_um, config.field_size_um)
     with _doc_field(path, "final_loss"):
         learner = Learner(doc["rabi_shape"], doc["local_shape"], params,
                           _number(doc["final_loss"]))
     with _doc_field(path, "initial_loss"):
-        initial_loss = _number(doc["initial_loss"]) if "initial_loss" in doc else None
+        initial_loss = _number(doc["initial_loss"])
     with _doc_field(path, "log"):
-        log = tuple(StageLog(**row) for row in doc.get("log", []))
+        log = tuple(StageLog(**row) for row in doc["log"])
     for name in ("n_qubits", "duration_us", "limits", "c6") if run else ():
         theirs, ours = getattr(config, name), getattr(run, name)
         if theirs != ours:

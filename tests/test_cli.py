@@ -1,3 +1,5 @@
+import argparse
+import ast
 import collections
 import functools
 import gc
@@ -474,8 +476,13 @@ class TestGenerate:
         (lambda doc: doc.update(version=99), "version"),
         (lambda doc: doc.update(version=True), "version"),
         (lambda doc: doc.update(version=1.0), "version"),
+        (lambda doc: doc.update(member_files=[os.path.abspath("x.json")]),
+         "member_files"),
+        (lambda doc: doc.update(member_files=["../class0/x.json"]),
+         "member_files"),
+        (lambda doc: doc.update(member_files=["sub/x.json"]), "member_files"),
     ], ids=["missing", "not-a-list", "empty", "wrong-version", "version-true",
-            "version-1.0"])
+            "version-1.0", "absolute-path", "parent-path", "sub-path"])
     def test_malformed_manifest_is_data_error(self, smoke_ini, pipeline_out,
                                               tmp_path, capsys, edit, field):
         out = str(tmp_path / "copy")
@@ -609,6 +616,22 @@ class TestEvaluate:
         assert (f"digit_class must be {rule}, got {bad}"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+def test_every_remedy_names_a_subcommand():
+    """Each `; run <command>` or `; re-run <command>` that a message of the
+    package asks for names a subcommand of the console script."""
+    subcommands = next(action.choices for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    asked = set()
+    for path in glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                asked.update(re.findall(r"; (?:re-)?run ([\w-]+)", node.value))
+    assert {"fit-pca", "train", "select"} <= asked
+    assert asked <= set(subcommands)
 
 
 @pytest.mark.parametrize("command", ["fit-pca", "train", "select", "generate"])
@@ -1043,8 +1066,8 @@ class TestMalformedArtefacts:
     @pytest.mark.parametrize("version", [True, 1.0, 0, 4])
     def test_learner_version_not_1_or_2_exits_3(self, smoke_ini, copy, capsys,
                                                 version):
-        """A learner file loads at version 1, 2 or 3, a JSON integer: Python
-        holds True == 1 and 1.0 == 1, which must not pass."""
+        """A learner file loads only at version 3, a JSON integer: `true`,
+        `1.0`, 0 and 4 each exit 3 naming the version."""
         path = _artefact_paths(copy)["learner"]
         with open(path) as f:
             doc = json.load(f)
@@ -1056,6 +1079,37 @@ class TestMalformedArtefacts:
         err = capsys.readouterr().err
         assert code == 3
         assert f"{path}: field version: unsupported version {version!r}" in err
+
+    @pytest.mark.parametrize("artefact, current, remedy", [
+        ("pca", dp.PCA_VERSION, "re-run fit-pca"),
+        ("learner", training.LEARNER_VERSION, "re-run train"),
+        ("manifest", cli.ENSEMBLE_VERSION, "re-run select"),
+    ], ids=["pca", "learner", "manifest"])
+    @pytest.mark.parametrize("other", [lambda v: v - 1, lambda v: v + 1,
+                                       lambda v: True, float],
+                             ids=["previous", "next", "true", "float"])
+    def test_other_version_exits_3_naming_the_command_that_rewrites_it(
+            self, smoke_ini, copy, capsys, artefact, current, remedy, other):
+        """Each artefact reader accepts only its current version, a JSON
+        integer: any other version, older or newer, exits 3 naming the
+        field and the command that writes the file anew."""
+        path, version = _artefact_paths(copy)[artefact], other(current)
+        if artefact == "pca":
+            pca = PcaFile(path)
+            pca.header["version"] = version
+            pca.write(path)
+        else:
+            with open(path) as f:
+                doc = json.load(f)
+            doc["version"] = version
+            with open(path, "w") as f:
+                json.dump(doc, f)
+        code = main(["generate", "--config", smoke_ini, "--out", copy,
+                     "--count", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert (f"{path}: field version: unsupported version {version!r}; "
+                f"{remedy}") in err
 
     def test_short_scale_bounds_exit_3(self, smoke_ini, copy, capsys):
         path = _artefact_paths(copy)["pca"]
@@ -1248,16 +1302,13 @@ def test_retyped_learner_leaf_exits_3_naming_its_field(pipeline_out,
 
 
 def test_deleted_learner_key_exits_3_naming_it(pipeline_out, tmp_path):
-    """Every file version wrote every field of the config and its limits,
-    so a learner file with any key or leaf deleted fails to load with a
+    """save_learner writes every field of the config and its limits, so a
+    learner file with any key or leaf deleted fails to load with a
     DataError (exit 3) naming the file and the field: the top-level key,
-    and for a config or log value the key inside. Only initial_loss, log
-    and a log row's nm_stop may be missing."""
+    and for a config or log value the key inside. No key may be missing."""
     with open(_artefact_paths(pipeline_out)["learner"]) as f:
         original = json.load(f)
     path = str(tmp_path / "deleted.json")
-    optional = {("initial_loss",), ("log",)} | {
-        ("log", i, "nm_stop") for i in range(len(original["log"]))}
     cases = 0
     for leaf in dict.fromkeys([*_key_paths(original), *_leaf_paths(original)]):
         *parents, key = leaf
@@ -1265,9 +1316,6 @@ def test_deleted_learner_key_exits_3_naming_it(pipeline_out, tmp_path):
         del functools.reduce(lambda node, step: node[step], parents, doc)[key]
         with open(path, "w") as f:
             json.dump(doc, f)
-        if leaf in optional:
-            load_learner(path)
-            continue
         with pytest.raises(DataError) as info:
             load_learner(path)
         message, top = str(info.value), leaf[0]
@@ -1368,7 +1416,6 @@ def _add_atom(doc):
     (_crowd_second_atom, "params"),
     (_add_atom, "params"),
     (lambda doc: doc["config"].update(master_seed=-1), "config"),
-    (lambda doc: doc["params"].update(duration_us=50.0), "params"),
     (lambda doc: doc["config"].update(cycles=2.5), "config: cycles"),
     (lambda doc: doc["config"].update(cycles=True), "config: cycles"),
     (lambda doc: doc["config"].update(nm_tol=True), "config: nm_tol"),
@@ -1378,7 +1425,6 @@ def _add_atom(doc):
     (lambda doc: doc.update(initial_loss="x"), "initial_loss"),
     (lambda doc: doc["log"][0].update(cycle="a"), "log: cycle"),
     (lambda doc: doc.update(final_loss=True), "final_loss"),
-    (lambda doc: doc["params"].update(duration_us=True), "params"),
     (lambda doc: doc["params"].update(couplings=[True, False]), "params"),
     (lambda doc: doc["config"].update(c6=10 ** 400), "config: c6"),
     (lambda doc: doc.update(final_loss=10 ** 400), "final_loss"),
@@ -1391,13 +1437,11 @@ def _add_atom(doc):
      "log: nm_evaluations"),
 ], ids=["rabi-5000", "atom-outside-field", "constant-shape",
         "atoms-0.5um-apart", "three-atoms-in-a-two-qubit-file",
-        "negative-master-seed", "50us-params-under-a-1us-config",
-        "cycles-2.5", "cycles-true", "nm_tol-true", "n_qubits-2.0",
-        "hidden-string", "c6-string", "initial_loss-string",
-        "log-cycle-string", "final_loss-true", "duration-true",
-        "couplings-true-false", "c6-int-beyond-float",
-        "final_loss-int-beyond-float", "initial_loss-int-beyond-float",
-        "atom-int-beyond-float",
+        "negative-master-seed", "cycles-2.5", "cycles-true", "nm_tol-true",
+        "n_qubits-2.0", "hidden-string", "c6-string", "initial_loss-string",
+        "log-cycle-string", "final_loss-true", "couplings-true-false",
+        "c6-int-beyond-float", "final_loss-int-beyond-float",
+        "initial_loss-int-beyond-float", "atom-int-beyond-float",
         "log-stage-banana", "log-nm_stop-whenever", "log-cycle-negative",
         "log-nm_evaluations-negative"])
 def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
@@ -1496,7 +1540,8 @@ def test_stale_format_2_model_exits_3_naming_it(smoke_ini, pipeline_out,
                                                 written):
     """Where fit-pca of an earlier version left pca_class0.json (format
     version 2) and no pca_class0.pca, select, generate and evaluate exit 3
-    naming the .json file and asking for fit-pca, before any output."""
+    naming the missing .pca file and asking for fit-pca, before any
+    output: no command reads the .json file."""
     out = tmp_path / "copy"
     shutil.copytree(pipeline_out, out)
     os.rename(out / "pca_class0.pca", out / "pca_class0.json")
@@ -1508,7 +1553,7 @@ def test_stale_format_2_model_exits_3_naming_it(smoke_ini, pipeline_out,
     code = main([command, "--config", smoke_ini, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
-    assert f"{out / 'pca_class0.json'}: " in err and "re-run fit-pca" in err
+    assert f"missing PCA model {out / 'pca_class0.pca'}; run fit-pca first" in err
     assert not target.exists()
 
 

@@ -30,19 +30,6 @@ def tiny_config(**kw):
     return TrainConfig(**defaults)
 
 
-def as_version_2(doc, version=2):
-    """A version-3 learner document as formats 1 and 2 wrote it: three
-    config settings without their units, and the duration again in params
-    (version 1 held more keys, which load ignores)."""
-    unitless = {"duration_us": "duration", "min_spacing_um": "min_spacing",
-                "field_size_um": "field_size"}
-    old = json.loads(json.dumps(doc))
-    old.update(version=version, config={unitless.get(key, key): value
-                                        for key, value in doc["config"].items()})
-    old["params"]["duration_us"] = doc["config"]["duration_us"]
-    return old
-
-
 def target_features(count, seed=0):
     """Features of a fixed known 2-qubit generator: the synthetic class data."""
     arr = AtomArrangement(((6.0, 6.0), (11.0, 7.0)), (0.8, 0.2))
@@ -187,7 +174,7 @@ class TestPersistence:
     @pytest.mark.parametrize("payload, field", [
         (b"[]", "top level"),
         (b"\xff\xfe{", "rydgan-learner"),
-        (b'{"format": "rydgan-learner", "version": 1}', "config"),
+        (b'{"format": "rydgan-learner", "version": 3}', "config"),
     ], ids=["not-an-object", "not-utf8", "missing-keys"])
     def test_malformed_document_names_path_and_field(self, tmp_path, payload,
                                                      field):
@@ -247,36 +234,6 @@ class TestPersistence:
         assert set(doc) - {"format", "version"} - doc.read == set()
         assert set(params) - params.read == set()
 
-    def test_version_1_file_loads_to_the_same_learner(self, learner_text,
-                                                      tmp_path):
-        """Learner formats 1 and 2 named three config settings without their
-        units (`duration`, `min_spacing`, `field_size`) and held the duration
-        again as `params.duration_us`; version 1 also held the
-        discriminator's weights, `validation_fid` (always null) and
-        `rng_seed` (the config's master_seed). Such files load as the
-        version-3 file does and generate the same features."""
-        doc = json.loads(learner_text)
-        assert doc["version"] == training.LEARNER_VERSION == 3
-        v2 = as_version_2(doc)
-        net = init_discriminator(np.random.default_rng(3), in_dim=4, hidden=16)
-        v1 = dict(v2, version=1, validation_fid=None,
-                  rng_seed=v2["config"]["master_seed"],
-                  discriminator={name: a.tolist()
-                                 for name, a in net.as_dict().items()})
-        paths = [tmp_path / name for name in ("v1.json", "v2.json", "v3.json")]
-        for path, text in zip(paths, (json.dumps(v1), json.dumps(v2),
-                                      learner_text)):
-            path.write_text(text)
-        results = [load_learner(str(path)) for path in paths]
-        assert results[0] == results[1] == results[2]
-        assert results[0].net is None
-        seeds = draw_seeds(np.random.default_rng(6), 3)
-        config = results[0].config
-        feats = [generate_batch([(r.learner.params, s, EXACT) for s in seeds],
-                                config)
-                 for r in results]
-        assert feats[0].tobytes() == feats[1].tobytes() == feats[2].tobytes()
-
     def test_version_3_file_holds_each_setting_once(self, learner_text):
         """The config holds the settings under their INI keys' names, and
         params no longer repeats the duration."""
@@ -284,43 +241,14 @@ class TestPersistence:
         assert set(doc["config"]) == {f.name for f in fields(TrainConfig)}
         assert not set(doc["params"]) & set(doc["config"])
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_copied_duration_must_match_the_config(self, learner_text,
-                                                   tmp_path, version):
-        """Formats 1 and 2 hold the duration again as `params.duration_us`,
-        which must be there and equal the config's."""
-        doc = as_version_2(json.loads(learner_text), version)
-        doc["params"]["duration_us"] = 0.5
-        path = tmp_path / "learner.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="field params: duration_us = 0.5, "
-                           "but the file's config has duration_us = 1.0"):
-            load_learner(str(path))
-        del doc["params"]["duration_us"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="field params: missing key "
-                           "'duration_us'"):
-            load_learner(str(path))
-
-    def test_unit_named_key_in_an_old_version_is_rejected(self, learner_text,
-                                                         tmp_path):
-        """A version-2 config that holds a setting under its version-3 name
-        is not read as that setting."""
-        doc = json.loads(learner_text)
-        doc.update(version=2)
-        doc["params"]["duration_us"] = doc["config"]["duration_us"]
-        path = tmp_path / "learner.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="field config: a version 2 config"):
-            load_learner(str(path))
-
     @pytest.mark.parametrize("gain, shift", [(1.0, 0.0), (100.0, -1e4)],
                              ids=["identity", "gain-100"])
     def test_retired_noise_keys_are_ignored(self, learner_text, tmp_path,
                                             gain, shift):
-        """Files written before the error model moved onto the Hamiltonian
-        hold rabi_gain and local_shift_rad_per_us; they load, and generate
-        the features of the same file without those keys."""
+        """A `params` key that load does not know is ignored: with the
+        rabi_gain and local_shift_rad_per_us that files held before the error
+        model moved onto the Hamiltonian, a file loads and generates the
+        features of the same file without those keys."""
         doc = json.loads(learner_text)
         doc["params"].update(rabi_gain=gain, local_shift_rad_per_us=shift)
         old, plain = tmp_path / "old.json", tmp_path / "plain.json"
@@ -562,9 +490,13 @@ class TestStopReason:
                                 [(0, ("linear", "triangle"))], class_data)[0]
         assert {row.nm_stop for row in capped.log} == {"max_iters"}
 
-    def test_log_without_stop_reason_still_loads(self, learner_text, tmp_path):
+    def test_log_without_stop_reason_is_a_data_error(self, learner_text,
+                                                     tmp_path):
+        """Every log row holds its stop reason; a row without one does not
+        load with a default."""
         doc = json.loads(learner_text)
         assert {row.pop("nm_stop") for row in doc["log"]} <= {"tol", "max_iters"}
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
-        assert {row.nm_stop for row in load_learner(str(path)).log} == {"unknown"}
+        with pytest.raises(DataError, match="field log: .*'nm_stop'"):
+            load_learner(str(path))
