@@ -19,7 +19,8 @@ n = 4 batch (B = 8) under `[pulses] omega_max = 31.6` and
 n = 5 batch on the dense path (B = 25): every trainable (Rabi, local) shape
 pair once, at durations of 1 and 0.6 us in turn, so the shorter runs' grids
 are padded. The twelfth digests the features of one `generate_batch` call
-of 8 exact runs at n = 4 under a run of 0.6 us pulses at 200 steps/us.
+of one exact group, 8 seeds of one parameter point, at n = 4 under a run
+of 0.6 us pulses at 200 steps/us.
 The thirteenth is an n = 2 batch (B = 2) of two atoms 1e60 um apart, too
 far for C6 / r^6 to be a float, so they do not interact.
 Each new case comes last, so that the other cases' draws stay as they
@@ -46,9 +47,9 @@ WIDE_LIMITS = rydgan.pulses.PulseLimits(omega_max=31.6,
 
 
 def exact_block(params, seeds, run):
-    """The RunBlock of exact runs of params, one per seed, under run."""
-    return rydgan.generator._block(
-        [(p, float(s), rydgan.EXACT) for p in params for s in seeds], run)
+    """The RunBlock of exact runs under run: one group of the seeds per
+    parameter point of params."""
+    return rydgan.generator._block([(p, seeds, rydgan.EXACT) for p in params], run)
 
 
 def training_batch(rng, points, seeds):
@@ -106,8 +107,8 @@ def shape_pairs_batch(rng, n):
 
 
 def noisy_runs(rng, n, count):
-    """(params, seed, mode) runs of full_range_params, each noisy with its
-    own error-model seed."""
+    """One-run (params, seed, mode) groups of full_range_params, each noisy
+    with its own error-model seed."""
     params = full_range_params(rng, n)
     return [(params, float(s), rydgan.NoisyMode(rydgan.ErrorModel(rng_seed=i)))
             for i, s in enumerate(rydgan.draw_seeds(rng, count))]
@@ -135,7 +136,7 @@ def main():
     digest("n5-shapes-B25", rydgan.sim.evolve(*shape_pairs_batch(rng, 5)))
     params = full_range_params(rng, 4)
     digest("n4-gen-d0.6-B8", rydgan.generate_batch(
-        [(params, float(s), rydgan.EXACT) for s in rydgan.draw_seeds(rng, 8)],
+        [(params, rydgan.draw_seeds(rng, 8), rydgan.EXACT)],
         rydgan.TrainConfig(duration_us=0.6, steps_per_us=200)))
     digest("n2-far-B2", rydgan.sim.evolve(
         *full_range_batch(rng, 2, 2, spacing=1e60)))

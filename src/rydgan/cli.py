@@ -161,9 +161,8 @@ def cmd_select(config: RunConfig) -> int:
     learners = [r.learner for r in results]
     seeds = draw_seeds(np.random.default_rng(config.master_seed),
                        config.fid_batch)
-    # every learner at every seed in one batch: (L, fid_batch, 2^n)
-    features = generate_batch([(l.params, s, EXACT) for l in learners
-                               for s in seeds], run)
+    # one group of every seed per learner, in one batch: (L, fid_batch, 2^n)
+    features = generate_batch([(l.params, seeds, EXACT) for l in learners], run)
     selection = greedy_select(
         features.reshape(len(learners), len(seeds), -1), val, model)
     members = selection.member_indices
@@ -200,9 +199,9 @@ def _load_ensemble_members(config: RunConfig, cls: int, run: TrainConfig):
     names = manifest.get("member_files")
     if (not isinstance(names, list) or not names or not all(
             isinstance(name, str) and name and os.path.basename(name) == name
-            for name in names)):
+            for name in names) or len(set(names)) < len(names)):
         raise DataError(f"{path}: field member_files must be a nonempty list "
-                        f"of learner file names, got {names!r}")
+                        f"of distinct learner file names, got {names!r}")
     return names, [load_learner(os.path.join(_learners_dir(config, cls), name),
                                 run).learner for name in names]
 
@@ -222,17 +221,15 @@ def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
 def _generate_images(config: RunConfig, run: TrainConfig, members,
                      model: dp.PcaModel, mode_name: str, count: int,
                      files) -> np.ndarray:
-    """(count, IMAGE_SIDE, IMAGE_SIDE) ensemble images; every run freshly perturbed.
-
-    All count x members runs are generated as one batch; each image
-    averages its members' features. A run that fails numerically (a noisy
-    draw that crowds two atoms) names its image and member file.
-    """
+    """(count, IMAGE_SIDE, IMAGE_SIDE) ensemble images, each the mean of its
+    members' features; in noisy mode every run is freshly perturbed. The runs
+    are one batch of one-run groups, seed-major; a run that fails numerically
+    (a noisy draw that crowds two atoms) names its image and member file."""
     seeds = draw_seeds(np.random.default_rng(config.master_seed), count)
-    runs = [(m.params, seed, _member_mode(config, mode_name, i, j))
-            for i, seed in enumerate(seeds) for j, m in enumerate(members)]
+    groups = [(m.params, seed, _member_mode(config, mode_name, i, j))
+              for i, seed in enumerate(seeds) for j, m in enumerate(members)]
     try:
-        features = generate_batch(runs, run)
+        features = generate_batch(groups, run)
     except NumericError as err:     # generate_batch names the failed run
         image, member = divmod(err.run, len(members))
         raise NumericError(

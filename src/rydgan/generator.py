@@ -5,11 +5,9 @@ injected into both (a single scalar in [0.1, 1] shared by the pair, scaled
 to each drive's full range), evolves the ground state under the resulting
 Hamiltonian, and maps the outcome probabilities to features with a modulo
 operation so each feature can take any value in (0, 1/2^n] independently
-of the others. `generate_batch`, the one generation path, writes many
-(params, seed, mode) runs under one `TrainConfig`, the run's settings, into
-the arrays of one `sim.RunBlock`, a noisy run's draw in its own rows, and
-evolves it in one `sim.evolve` call; `generate_features` is a one-run
-`generate_batch`.
+of the others. `generate_batch`, the one generation path, evolves groups
+of runs (one params, many seeds, one mode) under one `TrainConfig` as one
+`sim.RunBlock`; `generate_features` is a one-run `generate_batch`.
 `GeneratorParams` declares the hardware envelope once: its trainable groups
 and their boxes serve both `validate` and the Nelder-Mead stages of training.
 """
@@ -274,60 +272,66 @@ def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
     return generate_batch([(params, seed, mode)], run)[0]
 
 
-def _block(runs, run: TrainConfig) -> RunBlock:
-    """The RunBlock of (params, seed, mode) runs under run's settings, each
-    noisy run with its own draw; the seed is both drives' fraction of their
-    full scale, the run's omega_max and local_detuning_min."""
-    params = [p for p, _, _ in runs]
-    atoms = np.array([p.n_qubits for p in params])
-    seeds = np.array([float(seed) for _, seed, _ in runs])
+def _block(groups, run: TrainConfig) -> RunBlock:
+    """The RunBlock of (params, seeds, mode) groups under run's settings, a
+    noisy group's one draw in all its rows; the seed is both drives' fraction
+    of their full scale, the run's omega_max and local_detuning_min."""
+    params = [p for p, _, _ in groups]
+    atoms = np.array([len(p.arrangement.positions) for p in params])
     bad = np.flatnonzero(atoms != atoms[0])
     if bad.size:
-        raise ValidationError(f"run {bad[0]}: positions hold {atoms[bad[0]]} atoms, "
-                              f"run 0's {atoms[0]}; one call has one qubit count")
+        raise ValidationError(f"group {bad[0]}: positions hold {atoms[bad[0]]} atoms, "
+                              f"group 0's {atoms[0]}; one call has one qubit count")
+    seeds = [s if getattr(s, "ndim", 0) else (s,) for _, s, _ in groups]
+    rows = np.repeat(np.arange(len(groups)), [len(s) for s in seeds])
+    seeds = np.fromiter((seed for s in seeds for seed in s), float, len(rows))
     bad = np.flatnonzero(~((SEED_LO - 1e-12 <= seeds) & (seeds <= SEED_HI + 1e-12)))
     if bad.size:
         raise ValidationError(f"run {bad[0]}: seed {seeds[bad[0]]} outside legal "
                               f"range [{SEED_LO}, {SEED_HI}]")
-    positions = np.array([p.arrangement.positions for p in params])
-    # per run: global offset, local shift and Rabi gain, a noisy run's drawn
-    noise = np.array([(p.global_detuning_offset, 0.0, 1.0) for p in params])
-    for row, (_, _, mode) in enumerate(runs):
+    positions = np.fromiter((x for p in params for xy in p.arrangement.positions
+                             for x in xy), float).reshape(len(params), -1, 2)
+    offset = np.array([p.global_detuning_offset for p in params])
+    shift, gain = np.zeros(len(groups)), np.ones(len(groups))  # a noisy group's draw
+    for g, (_, _, mode) in enumerate(groups):
         if isinstance(mode, NoisyMode):
-            positions[row], *draw = perturb_params(positions[row], mode.model)
-            noise[row, :2] += draw[:2]
-            noise[row, 2] *= draw[2]
+            positions[g], d_global, shift[g], gain[g] = perturb_params(
+                positions[g], mode.model)
+            offset[g] += d_global
         elif not isinstance(mode, (ExactMode, ShotsMode)):
-            raise ValidationError(f"run {row}: unknown generation mode {mode!r}")
-    return RunBlock(
-        positions, [p.arrangement.couplings for p in params], noise[:, 0],
-        run.duration_us, [(p.rabi_shape, p.local_shape) for p in params],
-        [(p.rabi_param, p.local_param) for p in params], seeds[:, None],
-        (run.limits.omega_max, run.limits.local_detuning_min), run.c6,
-        noise[:, 2], noise[:, 1])
+            raise ValidationError(f"group {g}: unknown generation mode {mode!r}")
+    couplings = np.array([p.arrangement.couplings for p in params])
+    shapes = np.array([(p.rabi_shape, p.local_shape) for p in params])
+    drives = np.array([(p.rabi_param, p.local_param) for p in params])
+    return RunBlock(positions[rows], couplings[rows], offset[rows], run.duration_us,
+                    shapes[rows], drives[rows], seeds[:, None],
+                    (run.limits.omega_max, run.limits.local_detuning_min), run.c6,
+                    gain[rows], shift[rows])
 
 
-def generate_batch(runs, run: TrainConfig = TrainConfig()) -> np.ndarray:
-    """Features (B, 2^n) of many (params, seed, mode) runs, evolved as one batch.
+def generate_batch(groups, run: TrainConfig = TrainConfig()) -> np.ndarray:
+    """Features (B, 2^n) of (params, seeds, mode) groups, evolved as one batch,
+    a row per seed (a float or a 1-D array), groups in call order.
 
     Probabilities are p = |a|^2 of the final amplitudes, or for a ShotsMode
-    run the frequencies of `shots` measurements drawn from its own RNG.
-    All runs share one qubit count; batching is what makes generation
-    cheap, so callers pass all the runs they need at once.
-    """
-    runs = list(runs)
-    if not runs:
-        raise ValidationError("generate_batch needs at least one run")
-    probs = np.abs(evolve(_block(runs, run), run.steps)) ** 2
+    group the frequencies of `shots` measurements per row, drawn in row order
+    from one RNG; a NoisyMode group is one draw of its model. All groups
+    share one qubit count; batching is what makes generation cheap."""
+    groups = list(groups)
+    if not groups:
+        raise ValidationError("generate_batch needs at least one group")
+    probs = np.abs(evolve(_block(groups, run), run.steps)) ** 2
     norms = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         raise NumericError(f"generator run {bad[0]} lost its norm: "
                            f"sum |a_k|^2 = {norms[bad[0]]!r}", run=int(bad[0]))
-    for p, (_, _, mode) in zip(probs, runs):
+    ends = np.cumsum([0] + [getattr(s, "size", 1) for _, s, _ in groups])
+    for (_, _, mode), lo, hi in zip(groups, ends, ends[1:]):
         if isinstance(mode, ShotsMode):
             rng = np.random.default_rng(mode.rng_seed)
-            p[:] = rng.multinomial(mode.shots, p / p.sum()) / mode.shots
+            for p in probs[lo:hi]:
+                p[:] = rng.multinomial(mode.shots, p / p.sum()) / mode.shots
     return modulo_encode(probs)
 
 

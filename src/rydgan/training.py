@@ -117,8 +117,8 @@ def initial_params(config: TrainConfig, rng: np.random.Generator) -> GeneratorPa
 
 
 def _learner(config: TrainConfig, data: np.ndarray, shapes):
-    """One learner's training: yields lists of (params, seed) runs, is sent
-    their exact features, returns its TrainingResult."""
+    """One learner's training: yields lists of (params, seeds, EXACT) groups,
+    is sent their features, returns its TrainingResult."""
     k = 1 << config.n_qubits
     rabi_shape, local_shape = shapes
     rng = np.random.default_rng(config.master_seed)
@@ -137,12 +137,12 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
             # (a) discriminator block: real vs freshly generated batches;
             # the generator is fixed during the block, so every step's fakes
             # are asked for in one request (same draws, same order)
-            draws = [(rng.integers(0, data.shape[0], size=config.disc_batch),
-                      draw_seeds(rng, config.disc_batch))
-                     for _ in range(config.disc_steps)]
-            fakes = yield [(params, s) for _, seeds in draws for s in seeds]
+            picks, seeds = zip(*[
+                (rng.integers(0, data.shape[0], size=config.disc_batch),
+                 draw_seeds(rng, config.disc_batch)) for _ in range(config.disc_steps)])
+            fakes = yield [(params, np.concatenate(seeds), EXACT)]
             fakes = fakes.reshape(config.disc_steps, config.disc_batch, k)
-            for (rows, _), step_fakes in zip(draws, fakes):
+            for rows, step_fakes in zip(picks, fakes):
                 net, adam, disc_loss = discriminator_step(
                     net, data[rows], step_fakes, adam, config.adam_lr,
                     config.adam_beta1, config.adam_beta2, config.adam_eps)
@@ -162,10 +162,10 @@ def _learner(config: TrainConfig, data: np.ndarray, shapes):
                     trials = [params.with_group(stage, x) for x in fresh.values()]
                     gaps = [config.min_spacing_um - t.min_pair_distance()
                             for t in trials]
-                    runs = [(t, s) for t, gap in zip(trials, gaps)
-                            if not gap > 0 for s in stage_seeds]
-                    feats = (iter((yield runs).reshape(-1, config.seed_batch, k))
-                             if runs else None)
+                    legal = [(t, stage_seeds, EXACT) for t, gap in zip(trials, gaps)
+                             if not gap > 0]
+                    feats = (iter((yield legal).reshape(-1, config.seed_batch, k))
+                             if legal else None)
                     scored.update(zip(fresh, [
                         _GEOMETRY_PENALTY + 100.0 * gap if gap > 0
                         else _mean_loss(net, next(feats)) for gap in gaps]))
@@ -192,9 +192,9 @@ def train_learners(config: TrainConfig, learners, class_data) -> list:
     """Train learners [(master_seed, (rabi_shape, local_shape)), ...] under
     config, each with its own master_seed, in lock step.
 
-    A round serves every learner's pending runs in generate_batch calls of
+    A round serves every learner's pending groups in generate_batch calls of
     whole requests, in learner order, of at most MAX_RUNS runs each; each
-    learner keeps its own RNG, so its draws do not depend on the group. Raw
+    learner keeps its own RNG, so its draws do not depend on the call. Raw
     class_data (outside the window (0, 1/2^n]) is rejected.
     """
     data = np.asarray(class_data, dtype=float)
@@ -213,8 +213,8 @@ def train_learners(config: TrainConfig, learners, class_data) -> list:
                for seed, shapes in learners]
     results, requests = [None] * len(running), {}
 
-    def send(group, parts):
-        for i, part in zip(group, parts):
+    def send(call, parts):
+        for i, part in zip(call, parts):
             try:
                 requests[i] = running[i].send(part)
             except StopIteration as stop:
@@ -227,20 +227,19 @@ def train_learners(config: TrainConfig, learners, class_data) -> list:
         # each request fits in one call; a learner is sent its features as
         # soon as its call returns, and no features are held through the
         # next call
-        pending, requests, groups = requests, {}, [[]]
-        for i, request in pending.items():
-            if sum(len(pending[j]) for j in groups[-1]) + len(request) > MAX_RUNS:
-                groups.append([])
-            groups[-1].append(i)
-        for group in groups:
-            runs = [(p, s, EXACT) for i in group for p, s in pending[i]]
+        pending, requests, calls = requests, {}, [[]]
+        runs = {i: sum(len(s) for _, s, _ in request) for i, request in pending.items()}
+        for i in pending:
+            if sum(runs[j] for j in calls[-1]) + runs[i] > MAX_RUNS:
+                calls.append([])
+            calls[-1].append(i)
+        for call in calls:
             try:
-                feats = generate_batch(runs, config)
+                feats = generate_batch([g for i in call for g in pending[i]], config)
             except RydganError as exc:
-                raise type(exc)(f"learners {', '.join(names[i] for i in group)}: "
+                raise type(exc)(f"learners {', '.join(names[i] for i in call)}: "
                                 f"{exc}") from exc
-            ends = np.cumsum([len(pending[i]) for i in group])
-            send(group, np.split(feats, ends[:-1]))
+            send(call, np.split(feats, np.cumsum([runs[i] for i in call])[:-1]))
             del feats
     return results
 

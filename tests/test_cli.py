@@ -150,11 +150,13 @@ class TestTrain:
         # the bound clamping makes Nelder-Mead revisit vertices; within a
         # stage the objective is fixed, so no (params, seed) run is generated
         # twice, while the log keeps Nelder-Mead's own counts
+        from tests.test_training import flat
         requested, results = collections.Counter(), []
 
-        def recording_batch(runs, *args):
-            requested.update((params, float(seed)) for params, seed, _ in runs)
-            return generate_batch(runs, *args)
+        def recording_batch(groups, *args):
+            requested.update((params, float(seed))
+                             for params, seed, _ in flat(groups))
+            return generate_batch(groups, *args)
 
         def recording_steps(*args):
             results.append((yield from nelder_mead_steps(*args)))
@@ -331,7 +333,7 @@ class TestSelect:
 
     def test_one_generation_call_scores_every_learner(self, smoke_ini,
                                                       tmp_path, monkeypatch):
-        from tests.test_training import rowwise_stub
+        from tests.test_training import flat, rowwise_stub
         cfg = tmp_path / "three.ini"
         cfg.write_text(open(smoke_ini).read().replace(
             "local_shapes = triangle,gaussian",
@@ -341,20 +343,22 @@ class TestSelect:
             assert main([cmd, "--config", str(cfg), "--out", out]) == 0
         calls = []
 
-        def counting(runs, run):
-            calls.append(runs)
-            return rowwise_stub(runs, run)
+        def counting(groups, run):
+            calls.append(groups)
+            return rowwise_stub(groups, run)
 
         monkeypatch.setattr(cli, "generate_batch", counting)
         assert main(["select", "--config", str(cfg), "--out", out]) == 0
         config = load_config(str(cfg), {"out_dir": out})
-        assert [len(runs) for runs in calls] == [3 * config.fid_batch]
+        assert [len(flat(groups)) for groups in calls] == [3 * config.fid_batch]
 
         paths, results = cli._load_learner_files(config, 0,
                                                  config.train_config())
         seeds = draw_seeds(np.random.default_rng(config.master_seed),
                            config.fid_batch)
         runs = [(r.learner.params, s, EXACT) for r in results for s in seeds]
+        # one group per learner, which flattens to every learner at every seed
+        assert len(calls[0]) == 3 and flat(calls[0]) == runs
         batches = rowwise_stub(runs, config.train_config()).reshape(3, len(seeds), -1)
         [val] = cli._load_splits(config, [0], held_out=True)
         expected = greedy_select(batches, val, cli._require_pca(config, 0))
@@ -481,8 +485,12 @@ class TestGenerate:
         (lambda doc: doc.update(member_files=["../class0/x.json"]),
          "member_files"),
         (lambda doc: doc.update(member_files=["sub/x.json"]), "member_files"),
+        # a repeat would weigh that learner more in every image
+        (lambda doc: doc.update(member_files=doc["member_files"][:1] * 3),
+         "member_files"),
     ], ids=["missing", "not-a-list", "empty", "wrong-version", "version-true",
-            "version-1.0", "absolute-path", "parent-path", "sub-path"])
+            "version-1.0", "absolute-path", "parent-path", "sub-path",
+            "repeated-name"])
     def test_malformed_manifest_is_data_error(self, smoke_ini, pipeline_out,
                                               tmp_path, capsys, edit, field):
         out = str(tmp_path / "copy")

@@ -1,11 +1,12 @@
 import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rydgan.errors import ValidationError
+from rydgan.errors import NumericError, ValidationError
 from rydgan.generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
                               SEED_HI, SEED_LO, TRAINABLE_SHAPES, ErrorModel,
                               GeneratorParams, NoisyMode, ShotsMode, TrainConfig,
@@ -14,6 +15,7 @@ from rydgan.generator import (EXACT, FIELD_SIZE_UM, GROUPS, MIN_SPACING_UM,
 from rydgan.pulses import DEFAULT_LIMITS, PulseLimits, breakpoint_times, evaluate
 from rydgan import sim
 from rydgan.sim import AtomArrangement, evolve
+from rydgan.training import initial_params
 
 
 def square_params(**kw):
@@ -236,22 +238,23 @@ class TestGenerateBatch:
             generate_batch([])
         two = square_params(arrangement=AtomArrangement(
             ((6.0, 6.0), (12.0, 6.0)), (0.5, 0.5)))
-        with pytest.raises(ValidationError, match="^run 1: positions"):
+        with pytest.raises(ValidationError, match="^group 1: positions"):
             generate_batch([(square_params(), 0.5, EXACT), (two, 0.5, EXACT)])
 
-    @pytest.mark.parametrize("field, run", [
-        ("shapes", (square_params(local_shape="sawtooth"), 0.5, EXACT)),
-        ("params", (square_params(rabi_param=float("nan")), 0.5, EXACT)),
-        ("seed", (square_params(), float("nan"), EXACT)),
+    @pytest.mark.parametrize("where, run", [
+        ("run 2: shapes", (square_params(local_shape="sawtooth"), 0.5, EXACT)),
+        ("run 2: params", (square_params(rabi_param=float("nan")), 0.5, EXACT)),
+        ("run 2: seed", (square_params(), float("nan"), EXACT)),
         # this draw moves an atom past the float range
-        ("positions", (square_params(), 0.5, NoisyMode(ErrorModel(
+        ("run 2: positions", (square_params(), 0.5, NoisyMode(ErrorModel(
             position_sigma=1e308, rng_seed=2)))),
-        ("positions", (square_params(arrangement=AtomArrangement(
+        # the qubit count is checked per group, each run here its own
+        ("group 2: positions", (square_params(arrangement=AtomArrangement(
             ((6.0, 6.0),), (0.5,))), 0.5, EXACT)),
     ], ids=["shape", "param", "seed", "noisy-positions", "qubit-count"])
-    def test_a_broken_run_names_its_field_and_row(self, field, run):
+    def test_a_broken_run_names_its_field_and_row(self, where, run):
         good = (square_params(), 0.7, EXACT)
-        with pytest.raises(ValidationError, match=rf"^run 2: {field}"):
+        with pytest.raises(ValidationError, match=rf"^{where}"):
             generate_batch([good, good, run, run])
 
     def test_a_broken_run_stops_the_call_before_any_work(self, monkeypatch):
@@ -264,6 +267,58 @@ class TestGenerateBatch:
         with pytest.raises(ValidationError, match="^run 3: params"):
             generate_batch([good, good, good, broken])
         assert not evolved
+
+
+def learner_params(n, seed, rabi_shape, local_shape):
+    """A legal learner at n qubits: the training start of master seed seed."""
+    params = initial_params(TrainConfig(n_qubits=n), np.random.default_rng(seed))
+    return replace(params, rabi_shape=rabi_shape, local_shape=local_shape)
+
+
+class TestGroups:
+    """A (params, seeds, mode) group is the runs of its seeds, in order."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_a_group_equals_its_one_run_groups(self, n):
+        seeds = draw_seeds(np.random.default_rng(90 + n), 7)
+        groups = [
+            (learner_params(n, 1, "linear", "triangle"), seeds[:4], EXACT),
+            (learner_params(n, 2, "sine_bump", "gaussian"), seeds[4:],
+             NoisyMode(ErrorModel(rng_seed=n))),
+            (learner_params(n, 3, "trapezoid", "linear"), 0.6, EXACT)]
+        runs = [(params, seed, mode) for params, row_seeds, mode in groups
+                for seed in np.atleast_1d(row_seeds)]
+        run = TrainConfig(n_qubits=n, steps_per_us=100)
+        grouped, lone = _block(groups, run), _block(runs, run)
+        assert len(grouped) == len(runs) == 8
+        for field in fields(sim.RunBlock):
+            assert np.array_equal(getattr(grouped, field.name),
+                                  getattr(lone, field.name)), field.name
+        assert (generate_batch(groups, run).tobytes()
+                == generate_batch(runs, run).tobytes())
+
+    def test_a_shots_group_samples_its_rows_from_one_rng(self):
+        params, seeds = square_params(), np.array([0.2, 0.5, 0.8, 0.95, 0.35])
+        mode, run = ShotsMode(shots=300, rng_seed=11), TrainConfig(steps_per_us=100)
+        probs = np.abs(evolve(_block([(params, seeds, EXACT)], run), run.steps)) ** 2
+        rng = np.random.default_rng(mode.rng_seed)
+        rows = [rng.multinomial(mode.shots, p / p.sum()) / mode.shots for p in probs]
+        assert (generate_batch([(params, seeds, mode)], run).tobytes()
+                == modulo_encode(np.array(rows)).tobytes())
+
+    def test_a_stiff_run_inside_a_group_names_its_flat_row(self, monkeypatch):
+        # two atoms 24 um apart barely interact, so each run's norm bound
+        # grows with its seed: at 20 steps/us the seed-1.0 run's bound is
+        # about 0.39, those of seeds up to 0.5 at most 0.21
+        monkeypatch.setattr(sim, "_MAX_STIFFNESS", 0.3)
+        params = square_params(arrangement=AtomArrangement(
+            ((6.0, 6.0), (30.0, 6.0)), (0.5, 0.5)))
+        run = TrainConfig(n_qubits=2, steps_per_us=20)
+        generate_batch([(params, np.array([0.2, 0.3, 0.5]), EXACT)], run)
+        with pytest.raises(NumericError, match="^run 3: ") as err:
+            generate_batch([(params, 0.3, EXACT),
+                            (params, np.array([0.2, 0.3, 1.0, 0.25]), EXACT)], run)
+        assert err.value.run == 3
 
 
 def square_positions():

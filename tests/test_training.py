@@ -321,10 +321,17 @@ GROUP = [(21, ("linear", "triangle")), (22, ("linear", "gaussian")),
          (23, ("trapezoid", "sine_bump"))]
 
 
-def rowwise_stub(runs, run):
+def flat(groups):
+    """The (params, seed, mode) runs of (params, seeds, mode) groups, row by
+    row: the one-run groups that the groups stand for."""
+    return [(params, seed, mode) for params, seeds, mode in groups
+            for seed in np.atleast_1d(seeds)]
+
+
+def rowwise_stub(groups, run):
     """Deterministic features in the 2-qubit window, row by row."""
     rows = []
-    for params, seed, _ in runs:
+    for params, seed, _ in flat(groups):
         phase = (params.rabi_param + 2.0 * params.local_param
                  + 3.0 * params.global_detuning_offset
                  + sum(params.arrangement.couplings)
@@ -370,9 +377,9 @@ class TestLockStep:
     def test_one_generator_call_per_round(self, class_data, monkeypatch):
         sizes = []
 
-        def counting(runs, *args):
-            sizes.append(len(runs))
-            return rowwise_stub(runs, *args)
+        def counting(groups, *args):
+            sizes.append(len(flat(groups)))
+            return rowwise_stub(groups, *args)
 
         monkeypatch.setattr(training, "generate_batch", counting)
         lone_calls = []
@@ -392,9 +399,9 @@ class TestLockStep:
         # fits under 50 runs, but the three of a round do not
         sizes = []
 
-        def counting(runs, *args):
-            sizes.append(len(runs))
-            return rowwise_stub(runs, *args)
+        def counting(groups, *args):
+            sizes.append(len(flat(groups)))
+            return rowwise_stub(groups, *args)
 
         monkeypatch.setattr(training, "generate_batch", counting)
         unsplit = train_learners(CONFIG, GROUP, class_data)
@@ -413,7 +420,7 @@ class TestLockStep:
         learner = training._learner(CONFIG, class_data, ("linear", "triangle"))
         request, served = learner.send(None), 0
         while True:
-            feats = rowwise_stub([(p, s, EXACT) for p, s in request], CONFIG)
+            feats = rowwise_stub(request, CONFIG)
             held = weakref.ref(feats)
             try:
                 request = learner.send(feats)
@@ -426,11 +433,12 @@ class TestLockStep:
 
     def test_initial_loss_comes_from_the_first_simplex(self, class_data,
                                                        monkeypatch):
-        sizes = []
+        sizes, groups = [], []
 
-        def counting(runs, *args):
-            sizes.append(len(runs))
-            return rowwise_stub(runs, *args)
+        def counting(request, *args):
+            sizes.append(len(flat(request)))
+            groups.append([np.size(seeds) for _, seeds, _ in request])
+            return rowwise_stub(request, *args)
 
         monkeypatch.setattr(training, "generate_batch", counting)
         # a Rabi simplex keeps the atoms apart, so no vertex is penalized
@@ -444,6 +452,10 @@ class TestLockStep:
         # re-evaluates the untrained params for initial_loss
         assert sizes[:2] == [config.disc_steps * config.disc_batch,
                              (len(x0) + 1) * config.seed_batch]
+        # the disc block is one group of all its seeds, the simplex one
+        # group of seed_batch seeds per legal vertex
+        assert groups[:2] == [[config.disc_steps * config.disc_batch],
+                              [config.seed_batch] * (len(x0) + 1)]
         assert np.isfinite(result.initial_loss)
 
     def test_learner_error_names_the_learner(self, class_data):
@@ -453,9 +465,9 @@ class TestLockStep:
 
     def test_learner_numeric_error_keeps_its_type(self, class_data,
                                                   monkeypatch):
-        def nan_for_gaussian(runs, *args):
-            feats = rowwise_stub(runs, *args)
-            feats[[p.local_shape == "gaussian" for p, _, _ in runs]] = np.nan
+        def nan_for_gaussian(groups, *args):
+            feats = rowwise_stub(groups, *args)
+            feats[[p.local_shape == "gaussian" for p, _, _ in flat(groups)]] = np.nan
             return feats
 
         monkeypatch.setattr(training, "generate_batch", nan_for_gaussian)
@@ -467,11 +479,11 @@ class TestLockStep:
                                                          monkeypatch):
         calls = []
 
-        def failing(runs, *args):
-            calls.append(len(runs))
+        def failing(groups, *args):
+            calls.append(len(flat(groups)))
             if len(calls) == 2:
                 raise NumericError("stiff")
-            return rowwise_stub(runs, *args)
+            return rowwise_stub(groups, *args)
 
         monkeypatch.setattr(training, "generate_batch", failing)
         with pytest.raises(NumericError) as info:
