@@ -49,7 +49,7 @@ WIDE_LIMITS = rydgan.pulses.PulseLimits(omega_max=31.6,
 def exact_block(params, seeds, run):
     """The RunBlock of exact runs under run: one group of the seeds per
     parameter point of params."""
-    return rydgan.generator._block([(p, seeds, rydgan.EXACT) for p in params], run)
+    return rydgan.generator._block([(p, seeds, rydgan.EXACT) for p in params], run)[0]
 
 
 def training_batch(rng, points, seeds):
@@ -97,7 +97,7 @@ def shape_pairs_batch(rng, n):
     params = full_range_params(rng, n)
     shapes = rydgan.generator.TRAINABLE_SHAPES
     pairs = [(a, b) for a in shapes for b in shapes]
-    block = rydgan.generator._block(
+    block, _ = rydgan.generator._block(
         [(dataclasses.replace(params, rabi_shape=a, local_shape=b), float(seed),
           rydgan.EXACT)
          for (a, b), seed in zip(pairs, rydgan.draw_seeds(rng, len(pairs)))],

@@ -3,9 +3,9 @@
 Every command validates its full configuration before doing any work,
 echoes the effective configuration into the output directory, writes all
 artifacts atomically, and is byte-reproducible for a fixed master seed.
-`select` and `generate` each simulate all their runs (every learner or
-member at every seed) in one `generate_batch` call; `greedy_select` only
-scores the resulting features.
+`select`, `generate` and `evaluate` share one generation step: every
+learner or member at every seed in one `generate_batch` call, rows
+member-major; `greedy_select` only scores the resulting features.
 
 Exit codes: 0 success, 1 internal error, 2 config/validation, 3
 data/format, 4 numeric.
@@ -143,12 +143,14 @@ def _require_pca(config: RunConfig, cls: int) -> dp.PcaModel:
 
 
 def _load_learner_files(config: RunConfig, cls: int, run: TrainConfig):
+    """The class's learner file names, sorted, and their learners of run."""
     pattern = os.path.join(_learners_dir(config, cls), "*.json")
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise ValidationError(
             f"no learner files match {pattern}; run train first")
-    return paths, [load_learner(p, run) for p in paths]
+    return ([os.path.basename(p) for p in paths],
+            [load_learner(p, run).learner for p in paths])
 
 
 def cmd_select(config: RunConfig) -> int:
@@ -157,20 +159,15 @@ def cmd_select(config: RunConfig) -> int:
     model = _require_pca(config, cls)
     [val] = _load_splits(config, [cls], held_out=True)
     run = config.train_config()
-    paths, results = _load_learner_files(config, cls, run)
-    learners = [r.learner for r in results]
-    seeds = draw_seeds(np.random.default_rng(config.master_seed),
-                       config.fid_batch)
-    # one group of every seed per learner, in one batch: (L, fid_batch, 2^n)
-    features = generate_batch([(l.params, seeds, EXACT) for l in learners], run)
-    selection = greedy_select(
-        features.reshape(len(learners), len(seeds), -1), val, model)
+    files, learners = _load_learner_files(config, cls, run)
+    selection = greedy_select(_member_features(
+        config, run, learners, "ideal", config.fid_batch, files), val, model)
     members = selection.member_indices
     manifest = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_VERSION,
         "class": cls,
-        "member_files": [os.path.basename(paths[i]) for i in members],
+        "member_files": [files[i] for i in members],
         "member_names": [learners[i].name for i in members],
         "validation_fid": selection.fid_trail[-1],
         "fid_trail": list(selection.fid_trail),
@@ -206,36 +203,33 @@ def _load_ensemble_members(config: RunConfig, cls: int, run: TrainConfig):
                                 run).learner for name in names]
 
 
-def _member_mode(config: RunConfig, mode_name: str, image_idx: int,
-                 member_idx: int):
-    """Per-image, per-member generation mode with derived RNG streams;
-    mode_name is one of MODES, which RunConfig.validate has checked."""
-    if mode_name == "ideal":
-        return EXACT
-    derived = _derived_seed(config.master_seed, image_idx, member_idx)
+def _member_mode(config: RunConfig, mode_name: str, image: int, member: int):
+    """The "noisy" or "shots" mode of one member's run for one image, its RNG
+    stream derived from the master seed, the image and the member."""
+    derived = _derived_seed(config.master_seed, image, member)
     if mode_name == "shots":
         return ShotsMode(config.shots, derived)
     return NoisyMode(config.error_model(derived))
 
 
-def _generate_images(config: RunConfig, run: TrainConfig, members,
-                     model: dp.PcaModel, mode_name: str, count: int,
-                     files) -> np.ndarray:
-    """(count, IMAGE_SIDE, IMAGE_SIDE) ensemble images, each the mean of its
-    members' features; in noisy mode every run is freshly perturbed. The runs
-    are one batch of one-run groups, seed-major; a run that fails numerically
-    (a noisy draw that crowds two atoms) names its image and member file."""
+def _member_features(config: RunConfig, run: TrainConfig, members,
+                     mode_name: str, count: int, files) -> np.ndarray:
+    """(members, count, 2^n) features of every member at the master seed's
+    first count seeds, from one generate_batch call with rows member-major:
+    one group of all the seeds per member in ideal mode, else one group per
+    run with its own `_member_mode`. A run that fails numerically (a noisy
+    draw that crowds two atoms) names its image and member file."""
     seeds = draw_seeds(np.random.default_rng(config.master_seed), count)
-    groups = [(m.params, seed, _member_mode(config, mode_name, i, j))
-              for i, seed in enumerate(seeds) for j, m in enumerate(members)]
+    groups = [(m.params, seeds, EXACT) for m in members]
+    if mode_name != "ideal":
+        groups = [(m.params, seed, _member_mode(config, mode_name, i, j))
+                  for j, m in enumerate(members) for i, seed in enumerate(seeds)]
     try:
         features = generate_batch(groups, run)
     except NumericError as err:     # generate_batch names the failed run
-        image, member = divmod(err.run, len(members))
-        raise NumericError(
-            f"image {image}, member {files[member]}: {err}") from err
-    features = features.reshape(count, len(members), -1).transpose(1, 0, 2)
-    return ensemble_images(model, features).reshape(count, dp.IMAGE_SIDE, -1)
+        member, image = divmod(err.run, count)
+        raise NumericError(f"image {image}, member {files[member]}: {err}") from err
+    return features.reshape(len(members), count, -1)
 
 
 def _write_variation_csv(variation: np.ndarray, path: str):
@@ -259,8 +253,8 @@ def cmd_generate(config: RunConfig) -> int:
     [val] = _load_splits(config, [cls], held_out=True)
     run = config.train_config()
     files, members = _load_ensemble_members(config, cls, run)
-    images = _generate_images(config, run, members, model, config.mode,
-                              config.count, files)
+    features = _member_features(config, run, members, config.mode, config.count, files)
+    images = ensemble_images(model, features).reshape(config.count, dp.IMAGE_SIDE, -1)
     score, variation, row = _score(val, cls, config.mode, images)
     out_dir = os.path.join(config.out_dir, "generated", f"class{cls}",
                            config.mode)
@@ -290,8 +284,9 @@ def cmd_evaluate(config: RunConfig, classes) -> int:
     for cls, model, val, files, members in inputs:
         per_mode = []
         for mode_name in ("ideal", "noisy"):
-            images = _generate_images(config, run, members, model,
-                                      mode_name, config.fid_batch, files)
+            images = ensemble_images(model, _member_features(
+                config, run, members, mode_name, config.fid_batch, files))
+            images = images.reshape(config.fid_batch, dp.IMAGE_SIDE, -1)
             score, variation, row = _score(val, cls, mode_name, images)
             rows.append(row)
             _write_variation_csv(variation, os.path.join(

@@ -106,7 +106,7 @@ class GeneratorParams:
             for v, (lo, hi) in zip(values, bounds):
                 if not lo <= v <= hi:
                     raise ValidationError(
-                        f"{GROUPS[group]} {v!r} outside [{lo}, {hi}]")
+                        f"{GROUPS[group]} {float(v)!r} outside [{lo}, {hi}]")
         dmin = self.min_pair_distance()
         if dmin < min_spacing_um:
             raise ValidationError(f"atoms {dmin!r} um apart; minimum spacing "
@@ -231,12 +231,12 @@ def modulo_encode(probs) -> np.ndarray:
         raise ValidationError(
             f"expected 2^n-length probability vectors, got shape {p.shape}")
     if (p < 0).any():
-        raise ValidationError(f"negative probability: min {p.min()!r}")
+        raise ValidationError(f"negative probability: min {float(p.min())!r}")
     sums = p.reshape(-1, dim).sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     if bad.size:
         raise ValidationError(f"probabilities of row {bad[0]} sum to "
-                              f"{sums[bad[0]]!r}, expected 1")
+                              f"{float(sums[bad[0]])!r}, expected 1")
     width = 1.0 / dim
     r = np.mod(p, width)
     return np.where(r > 0.0, r, np.where(p > 0.0, width, 0.0))
@@ -272,19 +272,23 @@ def generate_features(params: GeneratorParams, seed: float, mode=EXACT,
     return generate_batch([(params, seed, mode)], run)[0]
 
 
-def _block(groups, run: TrainConfig) -> RunBlock:
-    """The RunBlock of (params, seeds, mode) groups under run's settings, a
-    noisy group's one draw in all its rows; the seed is both drives' fraction
-    of their full scale, the run's omega_max and local_detuning_min."""
+def _block(groups, run: TrainConfig) -> tuple[RunBlock, np.ndarray]:
+    """The RunBlock of (params, seeds, mode) groups under run's settings and
+    the groups' row bounds (G + 1,), a noisy group's one draw in all its rows;
+    a seed is both drives' fraction of omega_max and local_detuning_min."""
     params = [p for p, _, _ in groups]
     atoms = np.array([len(p.arrangement.positions) for p in params])
     bad = np.flatnonzero(atoms != atoms[0])
     if bad.size:
         raise ValidationError(f"group {bad[0]}: positions hold {atoms[bad[0]]} atoms, "
                               f"group 0's {atoms[0]}; one call has one qubit count")
-    seeds = [s if getattr(s, "ndim", 0) else (s,) for _, s, _ in groups]
-    rows = np.repeat(np.arange(len(groups)), [len(s) for s in seeds])
-    seeds = np.fromiter((seed for s in seeds for seed in s), float, len(rows))
+    seeds = [np.asarray(s, float) for _, s, _ in groups]
+    for g, s in enumerate(seeds):
+        if s.ndim > 1:
+            raise ValidationError(f"group {g}: seeds of shape {s.shape}, not 0-d or 1-D")
+    sizes = [s.size for s in seeds]
+    rows = np.repeat(np.arange(len(groups)), sizes)
+    seeds = np.concatenate(seeds, axis=None)
     bad = np.flatnonzero(~((SEED_LO - 1e-12 <= seeds) & (seeds <= SEED_HI + 1e-12)))
     if bad.size:
         raise ValidationError(f"run {bad[0]}: seed {seeds[bad[0]]} outside legal "
@@ -306,12 +310,12 @@ def _block(groups, run: TrainConfig) -> RunBlock:
     return RunBlock(positions[rows], couplings[rows], offset[rows], run.duration_us,
                     shapes[rows], drives[rows], seeds[:, None],
                     (run.limits.omega_max, run.limits.local_detuning_min), run.c6,
-                    gain[rows], shift[rows])
+                    gain[rows], shift[rows]), np.cumsum([0] + sizes)
 
 
 def generate_batch(groups, run: TrainConfig = TrainConfig()) -> np.ndarray:
     """Features (B, 2^n) of (params, seeds, mode) groups, evolved as one batch,
-    a row per seed (a float or a 1-D array), groups in call order.
+    a row per seed (a float, or a 1-D array or list), groups in call order.
 
     Probabilities are p = |a|^2 of the final amplitudes, or for a ShotsMode
     group the frequencies of `shots` measurements per row, drawn in row order
@@ -320,13 +324,13 @@ def generate_batch(groups, run: TrainConfig = TrainConfig()) -> np.ndarray:
     groups = list(groups)
     if not groups:
         raise ValidationError("generate_batch needs at least one group")
-    probs = np.abs(evolve(_block(groups, run), run.steps)) ** 2
+    block, ends = _block(groups, run)
+    probs = np.abs(evolve(block, run.steps)) ** 2
     norms = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         raise NumericError(f"generator run {bad[0]} lost its norm: "
-                           f"sum |a_k|^2 = {norms[bad[0]]!r}", run=int(bad[0]))
-    ends = np.cumsum([0] + [getattr(s, "size", 1) for _, s, _ in groups])
+                           f"sum |a_k|^2 = {float(norms[bad[0]])!r}", run=int(bad[0]))
     for (_, _, mode), lo, hi in zip(groups, ends, ends[1:]):
         if isinstance(mode, ShotsMode):
             rng = np.random.default_rng(mode.rng_seed)

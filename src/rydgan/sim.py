@@ -527,7 +527,7 @@ def evolve(block: RunBlock, steps: int | None = None, initial=None) -> np.ndarra
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
         if bad.size:
             raise ValidationError(f"initial state {bad[0]} not normalized: "
-                                  f"sum |a_k|^2 = {norms[bad[0]]!r}")
+                                  f"sum |a_k|^2 = {float(norms[bad[0]])!r}")
     # a run has two factor rows per step, and a few more at its breakpoints
     rows = 2 * int(steps or default_steps(block.duration.max()))
     size = max(1, min(_MAX_BLOCK // out.shape[1], _MAX_FACTORS // rows))

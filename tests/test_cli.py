@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from rydgan import cli, training
+from rydgan import cli, sim, training
 from rydgan import data as dp
 from rydgan.cli import main
 from rydgan.config import (MODES, RunConfig, _sections, load_config,
@@ -29,7 +29,7 @@ from rydgan.data import (fit_pca, inverse_transform, load_idx, load_pca,
 from rydgan.errors import DataError, RydganError, ValidationError
 from rydgan.generator import (EXACT, TRAINABLE_SHAPES, GeneratorParams,
                               draw_seeds, generate_batch, perturb_params)
-from rydgan.metrics import greedy_select
+from rydgan.metrics import ensemble_images, greedy_select
 from rydgan.neldermead import nelder_mead_steps
 from rydgan.sim import AtomArrangement
 from rydgan.training import Learner, load_learner
@@ -331,6 +331,29 @@ class TestSelect:
         assert path in err and "config.n_qubits" in err
         assert not os.path.exists(manifest)
 
+    def test_numeric_failure_exits_4_naming_the_learner_file(
+            self, smoke_ini, pipeline_out, tmp_path, capsys, monkeypatch):
+        # a stiffness cap far below any real run's norm bound fails the
+        # batch; the failed run is numbered member-major
+        out = str(tmp_path / "stiff")
+        shutil.copytree(pipeline_out, out)
+        manifest = os.path.join(out, "ensemble_class0.json")
+        os.remove(manifest)
+        monkeypatch.setattr(sim, "_MAX_STIFFNESS", 1e-9)
+        code = main(["select", "--config", smoke_ini, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 4
+        match = re.search(r"error: image (\d+), member ([^:\s]+): run (\d+): "
+                          "Hamiltonian norm bound", err)
+        assert match, err
+        image, name, run = int(match[1]), match[2], int(match[3])
+        config = load_config(smoke_ini, {"out_dir": out})
+        files, _ = cli._load_learner_files(config, 0, config.train_config())
+        fid_batch = config.fid_batch
+        assert name in files and 0 <= image < fid_batch
+        assert run == files.index(name) * fid_batch + image
+        assert not os.path.exists(manifest)
+
     def test_one_generation_call_scores_every_learner(self, smoke_ini,
                                                       tmp_path, monkeypatch):
         from tests.test_training import flat, rowwise_stub
@@ -352,11 +375,11 @@ class TestSelect:
         config = load_config(str(cfg), {"out_dir": out})
         assert [len(flat(groups)) for groups in calls] == [3 * config.fid_batch]
 
-        paths, results = cli._load_learner_files(config, 0,
-                                                 config.train_config())
+        files, learners = cli._load_learner_files(config, 0,
+                                                  config.train_config())
         seeds = draw_seeds(np.random.default_rng(config.master_seed),
                            config.fid_batch)
-        runs = [(r.learner.params, s, EXACT) for r in results for s in seeds]
+        runs = [(l.params, s, EXACT) for l in learners for s in seeds]
         # one group per learner, which flattens to every learner at every seed
         assert len(calls[0]) == 3 and flat(calls[0]) == runs
         batches = rowwise_stub(runs, config.train_config()).reshape(3, len(seeds), -1)
@@ -366,8 +389,8 @@ class TestSelect:
         members = expected.member_indices
         assert doc == {
             "format": "rydgan-ensemble", "version": 1, "class": 0,
-            "member_files": [os.path.basename(paths[i]) for i in members],
-            "member_names": [results[i].learner.name for i in members],
+            "member_files": [files[i] for i in members],
+            "member_names": [learners[i].name for i in members],
             "validation_fid": expected.fid_trail[-1],
             "fid_trail": list(expected.fid_trail),
             "singleton_fids": list(expected.singleton_fids),
@@ -456,7 +479,7 @@ class TestGenerate:
                           "Hamiltonian norm bound", err)
         assert match, err
         image, name, run = int(match[1]), match[2], int(match[3])
-        assert run == image * len(files) + files.index(name)
+        assert run == files.index(name) * 400 + image
         config = load_config(str(cfg), {"out_dir": out})
         mode = cli._member_mode(config, "noisy", image, files.index(name))
         learner = load_learner(os.path.join(out, "learners", "class0", name))
@@ -464,6 +487,58 @@ class TestGenerate:
                              mode.model)[0]
         assert np.linalg.norm(pos[0] - pos[1]) < 1.0
         assert not os.path.exists(os.path.join(out, "generated"))
+
+    def test_ideal_runs_are_one_group_per_member_others_one_run_each(
+            self, smoke_ini, pipeline_out, tmp_path, monkeypatch):
+        """generate and evaluate hand generate_batch one group of all the
+        seeds per member in ideal mode, and member-major one-run groups in
+        noisy and shots mode, each with its image's and member's derived
+        RNG seed."""
+        from tests.test_training import rowwise_stub
+        out = tmp_path / "two"
+        shutil.copytree(pipeline_out, out)
+        config = load_config(smoke_ini, {"out_dir": str(out)})
+        files, members = cli._load_learner_files(config, 0, config.train_config())
+        doc = json.loads((out / "ensemble_class0.json").read_text())
+        (out / "ensemble_class0.json").write_text(
+            json.dumps(dict(doc, member_files=files)))
+        calls = []
+
+        def counting(groups, run):
+            calls.append(groups)
+            return rowwise_stub(groups, run)
+
+        monkeypatch.setattr(cli, "generate_batch", counting)
+
+        def check(groups, mode_name, count):
+            seeds = draw_seeds(np.random.default_rng(config.master_seed), count)
+            if mode_name == "ideal":
+                assert len(groups) == len(members)
+                for (params, group_seeds, mode), member in zip(groups, members):
+                    assert params == member.params and mode == EXACT
+                    assert np.array_equal(group_seeds, seeds)
+                return
+            assert groups == [
+                (m.params, seed, cli._member_mode(config, mode_name, i, j))
+                for j, m in enumerate(members) for i, seed in enumerate(seeds)]
+            for k, (_, _, mode) in enumerate(groups):
+                j, i = divmod(k, count)
+                derived = cli._derived_seed(config.master_seed, i, j)
+                assert (mode.rng_seed if mode_name == "shots"
+                        else mode.model.rng_seed) == derived
+
+        for mode_name in MODES:
+            calls.clear()
+            assert main(["generate", "--config", smoke_ini, "--out", str(out),
+                         "--mode", mode_name, "--count", "3"]) == 0
+            assert len(calls) == 1
+            check(calls[0], mode_name, 3)
+        calls.clear()
+        assert main(["evaluate", "--config", smoke_ini, "--out", str(out),
+                     "--class", "0"]) == 0
+        assert len(calls) == 2
+        check(calls[0], "ideal", config.fid_batch)
+        check(calls[1], "noisy", config.fid_batch)
 
     def test_missing_ensemble_is_data_error(self, smoke_ini, tmp_path, capsys):
         out = str(tmp_path / "noens")
@@ -566,8 +641,8 @@ class TestEvaluate:
                                                      pipeline_out, tmp_path):
         # same code path, same seeds: regenerating the batch and calling
         # fid_images directly must reproduce the CSV value exactly
-        from rydgan.cli import (_generate_images, _load_ensemble_members,
-                                _load_splits, _require_pca)
+        from rydgan.cli import (_load_ensemble_members, _load_splits,
+                                _member_features, _require_pca)
         from rydgan.config import load_config
         from rydgan.metrics import fid_images
         out = str(tmp_path / "out")
@@ -580,8 +655,8 @@ class TestEvaluate:
         [val] = _load_splits(config, [0], held_out=True)
         run = config.train_config()
         files, members = _load_ensemble_members(config, 0, run)
-        images = _generate_images(config, run, members, model, "ideal",
-                                  config.fid_batch, files)
+        images = ensemble_images(model, _member_features(
+            config, run, members, "ideal", config.fid_batch, files))
         direct = fid_images(val.images, images)
         with open(os.path.join(out, "evaluation.csv")) as f:
             rows = f.read().splitlines()
@@ -981,17 +1056,25 @@ class TestGenerateImages:
 
     @staticmethod
     def stub_generation(monkeypatch, outputs):
+        from tests.test_training import flat
         monkeypatch.setattr(
-            cli, "generate_batch", lambda runs, run: np.stack(
-                [outputs[params.rabi_param] for params, _, _ in runs]))
+            cli, "generate_batch", lambda groups, run: np.stack(
+                [outputs[params.rabi_param] for params, _, _ in flat(groups)]))
+
+    @staticmethod
+    def images(config, members, model, count, files):
+        """The ensemble images of generate and evaluate: the decoded mean of
+        the members' `_member_features`."""
+        features = cli._member_features(config, config.train_config(), members,
+                                        "ideal", count, files)
+        return ensemble_images(model, features).reshape(count, 28, 28)
 
     def test_images_decode_the_member_average(self, monkeypatch, model):
         outputs = {1.0: np.linspace(0.01, 0.2, 4), 2.0: np.full(4, 0.15)}
         self.stub_generation(monkeypatch, outputs)
         config = RunConfig(n_qubits=2)
-        images = cli._generate_images(config, config.train_config(),
-                                      [stub_member(1.0), stub_member(2.0)],
-                                      model, "ideal", 3, ["a.json", "b.json"])
+        images = self.images(config, [stub_member(1.0), stub_member(2.0)],
+                             model, 3, ["a.json", "b.json"])
         mean = (outputs[1.0] + outputs[2.0]) / 2
         expected = inverse_transform(model, unscale_features(model, mean))
         assert images.shape == (3, 28, 28)
@@ -1003,18 +1086,15 @@ class TestGenerateImages:
         self.stub_generation(monkeypatch, outputs)
         members = [stub_member(p) for p in (1.0, 2.0, 3.0)]
         config = RunConfig(n_qubits=2)
-        run, files = config.train_config(), ["a.json", "b.json", "c.json"]
-        fwd = cli._generate_images(config, run, members, model, "ideal", 2,
-                                   files)
-        rev = cli._generate_images(config, run, members[::-1], model, "ideal",
-                                   2, files[::-1])
+        files = ["a.json", "b.json", "c.json"]
+        fwd = self.images(config, members, model, 2, files)
+        rev = self.images(config, members[::-1], model, 2, files[::-1])
         assert np.abs(fwd - rev).max() < 1e-12
 
     def test_single_member_decodes_its_generate_batch_output(self, model):
         config = RunConfig(n_qubits=2, steps_per_us=50)
         member = stub_member(2.0)
-        images = cli._generate_images(config, config.train_config(), [member],
-                                      model, "ideal", 3, ["a.json"])
+        images = self.images(config, [member], model, 3, ["a.json"])
         seeds = draw_seeds(np.random.default_rng(config.master_seed), 3)
         features = generate_batch([(member.params, s, EXACT) for s in seeds],
                                   config.train_config())
@@ -1418,7 +1498,8 @@ def _add_atom(doc):
 
 
 @pytest.mark.parametrize("edit, field", [
-    (lambda doc: doc["params"].update(rabi_param_rad_per_us=5000.0), "params"),
+    (lambda doc: doc["params"].update(rabi_param_rad_per_us=5000.0),
+     "params: rabi_param 5000.0 outside"),
     (lambda doc: _move_first_atom(doc, [200.0, 5.0]), "params"),
     (lambda doc: doc.update(rabi_shape="constant"), "rabi_shape"),
     (_crowd_second_atom, "params"),
@@ -1443,6 +1524,8 @@ def _add_atom(doc):
     (lambda doc: doc["log"][0].update(cycle=-5), "log: cycle"),
     (lambda doc: doc["log"][0].update(nm_evaluations=-1),
      "log: nm_evaluations"),
+    (lambda doc: doc["params"].update(rabi_param_rad_per_us=99.0),
+     "params: rabi_param 99.0 outside"),
 ], ids=["rabi-5000", "atom-outside-field", "constant-shape",
         "atoms-0.5um-apart", "three-atoms-in-a-two-qubit-file",
         "negative-master-seed", "cycles-2.5", "cycles-true", "nm_tol-true",
@@ -1451,14 +1534,14 @@ def _add_atom(doc):
         "c6-int-beyond-float", "final_loss-int-beyond-float",
         "initial_loss-int-beyond-float", "atom-int-beyond-float",
         "log-stage-banana", "log-nm_stop-whenever", "log-cycle-negative",
-        "log-nm_evaluations-negative"])
+        "log-nm_evaluations-negative", "rabi-99"])
 def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
                                          capsys, edit, field):
     """A learner file whose params leave its own config's hardware envelope,
     whose config is invalid, that holds a value of the wrong JSON type (not
     coerced) or a JSON integer too large for a float, or whose log row breaks
     its fields' rules, fails to load, and generate exits 3 before writing any
-    image."""
+    image; the message prints values as Python numbers, never a numpy repr."""
     out = str(tmp_path / "copy")
     shutil.copytree(pipeline_out, out)
     shutil.rmtree(os.path.join(out, "generated"), ignore_errors=True)
@@ -1475,7 +1558,7 @@ def test_out_of_envelope_learner_exits_3(smoke_ini, pipeline_out, tmp_path,
                  "--count", "2"])
     err = capsys.readouterr().err
     assert code == 3
-    assert path in err and field in err
+    assert path in err and field in err and "np." not in err
     assert not os.path.exists(os.path.join(out, "generated"))
 
 

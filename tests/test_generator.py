@@ -32,7 +32,7 @@ def square_params(**kw):
 
 def one_run(params, seed, run=TrainConfig()):
     """The one-run block of an exact run of params at seed under run."""
-    return _block([(params, seed, EXACT)], run)
+    return _block([(params, seed, EXACT)], run)[0]
 
 
 class TestModuloEncode:
@@ -76,11 +76,11 @@ class TestModuloEncode:
     def test_negative_probability_rejected(self):
         p = np.full(16, 1.0 / 16.0)
         p[0], p[1] = -0.01, 0.135
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^negative probability: min -0\.01$"):
             modulo_encode(p)
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"row 0 sum to 1\.6\d*, expected 1$"):
             modulo_encode(np.full(16, 0.1))
 
     def test_block_equals_its_rows(self):
@@ -225,7 +225,7 @@ class TestGenerateBatch:
         params = square_params(rabi_shape="sine_bump", local_shape="gaussian")
         seeds = (0.3, 0.65, 1.0)
         batch = generate_batch([(params, s, EXACT) for s in seeds], run)
-        amps = evolve(_block([(params, s, EXACT) for s in seeds], run), 120)
+        amps = evolve(_block([(params, s, EXACT) for s in seeds], run)[0], 120)
         assert batch.tobytes() == modulo_encode(np.abs(amps) ** 2).tobytes()
 
     @pytest.mark.parametrize("steps", [0, 10_001])
@@ -289,7 +289,7 @@ class TestGroups:
         runs = [(params, seed, mode) for params, row_seeds, mode in groups
                 for seed in np.atleast_1d(row_seeds)]
         run = TrainConfig(n_qubits=n, steps_per_us=100)
-        grouped, lone = _block(groups, run), _block(runs, run)
+        grouped, lone = _block(groups, run)[0], _block(runs, run)[0]
         assert len(grouped) == len(runs) == 8
         for field in fields(sim.RunBlock):
             assert np.array_equal(getattr(grouped, field.name),
@@ -297,10 +297,30 @@ class TestGroups:
         assert (generate_batch(groups, run).tobytes()
                 == generate_batch(runs, run).tobytes())
 
+    def test_a_zero_d_seed_is_one_row(self):
+        params, run = square_params(), TrainConfig(steps_per_us=100)
+        want = generate_batch([(params, 0.5, EXACT)], run).tobytes()
+        for seed in (np.float64(0.5), np.array(0.5), np.array([0.5])):
+            assert generate_batch([(params, seed, EXACT)], run).tobytes() == want
+
+    def test_a_seed_list_generates_like_its_array(self):
+        params, run = square_params(), TrainConfig(steps_per_us=100)
+        seeds = [0.2, 0.5, 0.9]
+        out = generate_batch([(params, seeds, EXACT)], run)
+        assert out.shape == (3, 16)
+        assert (out.tobytes()
+                == generate_batch([(params, np.array(seeds), EXACT)], run).tobytes())
+
+    def test_seeds_of_two_or_more_axes_name_their_group(self):
+        params = square_params()
+        with pytest.raises(ValidationError, match=r"^group 1: seeds of shape \(2, 2\)"):
+            generate_batch([(params, 0.5, EXACT),
+                            (params, np.full((2, 2), 0.5), EXACT)])
+
     def test_a_shots_group_samples_its_rows_from_one_rng(self):
         params, seeds = square_params(), np.array([0.2, 0.5, 0.8, 0.95, 0.35])
         mode, run = ShotsMode(shots=300, rng_seed=11), TrainConfig(steps_per_us=100)
-        probs = np.abs(evolve(_block([(params, seeds, EXACT)], run), run.steps)) ** 2
+        probs = np.abs(evolve(_block([(params, seeds, EXACT)], run)[0], run.steps)) ** 2
         rng = np.random.default_rng(mode.rng_seed)
         rows = [rng.multinomial(mode.shots, p / p.sum()) / mode.shots for p in probs]
         assert (generate_batch([(params, seeds, mode)], run).tobytes()
@@ -384,8 +404,8 @@ class TestPerturbParams:
         # the block's rows of a noisy run are the nominal values with the
         # draw applied, the exact run beside it keeps them
         params, model = square_params(), ErrorModel(rng_seed=5)
-        block = _block([(params, 0.5, NoisyMode(model)), (params, 0.5, EXACT)],
-                       TrainConfig())
+        block, _ = _block([(params, 0.5, NoisyMode(model)), (params, 0.5, EXACT)],
+                          TrainConfig())
         pos, d_global, d_local, gain = perturb_params(square_positions(), model)
         assert np.array_equal(block.positions, [pos, square_positions()])
         assert block.global_detuning_offset.tolist() == [0.5 + d_global, 0.5]

@@ -141,7 +141,8 @@ class TestGroundState:
 
     def test_non_normalized_state_rejected(self):
         spec = constant_spec([(0.0, 0.0)], [0.0], 1.0, 0.0, 0.0)
-        with pytest.raises(ValidationError, match="initial state 1"):
+        with pytest.raises(ValidationError,
+                           match=r"^initial state 1 not normalized: sum \|a_k\|\^2 = 2\.0$"):
             evolve(stack([spec, spec]), initial=np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
@@ -425,21 +426,25 @@ def full_range_spec(rng, n, spacing=4.0):
                    (15.8, -125.0), (1.0, 1.0))
 
 
-def spread_full_range_spec(rng, n, seed=0.6):
-    """Strong legal drives at one seed on atoms anywhere in the 75 um field,
-    at least 4 um apart."""
+def spread_full_range_params(rng, n):
+    """Strong legal drives on atoms anywhere in the 75 um field, at least
+    4 um apart."""
     while True:
         pos = rng.uniform(0.0, 75.0, size=(n, 2))
         d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
         if d[np.triu_indices(n, 1)].min(initial=np.inf) >= 4.0:
             break
     limits = generator.DEFAULT_LIMITS
-    params = GeneratorParams(
+    return GeneratorParams(
         AtomArrangement(tuple(map(tuple, pos)), tuple(rng.uniform(0.0, 1.0, n))),
         "trapezoid", 0.9 * limits.omega_max, "sine_bump",
         0.9 * limits.local_detuning_min, 0.5 * limits.global_detuning_abs)
-    return generator._block([(params, seed, EXACT)],
-                            generator.TrainConfig(limits=limits))
+
+
+def spread_full_range_spec(rng, n, seed=0.6):
+    """The one-run block of spread_full_range_params at one seed."""
+    return generator._block([(spread_full_range_params(rng, n), seed, EXACT)],
+                            generator.TrainConfig())[0]
 
 
 class TestEvolveBatch:
@@ -716,6 +721,39 @@ class TestEvolveBatch:
         for spec, row in zip(specs, out):
             lone = evolve(spec, steps=100)[0]
             assert np.abs(row - lone).max() <= 1e-12
+
+    @pytest.mark.parametrize("noisy", [3, 4])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_a_permutation_of_the_runs_permutes_the_rows(self, n, noisy):
+        # within one block a run's row does not depend on its position, so a
+        # block of member-major runs gives the bits of the same runs
+        # seed-major; the block mixes every trainable shape pair, noisy runs
+        # and runs of 1 and 0.6 us. The one exception is the GEMM's column
+        # tail: at n = 4 and 5 (one 2^n-row GEMM, 2 columns per run) a
+        # block of 4k + 1 or 4k + 2 runs rounds its last one or two runs on
+        # their own, by about 1e-15
+        rng = np.random.default_rng(60 + n)
+        params = spread_full_range_params(rng, n)
+        pairs = [(a, b) for a in generator.TRAINABLE_SHAPES
+                 for b in generator.TRAINABLE_SHAPES]
+        groups = [(dataclasses.replace(params, rabi_shape=a, local_shape=b),
+                   seed, EXACT)
+                  for (a, b), seed in zip(pairs, generator.draw_seeds(rng, len(pairs)))]
+        groups += [(params, seed, generator.NoisyMode(generator.ErrorModel(rng_seed=i)))
+                   for i, seed in enumerate(generator.draw_seeds(rng, noisy))]
+        block, _ = generator._block(groups, generator.TrainConfig())
+        block = dataclasses.replace(
+            block, duration=[(1.0, 0.6)[i % 2] for i in range(len(block))])
+        assert len(block) << n <= sim._MAX_BLOCK      # one block
+        out = evolve(block)
+        rows = np.arange(len(block))
+        tail = len(block) - len(block) % 4
+        for _ in range(2):
+            order = rng.permutation(len(block))
+            moved = evolve(block[order])
+            inner = (rows < tail) & (order < tail)
+            assert np.array_equal(moved[inner], out[order][inner])
+            assert np.abs(moved - out[order]).max() <= 1e-14
 
     def test_copies_match_the_lone_run_bit_for_bit(self):
         # each run's phase is summed along its own column, so a run's bits
